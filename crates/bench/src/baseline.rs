@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use kvcsd_blockfs::BlockFs;
-use kvcsd_hostsim::run_threads;
 use kvcsd_lsm::{CompactionMode, Db, Options};
 use kvcsd_sim::LedgerSnapshot;
 use kvcsd_workloads::{GetWorkload, PutWorkload};
@@ -61,13 +60,13 @@ pub fn load(
     let before = tb.ledger.snapshot();
     tb.runner.foreground("lsm-insert", threads, || {
         if n_dbs == 1 {
-            run_threads(threads, |t| {
+            for t in 0..threads {
                 for (k, v) in workload.shard(t as u64, threads as u64) {
                     dbs[0].put(&k, &v).expect("put");
                 }
-            });
+            }
         } else {
-            run_threads(n_dbs, |t| {
+            for (t, db) in dbs.iter().enumerate() {
                 let wl = PutWorkload::new(
                     workload.keys,
                     workload.key_bytes,
@@ -75,9 +74,9 @@ pub fn load(
                     (0x1000_0000u64 * (t as u64 + 1)) ^ workload.key(0)[0] as u64,
                 );
                 for (k, v) in wl.shard(0, 1) {
-                    dbs[t as usize].put(&k, &v).expect("put");
+                    db.put(&k, &v).expect("put");
                 }
-            });
+            }
         }
         match mode {
             CompactionMode::Automatic => {
@@ -133,7 +132,7 @@ pub fn get_phase(
     }
     let before = tb.ledger.snapshot();
     tb.runner.foreground("lsm-get", threads, || {
-        run_threads(threads, |t| {
+        for t in 0..threads {
             let db = &loaded.dbs[t as usize % loaded.dbs.len()];
             let wl = if loaded.dbs.len() == 1 {
                 workload.clone()
@@ -152,7 +151,7 @@ pub fn get_phase(
                 let v = db.get(&wl.key(i)).expect("get");
                 debug_assert!(v.is_some(), "inserted key must be found");
             }
-        });
+        }
     });
     (
         tb.runner.last_elapsed_s(),

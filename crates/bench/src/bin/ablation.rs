@@ -13,7 +13,6 @@
 
 use kvcsd_bench::report::{fmt_secs, speedup};
 use kvcsd_bench::{kvcsd, Args, Testbed};
-use kvcsd_hostsim::run_threads;
 use kvcsd_sim::stats::TextTable;
 use kvcsd_workloads::PutWorkload;
 
@@ -57,13 +56,13 @@ fn main() {
         let ks = client.create_keyspace("w").unwrap();
         let mut tbm = tb;
         tbm.runner.foreground("insert", 4, || {
-            run_threads(4, |th| {
-                let mut w = ks.bulk_writer();
-                for (k, v) in wl.shard(th as u64, 4) {
-                    w.put(&k, &v).unwrap();
+            for th in 0..4 {
+                let acc = ks.write_accelerator();
+                for (k, v) in wl.shard(th, 4) {
+                    acc.put(&k, &v).unwrap();
                 }
-                w.finish().unwrap();
-            });
+                acc.flush().unwrap();
+            }
             ks.compact().unwrap();
         });
         let insert_s = tbm.runner.last_elapsed_s();
@@ -85,11 +84,11 @@ fn main() {
         let ks = client.create_keyspace("d").unwrap();
         let mut tbm = tb;
         tbm.runner.foreground("insert", 4, || {
-            let mut w = ks.bulk_writer();
+            let acc = ks.write_accelerator();
             for (k, v) in wl.shard(0, 1) {
-                w.put(&k, &v).unwrap();
+                acc.put(&k, &v).unwrap();
             }
-            w.finish().unwrap();
+            acc.flush().unwrap();
             ks.compact().unwrap();
         });
         tbm.runner.background("compact", || {
@@ -130,11 +129,11 @@ fn main() {
         let data = wl.keys * (16 + args.value_bytes as u64);
         let (dev, client) = tb.kvcsd(data, 64 << 20, 1);
         let ks = client.create_keyspace("p").unwrap();
-        let mut w = ks.bulk_writer();
+        let acc = ks.write_accelerator();
         for (k, v) in wl.shard(0, 1) {
-            w.put(&k, &v).unwrap();
+            acc.put(&k, &v).unwrap();
         }
-        w.finish().unwrap();
+        acc.flush().unwrap();
         if single_pass {
             ks.compact_with_indexes(vec![spec.clone()]).unwrap();
         } else {
@@ -189,12 +188,12 @@ fn main() {
         let (dev, client) = tb.kvcsd(2 << 20, 16 << 20, 2);
         for round in 0..churn_rounds {
             let ks = client.create_keyspace(&format!("gen{round}")).unwrap();
-            let mut w = ks.bulk_writer();
+            let acc = ks.write_accelerator();
             for i in 0..8_000u32 {
-                w.put(format!("k{i:06}").as_bytes(), &[round as u8; 32])
+                acc.put(format!("k{i:06}").as_bytes(), &[round as u8; 32])
                     .unwrap();
             }
-            w.finish().unwrap();
+            acc.flush().unwrap();
             ks.compact().unwrap();
             dev.run_pending_jobs();
             ks.delete().unwrap();

@@ -114,7 +114,7 @@ impl ArmStats {
 /// Drive one arm over an already-pipelined queue pair whose shared
 /// ledger is `ledger`; returns the arm's virtual-time statistics.
 fn drive(arm: Arm, qp: QueuePair, ledger: &Arc<IoLedger>, clock: &Arc<VirtualClock>) -> ArmStats {
-    let win = InflightWindow::new(qp.clone(), RetryPolicy::none(), Some(Arc::clone(clock)));
+    let win = InflightWindow::new(qp.clone(), RetryPolicy::none(), Arc::clone(clock));
     let ks = match win.call(
         None,
         KvCommand::CreateKeyspace {
@@ -153,9 +153,8 @@ fn drive(arm: Arm, qp: QueuePair, ledger: &Arc<IoLedger>, clock: &Arc<VirtualClo
             win.completion_latencies()
         }
         Arm::Accelerated => {
-            let accel =
-                WriteAccelerator::new(qp, ks, RetryPolicy::none(), Some(Arc::clone(clock)), None)
-                    .with_depth(ACCEL_OUTSTANDING);
+            let accel = WriteAccelerator::new(qp, ks, RetryPolicy::none(), Arc::clone(clock), None)
+                .with_depth(ACCEL_OUTSTANDING);
             for i in 0..PAIRS {
                 let k = key_for(i);
                 let v = value_for(&k);

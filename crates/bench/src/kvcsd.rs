@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use kvcsd_client::{Keyspace, KvCsd};
 use kvcsd_core::KvCsdDevice;
-use kvcsd_hostsim::run_threads;
 use kvcsd_sim::LedgerSnapshot;
 use kvcsd_workloads::{GetWorkload, PutWorkload};
 
@@ -55,23 +54,22 @@ pub fn load(
     let before = tb.ledger.snapshot();
     tb.runner.foreground("kvcsd-insert", threads, || {
         if n_keyspaces == 1 {
-            run_threads(threads, |t| {
-                let ks = &keyspaces[0];
+            let ks = &keyspaces[0];
+            for t in 0..threads {
                 if bulk {
-                    let mut w = ks.bulk_writer();
+                    let acc = ks.write_accelerator();
                     for (k, v) in workload.shard(t as u64, threads as u64) {
-                        w.put(&k, &v).expect("bulk put");
+                        acc.put(&k, &v).expect("bulk put");
                     }
-                    w.finish().expect("bulk finish");
+                    acc.flush().expect("bulk flush");
                 } else {
                     for (k, v) in workload.shard(t as u64, threads as u64) {
                         ks.put(&k, &v).expect("put");
                     }
                 }
-            });
+            }
         } else {
-            run_threads(n_keyspaces, |t| {
-                let ks = &keyspaces[t as usize];
+            for (t, ks) in keyspaces.iter().enumerate() {
                 let wl = PutWorkload::new(
                     workload.keys,
                     workload.key_bytes,
@@ -80,17 +78,17 @@ pub fn load(
                     (0x1000_0000u64 * (t as u64 + 1)) ^ workload.key(0)[0] as u64,
                 );
                 if bulk {
-                    let mut w = ks.bulk_writer();
+                    let acc = ks.write_accelerator();
                     for (k, v) in wl.shard(0, 1) {
-                        w.put(&k, &v).expect("bulk put");
+                        acc.put(&k, &v).expect("bulk put");
                     }
-                    w.finish().expect("bulk finish");
+                    acc.flush().expect("bulk flush");
                 } else {
                     for (k, v) in wl.shard(0, 1) {
                         ks.put(&k, &v).expect("put");
                     }
                 }
-            });
+            }
         }
         // "Once all keys are inserted, we invoke KV-CSD's background
         // compaction process and exit" — the invocation is cheap and
@@ -130,7 +128,7 @@ pub fn get_phase(
 ) -> (f64, LedgerSnapshot) {
     let before = tb.ledger.snapshot();
     tb.runner.foreground("kvcsd-get", threads, || {
-        run_threads(threads, |t| {
+        for t in 0..threads {
             let ks = &loaded.keyspaces[t as usize % loaded.keyspaces.len()];
             // Regenerate the per-keyspace workload to know its keys.
             let wl = if loaded.keyspaces.len() == 1 {
@@ -150,7 +148,7 @@ pub fn get_phase(
                 let v = ks.get(&wl.key(i)).expect("get");
                 debug_assert!(!v.is_empty());
             }
-        });
+        }
     });
     (
         tb.runner.last_elapsed_s(),

@@ -18,6 +18,11 @@
 //! measured-work + cost-model pipeline described in `DESIGN.md`; the
 //! *shapes* (who wins, by what factor) are the reproduction target, not
 //! the absolute numbers.
+//!
+//! A phase's "threads" are logical: the runners execute them one after
+//! another. Simulated time depends only on the work each thread charges
+//! to the ledger, which the time model divides by the phase's pinned core
+//! count, so every run is bit-for-bit reproducible.
 
 pub mod args;
 pub mod baseline;

@@ -17,7 +17,6 @@ use std::sync::Arc;
 
 use kvcsd_client::{Keyspace, KvCsd};
 use kvcsd_core::KvCsdDevice;
-use kvcsd_hostsim::run_threads;
 use kvcsd_lsm::{aux_key, primary_key, CompactionMode, Db};
 use kvcsd_proto::{Bound, SecondaryIndexSpec, SecondaryKeyType, SidxKey};
 use kvcsd_sim::LedgerSnapshot;
@@ -71,14 +70,13 @@ pub fn load_kvcsd(tb: &mut Testbed, dump: &VpicDump) -> VpicKvcsd {
 
     let before = tb.ledger.snapshot();
     tb.runner.foreground("vpic-write", dump.files, || {
-        run_threads(dump.files, |f| {
-            let ks = &keyspaces[f as usize];
-            let mut w = ks.bulk_writer();
+        for (f, ks) in (0..dump.files).zip(&keyspaces) {
+            let acc = ks.write_accelerator();
             for p in dump.shard(f) {
-                w.put(&p.id, &p.payload()).expect("bulk put");
+                acc.put(&p.id, &p.payload()).expect("bulk put");
             }
-            w.finish().expect("finish");
-        });
+            acc.flush().expect("flush");
+        }
         for ks in &keyspaces {
             ks.compact().expect("compact invocation");
         }
@@ -124,8 +122,7 @@ pub fn query_kvcsd(
     let mut total_hits = 0u64;
     tb.runner
         .foreground("vpic-kvcsd-query", loaded.keyspaces.len() as u32, || {
-            let hits: Vec<u64> = run_threads(loaded.keyspaces.len() as u32, |f| {
-                let ks = &loaded.keyspaces[f as usize];
+            for ks in &loaded.keyspaces {
                 let es = ks
                     .sidx_range(
                         ENERGY_INDEX,
@@ -134,9 +131,8 @@ pub fn query_kvcsd(
                         None,
                     )
                     .expect("sidx range");
-                es.len() as u64
-            });
-            total_hits = hits.iter().sum();
+                total_hits += es.len() as u64;
+            }
         });
     (
         tb.runner.last_elapsed_s(),
@@ -173,8 +169,7 @@ pub fn load_baseline(tb: &mut Testbed, dump: &VpicDump) -> VpicBaseline {
 
     let before = tb.ledger.snapshot();
     tb.runner.foreground("vpic-lsm-write", dump.files, || {
-        run_threads(dump.files, |f| {
-            let db = &dbs[f as usize];
+        for (f, db) in (0..dump.files).zip(&dbs) {
             for p in dump.shard(f) {
                 let payload = p.payload();
                 db.put(&primary_key(&p.id), &payload).expect("primary put");
@@ -183,7 +178,7 @@ pub fn load_baseline(tb: &mut Testbed, dump: &VpicDump) -> VpicBaseline {
                 let enc = SidxKey::F32(p.energy()).encode();
                 db.put(&aux_key(&enc, &p.id), &p.id).expect("aux put");
             }
-        });
+        }
         // "We report data insertion time as well as additional wait time
         // due to RocksDB compaction, which covers both indexes."
         for db in &dbs {
@@ -219,8 +214,7 @@ pub fn query_baseline(
     let mut total_hits = 0u64;
     tb.runner
         .foreground("vpic-lsm-query", loaded.dbs.len() as u32, || {
-            let hits: Vec<u64> = run_threads(loaded.dbs.len() as u32, |f| {
-                let db = &loaded.dbs[f as usize];
+            for db in &loaded.dbs {
                 // Step 1: scan the auxiliary namespace for matching IDs.
                 let lo = aux_key(&SidxKey::F32(threshold).encode(), &[]);
                 let ids: Vec<Vec<u8>> = db
@@ -230,15 +224,12 @@ pub fn query_baseline(
                     .map(|(_, id)| id)
                     .collect();
                 // Step 2: point-GET each full particle by primary key.
-                let mut n = 0u64;
                 for id in ids {
                     let rec = db.get(&primary_key(&id)).expect("primary get");
                     debug_assert!(rec.is_some());
-                    n += 1;
+                    total_hits += 1;
                 }
-                n
-            });
-            total_hits = hits.iter().sum();
+            }
         });
     (
         tb.runner.last_elapsed_s(),

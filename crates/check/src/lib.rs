@@ -1,6 +1,6 @@
 //! `kvcsd-check`: the workspace lint pass.
 //!
-//! Fourteen repo-specific rules that `rustc`/`clippy` cannot express, each
+//! Thirteen repo-specific rules that `rustc`/`clippy` cannot express, each
 //! guarding an invariant the reproduction's correctness argument leans on
 //! (see `DESIGN.md` §9, §11 and §13):
 //!
@@ -68,14 +68,6 @@
 //!   tests and `#[cfg(test)]` regions too — multi-threaded tests are
 //!   exactly where the detectors and the model checker earn their keep
 //!   (deliberately-racy fixtures carry reasoned allows).
-//! * **`window-bypass`** — no lock-step `QueuePair::execute` round-trip
-//!   in `kvcsd-client`/`kvcsd-cluster` library code outside the
-//!   in-flight window module (`crates/client/src/window.rs`), the one
-//!   sanctioned transport driver. `execute` serialises the host/device
-//!   boundary — submit, stall, claim, one command at a time — which
-//!   starves the pipelined queue the async boundary exists to keep
-//!   full; client hot paths go through `InflightWindow`'s
-//!   submit/poll_completions so overlapped commands actually overlap.
 //!
 //! Exemptions are granted inline, and only with a reason:
 //!
@@ -92,7 +84,7 @@
 //! zero external crates, so the checker runs on a small hand-rolled
 //! scrub-and-scan lexer. It strips comments, string/char literals and
 //! `#[cfg(test)]` regions, then token-scans what remains — which is
-//! exact enough for these three rules (no macro-generated locks or
+//! exact enough for these rules (no macro-generated locks or
 //! stringified `unwrap`s exist in this codebase).
 
 use std::fmt;
@@ -104,7 +96,7 @@ pub mod scope;
 use lexer::Scrubbed;
 
 /// The rule identifiers, as used in `allow(...)` comments and `--rule`.
-pub const RULES: [&str; 14] = [
+pub const RULES: [&str; 13] = [
     "sync",
     "unwrap",
     "time",
@@ -118,7 +110,6 @@ pub const RULES: [&str; 14] = [
     "ledger-charge",
     "epoch-fence",
     "shim-spawn",
-    "window-bypass",
 ];
 
 /// Charged-wait primitives for the `guard-across-wait` rule: method
@@ -178,13 +169,6 @@ pub const BUS_SEND_PRIMITIVES: [(&str, &str); 2] = [
     (".transfer(", "`BusResource::transfer` call"),
 ];
 
-/// Lock-step round-trip markers for the `window-bypass` rule: the
-/// synchronous submit-stall-claim path on `QueuePair`. In client and
-/// cluster library code, only the in-flight window module may drive the
-/// transport; everything above it pipelines through `InflightWindow`.
-pub const LOCKSTEP_PRIMITIVES: [(&str, &str); 1] =
-    [(".execute(", "`QueuePair::execute` lock-step round-trip")];
-
 /// Files whose job is to classify every [`KvStatus`] variant — the
 /// `status-map` rule's coverage sites, with the role named in reports.
 const STATUS_COVERAGE: [(&str, &str); 2] = [
@@ -239,7 +223,6 @@ pub struct RuleSet {
     pub ledger_charge: bool,
     pub epoch_fence: bool,
     pub shim_spawn: bool,
-    pub window_bypass: bool,
 }
 
 impl RuleSet {
@@ -258,7 +241,6 @@ impl RuleSet {
             ledger_charge: false,
             epoch_fence: false,
             shim_spawn: false,
-            window_bypass: false,
         }
     }
 }
@@ -324,12 +306,7 @@ impl RuleSet {
 ///   spawn wrapper and the scheduler's managed threads are built *from*
 ///   `std::thread` — with no test-region carve-out: harnesses and
 ///   `#[cfg(test)]` modules spawn real threads precisely to feed the
-///   race detector and the mc scheduler, which only see shim spawns;
-/// * `window-bypass` applies to library source in `crates/client/` and
-///   `crates/cluster/` only, minus `crates/client/src/window.rs` — the
-///   in-flight window is the one sanctioned transport driver; layers
-///   below the client (`crates/proto/` owns `execute` itself) and
-///   harnesses measuring the lock-step baseline are out of scope.
+///   race detector and the mc scheduler, which only see shim spawns.
 pub fn rules_for(rel_path: &str) -> RuleSet {
     let parts: Vec<&str> = rel_path.split('/').collect();
     if parts.iter().any(|p| *p == "fixtures" || *p == "target") {
@@ -361,9 +338,6 @@ pub fn rules_for(rel_path: &str) -> RuleSet {
             && rel_path.starts_with("crates/cluster/")
             && rel_path != "crates/cluster/src/replica.rs",
         shim_spawn: !rel_path.starts_with("crates/sim/"),
-        window_bypass: !harness
-            && (rel_path.starts_with("crates/client/") || rel_path.starts_with("crates/cluster/"))
-            && rel_path != "crates/client/src/window.rs",
     }
 }
 
@@ -839,26 +813,6 @@ pub fn check_source_report(
                     "epoch-fence",
                     format!(
                         "{what} outside the fenced send path — every replication artifact must cross the bus through ReplicaLog's epoch-stamped ship/reseed protocol (crates/cluster/src/replica.rs), or a deposed primary can slip unfenced bytes past the receive fence"
-                    ),
-                );
-            }
-        }
-    }
-    if rules.window_bypass {
-        for (needle, what) in LOCKSTEP_PRIMITIVES {
-            let mut from = 0;
-            while let Some(ix) = scrubbed.code[from..].find(needle) {
-                let off = from + ix;
-                from = off + needle.len();
-                let line = scrubbed.line_of(off);
-                if in_tests(line) {
-                    continue;
-                }
-                push(
-                    line,
-                    "window-bypass",
-                    format!(
-                        "{what} outside the in-flight window — client/cluster hot paths drive the device through InflightWindow's submit/poll_completions pipeline (crates/client/src/window.rs); a synchronous round-trip here drains the queue depth the async boundary exists to keep full"
                     ),
                 );
             }

@@ -242,7 +242,7 @@ fn router_bypass_exempts_the_sanctioned_constructors() {
     assert!(!rules_for("examples/quickstart.rs").router_bypass);
     assert!(rules_for("crates/core/src/device.rs").router_bypass);
     assert!(rules_for("crates/client/src/api.rs").router_bypass);
-    assert!(rules_for("crates/hostsim/src/lib.rs").router_bypass);
+    assert!(rules_for("crates/workloads/src/lib.rs").router_bypass);
 }
 
 #[test]
@@ -417,53 +417,6 @@ fn epoch_fence_scope_is_cluster_library_minus_the_send_path() {
     );
     assert!(!rules_for("tests/partition.rs").epoch_fence);
     assert!(!rules_for("crates/client/src/api.rs").epoch_fence);
-}
-
-#[test]
-fn seeded_window_bypass_violations_are_flagged() {
-    let rel = "crates/client/src/demo.rs";
-    let v = check_source(
-        Path::new(rel),
-        rel,
-        include_str!("fixtures/bad_window_bypass.rs"),
-    );
-    let hits: Vec<(usize, &str)> = v.iter().map(|v| (v.line, v.rule)).collect();
-    assert_eq!(
-        hits,
-        vec![(6, "window-bypass"), (15, "window-bypass")],
-        "both execute calls flagged, cfg(test) baseline exempt: {v:#?}"
-    );
-    assert!(v
-        .iter()
-        .all(|v| v.message.contains("InflightWindow") && v.message.contains("lock-step")));
-}
-
-#[test]
-fn reasoned_window_bypass_allow_and_pipelined_path_scan_clean() {
-    let rel = "crates/client/src/demo.rs";
-    let v = check_source(
-        Path::new(rel),
-        rel,
-        include_str!("fixtures/good_window_bypass.rs"),
-    );
-    assert!(v.is_empty(), "allow consumed, window path clean: {v:#?}");
-}
-
-#[test]
-fn window_bypass_scope_is_client_and_cluster_minus_the_window_module() {
-    assert!(rules_for("crates/client/src/api.rs").window_bypass);
-    assert!(rules_for("crates/client/src/accel.rs").window_bypass);
-    assert!(rules_for("crates/cluster/src/router.rs").window_bypass);
-    assert!(
-        !rules_for("crates/client/src/window.rs").window_bypass,
-        "the in-flight window is the sanctioned transport driver"
-    );
-    assert!(
-        !rules_for("crates/proto/src/transport.rs").window_bypass,
-        "the proto layer owns execute itself"
-    );
-    assert!(!rules_for("crates/bench/src/bin/ingest.rs").window_bypass);
-    assert!(!rules_for("tests/pipeline.rs").window_bypass);
 }
 
 #[test]

@@ -70,7 +70,7 @@ impl WriteAccelerator {
         qp: QueuePair,
         ks: u32,
         policy: RetryPolicy,
-        clock: Option<Arc<VirtualClock>>,
+        clock: Arc<VirtualClock>,
         deadline_ns: Option<u64>,
     ) -> Self {
         Self {
@@ -289,8 +289,14 @@ mod tests {
         });
         let qp = QueuePair::new(dev, Arc::new(IoLedger::new(16, 4096)));
         (
-            WriteAccelerator::new(qp, 0, RetryPolicy::default(), None, None)
-                .with_target_bytes(target),
+            WriteAccelerator::new(
+                qp,
+                0,
+                RetryPolicy::default(),
+                Arc::new(VirtualClock::new()),
+                None,
+            )
+            .with_target_bytes(target),
             pairs,
             bulks,
         )

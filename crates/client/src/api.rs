@@ -1,11 +1,11 @@
-//! The public client API: device handle, keyspace sessions, bulk writer,
-//! background jobs.
+//! The public client API: device handle, keyspace sessions, background
+//! jobs.
 
 use std::sync::Arc;
 
 use kvcsd_proto::{
-    Bound, BulkBuilder, DeviceHandler, JobId, JobState, KeyspaceDesc, KeyspaceStat, KeyspaceState,
-    KvCommand, KvResponse, QueuePair, SecondaryIndexSpec, SidxKey, DEFAULT_BULK_BYTES,
+    Bound, DeviceHandler, JobId, JobState, KeyspaceDesc, KeyspaceStat, KeyspaceState, KvCommand,
+    KvResponse, QueuePair, SecondaryIndexSpec, SidxKey,
 };
 use kvcsd_sim::{IoLedger, VirtualClock};
 
@@ -64,20 +64,20 @@ impl RetryPolicy {
 ///
 /// This is a thin wrapper over an ephemeral single-op
 /// [`InflightWindow`]: the window owns the retry state machine (backoff
-/// doubling charged to the ledger and the attached clock, failover/fence
+/// doubling charged to the ledger and the client clock, failover/fence
 /// redirect fast paths, deadline-aware fail-fast with
-/// [`KvStatus::DeadlineExceeded`]), so the lock-step call paths and the
-/// pipelined ingest paths share one implementation. The fresh
+/// [`KvStatus::DeadlineExceeded`]), so single-op calls and the pipelined
+/// ingest path share one implementation. The fresh
 /// [`QueuePair`] clone gives the window a private completion queue, so
 /// concurrent sessions never see each other's completions.
 fn exec_with_retry(
     qp: &QueuePair,
     policy: &RetryPolicy,
-    clock: Option<&Arc<VirtualClock>>,
+    clock: &Arc<VirtualClock>,
     deadline_ns: Option<u64>,
     cmd: KvCommand,
 ) -> Result<KvResponse> {
-    InflightWindow::new(qp.clone(), *policy, clock.cloned()).call(deadline_ns, cmd)
+    InflightWindow::new(qp.clone(), *policy, Arc::clone(clock)).call(deadline_ns, cmd)
 }
 
 /// Handle to one KV-CSD device.
@@ -85,17 +85,19 @@ fn exec_with_retry(
 pub struct KvCsd {
     qp: QueuePair,
     policy: RetryPolicy,
-    clock: Option<Arc<VirtualClock>>,
+    clock: Arc<VirtualClock>,
     deadline_ns: Option<u64>,
 }
 
 impl KvCsd {
-    /// Connect to a device through a new queue pair.
+    /// Connect to a device through a new queue pair. The client starts on
+    /// a private clock; [`KvCsd::with_clock`] replaces it with the one
+    /// the device runs on.
     pub fn connect(device: Arc<dyn DeviceHandler>, ledger: Arc<IoLedger>) -> Self {
         Self {
             qp: QueuePair::new(device, ledger),
             policy: RetryPolicy::default(),
-            clock: None,
+            clock: Arc::new(VirtualClock::new()),
             deadline_ns: None,
         }
     }
@@ -107,31 +109,28 @@ impl KvCsd {
         self
     }
 
-    /// Attach the simulation clock shared with the device. Retry backoff
-    /// then advances this clock, and deadline-aware retries can tell when
-    /// the budget is spent. Sessions and jobs opened afterwards inherit it.
+    /// Replace the private clock with the simulation clock shared with
+    /// the device. Retry and poll backoff then advance the device's
+    /// clock, and deadline-aware retries can tell when the budget is
+    /// spent. Sessions and jobs opened afterwards inherit it.
     pub fn with_clock(mut self, clock: Arc<VirtualClock>) -> Self {
-        self.clock = Some(clock);
+        self.clock = clock;
         self
     }
 
     /// Set an absolute deadline (sim-clock ns) stamped on every command
     /// issued through this handle and sessions opened from it. The device
     /// rejects expired work with `DeadlineExceeded`; the client retry loop
-    /// never schedules a retry past the budget.
+    /// never schedules a retry past the budget. The deadline is only
+    /// meaningful on a clock shared with the device via
+    /// [`KvCsd::with_clock`].
     pub fn with_deadline(mut self, deadline_ns: u64) -> Self {
         self.deadline_ns = Some(deadline_ns);
         self
     }
 
     fn exec(&self, cmd: KvCommand) -> Result<KvResponse> {
-        exec_with_retry(
-            &self.qp,
-            &self.policy,
-            self.clock.as_ref(),
-            self.deadline_ns,
-            cmd,
-        )
+        exec_with_retry(&self.qp, &self.policy, &self.clock, self.deadline_ns, cmd)
     }
 
     fn session(&self, ks: u32) -> Keyspace {
@@ -183,7 +182,7 @@ pub struct Keyspace {
     qp: QueuePair,
     id: u32,
     policy: RetryPolicy,
-    clock: Option<Arc<VirtualClock>>,
+    clock: Arc<VirtualClock>,
     deadline_ns: Option<u64>,
 }
 
@@ -195,7 +194,9 @@ impl Keyspace {
 
     /// A session clone whose commands carry an absolute deadline
     /// (sim-clock ns). Expired work fails with `DeadlineExceeded` at the
-    /// device; the retry loop never backs off past the budget.
+    /// device; the retry loop never backs off past the budget. Only
+    /// meaningful on a clock shared with the device via
+    /// [`KvCsd::with_clock`].
     pub fn with_deadline(&self, deadline_ns: u64) -> Keyspace {
         Keyspace {
             deadline_ns: Some(deadline_ns),
@@ -204,18 +205,12 @@ impl Keyspace {
     }
 
     fn exec(&self, cmd: KvCommand) -> Result<KvResponse> {
-        exec_with_retry(
-            &self.qp,
-            &self.policy,
-            self.clock.as_ref(),
-            self.deadline_ns,
-            cmd,
-        )
+        exec_with_retry(&self.qp, &self.policy, &self.clock, self.deadline_ns, cmd)
     }
 
     /// Insert a single key-value pair (one command round trip; prefer
-    /// [`Keyspace::bulk_writer`] for load phases — the paper measures
-    /// bulk PUT as 7x faster).
+    /// [`Keyspace::write_accelerator`] for load phases — the paper
+    /// measures bulk PUT as 7x faster).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         match self.exec(KvCommand::Put {
             ks: self.id,
@@ -224,16 +219,6 @@ impl Keyspace {
         })? {
             KvResponse::PutOk => Ok(()),
             other => Err(unexpected("PutOk", &other)),
-        }
-    }
-
-    /// Start a bulk-PUT stream with the default 128 KiB message size.
-    pub fn bulk_writer(&self) -> BulkWriter {
-        BulkWriter {
-            ks: self.clone(),
-            builder: BulkBuilder::default_size(),
-            message_bytes: DEFAULT_BULK_BYTES,
-            inserted: 0,
         }
     }
 
@@ -246,7 +231,7 @@ impl Keyspace {
             self.qp.clone(),
             self.id,
             self.policy,
-            self.clock.clone(),
+            Arc::clone(&self.clock),
             self.deadline_ns,
         )
     }
@@ -263,42 +248,29 @@ impl Keyspace {
 
     /// Invoke offloaded compaction; returns the background job handle.
     pub fn compact(&self) -> Result<Job> {
-        match self.exec(KvCommand::Compact { ks: self.id })? {
-            KvResponse::JobStarted { job } => Ok(Job {
-                qp: self.qp.clone(),
-                id: job,
-                policy: self.policy,
-                clock: self.clock.clone(),
-                poll_streak: Arc::new(kvcsd_sim::sync::Shared::new(0)),
-            }),
-            other => Err(unexpected("JobStarted", &other)),
-        }
+        self.start_job(KvCommand::Compact { ks: self.id })
     }
 
     /// Invoke offloaded compaction that also builds the given secondary
     /// indexes in the same device-side pass (single-step construction;
     /// the device falls back to separated passes when its DRAM is tight).
     pub fn compact_with_indexes(&self, specs: Vec<SecondaryIndexSpec>) -> Result<Job> {
-        match self.exec(KvCommand::CompactAndIndex { ks: self.id, specs })? {
-            KvResponse::JobStarted { job } => Ok(Job {
-                qp: self.qp.clone(),
-                id: job,
-                policy: self.policy,
-                clock: self.clock.clone(),
-                poll_streak: Arc::new(kvcsd_sim::sync::Shared::new(0)),
-            }),
-            other => Err(unexpected("JobStarted", &other)),
-        }
+        self.start_job(KvCommand::CompactAndIndex { ks: self.id, specs })
     }
 
     /// Request construction of a secondary index; returns the job handle.
     pub fn build_secondary_index(&self, spec: SecondaryIndexSpec) -> Result<Job> {
-        match self.exec(KvCommand::BuildSecondaryIndex { ks: self.id, spec })? {
+        self.start_job(KvCommand::BuildSecondaryIndex { ks: self.id, spec })
+    }
+
+    /// Send a job-starting command and wrap the device's job id.
+    fn start_job(&self, cmd: KvCommand) -> Result<Job> {
+        match self.exec(cmd)? {
             KvResponse::JobStarted { job } => Ok(Job {
                 qp: self.qp.clone(),
                 id: job,
                 policy: self.policy,
-                clock: self.clock.clone(),
+                clock: Arc::clone(&self.clock),
                 poll_streak: Arc::new(kvcsd_sim::sync::Shared::new(0)),
             }),
             other => Err(unexpected("JobStarted", &other)),
@@ -383,66 +355,6 @@ impl Keyspace {
     }
 }
 
-/// Streams key-value pairs to the device in packed bulk messages.
-///
-/// "Each bulk put message is 128 KB. This 128 KB space contains keys,
-/// values, and their respective sizes." Pairs are packed host-side (host
-/// CPU charged), and one command flies per full message.
-#[derive(Debug)]
-pub struct BulkWriter {
-    ks: Keyspace,
-    builder: BulkBuilder,
-    message_bytes: usize,
-    inserted: u64,
-}
-
-impl BulkWriter {
-    /// Queue one pair, shipping a message when full.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        // Host-side packing cost (memcpy into the message buffer).
-        let memcpy_ns = kvcsd_sim::config::CostModel::default().memcpy_ns_per_byte;
-        self.ks
-            .qp
-            .ledger()
-            .charge_host_cpu((key.len() + value.len()) as f64 * memcpy_ns);
-        if !self.builder.push(key, value) {
-            self.flush()?;
-            if !self.builder.push(key, value) {
-                // Single pair larger than a message: send it alone.
-                return self.ks.put(key, value);
-            }
-        }
-        Ok(())
-    }
-
-    /// Ship the current partial message.
-    pub fn flush(&mut self) -> Result<()> {
-        if self.builder.is_empty() {
-            return Ok(());
-        }
-        let full = std::mem::replace(&mut self.builder, BulkBuilder::new(self.message_bytes));
-        let payload = full.finish();
-        let n = payload.len() as u64;
-        match self.ks.exec(KvCommand::BulkPut {
-            ks: self.ks.id,
-            payload,
-        })? {
-            KvResponse::BulkPutOk { inserted } => {
-                debug_assert_eq!(inserted, n);
-                self.inserted += inserted;
-                Ok(())
-            }
-            other => Err(unexpected("BulkPutOk", &other)),
-        }
-    }
-
-    /// Flush and return the total number of pairs inserted.
-    pub fn finish(mut self) -> Result<u64> {
-        self.flush()?;
-        Ok(self.inserted)
-    }
-}
-
 /// First repeat-poll backoff; doubles per consecutive non-terminal poll.
 const POLL_BACKOFF_BASE_NS: u64 = 10_000;
 /// Ceiling on the per-poll backoff charge.
@@ -454,7 +366,7 @@ pub struct Job {
     qp: QueuePair,
     id: JobId,
     policy: RetryPolicy,
-    clock: Option<Arc<VirtualClock>>,
+    clock: Arc<VirtualClock>,
     /// Consecutive non-terminal polls; shared across clones so a spin
     /// loop cannot dodge the backoff by cloning the handle.
     poll_streak: Arc<kvcsd_sim::sync::Shared<u32>>,
@@ -469,7 +381,7 @@ impl Job {
     ///
     /// Hot polling is charged: after the first non-terminal answer, each
     /// repeat poll pays a capped, doubling virtual-time backoff
-    /// (`client_poll_backoff_ns` on the ledger, advanced on the attached
+    /// (`client_poll_backoff_ns` on the ledger, advanced on the client
     /// clock) so a spin loop yields background-job time instead of
     /// starving it. A terminal answer resets the streak.
     pub fn poll(&self) -> Result<JobState> {
@@ -477,14 +389,12 @@ impl Job {
         if streak > 0 {
             let backoff = (POLL_BACKOFF_BASE_NS << (streak - 1).min(20)).min(POLL_BACKOFF_CAP_NS);
             self.qp.ledger().bump("client_poll_backoff_ns", backoff);
-            if let Some(clock) = self.clock.as_deref() {
-                clock.advance(backoff);
-            }
+            self.clock.advance(backoff);
         }
         let polled = exec_with_retry(
             &self.qp,
             &self.policy,
-            self.clock.as_ref(),
+            &self.clock,
             None,
             KvCommand::PollJob { job: self.id },
         );
@@ -564,11 +474,11 @@ mod tests {
         let (client, dev, _) = testbed();
         let ks = client.create_keyspace("sim001").unwrap();
 
-        let mut bulk = ks.bulk_writer();
+        let acc = ks.write_accelerator();
         for i in 0..3000u32 {
-            bulk.put(&key(i), &value(i)).unwrap();
+            acc.put(&key(i), &value(i)).unwrap();
         }
-        assert_eq!(bulk.finish().unwrap(), 3000);
+        assert_eq!(acc.flush().unwrap(), 3000);
 
         let job = ks.compact().unwrap();
         assert_eq!(job.poll().unwrap(), JobState::Pending);
@@ -613,22 +523,22 @@ mod tests {
     }
 
     #[test]
-    fn bulk_writer_packs_many_pairs_per_message() {
+    fn accelerator_packs_many_pairs_per_message() {
         let (client, _dev, ledger) = testbed();
         let ks = client.create_keyspace("bulk").unwrap();
         let before = ledger.snapshot();
-        let mut bulk = ks.bulk_writer();
+        let acc = ks.write_accelerator();
         for i in 0..5000u32 {
-            bulk.put(&[&[0u8][..], &key(i)[..]].concat(), &value(i))
+            acc.put(&[&[0u8][..], &key(i)[..]].concat(), &value(i))
                 .unwrap();
         }
-        bulk.finish().unwrap();
+        acc.flush().unwrap();
         let d = ledger.snapshot().since(&before);
         // 5000 pairs * ~47B entries ~ 235 KB: a handful of messages, not
         // 5000.
         assert!(
             d.pcie_msgs < 20,
-            "bulk writer sent {} messages",
+            "write accelerator sent {} messages",
             d.pcie_msgs
         );
     }
@@ -649,15 +559,33 @@ mod tests {
     fn oversized_pair_falls_back_to_single_put() {
         let (client, dev, _) = testbed();
         let ks = client.create_keyspace("big").unwrap();
-        let mut bulk = ks.bulk_writer();
+        let acc = ks.write_accelerator();
         let huge = vec![7u8; 200 * 1024]; // bigger than one 128 KiB message
-        bulk.put(b"big-one", &huge).unwrap();
-        bulk.put(b"small", b"v").unwrap();
-        bulk.finish().unwrap();
+        acc.put(b"big-one", &huge).unwrap();
+        acc.put(b"small", b"v").unwrap();
+        assert_eq!(acc.flush().unwrap(), 2);
         ks.compact().unwrap();
         dev.run_pending_jobs();
         assert_eq!(ks.get(b"big-one").unwrap(), huge);
         assert_eq!(ks.get(b"small").unwrap(), b"v");
+    }
+
+    #[test]
+    fn last_staged_duplicate_wins_after_compaction() {
+        // Both writes of "dup" land in one staging buffer; the stable key
+        // sort keeps them in staging order, so the device applies the
+        // second as the overwrite.
+        let (client, dev, _) = testbed();
+        let ks = client.create_keyspace("dup").unwrap();
+        let acc = ks.write_accelerator();
+        acc.put(b"dup", b"first").unwrap();
+        acc.put(b"other", b"x").unwrap();
+        acc.put(b"dup", b"second").unwrap();
+        assert_eq!(acc.flush().unwrap(), 3);
+        ks.compact().unwrap();
+        dev.run_pending_jobs();
+        assert_eq!(ks.get(b"dup").unwrap(), b"second");
+        assert_eq!(ks.get(b"other").unwrap(), b"x");
     }
 
     #[test]
@@ -935,11 +863,11 @@ mod tests {
     fn query_moves_only_results_over_the_bus() {
         let (client, dev, ledger) = testbed();
         let ks = client.create_keyspace("io").unwrap();
-        let mut bulk = ks.bulk_writer();
+        let acc = ks.write_accelerator();
         for i in 0..2000u32 {
-            bulk.put(&key(i), &value(i)).unwrap();
+            acc.put(&key(i), &value(i)).unwrap();
         }
-        bulk.finish().unwrap();
+        acc.flush().unwrap();
         ks.compact().unwrap();
         dev.run_pending_jobs();
 
@@ -966,11 +894,11 @@ mod tests {
         )
         .with_clock(Arc::clone(&clock));
         let ks = client.create_keyspace("spin").unwrap();
-        let mut bulk = ks.bulk_writer();
+        let acc = ks.write_accelerator();
         for i in 0..100u32 {
-            bulk.put(&key(i), &value(i)).unwrap();
+            acc.put(&key(i), &value(i)).unwrap();
         }
-        bulk.finish().unwrap();
+        acc.flush().unwrap();
         let job = ks.compact().unwrap();
 
         let t0 = clock.now_ns();

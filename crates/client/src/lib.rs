@@ -7,11 +7,12 @@
 //! where the actual key-value based storage processing occurs."
 //!
 //! [`KvCsd`] is the device handle; [`Keyspace`] is a session on one
-//! keyspace supporting puts, the 128 KiB [`BulkWriter`], offloaded
-//! [`Keyspace::compact`] / [`Keyspace::build_secondary_index`] (returning
-//! pollable [`Job`]s), and point/range queries over both indexes. All
-//! host-side marshalling cost is charged to the host CPU; all bytes cross
-//! the simulated PCIe link through [`kvcsd_proto::QueuePair`].
+//! keyspace supporting puts, the [`WriteAccelerator`] (key-sorted 128 KiB
+//! bulk PUTs), offloaded [`Keyspace::compact`] /
+//! [`Keyspace::build_secondary_index`] (returning pollable [`Job`]s), and
+//! point/range queries over both indexes. All host-side marshalling cost
+//! is charged to the host CPU; all bytes cross the simulated PCIe link
+//! through [`kvcsd_proto::QueuePair`].
 
 pub mod accel;
 pub mod api;
@@ -19,7 +20,7 @@ pub mod error;
 pub mod window;
 
 pub use accel::WriteAccelerator;
-pub use api::{BulkWriter, Job, Keyspace, KvCsd, RetryPolicy};
+pub use api::{Job, Keyspace, KvCsd, RetryPolicy};
 pub use error::{status_class, ClientError, StatusClass};
 pub use window::{InflightWindow, OpId};
 

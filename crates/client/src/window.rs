@@ -1,9 +1,8 @@
 //! The in-flight window: per-op deadline and retry tracking over the
 //! pipelined `submit`/`poll_completions` transport path.
 //!
-//! [`InflightWindow`] is the one place in the client allowed to drive a
-//! [`QueuePair`] directly (the `window-bypass` checker rule enforces
-//! this). Every other client path — single-op calls, the bulk writer,
+//! [`InflightWindow`] is the one place in the client that drives a
+//! [`QueuePair`] directly. Every other client path — single-op calls and
 //! the write accelerator — goes through it, so deadline propagation,
 //! retry accounting and completion matching have exactly one
 //! implementation.
@@ -12,8 +11,8 @@
 //! a fresh transport [`CmdId`]; completions are matched out of order by
 //! id and either finish the op or feed the retry state machine, whose
 //! semantics (backoff doubling, redirect fast paths, deadline fail-fast)
-//! are identical to the historical lock-step loop — the same ledger
-//! counters and clock charges, just decoupled from submission order.
+//! are the same ledger counters and clock charges for every op,
+//! decoupled from submission order.
 //!
 //! Internally a pump lock serializes transport access: the submit→track
 //! and poll→record steps must be atomic with respect to each other, or a
@@ -46,8 +45,7 @@ struct OpCtx {
     /// The wire command, already deadline-wrapped; resends clone it.
     cmd: KvCommand,
     deadline_ns: Option<u64>,
-    /// Commands sent so far (first send included), mirroring the
-    /// lock-step loop's `attempts` counter.
+    /// Commands sent so far (first send included).
     attempts: u32,
 }
 
@@ -65,7 +63,8 @@ struct WindowState {
 pub struct InflightWindow {
     qp: QueuePair,
     policy: RetryPolicy,
-    clock: Option<Arc<VirtualClock>>,
+    /// Charged by retry backoff; read by the deadline fail-fast.
+    clock: Arc<VirtualClock>,
     /// Serializes transport access (see module docs).
     pump_lock: Mutex<()>,
     state: Mutex<WindowState>,
@@ -81,7 +80,7 @@ impl InflightWindow {
     /// Open a window over `qp`. The queue pair's completion queue must be
     /// private to this window (a fresh [`QueuePair`] clone guarantees
     /// that), or completions could be drained behind its back.
-    pub fn new(qp: QueuePair, policy: RetryPolicy, clock: Option<Arc<VirtualClock>>) -> Self {
+    pub fn new(qp: QueuePair, policy: RetryPolicy, clock: Arc<VirtualClock>) -> Self {
         Self {
             qp,
             policy,
@@ -94,7 +93,7 @@ impl InflightWindow {
     /// Submit one operation; its completion is claimed with
     /// [`wait`](InflightWindow::wait). A `deadline_ns` wraps the command
     /// in [`KvCommand::WithDeadline`] and arms the deadline-aware retry
-    /// fail-fast, exactly like the lock-step path did.
+    /// fail-fast.
     pub fn submit(&self, deadline_ns: Option<u64>, cmd: KvCommand) -> OpId {
         let cmd = match deadline_ns {
             Some(deadline_ns) => KvCommand::WithDeadline {
@@ -152,8 +151,7 @@ impl InflightWindow {
         self.pump_locked();
     }
 
-    /// Submit and wait: the single-op convenience the lock-step
-    /// `exec_with_retry` loop became.
+    /// Submit and wait: the single-op path behind `exec_with_retry`.
     pub fn call(&self, deadline_ns: Option<u64>, cmd: KvCommand) -> Result<KvResponse> {
         let op = self.submit(deadline_ns, cmd);
         self.wait(op)
@@ -191,8 +189,7 @@ impl InflightWindow {
     }
 
     /// Caller holds the pump lock. One poll, then the retry state
-    /// machine per completion — semantics identical to the historical
-    /// lock-step loop (same counters, same order, same fail-fast).
+    /// machine per completion.
     fn pump_locked(&self) {
         let completions = self.qp.poll_completions();
         for (id, resp) in completions {
@@ -234,8 +231,8 @@ impl InflightWindow {
                         continue;
                     }
                     let backoff = self.policy.backoff_ns(retry + 1);
-                    if let (Some(clock), Some(d)) = (self.clock.as_deref(), ctx.deadline_ns) {
-                        if clock.now_ns().saturating_add(backoff) >= d {
+                    if let Some(d) = ctx.deadline_ns {
+                        if self.clock.now_ns().saturating_add(backoff) >= d {
                             self.finish(
                                 ctx.op,
                                 Err(ClientError::Device(KvStatus::DeadlineExceeded)),
@@ -245,9 +242,7 @@ impl InflightWindow {
                     }
                     self.qp.ledger().bump("client_retries", 1);
                     self.qp.ledger().bump("client_retry_backoff_ns", backoff);
-                    if let Some(clock) = self.clock.as_deref() {
-                        clock.advance(backoff);
-                    }
+                    self.clock.advance(backoff);
                     self.resend(ctx);
                 }
                 Err(status) => self.finish(ctx.op, Err(ClientError::Device(status))),
@@ -295,7 +290,7 @@ mod tests {
             Arc::clone(&ledger),
         );
         (
-            InflightWindow::new(qp, RetryPolicy::default(), None),
+            InflightWindow::new(qp, RetryPolicy::default(), Arc::new(VirtualClock::new())),
             ledger,
         )
     }
@@ -316,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn retries_charge_the_same_counters_as_the_lock_step_loop() {
+    fn retries_charge_backoff_counters() {
         let (w, ledger) = window(3);
         let resp = w.call(None, get(vec![7])).expect("retried to success");
         assert_eq!(resp, KvResponse::Value(vec![7]));

@@ -74,6 +74,18 @@ impl Sketch {
         Some(ix.saturating_sub(1) as u32)
     }
 
+    /// Block where a scan for entries `>= key` must start when keys may
+    /// repeat across blocks (secondary indexes): the last block whose
+    /// pivot is < `key`, since entries equal to `key` can end that block
+    /// (or block 0 when no pivot precedes `key`).
+    pub fn locate_first(&self, key: &[u8]) -> Option<u32> {
+        if self.pivots.is_empty() {
+            return None;
+        }
+        let ix = self.pivots.partition_point(|p| p.as_slice() < key);
+        Some(ix.saturating_sub(1) as u32)
+    }
+
     /// Number of pivot comparisons a binary search performs (for cost
     /// charging).
     pub fn search_cost(&self) -> f64 {

@@ -185,9 +185,12 @@ pub fn sidx_range(
     if sidx.sketch.is_empty() {
         return Ok(Vec::new());
     }
+    // Secondary keys repeat, so an inclusive bound may have equal
+    // entries at the end of blocks before the last pivot <= it.
     let start_block = match lo {
         Bound::Unbounded => 0,
-        Bound::Included(k) | Bound::Excluded(k) => sidx.sketch.locate(k).unwrap_or(0),
+        Bound::Included(k) => sidx.sketch.locate_first(k).unwrap_or(0),
+        Bound::Excluded(k) => sidx.sketch.locate(k).unwrap_or(0),
     };
     soc.cmp(sidx.sketch.search_cost());
 
@@ -262,12 +265,23 @@ mod tests {
 
     /// Build a fully compacted + indexed storage for `n` keys 0..n.
     fn build_storage(n: u32, mgr: &ZoneManager, soc: &SocCharger, dram: &DramBudget) -> KsStorage {
+        build_storage_with(n, value, mgr, soc, dram)
+    }
+
+    /// As [`build_storage`], with `val(i)` stored under `key(i)`.
+    fn build_storage_with(
+        n: u32,
+        val: fn(u32) -> Vec<u8>,
+        mgr: &ZoneManager,
+        soc: &SocCharger,
+        dram: &DramBudget,
+    ) -> KsStorage {
         let kc = mgr.alloc_cluster(4).unwrap();
         let vc = mgr.alloc_cluster(4).unwrap();
         let mut log = WriteLog::new(kc, vc);
         // Insert in reverse so compaction genuinely sorts.
         for i in (0..n).rev() {
-            log.put(mgr, soc, &key(i), &value(i)).unwrap();
+            log.put(mgr, soc, &key(i), &val(i)).unwrap();
         }
         let (klen, vlen) = log.seal(mgr).unwrap();
         let cout = run_compaction(
@@ -456,6 +470,34 @@ mod tests {
         let pkeys: Vec<Vec<u8>> = got.iter().map(|(p, _)| p.clone()).collect();
         let want: Vec<Vec<u8>> = (n - 10..n).map(key).collect();
         assert_eq!(pkeys, want);
+    }
+
+    #[test]
+    fn sidx_inclusive_bound_keeps_duplicates_spanning_blocks() {
+        // Three scores of 1000 records each: every score spans several
+        // SIDX blocks, so the blocks before the last pivot equal to a
+        // score still end with entries of that score.
+        fn tiered(i: u32) -> Vec<u8> {
+            let mut v = vec![0xAB; 32];
+            v[28..].copy_from_slice(&(i / 1000).to_le_bytes());
+            v
+        }
+        let (mgr, soc, dram) = setup();
+        let st = build_storage_with(3000, tiered, &mgr, &soc, &dram);
+        let count_from = |lo: Bound| {
+            sidx_range(&mgr, &soc, &st, "score", &lo, &Bound::Unbounded, None)
+                .unwrap()
+                .len()
+        };
+        for score in 0..3u32 {
+            let skey = SidxKey::U32(score).encode();
+            let got = sidx_get(&mgr, &soc, &st, "score", &skey).unwrap();
+            assert_eq!(got.len(), 1000, "sidx_get({score})");
+            let at_least = count_from(Bound::Included(skey.clone()));
+            assert_eq!(at_least, (3 - score as usize) * 1000, "score >= {score}");
+            let above = count_from(Bound::Excluded(skey));
+            assert_eq!(above, (2 - score as usize) * 1000, "score > {score}");
+        }
     }
 
     #[test]

@@ -224,7 +224,11 @@ impl DeviceHandler for EchoDevice {
 /// must be deadlock-free and the wait loop bounded.
 pub fn window_matching_body() {
     let qp = QueuePair::new(Arc::new(EchoDevice), Arc::new(IoLedger::new(1, 4096)));
-    let win = Arc::new(InflightWindow::new(qp, RetryPolicy::none(), None));
+    let win = Arc::new(InflightWindow::new(
+        qp,
+        RetryPolicy::none(),
+        Arc::new(VirtualClock::new()),
+    ));
     let threads: Vec<_> = (0..2u8)
         .map(|i| {
             let win = Arc::clone(&win);

@@ -47,17 +47,17 @@ fn main() {
     let mut sessions = Vec::new();
     for name in tenants {
         let ks = client.create_keyspace(name).unwrap();
-        let mut bulk = ks.bulk_writer();
+        let acc = ks.write_accelerator();
         for i in 0..5_000u32 {
             // Identical key names across tenants: "keys within a keyspace
             // must be unique while across keyspaces keys can be reused".
-            bulk.put(
+            acc.put(
                 format!("record/{i:05}").as_bytes(),
                 format!("{name}-{i}").as_bytes(),
             )
             .unwrap();
         }
-        bulk.finish().unwrap();
+        acc.flush().unwrap();
         ks.compact().unwrap();
         sessions.push(ks);
     }

@@ -45,11 +45,11 @@ impl ShimFs {
     }
 
     /// "creat + write + close" — the shim turns the stream into chunks.
-    fn write_file(&self, bulk: &mut kvcsd_client::BulkWriter, path: &str, data: &[u8]) {
+    fn write_file(&self, acc: &kvcsd_client::WriteAccelerator, path: &str, data: &[u8]) {
         for (ix, chunk) in data.chunks(CHUNK).enumerate() {
-            bulk.put(&Self::chunk_key(path, ix as u32), chunk).unwrap();
+            acc.put(&Self::chunk_key(path, ix as u32), chunk).unwrap();
         }
-        bulk.put(&Self::meta_key(path), &(data.len() as u64).to_le_bytes())
+        acc.put(&Self::meta_key(path), &(data.len() as u64).to_le_bytes())
             .unwrap();
     }
 
@@ -110,11 +110,11 @@ fn main() {
         ("checkpoint/rank-0001.dat".into(), pattern(50_000, 2)),
         ("logs/run.log".into(), b"step 1 ok\nstep 2 ok\n".to_vec()),
     ];
-    let mut bulk = ks.bulk_writer();
+    let acc = ks.write_accelerator();
     for (path, data) in &files {
-        fs.write_file(&mut bulk, path, data);
+        fs.write_file(&acc, path, data);
     }
-    bulk.finish().unwrap();
+    acc.flush().unwrap();
     ks.compact().unwrap();
     device.run_pending_jobs();
 

@@ -42,13 +42,13 @@ fn main() {
     let ks = client
         .create_keyspace("quickstart")
         .expect("create keyspace");
-    let mut bulk = ks.bulk_writer();
+    let acc = ks.write_accelerator();
     for i in 0..10_000u32 {
         let key = format!("sensor/{i:06}");
         let value = format!("reading={}", i * 7);
-        bulk.put(key.as_bytes(), value.as_bytes()).expect("put");
+        acc.put(key.as_bytes(), value.as_bytes()).expect("put");
     }
-    let inserted = bulk.finish().expect("finish");
+    let inserted = acc.flush().expect("finish");
     println!("inserted {inserted} pairs");
 
     // 4. Invoke deferred compaction. The command returns immediately; the

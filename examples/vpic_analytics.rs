@@ -53,11 +53,11 @@ fn main() {
         let ks = client
             .create_keyspace(&format!("timestep-0042/file-{f:02}"))
             .unwrap();
-        let mut bulk = ks.bulk_writer();
+        let acc = ks.write_accelerator();
         for p in dump.shard(f) {
-            bulk.put(&p.id, &p.payload()).unwrap();
+            acc.put(&p.id, &p.payload()).unwrap();
         }
-        bulk.finish().unwrap();
+        acc.flush().unwrap();
         ks.compact().unwrap(); // deferred: returns immediately
         keyspaces.push(ks);
     }

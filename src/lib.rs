@@ -9,7 +9,6 @@ pub use kvcsd_client as client;
 pub use kvcsd_cluster as cluster;
 pub use kvcsd_core as device;
 pub use kvcsd_flash as flash;
-pub use kvcsd_hostsim as hostsim;
 pub use kvcsd_lsm as lsm;
 pub use kvcsd_proto as proto;
 pub use kvcsd_sim as sim;

@@ -88,11 +88,11 @@ fn kvcsd_matches_inmemory_model() {
     let model: BTreeMap<Vec<u8>, Vec<u8>> = data.iter().cloned().collect();
 
     let ks = client.create_keyspace("model-check").unwrap();
-    let mut bulk = ks.bulk_writer();
+    let acc = ks.write_accelerator();
     for (k, v) in &data {
-        bulk.put(k, v).unwrap();
+        acc.put(k, v).unwrap();
     }
-    bulk.finish().unwrap();
+    acc.flush().unwrap();
     ks.compact().unwrap();
     dev.run_pending_jobs();
 
@@ -128,12 +128,12 @@ fn kvcsd_and_baseline_agree_on_everything() {
     let data = dataset(4_000, 2);
 
     let ks = client.create_keyspace("agree").unwrap();
-    let mut bulk = ks.bulk_writer();
+    let acc = ks.write_accelerator();
     for (k, v) in &data {
-        bulk.put(k, v).unwrap();
+        acc.put(k, v).unwrap();
         db.put(k, v).unwrap();
     }
-    bulk.finish().unwrap();
+    acc.flush().unwrap();
     ks.compact().unwrap();
     dev.run_pending_jobs();
     db.flush().unwrap();
@@ -151,11 +151,11 @@ fn secondary_index_agrees_with_brute_force() {
     let (dev, client, _) = make_device();
     let data = dataset(3_000, 3);
     let ks = client.create_keyspace("sidx").unwrap();
-    let mut bulk = ks.bulk_writer();
+    let acc = ks.write_accelerator();
     for (k, v) in &data {
-        bulk.put(k, v).unwrap();
+        acc.put(k, v).unwrap();
     }
-    bulk.finish().unwrap();
+    acc.flush().unwrap();
     ks.compact().unwrap();
     dev.run_pending_jobs();
     ks.build_secondary_index(SecondaryIndexSpec {
@@ -198,12 +198,12 @@ fn device_survives_many_keyspace_lifecycles() {
     let zones0 = dev.zone_manager().free_zones();
     for round in 0..10 {
         let ks = client.create_keyspace(&format!("cycle-{round}")).unwrap();
-        let mut bulk = ks.bulk_writer();
+        let acc = ks.write_accelerator();
         for i in 0..500u32 {
-            bulk.put(format!("k{i:05}").as_bytes(), &[round as u8; 32])
+            acc.put(format!("k{i:05}").as_bytes(), &[round as u8; 32])
                 .unwrap();
         }
-        bulk.finish().unwrap();
+        acc.flush().unwrap();
         ks.compact().unwrap();
         dev.run_pending_jobs();
         assert_eq!(ks.get(b"k00123").unwrap(), vec![round as u8; 32]);
@@ -221,11 +221,11 @@ fn device_survives_many_keyspace_lifecycles() {
 fn offloading_keeps_host_idle_during_background_work() {
     let (dev, client, ledger) = make_device();
     let ks = client.create_keyspace("offload").unwrap();
-    let mut bulk = ks.bulk_writer();
+    let acc = ks.write_accelerator();
     for (k, v) in dataset(5_000, 4) {
-        bulk.put(&k, &v).unwrap();
+        acc.put(&k, &v).unwrap();
     }
-    bulk.finish().unwrap();
+    acc.flush().unwrap();
     ks.compact().unwrap();
 
     let before = ledger.snapshot();
@@ -243,11 +243,11 @@ fn bulk_and_single_puts_are_equivalent() {
     let data = dataset(1_000, 5);
 
     let ks_bulk = client.create_keyspace("bulk").unwrap();
-    let mut bulk = ks_bulk.bulk_writer();
+    let acc = ks_bulk.write_accelerator();
     for (k, v) in &data {
-        bulk.put(k, v).unwrap();
+        acc.put(k, v).unwrap();
     }
-    bulk.finish().unwrap();
+    acc.flush().unwrap();
     ks_bulk.compact().unwrap();
 
     let ks_single = client.create_keyspace("single").unwrap();
@@ -271,11 +271,11 @@ fn single_pass_compact_with_indexes_through_client() {
     let (dev, client, _) = make_device();
     let data = dataset(2_000, 9);
     let ks = client.create_keyspace("onepass").unwrap();
-    let mut bulk = ks.bulk_writer();
+    let acc = ks.write_accelerator();
     for (k, v) in &data {
-        bulk.put(k, v).unwrap();
+        acc.put(k, v).unwrap();
     }
-    bulk.finish().unwrap();
+    acc.flush().unwrap();
     let job = ks
         .compact_with_indexes(vec![SecondaryIndexSpec {
             name: "score".into(),

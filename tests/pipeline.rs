@@ -246,7 +246,7 @@ fn out_of_order_completions_match_under_seeded_faults() {
         Arc::clone(&t.ledger),
     )
     .with_pipeline(Arc::clone(&clock), 16, 4, None);
-    let win = InflightWindow::new(qp, RetryPolicy::default(), Some(clock));
+    let win = InflightWindow::new(qp, RetryPolicy::default(), clock);
     let ks = match win.call(None, KvCommand::CreateKeyspace { name: "ooo".into() }) {
         Ok(KvResponse::Created { ks }) => ks,
         other => panic!("create: {other:?}"),
@@ -312,7 +312,7 @@ fn ingest_schedule(seed: u64) -> (u64, Vec<u64>) {
         Arc::clone(&t.ledger),
     )
     .with_pipeline(Arc::clone(&clock), 16, 4, None);
-    let win = InflightWindow::new(qp, RetryPolicy::default(), Some(Arc::clone(&clock)));
+    let win = InflightWindow::new(qp, RetryPolicy::default(), Arc::clone(&clock));
     match win.call(None, KvCommand::CreateKeyspace { name: "det".into() }) {
         Ok(KvResponse::Created { ks }) => {
             let mut ops = Vec::new();

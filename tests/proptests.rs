@@ -133,12 +133,12 @@ fn kvcsd_equals_sorted_input() {
         }
         let (dev, client) = make_device();
         let ks = client.create_keyspace("prop").unwrap();
-        let mut bulk = ks.bulk_writer();
+        let acc = ks.write_accelerator();
         // Insert in reverse so the device really sorts.
         for (k, v) in entries.iter().rev() {
-            bulk.put(k, v).unwrap();
+            acc.put(k, v).unwrap();
         }
-        bulk.finish().unwrap();
+        acc.flush().unwrap();
         ks.compact().unwrap();
         dev.run_pending_jobs();
 
