@@ -10,7 +10,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use kvcsd_blockfs::{BlockFs, FsConfig};
-use kvcsd_core::compact::{decode_pidx_block, PidxBlockBuilder, PidxEntry};
+use kvcsd_core::compact::{PidxBlock, PidxBlockBuilder, PidxEntry};
 use kvcsd_core::dram::DramBudget;
 use kvcsd_core::extsort::ExtSorter;
 use kvcsd_core::ingest::{KlogRecord, WriteLog};
@@ -185,8 +185,9 @@ fn bench_device_paths() {
 
 fn bench_pidx_block() {
     let mut builder = PidxBlockBuilder::new();
-    let mut n = 0u64;
+    let mut keys = Vec::new();
     loop {
+        let n = keys.len() as u64;
         let e = PidxEntry {
             key: format!("key-{n:012}").into_bytes(),
             voff: n * 32,
@@ -196,11 +197,15 @@ fn bench_pidx_block() {
             break;
         }
         builder.add(&e);
-        n += 1;
+        keys.push(e.key);
     }
     let (block, _) = builder.finish();
-    bench("pidx/decode_block", 1_000, n, || {
-        decode_pidx_block(&block).unwrap()
+    // One point lookup per iteration, cycling through every key: parse
+    // (validate) the block, then search it in place.
+    let mut i = 0;
+    bench("pidx/search_block", 100_000, 1, || {
+        i = (i + 1) % keys.len();
+        PidxBlock::parse(&block).unwrap().find(&keys[i])
     });
 }
 

@@ -17,7 +17,7 @@
 //! SORTED_VALUES with nothing but sequential I/O and DRAM-bounded merge
 //! passes — "multiple rounds of merge sorts" exactly as the paper says.
 
-use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16, try_le_u32, try_le_u64};
+use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16};
 use std::cmp::Ordering;
 
 use crate::admission::Deadline;
@@ -98,22 +98,81 @@ impl PidxBlockBuilder {
     }
 }
 
-/// Decode a PIDX block produced by [`PidxBlockBuilder`].
-pub fn decode_pidx_block(block: &[u8]) -> Result<Vec<PidxEntry>> {
-    let bad = || DeviceError::Internal("malformed PIDX block".into());
-    let count = try_le_u16(block, 0).ok_or_else(bad)?;
-    let mut p = 2usize;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let klen = try_le_u16(block, p).ok_or_else(bad)? as usize;
-        let voff = try_le_u64(block, p + 2).ok_or_else(bad)?;
-        let vlen = try_le_u32(block, p + 10).ok_or_else(bad)?;
-        p += PIDX_ENTRY_HEADER;
-        let key = block.get(p..p + klen).ok_or_else(bad)?.to_vec();
-        p += klen;
-        out.push(PidxEntry { key, voff, vlen });
+/// A validated, borrowed view of one PIDX block produced by
+/// [`PidxBlockBuilder`]. The query engine searches the block in place:
+/// only the keys it returns are copied out.
+#[derive(Debug, Clone, Copy)]
+pub struct PidxBlock<'a> {
+    /// The `count` entries, with the block's padding cut off.
+    entries: &'a [u8],
+    count: usize,
+}
+
+impl<'a> PidxBlock<'a> {
+    /// Check that `block` holds the whole of every entry its count
+    /// announces; anything else is a malformed block.
+    pub fn parse(block: &'a [u8]) -> Result<Self> {
+        let bad = || DeviceError::Internal("malformed PIDX block".into());
+        let count = try_le_u16(block, 0).ok_or_else(bad)? as usize;
+        let mut end = 2usize;
+        for _ in 0..count {
+            let klen = try_le_u16(block, end).ok_or_else(bad)? as usize;
+            end += PIDX_ENTRY_HEADER + klen;
+            if end > block.len() {
+                return Err(bad());
+            }
+        }
+        Ok(Self {
+            entries: &block[2..end],
+            count,
+        })
     }
-    Ok(out)
+
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Entries in key order, as `(key, voff, vlen)`.
+    pub fn iter(&self) -> PidxIter<'a> {
+        PidxIter { rest: self.entries }
+    }
+
+    /// The value locator `(voff, vlen)` stored under `key`, if any. A
+    /// key written twice has two entries, kept in write order by the
+    /// stable compaction sort; the last one is the live value.
+    pub fn find(&self, key: &[u8]) -> Option<(u64, u32)> {
+        let mut found = None;
+        for (k, voff, vlen) in self.iter() {
+            match k.cmp(key) {
+                Ordering::Less => {}
+                Ordering::Equal => found = Some((voff, vlen)),
+                Ordering::Greater => break,
+            }
+        }
+        found
+    }
+}
+
+/// Iterator over a [`PidxBlock`].
+#[derive(Debug, Clone)]
+pub struct PidxIter<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for PidxIter<'a> {
+    type Item = (&'a [u8], u64, u32);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        // `PidxBlock::parse` checked every entry's extent.
+        let (hdr, rest) = self.rest.split_first_chunk::<PIDX_ENTRY_HEADER>()?;
+        let (key, rest) = rest.split_at(le_u16(hdr, 0) as usize);
+        self.rest = rest;
+        Some((key, le_u64(hdr, 2), le_u32(hdr, 10)))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -139,7 +198,7 @@ impl SortRecord for GatherRec {
         out.extend_from_slice(&self.rank.to_le_bytes());
     }
     fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let b = r.read(20)?;
+        let b = r.read_array::<20>()?;
         Ok(GatherRec {
             voff: le_u64(&b, 0),
             vlen: le_u32(&b, 8),
@@ -172,7 +231,7 @@ impl SortRecord for ValueRec {
         out.extend_from_slice(&self.value);
     }
     fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read(12)?;
+        let hdr = r.read_array::<12>()?;
         let rank = le_u64(&hdr, 0);
         let vlen = le_u32(&hdr, 8) as usize;
         Ok(ValueRec {
@@ -338,7 +397,7 @@ impl SortRecord for GatherRecK {
         out.extend_from_slice(&self.key);
     }
     fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read(22)?;
+        let hdr = r.read_array::<22>()?;
         let voff = le_u64(&hdr, 0);
         let vlen = le_u32(&hdr, 8);
         let rank = le_u64(&hdr, 12);
@@ -375,7 +434,7 @@ impl SortRecord for ValueRecK {
         out.extend_from_slice(&self.value);
     }
     fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read(14)?;
+        let hdr = r.read_array::<14>()?;
         let rank = le_u64(&hdr, 0);
         let klen = le_u16(&hdr, 8) as usize;
         let vlen = le_u32(&hdr, 10) as usize;
@@ -604,11 +663,23 @@ mod tests {
         (out, pairs)
     }
 
+    /// Every entry of a PIDX block, copied out through the view.
+    fn pidx_entries(block: &[u8]) -> Result<Vec<PidxEntry>> {
+        Ok(PidxBlock::parse(block)?
+            .iter()
+            .map(|(key, voff, vlen)| PidxEntry {
+                key: key.to_vec(),
+                voff,
+                vlen,
+            })
+            .collect())
+    }
+
     fn read_all_entries(mgr: &ZoneManager, out: &CompactionOutput) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut got = Vec::new();
         for b in 0..out.pidx.1 {
             let block = mgr.read_block(out.pidx.0, b as u64).unwrap();
-            for e in decode_pidx_block(&block).unwrap() {
+            for e in pidx_entries(&block).unwrap() {
                 let v = mgr
                     .read_bytes(out.svalues.0, e.voff, e.vlen as usize)
                     .unwrap();
@@ -635,7 +706,85 @@ mod tests {
         let (block, first) = b.finish();
         assert!(block.len() <= BLOCK_BYTES);
         assert_eq!(first, b"key0000");
-        assert_eq!(decode_pidx_block(&block).unwrap(), entries);
+        assert_eq!(pidx_entries(&block).unwrap(), entries);
+        let view = PidxBlock::parse(&block).unwrap();
+        assert_eq!(view.len(), entries.len());
+        for e in &entries {
+            assert_eq!(view.find(&e.key), Some((e.voff, e.vlen)));
+        }
+        assert_eq!(view.find(b"key"), None);
+        assert_eq!(view.find(b"key0010x"), None);
+        assert_eq!(view.find(b"zzz"), None);
+    }
+
+    #[test]
+    fn pidx_view_matches_builder_and_rejects_corruption() {
+        let malformed = |b: &[u8]| {
+            matches!(PidxBlock::parse(b),
+                Err(DeviceError::Internal(m)) if m == "malformed PIDX block")
+        };
+        let mut rng = XorShift64::new(0x9D1C);
+        for _ in 0..100 {
+            let mut keys: Vec<Vec<u8>> = (0..rng.next_below(300))
+                .map(|_| {
+                    let len = rng.next_below(41);
+                    (0..len).map(|_| rng.next_u64() as u8).collect()
+                })
+                .collect();
+            keys.sort();
+            keys.dedup();
+            let mut b = PidxBlockBuilder::new();
+            let mut want = Vec::new();
+            for key in keys {
+                if !b.fits(key.len()) {
+                    break;
+                }
+                let e = PidxEntry {
+                    key,
+                    voff: rng.next_u64(),
+                    vlen: rng.next_u64() as u32,
+                };
+                b.add(&e);
+                want.push(e);
+            }
+            let (block, _) = b.finish();
+
+            let view = PidxBlock::parse(&block).unwrap();
+            assert_eq!(view.len(), want.len());
+            assert_eq!(pidx_entries(&block).unwrap(), want);
+            for e in &want {
+                assert_eq!(view.find(&e.key), Some((e.voff, e.vlen)));
+            }
+
+            for cut in 0..block.len() {
+                assert!(malformed(&block[..cut]), "truncated to {cut}");
+            }
+            let mut bad = block.clone();
+            let count = want.len() as u64 + 1;
+            let count = count + rng.next_below(u16::MAX as u64 + 1 - count);
+            bad[..2].copy_from_slice(&(count as u16).to_le_bytes());
+            assert!(malformed(&bad), "count {count} of {}", want.len());
+            // Each key length in turn, pushed past the end of the block.
+            let mut at = 2;
+            for e in &want {
+                let room = (block.len() - at - PIDX_ENTRY_HEADER) as u64;
+                let klen = room + 1 + rng.next_below(u16::MAX as u64 - room);
+                let mut bad = block.clone();
+                bad[at..at + 2].copy_from_slice(&(klen as u16).to_le_bytes());
+                assert!(malformed(&bad), "klen {klen} at {at}");
+                at += PIDX_ENTRY_HEADER + e.key.len();
+            }
+            // Arbitrary damage may decode or not, but never panics.
+            for _ in 0..8 {
+                let mut bad = block.clone();
+                let ix = rng.next_below(bad.len() as u64) as usize;
+                bad[ix] = rng.next_u64() as u8;
+                if let Ok(view) = PidxBlock::parse(&bad) {
+                    assert_eq!(view.iter().count(), view.len());
+                    view.find(b"key");
+                }
+            }
+        }
     }
 
     #[test]
@@ -661,9 +810,32 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_garbage() {
-        assert!(decode_pidx_block(&[]).is_err());
-        assert!(decode_pidx_block(&[200, 0, 1]).is_err());
+    fn find_returns_the_last_duplicate() {
+        let mut b = PidxBlockBuilder::new();
+        for (key, voff) in [
+            (&b"a"[..], 0),
+            (b"dup", 1),
+            (b"dup", 2),
+            (b"dup", 3),
+            (b"z", 4),
+        ] {
+            b.add(&PidxEntry {
+                key: key.to_vec(),
+                voff,
+                vlen: 1,
+            });
+        }
+        let (block, _) = b.finish();
+        let view = PidxBlock::parse(&block).unwrap();
+        assert_eq!(view.find(b"dup"), Some((3, 1)));
+        assert_eq!(view.find(b"a"), Some((0, 1)));
+        assert_eq!(view.find(b"b"), None);
+    }
+
+    #[test]
+    fn parse_rejects_garbage() {
+        assert!(PidxBlock::parse(&[]).is_err());
+        assert!(PidxBlock::parse(&[200, 0, 1]).is_err());
     }
 
     #[test]
@@ -773,7 +945,7 @@ mod tests {
 
     #[test]
     fn single_pass_matches_separated_path() {
-        use crate::sidx::{build_secondary_index, decode_sidx_block};
+        use crate::sidx::{build_secondary_index, SidxBlock};
         use kvcsd_proto::{SecondaryIndexSpec, SecondaryKeyType};
 
         let spec = SecondaryIndexSpec {
@@ -850,8 +1022,11 @@ mod tests {
         let read_sidx = |mgr: &ZoneManager, out: &crate::sidx::SidxOutput| {
             let mut v = Vec::new();
             for b in 0..out.blocks {
+                let block = mgr.read_block(out.cluster, b as u64).unwrap();
+                let view = SidxBlock::parse(&block).unwrap();
                 v.extend(
-                    decode_sidx_block(&mgr.read_block(out.cluster, b as u64).unwrap()).unwrap(),
+                    view.iter()
+                        .map(|(s, p, voff, vlen)| (s.to_vec(), p.to_vec(), voff, vlen)),
                 );
             }
             v

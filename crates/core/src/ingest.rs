@@ -11,6 +11,8 @@
 //! a [`StreamReader`] walks a sealed stream back block by block. KLOG
 //! records are framed as `klen:u16 | voff:u64 | vlen:u32 | key`.
 
+use std::sync::Arc;
+
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
@@ -89,15 +91,15 @@ impl BlockStreamWriter {
     }
 }
 
-/// Sequential reader over a sealed stream.
+/// Sequential reader over a sealed stream. It holds the current block's
+/// shared NAND page and copies out only the bytes asked for.
 #[derive(Debug)]
 pub struct StreamReader<'a> {
     mgr: &'a ZoneManager,
     cluster: ClusterId,
     len: u64,
     pos: u64,
-    block: Vec<u8>,
-    block_ix: u64,
+    block: Option<(u64, Arc<[u8]>)>,
 }
 
 impl<'a> StreamReader<'a> {
@@ -107,8 +109,7 @@ impl<'a> StreamReader<'a> {
             cluster,
             len,
             pos: 0,
-            block: Vec::new(),
-            block_ix: u64::MAX,
+            block: None,
         }
     }
 
@@ -122,20 +123,41 @@ impl<'a> StreamReader<'a> {
 
     /// Read exactly `n` bytes (across block boundaries).
     pub fn read(&mut self, n: usize) -> Result<Vec<u8>> {
-        debug_assert!(self.pos + n as u64 <= self.len, "read past stream end");
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
+        let mut out = vec![0; n];
+        self.read_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Read a fixed-size record header without a heap allocation.
+    pub fn read_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0; N];
+        self.read_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Fill `out` from the stream (across block boundaries).
+    fn read_into(&mut self, out: &mut [u8]) -> Result<()> {
+        debug_assert!(
+            self.pos + out.len() as u64 <= self.len,
+            "read past stream end"
+        );
+        let mut filled = 0;
+        while filled < out.len() {
             let bix = self.pos / BLOCK_BYTES as u64;
-            if bix != self.block_ix {
-                self.block = self.mgr.read_block(self.cluster, bix)?;
-                self.block_ix = bix;
-            }
+            let block = match &self.block {
+                Some((ix, block)) if *ix == bix => block,
+                _ => {
+                    let block = self.mgr.read_block(self.cluster, bix)?;
+                    &self.block.insert((bix, block)).1
+                }
+            };
             let in_block = (self.pos % BLOCK_BYTES as u64) as usize;
-            let take = (n - out.len()).min(BLOCK_BYTES - in_block);
-            out.extend_from_slice(&self.block[in_block..in_block + take]);
+            let take = (out.len() - filled).min(BLOCK_BYTES - in_block);
+            out[filled..filled + take].copy_from_slice(&block[in_block..in_block + take]);
+            filled += take;
             self.pos += take as u64;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -169,7 +191,7 @@ impl KlogRecord {
 
     /// Decode one record from a stream reader.
     pub fn read_from(r: &mut StreamReader<'_>) -> Result<KlogRecord> {
-        let hdr = r.read(Self::HEADER)?;
+        let hdr = r.read_array::<{ Self::HEADER }>()?;
         let klen = le_u16(&hdr, 0) as usize;
         let voff = le_u64(&hdr, 2);
         let vlen = le_u32(&hdr, 10);

@@ -11,13 +11,13 @@
 //! query can stream matching records straight out of SORTED_VALUES
 //! without a per-result primary-index lookup.
 
-use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16, try_le_u32, try_le_u64};
+use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16};
 use std::cmp::Ordering;
 
 use kvcsd_proto::SecondaryIndexSpec;
 
 use crate::admission::Deadline;
-use crate::compact::decode_pidx_block;
+use crate::compact::PidxBlock;
 use crate::dram::DramBudget;
 use crate::error::DeviceError;
 use crate::extsort::{ExtSorter, SortRecord};
@@ -52,7 +52,7 @@ impl SortRecord for SidxEntry {
         out.extend_from_slice(&self.pkey);
     }
     fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read(SIDX_ENTRY_HEADER)?;
+        let hdr = r.read_array::<SIDX_ENTRY_HEADER>()?;
         let sklen = le_u16(&hdr, 0) as usize;
         let pklen = le_u16(&hdr, 2) as usize;
         let voff = le_u64(&hdr, 4);
@@ -120,30 +120,58 @@ impl SidxBlockBuilder {
     }
 }
 
-/// Decode one SIDX block.
-pub fn decode_sidx_block(block: &[u8]) -> Result<Vec<SidxEntry>> {
-    let bad = || DeviceError::Internal("malformed SIDX block".into());
-    let count = try_le_u16(block, 0).ok_or_else(bad)?;
-    let mut p = 2usize;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let sklen = try_le_u16(block, p).ok_or_else(bad)? as usize;
-        let pklen = try_le_u16(block, p + 2).ok_or_else(bad)? as usize;
-        let voff = try_le_u64(block, p + 4).ok_or_else(bad)?;
-        let vlen = try_le_u32(block, p + 12).ok_or_else(bad)?;
-        p += SIDX_ENTRY_HEADER;
-        let skey = block.get(p..p + sklen).ok_or_else(bad)?.to_vec();
-        p += sklen;
-        let pkey = block.get(p..p + pklen).ok_or_else(bad)?.to_vec();
-        p += pklen;
-        out.push(SidxEntry {
-            skey,
-            pkey,
-            voff,
-            vlen,
-        });
+/// A validated, borrowed view of one SIDX block produced by
+/// [`SidxBlockBuilder`], searched in place like
+/// [`PidxBlock`](crate::compact::PidxBlock).
+#[derive(Debug, Clone, Copy)]
+pub struct SidxBlock<'a> {
+    /// The block's entries, with its padding cut off.
+    entries: &'a [u8],
+}
+
+impl<'a> SidxBlock<'a> {
+    /// Check that `block` holds the whole of every entry its count
+    /// announces; anything else is a malformed block.
+    pub fn parse(block: &'a [u8]) -> Result<Self> {
+        let bad = || DeviceError::Internal("malformed SIDX block".into());
+        let count = try_le_u16(block, 0).ok_or_else(bad)?;
+        let mut end = 2usize;
+        for _ in 0..count {
+            let sklen = try_le_u16(block, end).ok_or_else(bad)? as usize;
+            let pklen = try_le_u16(block, end + 2).ok_or_else(bad)? as usize;
+            end += SIDX_ENTRY_HEADER + sklen + pklen;
+            if end > block.len() {
+                return Err(bad());
+            }
+        }
+        Ok(Self {
+            entries: &block[2..end],
+        })
     }
-    Ok(out)
+
+    /// Entries in `(skey, pkey)` order, as `(skey, pkey, voff, vlen)`.
+    pub fn iter(&self) -> SidxIter<'a> {
+        SidxIter { rest: self.entries }
+    }
+}
+
+/// Iterator over a [`SidxBlock`].
+#[derive(Debug, Clone)]
+pub struct SidxIter<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for SidxIter<'a> {
+    type Item = (&'a [u8], &'a [u8], u64, u32);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        // `SidxBlock::parse` checked every entry's extent.
+        let (hdr, rest) = self.rest.split_first_chunk::<SIDX_ENTRY_HEADER>()?;
+        let (skey, rest) = rest.split_at(le_u16(hdr, 0) as usize);
+        let (pkey, rest) = rest.split_at(le_u16(hdr, 2) as usize);
+        self.rest = rest;
+        Some((skey, pkey, le_u64(hdr, 4), le_u32(hdr, 12)))
+    }
 }
 
 /// Result of building one secondary index.
@@ -182,16 +210,16 @@ pub fn build_secondary_index(
     for b in 0..pidx.1 {
         let block = mgr.read_block(pidx.0, b as u64)?;
         soc.bytes(block.len());
-        for e in decode_pidx_block(&block)? {
-            debug_assert_eq!(vread.position(), e.voff);
-            let value = vread.read(e.vlen as usize)?;
+        for (pkey, voff, vlen) in PidxBlock::parse(&block)?.iter() {
+            debug_assert_eq!(vread.position(), voff);
+            let value = vread.read(vlen as usize)?;
             soc.bytes(value.len());
             if let Some(skey) = spec.extract(&value) {
                 sorter.push(SidxEntry {
                     skey,
-                    pkey: e.key,
-                    voff: e.voff,
-                    vlen: e.vlen,
+                    pkey: pkey.to_vec(),
+                    voff,
+                    vlen,
                 })?;
             }
         }
@@ -320,10 +348,23 @@ mod tests {
         (out, truth)
     }
 
+    /// Every entry of a SIDX block, copied out through the view.
+    fn sidx_entries(block: &[u8]) -> Result<Vec<SidxEntry>> {
+        Ok(SidxBlock::parse(block)?
+            .iter()
+            .map(|(skey, pkey, voff, vlen)| SidxEntry {
+                skey: skey.to_vec(),
+                pkey: pkey.to_vec(),
+                voff,
+                vlen,
+            })
+            .collect())
+    }
+
     fn read_sidx(mgr: &ZoneManager, out: &SidxOutput) -> Vec<SidxEntry> {
         let mut got = Vec::new();
         for b in 0..out.blocks {
-            got.extend(decode_sidx_block(&mgr.read_block(out.cluster, b as u64).unwrap()).unwrap());
+            got.extend(sidx_entries(&mgr.read_block(out.cluster, b as u64).unwrap()).unwrap());
         }
         got
     }
@@ -345,7 +386,74 @@ mod tests {
         }
         let (block, first) = b.finish();
         assert_eq!(first, SidxKey::F32(0.0).encode());
-        assert_eq!(decode_sidx_block(&block).unwrap(), entries);
+        assert_eq!(sidx_entries(&block).unwrap(), entries);
+    }
+
+    fn random_bytes(rng: &mut XorShift64, max_len: u64) -> Vec<u8> {
+        let len = rng.next_below(max_len + 1);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn sidx_view_matches_builder_and_rejects_corruption() {
+        let malformed = |b: &[u8]| {
+            matches!(SidxBlock::parse(b),
+                Err(DeviceError::Internal(m)) if m == "malformed SIDX block")
+        };
+        let mut rng = XorShift64::new(0x51DE);
+        for _ in 0..100 {
+            let mut entries: Vec<SidxEntry> = (0..rng.next_below(250))
+                .map(|_| SidxEntry {
+                    skey: random_bytes(&mut rng, 12),
+                    pkey: random_bytes(&mut rng, 40),
+                    voff: rng.next_u64(),
+                    vlen: rng.next_u64() as u32,
+                })
+                .collect();
+            entries.sort_by(|a, b| a.cmp_key(b));
+            let mut b = SidxBlockBuilder::new();
+            let mut want = Vec::new();
+            for e in entries {
+                if !b.fits(&e) {
+                    break;
+                }
+                b.add(&e);
+                want.push(e);
+            }
+            let (block, _) = b.finish();
+
+            assert_eq!(sidx_entries(&block).unwrap(), want);
+
+            for cut in 0..block.len() {
+                assert!(malformed(&block[..cut]), "truncated to {cut}");
+            }
+            let count = want.len() as u64 + 1;
+            let count = count + rng.next_below(u16::MAX as u64 + 1 - count);
+            let mut bad = block.clone();
+            bad[..2].copy_from_slice(&(count as u16).to_le_bytes());
+            assert!(malformed(&bad), "count {count} of {}", want.len());
+            // Each key length in turn, pushed past the end of the block.
+            let mut at = 2;
+            for e in &want {
+                let room = (block.len() - at - SIDX_ENTRY_HEADER) as u64;
+                for field in [at, at + 2] {
+                    let len = room + 1 + rng.next_below(u16::MAX as u64 - room);
+                    let mut bad = block.clone();
+                    bad[field..field + 2].copy_from_slice(&(len as u16).to_le_bytes());
+                    assert!(malformed(&bad), "length {len} at {field}");
+                }
+                at += e.encoded_len();
+            }
+            // Arbitrary damage may decode or not, but never panics.
+            for _ in 0..8 {
+                let mut bad = block.clone();
+                let ix = rng.next_below(bad.len() as u64) as usize;
+                bad[ix] = rng.next_u64() as u8;
+                if let Ok(view) = SidxBlock::parse(&bad) {
+                    for _entry in view.iter() {}
+                }
+            }
+        }
     }
 
     #[test]

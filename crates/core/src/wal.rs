@@ -15,6 +15,8 @@
 //!
 //! Frame: `0xA5 | klen:u16 | vlen:u32 | crc32(key|value) | key | value`.
 
+use std::sync::Arc;
+
 use crate::error::DeviceError;
 use crate::meta::crc32;
 use crate::soc::SocCharger;
@@ -132,17 +134,17 @@ impl DeviceWal {
     ) -> Result<u64> {
         let total = blocks as usize * BLOCK_BYTES;
         let mut count = 0u64;
-        let mut block_cache: Option<(u64, Vec<u8>)> = None;
+        let mut cursor: Option<(u64, Arc<[u8]>)> = None;
         let mut read = |mgr: &ZoneManager, pos: usize, len: usize| -> Result<Vec<u8>> {
             // Byte reads across the block stream with a one-block cursor.
             let mut out = Vec::with_capacity(len);
             let mut p = pos;
             while out.len() < len {
                 let b = (p / BLOCK_BYTES) as u64;
-                if block_cache.as_ref().map(|(ix, _)| *ix) != Some(b) {
-                    block_cache = Some((b, mgr.read_block(cluster, b)?));
+                if cursor.as_ref().map(|(ix, _)| *ix) != Some(b) {
+                    cursor = Some((b, mgr.read_block(cluster, b)?));
                 }
-                let Some((_, data)) = block_cache.as_ref() else {
+                let Some((_, data)) = cursor.as_ref() else {
                     return Err(DeviceError::Internal("wal block cursor missing".into()));
                 };
                 let in_block = p % BLOCK_BYTES;

@@ -314,8 +314,9 @@ impl ZoneManager {
         Ok(block_ix)
     }
 
-    /// Read one whole block back.
-    pub fn read_block(&self, cluster: ClusterId, block: u64) -> Result<Vec<u8>> {
+    /// Read one whole block back: the NAND's stored page, shared rather
+    /// than copied. It is not a cache — every call pays the page read.
+    pub fn read_block(&self, cluster: ClusterId, block: u64) -> Result<Arc<[u8]>> {
         let (zone, page) = {
             let inner = self.inner.lock();
             let c = inner
@@ -330,24 +331,26 @@ impl ZoneManager {
             }
             self.locate(c, block)
         };
-        Ok(self.zns.read_pages(zone, page, 1)?)
+        Ok(self.zns.read_page(zone, page)?)
     }
 
     /// Read `len` bytes at stream byte `offset`, touching only the
     /// covering blocks (whole-block I/O — the read-amplification
-    /// granularity of the device).
+    /// granularity of the device) and copying only the requested span.
     pub fn read_bytes(&self, cluster: ClusterId, offset: u64, len: usize) -> Result<Vec<u8>> {
         let bb = BLOCK_BYTES as u64;
         let first = offset / bb;
         let last = (offset + len as u64).div_ceil(bb);
-        let mut buf = Vec::with_capacity(((last - first) * bb) as usize);
+        let mut out = Vec::with_capacity(len);
+        let mut pos = offset;
         for b in first..last {
-            buf.extend_from_slice(&self.read_block(cluster, b)?);
+            let block = self.read_block(cluster, b)?;
+            let start = (pos - b * bb) as usize;
+            let take = (len - out.len()).min(BLOCK_BYTES - start);
+            out.extend_from_slice(&block[start..start + take]);
+            pos += take as u64;
         }
-        let skip = (offset - first * bb) as usize;
-        buf.drain(..skip);
-        buf.truncate(len);
-        Ok(buf)
+        Ok(out)
     }
 
     /// Export the manager's allocation state for a device snapshot.
@@ -501,8 +504,8 @@ mod tests {
         assert_eq!(m.cluster_blocks(c).unwrap(), 20);
         for i in 0..20u64 {
             assert_eq!(
-                m.read_block(c, i).unwrap(),
-                vec![i as u8; 4096],
+                &*m.read_block(c, i).unwrap(),
+                &[i as u8; 4096][..],
                 "block {i}"
             );
         }

@@ -155,7 +155,7 @@ impl ConventionalNamespace {
         match ppa {
             Some(ppa) => {
                 self.charge_bridge();
-                Ok(self.nand.read(ppa)?.into_vec())
+                Ok(self.nand.read(ppa)?.to_vec())
             }
             None => Ok(vec![0u8; self.nand.geometry().page_bytes as usize]),
         }

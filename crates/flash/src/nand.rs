@@ -26,8 +26,10 @@ use crate::Result;
 
 #[derive(Debug, Default)]
 struct ChannelState {
-    /// Programmed page payloads keyed by PPA.
-    pages: HashMap<u64, Box<[u8]>>,
+    /// Programmed page payloads keyed by PPA. A page is immutable once
+    /// programmed, so reads hand out the stored page itself; an erase
+    /// drops the array's handle, and a reprogram stores a new page.
+    pages: HashMap<u64, Arc<[u8]>>,
     /// Next programmable page index per erase block (sequential rule).
     next_page: HashMap<u64, u32>,
 }
@@ -178,9 +180,11 @@ impl NandArray {
                 });
             }
             *next += 1;
-            let mut page = vec![0u8; page_bytes];
-            page[..durable.len()].copy_from_slice(durable);
-            st.pages.insert(ppa, page.into_boxed_slice());
+            // One allocation: a zeroed shared page, filled in place.
+            let mut page: Arc<[u8]> = std::iter::repeat_n(0, page_bytes).collect();
+            // The page has no other handle yet, so this never clones.
+            Arc::make_mut(&mut page)[..durable.len()].copy_from_slice(durable);
+            st.pages.insert(ppa, page);
         }
         self.ledger.nand_program(chan, 1, self.program_busy_ns);
         if cut {
@@ -191,7 +195,11 @@ impl NandArray {
 
     /// Read one page back. Reading a page that was never programmed since
     /// the last erase is an internal error (namespaces guard against it).
-    pub fn read(&self, ppa: u64) -> Result<Box<[u8]>> {
+    ///
+    /// Returns the stored page itself, not a copy. Every read still pays
+    /// its `nand_read` charge; a handle held past an erase keeps the bytes
+    /// it was read with, like a page buffer already moved off the die.
+    pub fn read(&self, ppa: u64) -> Result<Arc<[u8]>> {
         self.check_ppa(ppa)?;
         self.consult(OpClass::NandRead, "nand-read")?;
         let chan = self.geom.channel_of_ppa(ppa);

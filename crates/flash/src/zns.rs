@@ -341,9 +341,9 @@ impl ZonedNamespace {
         Ok(start)
     }
 
-    /// Read `page_count` pages starting at `page_ix` in `zone`. Reads must
-    /// stay below the write pointer.
-    pub fn read_pages(&self, zone: u32, page_ix: u32, page_count: u32) -> Result<Vec<u8>> {
+    /// Check that pages `page_ix..page_ix + page_count` of `zone` lie
+    /// below its write pointer.
+    fn check_readable(&self, zone: u32, page_ix: u32, page_count: u32) -> Result<()> {
         self.check_zone(zone)?;
         let wp = self.zones[zone as usize].lock().wp_pages;
         let end = page_ix as u64 + page_count as u64;
@@ -354,6 +354,20 @@ impl ZonedNamespace {
                 end,
             });
         }
+        Ok(())
+    }
+
+    /// Read page `page_ix` of `zone`: the NAND's stored page, shared
+    /// rather than copied (see [`NandArray::read`]).
+    pub fn read_page(&self, zone: u32, page_ix: u32) -> Result<Arc<[u8]>> {
+        self.check_readable(zone, page_ix, 1)?;
+        self.nand.read(self.ppa_of(zone, page_ix))
+    }
+
+    /// Read `page_count` pages starting at `page_ix` in `zone` into one
+    /// contiguous buffer. Reads must stay below the write pointer.
+    pub fn read_pages(&self, zone: u32, page_ix: u32, page_count: u32) -> Result<Vec<u8>> {
+        self.check_readable(zone, page_ix, page_count)?;
         let page_bytes = self.nand.geometry().page_bytes as usize;
         let mut out = Vec::with_capacity(page_count as usize * page_bytes);
         for p in page_ix..page_ix + page_count {
@@ -535,6 +549,36 @@ mod tests {
         z.append(0, &[1u8; 256]).unwrap();
         let e = z.read_pages(0, 0, 2).unwrap_err();
         assert!(matches!(e, FlashError::ReadPastWritePointer { .. }));
+    }
+
+    #[test]
+    fn read_page_checks_the_write_pointer_and_charges_one_read() {
+        let z = zns(16);
+        z.append(1, &[4u8; 256]).unwrap();
+        let before = z.nand().ledger().snapshot();
+        assert_eq!(&*z.read_page(1, 0).unwrap(), &[4u8; 256][..]);
+        let d = z.nand().ledger().snapshot().since(&before);
+        assert_eq!(d.nand_read_pages, 1);
+        assert!(matches!(
+            z.read_page(1, 1),
+            Err(FlashError::ReadPastWritePointer { .. })
+        ));
+    }
+
+    #[test]
+    fn held_page_keeps_its_bytes_across_reset_and_reprogram() {
+        let z = zns(16);
+        z.append(3, &[0x11; 256]).unwrap();
+        let held = z.read_page(3, 0).unwrap();
+        z.reset(3).unwrap();
+        assert!(matches!(
+            z.read_page(3, 0),
+            Err(FlashError::ReadPastWritePointer { .. })
+        ));
+        // Same zone, same page, so the same PPA, now with new bytes.
+        z.append(3, &[0x22; 256]).unwrap();
+        assert!(held.iter().all(|&b| b == 0x11), "held page changed");
+        assert!(z.read_page(3, 0).unwrap().iter().all(|&b| b == 0x22));
     }
 
     #[test]
