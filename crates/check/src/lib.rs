@@ -114,7 +114,7 @@ pub const RULES: [&str; 13] = [
 
 /// Charged-wait primitives for the `guard-across-wait` rule: method
 /// calls that stall the simulated pipeline by charging the virtual
-/// clock ([`VirtualClock::advance`]/[`advance_to`]), consulting the
+/// clock (`VirtualClock::advance`/`advance_to`), consulting the
 /// admission gate (`admit_write`/`admit_query`/`admit_job` — a
 /// slowdown/stall band decision whose charge follows immediately), or
 /// occupying the replication fabric (`BusResource::transfer` and the
@@ -136,7 +136,7 @@ pub const WAIT_PRIMITIVES: [&str; 9] = [
 ];
 
 /// Ledger charge entry points for the `ledger-charge` rule — the
-/// [`IoLedger`] methods that account for work.
+/// `IoLedger` methods that account for work.
 pub const CHARGE_PRIMITIVES: [&str; 12] = [
     "nand_read",
     "nand_program",
@@ -292,7 +292,7 @@ impl RuleSet {
 ///   (single-threaded testbeds drive their clock while holding whatever
 ///   they like);
 /// * `status-map` applies only to the designated coverage files
-///   ([`STATUS_COVERAGE`]) — it asserts those files classify every
+///   (`STATUS_COVERAGE`) — it asserts those files classify every
 ///   `KvStatus` variant, not that other files avoid anything;
 /// * `ledger-charge` applies to library source in `crates/flash/` and
 ///   `crates/sim/` — the only crates that touch media or fabric state
@@ -363,7 +363,7 @@ pub fn crate_key(rel_path: &str) -> &str {
 ///   `guard-across-wait` see through local wrappers like
 ///   `Device::charge_wait`;
 /// * `charge_fns` — the analogous per-crate summary of functions that
-///   directly charge the [`IoLedger`], for `ledger-charge`.
+///   directly charge the `IoLedger`, for `ledger-charge`.
 #[derive(Debug, Clone, Default)]
 pub struct CheckContext {
     pub interior_mutable: std::collections::BTreeMap<String, String>,

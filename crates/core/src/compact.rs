@@ -16,7 +16,20 @@
 //! attaching ranks, and finally resort `(rank, value)` records to produce
 //! SORTED_VALUES with nothing but sequential I/O and DRAM-bounded merge
 //! passes — "multiple rounds of merge sorts" exactly as the paper says.
+//!
+//! The same job optionally builds secondary indexes "in one single step"
+//! (Section V): given index specs, each primary key rides along with its
+//! value through the value pass, and the final pass extracts every
+//! index's secondary keys as the values stream into SORTED_VALUES, so
+//! the keyspace is never read back for an index scan. The cost is the
+//! paper's "increased SoC DRAM usage": one more sorter per index runs
+//! next to the value sorter. When a sorter cannot reserve its DRAM the
+//! job fails with [`DeviceError::OutOfDram`], and the device falls back
+//! to separated construction — plain compaction, then one
+//! [`build_secondary_index`](crate::sidx::build_secondary_index) per
+//! index.
 
+use kvcsd_proto::SecondaryIndexSpec;
 use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16};
 use std::cmp::Ordering;
 
@@ -26,6 +39,7 @@ use crate::error::DeviceError;
 use crate::extsort::{ExtSorter, SortRecord};
 use crate::ingest::{KlogRecord, StreamReader};
 use crate::keyspace::Sketch;
+use crate::sidx::{write_sidx_blocks, SidxEntry, SidxOutput};
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
@@ -179,23 +193,52 @@ impl<'a> Iterator for PidxIter<'a> {
 // Auxiliary sort records for the value pass
 // ---------------------------------------------------------------------------
 
-/// Tag sorted back into VLOG order: where each value sits in VLOG and the
-/// rank it must take in SORTED_VALUES.
+/// The primary-key field of the value-pass records: a `u16` length and
+/// the key when the pass also builds secondary indexes (`KEYED`), else
+/// nothing.
+fn key_field_len<const KEYED: bool>(key: &[u8]) -> usize {
+    if KEYED {
+        2 + key.len()
+    } else {
+        0
+    }
+}
+
+fn encode_key_field<const KEYED: bool>(key: &[u8], out: &mut Vec<u8>) {
+    if KEYED {
+        out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+        out.extend_from_slice(key);
+    }
+}
+
+fn read_key_field<const KEYED: bool>(r: &mut StreamReader<'_>) -> Result<Vec<u8>> {
+    if !KEYED {
+        return Ok(Vec::new());
+    }
+    let klen = le_u16(&r.read_array::<2>()?, 0) as usize;
+    r.read(klen)
+}
+
+/// Tag sorted back into VLOG order: where each value sits in VLOG, the
+/// rank it must take in SORTED_VALUES and, if `KEYED`, its primary key.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct GatherRec {
+struct GatherRec<const KEYED: bool> {
     voff: u64,
     vlen: u32,
     rank: u64,
+    /// Empty unless `KEYED`.
+    key: Vec<u8>,
 }
 
-impl SortRecord for GatherRec {
+impl<const KEYED: bool> SortRecord for GatherRec<KEYED> {
     fn encoded_len(&self) -> usize {
-        20
+        20 + key_field_len::<KEYED>(&self.key)
     }
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.voff.to_le_bytes());
         out.extend_from_slice(&self.vlen.to_le_bytes());
         out.extend_from_slice(&self.rank.to_le_bytes());
+        encode_key_field::<KEYED>(&self.key, out);
     }
     fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
         let b = r.read_array::<20>()?;
@@ -203,6 +246,7 @@ impl SortRecord for GatherRec {
             voff: le_u64(&b, 0),
             vlen: le_u32(&b, 8),
             rank: le_u64(&b, 12),
+            key: read_key_field::<KEYED>(r)?,
         })
     }
     fn cmp_key(&self, other: &Self) -> Ordering {
@@ -214,28 +258,31 @@ impl SortRecord for GatherRec {
     }
 }
 
-/// A value tagged with its output rank.
+/// A value tagged with its output rank and, if `KEYED`, its primary key.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct ValueRec {
+struct ValueRec<const KEYED: bool> {
     rank: u64,
+    /// Empty unless `KEYED`.
+    key: Vec<u8>,
     value: Vec<u8>,
 }
 
-impl SortRecord for ValueRec {
+impl<const KEYED: bool> SortRecord for ValueRec<KEYED> {
     fn encoded_len(&self) -> usize {
-        12 + self.value.len()
+        12 + key_field_len::<KEYED>(&self.key) + self.value.len()
     }
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.rank.to_le_bytes());
         out.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
+        encode_key_field::<KEYED>(&self.key, out);
         out.extend_from_slice(&self.value);
     }
     fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
         let hdr = r.read_array::<12>()?;
-        let rank = le_u64(&hdr, 0);
         let vlen = le_u32(&hdr, 8) as usize;
         Ok(ValueRec {
-            rank,
+            rank: le_u64(&hdr, 0),
+            key: read_key_field::<KEYED>(r)?,
             value: r.read(vlen)?,
         })
     }
@@ -258,11 +305,15 @@ pub struct CompactionOutput {
 }
 
 /// Sort a sealed keyspace: consume its KLOG/VLOG clusters (released on
-/// success) and produce PIDX + SORTED_VALUES clusters plus the sketch.
+/// success) and produce PIDX + SORTED_VALUES clusters plus the sketch,
+/// and one secondary index per entry of `specs` (none when empty).
 ///
 /// The deadline is checked at each phase boundary; an expired compaction
 /// aborts between passes and the caller's orphan sweep unwinds its
 /// partial output (the sealed logs stay untouched until the final swap).
+/// So does a failure to reserve sorter DRAM, reported as
+/// [`DeviceError::OutOfDram`]: with indexes, that is the caller's cue to
+/// fall back to separated construction.
 #[allow(clippy::too_many_arguments)]
 pub fn run_compaction(
     mgr: &ZoneManager,
@@ -272,9 +323,43 @@ pub fn run_compaction(
     vlog: (ClusterId, u64),
     pairs: u64,
     cluster_width: u32,
+    specs: &[SecondaryIndexSpec],
     deadline: &Deadline<'_>,
-) -> Result<CompactionOutput> {
-    // ---- Step 1: sort the keys -------------------------------------------
+) -> Result<(CompactionOutput, Vec<SidxOutput>)> {
+    let run = if specs.is_empty() {
+        compact::<false>
+    } else {
+        compact::<true>
+    };
+    run(
+        mgr,
+        soc,
+        dram,
+        klog,
+        vlog,
+        pairs,
+        cluster_width,
+        specs,
+        deadline,
+    )
+}
+
+/// The pipeline behind [`run_compaction`]; `KEYED` (set exactly when
+/// `specs` is not empty) carries each primary key through the value pass
+/// for the index entries.
+#[allow(clippy::too_many_arguments)]
+fn compact<const KEYED: bool>(
+    mgr: &ZoneManager,
+    soc: &SocCharger,
+    dram: &DramBudget,
+    klog: (ClusterId, u64),
+    vlog: (ClusterId, u64),
+    pairs: u64,
+    cluster_width: u32,
+    specs: &[SecondaryIndexSpec],
+    deadline: &Deadline<'_>,
+) -> Result<(CompactionOutput, Vec<SidxOutput>)> {
+    // ---- Step 1: sort the keys ---------------------------------------
     let mut key_sorter: ExtSorter<'_, KlogRecord> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
     {
         let mut r = StreamReader::new(mgr, klog.0, klog.1);
@@ -286,12 +371,12 @@ pub fn run_compaction(
     }
     deadline.check()?;
 
-    // Emit PIDX blocks + sketch; collect (voff, vlen, rank) gather tags.
+    // Emit PIDX blocks + sketch; collect the gather tags.
     let pidx_cluster = mgr.alloc_cluster(cluster_width)?;
     let mut sketch = Sketch::new();
     let mut builder = PidxBlockBuilder::new();
     let mut pidx_blocks = 0u32;
-    let mut gather_sorter: ExtSorter<'_, GatherRec> =
+    let mut gather_sorter: ExtSorter<'_, GatherRec<KEYED>> =
         ExtSorter::new(mgr, soc, dram, cluster_width)?;
     let mut rank = 0u64;
     let mut out_voff = 0u64;
@@ -312,6 +397,7 @@ pub fn run_compaction(
             voff: rec.voff,
             vlen: rec.vlen,
             rank,
+            key: if KEYED { e.key } else { Vec::new() },
         })?;
         rank += 1;
         out_voff += rec.vlen as u64;
@@ -325,10 +411,17 @@ pub fn run_compaction(
     }
     deadline.check()?;
 
-    // ---- Step 2: sort the values -----------------------------------------
-    // 2a: tags back into VLOG order (they are a permutation of the VLOG
-    //     byte sequence, so this merge restores sequential read order).
-    let mut value_sorter: ExtSorter<'_, ValueRec> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
+    // ---- Step 2: sort the values ---------------------------------------
+    // One index sorter per spec runs alongside the value sorter: the
+    // single step's "increased SoC DRAM usage".
+    let mut sidx_sorters: Vec<ExtSorter<'_, SidxEntry>> = specs
+        .iter()
+        .map(|_| ExtSorter::new(mgr, soc, dram, cluster_width))
+        .collect::<Result<_>>()?;
+    // 2a: tags back into VLOG order (they are a permutation of the
+    //     VLOG byte sequence, so this merge restores sequential reads).
+    let mut value_sorter: ExtSorter<'_, ValueRec<KEYED>> =
+        ExtSorter::new(mgr, soc, dram, cluster_width)?;
     {
         let mut vread = StreamReader::new(mgr, vlog.0, vlog.1);
         gather_sorter.finish_into(|tag| {
@@ -336,213 +429,6 @@ pub fn run_compaction(
             let value = vread.read(tag.vlen as usize)?;
             soc.memcpy(value.len());
             value_sorter.push(ValueRec {
-                rank: tag.rank,
-                value,
-            })?;
-            Ok(())
-        })?;
-    }
-    deadline.check()?;
-
-    // 2b: values into final order, streamed into SORTED_VALUES.
-    let svalues_cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut writer = crate::ingest::BlockStreamWriter::new(svalues_cluster);
-    let mut expected_rank = 0u64;
-    value_sorter.finish_into(|vr| {
-        debug_assert_eq!(vr.rank, expected_rank, "ranks must arrive in order");
-        expected_rank += 1;
-        soc.memcpy(vr.value.len());
-        writer.append(mgr, &vr.value)?;
-        Ok(())
-    })?;
-    let svalues_len = writer.seal(mgr)?;
-    debug_assert_eq!(svalues_len, out_voff);
-
-    // ---- Replace the logs ---------------------------------------------------
-    mgr.release_cluster(klog.0)?;
-    mgr.release_cluster(vlog.0)?;
-
-    Ok(CompactionOutput {
-        pidx: (pidx_cluster, pidx_blocks),
-        sketch,
-        svalues: (svalues_cluster, svalues_len),
-        pairs,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Single-pass compaction + secondary-index construction (the paper's
-// stated future work)
-// ---------------------------------------------------------------------------
-
-/// Gather tag that also carries the primary key, so secondary-index
-/// entries can be produced while values stream through the final pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct GatherRecK {
-    voff: u64,
-    vlen: u32,
-    rank: u64,
-    key: Vec<u8>,
-}
-
-impl SortRecord for GatherRecK {
-    fn encoded_len(&self) -> usize {
-        22 + self.key.len()
-    }
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.voff.to_le_bytes());
-        out.extend_from_slice(&self.vlen.to_le_bytes());
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.key);
-    }
-    fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read_array::<22>()?;
-        let voff = le_u64(&hdr, 0);
-        let vlen = le_u32(&hdr, 8);
-        let rank = le_u64(&hdr, 12);
-        let klen = le_u16(&hdr, 20) as usize;
-        Ok(GatherRecK {
-            voff,
-            vlen,
-            rank,
-            key: r.read(klen)?,
-        })
-    }
-    fn cmp_key(&self, other: &Self) -> Ordering {
-        self.voff.cmp(&other.voff).then(self.vlen.cmp(&other.vlen))
-    }
-}
-
-/// A value tagged with its output rank and its primary key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ValueRecK {
-    rank: u64,
-    key: Vec<u8>,
-    value: Vec<u8>,
-}
-
-impl SortRecord for ValueRecK {
-    fn encoded_len(&self) -> usize {
-        14 + self.key.len() + self.value.len()
-    }
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
-        out.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.key);
-        out.extend_from_slice(&self.value);
-    }
-    fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read_array::<14>()?;
-        let rank = le_u64(&hdr, 0);
-        let klen = le_u16(&hdr, 8) as usize;
-        let vlen = le_u32(&hdr, 10) as usize;
-        Ok(ValueRecK {
-            rank,
-            key: r.read(klen)?,
-            value: r.read(vlen)?,
-        })
-    }
-    fn cmp_key(&self, other: &Self) -> Ordering {
-        self.rank.cmp(&other.rank)
-    }
-}
-
-/// Compact a keyspace *and* build its secondary indexes in the same data
-/// pass, avoiding the later full keyspace re-scan.
-///
-/// "In future we expect to run these index construction operations in one
-/// single step to prevent from having to repeatedly reading back keyspace
-/// data into SoC DRAM ... One cost of consolidating all index
-/// construction into a single step is the increased SoC DRAM usage. We
-/// expect KV-CSD to resort back to separated index construction when DRAM
-/// resources become a bottleneck." (Section V)
-///
-/// The increased DRAM usage is real here: one extra sorter per index runs
-/// concurrently with the value sorter, and primary keys ride through the
-/// value passes. When any sorter cannot reserve its minimum DRAM this
-/// returns `OutOfResources`; the device falls back to the separated path.
-#[allow(clippy::too_many_arguments)]
-pub fn run_compaction_with_indexes(
-    mgr: &ZoneManager,
-    soc: &SocCharger,
-    dram: &DramBudget,
-    klog: (ClusterId, u64),
-    vlog: (ClusterId, u64),
-    pairs: u64,
-    cluster_width: u32,
-    specs: &[kvcsd_proto::SecondaryIndexSpec],
-    deadline: &Deadline<'_>,
-) -> Result<(CompactionOutput, Vec<crate::sidx::SidxOutput>)> {
-    use crate::sidx::SidxEntry;
-
-    // ---- Step 1: sort the keys (identical to the separated path) --------
-    let mut key_sorter: ExtSorter<'_, KlogRecord> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
-    {
-        let mut r = StreamReader::new(mgr, klog.0, klog.1);
-        for _ in 0..pairs {
-            let rec = KlogRecord::read_from(&mut r)?;
-            soc.bytes(rec.encoded_len());
-            key_sorter.push(rec)?;
-        }
-    }
-    deadline.check()?;
-
-    let pidx_cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut sketch = Sketch::new();
-    let mut builder = PidxBlockBuilder::new();
-    let mut pidx_blocks = 0u32;
-    let mut gather_sorter: ExtSorter<'_, GatherRecK> =
-        ExtSorter::new(mgr, soc, dram, cluster_width)?;
-    let mut rank = 0u64;
-    let mut out_voff = 0u64;
-    key_sorter.finish_into(|rec| {
-        let e = PidxEntry {
-            key: rec.key.clone(),
-            voff: out_voff,
-            vlen: rec.vlen,
-        };
-        if !builder.fits(e.key.len()) {
-            let (block, first) = builder.finish();
-            mgr.append_block(pidx_cluster, &block)?;
-            sketch.push(first);
-            pidx_blocks += 1;
-        }
-        builder.add(&e);
-        gather_sorter.push(GatherRecK {
-            voff: rec.voff,
-            vlen: rec.vlen,
-            rank,
-            key: rec.key,
-        })?;
-        rank += 1;
-        out_voff += rec.vlen as u64;
-        Ok(())
-    })?;
-    if !builder.is_empty() {
-        let (block, first) = builder.finish();
-        mgr.append_block(pidx_cluster, &block)?;
-        sketch.push(first);
-        pidx_blocks += 1;
-    }
-    deadline.check()?;
-
-    // ---- Step 2: sort the values, extracting index keys in flight -------
-    // The extra sorters are the "increased SoC DRAM usage".
-    let mut sidx_sorters: Vec<ExtSorter<'_, SidxEntry>> = Vec::with_capacity(specs.len());
-    for _ in specs {
-        sidx_sorters.push(ExtSorter::new(mgr, soc, dram, cluster_width)?);
-    }
-
-    let mut value_sorter: ExtSorter<'_, ValueRecK> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
-    {
-        let mut vread = StreamReader::new(mgr, vlog.0, vlog.1);
-        gather_sorter.finish_into(|tag| {
-            debug_assert_eq!(vread.position(), tag.voff);
-            let value = vread.read(tag.vlen as usize)?;
-            soc.memcpy(value.len());
-            value_sorter.push(ValueRecK {
                 rank: tag.rank,
                 key: tag.key,
                 value,
@@ -552,13 +438,15 @@ pub fn run_compaction_with_indexes(
     }
     deadline.check()?;
 
+    // 2b: values into final order, streamed into SORTED_VALUES, with
+    //     the secondary keys extracted in flight.
     let svalues_cluster = mgr.alloc_cluster(cluster_width)?;
     let mut writer = crate::ingest::BlockStreamWriter::new(svalues_cluster);
     let mut expected_rank = 0u64;
     value_sorter.finish_into(|vr| {
-        debug_assert_eq!(vr.rank, expected_rank);
+        debug_assert_eq!(vr.rank, expected_rank, "ranks must arrive in order");
         let voff = writer.position();
-        for (spec, sorter) in specs.iter().zip(sidx_sorters.iter_mut()) {
+        for (spec, sorter) in specs.iter().zip(&mut sidx_sorters) {
             if let Some(skey) = spec.extract(&vr.value) {
                 soc.bytes(spec.value_len);
                 sorter.push(SidxEntry {
@@ -576,14 +464,18 @@ pub fn run_compaction_with_indexes(
     })?;
     let svalues_len = writer.seal(mgr)?;
     debug_assert_eq!(svalues_len, out_voff);
-    deadline.check()?;
 
-    // ---- Finish the indexes -----------------------------------------------
-    let mut sidx_outputs = Vec::with_capacity(specs.len());
-    for sorter in sidx_sorters {
-        sidx_outputs.push(crate::sidx::write_sidx_blocks(mgr, sorter, cluster_width)?);
+    // ---- Finish the indexes ----------------------------------------------
+    // A plain job has no work left worth aborting for.
+    if KEYED {
+        deadline.check()?;
     }
+    let sidx = sidx_sorters
+        .into_iter()
+        .map(|sorter| write_sidx_blocks(mgr, sorter, cluster_width))
+        .collect::<Result<_>>()?;
 
+    // ---- Replace the logs -------------------------------------------------
     mgr.release_cluster(klog.0)?;
     mgr.release_cluster(vlog.0)?;
 
@@ -594,7 +486,7 @@ pub fn run_compaction_with_indexes(
             svalues: (svalues_cluster, svalues_len),
             pairs,
         },
-        sidx_outputs,
+        sidx,
     ))
 }
 
@@ -602,30 +494,8 @@ pub fn run_compaction_with_indexes(
 mod tests {
     use super::*;
     use crate::ingest::WriteLog;
-    use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
-    use kvcsd_sim::{config::CostModel, HardwareSpec, IoLedger, XorShift64};
-    use std::sync::Arc;
-
-    fn setup(blocks_per_channel: u32) -> (ZoneManager, SocCharger, DramBudget) {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(
-            geom,
-            &HardwareSpec::default(),
-            Arc::clone(&ledger),
-        ));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-        (
-            ZoneManager::new(zns, 1, 123),
-            SocCharger::new(ledger, CostModel::default()),
-            DramBudget::new(4 << 20),
-        )
-    }
+    use crate::testing::test_stack;
+    use kvcsd_sim::XorShift64;
 
     /// Load `n` pairs with shuffled keys, compact, and return everything
     /// needed to verify the output.
@@ -656,9 +526,11 @@ mod tests {
             (vc, vlen),
             n,
             4,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         pairs.sort();
         (out, pairs)
     }
@@ -840,7 +712,7 @@ mod tests {
 
     #[test]
     fn compaction_sorts_small_keyspace() {
-        let (mgr, soc, dram) = setup(64);
+        let (mgr, soc, dram) = test_stack(64, 123);
         let (out, want) = load_and_compact(500, &mgr, &soc, &dram);
         assert_eq!(out.pairs, 500);
         assert_eq!(out.sketch.blocks(), out.pidx.1);
@@ -850,7 +722,7 @@ mod tests {
 
     #[test]
     fn compaction_handles_multi_run_sorts() {
-        let (mgr, soc, _dram) = setup(512);
+        let (mgr, soc, _dram) = test_stack(512, 123);
         // Use a tight budget so the sort genuinely spills and merges.
         let tight = DramBudget::new(256 << 10);
         let (out, want) = load_and_compact(20_000, &mgr, &soc, &tight);
@@ -861,7 +733,7 @@ mod tests {
 
     #[test]
     fn logs_are_released_after_compaction() {
-        let (mgr, soc, dram) = setup(64);
+        let (mgr, soc, dram) = test_stack(64, 123);
         let before = mgr.cluster_count();
         let (out, _) = load_and_compact(200, &mgr, &soc, &dram);
         // Only the two output clusters remain beyond the baseline.
@@ -872,7 +744,7 @@ mod tests {
 
     #[test]
     fn compaction_io_and_cpu_are_charged_to_device() {
-        let (mgr, soc, dram) = setup(128);
+        let (mgr, soc, dram) = test_stack(128, 123);
         let before = soc.ledger().snapshot();
         load_and_compact(5_000, &mgr, &soc, &dram);
         let d = soc.ledger().snapshot().since(&before);
@@ -891,7 +763,7 @@ mod tests {
 
     #[test]
     fn empty_keyspace_compacts_to_empty_output() {
-        let (mgr, soc, dram) = setup(64);
+        let (mgr, soc, dram) = test_stack(64, 123);
         let kc = mgr.alloc_cluster(2).unwrap();
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
@@ -904,9 +776,11 @@ mod tests {
             (vc, vlen),
             0,
             2,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.pairs, 0);
         assert_eq!(out.pidx.1, 0);
         assert!(out.sketch.is_empty());
@@ -918,7 +792,7 @@ mod tests {
         // KV-CSD's minimal LSM has no overwrite semantics before
         // compaction (keys within a keyspace are expected unique); if an
         // application inserts duplicates they are all retained, sorted.
-        let (mgr, soc, dram) = setup(64);
+        let (mgr, soc, dram) = test_stack(64, 123);
         let kc = mgr.alloc_cluster(2).unwrap();
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
@@ -935,9 +809,11 @@ mod tests {
             (vc, vlen),
             10,
             2,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let got = read_all_entries(&mgr, &out);
         assert_eq!(got.len(), 10);
         assert!(got.iter().all(|(k, _)| k == b"same-key"));
@@ -970,9 +846,9 @@ mod tests {
         };
 
         // Separated path.
-        let (mgr_a, soc_a, dram_a) = setup(512);
+        let (mgr_a, soc_a, dram_a) = test_stack(512, 123);
         let (klog, vlog) = load(&mgr_a, &soc_a);
-        let cout_a = run_compaction(
+        let (cout_a, _) = run_compaction(
             &mgr_a,
             &soc_a,
             &dram_a,
@@ -980,6 +856,7 @@ mod tests {
             vlog,
             2_000,
             4,
+            &[],
             &Deadline::none(),
         )
         .unwrap();
@@ -996,9 +873,9 @@ mod tests {
         .unwrap();
 
         // Single pass.
-        let (mgr_b, soc_b, dram_b) = setup(512);
+        let (mgr_b, soc_b, dram_b) = test_stack(512, 123);
         let (klog, vlog) = load(&mgr_b, &soc_b);
-        let (cout_b, souts_b) = run_compaction_with_indexes(
+        let (cout_b, souts_b) = run_compaction(
             &mgr_b,
             &soc_b,
             &dram_b,
@@ -1046,7 +923,7 @@ mod tests {
     #[test]
     fn single_pass_fails_cleanly_without_dram() {
         use kvcsd_proto::{SecondaryIndexSpec, SecondaryKeyType};
-        let (mgr, soc, _big) = setup(256);
+        let (mgr, soc, _big) = test_stack(256, 123);
         let kc = mgr.alloc_cluster(2).unwrap();
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
@@ -1063,7 +940,7 @@ mod tests {
             value_len: 4,
             key_type: SecondaryKeyType::U32,
         }];
-        let err = run_compaction_with_indexes(
+        let err = run_compaction(
             &mgr,
             &soc,
             &tight,
@@ -1075,13 +952,128 @@ mod tests {
             &Deadline::none(),
         )
         .unwrap_err();
-        assert!(matches!(err, DeviceError::OutOfResources(_)));
+        assert_eq!(err, DeviceError::OutOfDram("sort DRAM"));
+    }
+
+    /// The ledger charges of the plain, single-pass and DRAM-fallback
+    /// compactions of one fixed keyspace. The numbers are the model's:
+    /// a change to any of them changes every published figure.
+    #[test]
+    fn compaction_charges_are_pinned() {
+        use crate::sidx::build_secondary_index;
+        use kvcsd_proto::SecondaryKeyType;
+
+        let spec = SecondaryIndexSpec {
+            name: "tail".into(),
+            value_offset: 8,
+            value_len: 4,
+            key_type: SecondaryKeyType::U32,
+        };
+        let specs = std::slice::from_ref(&spec);
+        let none = Deadline::none();
+        let run = |case: &str| {
+            let (mgr, soc, _) = test_stack(512, 123);
+            let kc = mgr.alloc_cluster(4).unwrap();
+            let vc = mgr.alloc_cluster(4).unwrap();
+            let mut log = WriteLog::new(kc, vc);
+            let mut rng = XorShift64::new(0x91AE);
+            for i in 0..5_000u32 {
+                let key = format!("k{:010}", rng.next_below(u32::MAX as u64)).into_bytes();
+                let mut value = vec![(i % 251) as u8; 12 + rng.next_below(24) as usize];
+                value[8..12].copy_from_slice(&(rng.next_below(700) as u32).to_le_bytes());
+                log.put(&mgr, &soc, &key, &value).unwrap();
+            }
+            let (klen, vlen) = log.seal(&mgr).unwrap();
+            let (klog, vlog) = ((kc, klen), (vc, vlen));
+            // Tight enough that every sort spills and merges.
+            let dram = DramBudget::new(256 << 10);
+            let before = soc.ledger().snapshot();
+            match case {
+                "plain" => {
+                    run_compaction(&mgr, &soc, &dram, klog, vlog, 5_000, 4, &[], &none).unwrap();
+                }
+                "single pass" => {
+                    run_compaction(&mgr, &soc, &dram, klog, vlog, 5_000, 4, specs, &none).unwrap();
+                }
+                _ => {
+                    // Too tight for the index sorter next to the value
+                    // sorter: the single pass gives up, the separated
+                    // passes fit.
+                    let dram = DramBudget::new(150 << 10);
+                    let err = run_compaction(&mgr, &soc, &dram, klog, vlog, 5_000, 4, specs, &none)
+                        .unwrap_err();
+                    assert_eq!(err, DeviceError::OutOfDram("sort DRAM"));
+                    let (out, _) =
+                        run_compaction(&mgr, &soc, &dram, klog, vlog, 5_000, 4, &[], &none)
+                            .unwrap();
+                    build_secondary_index(
+                        &mgr,
+                        &soc,
+                        &dram,
+                        out.pidx,
+                        out.svalues,
+                        &spec,
+                        4,
+                        &none,
+                    )
+                    .unwrap();
+                }
+            }
+            assert_eq!(dram.used(), 0);
+            let d = soc.ledger().snapshot().since(&before);
+            (
+                d.soc_cpu_ns,
+                d.nand_read_pages,
+                d.nand_program_pages,
+                d.nand_erase_blocks,
+                d.channel_busy_ns,
+            )
+        };
+        assert_eq!(
+            run("plain"),
+            (
+                10_090_813,
+                162,
+                162,
+                28,
+                vec![
+                    2_187_022, 4_472_824, 6_472_439, 8_633_974, 13_007_633, 10_676_896, 8_689_832,
+                    6_515_746
+                ]
+            )
+        );
+        assert_eq!(
+            run("single pass"),
+            (
+                13_485_302,
+                236,
+                274,
+                48,
+                vec![
+                    6_519_387, 10_646_910, 12_788_612, 14_921_404, 19_379_664, 15_194_655,
+                    13_024_210, 10_923_802
+                ]
+            )
+        );
+        assert_eq!(
+            run("fallback"),
+            (
+                19_123_021,
+                324,
+                336,
+                61,
+                vec![
+                    8_555_412, 13_010_031, 15_169_553, 21_476_431, 23_792_604, 19_325_434,
+                    17_223_398, 12_954_173
+                ]
+            )
+        );
     }
 
     #[test]
     fn expired_deadline_aborts_between_phases() {
         use kvcsd_sim::VirtualClock;
-        let (mgr, soc, dram) = setup(64);
+        let (mgr, soc, dram) = test_stack(64, 123);
         let kc = mgr.alloc_cluster(2).unwrap();
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
@@ -1093,15 +1085,25 @@ mod tests {
         let clock = VirtualClock::new();
         clock.advance(1000);
         let expired = Deadline::new(&clock, Some(500));
-        let err = run_compaction(&mgr, &soc, &dram, (kc, klen), (vc, vlen), 200, 2, &expired)
-            .unwrap_err();
+        let err = run_compaction(
+            &mgr,
+            &soc,
+            &dram,
+            (kc, klen),
+            (vc, vlen),
+            200,
+            2,
+            &[],
+            &expired,
+        )
+        .unwrap_err();
         assert_eq!(err, DeviceError::DeadlineExceeded);
         assert_eq!(dram.used(), 0, "aborted compaction must release DRAM");
     }
 
     #[test]
     fn variable_value_sizes_roundtrip() {
-        let (mgr, soc, dram) = setup(256);
+        let (mgr, soc, dram) = test_stack(256, 123);
         let kc = mgr.alloc_cluster(4).unwrap();
         let vc = mgr.alloc_cluster(4).unwrap();
         let mut log = WriteLog::new(kc, vc);
@@ -1123,9 +1125,11 @@ mod tests {
             (vc, vlen),
             300,
             4,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         pairs.sort();
         assert_eq!(read_all_entries(&mgr, &out), pairs);
     }

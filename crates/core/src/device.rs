@@ -7,7 +7,7 @@
 //! harnesses call that inside a *background* phase — the virtual clock the
 //! host application sees does not advance, which is precisely the
 //! latency-hiding the paper claims. A host that chooses to block (e.g.
-//! [`kvcsd_client`]'s `wait_for`) polls the job and triggers execution,
+//! `kvcsd_client`'s `wait_for`) polls the job and triggers execution,
 //! paying the time in its own foreground phase instead.
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -31,7 +31,7 @@ use crate::ingest::WriteLog;
 use crate::keyspace::{KeyspaceManager, SecondaryIndex, Sketch};
 use crate::meta::MetaStore;
 use crate::query;
-use crate::sidx::build_secondary_index;
+use crate::sidx::{build_secondary_index, SidxOutput};
 use crate::snapshot;
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
@@ -75,10 +75,8 @@ impl Default for DeviceConfig {
 
 #[derive(Debug)]
 enum Job {
+    /// Compact the keyspace, building `specs`' indexes in the same pass.
     Compact {
-        ks: u32,
-    },
-    CompactAndIndex {
         ks: u32,
         specs: Vec<SecondaryIndexSpec>,
     },
@@ -86,6 +84,14 @@ enum Job {
         ks: u32,
         spec: SecondaryIndexSpec,
     },
+}
+
+impl Job {
+    fn ks(&self) -> u32 {
+        match self {
+            Job::Compact { ks, .. } | Job::BuildSidx { ks, .. } => *ks,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -162,7 +168,8 @@ impl KvCsdDevice {
     /// * COMPACTED keyspaces come back fully queryable (indexes and
     ///   sketches restored);
     /// * COMPACTING keyspaces re-enqueue their compaction job from the
-    ///   sealed logs;
+    ///   sealed logs, without the index specs of an interrupted single
+    ///   pass (the snapshot does not hold them);
     /// * WRITABLE keyspaces lose their buffered (never-synced) data and
     ///   reopen EMPTY — the same contract as any store whose WAL is
     ///   disabled, which the paper notes is the common production mode;
@@ -241,7 +248,6 @@ impl KvCsdDevice {
                     ks.max_key = None;
                     ks.storage = Default::default();
                     if let Some(w) = wal {
-                        referenced.push(w.cluster());
                         ks.storage.dwal = Some(w);
                         rewal.push(ks.id);
                     }
@@ -249,12 +255,7 @@ impl KvCsdDevice {
                 KeyspaceState::Compacting => recompact.push(ks.id),
                 _ => {}
             }
-            let s = &ks.storage;
-            referenced.extend(s.klog.map(|c| c.0));
-            referenced.extend(s.vlog.map(|c| c.0));
-            referenced.extend(s.pidx.map(|c| c.0));
-            referenced.extend(s.svalues.map(|c| c.0));
-            referenced.extend(s.sidx.values().map(|i| i.cluster));
+            referenced.extend(ks.storage.clusters());
             km.insert_restored(ks);
         }
         // Orphan cleanup: anything the snapshot's cluster map holds that
@@ -282,7 +283,13 @@ impl KvCsdDevice {
             job_depth: Shared::new(0),
         };
         for ks in recompact {
-            dev.enqueue(Job::Compact { ks }, None);
+            dev.enqueue(
+                Job::Compact {
+                    ks,
+                    specs: Vec::new(),
+                },
+                None,
+            );
         }
         for ks in rewal {
             dev.replay_wal(ks)?;
@@ -308,7 +315,7 @@ impl KvCsdDevice {
         let ingest = self
             .dram
             .reserve(INGEST_BUFFER_BYTES as u64)
-            .ok_or_else(|| DeviceError::OutOfResources("ingest DRAM".into()))?;
+            .ok_or(DeviceError::OutOfDram("ingest DRAM"))?;
         let kc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
         let vc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
         let mut wlog = WriteLog::new(kc, vc);
@@ -627,8 +634,7 @@ impl KvCsdDevice {
                     self.jobs.lock().states.insert(id, JobState::Done);
                 }
                 Err(e) => {
-                    let is_compaction =
-                        matches!(job, Job::Compact { .. } | Job::CompactAndIndex { .. });
+                    let is_compaction = matches!(job, Job::Compact { .. });
                     // A compaction that died on the media or ran out of
                     // time leaves the keyspace DEGRADED: its sealed logs
                     // are intact, it can be deleted or re-compacted, and
@@ -640,23 +646,15 @@ impl KvCsdDevice {
                         DeviceError::Flash(_) | DeviceError::DeadlineExceeded if is_compaction => {
                             Some(KeyspaceState::Degraded)
                         }
-                        DeviceError::OutOfResources(_) if is_compaction => {
-                            Some(KeyspaceState::ReadOnly)
-                        }
+                        DeviceError::OutOfDram(_) if is_compaction => Some(KeyspaceState::ReadOnly),
                         // An index build that ran out of zones freezes its
                         // (already compacted, still queryable) keyspace so
                         // clients stop submitting work the device cannot
                         // finish until space is reclaimed.
-                        DeviceError::OutOfResources(m) if m.contains("zone") => {
-                            Some(KeyspaceState::ReadOnly)
-                        }
+                        DeviceError::OutOfZones { .. } => Some(KeyspaceState::ReadOnly),
                         _ => None,
                     };
-                    let ks = match &job {
-                        Job::Compact { ks }
-                        | Job::CompactAndIndex { ks, .. }
-                        | Job::BuildSidx { ks, .. } => *ks,
-                    };
+                    let ks = job.ks();
                     self.jobs
                         .lock()
                         .states
@@ -698,8 +696,7 @@ impl KvCsdDevice {
 
     fn exec_job(&self, job: &Job, deadline: &Deadline<'_>) -> Result<()> {
         match job {
-            Job::Compact { ks } => self.exec_compact(*ks, deadline),
-            Job::CompactAndIndex { ks, specs } => self.exec_compact_and_index(*ks, specs, deadline),
+            Job::Compact { ks, specs } => self.exec_compact(*ks, specs, deadline),
             Job::BuildSidx { ks, spec } => self.exec_build_sidx(*ks, spec, deadline),
         }
     }
@@ -712,13 +709,7 @@ impl KvCsdDevice {
     fn exec_job_with_retry(&self, job: &Job, deadline: &Deadline<'_>) -> Result<()> {
         let mut attempt = 0u32;
         loop {
-            let before: HashSet<u32> = self
-                .mgr
-                .export_state()
-                .clusters
-                .iter()
-                .map(|c| c.id)
-                .collect();
+            let before = self.live_clusters();
             let r = self.exec_job(job, deadline);
             if r.is_err() {
                 self.sweep_job_orphans(&before);
@@ -740,6 +731,16 @@ impl KvCsdDevice {
         }
     }
 
+    /// Every cluster the zone manager currently has allocated.
+    fn live_clusters(&self) -> HashSet<u32> {
+        self.mgr
+            .export_state()
+            .clusters
+            .iter()
+            .map(|c| c.id)
+            .collect()
+    }
+
     /// Release clusters a failed job allocated that no keyspace ended up
     /// referencing — the in-session analogue of reopen's orphan cleanup.
     fn sweep_job_orphans(&self, before: &HashSet<u32>) {
@@ -759,32 +760,10 @@ impl KvCsdDevice {
     /// Every cluster currently referenced by some keyspace's storage.
     fn referenced_clusters(&self) -> HashSet<u32> {
         self.km.with_all(|list| {
-            let mut set = HashSet::new();
-            for ks in list {
-                let s = &ks.storage;
-                if let Some(w) = &s.wlog {
-                    set.insert(w.klog.cluster().0);
-                    set.insert(w.vlog.cluster().0);
-                }
-                if let Some(w) = &s.dwal {
-                    set.insert(w.cluster().0);
-                }
-                for c in [
-                    s.klog.map(|c| c.0),
-                    s.vlog.map(|c| c.0),
-                    s.pidx.map(|c| c.0),
-                    s.svalues.map(|c| c.0),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    set.insert(c.0);
-                }
-                for i in s.sidx.values() {
-                    set.insert(i.cluster.0);
-                }
-            }
-            set
+            list.iter()
+                .flat_map(|ks| ks.storage.clusters())
+                .map(|c| c.0)
+                .collect()
         })
     }
 
@@ -792,11 +771,7 @@ impl KvCsdDevice {
     fn run_jobs_for(&self, ks: u32) {
         let has_any = {
             let jobs = self.jobs.lock();
-            jobs.queue.iter().any(|(_, j, _)| match j {
-                Job::Compact { ks: k }
-                | Job::CompactAndIndex { ks: k, .. }
-                | Job::BuildSidx { ks: k, .. } => *k == ks,
-            })
+            jobs.queue.iter().any(|(_, j, _)| j.ks() == ks)
         };
         if has_any {
             // Deletion "may be deferred due to on-going compaction or
@@ -806,63 +781,23 @@ impl KvCsdDevice {
         }
     }
 
-    fn exec_compact(&self, ks: u32, deadline: &Deadline<'_>) -> Result<()> {
-        let (klog, vlog, pairs) = self.km.with(ks, |k| {
-            let klog = k
-                .storage
-                .klog
-                .ok_or_else(|| DeviceError::Internal("no klog".into()))?;
-            let vlog = k
-                .storage
-                .vlog
-                .ok_or_else(|| DeviceError::Internal("no vlog".into()))?;
-            Ok((klog, vlog, k.pairs))
-        })?;
-        let out = run_compaction(
-            &self.mgr,
-            &self.soc,
-            &self.dram,
-            klog,
-            vlog,
-            pairs,
-            self.cfg.cluster_width,
-            deadline,
-        )?;
-        self.km.with_mut(ks, |k| {
-            k.storage.klog = None;
-            k.storage.vlog = None;
-            k.storage.pidx = Some(out.pidx);
-            k.storage.pidx_sketch = out.sketch.clone();
-            k.storage.svalues = Some(out.svalues);
-            k.transition_to(KeyspaceState::Compacted)?;
-            Ok(())
-        })?;
-        self.persist()?;
-        self.soc.ledger().bump("dev_compactions", 1);
-        Ok(())
-    }
-
-    /// Single-pass compaction + index construction, with the paper's
-    /// fallback: "resort back to separated index construction when DRAM
-    /// resources become a bottleneck".
-    fn exec_compact_and_index(
+    /// Compact a keyspace, building `specs`' secondary indexes in the
+    /// same pass, with the paper's fallback: "resort back to separated
+    /// index construction when DRAM resources become a bottleneck".
+    fn exec_compact(
         &self,
         ks: u32,
         specs: &[SecondaryIndexSpec],
         deadline: &Deadline<'_>,
     ) -> Result<()> {
-        let (klog, vlog, pairs) = self.km.with(ks, |k| {
-            let klog = k
-                .storage
-                .klog
-                .ok_or_else(|| DeviceError::Internal("no klog".into()))?;
-            let vlog = k
-                .storage
-                .vlog
-                .ok_or_else(|| DeviceError::Internal("no vlog".into()))?;
-            Ok((klog, vlog, k.pairs))
-        })?;
-        match crate::compact::run_compaction_with_indexes(
+        let (klog, vlog, pairs) = self
+            .km
+            .with(ks, |k| match (k.storage.klog, k.storage.vlog) {
+                (Some(klog), Some(vlog)) => Ok((klog, vlog, k.pairs)),
+                _ => Err(DeviceError::Internal("no sealed logs".into())),
+            })?;
+        let before = self.live_clusters();
+        let (out, souts) = match run_compaction(
             &self.mgr,
             &self.soc,
             &self.dram,
@@ -873,47 +808,40 @@ impl KvCsdDevice {
             specs,
             deadline,
         ) {
-            Ok((out, souts)) => {
-                self.km.with_mut(ks, |k| {
-                    k.storage.klog = None;
-                    k.storage.vlog = None;
-                    k.storage.pidx = Some(out.pidx);
-                    k.storage.pidx_sketch = out.sketch.clone();
-                    k.storage.svalues = Some(out.svalues);
-                    for (spec, sout) in specs.iter().zip(souts) {
-                        k.storage.sidx.insert(
-                            spec.name.clone(),
-                            SecondaryIndex {
-                                spec: spec.clone(),
-                                cluster: sout.cluster,
-                                blocks: sout.blocks,
-                                sketch: sout.sketch,
-                                entries: sout.entries,
-                            },
-                        );
-                    }
-                    k.transition_to(KeyspaceState::Compacted)?;
-                    Ok(())
-                })?;
-                self.persist()?;
-                self.soc.ledger().bump("dev_single_pass_compactions", 1);
-                Ok(())
-            }
-            // Zone exhaustion is not a DRAM bottleneck; the separated
-            // path would only fail the same way. Let it surface so the
-            // keyspace degrades to READ_ONLY.
-            Err(DeviceError::OutOfResources(m)) if !m.contains("zone") => {
-                // DRAM bottleneck: separated construction.
+            Ok(built) => built,
+            // Out of zones, the separated path would only fail the same
+            // way; that error surfaces and the keyspace goes READ_ONLY.
+            Err(DeviceError::OutOfDram(_)) if !specs.is_empty() => {
+                // Drop what the single pass wrote before it gave up.
+                self.sweep_job_orphans(&before);
                 self.soc.ledger().bump("dev_single_pass_fallbacks", 1);
-                self.exec_compact(ks, deadline)?;
+                self.exec_compact(ks, &[], deadline)?;
                 for spec in specs {
                     deadline.check()?;
                     self.exec_build_sidx(ks, spec, deadline)?;
                 }
-                Ok(())
+                return Ok(());
             }
-            Err(e) => Err(e),
-        }
+            Err(e) => return Err(e),
+        };
+        self.km.with_mut(ks, |k| {
+            install_sidx(k, specs, souts)?;
+            k.storage.klog = None;
+            k.storage.vlog = None;
+            k.storage.pidx = Some(out.pidx);
+            k.storage.pidx_sketch = out.sketch;
+            k.storage.svalues = Some(out.svalues);
+            k.transition_to(KeyspaceState::Compacted)?;
+            Ok(())
+        })?;
+        self.persist()?;
+        let counter = if specs.is_empty() {
+            "dev_compactions"
+        } else {
+            "dev_single_pass_compactions"
+        };
+        self.soc.ledger().bump(counter, 1);
+        Ok(())
     }
 
     fn exec_build_sidx(
@@ -944,17 +872,7 @@ impl KvCsdDevice {
             deadline,
         )?;
         self.km.with_mut(ks, |k| {
-            k.storage.sidx.insert(
-                spec.name.clone(),
-                SecondaryIndex {
-                    spec: spec.clone(),
-                    cluster: out.cluster,
-                    blocks: out.blocks,
-                    sketch: out.sketch.clone(),
-                    entries: out.entries,
-                },
-            );
-            Ok(())
+            install_sidx(k, std::slice::from_ref(spec), vec![out])
         })?;
         self.persist()?;
         self.soc.ledger().bump("dev_sidx_builds", 1);
@@ -983,7 +901,7 @@ impl KvCsdDevice {
         let ingest = self
             .dram
             .reserve(INGEST_BUFFER_BYTES as u64)
-            .ok_or_else(|| DeviceError::OutOfResources("ingest DRAM".into()))?;
+            .ok_or(DeviceError::OutOfDram("ingest DRAM"))?;
         let kc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
         let vc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
         let wal = if self.cfg.wal {
@@ -1037,11 +955,11 @@ impl KvCsdDevice {
     /// True for errors that mean the *device* is out of space (zones),
     /// as opposed to a transient fault or a caller mistake.
     fn is_space_exhaustion(e: &DeviceError) -> bool {
-        match e {
-            DeviceError::OutOfResources(m) => m.contains("zone"),
-            DeviceError::Flash(f) => matches!(f, kvcsd_flash::FlashError::DeviceFull),
-            _ => false,
-        }
+        matches!(
+            e,
+            DeviceError::OutOfZones { .. }
+                | DeviceError::Flash(kvcsd_flash::FlashError::DeviceFull)
+        )
     }
 
     /// Graceful degradation on space exhaustion: seal the write log in
@@ -1084,14 +1002,10 @@ impl KvCsdDevice {
         }
     }
 
-    fn do_compact(&self, ks: u32, deadline_ns: Option<u64>) -> Result<JobId> {
-        self.do_compact_inner(ks, None, deadline_ns)
-    }
-
-    fn do_compact_inner(
+    fn do_compact(
         &self,
         ks: u32,
-        specs: Option<Vec<SecondaryIndexSpec>>,
+        specs: Vec<SecondaryIndexSpec>,
         deadline_ns: Option<u64>,
     ) -> Result<JobId> {
         enum Seal {
@@ -1157,14 +1071,8 @@ impl KvCsdDevice {
             }
         }
         self.persist()?;
-        let runnable = !matches!(sealed, Seal::Empty);
-        let job = match specs {
-            Some(specs) if runnable => {
-                self.enqueue(Job::CompactAndIndex { ks, specs }, deadline_ns)
-            }
-            _ => self.enqueue(Job::Compact { ks }, deadline_ns),
-        };
-        if !runnable {
+        let job = self.enqueue(Job::Compact { ks, specs }, deadline_ns);
+        if matches!(sealed, Seal::Empty) {
             // Empty keyspace: nothing to do; complete immediately.
             let mut jobs = self.jobs.lock();
             jobs.queue.retain(|(id, _, _)| *id != job.0);
@@ -1179,30 +1087,11 @@ impl KvCsdDevice {
         let record = self.km.remove(ks)?;
         // Free every cluster the keyspace owns; zone resets reclaim space
         // without any device-side GC (the ZNS advantage).
-        let s = record.storage;
-        if let Some(w) = s.wlog {
-            let kc = w.klog.cluster();
-            let vc = w.vlog.cluster();
-            self.mgr.release_cluster(kc)?;
-            self.mgr.release_cluster(vc)?;
+        if record.storage.wlog.is_some() {
             self.dram.release(INGEST_BUFFER_BYTES as u64);
         }
-        if let Some(dwal) = s.dwal {
-            self.mgr.release_cluster(dwal.cluster())?;
-        }
-        for c in [
-            s.klog.map(|c| c.0),
-            s.vlog.map(|c| c.0),
-            s.pidx.map(|c| c.0),
-            s.svalues.map(|c| c.0),
-        ]
-        .into_iter()
-        .flatten()
-        {
+        for c in record.storage.clusters() {
             self.mgr.release_cluster(c)?;
-        }
-        for (_, idx) in s.sidx {
-            self.mgr.release_cluster(idx.cluster)?;
         }
         // Space reclaimed: keyspaces that froze READ_ONLY *after* their
         // compaction finished (index intact) are fully queryable again and
@@ -1250,6 +1139,47 @@ impl KvCsdDevice {
             })
         })
     }
+}
+
+/// Reject index specs the device could only fail on later: a key type
+/// whose width disagrees with `value_len`, or a name used twice in one
+/// request.
+fn validate_specs(specs: &[SecondaryIndexSpec]) -> Result<()> {
+    for (i, spec) in specs.iter().enumerate() {
+        if spec.key_type.width().is_some_and(|w| w != spec.value_len) {
+            return Err(DeviceError::BadIndexSpec);
+        }
+        if specs[..i].iter().any(|s| s.name == spec.name) {
+            return Err(DeviceError::IndexExists);
+        }
+    }
+    Ok(())
+}
+
+/// Install built secondary indexes into `k`. An existing name is never
+/// replaced: that would orphan the old index's cluster. The job then
+/// fails with `IndexExists` and its orphan sweep releases the new ones.
+fn install_sidx(
+    k: &mut crate::keyspace::Keyspace,
+    specs: &[SecondaryIndexSpec],
+    outs: Vec<SidxOutput>,
+) -> Result<()> {
+    if specs.iter().any(|s| k.storage.sidx.contains_key(&s.name)) {
+        return Err(DeviceError::IndexExists);
+    }
+    for (spec, out) in specs.iter().zip(outs) {
+        k.storage.sidx.insert(
+            spec.name.clone(),
+            SecondaryIndex {
+                spec: spec.clone(),
+                cluster: out.cluster,
+                blocks: out.blocks,
+                sketch: out.sketch,
+                entries: out.entries,
+            },
+        );
+    }
+    Ok(())
 }
 
 /// Query-path state check: COMPACTED serves everything; READ_ONLY keeps
@@ -1334,19 +1264,13 @@ impl DeviceHandler for KvCsdDevice {
                 }
                 KvCommand::Compact { ks } => {
                     self.admit_job()?;
-                    let job = self.do_compact(ks, deadline.deadline_ns())?;
+                    let job = self.do_compact(ks, Vec::new(), deadline.deadline_ns())?;
                     Ok(KvResponse::JobStarted { job })
                 }
                 KvCommand::CompactAndIndex { ks, specs } => {
                     self.admit_job()?;
-                    for spec in &specs {
-                        if let Some(w) = spec.key_type.width() {
-                            if w != spec.value_len {
-                                return Err(DeviceError::BadIndexSpec);
-                            }
-                        }
-                    }
-                    let job = self.do_compact_inner(ks, Some(specs), deadline.deadline_ns())?;
+                    validate_specs(&specs)?;
+                    let job = self.do_compact(ks, specs, deadline.deadline_ns())?;
                     Ok(KvResponse::JobStarted { job })
                 }
                 KvCommand::BuildSecondaryIndex { ks, spec } => {
@@ -1360,11 +1284,7 @@ impl DeviceHandler for KvCsdDevice {
                         }
                         Ok(())
                     })?;
-                    if let Some(w) = spec.key_type.width() {
-                        if w != spec.value_len {
-                            return Err(DeviceError::BadIndexSpec);
-                        }
-                    }
+                    validate_specs(std::slice::from_ref(&spec))?;
                     let job = self.enqueue(Job::BuildSidx { ks, spec }, deadline.deadline_ns());
                     Ok(KvResponse::JobStarted { job })
                 }
@@ -1929,6 +1849,11 @@ mod tests {
             1,
             "tight DRAM must trigger the separated fallback"
         );
+        // What the single pass wrote before it gave up is released.
+        assert_eq!(
+            dev.referenced_clusters().len(),
+            dev.zone_manager().cluster_count()
+        );
         // The fallback still delivers a fully indexed keyspace.
         match ok(dev.handle(KvCommand::SidxGet {
             ks,
@@ -1962,24 +1887,73 @@ mod tests {
         ));
     }
 
+    fn job_state(dev: &KvCsdDevice, resp: KvResponse) -> JobState {
+        let KvResponse::JobStarted { job } = ok(resp) else {
+            panic!("not a job");
+        };
+        match ok(dev.handle(KvCommand::PollJob { job })) {
+            KvResponse::Job { state } => state,
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn duplicate_index_name_rejected() {
-        let dev = device();
-        let ks = create(&dev, "x");
-        load_and_compact(&dev, ks, 50);
         let spec = SecondaryIndexSpec {
             name: "e".into(),
             value_offset: 28,
             value_len: 4,
             key_type: SecondaryKeyType::F32,
         };
-        ok(dev.handle(KvCommand::BuildSecondaryIndex {
+        let build = |ks| KvCommand::BuildSecondaryIndex {
             ks,
             spec: spec.clone(),
-        }));
-        dev.run_pending_jobs();
-        let r = dev.handle(KvCommand::BuildSecondaryIndex { ks, spec });
-        assert!(matches!(r, KvResponse::Err(KvStatus::IndexExists)));
+        };
+        // Asking for a second index named "e": after the first is built,
+        // twice in one single-pass request, and queued twice at once.
+        for case in ["built", "single pass", "queued"] {
+            let dev = device();
+            let ks = create(&dev, "x");
+            match case {
+                "built" => {
+                    load_and_compact(&dev, ks, 50);
+                    ok(dev.handle(build(ks)));
+                    dev.run_pending_jobs();
+                    let r = dev.handle(build(ks));
+                    assert_eq!(r, KvResponse::Err(KvStatus::IndexExists));
+                }
+                "single pass" => {
+                    for i in 0..50 {
+                        ok(dev.handle(KvCommand::Put {
+                            ks,
+                            key: key(i),
+                            value: value(i),
+                        }));
+                    }
+                    let specs = vec![spec.clone(), spec.clone()];
+                    let r = dev.handle(KvCommand::CompactAndIndex { ks, specs });
+                    assert_eq!(r, KvResponse::Err(KvStatus::IndexExists));
+                    assert_eq!(dev.pending_jobs(), 0);
+                }
+                _ => {
+                    load_and_compact(&dev, ks, 50);
+                    let first = dev.handle(build(ks));
+                    let second = dev.handle(build(ks));
+                    dev.run_pending_jobs();
+                    assert_eq!(job_state(&dev, first), JobState::Done);
+                    assert_eq!(
+                        job_state(&dev, second),
+                        JobState::Failed(KvStatus::IndexExists)
+                    );
+                    assert_eq!(dev.stat(ks).unwrap().secondary_indexes, ["e"]);
+                }
+            }
+            assert_eq!(
+                dev.referenced_clusters().len(),
+                dev.zone_manager().cluster_count(),
+                "{case}: every allocated cluster is referenced"
+            );
+        }
     }
 
     #[test]
@@ -1993,8 +1967,23 @@ mod tests {
             value_len: 3, // F32 must be 4 bytes
             key_type: SecondaryKeyType::F32,
         };
-        let r = dev.handle(KvCommand::BuildSecondaryIndex { ks, spec });
+        let r = dev.handle(KvCommand::BuildSecondaryIndex {
+            ks,
+            spec: spec.clone(),
+        });
         assert!(matches!(r, KvResponse::Err(KvStatus::BadIndexSpec)));
+        let ks = create(&dev, "y");
+        ok(dev.handle(KvCommand::Put {
+            ks,
+            key: key(1),
+            value: value(1),
+        }));
+        let r = dev.handle(KvCommand::CompactAndIndex {
+            ks,
+            specs: vec![spec],
+        });
+        assert!(matches!(r, KvResponse::Err(KvStatus::BadIndexSpec)));
+        assert_eq!(dev.stat(ks).unwrap().state, KeyspaceState::Writable);
     }
 
     #[test]
@@ -2718,41 +2707,67 @@ mod tests {
 
     #[test]
     fn failed_compaction_does_not_leak_clusters() {
-        let dev = device();
-        let ks = create(&dev, "leaky");
-        for i in 0..300 {
-            ok(dev.handle(KvCommand::Put {
-                ks,
-                key: key(i),
-                value: value(i),
-            }));
-        }
-        ok(dev.handle(KvCommand::Compact { ks }));
-        let free_sealed = dev.zone_manager().free_zones();
-        // Fail reads with ~15% probability: compaction gets partway
-        // through (allocating output clusters) before dying.
-        arm_faults(
-            &dev,
-            kvcsd_sim::FaultPlan {
-                seed: 21,
-                read_error_prob: 0.15,
-                ..kvcsd_sim::FaultPlan::none()
+        let specs = vec![SecondaryIndexSpec {
+            name: "energy".into(),
+            value_offset: 28,
+            value_len: 4,
+            key_type: SecondaryKeyType::F32,
+        }];
+        for single_pass in [false, true] {
+            let compact = |ks| match single_pass {
+                false => KvCommand::Compact { ks },
+                true => KvCommand::CompactAndIndex {
+                    ks,
+                    specs: specs.clone(),
+                },
+            };
+            let dev = device();
+            let ks = create(&dev, "leaky");
+            for i in 0..300 {
+                ok(dev.handle(KvCommand::Put {
+                    ks,
+                    key: key(i),
+                    value: value(i),
+                }));
             }
-            .with_persistent_fraction(1.0),
-        );
-        dev.run_pending_jobs();
-        disarm_faults(&dev);
-        assert_eq!(
-            dev.zone_manager().free_zones(),
-            free_sealed,
-            "failed job must release every cluster it allocated"
-        );
-        // And the keyspace still recovers.
-        ok(dev.handle(KvCommand::Compact { ks }));
-        dev.run_pending_jobs();
-        match ok(dev.handle(KvCommand::Get { ks, key: key(42) })) {
-            KvResponse::Value(v) => assert_eq!(v, value(42)),
-            other => panic!("{other:?}"),
+            ok(dev.handle(compact(ks)));
+            let free_sealed = dev.zone_manager().free_zones();
+            // Fail reads with ~15% probability: compaction gets partway
+            // through (allocating output clusters) before dying.
+            arm_faults(
+                &dev,
+                kvcsd_sim::FaultPlan {
+                    seed: 21,
+                    read_error_prob: 0.15,
+                    ..kvcsd_sim::FaultPlan::none()
+                }
+                .with_persistent_fraction(1.0),
+            );
+            dev.run_pending_jobs();
+            disarm_faults(&dev);
+            assert_eq!(
+                dev.stat(ks).unwrap().state,
+                KeyspaceState::Degraded,
+                "single pass: {single_pass}"
+            );
+            assert_eq!(
+                dev.zone_manager().free_zones(),
+                free_sealed,
+                "failed job must release every cluster it allocated"
+            );
+            // And the keyspace still recovers.
+            ok(dev.handle(compact(ks)));
+            dev.run_pending_jobs();
+            match ok(dev.handle(KvCommand::Get { ks, key: key(42) })) {
+                KvResponse::Value(v) => assert_eq!(v, value(42)),
+                other => panic!("{other:?}"),
+            }
+            let indexes = dev.stat(ks).unwrap().secondary_indexes;
+            assert_eq!(indexes.len(), usize::from(single_pass));
+            assert_eq!(
+                dev.referenced_clusters().len(),
+                dev.zone_manager().cluster_count()
+            );
         }
     }
 

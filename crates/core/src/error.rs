@@ -26,8 +26,11 @@ pub enum DeviceError {
     BadIndexSpec,
     /// Malformed key or value in a request.
     BadPayload(String),
-    /// Out of zones / DRAM.
-    OutOfResources(String),
+    /// The zone pool cannot supply a zone group of `need` zones: only
+    /// `free` are free, `reserve` of them held back for sealing appends.
+    OutOfZones { need: u32, free: u32, reserve: u32 },
+    /// A SoC DRAM reservation (the named buffer) cannot be satisfied.
+    OutOfDram(&'static str),
     /// Admission control rejected the command outright (overload).
     Busy(&'static str),
     /// Admission control write-stalled the command; the simulated stall
@@ -67,7 +70,15 @@ impl fmt::Display for DeviceError {
             DeviceError::IndexExists => write!(f, "secondary index exists"),
             DeviceError::BadIndexSpec => write!(f, "bad secondary index spec"),
             DeviceError::BadPayload(m) => write!(f, "bad payload: {m}"),
-            DeviceError::OutOfResources(m) => write!(f, "out of resources: {m}"),
+            DeviceError::OutOfZones {
+                need,
+                free,
+                reserve,
+            } => write!(
+                f,
+                "out of resources: need {need} zones, {free} free ({reserve} held in seal reserve)"
+            ),
+            DeviceError::OutOfDram(m) => write!(f, "out of resources: {m}"),
             DeviceError::Busy(why) => write!(f, "busy: {why}"),
             DeviceError::Stalled => write!(f, "write stalled (overload)"),
             DeviceError::DeadlineExceeded => write!(f, "deadline exceeded"),
@@ -102,13 +113,8 @@ impl From<DeviceError> for KvStatus {
             DeviceError::IndexExists => KvStatus::IndexExists,
             DeviceError::BadIndexSpec => KvStatus::BadIndexSpec,
             DeviceError::BadPayload(_) => KvStatus::BadValue,
-            DeviceError::OutOfResources(m) => {
-                if m.contains("zone") {
-                    KvStatus::DeviceFull
-                } else {
-                    KvStatus::Internal(m)
-                }
-            }
+            DeviceError::OutOfZones { .. } => KvStatus::DeviceFull,
+            DeviceError::OutOfDram(m) => KvStatus::Internal(m.into()),
             DeviceError::Busy(_) => KvStatus::Busy,
             DeviceError::Stalled => KvStatus::Stalled,
             DeviceError::DeadlineExceeded => KvStatus::DeadlineExceeded,
@@ -143,8 +149,16 @@ mod tests {
             KvStatus::DeviceFull
         );
         assert_eq!(
-            KvStatus::from(DeviceError::OutOfResources("no free zones".into())),
+            KvStatus::from(DeviceError::OutOfZones {
+                need: 8,
+                free: 3,
+                reserve: 1
+            }),
             KvStatus::DeviceFull
+        );
+        assert_eq!(
+            KvStatus::from(DeviceError::OutOfDram("sort DRAM")),
+            KvStatus::Internal("sort DRAM".into())
         );
         assert!(matches!(
             KvStatus::from(DeviceError::Internal("x".into())),

@@ -74,7 +74,7 @@ const MIN_RESERVATION: u64 = 16 * BLOCK_BYTES as u64;
 
 impl<'a, R: SortRecord> ExtSorter<'a, R> {
     /// Create a sorter. It immediately reserves sort memory from `dram`
-    /// (as much as available, at least [`MIN_RESERVATION`]).
+    /// (as much as available, at least `MIN_RESERVATION`).
     pub fn new(
         mgr: &'a ZoneManager,
         soc: &'a SocCharger,
@@ -84,7 +84,7 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         let want = dram.available() / 2;
         let reservation = dram
             .reserve_up_to_guarded(want, MIN_RESERVATION)
-            .ok_or_else(|| DeviceError::OutOfResources("sort DRAM".into()))?;
+            .ok_or(DeviceError::OutOfDram("sort DRAM"))?;
         Ok(Self {
             mgr,
             soc,
@@ -281,29 +281,8 @@ impl<R: SortRecord> Drop for ExtSorter<'_, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
-    use kvcsd_sim::{config::CostModel, HardwareSpec, IoLedger, XorShift64};
-    use std::sync::Arc;
-
-    fn setup(blocks_per_channel: u32) -> (ZoneManager, SocCharger) {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(
-            geom,
-            &HardwareSpec::default(),
-            Arc::clone(&ledger),
-        ));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-        (
-            ZoneManager::new(zns, 1, 99),
-            SocCharger::new(ledger, CostModel::default()),
-        )
-    }
+    use crate::testing::test_stack;
+    use kvcsd_sim::XorShift64;
 
     fn rec(i: u64) -> KlogRecord {
         KlogRecord {
@@ -315,7 +294,7 @@ mod tests {
 
     #[test]
     fn sorts_in_memory_when_small() {
-        let (mgr, soc) = setup(64);
+        let (mgr, soc, _) = test_stack(64, 99);
         let dram = DramBudget::new(64 << 20);
         let mut s = ExtSorter::new(&mgr, &soc, &dram, 4).unwrap();
         let mut rng = XorShift64::new(5);
@@ -344,7 +323,7 @@ mod tests {
 
     #[test]
     fn spills_and_merges_when_dram_is_tight() {
-        let (mgr, soc) = setup(512);
+        let (mgr, soc, _) = test_stack(512, 99);
         // Tiny budget: force many runs.
         let dram = DramBudget::new(MIN_RESERVATION * 2);
         let mut s = ExtSorter::new(&mgr, &soc, &dram, 4).unwrap();
@@ -380,7 +359,7 @@ mod tests {
 
     #[test]
     fn multi_pass_merge_when_runs_exceed_fan_in() {
-        let (mgr, soc) = setup(1024);
+        let (mgr, soc, _) = test_stack(1024, 99);
         let dram = DramBudget::new(MIN_RESERVATION);
         let mut s = ExtSorter::new(&mgr, &soc, &dram, 2).unwrap();
         // fan_in at minimum reservation = 16*4096/(4*4096) = 4.
@@ -407,7 +386,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_are_all_retained() {
-        let (mgr, soc) = setup(128);
+        let (mgr, soc, _) = test_stack(128, 99);
         let dram = DramBudget::new(MIN_RESERVATION);
         let mut s = ExtSorter::new(&mgr, &soc, &dram, 2).unwrap();
         for i in 0..5000u64 {
@@ -424,7 +403,7 @@ mod tests {
 
     #[test]
     fn sort_work_is_charged_to_soc() {
-        let (mgr, soc) = setup(64);
+        let (mgr, soc, _) = test_stack(64, 99);
         let dram = DramBudget::new(64 << 20);
         let mut s = ExtSorter::new(&mgr, &soc, &dram, 2).unwrap();
         for i in 0..1000u64 {
@@ -438,7 +417,7 @@ mod tests {
 
     #[test]
     fn spill_io_is_real() {
-        let (mgr, soc) = setup(512);
+        let (mgr, soc, _) = test_stack(512, 99);
         let dram = DramBudget::new(MIN_RESERVATION);
         let mut s = ExtSorter::new(&mgr, &soc, &dram, 2).unwrap();
         let before = soc.ledger().snapshot();
@@ -454,7 +433,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let (mgr, soc) = setup(64);
+        let (mgr, soc, _) = test_stack(64, 99);
         let dram = DramBudget::new(1 << 20);
         let s: ExtSorter<'_, KlogRecord> = ExtSorter::new(&mgr, &soc, &dram, 2).unwrap();
         let n = s.finish_into(|_| Ok(())).unwrap();
@@ -464,17 +443,17 @@ mod tests {
 
     #[test]
     fn fails_cleanly_without_dram() {
-        let (mgr, soc) = setup(64);
+        let (mgr, soc, _) = test_stack(64, 99);
         let dram = DramBudget::new(1024); // below MIN_RESERVATION
         assert!(matches!(
             ExtSorter::<KlogRecord>::new(&mgr, &soc, &dram, 2),
-            Err(DeviceError::OutOfResources(_))
+            Err(DeviceError::OutOfDram(_))
         ));
     }
 
     #[test]
     fn drop_without_finish_releases_resources() {
-        let (mgr, soc) = setup(512);
+        let (mgr, soc, _) = test_stack(512, 99);
         let dram = DramBudget::new(MIN_RESERVATION);
         {
             let mut s = ExtSorter::new(&mgr, &soc, &dram, 2).unwrap();

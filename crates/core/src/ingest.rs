@@ -274,32 +274,11 @@ impl WriteLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
-    use kvcsd_sim::{config::CostModel, HardwareSpec, IoLedger};
-    use std::sync::Arc;
-
-    fn setup() -> (ZoneManager, SocCharger) {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 64,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(
-            geom,
-            &HardwareSpec::default(),
-            Arc::clone(&ledger),
-        ));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-        let mgr = ZoneManager::new(zns, 1, 7);
-        let soc = SocCharger::new(ledger, CostModel::default());
-        (mgr, soc)
-    }
+    use crate::testing::test_stack;
 
     #[test]
     fn stream_writer_reader_roundtrip() {
-        let (mgr, _) = setup();
+        let (mgr, _, _) = test_stack(64, 7);
         let c = mgr.alloc_cluster(4).unwrap();
         let mut w = BlockStreamWriter::new(c);
         let mut expected = Vec::new();
@@ -323,7 +302,7 @@ mod tests {
 
     #[test]
     fn klog_record_roundtrip_through_stream() {
-        let (mgr, _) = setup();
+        let (mgr, _, _) = test_stack(64, 7);
         let c = mgr.alloc_cluster(2).unwrap();
         let mut w = BlockStreamWriter::new(c);
         let records: Vec<KlogRecord> = (0..500u32)
@@ -347,7 +326,7 @@ mod tests {
 
     #[test]
     fn write_log_separates_keys_and_values() {
-        let (mgr, soc) = setup();
+        let (mgr, soc, _) = test_stack(64, 7);
         let kc = mgr.alloc_cluster(2).unwrap();
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
@@ -374,7 +353,7 @@ mod tests {
 
     #[test]
     fn put_charges_soc_not_host() {
-        let (mgr, soc) = setup();
+        let (mgr, soc, _) = test_stack(64, 7);
         let kc = mgr.alloc_cluster(1).unwrap();
         let vc = mgr.alloc_cluster(1).unwrap();
         let mut log = WriteLog::new(kc, vc);
@@ -386,7 +365,7 @@ mod tests {
 
     #[test]
     fn large_values_span_blocks() {
-        let (mgr, soc) = setup();
+        let (mgr, soc, _) = test_stack(64, 7);
         let kc = mgr.alloc_cluster(1).unwrap();
         let vc = mgr.alloc_cluster(1).unwrap();
         let mut log = WriteLog::new(kc, vc);
@@ -407,7 +386,7 @@ mod tests {
 
     #[test]
     fn empty_stream_seal() {
-        let (mgr, _) = setup();
+        let (mgr, _, _) = test_stack(64, 7);
         let c = mgr.alloc_cluster(1).unwrap();
         let mut w = BlockStreamWriter::new(c);
         assert_eq!(w.seal(&mgr).unwrap(), 0);

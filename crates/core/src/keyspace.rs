@@ -121,6 +121,22 @@ pub struct KsStorage {
     pub sidx: BTreeMap<String, SecondaryIndex>,
 }
 
+impl KsStorage {
+    /// Every cluster these attachments hold, write-log phase first.
+    pub fn clusters(&self) -> Vec<ClusterId> {
+        let wlog = self
+            .wlog
+            .iter()
+            .flat_map(|w| [w.klog.cluster(), w.vlog.cluster()]);
+        let sealed = [self.klog.map(|c| c.0), self.vlog.map(|c| c.0)];
+        let compacted = [self.pidx.map(|c| c.0), self.svalues.map(|c| c.0)];
+        wlog.chain(self.dwal.as_ref().map(|w| w.cluster()))
+            .chain(sealed.into_iter().chain(compacted).flatten())
+            .chain(self.sidx.values().map(|i| i.cluster))
+            .collect()
+    }
+}
+
 /// One keyspace's full record in the keyspace table.
 #[derive(Debug)]
 pub struct Keyspace {

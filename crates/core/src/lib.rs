@@ -69,3 +69,39 @@ pub const BLOCK_BYTES: usize = 4096;
 /// Default SoC DRAM ingest buffer per keyspace ("192 KB for the current
 /// prototype").
 pub const INGEST_BUFFER_BYTES: usize = 192 * 1024;
+
+#[cfg(test)]
+mod testing {
+    use super::{soc::SocCharger, DramBudget, ZoneManager};
+    use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+    use kvcsd_sim::{config::CostModel, HardwareSpec, IoLedger};
+    use std::sync::Arc;
+
+    /// The device stack this crate's unit tests run on: an 8-channel ZNS
+    /// namespace of `blocks_per_channel` 16-page blocks, a zone manager
+    /// with stripe-offset seed `seed`, a SoC charger on the namespace's
+    /// ledger and a 4 MiB SoC DRAM budget.
+    pub(crate) fn test_stack(
+        blocks_per_channel: u32,
+        seed: u64,
+    ) -> (ZoneManager, SocCharger, DramBudget) {
+        let geom = FlashGeometry {
+            channels: 8,
+            blocks_per_channel,
+            pages_per_block: 16,
+            page_bytes: 4096,
+        };
+        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
+        let nand = Arc::new(NandArray::new(
+            geom,
+            &HardwareSpec::default(),
+            Arc::clone(&ledger),
+        ));
+        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
+        (
+            ZoneManager::new(zns, 1, seed),
+            SocCharger::new(ledger, CostModel::default()),
+            DramBudget::new(4 << 20),
+        )
+    }
+}

@@ -7,7 +7,8 @@
 //! of truth for which state changes are legal; every mutation of
 //! `Keyspace::state` outside snapshot decoding flows through
 //! [`crate::keyspace::Keyspace::transition_to`], which checks the table
-//! and rejects illegal edges with [`DeviceError::IllegalTransition`].
+//! and rejects illegal edges with
+//! [`DeviceError::IllegalTransition`](crate::error::DeviceError::IllegalTransition).
 //!
 //! Invariants the table encodes:
 //! * COMPACTED never becomes writable again; re-ingest requires delete +
@@ -20,7 +21,7 @@
 //! * READ_ONLY is the graceful-degradation state for zone/space
 //!   exhaustion: entered from WRITABLE (ingest hit DeviceFull; the write
 //!   log is sealed in place), COMPACTING (the job died on
-//!   OutOfResources) or COMPACTED (space exhaustion during an index
+//!   OutOfZones or OutOfDram) or COMPACTED (space exhaustion during an index
 //!   build). It is left by a successful re-compaction (-> COMPACTING,
 //!   from the intact sealed logs) or by space reclaim when a primary
 //!   index already exists (-> COMPACTED). Writes fail fast in READ_ONLY;
@@ -52,7 +53,7 @@ pub static KEYSPACE_TRANSITIONS: TransitionTable<KeyspaceState> = TransitionTabl
         // Zone exhaustion during ingest: the write log is sealed in place
         // and the keyspace freezes rather than failing outright.
         (KeyspaceState::Writable, KeyspaceState::ReadOnly),
-        // A background job died on zone/space exhaustion (OutOfResources).
+        // A compaction job died out of zones or SoC DRAM.
         (KeyspaceState::Compacting, KeyspaceState::ReadOnly),
         // Space exhaustion during a secondary-index build on an already
         // compacted keyspace.

@@ -1,6 +1,6 @@
 //! The metadata zones: a framed append log of device snapshots.
 //!
-//! The keyspace manager's "in-memory keyspace table [is] backed by a
+//! The keyspace manager's "in-memory keyspace table \[is\] backed by a
 //! metadata zone in the underlying ZNS SSD for data persistence". Each
 //! snapshot is appended as `magic | seq | len | crc | payload`; because
 //! zone appends are page-granular, every frame starts on a 4 KiB block

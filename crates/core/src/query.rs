@@ -228,31 +228,8 @@ mod tests {
     use crate::ingest::WriteLog;
     use crate::keyspace::SecondaryIndex;
     use crate::sidx::build_secondary_index;
-    use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+    use crate::testing::test_stack;
     use kvcsd_proto::{SecondaryIndexSpec, SecondaryKeyType, SidxKey};
-    use kvcsd_sim::{config::CostModel, HardwareSpec, IoLedger};
-    use std::sync::Arc;
-
-    fn setup() -> (ZoneManager, SocCharger, DramBudget) {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 256,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(
-            geom,
-            &HardwareSpec::default(),
-            Arc::clone(&ledger),
-        ));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-        (
-            ZoneManager::new(zns, 1, 9),
-            SocCharger::new(ledger, CostModel::default()),
-            DramBudget::new(4 << 20),
-        )
-    }
 
     fn key(i: u32) -> Vec<u8> {
         format!("key-{i:08}").into_bytes()
@@ -294,9 +271,11 @@ mod tests {
             (vc, vlen),
             n as u64,
             4,
+            &[],
             &crate::admission::Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let spec = SecondaryIndexSpec {
             name: "score".into(),
             value_offset: 28,
@@ -335,7 +314,7 @@ mod tests {
 
     #[test]
     fn point_get_hits_and_misses() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let st = build_storage(3000, &mgr, &soc, &dram);
         for i in [0u32, 1, 1499, 2999] {
             assert_eq!(
@@ -356,7 +335,7 @@ mod tests {
 
     #[test]
     fn point_get_reads_few_blocks() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let st = build_storage(3000, &mgr, &soc, &dram);
         let before = soc.ledger().snapshot();
         point_get(&mgr, &soc, &st, &key(1234)).unwrap();
@@ -371,7 +350,7 @@ mod tests {
 
     #[test]
     fn primary_range_queries() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let st = build_storage(2000, &mgr, &soc, &dram);
         let got = range(
             &mgr,
@@ -430,7 +409,7 @@ mod tests {
 
     #[test]
     fn full_scan_returns_everything_in_order() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let st = build_storage(1500, &mgr, &soc, &dram);
         let got = range(&mgr, &soc, &st, &Bound::Unbounded, &Bound::Unbounded, None).unwrap();
         assert_eq!(got.len(), 1500);
@@ -439,7 +418,7 @@ mod tests {
 
     #[test]
     fn sidx_point_query_finds_exact_scores() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let st = build_storage(1000, &mgr, &soc, &dram);
         let skey = SidxKey::U32(300).encode(); // score of key 100
         let got = sidx_get(&mgr, &soc, &st, "score", &skey).unwrap();
@@ -453,7 +432,7 @@ mod tests {
 
     #[test]
     fn sidx_range_selectivity() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let n = 2000u32;
         let st = build_storage(n, &mgr, &soc, &dram);
         // scores are 0,3,6,...; select score >= 3*(n-10) -> last 10 keys.
@@ -484,7 +463,7 @@ mod tests {
             v[28..].copy_from_slice(&(i / 1000).to_le_bytes());
             v
         }
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let st = build_storage_with(3000, tiered, &mgr, &soc, &dram);
         let count_from = |lo: Bound| {
             sidx_range(&mgr, &soc, &st, "score", &lo, &Bound::Unbounded, None)
@@ -504,7 +483,7 @@ mod tests {
 
     #[test]
     fn sidx_io_scales_with_selectivity_not_dataset() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let st = build_storage(4000, &mgr, &soc, &dram);
         let measure = |lo: u32| {
             let before = soc.ledger().snapshot();
@@ -536,7 +515,7 @@ mod tests {
 
     #[test]
     fn unknown_index_is_an_error() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let st = build_storage(10, &mgr, &soc, &dram);
         assert!(matches!(
             sidx_get(&mgr, &soc, &st, "nope", &[0]),
@@ -546,7 +525,7 @@ mod tests {
 
     #[test]
     fn queries_charge_soc_and_return_only_results() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let st = build_storage(1000, &mgr, &soc, &dram);
         let before = soc.ledger().snapshot();
         point_get(&mgr, &soc, &st, &key(500)).unwrap();
@@ -562,7 +541,7 @@ mod tests {
 
     #[test]
     fn query_charges_are_pinned() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 9);
         let st = build_storage(3000, &mgr, &soc, &dram);
         let charge = |run: &dyn Fn()| {
             let before = soc.ledger().snapshot();

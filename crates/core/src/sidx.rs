@@ -121,8 +121,7 @@ impl SidxBlockBuilder {
 }
 
 /// A validated, borrowed view of one SIDX block produced by
-/// [`SidxBlockBuilder`], searched in place like
-/// [`PidxBlock`](crate::compact::PidxBlock).
+/// [`SidxBlockBuilder`], searched in place like [`PidxBlock`].
 #[derive(Debug, Clone, Copy)]
 pub struct SidxBlock<'a> {
     /// The block's entries, with its padding cut off.
@@ -231,7 +230,7 @@ pub fn build_secondary_index(
 
 /// Drain a sorted [`SidxEntry`] sorter into SIDX blocks plus the sketch.
 /// Shared by the separate build above and by single-pass compaction
-/// ([`crate::compact::run_compaction_with_indexes`]).
+/// ([`crate::compact::run_compaction`] given index specs).
 pub fn write_sidx_blocks(
     mgr: &ZoneManager,
     sorter: ExtSorter<'_, SidxEntry>,
@@ -273,31 +272,9 @@ mod tests {
     use super::*;
     use crate::compact::run_compaction;
     use crate::ingest::WriteLog;
-    use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+    use crate::testing::test_stack;
     use kvcsd_proto::{SecondaryKeyType, SidxKey};
-    use kvcsd_sim::{config::CostModel, HardwareSpec, IoLedger, XorShift64};
-    use std::sync::Arc;
-
-    fn setup() -> (ZoneManager, SocCharger, DramBudget) {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 256,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(
-            geom,
-            &HardwareSpec::default(),
-            Arc::clone(&ledger),
-        ));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-        (
-            ZoneManager::new(zns, 1, 321),
-            SocCharger::new(ledger, CostModel::default()),
-            DramBudget::new(4 << 20),
-        )
-    }
+    use kvcsd_sim::XorShift64;
 
     /// Particle-style values: 28 bytes payload + 4-byte f32 energy tail.
     fn particle_value(energy: f32, filler: u8) -> Vec<u8> {
@@ -342,9 +319,11 @@ mod tests {
             (vc, vlen),
             n,
             4,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         (out, truth)
     }
 
@@ -458,7 +437,7 @@ mod tests {
 
     #[test]
     fn build_produces_sorted_complete_index() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 321);
         let (cout, truth) = compacted_keyspace(2_000, &mgr, &soc, &dram);
         let out = build_secondary_index(
             &mgr,
@@ -495,7 +474,7 @@ mod tests {
 
     #[test]
     fn value_locators_resolve_to_real_records() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 321);
         let (cout, _) = compacted_keyspace(500, &mgr, &soc, &dram);
         let out = build_secondary_index(
             &mgr,
@@ -519,7 +498,7 @@ mod tests {
 
     #[test]
     fn short_values_are_skipped_not_fatal() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 321);
         let kc = mgr.alloc_cluster(2).unwrap();
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
@@ -535,9 +514,11 @@ mod tests {
             (vc, vlen),
             2,
             2,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let out = build_secondary_index(
             &mgr,
             &soc,
@@ -555,7 +536,7 @@ mod tests {
 
     #[test]
     fn build_charges_device_only() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 321);
         let (cout, _) = compacted_keyspace(1_000, &mgr, &soc, &dram);
         let before = soc.ledger().snapshot();
         build_secondary_index(
@@ -578,7 +559,7 @@ mod tests {
 
     #[test]
     fn empty_keyspace_builds_empty_index() {
-        let (mgr, soc, dram) = setup();
+        let (mgr, soc, dram) = test_stack(256, 321);
         let (cout, _) = compacted_keyspace(0, &mgr, &soc, &dram);
         let out = build_secondary_index(
             &mgr,

@@ -189,29 +189,7 @@ impl DeviceWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
-    use kvcsd_sim::{config::CostModel, HardwareSpec, IoLedger};
-    use std::sync::Arc;
-
-    fn setup() -> (ZoneManager, SocCharger) {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 64,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(
-            geom,
-            &HardwareSpec::default(),
-            Arc::clone(&ledger),
-        ));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-        (
-            ZoneManager::new(zns, 1, 3),
-            SocCharger::new(ledger, CostModel::default()),
-        )
-    }
+    use crate::testing::test_stack;
 
     fn replay_all(mgr: &ZoneManager, wal: &DeviceWal) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
@@ -225,7 +203,7 @@ mod tests {
 
     #[test]
     fn synced_records_replay_exactly() {
-        let (mgr, soc) = setup();
+        let (mgr, soc, _) = test_stack(64, 3);
         let c = mgr.alloc_cluster(4).unwrap();
         let mut wal = DeviceWal::new(c);
         let records: Vec<(Vec<u8>, Vec<u8>)> = (0..100u32)
@@ -247,7 +225,7 @@ mod tests {
 
     #[test]
     fn unsynced_tail_is_lost_but_synced_prefix_survives() {
-        let (mgr, soc) = setup();
+        let (mgr, soc, _) = test_stack(64, 3);
         let c = mgr.alloc_cluster(2).unwrap();
         let mut wal = DeviceWal::new(c);
         for i in 0..10u32 {
@@ -267,7 +245,7 @@ mod tests {
 
     #[test]
     fn large_unsynced_batch_keeps_full_blocks() {
-        let (mgr, soc) = setup();
+        let (mgr, soc, _) = test_stack(64, 3);
         let c = mgr.alloc_cluster(4).unwrap();
         let mut wal = DeviceWal::new(c);
         // ~50 B/record: hundreds per block; write enough to flush blocks
@@ -287,7 +265,7 @@ mod tests {
 
     #[test]
     fn multiple_syncs_and_batches() {
-        let (mgr, soc) = setup();
+        let (mgr, soc, _) = test_stack(64, 3);
         let c = mgr.alloc_cluster(2).unwrap();
         let mut wal = DeviceWal::new(c);
         let mut expect = Vec::new();
@@ -304,7 +282,7 @@ mod tests {
 
     #[test]
     fn resume_appends_after_replayed_blocks() {
-        let (mgr, soc) = setup();
+        let (mgr, soc, _) = test_stack(64, 3);
         let c = mgr.alloc_cluster(2).unwrap();
         let mut wal = DeviceWal::new(c);
         wal.append(&mgr, &soc, b"first", b"1").unwrap();
@@ -327,7 +305,7 @@ mod tests {
 
     #[test]
     fn empty_wal_replays_nothing() {
-        let (mgr, _soc) = setup();
+        let (mgr, _soc, _) = test_stack(64, 3);
         let c = mgr.alloc_cluster(1).unwrap();
         let wal = DeviceWal::new(c);
         assert!(replay_all(&mgr, &wal).is_empty());
@@ -335,7 +313,7 @@ mod tests {
 
     #[test]
     fn sync_with_empty_tail_is_noop() {
-        let (mgr, soc) = setup();
+        let (mgr, soc, _) = test_stack(64, 3);
         let c = mgr.alloc_cluster(1).unwrap();
         let mut wal = DeviceWal::new(c);
         wal.sync(&mgr).unwrap();

@@ -160,9 +160,11 @@ impl ZoneManager {
         let channels = inner.free_by_channel.len();
         let total_free: usize = inner.free_by_channel.iter().map(Vec::len).sum();
         if total_free < width as usize + reserve as usize {
-            return Err(DeviceError::OutOfResources(format!(
-                "need {width} zones, {total_free} free ({reserve} held in seal reserve)"
-            )));
+            return Err(DeviceError::OutOfZones {
+                need: width,
+                free: total_free as u32,
+                reserve,
+            });
         }
         // One zone per channel where possible, starting at a random
         // channel so clusters spread load.
@@ -576,7 +578,7 @@ mod tests {
         let _c1 = m.alloc_cluster(3).unwrap();
         assert!(matches!(
             m.alloc_cluster(1),
-            Err(DeviceError::OutOfResources(_))
+            Err(DeviceError::OutOfZones { .. })
         ));
     }
 
@@ -588,7 +590,7 @@ mod tests {
         loop {
             match m.append_block(c, &[0u8; 8]) {
                 Ok(_) => wrote += 1,
-                Err(DeviceError::OutOfResources(_)) => break,
+                Err(DeviceError::OutOfZones { .. }) => break,
                 Err(e) => panic!("unexpected: {e}"),
             }
             assert!(wrote < 100, "must run out eventually");
@@ -609,8 +611,8 @@ mod tests {
         loop {
             match m.append_block(c, &[7u8; 8]) {
                 Ok(_) => wrote += 1,
-                Err(DeviceError::OutOfResources(msg)) => {
-                    assert!(msg.contains("seal reserve"), "{msg}");
+                Err(DeviceError::OutOfZones { reserve, .. }) => {
+                    assert_eq!(reserve, 2);
                     break;
                 }
                 Err(e) => panic!("unexpected: {e}"),
@@ -624,7 +626,7 @@ mod tests {
         // And ordinary allocation is also refused inside the reserve.
         assert!(matches!(
             m.alloc_cluster(1),
-            Err(DeviceError::OutOfResources(_))
+            Err(DeviceError::OutOfZones { .. })
         ));
     }
 

@@ -1,6 +1,6 @@
 //! NVMe key-value command set for KV-CSD, plus the host-device transport.
 //!
-//! The paper's prototype speaks the standard **NVMe KV command set** [56]
+//! The paper's prototype speaks the standard **NVMe KV command set** \[56\]
 //! between its client library and the device, extended with commands the
 //! standard lacks: compaction, secondary-index construction and
 //! secondary-index queries. This crate defines those commands as typed
