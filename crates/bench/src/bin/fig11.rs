@@ -6,7 +6,7 @@
 //! asynchronously in the device — its *effective* write time is 66 s vs
 //! RocksDB's 704 s, i.e. 10.6x faster.
 
-use kvcsd_bench::report::{fmt_io, fmt_secs, speedup};
+use kvcsd_bench::report::{fmt_flash, fmt_io, fmt_secs, speedup};
 use kvcsd_bench::{vpic_exp, Args, Testbed};
 use kvcsd_sim::stats::TextTable;
 use kvcsd_workloads::VpicDump;
@@ -51,4 +51,6 @@ fn main() {
     println!("\nInsert-phase I/O:");
     println!("  kvcsd   {}", fmt_io(&k.write_work));
     println!("  rocksdb {}", fmt_io(&b.write_work));
+    println!("\nCompaction-phase flash:");
+    println!("  kvcsd   {}", fmt_flash(&k.compact_work));
 }

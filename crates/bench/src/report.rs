@@ -18,6 +18,23 @@ pub fn fmt_io(w: &LedgerSnapshot) -> String {
     )
 }
 
+/// Flash program/erase work of a phase, with the pages programmed per
+/// erased block (how much of each erase the phase actually used).
+pub fn fmt_flash(w: &LedgerSnapshot) -> String {
+    let per_erase = if w.nand_erase_blocks == 0 {
+        "-".to_string()
+    } else {
+        format!(
+            "{:.1}",
+            w.nand_program_pages as f64 / w.nand_erase_blocks as f64
+        )
+    };
+    format!(
+        "programmed {} pages | erased {} blocks | {per_erase} pages per erase",
+        w.nand_program_pages, w.nand_erase_blocks
+    )
+}
+
 /// Speedup as the paper quotes it ("KV-CSD is N.Nx faster").
 pub fn speedup(slow_s: f64, fast_s: f64) -> String {
     if fast_s <= 0.0 {

@@ -53,6 +53,7 @@ pub struct VpicKvcsd {
     /// Device-background secondary-index build time.
     pub index_s: f64,
     pub write_work: LedgerSnapshot,
+    pub compact_work: LedgerSnapshot,
 }
 
 /// Write phase on KV-CSD: load, invoke compaction, build the energy index.
@@ -84,9 +85,11 @@ pub fn load_kvcsd(tb: &mut Testbed, dump: &VpicDump) -> VpicKvcsd {
     let write_work = tb.ledger.snapshot().since(&before);
     let write_s = tb.runner.last_elapsed_s();
 
+    let before = tb.ledger.snapshot();
     tb.runner.background("vpic-compaction", || {
         dev.run_pending_jobs();
     });
+    let compact_work = tb.ledger.snapshot().since(&before);
     let compact_s = tb.runner.last_elapsed_s();
 
     // Index construction is requested after compaction completes and also
@@ -108,6 +111,7 @@ pub fn load_kvcsd(tb: &mut Testbed, dump: &VpicDump) -> VpicKvcsd {
         compact_s,
         index_s,
         write_work,
+        compact_work,
     }
 }
 

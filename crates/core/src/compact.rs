@@ -921,6 +921,72 @@ mod tests {
     }
 
     #[test]
+    fn output_bytes_do_not_depend_on_sort_dram() {
+        use crate::sidx::SidxOutput;
+        use kvcsd_proto::SecondaryKeyType;
+        let spec = SecondaryIndexSpec {
+            name: "tail".into(),
+            value_offset: 8,
+            value_len: 4,
+            key_type: SecondaryKeyType::U32,
+        };
+        let blocks = |mgr: &ZoneManager, cluster: ClusterId, n: u64| {
+            (0..n)
+                .map(|b| mgr.read_block(cluster, b).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let run = |dram_bytes: u64| {
+            let (mgr, soc, _) = test_stack(512, 123);
+            let kc = mgr.alloc_cluster(4).unwrap();
+            let vc = mgr.alloc_cluster(4).unwrap();
+            let mut log = WriteLog::new(kc, vc);
+            let mut rng = XorShift64::new(0x5EED);
+            // Few distinct primary and secondary keys: each is written
+            // many times, and only arrival order tells the copies apart.
+            for i in 0..8_000u32 {
+                let key = format!("k{:04}", rng.next_below(600)).into_bytes();
+                let mut value = vec![(i % 251) as u8; 12 + rng.next_below(24) as usize];
+                value[8..12].copy_from_slice(&(rng.next_below(700) as u32).to_le_bytes());
+                log.put(&mgr, &soc, &key, &value).unwrap();
+            }
+            let (klen, vlen) = log.seal(&mgr).unwrap();
+            let dram = DramBudget::new(dram_bytes);
+            let (out, sidx) = run_compaction(
+                &mgr,
+                &soc,
+                &dram,
+                (kc, klen),
+                (vc, vlen),
+                8_000,
+                4,
+                std::slice::from_ref(&spec),
+                &Deadline::none(),
+            )
+            .unwrap();
+            let SidxOutput {
+                cluster, blocks: n, ..
+            } = sidx[0];
+            (
+                blocks(&mgr, out.pidx.0, out.pidx.1 as u64),
+                blocks(
+                    &mgr,
+                    out.svalues.0,
+                    out.svalues.1.div_ceil(BLOCK_BYTES as u64),
+                ),
+                blocks(&mgr, cluster, n as u64),
+                soc.ledger().snapshot().nand_program_pages,
+            )
+        };
+        let (pidx, svalues, sidx, programs) = run(64 << 20);
+        // Every sort spills under the tight budget, the key sort too.
+        let (tight_pidx, tight_svalues, tight_sidx, tight_programs) = run(256 << 10);
+        assert!(tight_programs > programs, "the tight budget spills");
+        assert!(pidx == tight_pidx, "PIDX bytes differ");
+        assert!(svalues == tight_svalues, "SORTED_VALUES bytes differ");
+        assert!(sidx == tight_sidx, "SIDX bytes differ");
+    }
+
+    #[test]
     fn single_pass_fails_cleanly_without_dram() {
         use kvcsd_proto::{SecondaryIndexSpec, SecondaryKeyType};
         let (mgr, soc, _big) = test_stack(256, 123);
@@ -985,7 +1051,8 @@ mod tests {
             }
             let (klen, vlen) = log.seal(&mgr).unwrap();
             let (klog, vlog) = ((kc, klen), (vc, vlen));
-            // Tight enough that every sort spills and merges.
+            // The key sort fits in DRAM and does no zone I/O; the later
+            // sorts reserve less, so they spill runs and merge them.
             let dram = DramBudget::new(256 << 10);
             let before = soc.ledger().snapshot();
             match case {
@@ -1032,26 +1099,23 @@ mod tests {
         assert_eq!(
             run("plain"),
             (
-                10_090_813,
-                162,
-                162,
-                28,
-                vec![
-                    2_187_022, 4_472_824, 6_472_439, 8_633_974, 13_007_633, 10_676_896, 8_689_832,
-                    6_515_746
-                ]
+                9_720_813,
+                131,
+                131,
+                15,
+                vec![0, 242_880, 2_327_096, 6_689_832, 8_935_968, 4_188_265, 6_662_717, 4_718_575]
             )
         );
         assert_eq!(
             run("single pass"),
             (
-                13_485_302,
-                236,
-                274,
-                48,
+                13_115_302,
+                205,
+                243,
+                23,
                 vec![
-                    6_519_387, 10_646_910, 12_788_612, 14_921_404, 19_379_664, 15_194_655,
-                    13_024_210, 10_923_802
+                    113_344, 4_747_703, 2_472_824, 9_065_504, 20_520_474, 6_752_587, 6_576_488,
+                    2_258_687
                 ]
             )
         );
@@ -1061,10 +1125,10 @@ mod tests {
                 19_123_021,
                 324,
                 336,
-                61,
+                31,
                 vec![
-                    8_555_412, 13_010_031, 15_169_553, 21_476_431, 23_792_604, 19_325_434,
-                    17_223_398, 12_954_173
+                    2_490_644, 15_759_362, 7_052_568, 11_555_378, 13_912_845, 9_124_233, 6_993_454,
+                    4_618_552
                 ]
             )
         );

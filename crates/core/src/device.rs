@@ -1370,6 +1370,11 @@ mod tests {
     use kvcsd_sim::{HardwareSpec, IoLedger};
 
     fn device() -> KvCsdDevice {
+        device_with_dram(8 << 20)
+    }
+
+    /// [`device`] with `soc_dram_bytes` of SoC DRAM.
+    fn device_with_dram(soc_dram_bytes: u64) -> KvCsdDevice {
         let geom = FlashGeometry {
             channels: 8,
             blocks_per_channel: 256,
@@ -1384,7 +1389,7 @@ mod tests {
             CostModel::default(),
             DeviceConfig {
                 cluster_width: 8,
-                soc_dram_bytes: 8 << 20,
+                soc_dram_bytes,
                 seed: 1,
                 ..DeviceConfig::default()
             },
@@ -2721,9 +2726,12 @@ mod tests {
                     specs: specs.clone(),
                 },
             };
-            let dev = device();
+            // Tight SoC DRAM (the ingest buffer plus 64 KiB) makes the
+            // value sort spill, so the job reads its own run back after
+            // it has allocated output clusters.
+            let dev = device_with_dram((192 << 10) + (64 << 10));
             let ks = create(&dev, "leaky");
-            for i in 0..300 {
+            for i in 0..3000 {
                 ok(dev.handle(KvCommand::Put {
                     ks,
                     key: key(i),

@@ -5,12 +5,22 @@
 //! in dynamically allocated zone clusters, which are released upon
 //! completion of the sort." (Section V)
 //!
-//! The sorter reserves what it can from the [`DramBudget`], accumulates
-//! records until the reservation is full, sorts and spills a run to a
-//! temporary zone cluster, and finally k-way-merges the runs (in multiple
-//! passes when the run count exceeds the DRAM-derived fan-in). Every
-//! comparison and byte moved is charged to the SoC; every spill and merge
-//! readback is real zone I/O.
+//! The sorter reserves what it can from the [`DramBudget`] and
+//! accumulates records until the reservation is full. When the whole
+//! input fits, that is zero rounds: [`ExtSorter::finish_into`] sorts the
+//! buffer in place and streams it out, with no zone I/O at all.
+//! Otherwise each full buffer is sorted and spilled as a run to a
+//! temporary zone cluster, and the runs are k-way-merged (in multiple
+//! passes when the run count exceeds the DRAM-derived fan-in). A spill or
+//! merge knows its byte count before it allocates, so its cluster gets
+//! only the zones those bytes fill, up to the stripe width: a small run
+//! erases one block, not one per zone of a full-width cluster. Every
+//! comparison and byte moved is charged to the SoC; every spill and
+//! merge readback is real zone I/O.
+//!
+//! The sort is stable: records with equal keys leave in arrival order
+//! (last write wins downstream). Runs are kept in arrival order and a
+//! merge prefers the earlier run on a tie.
 
 use std::cmp::Ordering;
 
@@ -122,9 +132,8 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        self.soc.sort(self.buf.len());
-        self.buf.sort_by(|a, b| a.cmp_key(b));
-        let cluster = self.mgr.alloc_cluster(self.cluster_width)?;
+        self.sort_buf();
+        let cluster = self.mgr.alloc_cluster(self.run_width(self.buf_bytes))?;
         let mut w = BlockStreamWriter::new(cluster);
         let mut enc = Vec::with_capacity(BLOCK_BYTES);
         let count = self.buf.len() as u64;
@@ -144,6 +153,20 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         Ok(())
     }
 
+    /// Sort the DRAM buffer in place (stable), charging the comparisons.
+    fn sort_buf(&mut self) {
+        self.soc.sort(self.buf.len());
+        self.buf.sort_by(|a, b| a.cmp_key(b));
+    }
+
+    /// Zones for a run of `bytes`: as many as its blocks fill, at most
+    /// the stripe width.
+    fn run_width(&self, bytes: u64) -> u32 {
+        let blocks = bytes.div_ceil(BLOCK_BYTES as u64);
+        let zones = blocks.div_ceil(self.mgr.zone_blocks());
+        zones.clamp(1, self.cluster_width as u64) as u32
+    }
+
     /// DRAM-derived merge fan-in.
     fn fan_in(&self) -> usize {
         ((self.reservation.bytes() / (4 * BLOCK_BYTES as u64)) as usize).clamp(2, 64)
@@ -151,7 +174,8 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
 
     /// Merge a group of runs into one new run.
     fn merge_runs(&mut self, group: Vec<Run>) -> Result<Run> {
-        let cluster = self.mgr.alloc_cluster(self.cluster_width)?;
+        let bytes = group.iter().map(|r| r.len).sum();
+        let cluster = self.mgr.alloc_cluster(self.run_width(bytes))?;
         let mut w = BlockStreamWriter::new(cluster);
         let mut count = 0u64;
         let mut enc = Vec::with_capacity(BLOCK_BYTES);
@@ -210,14 +234,38 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
     /// Finish sorting, streaming every record in order into `consume`.
     /// Releases all temporary clusters and the DRAM reservation.
     pub fn finish_into(mut self, mut consume: impl FnMut(R) -> Result<()>) -> Result<u64> {
+        if self.runs.is_empty() {
+            // Zero merge rounds: the input fit in the reservation.
+            if self.buf.is_empty() {
+                return Ok(0);
+            }
+            self.sort_buf();
+            let buf = std::mem::take(&mut self.buf);
+            let emitted = buf.len() as u64;
+            for rec in buf {
+                consume(rec)?;
+            }
+            return Ok(emitted);
+        }
         self.spill()?;
         let fan_in = self.fan_in();
 
-        // Reduce the run count with intermediate passes.
+        // Reduce the run count with intermediate passes. Each merges
+        // adjacent runs in place — at most `fan_in`, and no more than
+        // the excess needs — so the runs stay in arrival order. The
+        // cursor sweeps front to back and wraps for the next round.
+        let mut at = 0;
         while self.runs.len() > fan_in {
-            let group: Vec<Run> = self.runs.drain(..fan_in).collect();
+            if self.runs.len() - at < 2 {
+                at = 0;
+            }
+            let take = (self.runs.len() - fan_in + 1)
+                .min(fan_in)
+                .min(self.runs.len() - at);
+            let group: Vec<Run> = self.runs.drain(at..at + take).collect();
             let merged = self.merge_runs(group)?;
-            self.runs.push(merged);
+            self.runs.insert(at, merged);
+            at += 1;
         }
 
         // Final pass: merge whatever remains straight into the consumer.
@@ -303,6 +351,8 @@ mod tests {
             s.push(rec(k)).unwrap();
         }
         assert_eq!(s.spilled_runs(), 0, "everything fits in DRAM");
+        let clusters = mgr.cluster_count();
+        let before = soc.ledger().snapshot();
         let mut out = Vec::new();
         let n = s
             .finish_into(|r| {
@@ -311,6 +361,14 @@ mod tests {
             })
             .unwrap();
         assert_eq!(n, 1000);
+        let d = soc.ledger().snapshot().since(&before);
+        assert!(d.soc_cpu_ns > 0, "the in-DRAM sort is still charged");
+        assert_eq!(
+            (d.nand_program_pages, d.nand_read_pages, d.nand_erase_blocks),
+            (0, 0, 0),
+            "zero merge rounds touch no flash"
+        );
+        assert_eq!(mgr.cluster_count(), clusters, "no temporary cluster");
         keys.sort();
         let got: Vec<Vec<u8>> = out.iter().map(|r| r.key.clone()).collect();
         let want: Vec<Vec<u8>> = keys
@@ -382,6 +440,126 @@ mod tests {
             })
             .unwrap();
         assert_eq!(n, 20_000);
+    }
+
+    /// Sort `keys` tagged with their arrival index (as `voff`) under a
+    /// DRAM budget of `dram_bytes`; returns the output and the spilled
+    /// runs and fan-in seen before the finish.
+    fn sort_tagged(keys: &[u64], dram_bytes: u64) -> (Vec<(Vec<u8>, u64)>, usize, usize) {
+        let (mgr, soc, _) = test_stack(512, 99);
+        let dram = DramBudget::new(dram_bytes);
+        let mut s = ExtSorter::new(&mgr, &soc, &dram, 4).unwrap();
+        for (i, &k) in keys.iter().enumerate() {
+            s.push(KlogRecord {
+                voff: i as u64,
+                ..rec(k)
+            })
+            .unwrap();
+        }
+        let (runs, fan_in) = (s.spilled_runs(), s.fan_in());
+        let mut out = Vec::new();
+        s.finish_into(|r| {
+            out.push((r.key, r.voff));
+            Ok(())
+        })
+        .unwrap();
+        (out, runs, fan_in)
+    }
+
+    #[test]
+    fn equal_keys_keep_arrival_order_in_every_path() {
+        let mut rng = XorShift64::new(11);
+        let keys: Vec<u64> = (0..60_000).map(|_| rng.next_below(40)).collect();
+        let (roomy, runs, _) = sort_tagged(&keys, 64 << 20);
+        assert_eq!(runs, 0);
+        let (tight, runs, fan_in) = sort_tagged(&keys, MIN_RESERVATION);
+        assert!(runs > 2 * fan_in, "intermediate rounds: {runs} runs");
+        assert_eq!(tight, roomy);
+        for w in roomy.windows(2) {
+            assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
+        }
+    }
+
+    #[test]
+    fn spilled_run_owns_only_the_zones_its_blocks_fill() {
+        let (mgr, soc, _) = test_stack(512, 99);
+        let dram = DramBudget::new(1 << 20);
+        let mut s = ExtSorter::new(&mgr, &soc, &dram, 8).unwrap();
+        let mut rng = XorShift64::new(12);
+        while s.spilled_runs() == 0 {
+            s.push(rec(rng.next_below(1_000_000))).unwrap();
+        }
+        let run = &s.runs[0];
+        let blocks = run.len.div_ceil(BLOCK_BYTES as u64);
+        let zones = mgr.cluster_zone_count(run.cluster).unwrap();
+        assert_eq!(zones as u64, blocks.div_ceil(mgr.zone_blocks()));
+        assert!(zones > 1 && zones < 8, "{zones} of 8 zones");
+
+        // Releasing the run resets exactly its zones' written blocks.
+        let zns = mgr.zns();
+        let pages_per_block = zns.nand().geometry().pages_per_block;
+        let state = mgr.export_state();
+        let owned = &state
+            .clusters
+            .iter()
+            .find(|c| c.id == run.cluster.0)
+            .unwrap()
+            .groups;
+        let written: u64 = owned
+            .iter()
+            .flatten()
+            .map(|&z| {
+                let wp = zns.zone_info(z).unwrap().write_pointer_pages;
+                wp.div_ceil(pages_per_block) as u64
+            })
+            .sum();
+        let before = soc.ledger().snapshot();
+        drop(s);
+        let d = soc.ledger().snapshot().since(&before);
+        assert_eq!(d.nand_erase_blocks, written);
+        assert_eq!(mgr.cluster_count(), 0);
+    }
+
+    /// Ablation 3's 1 MiB row compacts 25,000 pairs with 2 KiB values.
+    /// Its value sort reserves half of what the key and gather sorters
+    /// leave (384 KiB), spills more runs than its fan-in and so merges
+    /// in more than one round.
+    #[test]
+    fn one_mib_ablation_value_sort_merges_in_rounds() {
+        let (mgr, soc, _) = test_stack(512, 99);
+        let dram = DramBudget::new(1 << 20);
+        let key_sorter = ExtSorter::<KlogRecord>::new(&mgr, &soc, &dram, 8).unwrap();
+        let _gather = ExtSorter::<KlogRecord>::new(&mgr, &soc, &dram, 8).unwrap();
+        drop(key_sorter);
+        let mut s = ExtSorter::new(&mgr, &soc, &dram, 8).unwrap();
+        assert_eq!(s.reservation(), 384 << 10);
+        let mut rng = XorShift64::new(13);
+        for rank in 0..25_000u64 {
+            // A rank-keyed record the size of a 2 KiB value record.
+            let mut key = vec![0u8; 2048];
+            key[..8].copy_from_slice(&rng.next_u64().to_be_bytes());
+            s.push(KlogRecord {
+                key,
+                voff: rank,
+                vlen: 2048,
+            })
+            .unwrap();
+        }
+        assert!(
+            s.spilled_runs() > s.fan_in(),
+            "{} runs, fan-in {}",
+            s.spilled_runs(),
+            s.fan_in()
+        );
+        let mut prev: Option<Vec<u8>> = None;
+        let n = s
+            .finish_into(|r| {
+                assert!(prev.as_ref().is_none_or(|p| *p <= r.key));
+                prev = Some(r.key);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(n, 25_000);
     }
 
     #[test]

@@ -151,6 +151,11 @@ impl ZoneManager {
         self.free_count.get()
     }
 
+    /// Blocks one zone holds.
+    pub fn zone_blocks(&self) -> u64 {
+        self.zone_blocks
+    }
+
     /// Number of live clusters.
     pub fn cluster_count(&self) -> usize {
         self.inner.lock().clusters.len()

@@ -38,7 +38,11 @@ mod trace;
 
 pub mod harnesses;
 
-#[cfg(debug_assertions)]
+// The scheduler needs kvcsd-sim's runtime, which kvcsd-sim compiles in
+// by its own profile. Rustdoc compiles this crate to collect doctests
+// with debug assertions on, whichever profile built kvcsd-sim, so
+// doctest collection always takes the uncontrolled path.
+#[cfg(all(debug_assertions, not(doctest)))]
 mod explore;
 
 pub use net::{explore_net, net_alphabet, verify_two_shard, NetFailure, NetReport, NET_DEFAULT};
@@ -177,7 +181,7 @@ where
 }
 
 fn check_arc(name: &str, cfg: &McConfig, f: Arc<dyn Fn() + Send + Sync>) -> McReport {
-    #[cfg(debug_assertions)]
+    #[cfg(all(debug_assertions, not(doctest)))]
     {
         if let Ok(path) = std::env::var("KVCSD_MC_REPLAY") {
             if !path.is_empty() {
@@ -192,7 +196,7 @@ fn check_arc(name: &str, cfg: &McConfig, f: Arc<dyn Fn() + Send + Sync>) -> McRe
         }
         explore::run(name, cfg, f)
     }
-    #[cfg(not(debug_assertions))]
+    #[cfg(any(not(debug_assertions), doctest))]
     {
         let _ = cfg;
         uncontrolled_run(name, f)
@@ -206,11 +210,11 @@ pub fn replay<F>(trace: &Trace, f: F) -> McReport
 where
     F: Fn() + Send + Sync + 'static,
 {
-    #[cfg(debug_assertions)]
+    #[cfg(all(debug_assertions, not(doctest)))]
     {
         explore::replay(&McConfig::default(), Arc::new(f), trace)
     }
-    #[cfg(not(debug_assertions))]
+    #[cfg(any(not(debug_assertions), doctest))]
     {
         uncontrolled_run(&trace.name, Arc::new(f))
     }
@@ -218,7 +222,7 @@ where
 
 /// The release-profile fallback: run the closure once on the OS
 /// scheduler and report honestly that nothing was controlled.
-#[cfg(not(debug_assertions))]
+#[cfg(any(not(debug_assertions), doctest))]
 fn uncontrolled_run(name: &str, f: Arc<dyn Fn() + Send + Sync>) -> McReport {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f()));
     let failure = result.err().map(|p| {
