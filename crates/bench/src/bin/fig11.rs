@@ -53,4 +53,8 @@ fn main() {
     println!("  rocksdb {}", fmt_io(&b.write_work));
     println!("\nCompaction-phase flash:");
     println!("  kvcsd   {}", fmt_flash(&k.compact_work));
+    println!(
+        "  kvcsd   SoC CPU {}",
+        fmt_secs(k.compact_work.soc_cpu_ns as f64 * 1e-9)
+    );
 }

@@ -20,6 +20,8 @@ pub struct LoadedKvcsd {
     pub compact_s: f64,
     /// Ledger work during the insert phase only.
     pub insert_work: LedgerSnapshot,
+    /// Ledger work during the compaction phase only.
+    pub compact_work: LedgerSnapshot,
 }
 
 /// Insert `workload`-shaped data into `n_keyspaces` keyspaces using
@@ -100,9 +102,11 @@ pub fn load(
     let insert_work = tb.ledger.snapshot().since(&before);
     let insert_s = tb.runner.last_elapsed_s();
 
+    let before = tb.ledger.snapshot();
     tb.runner.background("kvcsd-compaction", || {
         dev.run_pending_jobs();
     });
+    let compact_work = tb.ledger.snapshot().since(&before);
     let compact_s = tb.runner.last_elapsed_s();
 
     LoadedKvcsd {
@@ -112,6 +116,7 @@ pub fn load(
         insert_s,
         compact_s,
         insert_work,
+        compact_work,
     }
 }
 

@@ -9,6 +9,21 @@
 //! pivot primary index key and a block pointer for every constituent PIDX
 //! data block, is additionally built and stored as keyspace metadata."
 //!
+//! Most keyspaces never need that sort. The host's write accelerator
+//! ships every ~128 KiB bulk key-sorted, and KLOG and VLOG are appended
+//! in lockstep, so KLOG is a handful of maximal non-decreasing key runs
+//! whose values are each one ascending VLOG segment. A census pass finds
+//! them, paying KLOG's page reads, a decode and one comparison per
+//! record. When the runs fit the DRAM — two stream blocks each, one KLOG
+//! and one VLOG, out of half the available DRAM as [`ExtSorter`] plans —
+//! and their boundary re-reads cost no more than one pass over the logs,
+//! the job reserves those blocks and k-way merges the runs straight into
+//! PIDX, the sketch and SORTED_VALUES: n·log₂r comparisons, no gather
+//! sort, no rank resort, no spill. Ties
+//! go to the earlier run, so equal keys keep arrival order and the bytes
+//! equal the sort pipeline's. Input in arrival order (single PUTs) gives
+//! up on the census after `limit + 1` runs and takes the sort pipeline.
+//!
 //! The value step avoids random VLOG reads by the classic tag-and-resort
 //! trick: while emitting sorted keys we learn each value's *rank* and its
 //! final byte offset (a running sum of value lengths); we then sort
@@ -21,13 +36,17 @@
 //! (Section V): given index specs, each primary key rides along with its
 //! value through the value pass, and the final pass extracts every
 //! index's secondary keys as the values stream into SORTED_VALUES, so
-//! the keyspace is never read back for an index scan. The cost is the
-//! paper's "increased SoC DRAM usage": one more sorter per index runs
-//! next to the value sorter. When a sorter cannot reserve its DRAM the
-//! job fails with [`DeviceError::OutOfDram`], and the device falls back
-//! to separated construction — plain compaction, then one
+//! the keyspace is never read back for an index scan (the run merge
+//! extracts them the same way). The cost is the paper's "increased SoC
+//! DRAM usage": one more sorter per index runs next to the value pass.
+//! When a sorter cannot reserve its DRAM the job fails with
+//! [`DeviceError::OutOfDram`], and the device falls back to separated
+//! construction — plain compaction, then one
 //! [`build_secondary_index`](crate::sidx::build_secondary_index) per
 //! index.
+//!
+//! The job only reads its input: the device erases KLOG and VLOG once
+//! the snapshot that replaces them with the output is durable.
 
 use kvcsd_proto::SecondaryIndexSpec;
 use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16};
@@ -36,8 +55,8 @@ use std::cmp::Ordering;
 use crate::admission::Deadline;
 use crate::dram::DramBudget;
 use crate::error::DeviceError;
-use crate::extsort::{ExtSorter, SortRecord};
-use crate::ingest::{KlogRecord, StreamReader};
+use crate::extsort::{counted_records, merge_stable, ExtSorter, SortRecord};
+use crate::ingest::{BlockStreamWriter, KlogRecord, StreamReader};
 use crate::keyspace::Sketch;
 use crate::sidx::{write_sidx_blocks, SidxEntry, SidxOutput};
 use crate::soc::SocCharger;
@@ -88,15 +107,20 @@ impl PidxBlockBuilder {
 
     /// Append an entry; caller checks [`PidxBlockBuilder::fits`] first.
     pub fn add(&mut self, e: &PidxEntry) {
-        debug_assert!(self.fits(e.key.len()));
+        self.add_parts(&e.key, e.voff, e.vlen);
+    }
+
+    /// [`PidxBlockBuilder::add`] from borrowed parts.
+    pub fn add_parts(&mut self, key: &[u8], voff: u64, vlen: u32) {
+        debug_assert!(self.fits(key.len()));
         if self.first_key.is_none() {
-            self.first_key = Some(e.key.clone());
+            self.first_key = Some(key.to_vec());
         }
         self.buf
-            .extend_from_slice(&(e.key.len() as u16).to_le_bytes());
-        self.buf.extend_from_slice(&e.voff.to_le_bytes());
-        self.buf.extend_from_slice(&e.vlen.to_le_bytes());
-        self.buf.extend_from_slice(&e.key);
+            .extend_from_slice(&(key.len() as u16).to_le_bytes());
+        self.buf.extend_from_slice(&voff.to_le_bytes());
+        self.buf.extend_from_slice(&vlen.to_le_bytes());
+        self.buf.extend_from_slice(key);
         self.count += 1;
     }
 
@@ -302,16 +326,19 @@ pub struct CompactionOutput {
     pub sketch: Sketch,
     pub svalues: (ClusterId, u64),
     pub pairs: u64,
+    /// True when the natural-run merge built the output, false when the
+    /// sort pipeline did.
+    pub run_merge: bool,
 }
 
-/// Sort a sealed keyspace: consume its KLOG/VLOG clusters (released on
-/// success) and produce PIDX + SORTED_VALUES clusters plus the sketch,
-/// and one secondary index per entry of `specs` (none when empty).
+/// Sort a sealed keyspace: read its KLOG/VLOG clusters and produce PIDX +
+/// SORTED_VALUES clusters plus the sketch, and one secondary index per
+/// entry of `specs` (none when empty). The logs are left untouched: the
+/// caller releases them once the metadata that drops them is durable.
 ///
 /// The deadline is checked at each phase boundary; an expired compaction
 /// aborts between passes and the caller's orphan sweep unwinds its
-/// partial output (the sealed logs stay untouched until the final swap).
-/// So does a failure to reserve sorter DRAM, reported as
+/// partial output. So does a failure to reserve sorter DRAM, reported as
 /// [`DeviceError::OutOfDram`]: with indexes, that is the caller's cue to
 /// fall back to separated construction.
 #[allow(clippy::too_many_arguments)]
@@ -341,12 +368,14 @@ pub fn run_compaction(
         cluster_width,
         specs,
         deadline,
+        Some(run_limit(dram, klog.1, vlog.1)),
     )
 }
 
-/// The pipeline behind [`run_compaction`]; `KEYED` (set exactly when
+/// The two pipelines behind [`run_compaction`]; `KEYED` (set exactly when
 /// `specs` is not empty) carries each primary key through the value pass
-/// for the index entries.
+/// for the index entries. The natural-run merge is tried when a run
+/// limit is given and the census finds no more runs than that.
 #[allow(clippy::too_many_arguments)]
 fn compact<const KEYED: bool>(
     mgr: &ZoneManager,
@@ -358,7 +387,320 @@ fn compact<const KEYED: bool>(
     cluster_width: u32,
     specs: &[SecondaryIndexSpec],
     deadline: &Deadline<'_>,
+    run_limit: Option<usize>,
 ) -> Result<(CompactionOutput, Vec<SidxOutput>)> {
+    let runs = match run_limit {
+        Some(limit) => census(mgr, soc, klog, pairs, limit)?,
+        None => None,
+    };
+    let run_merge = runs.is_some();
+    let (pidx, values) = match runs {
+        Some(runs) => {
+            deadline.check()?;
+            merge_natural_runs::<KEYED>(mgr, soc, dram, klog, vlog, &runs, cluster_width, specs)?
+        }
+        None => sort_pipeline::<KEYED>(
+            mgr,
+            soc,
+            dram,
+            klog,
+            vlog,
+            pairs,
+            cluster_width,
+            specs,
+            deadline,
+        )?,
+    };
+    let (pidx, sketch, out_len) = pidx.finish(mgr)?;
+    let (svalues, sidx) = values.finish(mgr, cluster_width, deadline)?;
+    debug_assert_eq!(svalues.1, out_len);
+    Ok((
+        CompactionOutput {
+            pidx,
+            sketch,
+            svalues,
+            pairs,
+            run_merge,
+        },
+        sidx,
+    ))
+}
+
+// ---------------------------------------------------------------------------
+// Output shared by both pipelines
+// ---------------------------------------------------------------------------
+
+/// Writes PIDX blocks and the sketch, one entry per pair in key order;
+/// each value's SORTED_VALUES offset is the running sum of the lengths.
+struct PidxWriter {
+    cluster: ClusterId,
+    builder: PidxBlockBuilder,
+    sketch: Sketch,
+    blocks: u32,
+    out_voff: u64,
+}
+
+impl PidxWriter {
+    fn new(mgr: &ZoneManager, cluster_width: u32) -> Result<Self> {
+        Ok(Self {
+            cluster: mgr.alloc_cluster(cluster_width)?,
+            builder: PidxBlockBuilder::new(),
+            sketch: Sketch::new(),
+            blocks: 0,
+            out_voff: 0,
+        })
+    }
+
+    fn seal_block(&mut self, mgr: &ZoneManager) -> Result<()> {
+        let (block, first) = self.builder.finish();
+        mgr.append_block(self.cluster, &block)?;
+        self.sketch.push(first);
+        self.blocks += 1;
+        Ok(())
+    }
+
+    /// Index the next pair in key order.
+    fn push(&mut self, mgr: &ZoneManager, key: &[u8], vlen: u32) -> Result<()> {
+        if !self.builder.fits(key.len()) {
+            self.seal_block(mgr)?;
+        }
+        self.builder.add_parts(key, self.out_voff, vlen);
+        self.out_voff += vlen as u64;
+        Ok(())
+    }
+
+    /// Seal the partial block, if any.
+    fn flush(&mut self, mgr: &ZoneManager) -> Result<()> {
+        if !self.builder.is_empty() {
+            self.seal_block(mgr)?;
+        }
+        Ok(())
+    }
+
+    /// Seal the last block: `(PIDX, sketch, SORTED_VALUES length)`.
+    fn finish(mut self, mgr: &ZoneManager) -> Result<((ClusterId, u32), Sketch, u64)> {
+        self.flush(mgr)?;
+        Ok(((self.cluster, self.blocks), self.sketch, self.out_voff))
+    }
+}
+
+/// Streams values in key order into SORTED_VALUES and feeds each
+/// index's sorter the secondary keys extracted in flight.
+struct ValueWriter<'a> {
+    soc: &'a SocCharger,
+    writer: BlockStreamWriter,
+    specs: &'a [SecondaryIndexSpec],
+    sidx: Vec<ExtSorter<'a, SidxEntry>>,
+}
+
+impl<'a> ValueWriter<'a> {
+    fn new(
+        soc: &'a SocCharger,
+        cluster: ClusterId,
+        specs: &'a [SecondaryIndexSpec],
+        sidx: Vec<ExtSorter<'a, SidxEntry>>,
+    ) -> Self {
+        Self {
+            soc,
+            writer: BlockStreamWriter::new(cluster),
+            specs,
+            sidx,
+        }
+    }
+
+    /// One index sorter per spec, running next to the value pass: the
+    /// single step's "increased SoC DRAM usage".
+    fn sorters(
+        mgr: &'a ZoneManager,
+        soc: &'a SocCharger,
+        dram: &'a DramBudget,
+        cluster_width: u32,
+        specs: &[SecondaryIndexSpec],
+    ) -> Result<Vec<ExtSorter<'a, SidxEntry>>> {
+        specs
+            .iter()
+            .map(|_| ExtSorter::new(mgr, soc, dram, cluster_width))
+            .collect()
+    }
+
+    /// Append the next value in key order; `pkey` is its primary key
+    /// (empty unless the pass builds indexes).
+    fn push(&mut self, mgr: &ZoneManager, pkey: &[u8], value: &[u8]) -> Result<()> {
+        let voff = self.writer.position();
+        for (spec, sorter) in self.specs.iter().zip(&mut self.sidx) {
+            if let Some(skey) = spec.extract(value) {
+                self.soc.bytes(spec.value_len);
+                sorter.push(SidxEntry {
+                    skey,
+                    pkey: pkey.to_vec(),
+                    voff,
+                    vlen: value.len() as u32,
+                })?;
+            }
+        }
+        self.soc.memcpy(value.len());
+        self.writer.append(mgr, value)?;
+        Ok(())
+    }
+
+    /// Seal SORTED_VALUES and write the indexes.
+    fn finish(
+        mut self,
+        mgr: &ZoneManager,
+        cluster_width: u32,
+        deadline: &Deadline<'_>,
+    ) -> Result<((ClusterId, u64), Vec<SidxOutput>)> {
+        let svalues = (self.writer.cluster(), self.writer.seal(mgr)?);
+        // A plain job has no work left worth aborting for.
+        if !self.sidx.is_empty() {
+            deadline.check()?;
+        }
+        let sidx = self
+            .sidx
+            .into_iter()
+            .map(|sorter| write_sidx_blocks(mgr, sorter, cluster_width))
+            .collect::<Result<_>>()?;
+        Ok((svalues, sidx))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Natural-run merge
+// ---------------------------------------------------------------------------
+
+/// A maximal stretch of KLOG whose keys never decrease. KLOG and VLOG
+/// are appended in lockstep, so its values are one ascending VLOG
+/// segment starting at `voff`.
+#[derive(Debug, Clone, Copy)]
+struct NaturalRun {
+    klog_off: u64,
+    voff: u64,
+    count: u64,
+}
+
+/// Most runs the merge may take on, for logs of `klog_len` and
+/// `vlog_len` bytes. Like [`ExtSorter`], it plans on half the available
+/// DRAM, and each run streams through two blocks, one of KLOG and one of
+/// VLOG. Past the first run, each run's two cursors may re-read one
+/// block a neighbouring run also reads; capping those re-reads at the
+/// logs' block count means the merge never reads the logs more than
+/// twice. Arrival-order input, whose runs average two records, does not
+/// qualify.
+fn run_limit(dram: &DramBudget, klog_len: u64, vlog_len: u64) -> usize {
+    let block = BLOCK_BYTES as u64;
+    let streams = dram.available() / 2 / (2 * block);
+    let rereads = (klog_len.div_ceil(block) + vlog_len.div_ceil(block)) / 2 + 1;
+    streams.min(rereads) as usize
+}
+
+/// Split KLOG into natural runs in one sequential pass, charging each
+/// record's page reads, decode and one comparison. Gives up (`None`) as
+/// soon as the runs outnumber `limit`.
+fn census(
+    mgr: &ZoneManager,
+    soc: &SocCharger,
+    klog: (ClusterId, u64),
+    pairs: u64,
+    limit: usize,
+) -> Result<Option<Vec<NaturalRun>>> {
+    let mut r = StreamReader::new(mgr, klog.0, klog.1);
+    let mut runs: Vec<NaturalRun> = Vec::new();
+    let mut prev: Option<KlogRecord> = None;
+    for _ in 0..pairs {
+        let klog_off = r.position();
+        let rec = KlogRecord::read_from(&mut r)?;
+        soc.bytes(rec.encoded_len());
+        soc.cmp(1.0);
+        let continues = prev
+            .as_ref()
+            .is_some_and(|p| p.key <= rec.key && p.voff + p.vlen as u64 == rec.voff);
+        if continues {
+            if let Some(run) = runs.last_mut() {
+                run.count += 1;
+            }
+        } else if runs.len() == limit {
+            return Ok(None);
+        } else {
+            runs.push(NaturalRun {
+                klog_off,
+                voff: rec.voff,
+                count: 1,
+            });
+        }
+        prev = Some(rec);
+    }
+    Ok(Some(runs))
+}
+
+/// Merge the natural runs straight into the output: per run, one KLOG
+/// cursor for the keys and one VLOG cursor for the values. Ties go to
+/// the earlier run, so equal keys keep arrival order (last write wins).
+#[allow(clippy::too_many_arguments)]
+fn merge_natural_runs<'a, const KEYED: bool>(
+    mgr: &'a ZoneManager,
+    soc: &'a SocCharger,
+    dram: &'a DramBudget,
+    klog: (ClusterId, u64),
+    vlog: (ClusterId, u64),
+    runs: &[NaturalRun],
+    cluster_width: u32,
+    specs: &'a [SecondaryIndexSpec],
+) -> Result<(PidxWriter, ValueWriter<'a>)> {
+    let _streams = dram
+        .reserve(2 * runs.len() as u64 * BLOCK_BYTES as u64)
+        .ok_or(DeviceError::OutOfDram("run merge DRAM"))?;
+    let mut pidx = PidxWriter::new(mgr, cluster_width)?;
+    let svalues = mgr.alloc_cluster(cluster_width)?;
+    let sidx = ValueWriter::sorters(mgr, soc, dram, cluster_width, specs)?;
+    let mut values = ValueWriter::new(soc, svalues, specs, sidx);
+
+    let keys = runs
+        .iter()
+        .map(|run| {
+            let r = StreamReader::starting_at(mgr, klog.0, klog.1, run.klog_off);
+            (r, run.count)
+        })
+        .collect();
+    let mut vals: Vec<StreamReader<'_>> = runs
+        .iter()
+        .map(|run| StreamReader::starting_at(mgr, vlog.0, vlog.1, run.voff))
+        .collect();
+    merge_stable(
+        soc,
+        runs.len(),
+        counted_records(keys),
+        |i, rec: KlogRecord| {
+            soc.bytes(rec.encoded_len());
+            let vread = &mut vals[i];
+            debug_assert_eq!(vread.position(), rec.voff, "run values are contiguous");
+            let value = vread.read(rec.vlen as usize)?;
+            soc.memcpy(value.len());
+            pidx.push(mgr, &rec.key, rec.vlen)?;
+            values.push(mgr, if KEYED { &rec.key } else { &[] }, &value)
+        },
+    )?;
+    Ok((pidx, values))
+}
+
+// ---------------------------------------------------------------------------
+// Sort pipeline
+// ---------------------------------------------------------------------------
+
+/// The paper's two-step sort, for input with too many runs to merge:
+/// sort the keys, gather the values back in VLOG order, resort them by
+/// rank.
+#[allow(clippy::too_many_arguments)]
+fn sort_pipeline<'a, const KEYED: bool>(
+    mgr: &'a ZoneManager,
+    soc: &'a SocCharger,
+    dram: &'a DramBudget,
+    klog: (ClusterId, u64),
+    vlog: (ClusterId, u64),
+    pairs: u64,
+    cluster_width: u32,
+    specs: &'a [SecondaryIndexSpec],
+    deadline: &Deadline<'_>,
+) -> Result<(PidxWriter, ValueWriter<'a>)> {
     // ---- Step 1: sort the keys ---------------------------------------
     let mut key_sorter: ExtSorter<'_, KlogRecord> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
     {
@@ -372,52 +714,26 @@ fn compact<const KEYED: bool>(
     deadline.check()?;
 
     // Emit PIDX blocks + sketch; collect the gather tags.
-    let pidx_cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut sketch = Sketch::new();
-    let mut builder = PidxBlockBuilder::new();
-    let mut pidx_blocks = 0u32;
+    let mut pidx = PidxWriter::new(mgr, cluster_width)?;
     let mut gather_sorter: ExtSorter<'_, GatherRec<KEYED>> =
         ExtSorter::new(mgr, soc, dram, cluster_width)?;
     let mut rank = 0u64;
-    let mut out_voff = 0u64;
     key_sorter.finish_into(|rec| {
-        let e = PidxEntry {
-            key: rec.key,
-            voff: out_voff,
-            vlen: rec.vlen,
-        };
-        if !builder.fits(e.key.len()) {
-            let (block, first) = builder.finish();
-            mgr.append_block(pidx_cluster, &block)?;
-            sketch.push(first);
-            pidx_blocks += 1;
-        }
-        builder.add(&e);
+        pidx.push(mgr, &rec.key, rec.vlen)?;
         gather_sorter.push(GatherRec {
             voff: rec.voff,
             vlen: rec.vlen,
             rank,
-            key: if KEYED { e.key } else { Vec::new() },
+            key: if KEYED { rec.key } else { Vec::new() },
         })?;
         rank += 1;
-        out_voff += rec.vlen as u64;
         Ok(())
     })?;
-    if !builder.is_empty() {
-        let (block, first) = builder.finish();
-        mgr.append_block(pidx_cluster, &block)?;
-        sketch.push(first);
-        pidx_blocks += 1;
-    }
+    pidx.flush(mgr)?;
     deadline.check()?;
 
     // ---- Step 2: sort the values ---------------------------------------
-    // One index sorter per spec runs alongside the value sorter: the
-    // single step's "increased SoC DRAM usage".
-    let mut sidx_sorters: Vec<ExtSorter<'_, SidxEntry>> = specs
-        .iter()
-        .map(|_| ExtSorter::new(mgr, soc, dram, cluster_width))
-        .collect::<Result<_>>()?;
+    let sidx = ValueWriter::sorters(mgr, soc, dram, cluster_width, specs)?;
     // 2a: tags back into VLOG order (they are a permutation of the
     //     VLOG byte sequence, so this merge restores sequential reads).
     let mut value_sorter: ExtSorter<'_, ValueRec<KEYED>> =
@@ -440,54 +756,14 @@ fn compact<const KEYED: bool>(
 
     // 2b: values into final order, streamed into SORTED_VALUES, with
     //     the secondary keys extracted in flight.
-    let svalues_cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut writer = crate::ingest::BlockStreamWriter::new(svalues_cluster);
+    let mut values = ValueWriter::new(soc, mgr.alloc_cluster(cluster_width)?, specs, sidx);
     let mut expected_rank = 0u64;
     value_sorter.finish_into(|vr| {
         debug_assert_eq!(vr.rank, expected_rank, "ranks must arrive in order");
-        let voff = writer.position();
-        for (spec, sorter) in specs.iter().zip(&mut sidx_sorters) {
-            if let Some(skey) = spec.extract(&vr.value) {
-                soc.bytes(spec.value_len);
-                sorter.push(SidxEntry {
-                    skey,
-                    pkey: vr.key.clone(),
-                    voff,
-                    vlen: vr.value.len() as u32,
-                })?;
-            }
-        }
         expected_rank += 1;
-        soc.memcpy(vr.value.len());
-        writer.append(mgr, &vr.value)?;
-        Ok(())
+        values.push(mgr, &vr.key, &vr.value)
     })?;
-    let svalues_len = writer.seal(mgr)?;
-    debug_assert_eq!(svalues_len, out_voff);
-
-    // ---- Finish the indexes ----------------------------------------------
-    // A plain job has no work left worth aborting for.
-    if KEYED {
-        deadline.check()?;
-    }
-    let sidx = sidx_sorters
-        .into_iter()
-        .map(|sorter| write_sidx_blocks(mgr, sorter, cluster_width))
-        .collect::<Result<_>>()?;
-
-    // ---- Replace the logs -------------------------------------------------
-    mgr.release_cluster(klog.0)?;
-    mgr.release_cluster(vlog.0)?;
-
-    Ok((
-        CompactionOutput {
-            pidx: (pidx_cluster, pidx_blocks),
-            sketch,
-            svalues: (svalues_cluster, svalues_len),
-            pairs,
-        },
-        sidx,
-    ))
+    Ok((pidx, values))
 }
 
 #[cfg(test)]
@@ -729,17 +1005,6 @@ mod tests {
         let got = read_all_entries(&mgr, &out);
         assert_eq!(got.len(), want.len());
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn logs_are_released_after_compaction() {
-        let (mgr, soc, dram) = test_stack(64, 123);
-        let before = mgr.cluster_count();
-        let (out, _) = load_and_compact(200, &mgr, &soc, &dram);
-        // Only the two output clusters remain beyond the baseline.
-        assert_eq!(mgr.cluster_count(), before + 2);
-        assert_eq!(dram.used(), 0);
-        let _ = out;
     }
 
     #[test]
@@ -986,19 +1251,24 @@ mod tests {
         assert!(sidx == tight_sidx, "SIDX bytes differ");
     }
 
-    #[test]
-    fn single_pass_fails_cleanly_without_dram() {
-        use kvcsd_proto::{SecondaryIndexSpec, SecondaryKeyType};
+    /// Run the single pass over 100 pairs, loaded in `order`, under a
+    /// budget with room for two sorters but not four.
+    fn single_pass_under_tight_dram(order: impl Fn(u32) -> u32) -> Result<CompactionOutput> {
+        use kvcsd_proto::SecondaryKeyType;
         let (mgr, soc, _big) = test_stack(256, 123);
         let kc = mgr.alloc_cluster(2).unwrap();
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
         for i in 0..100u32 {
-            log.put(&mgr, &soc, format!("k{i:05}").as_bytes(), &[0u8; 16])
-                .unwrap();
+            log.put(
+                &mgr,
+                &soc,
+                format!("k{:05}", order(i)).as_bytes(),
+                &[0u8; 16],
+            )
+            .unwrap();
         }
         let (klen, vlen) = log.seal(&mgr).unwrap();
-        // Barely enough DRAM for two sorters, not four.
         let tight = DramBudget::new(150 << 10);
         let specs = vec![SecondaryIndexSpec {
             name: "a".into(),
@@ -1006,7 +1276,7 @@ mod tests {
             value_len: 4,
             key_type: SecondaryKeyType::U32,
         }];
-        let err = run_compaction(
+        let out = run_compaction(
             &mgr,
             &soc,
             &tight,
@@ -1016,14 +1286,35 @@ mod tests {
             2,
             &specs,
             &Deadline::none(),
-        )
-        .unwrap_err();
+        );
+        assert_eq!(tight.used(), 0);
+        out.map(|(out, _)| out)
+    }
+
+    #[test]
+    fn single_pass_fails_cleanly_without_dram() {
+        // Arrival order: every key starts a run, so the sort pipeline runs
+        // and its sorters do not fit.
+        let err = single_pass_under_tight_dram(|i| 99 - i).unwrap_err();
         assert_eq!(err, DeviceError::OutOfDram("sort DRAM"));
     }
 
-    /// The ledger charges of the plain, single-pass and DRAM-fallback
-    /// compactions of one fixed keyspace. The numbers are the model's:
-    /// a change to any of them changes every published figure.
+    #[test]
+    fn single_pass_merges_sorted_input_under_the_same_dram() {
+        // One run: the merge holds two stream blocks next to one index
+        // sorter, which fits where the sort pipeline's four do not.
+        let out = single_pass_under_tight_dram(|i| i).unwrap();
+        assert!(out.run_merge);
+        assert_eq!(out.pairs, 100);
+    }
+
+    /// The ledger charges of compacting one fixed keyspace, through the
+    /// sort pipeline (plain, single pass and the DRAM fallback, on
+    /// arrival-order input) and through the natural-run merge (plain and
+    /// single pass, on the same pairs key-sorted in bulks of 500 as the
+    /// write accelerator ships them). Each case ends by releasing the
+    /// logs, as the device does. The numbers are the model's: a change
+    /// to any of them changes every published figure.
     #[test]
     fn compaction_charges_are_pinned() {
         use crate::sidx::build_secondary_index;
@@ -1043,11 +1334,21 @@ mod tests {
             let vc = mgr.alloc_cluster(4).unwrap();
             let mut log = WriteLog::new(kc, vc);
             let mut rng = XorShift64::new(0x91AE);
-            for i in 0..5_000u32 {
-                let key = format!("k{:010}", rng.next_below(u32::MAX as u64)).into_bytes();
-                let mut value = vec![(i % 251) as u8; 12 + rng.next_below(24) as usize];
-                value[8..12].copy_from_slice(&(rng.next_below(700) as u32).to_le_bytes());
-                log.put(&mgr, &soc, &key, &value).unwrap();
+            let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..5_000u32)
+                .map(|i| {
+                    let key = format!("k{:010}", rng.next_below(u32::MAX as u64)).into_bytes();
+                    let mut value = vec![(i % 251) as u8; 12 + rng.next_below(24) as usize];
+                    value[8..12].copy_from_slice(&(rng.next_below(700) as u32).to_le_bytes());
+                    (key, value)
+                })
+                .collect();
+            if case.starts_with("run merge") {
+                for bulk in pairs.chunks_mut(500) {
+                    bulk.sort();
+                }
+            }
+            for (key, value) in &pairs {
+                log.put(&mgr, &soc, key, value).unwrap();
             }
             let (klen, vlen) = log.seal(&mgr).unwrap();
             let (klog, vlog) = ((kc, klen), (vc, vlen));
@@ -1055,12 +1356,16 @@ mod tests {
             // sorts reserve less, so they spill runs and merge them.
             let dram = DramBudget::new(256 << 10);
             let before = soc.ledger().snapshot();
-            match case {
-                "plain" => {
-                    run_compaction(&mgr, &soc, &dram, klog, vlog, 5_000, 4, &[], &none).unwrap();
+            let out = match case {
+                "plain" | "run merge" => {
+                    run_compaction(&mgr, &soc, &dram, klog, vlog, 5_000, 4, &[], &none)
+                        .unwrap()
+                        .0
                 }
-                "single pass" => {
-                    run_compaction(&mgr, &soc, &dram, klog, vlog, 5_000, 4, specs, &none).unwrap();
+                "single pass" | "run merge single pass" => {
+                    run_compaction(&mgr, &soc, &dram, klog, vlog, 5_000, 4, specs, &none)
+                        .unwrap()
+                        .0
                 }
                 _ => {
                     // Too tight for the index sorter next to the value
@@ -1084,8 +1389,12 @@ mod tests {
                         &none,
                     )
                     .unwrap();
+                    out
                 }
-            }
+            };
+            assert_eq!(out.run_merge, case.starts_with("run merge"), "{case}");
+            mgr.release_cluster(kc).unwrap();
+            mgr.release_cluster(vc).unwrap();
             assert_eq!(dram.used(), 0);
             let d = soc.ledger().snapshot().since(&before);
             (
@@ -1099,22 +1408,22 @@ mod tests {
         assert_eq!(
             run("plain"),
             (
-                9_720_813,
-                131,
+                9_723_551,
+                132,
                 131,
                 15,
-                vec![0, 242_880, 2_327_096, 6_689_832, 8_935_968, 4_188_265, 6_662_717, 4_718_575]
+                vec![0, 242_880, 2_339_647, 6_689_832, 8_935_968, 4_188_265, 6_662_717, 4_718_575]
             )
         );
         assert_eq!(
             run("single pass"),
             (
-                13_115_302,
-                205,
+                13_118_040,
+                206,
                 243,
                 23,
                 vec![
-                    113_344, 4_747_703, 2_472_824, 9_065_504, 20_520_474, 6_752_587, 6_576_488,
+                    113_344, 4_747_703, 2_485_375, 9_065_504, 20_520_474, 6_752_587, 6_576_488,
                     2_258_687
                 ]
             )
@@ -1122,16 +1431,265 @@ mod tests {
         assert_eq!(
             run("fallback"),
             (
-                19_123_021,
-                324,
+                19_126_277,
+                326,
                 336,
                 31,
                 vec![
-                    2_490_644, 15_759_362, 7_052_568, 11_555_378, 13_912_845, 9_124_233, 6_993_454,
+                    2_490_644, 15_759_362, 7_077_670, 11_555_378, 13_912_845, 9_124_233, 6_993_454,
                     4_618_552
                 ]
             )
         );
+        assert_eq!(
+            run("run merge"),
+            (
+                1_352_556,
+                109,
+                60,
+                8,
+                vec![0, 129_536, 2_339_262, 4_480_964, 4_585_398, 4_452_221, 2_238_854, 113_344]
+            )
+        );
+        assert_eq!(
+            run("run merge single pass"),
+            (
+                4_616_897,
+                148,
+                137,
+                11,
+                vec![
+                    145_728, 2_735_152, 2_501_182, 9_142_053, 4_585_398, 4_452_221, 2_238_854,
+                    275_264
+                ]
+            )
+        );
+    }
+
+    /// Bulks of keys drawn from a small domain, each key-sorted as the
+    /// write accelerator ships it and closed by the largest key `zz`, so
+    /// every bulk is exactly one natural run. Keys repeat within and
+    /// across runs; one value in seven is empty.
+    fn sorted_bulks(bulks: usize, per_bulk: usize, seed: u64) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut rng = XorShift64::new(seed);
+        let mut n = 0u32;
+        let mut pair = |key: Vec<u8>, rng: &mut XorShift64| {
+            n += 1;
+            let len = if n.is_multiple_of(7) {
+                0
+            } else {
+                4 + rng.next_below(28) as usize
+            };
+            let mut value = vec![(n % 251) as u8; len];
+            if len >= 4 {
+                value[..4].copy_from_slice(&(rng.next_below(90) as u32).to_le_bytes());
+            }
+            (key, value)
+        };
+        let mut pairs = Vec::new();
+        for _ in 0..bulks {
+            let mut bulk: Vec<_> = (0..per_bulk)
+                .map(|_| {
+                    pair(
+                        format!("k{:03}", rng.next_below(300)).into_bytes(),
+                        &mut rng,
+                    )
+                })
+                .collect();
+            bulk.sort_by(|a, b| a.0.cmp(&b.0));
+            bulk.push(pair(b"zz".to_vec(), &mut rng));
+            pairs.extend(bulk);
+        }
+        pairs
+    }
+
+    /// What a compaction leaves on flash: PIDX blocks and sketch,
+    /// SORTED_VALUES blocks, and each index's blocks and sketch.
+    type Image = (
+        Vec<Vec<u8>>,
+        Sketch,
+        Vec<Vec<u8>>,
+        Vec<(Vec<Vec<u8>>, Sketch)>,
+    );
+
+    fn blocks_of(mgr: &ZoneManager, cluster: ClusterId, n: u64) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|b| mgr.read_block(cluster, b).unwrap().to_vec())
+            .collect()
+    }
+
+    /// Compact `pairs` (loaded in order) with `specs` under `dram_bytes`,
+    /// through the census (`census`) or straight into the sort pipeline.
+    /// Returns the image, whether the run merge built it, and the
+    /// compaction's SoC ns and page reads.
+    fn compact_image(
+        pairs: &[(Vec<u8>, Vec<u8>)],
+        specs: &[SecondaryIndexSpec],
+        dram_bytes: u64,
+        census: bool,
+    ) -> (Image, bool, u64, u64) {
+        let (mgr, soc, _) = test_stack(512, 123);
+        let kc = mgr.alloc_cluster(4).unwrap();
+        let vc = mgr.alloc_cluster(4).unwrap();
+        let mut log = WriteLog::new(kc, vc);
+        for (key, value) in pairs {
+            log.put(&mgr, &soc, key, value).unwrap();
+        }
+        let (klen, vlen) = log.seal(&mgr).unwrap();
+        let dram = DramBudget::new(dram_bytes);
+        let limit = census.then(|| run_limit(&dram, klen, vlen));
+        let run = if specs.is_empty() {
+            compact::<false>
+        } else {
+            compact::<true>
+        };
+        let before = soc.ledger().snapshot();
+        let (out, sidx) = run(
+            &mgr,
+            &soc,
+            &dram,
+            (kc, klen),
+            (vc, vlen),
+            pairs.len() as u64,
+            4,
+            specs,
+            &Deadline::none(),
+            limit,
+        )
+        .unwrap();
+        let d = soc.ledger().snapshot().since(&before);
+        assert_eq!(dram.used(), 0);
+        let image = (
+            blocks_of(&mgr, out.pidx.0, out.pidx.1 as u64),
+            out.sketch.clone(),
+            blocks_of(
+                &mgr,
+                out.svalues.0,
+                out.svalues.1.div_ceil(BLOCK_BYTES as u64),
+            ),
+            sidx.iter()
+                .map(|s| {
+                    (
+                        blocks_of(&mgr, s.cluster, s.blocks as u64),
+                        s.sketch.clone(),
+                    )
+                })
+                .collect(),
+        );
+        if census {
+            // The content is the input, stably sorted by key.
+            let mut want = pairs.to_vec();
+            want.sort_by(|a, b| a.0.cmp(&b.0));
+            assert_eq!(read_all_entries(&mgr, &out), want);
+        }
+        (image, out.run_merge, d.soc_cpu_ns, d.nand_read_pages)
+    }
+
+    fn low_byte_spec() -> SecondaryIndexSpec {
+        SecondaryIndexSpec {
+            name: "low".into(),
+            value_offset: 0,
+            value_len: 4,
+            key_type: kvcsd_proto::SecondaryKeyType::U32,
+        }
+    }
+
+    #[test]
+    fn run_merge_output_matches_sort_pipeline() {
+        let spec = low_byte_spec();
+        for (name, pairs, runs) in [
+            ("empty keyspace", Vec::new(), 0),
+            ("one run", sorted_bulks(1, 700, 1), 1),
+            (
+                "duplicates within and across runs",
+                sorted_bulks(12, 300, 2),
+                12,
+            ),
+        ] {
+            let (mgr, soc, _) = test_stack(64, 1);
+            let mut log =
+                WriteLog::new(mgr.alloc_cluster(2).unwrap(), mgr.alloc_cluster(2).unwrap());
+            for (key, value) in &pairs {
+                log.put(&mgr, &soc, key, value).unwrap();
+            }
+            let klog = (log.klog.cluster(), log.seal(&mgr).unwrap().0);
+            let found = census(&mgr, &soc, klog, pairs.len() as u64, usize::MAX).unwrap();
+            assert_eq!(found.map(|r| r.len()), Some(runs), "{name}");
+            for specs in [&[][..], std::slice::from_ref(&spec)] {
+                let (merged, used, ..) = compact_image(&pairs, specs, 4 << 20, true);
+                let (sorted, unused, ..) = compact_image(&pairs, specs, 4 << 20, false);
+                assert!(used && !unused, "{name}");
+                assert!(merged == sorted, "{name}: output bytes differ");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_at_the_limit_merge_and_one_more_falls_back() {
+        // The logs span more blocks than the runs, so DRAM sets the limit.
+        let dram = 256 << 10;
+        let limit = run_limit(&DramBudget::new(dram), u64::MAX, 0);
+        assert_eq!(limit, 16);
+        let spec = low_byte_spec();
+        for (runs, merges) in [(limit, true), (limit + 1, false)] {
+            let pairs = sorted_bulks(runs, 300, runs as u64);
+            let (image, used, ..) = compact_image(&pairs, std::slice::from_ref(&spec), dram, true);
+            assert_eq!(used, merges, "{runs} runs");
+            let (sorted, ..) = compact_image(&pairs, std::slice::from_ref(&spec), dram, false);
+            assert!(image == sorted, "{runs} runs: output bytes differ");
+        }
+    }
+
+    /// Arrival-order input pays the sort pipeline plus the census prefix
+    /// that gave up: page reads, decode and one comparison for each record
+    /// up to the one that opens run `limit + 1`. Descending keys open a
+    /// run at every record, which is exactly `limit + 1` comparisons.
+    #[test]
+    fn arrival_order_pays_only_the_aborted_census() {
+        let dram = 256 << 10;
+        let mut rng = XorShift64::new(0xA0);
+        let descending: Vec<_> = (0..3_000u32)
+            .map(|i| (format!("k{:05}", 3_000 - i).into_bytes(), vec![1u8; 24]))
+            .collect();
+        let shuffled: Vec<_> = (0..3_000u32)
+            .map(|i| {
+                let key = format!("k{:010}", rng.next_below(u32::MAX as u64)).into_bytes();
+                (key, vec![(i % 251) as u8; 24])
+            })
+            .collect();
+        for (name, pairs, want) in [("descending", descending, 17), ("shuffled", shuffled, 32)] {
+            let klog: usize = pairs
+                .iter()
+                .map(|(k, _)| KlogRecord::HEADER + k.len())
+                .sum();
+            let vlog: usize = pairs.iter().map(|(_, v)| v.len()).sum();
+            let limit = run_limit(&DramBudget::new(dram), klog as u64, vlog as u64);
+            assert_eq!(limit, 16, "{name}");
+            // Through the record that opens run `limit + 1`.
+            let mut runs = 0;
+            let opens_one_too_many = |i: &usize| {
+                runs += (*i == 0 || pairs[*i].0 < pairs[*i - 1].0) as usize;
+                runs > limit
+            };
+            let scanned = 1 + (0..pairs.len()).find(opens_one_too_many).unwrap();
+            assert_eq!(scanned, want, "{name}");
+            let (image, used, soc_ns, reads) = compact_image(&pairs, &[], dram, true);
+            let (sorted, _, sort_ns, sort_reads) = compact_image(&pairs, &[], dram, false);
+            assert!(!used && image == sorted, "{name}");
+            // The census charges, replayed on a fresh ledger.
+            let (_, census_soc, _) = test_stack(8, 1);
+            for (key, _) in &pairs[..scanned] {
+                census_soc.bytes(KlogRecord::HEADER + key.len());
+                census_soc.cmp(1.0);
+            }
+            assert_eq!(
+                soc_ns - sort_ns,
+                census_soc.ledger().snapshot().soc_cpu_ns,
+                "{name}: {scanned} records"
+            );
+            // Those records fit in KLOG's first block.
+            assert_eq!(reads - sort_reads, 1, "{name}");
+        }
     }
 
     #[test]

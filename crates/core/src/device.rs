@@ -174,7 +174,9 @@ impl KvCsdDevice {
     ///   reopen EMPTY — the same contract as any store whose WAL is
     ///   disabled, which the paper notes is the common production mode;
     /// * clusters referenced by no keyspace (in-flight sort temporaries,
-    ///   dropped write logs) are reset and returned to the zone pool.
+    ///   dropped write logs, clusters a durable snapshot dropped before a
+    ///   cut stopped their release) are reset and returned to the zone
+    ///   pool.
     pub fn reopen(zns: Arc<ZonedNamespace>, cost: CostModel, cfg: DeviceConfig) -> Result<Self> {
         let meta = MetaStore::new(Arc::clone(&zns), 0);
         let generations = meta.read_generations()?;
@@ -841,6 +843,15 @@ impl KvCsdDevice {
             "dev_single_pass_compactions"
         };
         self.soc.ledger().bump(counter, 1);
+        if out.run_merge {
+            self.soc.ledger().bump("dev_run_merge_compactions", 1);
+        }
+        // Persist first, then reclaim: the logs are erased only once no
+        // durable snapshot refers to them. A cut in between leaves them
+        // to reopen's orphan sweep, so a failed erase does not fail the
+        // finished compaction.
+        let _ = self.mgr.release_cluster(klog.0);
+        let _ = self.mgr.release_cluster(vlog.0);
         Ok(())
     }
 
@@ -992,13 +1003,15 @@ impl KvCsdDevice {
         // nothing to freeze either way.
         if let Ok(Some(wal_cluster)) = sealed {
             self.dram.release(INGEST_BUFFER_BYTES as u64);
-            if let Some(c) = wal_cluster {
-                let _ = self.mgr.release_cluster(c);
-            }
             self.soc.ledger().bump("dev_keyspaces_readonly", 1);
             // Persist may fail on an exhausted device; reopen's
-            // recovery path re-derives state from the sealed logs.
-            let _ = self.persist();
+            // recovery path then replays the WAL the old snapshot still
+            // names, so it is released only after a durable persist.
+            if self.persist().is_ok() {
+                if let Some(c) = wal_cluster {
+                    let _ = self.mgr.release_cluster(c);
+                }
+            }
         }
     }
 
@@ -1064,13 +1077,16 @@ impl KvCsdDevice {
             // the WAL has served its purpose.
             Ok(Seal::Sealed(k.storage.dwal.take().map(|w| w.cluster())))
         })?;
-        if let Seal::Sealed(wal_cluster) = &sealed {
+        if let Seal::Sealed(_) = &sealed {
             self.dram.release(INGEST_BUFFER_BYTES as u64);
-            if let Some(c) = wal_cluster {
-                self.mgr.release_cluster(*c)?;
-            }
         }
         self.persist()?;
+        // The WAL goes only once the sealed state is durable: until then
+        // the last snapshot still replays it. A cut in between leaves it
+        // to reopen's orphan sweep.
+        if let Seal::Sealed(Some(c)) = sealed {
+            let _ = self.mgr.release_cluster(c);
+        }
         let job = self.enqueue(Job::Compact { ks, specs }, deadline_ns);
         if matches!(sealed, Seal::Empty) {
             // Empty keyspace: nothing to do; complete immediately.
@@ -1085,20 +1101,22 @@ impl KvCsdDevice {
     fn do_delete(&self, ks: u32) -> Result<()> {
         self.run_jobs_for(ks);
         let record = self.km.remove(ks)?;
-        // Free every cluster the keyspace owns; zone resets reclaim space
-        // without any device-side GC (the ZNS advantage).
         if record.storage.wlog.is_some() {
             self.dram.release(INGEST_BUFFER_BYTES as u64);
         }
+        // Space is about to be reclaimed: keyspaces that froze READ_ONLY
+        // *after* their compaction finished (index intact) are fully
+        // queryable again and transition back to COMPACTED. Ones still
+        // holding raw logs need a client-driven re-compaction instead.
+        self.thaw_read_only_keyspaces();
+        self.persist()?;
+        // Free every cluster the keyspace owned, now that no durable
+        // snapshot names them; zone resets reclaim space without any
+        // device-side GC (the ZNS advantage). A cut part-way leaves the
+        // rest to reopen's orphan sweep.
         for c in record.storage.clusters() {
             self.mgr.release_cluster(c)?;
         }
-        // Space reclaimed: keyspaces that froze READ_ONLY *after* their
-        // compaction finished (index intact) are fully queryable again and
-        // transition back to COMPACTED. Ones still holding raw logs need a
-        // client-driven re-compaction instead.
-        self.thaw_read_only_keyspaces();
-        self.persist()?;
         Ok(())
     }
 
@@ -1797,8 +1815,10 @@ mod tests {
         assert_eq!(dev.soc().ledger().custom("dev_single_pass_fallbacks"), 0);
     }
 
-    #[test]
-    fn compact_and_index_falls_back_on_tight_dram() {
+    /// Put 500 pairs in the order `order` gives, then compact and index
+    /// them with two specs on a device with little more DRAM than its
+    /// ingest buffer; checks the result is fully indexed.
+    fn compact_and_index_on_tight_dram(order: impl Iterator<Item = u32>) -> KvCsdDevice {
         let geom = FlashGeometry {
             channels: 8,
             blocks_per_channel: 512,
@@ -1826,7 +1846,7 @@ mod tests {
             },
         );
         let ks = create(&dev, "tight");
-        for i in 0..500 {
+        for i in order {
             ok(dev.handle(KvCommand::Put {
                 ks,
                 key: key(i),
@@ -1849,17 +1869,12 @@ mod tests {
         ];
         ok(dev.handle(KvCommand::CompactAndIndex { ks, specs }));
         dev.run_pending_jobs();
-        assert_eq!(
-            dev.soc().ledger().custom("dev_single_pass_fallbacks"),
-            1,
-            "tight DRAM must trigger the separated fallback"
-        );
-        // What the single pass wrote before it gave up is released.
+        // What a single pass wrote before it gave up is released.
         assert_eq!(
             dev.referenced_clusters().len(),
             dev.zone_manager().cluster_count()
         );
-        // The fallback still delivers a fully indexed keyspace.
+        // Either way the keyspace ends up fully indexed.
         match ok(dev.handle(KvCommand::SidxGet {
             ks,
             index: "energy".into(),
@@ -1868,6 +1883,61 @@ mod tests {
             KvResponse::Entries(es) => assert_eq!(es.len(), 1),
             other => panic!("{other:?}"),
         }
+        dev
+    }
+
+    #[test]
+    fn compact_and_index_falls_back_on_tight_dram() {
+        // Arrival order: every key starts a run, so the sort pipeline
+        // runs and cannot fit its four sorters.
+        let dev = compact_and_index_on_tight_dram((0..500).rev());
+        let ledger = dev.soc().ledger();
+        assert_eq!(
+            ledger.custom("dev_single_pass_fallbacks"),
+            1,
+            "tight DRAM must trigger the separated fallback"
+        );
+        assert_eq!(ledger.custom("dev_run_merge_compactions"), 0);
+    }
+
+    #[test]
+    fn compact_and_index_merges_sorted_input_on_tight_dram() {
+        // One natural run: the merge needs two stream blocks next to the
+        // two index sorters, and completes in a single pass.
+        let dev = compact_and_index_on_tight_dram(0..500);
+        let ledger = dev.soc().ledger();
+        assert_eq!(ledger.custom("dev_single_pass_fallbacks"), 0);
+        assert_eq!(ledger.custom("dev_single_pass_compactions"), 1);
+        assert_eq!(ledger.custom("dev_run_merge_compactions"), 1);
+    }
+
+    #[test]
+    fn logs_are_released_after_compaction() {
+        let dev = device();
+        let ks = create(&dev, "logs");
+        for i in 0..200 {
+            ok(dev.handle(KvCommand::Put {
+                ks,
+                key: key(i),
+                value: value(i),
+            }));
+        }
+        let (klog, vlog) = dev
+            .km
+            .with(ks, |k| {
+                let wlog = k.storage.wlog.as_ref().unwrap();
+                Ok((wlog.klog.cluster(), wlog.vlog.cluster()))
+            })
+            .unwrap();
+        ok(dev.handle(KvCommand::Compact { ks }));
+        dev.run_pending_jobs();
+        // Only the PIDX and SORTED_VALUES clusters remain, and the DRAM
+        // the compaction held is back.
+        let live = dev.live_clusters();
+        assert!(!live.contains(&klog.0) && !live.contains(&vlog.0));
+        assert_eq!(live.len(), 2);
+        assert_eq!(dev.referenced_clusters(), live);
+        assert_eq!(dev.dram.used(), 0);
     }
 
     #[test]

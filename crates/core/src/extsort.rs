@@ -23,6 +23,7 @@
 //! merge prefers the earlier run on a tie.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::dram::{DramBudget, DramReservation};
 use crate::error::DeviceError;
@@ -177,49 +178,15 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         let bytes = group.iter().map(|r| r.len).sum();
         let cluster = self.mgr.alloc_cluster(self.run_width(bytes))?;
         let mut w = BlockStreamWriter::new(cluster);
-        let mut count = 0u64;
         let mut enc = Vec::with_capacity(BLOCK_BYTES);
-        {
-            let mut cursors: Vec<(StreamReader<'_>, u64, Option<R>)> = Vec::new();
-            for run in &group {
-                let mut r = StreamReader::new(self.mgr, run.cluster, run.len);
-                let first = if run.count > 0 {
-                    Some(R::read_from(&mut r)?)
-                } else {
-                    None
-                };
-                cursors.push((r, run.count.saturating_sub(1), first));
-            }
-            let k = cursors.len();
-            loop {
-                // Linear min selection: k is small (bounded by fan-in).
-                let mut best: Option<usize> = None;
-                let mut best_head: Option<&R> = None;
-                for (i, (_, _, head)) in cursors.iter().enumerate() {
-                    if let Some(h) = head {
-                        if best_head.is_none_or(|bh| h.cmp_key(bh) == Ordering::Less) {
-                            best = Some(i);
-                            best_head = Some(h);
-                        }
-                    }
-                }
-                let Some(b) = best else { break };
-                self.soc.merge_step(k);
-                let (reader, remaining, head) = &mut cursors[b];
-                let Some(rec) = head.take() else {
-                    return Err(DeviceError::Internal("merge cursor lost its head".into()));
-                };
-                if *remaining > 0 {
-                    *head = Some(R::read_from(reader)?);
-                    *remaining -= 1;
-                }
-                enc.clear();
-                rec.encode_into(&mut enc);
-                self.soc.bytes(enc.len());
-                w.append(self.mgr, &enc)?;
-                count += 1;
-            }
-        }
+        let (mgr, soc) = (self.mgr, self.soc);
+        let count = merge_stable(soc, group.len(), run_cursors(mgr, &group), |_, rec: R| {
+            enc.clear();
+            rec.encode_into(&mut enc);
+            soc.bytes(enc.len());
+            w.append(mgr, &enc)?;
+            Ok(())
+        })?;
         for run in group {
             self.mgr.release_cluster(run.cluster)?;
         }
@@ -270,50 +237,110 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
 
         // Final pass: merge whatever remains straight into the consumer.
         let runs: Vec<Run> = std::mem::take(&mut self.runs);
-        let mut emitted = 0u64;
-        {
-            let mut cursors: Vec<(StreamReader<'_>, u64, Option<R>)> = Vec::new();
-            for run in &runs {
-                let mut r = StreamReader::new(self.mgr, run.cluster, run.len);
-                let first = if run.count > 0 {
-                    Some(R::read_from(&mut r)?)
-                } else {
-                    None
-                };
-                cursors.push((r, run.count.saturating_sub(1), first));
-            }
-            let k = cursors.len().max(1);
-            loop {
-                let mut best: Option<usize> = None;
-                let mut best_head: Option<&R> = None;
-                for (i, (_, _, head)) in cursors.iter().enumerate() {
-                    if let Some(h) = head {
-                        if best_head.is_none_or(|bh| h.cmp_key(bh) == Ordering::Less) {
-                            best = Some(i);
-                            best_head = Some(h);
-                        }
-                    }
-                }
-                let Some(b) = best else { break };
-                self.soc.merge_step(k);
-                let (reader, remaining, head) = &mut cursors[b];
-                let Some(rec) = head.take() else {
-                    return Err(DeviceError::Internal("merge cursor lost its head".into()));
-                };
-                if *remaining > 0 {
-                    *head = Some(R::read_from(reader)?);
-                    *remaining -= 1;
-                }
-                consume(rec)?;
-                emitted += 1;
-            }
-        }
+        let emitted = merge_stable(
+            self.soc,
+            runs.len(),
+            run_cursors(self.mgr, &runs),
+            |_, rec| consume(rec),
+        )?;
         for run in runs {
             self.mgr.release_cluster(run.cluster)?;
         }
         // The DRAM reservation guard releases itself when `self` drops.
         Ok(emitted)
     }
+}
+
+/// Reads spilled runs back as [`merge_stable`] sources.
+fn run_cursors<'m, R: SortRecord>(
+    mgr: &'m ZoneManager,
+    runs: &[Run],
+) -> impl FnMut(usize) -> Result<Option<R>> + 'm {
+    counted_records(
+        runs.iter()
+            .map(|run| (StreamReader::new(mgr, run.cluster, run.len), run.count))
+            .collect(),
+    )
+}
+
+/// [`merge_stable`] sources over streams: source `i` yields the next
+/// record of reader `i` until its count of records runs out.
+pub(crate) fn counted_records<'m, R: SortRecord>(
+    mut cursors: Vec<(StreamReader<'m>, u64)>,
+) -> impl FnMut(usize) -> Result<Option<R>> + 'm {
+    move |i| {
+        let (reader, left) = &mut cursors[i];
+        if *left == 0 {
+            return Ok(None);
+        }
+        *left -= 1;
+        R::read_from(reader).map(Some)
+    }
+}
+
+/// The head record of one merge source, ordered so that the max-heap
+/// pops the smallest key and, among equal keys, the lowest source.
+struct Head<R> {
+    rec: R,
+    src: usize,
+}
+
+impl<R: SortRecord> Ord for Head<R> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .rec
+            .cmp_key(&self.rec)
+            .then_with(|| other.src.cmp(&self.src))
+    }
+}
+
+impl<R: SortRecord> PartialOrd for Head<R> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<R: SortRecord> PartialEq for Head<R> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<R: SortRecord> Eq for Head<R> {}
+
+/// Stable k-way merge of `k` sorted sources. `next(i)` yields source
+/// `i`'s next record (`None` when it is exhausted) and `emit(i, rec)`
+/// takes the records in `cmp_key` order. On equal keys the lower source
+/// goes first, so sources given in arrival order merge stably. Each
+/// record emitted is charged one `k`-way merge step. Returns the count.
+pub(crate) fn merge_stable<R: SortRecord>(
+    soc: &SocCharger,
+    k: usize,
+    mut next: impl FnMut(usize) -> Result<Option<R>>,
+    mut emit: impl FnMut(usize, R) -> Result<()>,
+) -> Result<u64> {
+    let mut heads = BinaryHeap::with_capacity(k);
+    for src in 0..k {
+        if let Some(rec) = next(src)? {
+            heads.push(Head { rec, src });
+        }
+    }
+    let mut emitted = 0u64;
+    while let Some(mut top) = heads.peek_mut() {
+        soc.merge_step(k);
+        let src = top.src;
+        let rec = match next(src)? {
+            Some(rec) => {
+                let out = std::mem::replace(&mut top.rec, rec);
+                drop(top);
+                out
+            }
+            None => PeekMut::pop(top).rec,
+        };
+        emit(src, rec)?;
+        emitted += 1;
+    }
+    Ok(emitted)
 }
 
 impl<R: SortRecord> Drop for ExtSorter<'_, R> {

@@ -113,6 +113,14 @@ impl<'a> StreamReader<'a> {
         }
     }
 
+    /// A reader that starts `pos` bytes into the stream.
+    pub fn starting_at(mgr: &'a ZoneManager, cluster: ClusterId, len: u64, pos: u64) -> Self {
+        Self {
+            pos,
+            ..Self::new(mgr, cluster, len)
+        }
+    }
+
     pub fn position(&self) -> u64 {
         self.pos
     }

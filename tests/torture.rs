@@ -27,7 +27,7 @@ use kvcsd::proto::{
     Bound, DeviceHandler, JobState, KeyspaceState, KvStatus, SecondaryIndexSpec, SecondaryKeyType,
 };
 use kvcsd::sim::config::{CostModel, SimConfig};
-use kvcsd::sim::{FaultEvent, FaultInjector, FaultPlan, IoLedger};
+use kvcsd::sim::{FaultEvent, FaultInjector, FaultPlan, IoLedger, XorShift64};
 use kvcsd_client::{ClientError, Keyspace, KvCsd};
 
 const ROUNDS: usize = 2;
@@ -528,7 +528,9 @@ fn run_torture(plan: FaultPlan, strict_scan: bool) -> Report {
 /// values, so cuts land in every phase of the pipeline.
 #[test]
 fn power_cut_every_kth_op_sweep() {
-    let ks = [25u64, 40, 60, 85, 120, 160, 220, 300, 400, 550, 700, 900];
+    let ks = [
+        25u64, 40, 45, 50, 60, 85, 120, 160, 220, 300, 400, 550, 700, 900,
+    ];
     let mut crashed_runs = 0;
     let mut wal_replays = 0u64;
     for &k in &ks {
@@ -614,4 +616,182 @@ fn power_cuts_with_transient_noise() {
             .any(|e| e.kind == kvcsd::sim::fault::FaultKind::Transient),
         "noise plan injected no transient errors"
     );
+}
+
+/// How one keyspace of the per-op sweeps is loaded.
+#[derive(Clone, Copy, Debug)]
+enum Ingest {
+    /// Shuffled keys through the write accelerator, flushed every 150
+    /// pairs: each flush ships one key-sorted bulk, so KLOG holds two
+    /// natural runs and compaction merges them.
+    Accelerated,
+    /// Shuffled keys as single PUTs: KLOG is in arrival order and
+    /// compaction takes the sort pipeline.
+    SinglePuts,
+}
+
+const SWEEP_PAIRS: u32 = 300;
+
+/// The sweep's keys in a fixed shuffled order.
+fn sweep_keys() -> Vec<Vec<u8>> {
+    let mut keys: Vec<Vec<u8>> = (0..SWEEP_PAIRS)
+        .map(|i| format!("sweep{i:05}").into_bytes())
+        .collect();
+    let mut rng = XorShift64::new(0x5EEB);
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    keys
+}
+
+/// Load and fsync the sweep keyspace fault-free; returns its content.
+fn load_synced(t: &Torture, how: Ingest) -> Pairs {
+    let ks = t.client.create_keyspace("sweep").unwrap();
+    let mut data = Pairs::new();
+    let accel = ks.write_accelerator();
+    for (i, k) in sweep_keys().into_iter().enumerate() {
+        let v = value_for(&k);
+        match how {
+            Ingest::Accelerated => {
+                accel.put(&k, &v).unwrap();
+                if (i + 1) % 150 == 0 {
+                    accel.flush().unwrap();
+                }
+            }
+            Ingest::SinglePuts => ks.put(&k, &v).unwrap(),
+        }
+        data.insert(k, v);
+    }
+    accel.flush().unwrap();
+    ks.fsync().unwrap();
+    data
+}
+
+/// Reopen after a cut, finish the compaction fault-free, and check that
+/// every fsynced pair survived byte-exact with nothing else visible.
+fn recover_and_check(t: &mut Torture, data: &Pairs, what: &str) {
+    t.recover();
+    let (ks, state) = t.client.open_keyspace("sweep").unwrap();
+    if state != KeyspaceState::Compacted {
+        let job = ks
+            .compact()
+            .unwrap_or_else(|e| panic!("{what}: re-compact from {state:?}: {e}"));
+        t.dev.run_pending_jobs();
+        assert_eq!(
+            job.poll().unwrap(),
+            JobState::Done,
+            "{what}: from {state:?}"
+        );
+    }
+    let scan = ks.range(Bound::Unbounded, Bound::Unbounded, None).unwrap();
+    let want: Vec<_> = data.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+    assert!(scan == want, "{what}: scan diverged from the fsynced pairs");
+    for (k, v) in data.iter().step_by(37) {
+        assert_eq!(&ks.get(k).unwrap(), v, "{what}: {k:?}");
+    }
+}
+
+/// Cut power at every flash op of one compaction, on both compaction
+/// paths. Each cut is a fresh device loaded identically, so op `m` of
+/// the compaction is the same op every time; after reopen, every
+/// fsynced pair must be there and the keyspace must compact again.
+#[test]
+fn power_cut_at_every_op_of_one_compaction() {
+    for (how, run_merges) in [(Ingest::Accelerated, 1), (Ingest::SinglePuts, 0)] {
+        // A fault-free run counts the compaction's flash ops.
+        let t = Torture::new(FaultPlan::none());
+        load_synced(&t, how);
+        let start = t.inj.ops();
+        let (ks, _) = t.client.open_keyspace("sweep").unwrap();
+        let job = ks.compact().unwrap();
+        t.dev.run_pending_jobs();
+        assert_eq!(job.poll().unwrap(), JobState::Done);
+        let ops = t.inj.ops() - start;
+        assert_eq!(
+            t.ledger.custom("dev_run_merge_compactions"),
+            run_merges,
+            "{how:?} took the wrong path"
+        );
+        assert!(ops > 10, "{how:?}: {ops} ops");
+
+        for m in 1..=ops {
+            let what = format!("{how:?}, cut at op {m} of {ops}");
+            let mut t = Torture::new(FaultPlan::power_cut_at(start + m, m));
+            let data = load_synced(&t, how);
+            assert_eq!(t.inj.ops(), start, "{what}: load is not deterministic");
+            let (ks, _) = t.client.open_keyspace("sweep").unwrap();
+            if ks.compact().is_ok() {
+                t.dev.run_pending_jobs();
+            }
+            assert!(t.inj.is_powered_off(), "{what}: the cut never fired");
+            recover_and_check(&mut t, &data, &what);
+        }
+    }
+}
+
+/// Cut power right after the m-th fsync of a single-PUT ingest: reopen
+/// must replay exactly the synced WAL records, and they must all be
+/// there after compaction.
+#[test]
+fn power_cut_after_mth_fsync_replays_the_wal() {
+    const EVERY: u32 = 40;
+    for m in 1..=SWEEP_PAIRS / EVERY {
+        let mut t = Torture::new(FaultPlan::none());
+        let ks = t.client.create_keyspace("sweep").unwrap();
+        let mut data = Pairs::new();
+        for k in sweep_keys().into_iter().take((m * EVERY) as usize) {
+            let v = value_for(&k);
+            ks.put(&k, &v).unwrap();
+            data.insert(k, v);
+        }
+        ks.fsync().unwrap();
+        t.inj.power_off_now();
+        recover_and_check(&mut t, &data, &format!("cut after fsync {m}"));
+        assert_eq!(
+            t.ledger.custom("dev_wal_replayed_records"),
+            (m * EVERY) as u64,
+            "fsync {m}"
+        );
+    }
+}
+
+/// Cut power at every flash op of a DELETE of a compacted keyspace:
+/// after reopen the keyspace is either gone or whole, and a fault-free
+/// delete then reclaims it.
+#[test]
+fn power_cut_at_every_op_of_a_delete() {
+    let compacted = |plan: FaultPlan| {
+        let t = Torture::new(plan);
+        let data = load_synced(&t, Ingest::Accelerated);
+        let (ks, _) = t.client.open_keyspace("sweep").unwrap();
+        let job = ks.compact().unwrap();
+        t.dev.run_pending_jobs();
+        assert_eq!(job.poll().unwrap(), JobState::Done);
+        (t, ks, data)
+    };
+    let (t, ks, _) = compacted(FaultPlan::none());
+    let start = t.inj.ops();
+    ks.delete().unwrap();
+    let ops = t.inj.ops() - start;
+    assert!(ops > 2, "{ops} ops");
+
+    for m in 1..=ops {
+        let (mut t, ks, data) = compacted(FaultPlan::power_cut_at(start + m, m));
+        assert!(ks.delete().is_err(), "cut at op {m} of {ops} did not fail");
+        t.recover();
+        match t.client.open_keyspace("sweep") {
+            Ok((ks, state)) => {
+                assert_eq!(state, KeyspaceState::Compacted, "cut at op {m}");
+                let scan = ks.range(Bound::Unbounded, Bound::Unbounded, None).unwrap();
+                let want: Vec<_> = data.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                assert!(scan == want, "cut at op {m}: keyspace came back damaged");
+                ks.delete().unwrap();
+            }
+            Err(e) => assert!(
+                matches!(e, ClientError::Device(KvStatus::KeyspaceNotFound)),
+                "cut at op {m}: {e:?}"
+            ),
+        }
+        assert_eq!(t.dev.zone_manager().cluster_count(), 0, "cut at op {m}");
+    }
 }
