@@ -6,9 +6,11 @@
 //! staging entries host-side, packing them key-sorted into large BULK_PUT
 //! messages, and keeping the submission queue full. This module is that
 //! accelerator: [`WriteAccelerator::put`] stages pairs into a per-session
-//! buffer; a full buffer is sorted (host CPU charged), packed, and
-//! submitted through the window without waiting for earlier bulks to
-//! complete, up to a bounded number of outstanding bulk commands.
+//! buffer; a full buffer is key-sorted by a stable MSD radix sort (host
+//! CPU charged for the key ops and bytes it counts, never more than a
+//! comparison sort plus one counting pass), packed, and submitted
+//! through the window without waiting for earlier bulks to complete, up
+//! to a bounded number of outstanding bulk commands.
 //!
 //! ## Durability contract
 //!
@@ -100,9 +102,10 @@ impl WriteAccelerator {
         self
     }
 
-    /// Stage one pair; ships a sorted bulk message when the staging
-    /// buffer reaches the target size. An error reported here means a
-    /// *previously shipped* batch failed — none of its pairs are
+    /// Stage one pair; first ships the staged buffer as a sorted bulk
+    /// message if this pair would overflow it, so every full bulk holds
+    /// as many pairs as one message takes. An error reported here means
+    /// a *previously shipped* batch failed — none of its pairs are
     /// durable, and the current pair stays staged.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         // Host-side staging cost (memcpy into the staging buffer).
@@ -110,22 +113,26 @@ impl WriteAccelerator {
         self.window
             .ledger()
             .charge_host_cpu((key.len() + value.len()) as f64 * memcpy_ns);
-        let ship = {
+        let entry = BulkBuilder::entry_bytes(key, value);
+        let full = {
             let mut st = self.state.lock();
-            st.staged_bytes += BulkBuilder::entry_bytes(key, value);
+            let full = (!st.staged.is_empty() && st.staged_bytes + entry > self.target_bytes)
+                .then(|| Self::take_staged(&mut st));
+            st.staged_bytes += entry;
             st.staged.push((key.to_vec(), value.to_vec()));
-            st.staged_bytes >= self.target_bytes
+            full
         };
-        if ship {
-            self.ship_staged()?;
+        match full {
+            Some(staged) => self.ship(staged),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Ship the partial staging buffer, claim every outstanding ack, and
     /// return the cumulative count of durably acked pairs.
     pub fn flush(&self) -> Result<u64> {
-        self.ship_staged()?;
+        let staged = Self::take_staged(&mut self.state.lock());
+        self.ship(staged)?;
         loop {
             let oldest = {
                 let mut st = self.state.lock();
@@ -149,27 +156,24 @@ impl WriteAccelerator {
         self.window.completion_latencies()
     }
 
-    /// Take the staging buffer, key-sort it (host CPU charged: n·log₂n
-    /// comparisons), pack it into bulk messages and submit them all;
-    /// then claim oldest acks until at most `depth` remain outstanding.
-    fn ship_staged(&self) -> Result<()> {
-        let staged = {
-            let mut st = self.state.lock();
-            st.staged_bytes = 0;
-            std::mem::take(&mut st.staged)
-        };
+    fn take_staged(st: &mut AccelState) -> Vec<(Vec<u8>, Vec<u8>)> {
+        st.staged_bytes = 0;
+        std::mem::take(&mut st.staged)
+    }
+
+    /// Key-sort `staged` (host CPU charged for the radix sort's key ops
+    /// and the bytes it moves), pack it into bulk messages and submit
+    /// them all; then claim oldest acks until at most `depth` remain
+    /// outstanding.
+    fn ship(&self, mut staged: Vec<(Vec<u8>, Vec<u8>)>) -> Result<()> {
         if !staged.is_empty() {
-            let mut staged = staged;
-            let n = staged.len() as f64;
-            let key_cmp_ns = kvcsd_sim::config::CostModel::default().key_cmp_ns;
-            if staged.len() > 1 {
-                self.window
-                    .ledger()
-                    .charge_host_cpu(n * n.log2() * key_cmp_ns);
-            }
             // Stable sort: duplicate keys keep insertion order, so the
             // device applies overwrites in the order they were staged.
-            staged.sort_by(|a, b| a.0.cmp(&b.0));
+            let work = crate::radix::sort_pairs(&mut staged);
+            let cost = kvcsd_sim::config::CostModel::default();
+            self.window.ledger().charge_host_cpu(
+                work.key_ops * cost.key_cmp_ns + work.bytes_moved as f64 * cost.memcpy_ns_per_byte,
+            );
 
             let mut builder = BulkBuilder::new(self.target_bytes);
             for (key, value) in staged {
@@ -248,10 +252,11 @@ mod tests {
     use kvcsd_sim::sync::Shared;
     use kvcsd_sim::IoLedger;
 
-    /// Counts pairs and asserts bulk payloads arrive key-sorted.
+    /// Counts pairs, records each bulk's pair count, and asserts bulk
+    /// payloads arrive key-sorted.
     struct SortSpy {
         pairs: Arc<Shared<u64>>,
-        bulks: Arc<Shared<u64>>,
+        bulks: Arc<Shared<Vec<u64>>>,
     }
 
     impl DeviceHandler for SortSpy {
@@ -268,7 +273,7 @@ mod tests {
                     );
                     let n = entries.len() as u64;
                     self.pairs.update(|p| *p += n);
-                    self.bulks.update(|b| *b += 1);
+                    self.bulks.update(|b| b.push(n));
                     KvResponse::BulkPutOk { inserted: n }
                 }
                 KvCommand::Put { .. } => {
@@ -280,9 +285,12 @@ mod tests {
         }
     }
 
-    fn accel(target: usize) -> (WriteAccelerator, Arc<Shared<u64>>, Arc<Shared<u64>>) {
+    /// A spy's view: pairs seen, and each bulk's pair count.
+    type Seen = (Arc<Shared<u64>>, Arc<Shared<Vec<u64>>>);
+
+    fn accel(target: usize) -> (WriteAccelerator, Seen) {
         let pairs = Arc::new(Shared::new(0));
-        let bulks = Arc::new(Shared::new(0));
+        let bulks = Arc::new(Shared::new(Vec::new()));
         let dev = Arc::new(SortSpy {
             pairs: Arc::clone(&pairs),
             bulks: Arc::clone(&bulks),
@@ -297,27 +305,44 @@ mod tests {
                 None,
             )
             .with_target_bytes(target),
-            pairs,
-            bulks,
+            (pairs, bulks),
         )
     }
 
     #[test]
     fn stages_sorts_and_packs_into_bulk_messages() {
-        let (a, pairs, bulks) = accel(1024);
+        let (a, (pairs, bulks)) = accel(1024);
         // Reverse-ordered keys force the sort to do something.
         for i in (0..500u32).rev() {
             a.put(format!("k{i:06}").as_bytes(), &[7u8; 16]).unwrap();
         }
         assert_eq!(a.flush().unwrap(), 500);
         assert_eq!(pairs.get(), 500);
-        let b = bulks.get();
+        let b = bulks.read().len();
         assert!(b > 1 && b < 500, "packed into a few bulks, got {b}");
     }
 
     #[test]
+    fn full_buffers_ship_as_one_full_bulk_each() {
+        // 26-byte entries (6 header + 4 key + 16 value): 39 fit in 1 KiB.
+        let (a, (pairs, bulks)) = accel(1024);
+        for i in (0..500u32).rev() {
+            a.put(format!("{i:04}").as_bytes(), &[7u8; 16]).unwrap();
+        }
+        assert_eq!(a.flush().unwrap(), 500);
+        assert_eq!(pairs.get(), 500);
+        let sizes = bulks.read().clone();
+        let (last, full) = sizes.split_last().unwrap();
+        assert!(
+            full.iter().all(|&n| n == 39),
+            "every shipped buffer is one full bulk, no one-pair overflow: {sizes:?}"
+        );
+        assert_eq!(*last, 500 % 39, "the flush ships the partial rest");
+    }
+
+    #[test]
     fn unflushed_writes_are_never_reported_durable() {
-        let (a, pairs, _) = accel(64 * 1024);
+        let (a, (pairs, _)) = accel(64 * 1024);
         for i in 0..10u32 {
             a.put(format!("k{i}").as_bytes(), b"v").unwrap();
         }
@@ -330,11 +355,11 @@ mod tests {
 
     #[test]
     fn oversized_pair_ships_alone() {
-        let (a, pairs, bulks) = accel(1024);
+        let (a, (pairs, bulks)) = accel(1024);
         a.put(b"huge", &vec![1u8; 4096]).unwrap();
         a.put(b"tiny", b"v").unwrap();
         assert_eq!(a.flush().unwrap(), 2);
         assert_eq!(pairs.get(), 2);
-        assert_eq!(bulks.get(), 1, "the tiny pair still rides a bulk");
+        assert_eq!(*bulks.read(), [1], "the tiny pair still rides a bulk");
     }
 }

@@ -17,6 +17,7 @@
 pub mod accel;
 pub mod api;
 pub mod error;
+mod radix;
 pub mod window;
 
 pub use accel::WriteAccelerator;

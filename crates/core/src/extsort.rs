@@ -29,7 +29,7 @@ use crate::dram::{DramBudget, DramReservation};
 use crate::error::DeviceError;
 use crate::ingest::{BlockStreamWriter, KlogRecord, StreamReader};
 use crate::soc::SocCharger;
-use crate::zone_mgr::ZoneManager;
+use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 use crate::BLOCK_BYTES;
 
@@ -62,7 +62,7 @@ impl SortRecord for KlogRecord {
 
 #[derive(Debug)]
 struct Run {
-    cluster: crate::zone_mgr::ClusterId,
+    cluster: ClusterId,
     len: u64,
     count: u64,
 }
@@ -135,16 +135,19 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         }
         self.sort_buf();
         let cluster = self.mgr.alloc_cluster(self.run_width(self.buf_bytes))?;
-        let mut w = BlockStreamWriter::new(cluster);
-        let mut enc = Vec::with_capacity(BLOCK_BYTES);
         let count = self.buf.len() as u64;
-        for rec in self.buf.drain(..) {
-            enc.clear();
-            rec.encode_into(&mut enc);
-            self.soc.bytes(enc.len());
-            w.append(self.mgr, &enc)?;
-        }
-        let len = w.seal(self.mgr)?;
+        let (mgr, soc, buf) = (self.mgr, self.soc, &mut self.buf);
+        let len = release_on_error(mgr, cluster, || {
+            let mut w = BlockStreamWriter::new(cluster);
+            let mut enc = Vec::with_capacity(BLOCK_BYTES);
+            for rec in buf.drain(..) {
+                enc.clear();
+                rec.encode_into(&mut enc);
+                soc.bytes(enc.len());
+                w.append(mgr, &enc)?;
+            }
+            w.seal(mgr)
+        })?;
         self.runs.push(Run {
             cluster,
             len,
@@ -173,29 +176,36 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         ((self.reservation.bytes() / (4 * BLOCK_BYTES as u64)) as usize).clamp(2, 64)
     }
 
-    /// Merge a group of runs into one new run.
-    fn merge_runs(&mut self, group: Vec<Run>) -> Result<Run> {
-        let bytes = group.iter().map(|r| r.len).sum();
+    /// Merge the `take` runs from `at` into one new run in their place.
+    /// The runs stay owned by the sorter until the merged run is written,
+    /// so an error leaves every cluster for [`Drop`] to release.
+    fn merge_runs(&mut self, at: usize, take: usize) -> Result<()> {
+        let group = at..at + take;
+        let bytes = self.runs[group.clone()].iter().map(|r| r.len).sum();
         let cluster = self.mgr.alloc_cluster(self.run_width(bytes))?;
         let mut w = BlockStreamWriter::new(cluster);
-        let mut enc = Vec::with_capacity(BLOCK_BYTES);
-        let (mgr, soc) = (self.mgr, self.soc);
-        let count = merge_stable(soc, group.len(), run_cursors(mgr, &group), |_, rec: R| {
-            enc.clear();
-            rec.encode_into(&mut enc);
-            soc.bytes(enc.len());
-            w.append(mgr, &enc)?;
-            Ok(())
+        let (mgr, soc, runs) = (self.mgr, self.soc, &self.runs[group.clone()]);
+        let count = release_on_error(mgr, cluster, || {
+            let mut enc = Vec::with_capacity(BLOCK_BYTES);
+            merge_stable(soc, runs.len(), run_cursors(mgr, runs), |_, rec: R| {
+                enc.clear();
+                rec.encode_into(&mut enc);
+                soc.bytes(enc.len());
+                w.append(mgr, &enc)?;
+                Ok(())
+            })
         })?;
-        for run in group {
-            self.mgr.release_cluster(run.cluster)?;
-        }
-        let len = w.seal(self.mgr)?;
-        Ok(Run {
-            cluster,
-            len,
-            count,
-        })
+        let released = release_all(mgr, self.runs.drain(group));
+        let len = release_on_error(mgr, cluster, || released.and_then(|()| w.seal(mgr)))?;
+        self.runs.insert(
+            at,
+            Run {
+                cluster,
+                len,
+                count,
+            },
+        );
+        Ok(())
     }
 
     /// Finish sorting, streaming every record in order into `consume`.
@@ -229,26 +239,49 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
             let take = (self.runs.len() - fan_in + 1)
                 .min(fan_in)
                 .min(self.runs.len() - at);
-            let group: Vec<Run> = self.runs.drain(at..at + take).collect();
-            let merged = self.merge_runs(group)?;
-            self.runs.insert(at, merged);
+            self.merge_runs(at, take)?;
             at += 1;
         }
 
         // Final pass: merge whatever remains straight into the consumer.
-        let runs: Vec<Run> = std::mem::take(&mut self.runs);
+        // The runs stay in `self` until they are released, so a failing
+        // consumer leaves them for `Drop`.
         let emitted = merge_stable(
             self.soc,
-            runs.len(),
-            run_cursors(self.mgr, &runs),
+            self.runs.len(),
+            run_cursors(self.mgr, &self.runs),
             |_, rec| consume(rec),
         )?;
-        for run in runs {
-            self.mgr.release_cluster(run.cluster)?;
-        }
+        release_all(self.mgr, self.runs.drain(..))?;
         // The DRAM reservation guard releases itself when `self` drops.
         Ok(emitted)
     }
+}
+
+/// Release every run's cluster, returning the first error.
+fn release_all(mgr: &ZoneManager, runs: impl IntoIterator<Item = Run>) -> Result<()> {
+    let mut first = Ok(());
+    for run in runs {
+        let released = mgr.release_cluster(run.cluster);
+        if first.is_ok() {
+            first = released;
+        }
+    }
+    first
+}
+
+/// Run `write` into the freshly allocated `cluster`; if it fails, release
+/// the half-written cluster before passing the error on.
+fn release_on_error<T>(
+    mgr: &ZoneManager,
+    cluster: ClusterId,
+    write: impl FnOnce() -> Result<T>,
+) -> Result<T> {
+    let written = write();
+    if written.is_err() {
+        let _ = mgr.release_cluster(cluster);
+    }
+    written
 }
 
 /// Reads spilled runs back as [`merge_stable`] sources.
@@ -347,9 +380,7 @@ impl<R: SortRecord> Drop for ExtSorter<'_, R> {
     fn drop(&mut self) {
         // Failure path: return the zones (the DRAM reservation guard
         // field releases itself right after this runs).
-        for run in self.runs.drain(..) {
-            let _ = self.mgr.release_cluster(run.cluster);
-        }
+        let _ = release_all(self.mgr, self.runs.drain(..));
     }
 }
 
@@ -358,6 +389,7 @@ mod tests {
     use super::*;
     use crate::testing::test_stack;
     use kvcsd_sim::XorShift64;
+    use std::sync::Arc;
 
     fn rec(i: u64) -> KlogRecord {
         KlogRecord {
@@ -654,6 +686,90 @@ mod tests {
             ExtSorter::<KlogRecord>::new(&mgr, &soc, &dram, 2),
             Err(DeviceError::OutOfDram(_))
         ));
+    }
+
+    /// Push records until the sorter has spilled `runs` runs.
+    fn spill_runs<'a>(
+        mgr: &'a ZoneManager,
+        soc: &'a SocCharger,
+        dram: &'a DramBudget,
+        runs: usize,
+    ) -> ExtSorter<'a, KlogRecord> {
+        let mut s = ExtSorter::new(mgr, soc, dram, 2).unwrap();
+        let mut rng = XorShift64::new(10);
+        while s.spilled_runs() < runs {
+            s.push(rec(rng.next_below(1_000_000))).unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn failing_consumer_leaves_no_cluster_behind() {
+        let (mgr, soc, _) = test_stack(512, 99);
+        let dram = DramBudget::new(MIN_RESERVATION);
+        let s = spill_runs(&mgr, &soc, &dram, 4);
+        assert_eq!(mgr.cluster_count(), 4);
+        let mut seen = 0;
+        let r = s.finish_into(|_| {
+            seen += 1;
+            if seen == 10 {
+                return Err(DeviceError::Internal("consumer gave up".into()));
+            }
+            Ok(())
+        });
+        assert!(matches!(r, Err(DeviceError::Internal(_))), "{r:?}");
+        assert_eq!(mgr.cluster_count(), 0, "every run released");
+        assert_eq!(dram.used(), 0);
+    }
+
+    fn arm(mgr: &ZoneManager, plan: kvcsd_sim::FaultPlan) {
+        let inj = kvcsd_sim::FaultInjector::new(plan);
+        mgr.zns().nand().set_fault_injector(Some(Arc::new(inj)));
+    }
+
+    #[test]
+    fn failed_spill_releases_its_half_written_run() {
+        let (mgr, soc, _) = test_stack(512, 99);
+        let dram = DramBudget::new(MIN_RESERVATION);
+        let mut s = spill_runs(&mgr, &soc, &dram, 2);
+        arm(
+            &mgr,
+            kvcsd_sim::FaultPlan {
+                program_error_prob: 1.0,
+                ..kvcsd_sim::FaultPlan::none()
+            },
+        );
+        let mut rng = XorShift64::new(11);
+        let err = loop {
+            if let Err(e) = s.push(rec(rng.next_below(1_000_000))) {
+                break e;
+            }
+        };
+        assert!(matches!(err, DeviceError::Flash(_)), "{err:?}");
+        assert_eq!(mgr.cluster_count(), 2, "only the sealed runs are left");
+        drop(s);
+        assert_eq!(mgr.cluster_count(), 0);
+    }
+
+    #[test]
+    fn failed_merge_round_releases_its_group_and_output() {
+        let (mgr, soc, _) = test_stack(1024, 99);
+        let dram = DramBudget::new(MIN_RESERVATION);
+        let s = spill_runs(&mgr, &soc, &dram, 6);
+        assert!(s.spilled_runs() > s.fan_in(), "an intermediate round");
+        // Reads fail: the last spill still succeeds, the first merge
+        // round cannot read its runs back.
+        arm(
+            &mgr,
+            kvcsd_sim::FaultPlan {
+                read_error_prob: 1.0,
+                ..kvcsd_sim::FaultPlan::none()
+            },
+        );
+        let r = s.finish_into(|_| Ok(()));
+        assert!(matches!(r, Err(DeviceError::Flash(_))), "{r:?}");
+        assert_eq!(mgr.cluster_count(), 0, "every run and the output released");
+        assert_eq!(dram.used(), 0);
     }
 
     #[test]

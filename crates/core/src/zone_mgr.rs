@@ -441,6 +441,9 @@ impl ZoneManager {
     }
 
     /// Release a cluster: reset all its zones and return them to the pool.
+    /// A zone whose reset fails is left out of the pool (the orphan sweep
+    /// in [`restore`](Self::restore) resets it on reopen); the others are
+    /// still freed, and the first error is returned.
     pub fn release_cluster(&self, cluster: ClusterId) -> Result<()> {
         let mut inner = self.inner.lock();
         let c = inner
@@ -449,15 +452,24 @@ impl ZoneManager {
             .ok_or_else(|| DeviceError::Internal("cluster gone".into()))?;
         // Reset outside the free-list mutation but inside the lock is fine:
         // zns has its own synchronization.
-        for zone in c.groups.iter().flatten() {
-            if self.zns.zone_info(*zone)?.state != ZoneState::Empty {
-                self.zns.reset(*zone)?;
+        let mut first_err = None;
+        for &zone in c.groups.iter().flatten() {
+            let reset = self.zns.zone_info(zone).and_then(|info| match info.state {
+                ZoneState::Empty => Ok(()),
+                _ => self.zns.reset(zone),
+            });
+            match reset {
+                Ok(()) => {
+                    let ch = self.zns.channel_of_zone(zone) as usize;
+                    inner.free_by_channel[ch].push(zone);
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
             }
-            let ch = self.zns.channel_of_zone(*zone) as usize;
-            inner.free_by_channel[ch].push(*zone);
         }
         self.refresh_free_count(&inner);
-        Ok(())
+        first_err.map_or(Ok(()), |e| Err(e.into()))
     }
 }
 
@@ -575,6 +587,37 @@ mod tests {
         // And the zones are reusable.
         let c2 = m.alloc_cluster(4).unwrap();
         m.append_block(c2, &[1u8; 16]).unwrap();
+    }
+
+    #[test]
+    fn failed_reset_frees_the_other_zones_and_the_sweep_reclaims_it() {
+        let m = mgr(8, 8);
+        let free = m.free_zones();
+        let c = m.alloc_cluster(4).unwrap();
+        // One block: one zone holds data, the other three stay empty.
+        m.append_block(c, &[1; 64]).unwrap();
+        let inj = Arc::new(kvcsd_sim::FaultInjector::new(kvcsd_sim::FaultPlan {
+            erase_error_prob: 1.0,
+            ..kvcsd_sim::FaultPlan::none()
+        }));
+        m.zns().nand().set_fault_injector(Some(inj));
+        assert!(m.release_cluster(c).is_err(), "the erase fault surfaces");
+        assert_eq!(m.cluster_count(), 0);
+        assert_eq!(m.free_zones(), free - 1, "the three empty zones are free");
+        let inner = m.inner.lock();
+        let pooled: u32 = inner.free_by_channel.iter().map(|v| v.len() as u32).sum();
+        assert_eq!(pooled, free - 1, "the gauge matches the free lists");
+        drop(inner);
+
+        // Reopen: the orphan sweep resets the failed zone and frees it.
+        m.zns().nand().set_fault_injector(None);
+        let state = m.export_state();
+        let r = ZoneManager::restore(Arc::clone(m.zns()), 1, 42, &state).unwrap();
+        assert_eq!(r.free_zones(), free);
+        let c = r.alloc_cluster(8).unwrap();
+        r.append_block(c, &[2; 64]).unwrap();
+        r.release_cluster(c).unwrap();
+        assert_eq!(r.free_zones(), free);
     }
 
     #[test]

@@ -396,12 +396,13 @@ impl ZonedNamespace {
         self.check_zone(zone)?;
         let geom = self.nand.geometry();
         let mut meta = self.zones[zone as usize].lock();
-        if meta.state == ZoneState::Open {
-            self.open_count.update(|c| *c -= 1);
-        }
         let used_blocks = meta.wp_pages.div_ceil(geom.pages_per_block);
         for b in 0..used_blocks {
             self.nand.erase(self.block_of(zone, b))?;
+        }
+        // A failed erase leaves the zone as it was, still open if it was.
+        if meta.state == ZoneState::Open {
+            self.open_count.update(|c| *c -= 1);
         }
         meta.transition(zone, ZoneState::Empty)?;
         meta.wp_pages = 0;
