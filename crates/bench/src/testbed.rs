@@ -8,10 +8,8 @@ use std::sync::Arc;
 
 use kvcsd_blockfs::{BlockFs, FsConfig};
 use kvcsd_client::KvCsd;
-use kvcsd_core::{DeviceConfig, KvCsdDevice};
-use kvcsd_flash::{
-    ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig, ZonedNamespace,
-};
+use kvcsd_core::{DeviceConfig, DeviceStack, KvCsdDevice};
+use kvcsd_flash::{ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig};
 use kvcsd_proto::DeviceHandler;
 use kvcsd_sim::config::SimConfig;
 use kvcsd_sim::{IoLedger, PhaseRunner, TimeModel};
@@ -26,11 +24,7 @@ pub struct Testbed {
 impl Testbed {
     /// Fresh testbed with the paper's hardware constants.
     pub fn new() -> Self {
-        Self::with_config(SimConfig::default())
-    }
-
-    /// Fresh testbed with custom constants.
-    pub fn with_config(cfg: SimConfig) -> Self {
+        let cfg = SimConfig::default();
         let ledger = Arc::new(IoLedger::new(cfg.hw.flash_channels, cfg.hw.page_bytes));
         let runner = PhaseRunner::new(Arc::clone(&ledger), TimeModel::new(cfg.clone()));
         Self {
@@ -91,27 +85,21 @@ impl Testbed {
         let zone_bytes = 16 * self.cfg.hw.page_bytes as u64; // one 64 KiB block per zone
         let reserved =
             keyspaces.max(1) as u64 * 12 * self.cfg.hw.flash_channels as u64 * zone_bytes;
-        let geom = self.geometry(capacity_bytes.max(1 << 20) * 6 + reserved);
-        let nand = Arc::new(NandArray::new(geom, &self.cfg.hw, Arc::clone(&self.ledger)));
-        let zns = Arc::new(ZonedNamespace::new(
-            nand,
+        let stack = DeviceStack::with_ledger(
+            self.geometry(capacity_bytes.max(1 << 20) * 6 + reserved),
             ZnsConfig {
                 zone_blocks: 1,
                 max_open_zones: 1 << 20,
             },
-        ));
-        let mut cfg = self.cfg.clone();
-        cfg.hw.soc_dram_bytes = soc_dram_bytes;
-        let dev = Arc::new(KvCsdDevice::new(
-            zns,
-            cfg.cost.clone(),
             DeviceConfig {
                 cluster_width,
                 soc_dram_bytes,
                 seed: 0xC5D,
                 ..DeviceConfig::default()
             },
-        ));
+            Arc::clone(&self.ledger),
+        );
+        let dev = Arc::clone(stack.device());
         let client = KvCsd::connect(
             Arc::clone(&dev) as Arc<dyn DeviceHandler>,
             Arc::clone(&self.ledger),

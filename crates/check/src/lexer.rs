@@ -377,13 +377,20 @@ pub fn find_thread_spawn(code: &str) -> Vec<Hit> {
     hits
 }
 
-/// Direct `KvCsdDevice::new` / `KvCsdDevice::reopen` construction — the
-/// `router-bypass` rule. A type merely *named* `KvCsdDevice` in a
-/// signature or field is fine; only the constructor paths are flagged.
+/// Direct `KvCsdDevice::new` / `KvCsdDevice::reopen` construction, or a
+/// `DeviceStack::new` / `DeviceStack::with_ledger` stack built around
+/// them — the `router-bypass` rule. A type merely *named* `KvCsdDevice`
+/// or `DeviceStack` in a signature or field is fine; only the
+/// constructor paths are flagged.
 pub fn find_device_construction(code: &str) -> Vec<Hit> {
     let bytes = code.as_bytes();
     let mut hits = Vec::new();
-    for needle in ["KvCsdDevice::new", "KvCsdDevice::reopen"] {
+    for needle in [
+        "KvCsdDevice::new",
+        "KvCsdDevice::reopen",
+        "DeviceStack::new",
+        "DeviceStack::with_ledger",
+    ] {
         for ix in find_all(code, needle) {
             if bounded(bytes, ix, needle.len()) {
                 hits.push(Hit {

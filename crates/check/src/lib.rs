@@ -31,10 +31,11 @@
 //!   struct with such a field, found by a cross-file pass) in library
 //!   code: sharing one bypasses both detectors at once.
 //! * **`router-bypass`** — no direct `KvCsdDevice::new`/`::reopen`
-//!   construction outside `crates/cluster` (which builds per-shard
-//!   stacks), `crates/sim`, and test/bench harnesses. Library code goes
-//!   through the cluster router so health gating, failover and the
-//!   replica log see every device.
+//!   construction, and no `DeviceStack::new`/`::with_ledger` stack,
+//!   outside `crates/core/src/stack.rs` (the one stack builder),
+//!   `crates/cluster` (which builds per-shard stacks), `crates/sim`, and
+//!   test/bench harnesses. Library code goes through the cluster router
+//!   so health gating, failover and the replica log see every device.
 //! * **`guard-across-wait`** — no shim `Mutex`/`RwLock` guard,
 //!   `Shared` borrow or DRAM reservation live across a charged wait
 //!   (`AdmissionGate` admission, `VirtualClock::advance*`,
@@ -280,9 +281,11 @@ impl RuleSet {
 ///   is collected from library code outside `crates/sim/` (the shims are
 ///   interior-mutable by definition);
 /// * `router-bypass` applies to library source only, minus
-///   `crates/cluster/` (the shard builder is the sanctioned constructor),
-///   `crates/sim/` (substrate) and `crates/bench/` (its testbed stands up
-///   bare devices to measure them in isolation): harnesses and
+///   `crates/core/src/stack.rs` (the device stack wraps the raw
+///   constructors), `crates/cluster/` (the shard builder is the
+///   sanctioned stack user), `crates/sim/` (substrate) and
+///   `crates/bench/` (its testbed stands up bare devices to measure them
+///   in isolation): harnesses and
 ///   `#[cfg(test)]` regions construct devices freely, but product code
 ///   must reach devices through the cluster router;
 /// * `guard-across-wait` applies to library source outside `crates/sim/`
@@ -324,6 +327,7 @@ pub fn rules_for(rel_path: &str) -> RuleSet {
         fsm_bypass: true,
         shared_raw: !harness && !rel_path.starts_with("crates/sim/"),
         router_bypass: !harness
+            && rel_path != "crates/core/src/stack.rs"
             && !rel_path.starts_with("crates/cluster/")
             && !rel_path.starts_with("crates/sim/")
             && !rel_path.starts_with("crates/bench/"),

@@ -424,40 +424,32 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvcsd_core::{DeviceConfig, KvCsdDevice};
-    use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+    use kvcsd_core::{DeviceConfig, DeviceStack, KvCsdDevice};
+    use kvcsd_flash::{FlashGeometry, ZnsConfig};
     use kvcsd_proto::{KvStatus, SecondaryKeyType};
-    use kvcsd_sim::{config::CostModel, HardwareSpec, IoLedger};
 
     fn testbed() -> (KvCsd, Arc<KvCsdDevice>, Arc<IoLedger>) {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 256,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(
-            geom,
-            &HardwareSpec::default(),
-            Arc::clone(&ledger),
-        ));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-        let dev = Arc::new(KvCsdDevice::new(
-            zns,
-            CostModel::default(),
+        let stack = DeviceStack::new(
+            FlashGeometry {
+                channels: 8,
+                blocks_per_channel: 256,
+                pages_per_block: 16,
+                page_bytes: 4096,
+            },
+            ZnsConfig::default(),
             DeviceConfig {
                 cluster_width: 8,
                 soc_dram_bytes: 8 << 20,
                 seed: 3,
                 ..DeviceConfig::default()
             },
-        ));
-        let client = KvCsd::connect(
-            Arc::<KvCsdDevice>::clone(&dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&ledger),
         );
-        (client, dev, ledger)
+        let (dev, ledger) = (stack.device(), stack.ledger());
+        let client = KvCsd::connect(
+            Arc::<KvCsdDevice>::clone(dev) as Arc<dyn DeviceHandler>,
+            Arc::clone(ledger),
+        );
+        (client, Arc::clone(dev), Arc::clone(ledger))
     }
 
     fn key(i: u32) -> Vec<u8> {

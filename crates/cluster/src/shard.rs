@@ -8,10 +8,9 @@
 
 use std::sync::Arc;
 
-use kvcsd_core::KvCsdDevice;
-use kvcsd_flash::{NandArray, ZonedNamespace};
+use kvcsd_core::{DeviceStack, KvCsdDevice};
 use kvcsd_sim::sync::Shared;
-use kvcsd_sim::{CostModel, FaultInjector, FaultPlan, HardwareSpec, IoLedger, VirtualClock};
+use kvcsd_sim::{FaultInjector, FaultPlan, IoLedger, VirtualClock};
 
 use crate::ClusterConfig;
 
@@ -30,8 +29,7 @@ pub enum ShardHealth {
 
 /// A complete device stack for one shard.
 pub struct ShardInstance {
-    device: Arc<KvCsdDevice>,
-    ledger: Arc<IoLedger>,
+    stack: DeviceStack,
     clock: Arc<VirtualClock>,
     injector: Arc<FaultInjector>,
     /// Fencing epoch this instance was built to serve. A promotion mints
@@ -48,26 +46,14 @@ impl ShardInstance {
     /// fleet-wide seed yields deterministic but *distinct* failure
     /// schedules per shard.
     pub fn build(cfg: &ClusterConfig, device_id: u32, plan: FaultPlan, epoch: u64) -> Self {
-        let ledger = Arc::new(IoLedger::new(
-            cfg.geometry.channels,
-            cfg.geometry.page_bytes,
-        ));
-        let nand = Arc::new(NandArray::new(
-            cfg.geometry,
-            &HardwareSpec::default(),
-            Arc::clone(&ledger),
-        ));
-        let injector = Arc::new(FaultInjector::new(plan.for_device(device_id)));
-        nand.set_fault_injector(Some(Arc::clone(&injector)));
-        let zns = Arc::new(ZonedNamespace::new(nand, cfg.zns));
         let clock = Arc::new(VirtualClock::new());
         let mut dev_cfg = cfg.device.clone();
         dev_cfg.seed ^= (device_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         dev_cfg.clock = Some(Arc::clone(&clock));
-        let device = Arc::new(KvCsdDevice::new(zns, CostModel::default(), dev_cfg));
+        let mut stack = DeviceStack::new(cfg.geometry, cfg.zns, dev_cfg);
+        let injector = stack.arm(plan.for_device(device_id));
         Self {
-            device,
-            ledger,
+            stack,
             clock,
             injector,
             epoch,
@@ -80,11 +66,11 @@ impl ShardInstance {
     }
 
     pub fn device(&self) -> &Arc<KvCsdDevice> {
-        &self.device
+        self.stack.device()
     }
 
     pub fn ledger(&self) -> &Arc<IoLedger> {
-        &self.ledger
+        self.stack.ledger()
     }
 
     /// This shard's private virtual clock. Latency charged here never

@@ -1383,35 +1383,34 @@ impl DeviceHandler for KvCsdDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig};
+    use crate::DeviceStack;
+    use kvcsd_flash::{FlashGeometry, ZnsConfig};
     use kvcsd_proto::{Bound, BulkBuilder, SecondaryKeyType, SidxKey};
-    use kvcsd_sim::{HardwareSpec, IoLedger};
 
-    fn device() -> KvCsdDevice {
-        device_with_dram(8 << 20)
+    const GEOM: FlashGeometry = FlashGeometry {
+        channels: 8,
+        blocks_per_channel: 256,
+        pages_per_block: 16,
+        page_bytes: 4096,
+    };
+
+    fn config(soc_dram_bytes: u64) -> DeviceConfig {
+        DeviceConfig {
+            cluster_width: 8,
+            soc_dram_bytes,
+            seed: 1,
+            ..DeviceConfig::default()
+        }
     }
 
-    /// [`device`] with `soc_dram_bytes` of SoC DRAM.
-    fn device_with_dram(soc_dram_bytes: u64) -> KvCsdDevice {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 256,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(geom, &HardwareSpec::default(), ledger));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-        KvCsdDevice::new(
-            zns,
-            CostModel::default(),
-            DeviceConfig {
-                cluster_width: 8,
-                soc_dram_bytes,
-                seed: 1,
-                ..DeviceConfig::default()
-            },
-        )
+    /// A stack whose device is [`device`]'s, for tests that arm faults
+    /// or power-cycle.
+    fn stack() -> DeviceStack {
+        DeviceStack::new(GEOM, ZnsConfig::default(), config(8 << 20))
+    }
+
+    fn device() -> Arc<KvCsdDevice> {
+        Arc::clone(stack().device())
     }
 
     fn ok(resp: KvResponse) -> KvResponse {
@@ -1451,32 +1450,18 @@ mod tests {
 
     #[test]
     fn reopen_fails_loudly_when_both_meta_generations_are_destroyed() {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 256,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(geom, &HardwareSpec::default(), ledger));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-        let cfg = DeviceConfig {
-            cluster_width: 8,
-            soc_dram_bytes: 8 << 20,
-            seed: 1,
-            ..DeviceConfig::default()
-        };
-        let dev = KvCsdDevice::new(Arc::clone(&zns), CostModel::default(), cfg.clone());
-        let ks = create(&dev, "a");
-        load_and_compact(&dev, ks, 100);
-        drop(dev);
+        let mut stack = stack();
+        let dev = stack.device();
+        let ks = create(dev, "a");
+        load_and_compact(dev, ks, 100);
         // Scribble over both ping-pong zones: every durable generation is
         // gone but debris proves generations existed.
+        let zns = stack.zns();
         zns.reset(0).unwrap();
         zns.reset(1).unwrap();
         zns.append(0, &[0xAA; 64]).unwrap();
         zns.append(1, &[0xBB; 64]).unwrap();
-        let err = KvCsdDevice::reopen(Arc::clone(&zns), CostModel::default(), cfg).unwrap_err();
+        let err = stack.power_cycle().unwrap_err();
         assert_eq!(err, DeviceError::CorruptMetadata);
         // And the protocol surface is a persistent media error, never a
         // silently-empty device.
@@ -1818,33 +1803,25 @@ mod tests {
     /// Put 500 pairs in the order `order` gives, then compact and index
     /// them with two specs on a device with little more DRAM than its
     /// ingest buffer; checks the result is fully indexed.
-    fn compact_and_index_on_tight_dram(order: impl Iterator<Item = u32>) -> KvCsdDevice {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 512,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(geom, &HardwareSpec::default(), ledger));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
+    fn compact_and_index_on_tight_dram(order: impl Iterator<Item = u32>) -> Arc<KvCsdDevice> {
         // DRAM: the 192 KiB ingest buffer plus a sliver. The single-pass
         // job needs gather + two index sorters + value sorter concurrently
         // (4 x 64 KiB minimum reservations) and cannot fit; the separated
         // path never holds more than three.
-        let dev = KvCsdDevice::new(
-            zns,
-            CostModel::default(),
+        let stack = DeviceStack::new(
+            FlashGeometry {
+                blocks_per_channel: 512,
+                ..GEOM
+            },
+            ZnsConfig::default(),
             DeviceConfig {
-                cluster_width: 8,
-                soc_dram_bytes: (192 << 10) + (20 << 10),
-                seed: 1,
                 // This test runs at ~90% DRAM by construction; the stall
                 // band would otherwise bounce every put.
                 admission: AdmissionConfig::permissive(),
-                ..DeviceConfig::default()
+                ..config((192 << 10) + (20 << 10))
             },
         );
+        let dev = Arc::clone(stack.device());
         let ks = create(&dev, "tight");
         for i in order {
             ok(dev.handle(KvCommand::Put {
@@ -2215,50 +2192,12 @@ mod tests {
         }
     }
 
-    /// Build a device whose ZNS handle we keep, so we can "crash" (drop
-    /// the device struct) and reopen from flash.
-    fn device_with_zns() -> (KvCsdDevice, Arc<ZonedNamespace>) {
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 256,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(geom, &HardwareSpec::default(), ledger));
-        let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-        let dev = KvCsdDevice::new(
-            Arc::clone(&zns),
-            CostModel::default(),
-            DeviceConfig {
-                cluster_width: 8,
-                soc_dram_bytes: 8 << 20,
-                seed: 1,
-                ..DeviceConfig::default()
-            },
-        );
-        (dev, zns)
-    }
-
-    fn reopen(zns: Arc<ZonedNamespace>) -> KvCsdDevice {
-        KvCsdDevice::reopen(
-            zns,
-            CostModel::default(),
-            DeviceConfig {
-                cluster_width: 8,
-                soc_dram_bytes: 8 << 20,
-                seed: 1,
-                ..DeviceConfig::default()
-            },
-        )
-        .unwrap()
-    }
-
     #[test]
     fn restart_recovers_compacted_keyspaces() {
-        let (dev, zns) = device_with_zns();
-        let ks = create(&dev, "persist-me");
-        load_and_compact(&dev, ks, 1500);
+        let mut stack = stack();
+        let dev = stack.device();
+        let ks = create(dev, "persist-me");
+        load_and_compact(dev, ks, 1500);
         let spec = SecondaryIndexSpec {
             name: "energy".into(),
             value_offset: 28,
@@ -2267,9 +2206,9 @@ mod tests {
         };
         ok(dev.handle(KvCommand::BuildSecondaryIndex { ks, spec }));
         dev.run_pending_jobs();
-        drop(dev); // crash
+        stack.power_cycle().unwrap(); // crash
 
-        let dev2 = reopen(zns);
+        let dev2 = stack.device();
         let ks2 = match ok(dev2.handle(KvCommand::OpenKeyspace {
             name: "persist-me".into(),
         })) {
@@ -2311,8 +2250,9 @@ mod tests {
 
     #[test]
     fn restart_reenqueues_compacting_keyspaces() {
-        let (dev, zns) = device_with_zns();
-        let ks = create(&dev, "inflight");
+        let mut stack = stack();
+        let dev = stack.device();
+        let ks = create(dev, "inflight");
         for i in 0..300 {
             ok(dev.handle(KvCommand::Put {
                 ks,
@@ -2323,9 +2263,9 @@ mod tests {
         ok(dev.handle(KvCommand::Compact { ks }));
         // Crash before the background job runs.
         assert_eq!(dev.pending_jobs(), 1);
-        drop(dev);
+        stack.power_cycle().unwrap();
 
-        let dev2 = reopen(zns);
+        let dev2 = stack.device();
         assert_eq!(
             dev2.pending_jobs(),
             1,
@@ -2354,9 +2294,10 @@ mod tests {
 
     #[test]
     fn restart_resets_writable_keyspaces_and_reclaims_their_zones() {
-        let (dev, zns) = device_with_zns();
+        let mut stack = stack();
+        let dev = stack.device();
         let baseline_free = dev.zone_manager().free_zones();
-        let ks = create(&dev, "volatile");
+        let ks = create(dev, "volatile");
         for i in 0..200 {
             ok(dev.handle(KvCommand::Put {
                 ks,
@@ -2364,9 +2305,9 @@ mod tests {
                 value: value(i),
             }));
         }
-        drop(dev); // crash with unsynced buffered data
+        stack.power_cycle().unwrap(); // crash with unsynced buffered data
 
-        let dev2 = reopen(zns);
+        let dev2 = stack.device();
         match ok(dev2.handle(KvCommand::OpenKeyspace {
             name: "volatile".into(),
         })) {
@@ -2398,41 +2339,19 @@ mod tests {
         }
     }
 
-    fn device_with_wal(zns: &Arc<ZonedNamespace>) -> KvCsdDevice {
-        KvCsdDevice::new(
-            Arc::clone(zns),
-            CostModel::default(),
-            DeviceConfig {
-                cluster_width: 8,
-                soc_dram_bytes: 8 << 20,
-                seed: 1,
-                wal: true,
-                ..DeviceConfig::default()
-            },
-        )
-    }
-
-    fn reopen_with_wal(zns: Arc<ZonedNamespace>) -> KvCsdDevice {
-        KvCsdDevice::reopen(
-            zns,
-            CostModel::default(),
-            DeviceConfig {
-                cluster_width: 8,
-                soc_dram_bytes: 8 << 20,
-                seed: 1,
-                wal: true,
-                ..DeviceConfig::default()
-            },
-        )
-        .unwrap()
+    fn stack_with_wal() -> DeviceStack {
+        let cfg = DeviceConfig {
+            wal: true,
+            ..config(8 << 20)
+        };
+        DeviceStack::new(GEOM, ZnsConfig::default(), cfg)
     }
 
     #[test]
     fn wal_recovers_synced_writes_across_restart() {
-        let (dev0, zns) = device_with_zns();
-        drop(dev0);
-        let dev = device_with_wal(&zns);
-        let ks = create(&dev, "durable");
+        let mut stack = stack_with_wal();
+        let dev = stack.device();
+        let ks = create(dev, "durable");
         for i in 0..200 {
             ok(dev.handle(KvCommand::Put {
                 ks,
@@ -2448,9 +2367,9 @@ mod tests {
                 value: value(i),
             }));
         }
-        drop(dev); // crash: 200 synced + 30 unsynced (some may sit in full blocks)
+        stack.power_cycle().unwrap(); // crash: 200 synced + 30 unsynced (some may sit in full blocks)
 
-        let dev2 = reopen_with_wal(zns);
+        let dev2 = stack.device();
         let ks2 = match ok(dev2.handle(KvCommand::OpenKeyspace {
             name: "durable".into(),
         })) {
@@ -2493,10 +2412,9 @@ mod tests {
 
     #[test]
     fn unsynced_writes_may_be_lost_but_device_is_consistent() {
-        let (dev0, zns) = device_with_zns();
-        drop(dev0);
-        let dev = device_with_wal(&zns);
-        let ks = create(&dev, "torn");
+        let mut stack = stack_with_wal();
+        let dev = stack.device();
+        let ks = create(dev, "torn");
         // A couple of tiny writes, never synced: they fit in the WAL's
         // volatile tail and vanish.
         ok(dev.handle(KvCommand::Put {
@@ -2509,9 +2427,9 @@ mod tests {
             key: key(2),
             value: value(2),
         }));
-        drop(dev);
+        stack.power_cycle().unwrap();
 
-        let dev2 = reopen_with_wal(zns);
+        let dev2 = stack.device();
         let ks2 = match ok(dev2.handle(KvCommand::OpenKeyspace {
             name: "torn".into(),
         })) {
@@ -2541,11 +2459,10 @@ mod tests {
 
     #[test]
     fn compaction_releases_the_wal_cluster() {
-        let (dev0, zns) = device_with_zns();
-        drop(dev0);
-        let dev = device_with_wal(&zns);
+        let stack = stack_with_wal();
+        let dev = stack.device();
         let free0 = dev.zone_manager().free_zones();
-        let ks = create(&dev, "w");
+        let ks = create(dev, "w");
         for i in 0..100 {
             ok(dev.handle(KvCommand::Put {
                 ks,
@@ -2581,9 +2498,9 @@ mod tests {
 
     #[test]
     fn restart_on_fresh_device_is_fresh() {
-        let (dev, zns) = device_with_zns();
-        drop(dev); // never persisted anything
-        let dev2 = reopen(zns);
+        let mut stack = stack();
+        stack.power_cycle().unwrap(); // never persisted anything
+        let dev2 = stack.device();
         match ok(dev2.handle(KvCommand::ListKeyspaces)) {
             KvResponse::Keyspaces(l) => assert!(l.is_empty()),
             other => panic!("{other:?}"),
@@ -2592,7 +2509,7 @@ mod tests {
 
     #[test]
     fn every_table_mutation_persists() {
-        let (dev, _zns) = device_with_zns();
+        let dev = device();
         let n0 = dev.persisted_snapshots();
         let ks = create(&dev, "snap");
         assert!(dev.persisted_snapshots() > n0);
@@ -2611,23 +2528,10 @@ mod tests {
         assert!(dev.persisted_snapshots() > n3);
     }
 
-    /// Install a fault injector on a live device's NAND array.
-    fn arm_faults(dev: &KvCsdDevice, plan: kvcsd_sim::FaultPlan) -> Arc<kvcsd_sim::FaultInjector> {
-        let inj = Arc::new(kvcsd_sim::FaultInjector::new(plan));
-        dev.zone_manager()
-            .zns()
-            .nand()
-            .set_fault_injector(Some(Arc::clone(&inj)));
-        inj
-    }
-
-    fn disarm_faults(dev: &KvCsdDevice) {
-        dev.zone_manager().zns().nand().set_fault_injector(None);
-    }
-
     #[test]
     fn persistent_media_failure_degrades_keyspace_not_device() {
-        let dev = device();
+        let mut stack = stack();
+        let dev = Arc::clone(stack.device());
         let healthy = create(&dev, "healthy");
         load_and_compact(&dev, healthy, 100);
         let ks = create(&dev, "victim");
@@ -2640,8 +2544,7 @@ mod tests {
         }
         ok(dev.handle(KvCommand::Compact { ks }));
         // Arm a hard media failure only for the background job.
-        arm_faults(
-            &dev,
+        stack.arm(
             kvcsd_sim::FaultPlan {
                 seed: 9,
                 ..kvcsd_sim::FaultPlan::none()
@@ -2650,7 +2553,7 @@ mod tests {
             .with_persistent_fraction(1.0),
         );
         dev.run_pending_jobs();
-        disarm_faults(&dev);
+        stack.disarm();
         match ok(dev.handle(KvCommand::OpenKeyspace {
             name: "victim".into(),
         })) {
@@ -2676,7 +2579,8 @@ mod tests {
 
     #[test]
     fn degraded_keyspace_is_recompactable_once_media_recovers() {
-        let dev = device();
+        let mut stack = stack();
+        let dev = Arc::clone(stack.device());
         let ks = create(&dev, "heal");
         for i in 0..150 {
             ok(dev.handle(KvCommand::Put {
@@ -2686,8 +2590,7 @@ mod tests {
             }));
         }
         ok(dev.handle(KvCommand::Compact { ks }));
-        arm_faults(
-            &dev,
+        stack.arm(
             kvcsd_sim::FaultPlan {
                 seed: 5,
                 ..kvcsd_sim::FaultPlan::none()
@@ -2696,7 +2599,7 @@ mod tests {
             .with_persistent_fraction(1.0),
         );
         dev.run_pending_jobs();
-        disarm_faults(&dev);
+        stack.disarm();
         // The sealed logs survived the failed job: re-compact and query.
         ok(dev.handle(KvCommand::Compact { ks }));
         dev.run_pending_jobs();
@@ -2710,7 +2613,8 @@ mod tests {
 
     #[test]
     fn degraded_keyspace_is_deletable_and_releases_zones() {
-        let dev = device();
+        let mut stack = stack();
+        let dev = Arc::clone(stack.device());
         let free0 = dev.zone_manager().free_zones();
         let ks = create(&dev, "doomed");
         for i in 0..100 {
@@ -2721,8 +2625,7 @@ mod tests {
             }));
         }
         ok(dev.handle(KvCommand::Compact { ks }));
-        arm_faults(
-            &dev,
+        stack.arm(
             kvcsd_sim::FaultPlan {
                 seed: 11,
                 ..kvcsd_sim::FaultPlan::none()
@@ -2731,7 +2634,7 @@ mod tests {
             .with_persistent_fraction(1.0),
         );
         dev.run_pending_jobs();
-        disarm_faults(&dev);
+        stack.disarm();
         ok(dev.handle(KvCommand::DeleteKeyspace { ks }));
         assert_eq!(
             dev.zone_manager().free_zones(),
@@ -2742,7 +2645,8 @@ mod tests {
 
     #[test]
     fn transient_job_failures_are_retried_with_backoff() {
-        let dev = device();
+        let mut stack = stack();
+        let dev = Arc::clone(stack.device());
         let ks = create(&dev, "flaky");
         for i in 0..100 {
             ok(dev.handle(KvCommand::Put {
@@ -2757,8 +2661,7 @@ mod tests {
         };
         // Every op fails transiently: the job retries its full budget,
         // charges backoff to the ledger, then degrades the keyspace.
-        arm_faults(
-            &dev,
+        stack.arm(
             kvcsd_sim::FaultPlan {
                 seed: 2,
                 ..kvcsd_sim::FaultPlan::none()
@@ -2766,7 +2669,7 @@ mod tests {
             .with_error_prob(1.0),
         );
         dev.run_pending_jobs();
-        disarm_faults(&dev);
+        stack.disarm();
         assert_eq!(dev.soc().ledger().custom("dev_job_retries"), 4);
         assert!(dev.soc().ledger().custom("dev_job_backoff_ns") >= 50_000 * 15);
         match ok(dev.handle(KvCommand::PollJob { job })) {
@@ -2799,7 +2702,9 @@ mod tests {
             // Tight SoC DRAM (the ingest buffer plus 64 KiB) makes the
             // value sort spill, so the job reads its own run back after
             // it has allocated output clusters.
-            let dev = device_with_dram((192 << 10) + (64 << 10));
+            let cfg = config((192 << 10) + (64 << 10));
+            let mut stack = DeviceStack::new(GEOM, ZnsConfig::default(), cfg);
+            let dev = Arc::clone(stack.device());
             let ks = create(&dev, "leaky");
             for i in 0..3000 {
                 ok(dev.handle(KvCommand::Put {
@@ -2812,8 +2717,7 @@ mod tests {
             let free_sealed = dev.zone_manager().free_zones();
             // Fail reads with ~15% probability: compaction gets partway
             // through (allocating output clusters) before dying.
-            arm_faults(
-                &dev,
+            stack.arm(
                 kvcsd_sim::FaultPlan {
                     seed: 21,
                     read_error_prob: 0.15,
@@ -2822,7 +2726,7 @@ mod tests {
                 .with_persistent_fraction(1.0),
             );
             dev.run_pending_jobs();
-            disarm_faults(&dev);
+            stack.disarm();
             assert_eq!(
                 dev.stat(ks).unwrap().state,
                 KeyspaceState::Degraded,
@@ -2851,16 +2755,17 @@ mod tests {
 
     #[test]
     fn reopen_falls_back_to_previous_snapshot_generation() {
-        let (dev, zns) = device_with_zns();
-        let ks = create(&dev, "fallback");
-        load_and_compact(&dev, ks, 400);
-        drop(dev);
+        let mut stack = stack();
+        let dev = stack.device();
+        let ks = create(dev, "fallback");
+        load_and_compact(dev, ks, 400);
         // Append a CRC-valid but undecodable frame as the newest
         // generation (version byte 99): reopen must skip it.
-        let mut meta = MetaStore::new(Arc::clone(&zns), 0);
+        let mut meta = MetaStore::new(Arc::clone(stack.zns()), 0);
         meta.write(&[99u8, 1, 2, 3]).unwrap();
 
-        let dev2 = reopen(zns);
+        stack.power_cycle().unwrap();
+        let dev2 = stack.device();
         assert_eq!(
             dev2.soc()
                 .ledger()
@@ -2888,7 +2793,8 @@ mod tests {
 
     #[test]
     fn degraded_state_survives_restart() {
-        let (dev, zns) = device_with_zns();
+        let mut stack = stack();
+        let dev = Arc::clone(stack.device());
         let ks = create(&dev, "scar");
         for i in 0..120 {
             ok(dev.handle(KvCommand::Put {
@@ -2901,8 +2807,7 @@ mod tests {
         // Fail only reads: the compaction dies on its first klog read but
         // the device can still persist the DEGRADED state to the
         // metadata zone (appends are unaffected).
-        arm_faults(
-            &dev,
+        stack.arm(
             kvcsd_sim::FaultPlan {
                 seed: 31,
                 read_error_prob: 1.0,
@@ -2911,10 +2816,10 @@ mod tests {
             .with_persistent_fraction(1.0),
         );
         dev.run_pending_jobs();
-        disarm_faults(&dev);
-        drop(dev);
+        stack.disarm();
+        stack.power_cycle().unwrap();
 
-        let dev2 = reopen(zns);
+        let dev2 = stack.device();
         let ks2 = match ok(dev2.handle(KvCommand::OpenKeyspace {
             name: "scar".into(),
         })) {

@@ -29,7 +29,9 @@
 //! * [`device`] — [`KvCsdDevice`], the command processor implementing
 //!   [`kvcsd_proto::DeviceHandler`], with the deferred background-job
 //!   queue (compaction and index builds run asynchronously from the
-//!   host's perspective).
+//!   host's perspective);
+//! * [`stack`] — [`DeviceStack`], the one way to stand a device up over
+//!   NAND and ZNS, and to power-cycle it after an injected cut.
 //!
 //! All SoC CPU work is charged at `soc_slowdown` times host cost; all
 //! storage I/O goes through the real ZNS rules in `kvcsd-flash`.
@@ -49,6 +51,7 @@ pub mod query;
 pub mod sidx;
 pub mod snapshot;
 pub mod soc;
+pub mod stack;
 pub mod wal;
 pub mod zone_mgr;
 
@@ -57,6 +60,7 @@ pub use artifact::{ArtifactPayload, KeyspaceArtifacts, SidxArtifact};
 pub use device::{DeviceConfig, KvCsdDevice};
 pub use dram::{DramBudget, DramReservation};
 pub use error::DeviceError;
+pub use stack::DeviceStack;
 pub use zone_mgr::{BlockAddr, ClusterId, ZoneManager};
 
 /// Result alias for device-side operations.

@@ -7,11 +7,10 @@
 
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+use kvcsd::device::{DeviceConfig, DeviceStack};
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
 use kvcsd::proto::{Bound, DeviceHandler};
 use kvcsd::sim::config::SimConfig;
-use kvcsd::sim::IoLedger;
 use kvcsd_client::KvCsd;
 
 fn main() {
@@ -23,19 +22,13 @@ fn main() {
         pages_per_block: 16,
         page_bytes: cfg.hw.page_bytes,
     };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-    let device = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
-        DeviceConfig::default(),
-    ));
+    let stack = DeviceStack::new(geom, ZnsConfig::default(), DeviceConfig::default());
+    let (device, ledger) = (stack.device(), stack.ledger());
 
     // 2. Connect the lightweight client library.
     let client = KvCsd::connect(
-        Arc::clone(&device) as Arc<dyn DeviceHandler>,
-        Arc::clone(&ledger),
+        Arc::clone(device) as Arc<dyn DeviceHandler>,
+        Arc::clone(ledger),
     );
 
     // 3. Create a keyspace and bulk-insert some pairs.

@@ -10,12 +10,11 @@
 
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+use kvcsd::device::{DeviceConfig, DeviceStack};
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
 use kvcsd::proto::{Bound, DeviceHandler, SecondaryIndexSpec, SecondaryKeyType, SidxKey};
 use kvcsd::sim::config::SimConfig;
 use kvcsd::sim::stats::human_bytes;
-use kvcsd::sim::IoLedger;
 use kvcsd::workloads::vpic::{VpicDump, ENERGY_OFFSET};
 use kvcsd_client::KvCsd;
 
@@ -32,17 +31,11 @@ fn main() {
         pages_per_block: 16,
         page_bytes: cfg.hw.page_bytes,
     };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-    let device = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
-        DeviceConfig::default(),
-    ));
+    let stack = DeviceStack::new(geom, ZnsConfig::default(), DeviceConfig::default());
+    let (device, ledger) = (stack.device(), stack.ledger());
     let client = KvCsd::connect(
-        Arc::clone(&device) as Arc<dyn DeviceHandler>,
-        Arc::clone(&ledger),
+        Arc::clone(device) as Arc<dyn DeviceHandler>,
+        Arc::clone(ledger),
     );
 
     // --- Simulation output phase -------------------------------------------

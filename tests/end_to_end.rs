@@ -6,10 +6,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kvcsd::blockfs::{BlockFs, FsConfig};
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{
-    ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig, ZonedNamespace,
-};
+use kvcsd::device::{DeviceConfig, DeviceStack, KvCsdDevice};
+use kvcsd::flash::{ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig};
 use kvcsd::lsm::{CompactionMode, Db, Options};
 use kvcsd::proto::{Bound, DeviceHandler, SecondaryIndexSpec, SecondaryKeyType, SidxKey};
 use kvcsd::sim::config::SimConfig;
@@ -24,14 +22,8 @@ fn make_device() -> (Arc<KvCsdDevice>, KvCsd, Arc<IoLedger>) {
         pages_per_block: 16,
         page_bytes: cfg.hw.page_bytes,
     };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-    let dev = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
-        DeviceConfig::default(),
-    ));
+    let stack = DeviceStack::new(geom, ZnsConfig::default(), DeviceConfig::default());
+    let (dev, ledger) = (Arc::clone(stack.device()), Arc::clone(stack.ledger()));
     let client = KvCsd::connect(
         Arc::clone(&dev) as Arc<dyn DeviceHandler>,
         Arc::clone(&ledger),

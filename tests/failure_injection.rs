@@ -3,11 +3,10 @@
 
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+use kvcsd::device::{DeviceConfig, DeviceStack, KvCsdDevice};
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
 use kvcsd::proto::{Bound, DeviceHandler, KvStatus, SecondaryIndexSpec, SecondaryKeyType};
 use kvcsd::sim::config::SimConfig;
-use kvcsd::sim::IoLedger;
 use kvcsd_client::{ClientError, KvCsd};
 
 fn tiny_device(blocks_per_channel: u32) -> (Arc<KvCsdDevice>, KvCsd) {
@@ -18,26 +17,24 @@ fn tiny_device(blocks_per_channel: u32) -> (Arc<KvCsdDevice>, KvCsd) {
         pages_per_block: 16,
         page_bytes: cfg.hw.page_bytes,
     };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(
-        nand,
+    let stack = DeviceStack::new(
+        geom,
         ZnsConfig {
             zone_blocks: 1,
             max_open_zones: 1 << 16,
         },
-    ));
-    let dev = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
         DeviceConfig {
             cluster_width: 4,
             soc_dram_bytes: 16 << 20,
             seed: 11,
             ..DeviceConfig::default()
         },
-    ));
-    let client = KvCsd::connect(Arc::clone(&dev) as Arc<dyn DeviceHandler>, ledger);
+    );
+    let dev = Arc::clone(stack.device());
+    let client = KvCsd::connect(
+        Arc::clone(&dev) as Arc<dyn DeviceHandler>,
+        Arc::clone(stack.ledger()),
+    );
     (dev, client)
 }
 

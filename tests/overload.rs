@@ -24,11 +24,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kvcsd::device::{AdmissionConfig, DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+use kvcsd::device::{AdmissionConfig, DeviceConfig, DeviceStack, KvCsdDevice};
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
 use kvcsd::proto::{Bound, DeviceHandler, JobState, KeyspaceState, KvStatus};
-use kvcsd::sim::config::SimConfig;
-use kvcsd::sim::{IoLedger, VirtualClock, XorShift64};
+use kvcsd::sim::{VirtualClock, XorShift64};
 use kvcsd_client::{ClientError, KvCsd, RetryPolicy};
 
 /// Tight watermarks so a few hundred small puts cross every band. DRAM
@@ -50,27 +49,21 @@ fn tight_admission() -> AdmissionConfig {
 }
 
 struct Bed {
-    dev: Arc<KvCsdDevice>,
+    stack: DeviceStack,
     client: KvCsd,
     clock: Arc<VirtualClock>,
-    ledger: Arc<IoLedger>,
 }
 
 fn testbed(admission: AdmissionConfig, seed: u64) -> Bed {
-    let sim = SimConfig::default();
-    let geom = FlashGeometry {
-        channels: 8,
-        blocks_per_channel: 256,
-        pages_per_block: 16,
-        page_bytes: 4096,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &sim.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
     let clock = Arc::new(VirtualClock::new());
-    let dev = Arc::new(KvCsdDevice::new(
-        zns,
-        sim.cost,
+    let stack = DeviceStack::new(
+        FlashGeometry {
+            channels: 8,
+            blocks_per_channel: 256,
+            pages_per_block: 16,
+            page_bytes: 4096,
+        },
+        ZnsConfig::default(),
         DeviceConfig {
             cluster_width: 8,
             soc_dram_bytes: 8 << 20,
@@ -79,20 +72,19 @@ fn testbed(admission: AdmissionConfig, seed: u64) -> Bed {
             clock: Some(Arc::clone(&clock)),
             ..DeviceConfig::default()
         },
-    ));
+    );
     // No automatic retries: the harness wants to observe every raw
     // Stalled/Busy/DeadlineExceeded status the device hands back.
     let client = KvCsd::connect(
-        Arc::clone(&dev) as Arc<dyn DeviceHandler>,
-        Arc::clone(&ledger),
+        Arc::clone(stack.device()) as Arc<dyn DeviceHandler>,
+        Arc::clone(stack.ledger()),
     )
     .with_retry_policy(RetryPolicy::none())
     .with_clock(Arc::clone(&clock));
     Bed {
-        dev,
+        stack,
         client,
         clock,
-        ledger,
     }
 }
 
@@ -119,7 +111,7 @@ fn fast_write_stalls_engage_and_release() {
         warm.put(&key(i), &value(i, 64)).unwrap();
     }
     warm.compact().unwrap();
-    bed.dev.run_pending_jobs();
+    bed.stack.device().run_pending_jobs();
     assert_eq!(warm.get(&key(3)).unwrap(), value(3, 64));
 
     // Open-loop burst into one keyspace: 256 B values pile up compaction
@@ -148,11 +140,11 @@ fn fast_write_stalls_engage_and_release() {
         admitted > 0 && stalled >= 5,
         "{admitted} ok / {stalled} stalled"
     );
-    assert!(bed.dev.admission_gate().is_engaged());
-    assert!(bed.ledger.custom("dev_admission_stalls") >= u64::from(stalled));
-    assert!(bed.ledger.custom("dev_admission_slowdowns") > 0);
+    assert!(bed.stack.device().admission_gate().is_engaged());
+    assert!(bed.stack.ledger().custom("dev_admission_stalls") >= u64::from(stalled));
+    assert!(bed.stack.ledger().custom("dev_admission_slowdowns") > 0);
     // Stall time was charged to the virtual clock, never slept.
-    let waited = bed.ledger.custom("dev_admission_wait_ns");
+    let waited = bed.stack.ledger().custom("dev_admission_wait_ns");
     assert!(waited > 0);
     assert!(bed.clock.now_ns() >= waited);
 
@@ -162,11 +154,11 @@ fn fast_write_stalls_engage_and_release() {
     // Drain: compact the debt-laden keyspace, then a write against a
     // zero-debt keyspace samples below the low watermark and releases.
     burst.compact().unwrap();
-    bed.dev.run_pending_jobs();
+    bed.stack.device().run_pending_jobs();
     let fresh = bed.client.create_keyspace("fresh").unwrap();
     fresh.put(b"k", b"v").unwrap();
     assert!(
-        !bed.dev.admission_gate().is_engaged(),
+        !bed.stack.device().admission_gate().is_engaged(),
         "stall band must release once pressure drops below the low watermark"
     );
     // And the burst keyspace came out queryable: nothing admitted was lost.
@@ -198,14 +190,14 @@ fn fast_full_job_queue_rejects_then_drains() {
         k3.compact().unwrap_err(),
         ClientError::Device(KvStatus::Busy)
     );
-    assert!(bed.ledger.custom("dev_admission_rejects") >= 2);
+    assert!(bed.stack.ledger().custom("dev_admission_rejects") >= 2);
     // Busy is a back-off-and-retry signal, not a failure.
     assert!(ClientError::Device(KvStatus::Busy).is_retryable());
     // Drain the queue: the same commands are admitted again.
-    bed.dev.run_pending_jobs();
+    bed.stack.device().run_pending_jobs();
     k3.put(b"b", b"2").unwrap();
     let job = k3.compact().unwrap();
-    bed.dev.run_pending_jobs();
+    bed.stack.device().run_pending_jobs();
     assert_eq!(job.poll().unwrap(), JobState::Done);
 }
 
@@ -220,7 +212,7 @@ fn fast_deadlined_ops_never_complete_past_their_deadline() {
         reads.put(&key(i), &value(i, 64)).unwrap();
     }
     reads.compact().unwrap();
-    bed.dev.run_pending_jobs();
+    bed.stack.device().run_pending_jobs();
     let writes = bed.client.create_keyspace("writes").unwrap();
 
     let mut rng = XorShift64::new(0xDEAD);
@@ -271,7 +263,7 @@ fn expired_job_deadline_degrades_then_recovers() {
         .compact()
         .unwrap();
     bed.clock.advance(1_000); // the budget expires while the job queues
-    bed.dev.run_pending_jobs();
+    bed.stack.device().run_pending_jobs();
     assert!(
         matches!(job.poll().unwrap(), JobState::Failed(_)),
         "expired job must fail, not silently complete"
@@ -280,7 +272,7 @@ fn expired_job_deadline_degrades_then_recovers() {
     assert_eq!(state, KeyspaceState::Degraded);
     // Recovery: a fresh budget-free compact re-enters from the sealed logs.
     let retry = ks.compact().unwrap();
-    bed.dev.run_pending_jobs();
+    bed.stack.device().run_pending_jobs();
     assert_eq!(retry.poll().unwrap(), JobState::Done);
     for i in 0..64 {
         assert_eq!(ks.get(&key(i)).unwrap(), value(i, 128));
@@ -306,7 +298,7 @@ fn run_burst(seed: u64) -> (Vec<u8>, [u64; 4], u64) {
                 c.compact().map(drop)
             })(),
             1 => {
-                bed.dev.run_pending_jobs();
+                bed.stack.device().run_pending_jobs();
                 Ok(())
             }
             2 | 3 => w
@@ -326,10 +318,10 @@ fn run_burst(seed: u64) -> (Vec<u8>, [u64; 4], u64) {
         bed.clock.advance(rng.next_below(500));
     }
     let counters = [
-        bed.ledger.custom("dev_admission_slowdowns"),
-        bed.ledger.custom("dev_admission_stalls"),
-        bed.ledger.custom("dev_admission_rejects"),
-        bed.ledger.custom("dev_admission_wait_ns"),
+        bed.stack.ledger().custom("dev_admission_slowdowns"),
+        bed.stack.ledger().custom("dev_admission_stalls"),
+        bed.stack.ledger().custom("dev_admission_rejects"),
+        bed.stack.ledger().custom("dev_admission_wait_ns"),
     ];
     (trace, counters, bed.clock.now_ns())
 }
@@ -356,36 +348,28 @@ fn fast_same_seed_same_admission_decisions() {
 fn device_full_degrades_to_read_only_and_recovers() {
     // A deliberately tiny SSD: 2 channels x 16 blocks x 4 pages x 4 KiB
     // = 512 KiB raw, 32 single-block zones (2 reserved for metadata).
-    let sim = SimConfig::default();
-    let geom = FlashGeometry {
-        channels: 2,
-        blocks_per_channel: 16,
-        pages_per_block: 4,
-        page_bytes: 4096,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &sim.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(
-        nand,
+    let clock = Arc::new(VirtualClock::new());
+    let mut stack = DeviceStack::new(
+        FlashGeometry {
+            channels: 2,
+            blocks_per_channel: 16,
+            pages_per_block: 4,
+            page_bytes: 4096,
+        },
         ZnsConfig {
             zone_blocks: 1,
             max_open_zones: 1 << 16,
         },
-    ));
-    let clock = Arc::new(VirtualClock::new());
-    let cfg = DeviceConfig {
-        cluster_width: 2,
-        soc_dram_bytes: 8 << 20,
-        seed: 19,
-        admission: AdmissionConfig::permissive(),
-        clock: Some(Arc::clone(&clock)),
-        ..DeviceConfig::default()
-    };
-    let dev = Arc::new(KvCsdDevice::new(
-        Arc::clone(&zns),
-        sim.cost.clone(),
-        cfg.clone(),
-    ));
+        DeviceConfig {
+            cluster_width: 2,
+            soc_dram_bytes: 8 << 20,
+            seed: 19,
+            admission: AdmissionConfig::permissive(),
+            clock: Some(Arc::clone(&clock)),
+            ..DeviceConfig::default()
+        },
+    );
+    let ledger = Arc::clone(stack.ledger());
     let connect = |dev: &Arc<KvCsdDevice>| {
         KvCsd::connect(
             Arc::clone(dev) as Arc<dyn DeviceHandler>,
@@ -393,7 +377,7 @@ fn device_full_degrades_to_read_only_and_recovers() {
         )
         .with_retry_policy(RetryPolicy::none())
     };
-    let client = connect(&dev);
+    let client = connect(stack.device());
 
     // A filler keyspace eats most of the device; deleting it later is how
     // space gets reclaimed.
@@ -445,12 +429,12 @@ fn device_full_degrades_to_read_only_and_recovers() {
 
     // The frozen state survives a power cycle: the seal was persisted.
     drop((client, filler, victim));
-    let dev = Arc::new(
-        KvCsdDevice::reopen(Arc::clone(&zns), sim.cost.clone(), cfg.clone())
-            .expect("reopen of a full device must succeed"),
-    );
+    stack
+        .power_cycle()
+        .expect("reopen of a full device must succeed");
+    let dev = stack.device();
     dev.run_pending_jobs();
-    let client = connect(&dev);
+    let client = connect(dev);
     let (victim, state) = client.open_keyspace("victim").unwrap();
     assert_eq!(state, KeyspaceState::ReadOnly, "freeze lost across reopen");
 
@@ -476,11 +460,10 @@ fn device_full_degrades_to_read_only_and_recovers() {
 
     // And the recovery itself is durable: reopen once more and re-check.
     drop((client, victim));
-    let dev = Arc::new(
-        KvCsdDevice::reopen(Arc::clone(&zns), sim.cost, cfg).expect("second reopen must succeed"),
-    );
+    stack.power_cycle().expect("second reopen must succeed");
+    let dev = stack.device();
     dev.run_pending_jobs();
-    let client = connect(&dev);
+    let client = connect(dev);
     let (victim, state) = client.open_keyspace("victim").unwrap();
     assert_eq!(state, KeyspaceState::Compacted);
     for (k, v) in acked.iter().take(8).chain(acked.iter().rev().take(8)) {

@@ -14,11 +14,10 @@
 
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+use kvcsd::device::{DeviceConfig, DeviceStack};
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
 use kvcsd::proto::{DeviceHandler, JobState, KvCommand, KvResponse, KvStatus, QueuePair};
-use kvcsd::sim::config::{CostModel, SimConfig};
-use kvcsd::sim::{FaultInjector, FaultPlan, IoLedger, VirtualClock};
+use kvcsd::sim::{FaultInjector, FaultPlan, VirtualClock};
 use kvcsd_client::{ClientError, InflightWindow, KvCsd, RetryPolicy};
 
 const PAIRS: u32 = 600;
@@ -43,62 +42,35 @@ fn value_for(key: &[u8]) -> Vec<u8> {
 
 /// Minimal crash-recovery stack (the torture harness's skeleton).
 struct Stack {
-    cost: CostModel,
-    cfg: DeviceConfig,
-    ledger: Arc<IoLedger>,
-    zns: Arc<ZonedNamespace>,
+    stack: DeviceStack,
     inj: Arc<FaultInjector>,
-    dev: Arc<KvCsdDevice>,
     client: KvCsd,
-    crashes: u64,
 }
 
 impl Stack {
     fn new(plan: FaultPlan) -> Self {
-        let sim = SimConfig::default();
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 256,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(geom, &sim.hw, Arc::clone(&ledger)));
-        let zns = Arc::new(ZonedNamespace::new(
-            nand,
+        let mut stack = DeviceStack::new(
+            FlashGeometry {
+                channels: 8,
+                blocks_per_channel: 256,
+                pages_per_block: 16,
+                page_bytes: 4096,
+            },
             ZnsConfig {
                 zone_blocks: 1,
                 max_open_zones: 1 << 16,
             },
-        ));
-        let cfg = DeviceConfig {
-            cluster_width: 8,
-            soc_dram_bytes: 8 << 20,
-            seed: 11,
-            wal: true,
-            ..DeviceConfig::default()
-        };
-        let dev = Arc::new(KvCsdDevice::new(
-            Arc::clone(&zns),
-            sim.cost.clone(),
-            cfg.clone(),
-        ));
-        let client = KvCsd::connect(
-            Arc::clone(&dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&ledger),
+            DeviceConfig {
+                cluster_width: 8,
+                soc_dram_bytes: 8 << 20,
+                seed: 11,
+                wal: true,
+                ..DeviceConfig::default()
+            },
         );
-        let inj = Arc::new(FaultInjector::new(plan));
-        zns.nand().set_fault_injector(Some(Arc::clone(&inj)));
-        Self {
-            cost: sim.cost,
-            cfg,
-            ledger,
-            zns,
-            inj,
-            dev,
-            client,
-            crashes: 0,
-        }
+        let client = connect(&stack);
+        let inj = stack.arm(plan);
+        Self { stack, inj, client }
     }
 
     /// Power-cycle after an injected cut: reopen from flash fault-free.
@@ -107,18 +79,19 @@ impl Stack {
             || matches!(err, ClientError::RetriesExhausted { .. })
             || self.inj.is_powered_off();
         assert!(expected, "unexpected error under power-cut plan: {err:?}");
-        self.crashes += 1;
-        self.zns.nand().set_fault_injector(None);
-        self.inj.power_restore();
-        let dev = KvCsdDevice::reopen(Arc::clone(&self.zns), self.cost.clone(), self.cfg.clone())
+        self.stack
+            .power_cycle()
             .expect("fault-free recovery must succeed");
-        dev.run_pending_jobs();
-        self.dev = Arc::new(dev);
-        self.client = KvCsd::connect(
-            Arc::clone(&self.dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&self.ledger),
-        );
+        self.stack.device().run_pending_jobs();
+        self.client = connect(&self.stack);
     }
+}
+
+fn connect(stack: &DeviceStack) -> KvCsd {
+    KvCsd::connect(
+        Arc::clone(stack.device()) as Arc<dyn DeviceHandler>,
+        Arc::clone(stack.ledger()),
+    )
 }
 
 /// One sweep member: accelerated ingest with a power cut at flash op
@@ -173,7 +146,7 @@ fn run_power_cut(cut_at: u64, seed: u64) -> bool {
     // survivors are sealed first (fault-free — the plan's single cut
     // has fired or is disarmed). If the cut predated keyspace creation
     // there is nothing to check; nothing was ever reported durable.
-    t.zns.nand().set_fault_injector(None);
+    t.stack.disarm();
     match t.client.open_keyspace(name) {
         Ok((ks, _)) => {
             let job = match ks.compact() {
@@ -184,7 +157,7 @@ fn run_power_cut(cut_at: u64, seed: u64) -> bool {
                 }
             };
             loop {
-                t.dev.run_pending_jobs();
+                t.stack.device().run_pending_jobs();
                 match job.poll().expect("poll recovery compaction") {
                     JobState::Done => break,
                     JobState::Failed(e) => panic!("recovery compaction failed: {e}"),
@@ -242,8 +215,8 @@ fn out_of_order_completions_match_under_seeded_faults() {
     let t = Stack::new(plan);
     let clock = Arc::new(VirtualClock::new());
     let qp = QueuePair::new(
-        Arc::clone(&t.dev) as Arc<dyn DeviceHandler>,
-        Arc::clone(&t.ledger),
+        Arc::clone(t.stack.device()) as Arc<dyn DeviceHandler>,
+        Arc::clone(t.stack.ledger()),
     )
     .with_pipeline(Arc::clone(&clock), 16, 4, None);
     let win = InflightWindow::new(qp, RetryPolicy::default(), clock);
@@ -273,13 +246,13 @@ fn out_of_order_completions_match_under_seeded_faults() {
     // Every pair matched its own completion: the values must all be
     // present and byte-exact despite retries and reordering. Gets need
     // a compacted keyspace; seal fault-free.
-    t.zns.nand().set_fault_injector(None);
+    t.stack.disarm();
     let job = match win.call(None, KvCommand::Compact { ks }) {
         Ok(KvResponse::JobStarted { job }) => job,
         other => panic!("compact: {other:?}"),
     };
     loop {
-        t.dev.run_pending_jobs();
+        t.stack.device().run_pending_jobs();
         match win.call(None, KvCommand::PollJob { job }) {
             Ok(KvResponse::Job {
                 state: JobState::Done,
@@ -308,8 +281,8 @@ fn ingest_schedule(seed: u64) -> (u64, Vec<u64>) {
     let t = Stack::new(plan);
     let clock = Arc::new(VirtualClock::new());
     let qp = QueuePair::new(
-        Arc::clone(&t.dev) as Arc<dyn DeviceHandler>,
-        Arc::clone(&t.ledger),
+        Arc::clone(t.stack.device()) as Arc<dyn DeviceHandler>,
+        Arc::clone(t.stack.ledger()),
     )
     .with_pipeline(Arc::clone(&clock), 16, 4, None);
     let win = InflightWindow::new(qp, RetryPolicy::default(), Arc::clone(&clock));

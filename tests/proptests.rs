@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kvcsd::blockfs::{BlockFs, FsConfig};
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
+use kvcsd::device::{DeviceConfig, DeviceStack, KvCsdDevice};
 use kvcsd::flash::{
     ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig, ZonedNamespace,
 };
@@ -30,28 +30,24 @@ fn geom(blocks_per_channel: u32) -> FlashGeometry {
 }
 
 fn make_device() -> (Arc<KvCsdDevice>, KvCsd) {
-    let cfg = SimConfig::default();
-    let g = geom(512);
-    let ledger = Arc::new(IoLedger::new(g.channels, g.page_bytes));
-    let nand = Arc::new(NandArray::new(g, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(
-        nand,
+    let stack = DeviceStack::new(
+        geom(512),
         ZnsConfig {
             zone_blocks: 1,
             max_open_zones: 1 << 16,
         },
-    ));
-    let dev = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
         DeviceConfig {
             cluster_width: 8,
             soc_dram_bytes: 8 << 20,
             seed: 5,
             ..DeviceConfig::default()
         },
-    ));
-    let client = KvCsd::connect(Arc::clone(&dev) as Arc<dyn DeviceHandler>, ledger);
+    );
+    let dev = Arc::clone(stack.device());
+    let client = KvCsd::connect(
+        Arc::clone(&dev) as Arc<dyn DeviceHandler>,
+        Arc::clone(stack.ledger()),
+    );
     (dev, client)
 }
 

@@ -27,14 +27,12 @@
 use std::sync::Arc;
 use std::thread;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+use kvcsd::device::{DeviceConfig, DeviceStack, KvCsdDevice};
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
 use kvcsd::proto::{
     Bound, DeviceHandler, JobState, KeyspaceState, SecondaryIndexSpec, SecondaryKeyType,
 };
-use kvcsd::sim::config::SimConfig;
 use kvcsd::sim::sync::{spawn, Mutex, Shared};
-use kvcsd::sim::IoLedger;
 use kvcsd_client::KvCsd;
 
 const WRITERS: usize = 3;
@@ -74,35 +72,30 @@ fn sidx_spec() -> SecondaryIndexSpec {
 }
 
 fn build_stack() -> (Arc<KvCsdDevice>, KvCsd) {
-    let sim = SimConfig::default();
-    let geom = FlashGeometry {
-        channels: 8,
-        blocks_per_channel: 256,
-        pages_per_block: 16,
-        page_bytes: 4096,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &sim.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(
-        nand,
+    let stack = DeviceStack::new(
+        FlashGeometry {
+            channels: 8,
+            blocks_per_channel: 256,
+            pages_per_block: 16,
+            page_bytes: 4096,
+        },
         ZnsConfig {
             zone_blocks: 1,
             max_open_zones: 1 << 16,
         },
-    ));
-    let cfg = DeviceConfig {
-        cluster_width: 8,
-        soc_dram_bytes: 8 << 20,
-        seed: 23,
-        wal: true,
-        ..DeviceConfig::default()
-    };
-    let dev = Arc::new(KvCsdDevice::new(Arc::clone(&zns), sim.cost.clone(), cfg));
-    let client = KvCsd::connect(
-        Arc::clone(&dev) as Arc<dyn DeviceHandler>,
-        Arc::clone(&ledger),
+        DeviceConfig {
+            cluster_width: 8,
+            soc_dram_bytes: 8 << 20,
+            seed: 23,
+            wal: true,
+            ..DeviceConfig::default()
+        },
     );
-    (dev, client)
+    let client = KvCsd::connect(
+        Arc::clone(stack.device()) as Arc<dyn DeviceHandler>,
+        Arc::clone(stack.ledger()),
+    );
+    (Arc::clone(stack.device()), client)
 }
 
 /// One writer's life: for each of its keyspaces, ingest with periodic

@@ -21,13 +21,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+use kvcsd::device::{DeviceConfig, DeviceStack};
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
 use kvcsd::proto::{
     Bound, DeviceHandler, JobState, KeyspaceState, KvStatus, SecondaryIndexSpec, SecondaryKeyType,
 };
-use kvcsd::sim::config::{CostModel, SimConfig};
-use kvcsd::sim::{FaultEvent, FaultInjector, FaultPlan, IoLedger, XorShift64};
+use kvcsd::sim::{FaultEvent, FaultInjector, FaultPlan, XorShift64};
 use kvcsd_client::{ClientError, Keyspace, KvCsd};
 
 const ROUNDS: usize = 2;
@@ -78,12 +77,8 @@ struct Report {
 }
 
 struct Torture {
-    cost: CostModel,
-    cfg: DeviceConfig,
-    ledger: Arc<IoLedger>,
-    zns: Arc<ZonedNamespace>,
+    stack: DeviceStack,
     inj: Arc<FaultInjector>,
-    dev: Arc<KvCsdDevice>,
     client: KvCsd,
     crashes: u64,
     /// Keyspaces that reached COMPACTED, with their full content.
@@ -92,49 +87,39 @@ struct Torture {
 
 type Pairs = BTreeMap<Vec<u8>, Vec<u8>>;
 
+fn connect(stack: &DeviceStack) -> KvCsd {
+    KvCsd::connect(
+        Arc::clone(stack.device()) as Arc<dyn DeviceHandler>,
+        Arc::clone(stack.ledger()),
+    )
+}
+
 impl Torture {
     fn new(plan: FaultPlan) -> Self {
-        let sim = SimConfig::default();
-        let geom = FlashGeometry {
-            channels: 8,
-            blocks_per_channel: 256,
-            pages_per_block: 16,
-            page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(geom, &sim.hw, Arc::clone(&ledger)));
-        let zns = Arc::new(ZonedNamespace::new(
-            nand,
+        let mut stack = DeviceStack::new(
+            FlashGeometry {
+                channels: 8,
+                blocks_per_channel: 256,
+                pages_per_block: 16,
+                page_bytes: 4096,
+            },
             ZnsConfig {
                 zone_blocks: 1,
                 max_open_zones: 1 << 16,
             },
-        ));
-        let cfg = DeviceConfig {
-            cluster_width: 8,
-            soc_dram_bytes: 8 << 20,
-            seed: 11,
-            wal: true,
-            ..DeviceConfig::default()
-        };
-        let dev = Arc::new(KvCsdDevice::new(
-            Arc::clone(&zns),
-            sim.cost.clone(),
-            cfg.clone(),
-        ));
-        let client = KvCsd::connect(
-            Arc::clone(&dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&ledger),
+            DeviceConfig {
+                cluster_width: 8,
+                soc_dram_bytes: 8 << 20,
+                seed: 11,
+                wal: true,
+                ..DeviceConfig::default()
+            },
         );
-        let inj = Arc::new(FaultInjector::new(plan));
-        zns.nand().set_fault_injector(Some(Arc::clone(&inj)));
+        let client = connect(&stack);
+        let inj = stack.arm(plan);
         Self {
-            cost: sim.cost,
-            cfg,
-            ledger,
-            zns,
+            stack,
             inj,
-            dev,
             client,
             crashes: 0,
             completed: Vec::new(),
@@ -143,9 +128,7 @@ impl Torture {
 
     fn rearm(&self) {
         if self.crashes < MAX_CUTS {
-            self.zns
-                .nand()
-                .set_fault_injector(Some(Arc::clone(&self.inj)));
+            self.stack.rearm();
         }
     }
 
@@ -166,16 +149,11 @@ impl Torture {
     /// jobs, and re-check that every COMPACTED keyspace survived.
     fn recover(&mut self) {
         self.crashes += 1;
-        self.zns.nand().set_fault_injector(None);
-        self.inj.power_restore();
-        let dev = KvCsdDevice::reopen(Arc::clone(&self.zns), self.cost.clone(), self.cfg.clone())
+        self.stack
+            .power_cycle()
             .expect("fault-free recovery must succeed");
-        dev.run_pending_jobs();
-        self.dev = Arc::new(dev);
-        self.client = KvCsd::connect(
-            Arc::clone(&self.dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&self.ledger),
-        );
+        self.stack.device().run_pending_jobs();
+        self.client = connect(&self.stack);
         for (name, data) in &self.completed {
             let (ks, state) = self.client.open_keyspace(name).unwrap();
             assert_eq!(
@@ -241,7 +219,7 @@ impl Torture {
         }
         if state != KeyspaceState::Compacted {
             let job = ks.compact().unwrap();
-            self.dev.run_pending_jobs();
+            self.stack.device().run_pending_jobs();
             assert_eq!(
                 job.poll().unwrap(),
                 JobState::Done,
@@ -283,7 +261,7 @@ impl Torture {
             match state {
                 KeyspaceState::Compacted => return,
                 KeyspaceState::Compacting => {
-                    self.dev.run_pending_jobs();
+                    self.stack.device().run_pending_jobs();
                     if self.inj.is_powered_off() {
                         self.recover();
                         self.rearm();
@@ -291,7 +269,7 @@ impl Torture {
                 }
                 _ => match ks.compact() {
                     Ok(job) => {
-                        self.dev.run_pending_jobs();
+                        self.stack.device().run_pending_jobs();
                         match job.poll() {
                             Ok(JobState::Done) => {}
                             Ok(JobState::Failed(_)) => {
@@ -321,7 +299,7 @@ impl Torture {
                     // A cut between the seal and its persist can leave the
                     // keyspace COMPACTING in memory: just run the job.
                     Err(ClientError::Device(KvStatus::BadKeyspaceState { .. })) => {
-                        self.dev.run_pending_jobs();
+                        self.stack.device().run_pending_jobs();
                     }
                     Err(e) => {
                         self.crash(&e);
@@ -350,7 +328,7 @@ impl Torture {
             }
             match ks.build_secondary_index(sidx_spec()) {
                 Ok(job) => {
-                    self.dev.run_pending_jobs();
+                    self.stack.device().run_pending_jobs();
                     match job.poll() {
                         Ok(JobState::Done) => {}
                         Ok(JobState::Failed(_)) => {
@@ -383,7 +361,7 @@ impl Torture {
             if state == KeyspaceState::Compacted {
                 return ks;
             }
-            self.dev.run_pending_jobs();
+            self.stack.device().run_pending_jobs();
             if self.inj.is_powered_off() {
                 self.recover();
                 self.rearm();
@@ -519,7 +497,7 @@ fn run_torture(plan: FaultPlan, strict_scan: bool) -> Report {
         crashes: t.crashes,
         final_ops: t.inj.ops(),
         events: t.inj.events(),
-        wal_replayed: t.ledger.custom("dev_wal_replayed_records"),
+        wal_replayed: t.stack.ledger().custom("dev_wal_replayed_records"),
         digest,
     }
 }
@@ -676,7 +654,7 @@ fn recover_and_check(t: &mut Torture, data: &Pairs, what: &str) {
         let job = ks
             .compact()
             .unwrap_or_else(|e| panic!("{what}: re-compact from {state:?}: {e}"));
-        t.dev.run_pending_jobs();
+        t.stack.device().run_pending_jobs();
         assert_eq!(
             job.poll().unwrap(),
             JobState::Done,
@@ -704,11 +682,11 @@ fn power_cut_at_every_op_of_one_compaction() {
         let start = t.inj.ops();
         let (ks, _) = t.client.open_keyspace("sweep").unwrap();
         let job = ks.compact().unwrap();
-        t.dev.run_pending_jobs();
+        t.stack.device().run_pending_jobs();
         assert_eq!(job.poll().unwrap(), JobState::Done);
         let ops = t.inj.ops() - start;
         assert_eq!(
-            t.ledger.custom("dev_run_merge_compactions"),
+            t.stack.ledger().custom("dev_run_merge_compactions"),
             run_merges,
             "{how:?} took the wrong path"
         );
@@ -721,7 +699,7 @@ fn power_cut_at_every_op_of_one_compaction() {
             assert_eq!(t.inj.ops(), start, "{what}: load is not deterministic");
             let (ks, _) = t.client.open_keyspace("sweep").unwrap();
             if ks.compact().is_ok() {
-                t.dev.run_pending_jobs();
+                t.stack.device().run_pending_jobs();
             }
             assert!(t.inj.is_powered_off(), "{what}: the cut never fired");
             recover_and_check(&mut t, &data, &what);
@@ -748,7 +726,7 @@ fn power_cut_after_mth_fsync_replays_the_wal() {
         t.inj.power_off_now();
         recover_and_check(&mut t, &data, &format!("cut after fsync {m}"));
         assert_eq!(
-            t.ledger.custom("dev_wal_replayed_records"),
+            t.stack.ledger().custom("dev_wal_replayed_records"),
             (m * EVERY) as u64,
             "fsync {m}"
         );
@@ -765,7 +743,7 @@ fn power_cut_at_every_op_of_a_delete() {
         let data = load_synced(&t, Ingest::Accelerated);
         let (ks, _) = t.client.open_keyspace("sweep").unwrap();
         let job = ks.compact().unwrap();
-        t.dev.run_pending_jobs();
+        t.stack.device().run_pending_jobs();
         assert_eq!(job.poll().unwrap(), JobState::Done);
         (t, ks, data)
     };
@@ -792,6 +770,10 @@ fn power_cut_at_every_op_of_a_delete() {
                 "cut at op {m}: {e:?}"
             ),
         }
-        assert_eq!(t.dev.zone_manager().cluster_count(), 0, "cut at op {m}");
+        assert_eq!(
+            t.stack.device().zone_manager().cluster_count(),
+            0,
+            "cut at op {m}"
+        );
     }
 }
