@@ -21,12 +21,15 @@
 //! in the debug profile, lock-order detector armed); the rest ride in the
 //! full `cargo test` sweep.
 
-use std::collections::BTreeMap;
+mod contract;
+
 use std::sync::Arc;
 
-use kvcsd::device::{AdmissionConfig, DeviceConfig, DeviceStack, KvCsdDevice};
+use contract::{connect, found, value_for, Contract};
+
+use kvcsd::device::{AdmissionConfig, DeviceConfig, DeviceStack};
 use kvcsd::flash::{FlashGeometry, ZnsConfig};
-use kvcsd::proto::{Bound, DeviceHandler, JobState, KeyspaceState, KvStatus};
+use kvcsd::proto::{JobState, KeyspaceState, KvStatus};
 use kvcsd::sim::{VirtualClock, XorShift64};
 use kvcsd_client::{ClientError, KvCsd, RetryPolicy};
 
@@ -75,12 +78,9 @@ fn testbed(admission: AdmissionConfig, seed: u64) -> Bed {
     );
     // No automatic retries: the harness wants to observe every raw
     // Stalled/Busy/DeadlineExceeded status the device hands back.
-    let client = KvCsd::connect(
-        Arc::clone(stack.device()) as Arc<dyn DeviceHandler>,
-        Arc::clone(stack.ledger()),
-    )
-    .with_retry_policy(RetryPolicy::none())
-    .with_clock(Arc::clone(&clock));
+    let client = connect(&stack)
+        .with_retry_policy(RetryPolicy::none())
+        .with_clock(Arc::clone(&clock));
     Bed {
         stack,
         client,
@@ -93,9 +93,7 @@ fn key(i: u32) -> Vec<u8> {
 }
 
 fn value(i: u32, len: usize) -> Vec<u8> {
-    let mut v = vec![(i % 251) as u8; len.max(8)];
-    v[..4].copy_from_slice(&i.to_le_bytes());
-    v
+    value_for(&key(i), len)
 }
 
 /// Stalls engage at the debt high watermark, persist while pressure stays
@@ -370,14 +368,7 @@ fn device_full_degrades_to_read_only_and_recovers() {
         },
     );
     let ledger = Arc::clone(stack.ledger());
-    let connect = |dev: &Arc<KvCsdDevice>| {
-        KvCsd::connect(
-            Arc::clone(dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&ledger),
-        )
-        .with_retry_policy(RetryPolicy::none())
-    };
-    let client = connect(stack.device());
+    let client = connect(&stack).with_retry_policy(RetryPolicy::none());
 
     // A filler keyspace eats most of the device; deleting it later is how
     // space gets reclaimed.
@@ -389,16 +380,15 @@ fn device_full_degrades_to_read_only_and_recovers() {
     }
 
     // The victim ingests until the flash runs dry. Every acknowledged
-    // pair is tracked — none may be lost.
+    // pair is in the model — none may be lost.
+    let mut model = Contract::default();
     let victim = client.create_keyspace("victim").unwrap();
-    let mut acked: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    model.create("victim");
     let mut full_err = None;
     for i in 1000..3000u32 {
         let (k, v) = (key(i), value(i, 512));
         match victim.put(&k, &v) {
-            Ok(()) => {
-                acked.insert(k, v);
-            }
+            Ok(()) => model.put("victim", &k, &v),
             Err(e) => {
                 full_err = Some(e);
                 break;
@@ -410,12 +400,15 @@ fn device_full_degrades_to_read_only_and_recovers() {
         full_err.is_degraded(),
         "exhaustion must surface as a degraded-mode error, got {full_err:?}"
     );
-    assert!(!acked.is_empty(), "victim never ingested anything");
 
-    // Graceful degradation: the victim froze to READ_ONLY, and further
-    // writes fail fast with a typed state error.
+    // Graceful degradation: the victim froze to READ_ONLY — a durability
+    // point for every acked pair — and further writes fail fast with a
+    // typed state error.
+    model.freeze("victim");
+    let acked = model.durable("victim");
+    assert!(!acked.is_empty(), "victim never ingested anything");
     let (_, state) = client.open_keyspace("victim").unwrap();
-    assert_eq!(state, KeyspaceState::ReadOnly);
+    model.check_state("victim", Some(state));
     let err = victim.put(b"late", b"write").unwrap_err();
     assert_eq!(
         err,
@@ -429,14 +422,15 @@ fn device_full_degrades_to_read_only_and_recovers() {
 
     // The frozen state survives a power cycle: the seal was persisted.
     drop((client, filler, victim));
+    model.power_cut();
     stack
         .power_cycle()
         .expect("reopen of a full device must succeed");
     let dev = stack.device();
     dev.run_pending_jobs();
-    let client = connect(dev);
+    let client = connect(&stack).with_retry_policy(RetryPolicy::none());
     let (victim, state) = client.open_keyspace("victim").unwrap();
-    assert_eq!(state, KeyspaceState::ReadOnly, "freeze lost across reopen");
+    model.check_state("victim", Some(state));
 
     // Reclaim space, then recover the victim through a fresh compaction.
     let (filler, _) = client.open_keyspace("filler").unwrap();
@@ -448,25 +442,22 @@ fn device_full_degrades_to_read_only_and_recovers() {
         JobState::Done,
         "re-compaction after space reclaim must succeed"
     );
+    model.seal("victim");
     let (_, state) = client.open_keyspace("victim").unwrap();
-    assert_eq!(state, KeyspaceState::Compacted);
-    for (k, v) in &acked {
-        assert_eq!(&victim.get(k).unwrap(), v, "acknowledged pair {k:?} lost");
-    }
-    let scan = victim
-        .range(Bound::Unbounded, Bound::Unbounded, None)
-        .unwrap();
-    assert_eq!(scan.len(), acked.len());
+    model.check_state("victim", Some(state));
+    model.check_all("victim", &victim);
 
     // And the recovery itself is durable: reopen once more and re-check.
     drop((client, victim));
+    model.power_cut();
     stack.power_cycle().expect("second reopen must succeed");
     let dev = stack.device();
     dev.run_pending_jobs();
-    let client = connect(dev);
+    let client = connect(&stack).with_retry_policy(RetryPolicy::none());
     let (victim, state) = client.open_keyspace("victim").unwrap();
-    assert_eq!(state, KeyspaceState::Compacted);
-    for (k, v) in acked.iter().take(8).chain(acked.iter().rev().take(8)) {
-        assert_eq!(&victim.get(k).unwrap(), v, "pair {k:?} lost after reopen");
+    model.check_state("victim", Some(state));
+    for k in acked.iter().take(8).chain(acked.iter().rev().take(8)) {
+        let got = found(victim.get(k)).unwrap();
+        model.check_get("victim", k, got.as_deref());
     }
 }

@@ -20,168 +20,29 @@
 //! The `fast_` tests are the CI torture subset (run under `KVCSD_RACE=on`
 //! and perturbation seeds); the sweeps run with the tier-1 suite.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+mod contract;
 
-use kvcsd::cluster::{ClusterConfig, ClusterRouter, ShardHealth};
-use kvcsd::proto::{Bound, DeviceHandler, JobState, KvCommand, KvResponse, KvStatus};
+use contract::{value_for, Fleet};
+use kvcsd::cluster::ClusterConfig;
+use kvcsd::proto::{DeviceHandler, KvCommand, KvResponse, KvStatus};
 use kvcsd::sim::FaultPlan;
 
 const SHARDS: u32 = 2;
 const PAIRS_PER_BATCH: u32 = 40;
+const VALUE_LEN: usize = 20;
 
-/// The value is a pure function of the key, so a torn or half-applied
-/// pair that becomes visible is caught by recomputation.
-fn value_for(key: &[u8]) -> Vec<u8> {
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    for &b in key {
-        x ^= b as u64;
-        x = x.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut v = vec![0u8; 20];
-    for (i, slot) in v.iter_mut().enumerate() {
-        *slot = ((x >> ((i % 8) * 8)) as u8).wrapping_add(i as u8);
-    }
-    v
-}
-
-fn router(plan: FaultPlan, shards: u32, partition_failover: bool) -> Arc<ClusterRouter> {
-    Arc::new(ClusterRouter::new(ClusterConfig {
-        shards,
-        fault_plan: plan,
-        partition_failover,
-        ..ClusterConfig::default()
-    }))
-}
-
-/// Drive one command through the router, absorbing the two retryable
-/// fencing bounces exactly the way the client's fail-fast redirect does:
-/// `FailoverInProgress` while a promotion swaps the primary, and
-/// `EpochFenced` when the command raced the swap onto the deposed one.
-fn drive(r: &ClusterRouter, mut make: impl FnMut() -> KvCommand) -> Result<KvResponse, KvStatus> {
-    for _ in 0..24 {
-        match r.handle(make()) {
-            KvResponse::Err(KvStatus::FailoverInProgress { .. })
-            | KvResponse::Err(KvStatus::EpochFenced { .. }) => continue,
-            KvResponse::Err(e) => return Err(e),
-            resp => return Ok(resp),
-        }
-    }
-    panic!("command did not settle after 24 fencing redirects");
-}
-
-/// Submit COMPACT and poll to a terminal state. `false` on failure.
-fn compact_to_done(r: &ClusterRouter, ks: u32) -> bool {
-    let job = match drive(r, || KvCommand::Compact { ks }) {
-        Ok(KvResponse::JobStarted { job }) => job,
-        _ => return false,
-    };
-    for _ in 0..64 {
-        match drive(r, || KvCommand::PollJob { job }) {
-            Ok(KvResponse::Job {
-                state: JobState::Done,
-            }) => return true,
-            Ok(KvResponse::Job {
-                state: JobState::Failed(_),
-            }) => return false,
-            Ok(_) => {}
-            Err(_) => return false,
-        }
-    }
-    false
-}
-
-fn get_matches(r: &ClusterRouter, ks: u32, key: &[u8]) -> bool {
-    matches!(
-        drive(r, || KvCommand::Get {
-            ks,
-            key: key.to_vec(),
-        }),
-        Ok(KvResponse::Value(v)) if v == value_for(key)
+fn fleet(plan: FaultPlan, shards: u32, partition_failover: bool) -> Fleet {
+    Fleet::new(
+        ClusterConfig {
+            shards,
+            fault_plan: plan,
+            partition_failover,
+            ..ClusterConfig::default()
+        },
+        'p',
+        PAIRS_PER_BATCH,
+        VALUE_LEN,
     )
-}
-
-/// Put a batch of pairs into a fresh keyspace and compact it to the
-/// sealed-and-shipped (cluster-durable) state. A suspect-deposition can
-/// eat the volatile portion of an attempt — by contract — so an attempt
-/// only counts once every pair verifies readable; otherwise it is
-/// discarded and redone under a new name.
-fn commit_batch(r: &ClusterRouter, batch: usize) -> (u32, Vec<Vec<u8>>) {
-    for attempt in 0..8u32 {
-        let name = format!("p{batch}-try{attempt}");
-        let ks = match drive(r, || KvCommand::CreateKeyspace { name: name.clone() }) {
-            Ok(KvResponse::Created { ks }) => ks,
-            Ok(resp) => panic!("create: unexpected {resp:?}"),
-            Err(e) => panic!("create failed: {e}"),
-        };
-        let keys: Vec<Vec<u8>> = (0..PAIRS_PER_BATCH)
-            .map(|i| format!("p{batch}a{attempt:02}k{i:05}").into_bytes())
-            .collect();
-        let mut aborted = false;
-        for k in &keys {
-            if drive(r, || KvCommand::Put {
-                ks,
-                key: k.clone(),
-                value: value_for(k),
-            })
-            .is_err()
-            {
-                aborted = true;
-                break;
-            }
-        }
-        if !aborted {
-            aborted = !compact_to_done(r, ks);
-        }
-        if !aborted && keys.iter().all(|k| get_matches(r, ks, k)) {
-            return (ks, keys);
-        }
-        let _ = drive(r, || KvCommand::DeleteKeyspace { ks });
-    }
-    panic!("batch {batch} did not commit in 8 attempts");
-}
-
-/// Acked-durability + scatter-gather integrity for every committed batch.
-fn verify_committed(r: &ClusterRouter, committed: &[(u32, Vec<Vec<u8>>)]) {
-    for (ks, keys) in committed {
-        for k in keys {
-            assert!(
-                get_matches(r, *ks, k),
-                "committed key {:?} lost or damaged",
-                String::from_utf8_lossy(k)
-            );
-        }
-        let entries = match drive(r, || KvCommand::Range {
-            ks: *ks,
-            lo: Bound::Unbounded,
-            hi: Bound::Unbounded,
-            limit: None,
-        }) {
-            Ok(KvResponse::Entries(es)) => es,
-            other => panic!("range: {other:?}"),
-        };
-        let want: BTreeMap<Vec<u8>, Vec<u8>> =
-            keys.iter().map(|k| (k.clone(), value_for(k))).collect();
-        assert_eq!(entries.len(), want.len(), "range cardinality mismatch");
-        let mut prev: Option<&[u8]> = None;
-        for (k, v) in &entries {
-            assert!(prev.is_none_or(|p| p < k.as_slice()), "range out of order");
-            assert_eq!(Some(v), want.get(k), "range value mismatch");
-            prev = Some(k);
-        }
-    }
-}
-
-/// Promote every shard's replica, asserting the shard comes back.
-fn kill_all_primaries(r: &ClusterRouter, shards: u32) {
-    for ix in 0..shards {
-        r.kill_shard(ix);
-        assert_eq!(
-            r.shard_health(ix),
-            ShardHealth::Healthy,
-            "shard {ix} must come back healthy after promotion"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -196,10 +57,10 @@ fn fast_acked_writes_survive_swept_partition_schedules() {
     for at in [1u64, 3, 7, 15, 31] {
         let mut plan = FaultPlan::none().with_partition_at(at, Some(6));
         plan.seed = 0xC0FF_EE00 ^ at;
-        let r = router(plan, SHARDS, true);
-        let committed: Vec<_> = (0..2).map(|b| commit_batch(&r, b)).collect();
-        kill_all_primaries(&r, SHARDS);
-        verify_committed(&r, &committed);
+        let mut f = fleet(plan, SHARDS, true);
+        f.commit_batches(2);
+        f.kill_all_primaries();
+        f.verify_committed();
     }
 }
 
@@ -212,7 +73,8 @@ fn fast_at_most_one_primary_acks_per_epoch() {
     // A permanent partition: under suspect-failover the durability
     // contract means no COMPACT can ever ack (the seal cannot reach the
     // replica log), so this test drives the raw handler, not a batch.
-    let r = router(FaultPlan::none().with_partition_at(1, None), 1, true);
+    let f = fleet(FaultPlan::none().with_partition_at(1, None), 1, true);
+    let r = &f.router;
     let ks = match r.handle(KvCommand::CreateKeyspace { name: "t".into() }) {
         KvResponse::Created { ks } => ks,
         other => panic!("create: {other:?}"),
@@ -222,7 +84,7 @@ fn fast_at_most_one_primary_acks_per_epoch() {
         let resp = r.handle(KvCommand::Put {
             ks,
             key: k.clone(),
-            value: value_for(k),
+            value: value_for(k, VALUE_LEN),
         });
         assert!(
             matches!(resp, KvResponse::PutOk),
@@ -277,10 +139,10 @@ fn fast_at_most_one_primary_acks_per_epoch() {
     // reading them back would need a COMPACT, which correctly cannot ack
     // while the partition stays open).
     for k in &keys {
-        drive(&r, || KvCommand::Put {
+        f.drive(|| KvCommand::Put {
             ks,
             key: k.clone(),
-            value: value_for(k),
+            value: value_for(k, VALUE_LEN),
         })
         .expect("the promoted primary must ack in its own epoch");
     }
@@ -307,31 +169,20 @@ fn fast_at_most_one_primary_acks_per_epoch() {
 /// the gap — proven by promoting the replica and reading everything.
 #[test]
 fn fast_replicas_converge_after_heal() {
-    let r = router(FaultPlan::none(), 1, false);
-    let pre = commit_batch(&r, 0);
+    let mut f = fleet(FaultPlan::none(), 1, false);
+    let r = std::sync::Arc::clone(&f.router);
+    f.commit_batches(1);
     r.shard_link(0).partition_now();
     // Writes keep landing (puts are device-local) but the durability
     // gate holds: a COMPACT that cannot ship does not ack.
-    let ks = match drive(&r, || KvCommand::CreateKeyspace {
-        name: "during-partition".into(),
-    }) {
-        Ok(KvResponse::Created { ks }) => ks,
-        other => panic!("create: {other:?}"),
-    };
-    let keys: Vec<Vec<u8>> = (0..PAIRS_PER_BATCH)
-        .map(|i| format!("gapk{i:05}").into_bytes())
-        .collect();
-    for k in &keys {
-        drive(&r, || KvCommand::Put {
-            ks,
-            key: k.clone(),
-            value: value_for(k),
-        })
-        .expect("puts are device-local; the partition must not block them");
+    let ks = f.create("during-partition");
+    for i in 0..PAIRS_PER_BATCH {
+        f.put("during-partition", format!("gapk{i:05}").as_bytes())
+            .expect("puts are device-local; the partition must not block them");
     }
     assert!(
         matches!(
-            drive(&r, || KvCommand::Compact { ks }),
+            f.drive(|| KvCommand::Compact { ks }),
             Err(KvStatus::TransientDeviceError(_))
         ),
         "a seal across an open partition must bounce retryably"
@@ -340,11 +191,14 @@ fn fast_replicas_converge_after_heal() {
     assert_eq!(r.reconcile(), 0, "reconcile must skip partitioned links");
     r.shard_link(0).heal_link_now();
     assert!(r.reconcile() >= 1, "the heal exposes the artifact gap");
-    assert!(compact_to_done(&r, ks), "the retried seal now ships");
+    assert!(
+        f.compact_to_done("during-partition"),
+        "the retried seal now ships"
+    );
     assert_eq!(r.reconcile(), 0, "replica converged — nothing to re-ship");
     // The convergence proof: promote the replica and read it all back.
-    kill_all_primaries(&r, 1);
-    verify_committed(&r, &[pre, (ks, keys)]);
+    f.kill_all_primaries();
+    f.verify_committed();
 }
 
 /// One plan seed fixes the whole torture run: the partition schedule,
@@ -358,9 +212,10 @@ fn fast_same_seed_yields_the_same_partition_and_failover_schedule() {
             .with_link_delay_ns(40_000)
             .with_partition_at(5, Some(6));
         plan.seed = seed;
-        let r = router(plan, SHARDS, true);
-        let committed: Vec<_> = (0..2).map(|b| commit_batch(&r, b)).collect();
-        verify_committed(&r, &committed);
+        let mut f = fleet(plan, SHARDS, true);
+        f.commit_batches(2);
+        f.verify_committed();
+        let r = &f.router;
         let links: Vec<_> = (0..SHARDS)
             .map(|ix| r.shard_link(ix).link_events())
             .collect();
@@ -389,14 +244,14 @@ fn fast_same_seed_yields_the_same_partition_and_failover_schedule() {
 fn duplicated_deliveries_apply_exactly_once() {
     let mut plan = FaultPlan::none().with_link_faults(0.0, 1.0, 0.0, 0.0);
     plan.seed = 7;
-    let r = router(plan, 1, true);
-    let committed = vec![commit_batch(&r, 0), commit_batch(&r, 1)];
+    let mut f = fleet(plan, 1, true);
+    f.commit_batches(2);
     assert!(
-        r.replica_log(0).duplicates() > 0,
+        f.router.replica_log(0).duplicates() > 0,
         "a dup probability of 1.0 must exercise the dedup path"
     );
-    kill_all_primaries(&r, 1);
-    verify_committed(&r, &committed);
+    f.kill_all_primaries();
+    f.verify_committed();
 }
 
 /// A thoroughly lossy link — drops, dups, reorders and delays at once —
@@ -409,9 +264,9 @@ fn lossy_links_preserve_acked_durability() {
             .with_link_faults(0.25, 0.15, 0.1, 0.3)
             .with_link_delay_ns(80_000);
         plan.seed = seed;
-        let r = router(plan, SHARDS, true);
-        let committed: Vec<_> = (0..2).map(|b| commit_batch(&r, b)).collect();
-        kill_all_primaries(&r, SHARDS);
-        verify_committed(&r, &committed);
+        let mut f = fleet(plan, SHARDS, true);
+        f.commit_batches(2);
+        f.kill_all_primaries();
+        f.verify_committed();
     }
 }

@@ -4,188 +4,83 @@
 //!
 //! The durability sweep cuts power at several flash-op positions while
 //! the accelerator has a batch staged host-side and bulks in flight,
-//! then reopens the device fault-free and asserts:
-//!
-//! * every pair covered by a successful `flush()` + `fsync()` is
-//!   present byte-exact (acked-and-synced data is never lost);
-//! * every *visible* pair recomputes from its key (nothing is ever torn
-//!   or half-visible, staged batch or not);
-//! * pairs the accelerator never reported durable may vanish freely.
+//! then reopens the device fault-free and checks it against the
+//! reference model (`tests/contract/mod.rs`): a pair is durable once a
+//! `flush()` + `fsync()` covering it returned `Ok`.
+
+mod contract;
 
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, DeviceStack};
-use kvcsd::flash::{FlashGeometry, ZnsConfig};
-use kvcsd::proto::{DeviceHandler, JobState, KvCommand, KvResponse, KvStatus, QueuePair};
-use kvcsd::sim::{FaultInjector, FaultPlan, VirtualClock};
-use kvcsd_client::{ClientError, InflightWindow, KvCsd, RetryPolicy};
+use contract::{found, value_for, CrashBed};
+use kvcsd::proto::{DeviceHandler, JobState, KvCommand, KvResponse, QueuePair};
+use kvcsd::sim::{FaultPlan, VirtualClock};
+use kvcsd_client::{InflightWindow, OpId, RetryPolicy};
 
 const PAIRS: u32 = 600;
 const SYNC_EVERY: u32 = 150;
+const VALUE_LEN: usize = 48;
 
 fn key_for(i: u32) -> Vec<u8> {
     format!("p{i:05}").into_bytes()
 }
 
-/// Value is a pure function of the key so a torn pair is caught by
-/// recomputation.
-fn value_for(key: &[u8]) -> Vec<u8> {
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    for &b in key {
-        x ^= b as u64;
-        x = x.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (0..48)
-        .map(|i| ((x >> ((i % 8) * 8)) as u8).wrapping_add(i as u8))
-        .collect()
-}
-
-/// Minimal crash-recovery stack (the torture harness's skeleton).
-struct Stack {
-    stack: DeviceStack,
-    inj: Arc<FaultInjector>,
-    client: KvCsd,
-}
-
-impl Stack {
-    fn new(plan: FaultPlan) -> Self {
-        let mut stack = DeviceStack::new(
-            FlashGeometry {
-                channels: 8,
-                blocks_per_channel: 256,
-                pages_per_block: 16,
-                page_bytes: 4096,
-            },
-            ZnsConfig {
-                zone_blocks: 1,
-                max_open_zones: 1 << 16,
-            },
-            DeviceConfig {
-                cluster_width: 8,
-                soc_dram_bytes: 8 << 20,
-                seed: 11,
-                wal: true,
-                ..DeviceConfig::default()
-            },
-        );
-        let client = connect(&stack);
-        let inj = stack.arm(plan);
-        Self { stack, inj, client }
-    }
-
-    /// Power-cycle after an injected cut: reopen from flash fault-free.
-    fn crash(&mut self, err: &ClientError) {
-        let expected = matches!(err, ClientError::Device(KvStatus::PowerLoss))
-            || matches!(err, ClientError::RetriesExhausted { .. })
-            || self.inj.is_powered_off();
-        assert!(expected, "unexpected error under power-cut plan: {err:?}");
-        self.stack
-            .power_cycle()
-            .expect("fault-free recovery must succeed");
-        self.stack.device().run_pending_jobs();
-        self.client = connect(&self.stack);
-    }
-}
-
-fn connect(stack: &DeviceStack) -> KvCsd {
-    KvCsd::connect(
-        Arc::clone(stack.device()) as Arc<dyn DeviceHandler>,
-        Arc::clone(stack.ledger()),
-    )
-}
-
 /// One sweep member: accelerated ingest with a power cut at flash op
 /// `cut_at`. Returns whether a crash actually fired.
 fn run_power_cut(cut_at: u64, seed: u64) -> bool {
-    let mut t = Stack::new(FaultPlan::power_cut_at(cut_at, seed));
+    let mut t = CrashBed::new(FaultPlan::power_cut_at(cut_at, seed));
     let name = "accel";
-    let mut last_synced: i64 = -1;
-    let crashed = 'attempt: {
+    'attempt: {
         let ks = match t.client.create_keyspace(name) {
             Ok(ks) => ks,
             Err(e) => {
                 t.crash(&e);
-                break 'attempt true;
+                break 'attempt;
             }
         };
+        t.model.create(name);
         // Small batches + shallow window so the cut lands with entries
         // staged host-side and bulks in flight.
         let accel = ks.write_accelerator().with_target_bytes(2048).with_depth(2);
-        let mut i = 0u32;
-        while i < PAIRS {
-            let k = key_for(i);
-            if let Err(e) = accel.put(&k, &value_for(&k)) {
-                t.crash(&e);
-                break 'attempt true;
-            }
-            i += 1;
-            if i.is_multiple_of(SYNC_EVERY) {
-                let synced = accel.flush().and_then(|_| ks.fsync().map(|_| ()));
-                match synced {
-                    Ok(()) => last_synced = i as i64 - 1,
-                    Err(e) => {
-                        t.crash(&e);
-                        break 'attempt true;
-                    }
-                }
-            }
-        }
-        match accel.flush().and_then(|_| ks.fsync().map(|_| ())) {
+        let synced = |t: &mut CrashBed| match accel.flush().and_then(|_| ks.fsync()) {
             Ok(()) => {
-                last_synced = PAIRS as i64 - 1;
-                false
+                t.model.sync(name);
+                true
             }
             Err(e) => {
                 t.crash(&e);
-                true
+                false
+            }
+        };
+        for i in 0..PAIRS {
+            let k = key_for(i);
+            let v = value_for(&k, VALUE_LEN);
+            if let Err(e) = accel.put(&k, &v) {
+                t.crash(&e);
+                break 'attempt;
+            }
+            t.model.put(name, &k, &v);
+            if (i + 1).is_multiple_of(SYNC_EVERY) && !synced(&mut t) {
+                break 'attempt;
             }
         }
-    };
+        synced(&mut t);
+    }
 
     // Recovery contract. Point gets need a compacted keyspace, so the
     // survivors are sealed first (fault-free — the plan's single cut
     // has fired or is disarmed). If the cut predated keyspace creation
     // there is nothing to check; nothing was ever reported durable.
     t.stack.disarm();
-    match t.client.open_keyspace(name) {
-        Ok((ks, _)) => {
-            let job = match ks.compact() {
-                Ok(job) => job,
-                Err(e) => {
-                    assert!(last_synced < 0, "compact after recovery: {e:?}");
-                    return crashed;
-                }
-            };
-            loop {
-                t.stack.device().run_pending_jobs();
-                match job.poll().expect("poll recovery compaction") {
-                    JobState::Done => break,
-                    JobState::Failed(e) => panic!("recovery compaction failed: {e}"),
-                    _ => {}
-                }
-            }
-            for j in 0..PAIRS {
-                let k = key_for(j);
-                match ks.get(&k) {
-                    Ok(v) => assert_eq!(
-                        v,
-                        value_for(&k),
-                        "pair {j} is torn/half-visible after cut at {cut_at}"
-                    ),
-                    Err(ClientError::Device(KvStatus::KeyNotFound)) => assert!(
-                        j as i64 > last_synced,
-                        "acked+synced pair {j} lost after cut at {cut_at} (synced through {last_synced})"
-                    ),
-                    Err(e) => panic!("get after recovery: {e:?}"),
-                }
-            }
+    if let Some(ks) = t.settle(name) {
+        for j in 0..PAIRS {
+            let k = key_for(j);
+            let got = found(ks.get(&k)).unwrap();
+            t.model.check_get(name, &k, got.as_deref());
         }
-        Err(_) => assert!(
-            last_synced < 0,
-            "keyspace with synced data vanished after cut at {cut_at}"
-        ),
+        t.model.check_all(name, &ks);
     }
-    crashed
+    t.crashes > 0
 }
 
 #[test]
@@ -205,38 +100,45 @@ fn power_cut_mid_staged_batch_sweep() {
     );
 }
 
-/// Pipelined window over a device with seeded transient faults: 200
-/// puts submitted in order, claimed in *reverse*; each completion must
-/// match its own command (retries included), and the data must land.
-#[test]
-fn out_of_order_completions_match_under_seeded_faults() {
-    let mut plan = FaultPlan::none().with_error_prob(0.03);
-    plan.seed = 9002;
-    let t = Stack::new(plan);
+/// A pipelined window (depth 16, 4 in flight) over a fresh device with
+/// seeded transient faults at `error_prob`, a keyspace `name` created
+/// through it, and `n` puts submitted in key order.
+fn submit_puts(
+    error_prob: f64,
+    seed: u64,
+    name: &str,
+    n: u32,
+) -> (CrashBed, InflightWindow, Arc<VirtualClock>, u32, Vec<OpId>) {
+    let mut plan = FaultPlan::none().with_error_prob(error_prob);
+    plan.seed = seed;
+    let t = CrashBed::new(plan);
     let clock = Arc::new(VirtualClock::new());
     let qp = QueuePair::new(
         Arc::clone(t.stack.device()) as Arc<dyn DeviceHandler>,
         Arc::clone(t.stack.ledger()),
     )
     .with_pipeline(Arc::clone(&clock), 16, 4, None);
-    let win = InflightWindow::new(qp, RetryPolicy::default(), clock);
-    let ks = match win.call(None, KvCommand::CreateKeyspace { name: "ooo".into() }) {
+    let win = InflightWindow::new(qp, RetryPolicy::default(), Arc::clone(&clock));
+    let ks = match win.call(None, KvCommand::CreateKeyspace { name: name.into() }) {
         Ok(KvResponse::Created { ks }) => ks,
         other => panic!("create: {other:?}"),
     };
-    let mut ops = Vec::new();
-    for i in 0..200u32 {
-        let k = key_for(i);
-        let v = value_for(&k);
-        ops.push(win.submit(
-            None,
-            KvCommand::Put {
-                ks,
-                key: k,
-                value: v,
-            },
-        ));
-    }
+    let ops = (0..n)
+        .map(|i| {
+            let key = key_for(i);
+            let value = value_for(&key, VALUE_LEN);
+            win.submit(None, KvCommand::Put { ks, key, value })
+        })
+        .collect();
+    (t, win, clock, ks, ops)
+}
+
+/// Pipelined window over a device with seeded transient faults: 200
+/// puts submitted in order, claimed in *reverse*; each completion must
+/// match its own command (retries included), and the data must land.
+#[test]
+fn out_of_order_completions_match_under_seeded_faults() {
+    let (t, win, _, ks, ops) = submit_puts(0.03, 9002, "ooo", 200);
     for op in ops.into_iter().rev() {
         match win.wait(op) {
             Ok(KvResponse::PutOk) => {}
@@ -267,7 +169,7 @@ fn out_of_order_completions_match_under_seeded_faults() {
     for i in 0..200u32 {
         let k = key_for(i);
         match win.call(None, KvCommand::Get { ks, key: k.clone() }) {
-            Ok(KvResponse::Value(v)) => assert_eq!(v, value_for(&k), "pair {i}"),
+            Ok(KvResponse::Value(v)) => assert_eq!(v, value_for(&k, VALUE_LEN), "pair {i}"),
             other => panic!("get {i}: {other:?}"),
         }
     }
@@ -276,39 +178,12 @@ fn out_of_order_completions_match_under_seeded_faults() {
 /// One seeded pipelined ingest run: returns (final virtual time, every
 /// completion latency in claim order).
 fn ingest_schedule(seed: u64) -> (u64, Vec<u64>) {
-    let mut plan = FaultPlan::none().with_error_prob(0.02);
-    plan.seed = seed;
-    let t = Stack::new(plan);
-    let clock = Arc::new(VirtualClock::new());
-    let qp = QueuePair::new(
-        Arc::clone(t.stack.device()) as Arc<dyn DeviceHandler>,
-        Arc::clone(t.stack.ledger()),
-    )
-    .with_pipeline(Arc::clone(&clock), 16, 4, None);
-    let win = InflightWindow::new(qp, RetryPolicy::default(), Arc::clone(&clock));
-    match win.call(None, KvCommand::CreateKeyspace { name: "det".into() }) {
-        Ok(KvResponse::Created { ks }) => {
-            let mut ops = Vec::new();
-            for i in 0..150u32 {
-                let k = key_for(i);
-                let v = value_for(&k);
-                ops.push(win.submit(
-                    None,
-                    KvCommand::Put {
-                        ks,
-                        key: k,
-                        value: v,
-                    },
-                ));
-            }
-            for op in ops {
-                match win.wait(op) {
-                    Ok(KvResponse::PutOk) => {}
-                    other => panic!("put: {other:?}"),
-                }
-            }
+    let (_, win, clock, _, ops) = submit_puts(0.02, seed, "det", 150);
+    for op in ops {
+        match win.wait(op) {
+            Ok(KvResponse::PutOk) => {}
+            other => panic!("put: {other:?}"),
         }
-        other => panic!("create: {other:?}"),
     }
     (clock.now_ns(), win.completion_latencies())
 }

@@ -24,14 +24,15 @@
 //! incidental; the real product of this test is the lock-order graph and
 //! access history it feeds the detectors.
 
+mod contract;
+
 use std::sync::Arc;
 use std::thread;
 
+use contract::{connect, found, tail_index, value_for, Contract};
 use kvcsd::device::{DeviceConfig, DeviceStack, KvCsdDevice};
 use kvcsd::flash::{FlashGeometry, ZnsConfig};
-use kvcsd::proto::{
-    Bound, DeviceHandler, JobState, KeyspaceState, SecondaryIndexSpec, SecondaryKeyType,
-};
+use kvcsd::proto::{Bound, JobState};
 use kvcsd::sim::sync::{spawn, Mutex, Shared};
 use kvcsd_client::KvCsd;
 
@@ -40,35 +41,12 @@ const READERS: usize = 2;
 const KEYSPACES_PER_WRITER: usize = 2;
 const PAIRS: u32 = 160;
 const SYNC_EVERY: u32 = 40;
+/// Values carry the secondary index's trailing f32, so readers can check
+/// any pair they observe without coordinating with its writer.
+const VALUE_LEN: usize = 32;
 
 fn key_for(writer: usize, ks: usize, i: u32) -> Vec<u8> {
     format!("w{writer}s{ks}k{i:05}").into_bytes()
-}
-
-/// Value is a pure function of the key (32 bytes, trailing f32 for the
-/// secondary index), so readers can verify any pair they observe without
-/// coordinating with the writer that produced it.
-fn value_for(key: &[u8]) -> Vec<u8> {
-    let mut x = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        x ^= b as u64;
-        x = x.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut v = vec![0u8; 32];
-    for (i, slot) in v.iter_mut().take(28).enumerate() {
-        *slot = ((x >> ((i % 8) * 8)) as u8).wrapping_add(i as u8);
-    }
-    v[28..].copy_from_slice(&((((x >> 17) & 0xFFFF) as f32).to_le_bytes()));
-    v
-}
-
-fn sidx_spec() -> SecondaryIndexSpec {
-    SecondaryIndexSpec {
-        name: "tail".into(),
-        value_offset: 28,
-        value_len: 4,
-        key_type: SecondaryKeyType::F32,
-    }
 }
 
 fn build_stack() -> (Arc<KvCsdDevice>, KvCsd) {
@@ -91,30 +69,34 @@ fn build_stack() -> (Arc<KvCsdDevice>, KvCsd) {
             ..DeviceConfig::default()
         },
     );
-    let client = KvCsd::connect(
-        Arc::clone(stack.device()) as Arc<dyn DeviceHandler>,
-        Arc::clone(stack.ledger()),
-    );
-    (Arc::clone(stack.device()), client)
+    (Arc::clone(stack.device()), connect(&stack))
 }
 
 /// One writer's life: for each of its keyspaces, ingest with periodic
 /// fsync, compact with a secondary index, wait for the job runner to
-/// finish it, then read back every pair through all three query paths.
-fn writer(writer_ix: usize, client: KvCsd, published: Arc<Mutex<Vec<String>>>) {
+/// finish it, read back every pair through all three query paths, then
+/// publish its model for the readers.
+fn writer(writer_ix: usize, client: KvCsd, published: Arc<Mutex<Contract>>) {
     for ks_ix in 0..KEYSPACES_PER_WRITER {
         let name = format!("stress-w{writer_ix}-{ks_ix}");
+        let mut model = Contract::default();
         let ks = client.create_keyspace(&name).expect("create");
         for i in 0..PAIRS {
             let k = key_for(writer_ix, ks_ix, i);
-            ks.put(&k, &value_for(&k)).expect("put");
+            let v = value_for(&k, VALUE_LEN);
+            ks.put(&k, &v).expect("put");
+            model.put(&name, &k, &v);
             if i % SYNC_EVERY == SYNC_EVERY - 1 {
                 ks.fsync().expect("fsync");
+                model.sync(&name);
             }
         }
         ks.fsync().expect("final fsync");
+        model.sync(&name);
 
-        let job = ks.compact_with_indexes(vec![sidx_spec()]).expect("compact");
+        let job = ks
+            .compact_with_indexes(vec![tail_index(VALUE_LEN)])
+            .expect("compact");
         loop {
             match job.poll().expect("poll") {
                 JobState::Done => break,
@@ -122,42 +104,36 @@ fn writer(writer_ix: usize, client: KvCsd, published: Arc<Mutex<Vec<String>>>) {
                 _ => thread::yield_now(),
             }
         }
+        model.seal(&name);
 
-        for i in 0..PAIRS {
-            let k = key_for(writer_ix, ks_ix, i);
-            assert_eq!(ks.get(&k).expect("get"), value_for(&k), "{name}: {k:?}");
-        }
-        let scan = ks
-            .range(Bound::Unbounded, Bound::Unbounded, None)
-            .expect("range");
-        assert_eq!(scan.len() as u32, PAIRS, "{name}: scan size");
-        let via_sidx = ks
+        model.check_all(&name, &ks);
+        let mut via_sidx = ks
             .sidx_range("tail", Bound::Unbounded, Bound::Unbounded, None)
             .expect("sidx_range");
-        assert_eq!(via_sidx.len() as u32, PAIRS, "{name}: sidx size");
+        via_sidx.sort();
+        model.check_scan(&name, &via_sidx);
 
-        published.lock().push(name);
+        published.lock().adopt(model);
     }
 }
 
 /// Readers chase the writers: open whatever has been published, and
-/// verify every pair they can see is byte-exact and never torn.
-fn reader(client: KvCsd, published: Arc<Mutex<Vec<String>>>, stop: Arc<Shared<bool>>) {
+/// check every pair they can see against its model.
+fn reader(client: KvCsd, published: Arc<Mutex<Contract>>, stop: Arc<Shared<bool>>) {
     let mut sweeps = 0u32;
     while !stop.get() || sweeps == 0 {
-        let names = published.lock().clone();
-        for name in names {
+        let mut model = published.lock().clone();
+        for name in model.keyspaces() {
             let (ks, state) = client.open_keyspace(&name).expect("open");
-            assert_eq!(state, KeyspaceState::Compacted, "{name}: published early");
+            model.check_state(&name, Some(state));
+            let limit = Some(32);
             let sample = ks
-                .range(Bound::Unbounded, Bound::Unbounded, Some(32))
+                .range(Bound::Unbounded, Bound::Unbounded, limit)
                 .expect("range");
-            assert!(!sample.is_empty(), "{name}: empty after compaction");
-            for (k, v) in &sample {
-                assert_eq!(v, &value_for(k), "{name}: torn pair {k:?}");
-            }
-            let (k, v) = &sample[sweeps as usize % sample.len()];
-            assert_eq!(&ks.get(k).expect("get"), v, "{name}: point/range disagree");
+            model.check_range(&name, &Bound::Unbounded, &Bound::Unbounded, limit, &sample);
+            let (k, _) = &sample[sweeps as usize % sample.len()];
+            let got = found(ks.get(k)).unwrap();
+            model.check_get(&name, k, got.as_deref());
         }
         sweeps += 1;
         thread::yield_now();
@@ -171,7 +147,7 @@ fn concurrent_ingest_compact_query() {
     // so injected delays show up in the simulated timeline.
     kvcsd::sim::perturb::install_clock(dev.clock());
     let stop = Arc::new(Shared::new(false));
-    let published = Arc::new(Mutex::new(Vec::new()));
+    let published = Arc::new(Mutex::new(Contract::default()));
 
     // Background job runner: compactions and index builds only make
     // progress when someone drains the device's job queue.
@@ -214,17 +190,12 @@ fn concurrent_ingest_compact_query() {
 
     // Final audit from the main thread: everything every writer
     // published is still COMPACTED and complete.
-    let names = published.lock().clone();
+    let mut model = published.lock().clone();
+    let names = model.keyspaces();
     assert_eq!(names.len(), WRITERS * KEYSPACES_PER_WRITER);
     for name in names {
         let (ks, state) = client.open_keyspace(&name).expect("open");
-        assert_eq!(state, KeyspaceState::Compacted);
-        let scan = ks
-            .range(Bound::Unbounded, Bound::Unbounded, None)
-            .expect("range");
-        assert_eq!(scan.len() as u32, PAIRS, "{name}: lost pairs");
-        for (k, v) in &scan {
-            assert_eq!(v, &value_for(k), "{name}: torn pair {k:?}");
-        }
+        model.check_state(&name, Some(state));
+        model.check_all(&name, &ks);
     }
 }
