@@ -2,7 +2,8 @@
 //!
 //! Implements [`DeviceHandler`], turning protocol commands into keyspace,
 //! zone and index operations. Compaction and secondary-index construction
-//! are *deferred*: the command enqueues a job and completes immediately;
+//! are *deferred*: the command enqueues a job on the device's job queue
+//! (`jobs.rs`) and completes immediately;
 //! [`KvCsdDevice::run_pending_jobs`] executes the queue. Benchmark
 //! harnesses call that inside a *background* phase — the virtual clock the
 //! host application sees does not advance, which is precisely the
@@ -10,28 +11,26 @@
 //! `kvcsd_client`'s `wait_for`) polls the job and triggers execution,
 //! paying the time in its own foreground phase instead.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use kvcsd_flash::ZonedNamespace;
 use kvcsd_proto::{
-    DeviceHandler, JobId, JobState, KeyspaceDesc, KeyspaceStat, KeyspaceState, KvCommand,
-    KvResponse, KvStatus, SecondaryIndexSpec,
+    DeviceHandler, JobId, KeyspaceDesc, KeyspaceStat, KeyspaceState, KvCommand, KvResponse,
+    KvStatus, SecondaryIndexSpec,
 };
 use kvcsd_sim::config::CostModel;
-use kvcsd_sim::sync::{Mutex, Shared};
+use kvcsd_sim::sync::Mutex;
 use kvcsd_sim::VirtualClock;
 
 use crate::admission::{AdmissionConfig, AdmissionGate, Deadline, Decision, PressureSample};
 use crate::artifact::{ArtifactPayload, KeyspaceArtifacts, SidxArtifact};
-use crate::compact::run_compaction;
-use crate::dram::DramBudget;
+use crate::dram::{DramBudget, DramReservation};
 use crate::error::DeviceError;
 use crate::ingest::WriteLog;
-use crate::keyspace::{KeyspaceManager, SecondaryIndex, Sketch};
+use crate::jobs::{Job, JobQueue};
+use crate::keyspace::{Keyspace, KeyspaceManager, KsStorage, SecondaryIndex, Sketch};
 use crate::meta::MetaStore;
 use crate::query;
-use crate::sidx::{build_secondary_index, SidxOutput};
 use crate::snapshot;
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
@@ -73,56 +72,21 @@ impl Default for DeviceConfig {
     }
 }
 
-#[derive(Debug)]
-enum Job {
-    /// Compact the keyspace, building `specs`' indexes in the same pass.
-    Compact {
-        ks: u32,
-        specs: Vec<SecondaryIndexSpec>,
-    },
-    BuildSidx {
-        ks: u32,
-        spec: SecondaryIndexSpec,
-    },
-}
-
-impl Job {
-    fn ks(&self) -> u32 {
-        match self {
-            Job::Compact { ks, .. } | Job::BuildSidx { ks, .. } => *ks,
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct JobTable {
-    next: u64,
-    states: HashMap<u64, JobState>,
-    /// `(id, job, deadline_ns)`: the deadline of the command that
-    /// enqueued the job rides along so expired work is dropped instead
-    /// of run.
-    queue: VecDeque<(u64, Job, Option<u64>)>,
-}
-
 /// Zones 0..META_ZONES are reserved for the [`MetaStore`]'s ping-pong
 /// snapshot pair and never enter the data zone pool.
 const META_ZONES: u32 = 2;
 
 /// The KV-CSD device: SoC + ZNS SSD behind an NVMe-KV interface.
 pub struct KvCsdDevice {
-    mgr: ZoneManager,
-    km: KeyspaceManager,
+    pub(crate) mgr: ZoneManager,
+    pub(crate) km: KeyspaceManager,
     meta: Mutex<MetaStore>,
-    soc: SocCharger,
-    dram: DramBudget,
-    cfg: DeviceConfig,
-    jobs: Mutex<JobTable>,
-    /// Queue-depth gauge mirroring `jobs.queue.len()`, maintained inside
-    /// the `jobs` critical sections. Admission pressure probes read this
-    /// [`Shared`] cell instead of taking the job lock (DESIGN.md §11).
-    job_depth: Shared<usize>,
+    pub(crate) soc: SocCharger,
+    pub(crate) dram: DramBudget,
+    pub(crate) cfg: DeviceConfig,
+    pub(crate) jobs: JobQueue,
     gate: AdmissionGate,
-    clock: Arc<VirtualClock>,
+    pub(crate) clock: Arc<VirtualClock>,
 }
 
 impl std::fmt::Debug for KvCsdDevice {
@@ -137,18 +101,32 @@ impl KvCsdDevice {
     /// Assemble a fresh device over a zoned namespace. Zones 0 and 1 are
     /// reserved as the metadata ping-pong pair backing the keyspace table.
     pub fn new(zns: Arc<ZonedNamespace>, cost: CostModel, cfg: DeviceConfig) -> Self {
-        let ledger = Arc::clone(zns.nand().ledger());
+        let mgr = ZoneManager::new(Arc::clone(&zns), META_ZONES, cfg.seed);
+        let meta = MetaStore::new(Arc::clone(&zns), 0);
+        Self::assemble(&zns, cost, cfg, mgr, KeyspaceManager::new(), meta)
+    }
+
+    /// The construction [`Self::new`] and [`Self::reopen`] share: clamp
+    /// the stripe width to the channel count, size the zone manager's
+    /// seal reserve from it, and start with an empty job queue.
+    fn assemble(
+        zns: &ZonedNamespace,
+        cost: CostModel,
+        cfg: DeviceConfig,
+        mgr: ZoneManager,
+        km: KeyspaceManager,
+        meta: MetaStore,
+    ) -> Self {
         let cluster_width = cfg.cluster_width.min(zns.nand().geometry().channels);
         let cfg = DeviceConfig {
             cluster_width,
             ..cfg
         };
         Self {
-            mgr: ZoneManager::new(Arc::clone(&zns), META_ZONES, cfg.seed)
-                .with_seal_reserve(2 * cluster_width),
-            km: KeyspaceManager::new(),
-            meta: Mutex::new(MetaStore::new(zns, 0)),
-            soc: SocCharger::new(ledger, cost),
+            mgr: mgr.with_seal_reserve(2 * cluster_width),
+            km,
+            meta: Mutex::new(meta),
+            soc: SocCharger::new(Arc::clone(zns.nand().ledger()), cost),
             dram: DramBudget::new(cfg.soc_dram_bytes),
             gate: AdmissionGate::new(cfg.admission),
             clock: cfg
@@ -156,8 +134,7 @@ impl KvCsdDevice {
                 .clone()
                 .unwrap_or_else(|| Arc::new(VirtualClock::new())),
             cfg,
-            jobs: Mutex::new(JobTable::default()),
-            job_depth: Shared::new(0),
+            jobs: JobQueue::new(),
         }
     }
 
@@ -191,13 +168,6 @@ impl KvCsdDevice {
             return Ok(Self::new(zns, cost, cfg));
         }
 
-        let ledger = Arc::clone(zns.nand().ledger());
-        let cluster_width = cfg.cluster_width.min(zns.nand().geometry().channels);
-        let cfg = DeviceConfig {
-            cluster_width,
-            ..cfg
-        };
-
         // Snapshots are tried newest first. A generation that passes its
         // CRC but fails to decode or restore (format damage the CRC does
         // not cover) is skipped in favour of the previous one rather than
@@ -208,8 +178,7 @@ impl KvCsdDevice {
         for payload in &generations {
             let attempt = snapshot::decode(payload).and_then(|snap| {
                 let mgr =
-                    ZoneManager::restore(Arc::clone(&zns), META_ZONES, cfg.seed, &snap.zones)?
-                        .with_seal_reserve(2 * cfg.cluster_width);
+                    ZoneManager::restore(Arc::clone(&zns), META_ZONES, cfg.seed, &snap.zones)?;
                 Ok((snap, mgr))
             });
             match attempt {
@@ -229,7 +198,9 @@ impl KvCsdDevice {
             );
         };
         if skipped > 0 {
-            ledger.bump("dev_snapshot_generations_skipped", skipped);
+            zns.nand()
+                .ledger()
+                .bump("dev_snapshot_generations_skipped", skipped);
         }
         let km = KeyspaceManager::new();
 
@@ -269,29 +240,9 @@ impl KvCsdDevice {
             }
         }
 
-        let dev = Self {
-            mgr,
-            km,
-            meta: Mutex::new(meta),
-            soc: SocCharger::new(ledger, cost),
-            dram: DramBudget::new(cfg.soc_dram_bytes),
-            gate: AdmissionGate::new(cfg.admission),
-            clock: cfg
-                .clock
-                .clone()
-                .unwrap_or_else(|| Arc::new(VirtualClock::new())),
-            cfg,
-            jobs: Mutex::new(JobTable::default()),
-            job_depth: Shared::new(0),
-        };
+        let dev = Self::assemble(&zns, cost, cfg, mgr, km, meta);
         for ks in recompact {
-            dev.enqueue(
-                Job::Compact {
-                    ks,
-                    specs: Vec::new(),
-                },
-                None,
-            );
+            dev.jobs.submit(Job::Compact { ks, specs: vec![] }, None);
         }
         for ks in rewal {
             dev.replay_wal(ks)?;
@@ -311,16 +262,7 @@ impl KvCsdDevice {
         })?;
         // Block count comes from the zones' write pointers (ground truth).
         let wal_blocks = self.mgr.cluster_blocks(wal_cluster)?;
-        // The guard releases the ingest buffer if any allocation or the
-        // replay below fails; on success it is leaked into the keyspace,
-        // which releases at seal or delete.
-        let ingest = self
-            .dram
-            .reserve(INGEST_BUFFER_BYTES as u64)
-            .ok_or(DeviceError::OutOfDram("ingest DRAM"))?;
-        let kc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
-        let vc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
-        let mut wlog = WriteLog::new(kc, vc);
+        let (ingest, mut wlog) = self.open_write_log()?;
         let replayed =
             crate::wal::DeviceWal::replay(&self.mgr, wal_cluster, wal_blocks, |k, v| {
                 wlog.put(&self.mgr, &self.soc, &k, &v)
@@ -337,6 +279,54 @@ impl KvCsdDevice {
             Ok(())
         })?;
         ingest.leak();
+        Ok(())
+    }
+
+    /// Open a write log: the ingest buffer in SoC DRAM plus KLOG and VLOG
+    /// clusters at stripe width. The returned guard releases the buffer if
+    /// a later step fails; on success the caller leaks it into the
+    /// keyspace, which releases it at seal or delete.
+    fn open_write_log(&self) -> Result<(DramReservation<'_>, WriteLog)> {
+        let ingest = self
+            .dram
+            .reserve(INGEST_BUFFER_BYTES as u64)
+            .ok_or(DeviceError::OutOfDram("ingest DRAM"))?;
+        let kc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
+        let vc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
+        Ok((ingest, WriteLog::new(kc, vc)))
+    }
+
+    /// Seal `k`'s write log in place and move it to `to`. If the flush
+    /// hits a flash error the log stays in `storage` (still WRITABLE) and
+    /// the client may retry; only a successful seal takes it out. Returns
+    /// the WAL cluster for [`Self::retire_write_log`].
+    fn seal_write_log(&self, k: &mut Keyspace, to: KeyspaceState) -> Result<Option<ClusterId>> {
+        let wlog = k
+            .storage
+            .wlog
+            .as_mut()
+            .ok_or_else(|| DeviceError::Internal("writable without wlog".into()))?;
+        let (klen, vlen) = wlog.seal(&self.mgr)?;
+        let (kc, vc) = (wlog.klog.cluster(), wlog.vlog.cluster());
+        k.storage.wlog = None;
+        k.storage.klog = Some((kc, klen));
+        k.storage.vlog = Some((vc, vlen));
+        k.transition_to(to)?;
+        // Once the logs are sealed every pair is durable on flash; the
+        // WAL has served its purpose.
+        Ok(k.storage.dwal.take().map(|w| w.cluster()))
+    }
+
+    /// Finish a seal: release the ingest buffer, persist, then free the
+    /// WAL. The WAL goes only once the sealed state is durable: until then
+    /// the last snapshot still replays it, and a cut in between leaves it
+    /// to reopen's orphan sweep.
+    fn retire_write_log(&self, wal: Option<ClusterId>) -> Result<()> {
+        self.dram.release(INGEST_BUFFER_BYTES as u64);
+        self.persist()?;
+        if let Some(c) = wal {
+            let _ = self.mgr.release_cluster(c);
+        }
         Ok(())
     }
 
@@ -436,21 +426,12 @@ impl KvCsdDevice {
             self.do_delete(existing)?;
         }
         let id = self.km.create(&art.name)?;
-        match &art.payload {
+        let mut storage = KsStorage::default();
+        let compacted = match &art.payload {
             ArtifactPayload::SealedLogs { klog, vlog } => {
-                let kc = self.write_artifact_cluster(klog)?;
-                let vc = self.write_artifact_cluster(vlog)?;
-                self.km.with_mut(id, |k| {
-                    k.pairs = art.pairs;
-                    k.data_bytes = art.data_bytes;
-                    k.min_key = art.min_key.clone();
-                    k.max_key = art.max_key.clone();
-                    k.storage.klog = Some((kc, klog.len() as u64));
-                    k.storage.vlog = Some((vc, vlog.len() as u64));
-                    // kvcsd-check: allow(fsm-bypass) -- artifact import reinstalls the primary's sealed-log phase verbatim (EMPTY has no edge to DEGRADED); promotion re-enters via the checked DEGRADED -> COMPACTING transition
-                    k.state = KeyspaceState::Degraded;
-                    Ok(())
-                })?;
+                storage.klog = Some((self.write_artifact_cluster(klog)?, klog.len() as u64));
+                storage.vlog = Some((self.write_artifact_cluster(vlog)?, vlog.len() as u64));
+                false
             }
             ArtifactPayload::Compacted {
                 pidx,
@@ -459,34 +440,36 @@ impl KvCsdDevice {
                 sidx,
             } => {
                 let pc = self.write_artifact_cluster(pidx)?;
+                storage.pidx = Some((pc, (pidx.len() / BLOCK_BYTES) as u32));
+                storage.pidx_sketch = Sketch::from_pivots(pidx_pivots.clone());
                 let vc = self.write_artifact_cluster(svalues)?;
-                let mut indexes = Vec::with_capacity(sidx.len());
+                storage.svalues = Some((vc, svalues.len() as u64));
                 for s in sidx {
-                    let c = self.write_artifact_cluster(&s.data)?;
-                    indexes.push(SecondaryIndex {
+                    let index = SecondaryIndex {
                         spec: s.spec.clone(),
-                        cluster: c,
+                        cluster: self.write_artifact_cluster(&s.data)?,
                         blocks: (s.data.len() / BLOCK_BYTES) as u32,
                         sketch: Sketch::from_pivots(s.pivots.clone()),
                         entries: s.entries,
-                    });
+                    };
+                    storage.sidx.insert(s.spec.name.clone(), index);
                 }
-                self.km.with_mut(id, |k| {
-                    k.pairs = art.pairs;
-                    k.data_bytes = art.data_bytes;
-                    k.min_key = art.min_key.clone();
-                    k.max_key = art.max_key.clone();
-                    k.storage.pidx = Some((pc, (pidx.len() / BLOCK_BYTES) as u32));
-                    k.storage.pidx_sketch = Sketch::from_pivots(pidx_pivots.clone());
-                    k.storage.svalues = Some((vc, svalues.len() as u64));
-                    for i in indexes {
-                        k.storage.sidx.insert(i.spec.name.clone(), i);
-                    }
-                    k.transition_to(KeyspaceState::Compacted)?;
-                    Ok(())
-                })?;
+                true
             }
-        }
+        };
+        self.km.with_mut(id, |k| {
+            k.pairs = art.pairs;
+            k.data_bytes = art.data_bytes;
+            k.min_key = art.min_key.clone();
+            k.max_key = art.max_key.clone();
+            k.storage = storage;
+            if compacted {
+                return k.transition_to(KeyspaceState::Compacted);
+            }
+            // kvcsd-check: allow(fsm-bypass) -- artifact import reinstalls the primary's sealed-log phase verbatim (EMPTY has no edge to DEGRADED); promotion re-enters via the checked DEGRADED -> COMPACTING transition
+            k.state = KeyspaceState::Degraded;
+            Ok(())
+        })?;
         self.persist()?;
         self.soc.ledger().bump("dev_artifacts_imported", 1);
         Ok(id)
@@ -524,7 +507,7 @@ impl KvCsdDevice {
     /// Jobs waiting to run. Reads the cached depth gauge — pressure
     /// probes don't contend on the job lock.
     pub fn pending_jobs(&self) -> usize {
-        self.job_depth.get()
+        self.jobs.depth()
     }
 
     /// The admission gate (diagnostics: `is_engaged`, watermarks).
@@ -592,304 +575,6 @@ impl KvCsdDevice {
         })
     }
 
-    // ---- job machinery -----------------------------------------------------
-
-    fn enqueue(&self, job: Job, deadline_ns: Option<u64>) -> JobId {
-        let mut jobs = self.jobs.lock();
-        jobs.next += 1;
-        let id = jobs.next;
-        jobs.states.insert(id, JobState::Pending);
-        jobs.queue.push_back((id, job, deadline_ns));
-        self.job_depth.set(jobs.queue.len());
-        JobId(id)
-    }
-
-    /// Execute all queued background jobs. Call inside a *background*
-    /// phase to model the device's asynchronous processing; call inline to
-    /// model a host that blocks on completion.
-    ///
-    /// Transient flash errors are retried with bounded exponential
-    /// backoff; a compaction that still fails leaves its keyspace
-    /// DEGRADED (sealed logs intact, deletable, re-compactable) rather
-    /// than poisoned.
-    pub fn run_pending_jobs(&self) -> usize {
-        let mut ran = 0;
-        loop {
-            let next = {
-                let mut jobs = self.jobs.lock();
-                let Some((id, job, deadline_ns)) = jobs.queue.pop_front() else {
-                    break;
-                };
-                self.job_depth.set(jobs.queue.len());
-                jobs.states.insert(id, JobState::Running);
-                (id, job, deadline_ns)
-            };
-            let (id, job, deadline_ns) = next;
-            let deadline = Deadline::new(&self.clock, deadline_ns);
-            // An expired job is dropped, not run: its keyspace unwinds
-            // below exactly as if the job had failed mid-flight.
-            let outcome = deadline
-                .check()
-                .and_then(|()| self.exec_job_with_retry(&job, &deadline));
-            match outcome {
-                Ok(()) => {
-                    self.jobs.lock().states.insert(id, JobState::Done);
-                }
-                Err(e) => {
-                    let is_compaction = matches!(job, Job::Compact { .. });
-                    // A compaction that died on the media or ran out of
-                    // time leaves the keyspace DEGRADED: its sealed logs
-                    // are intact, it can be deleted or re-compacted, and
-                    // no other keyspace is affected. One that ran out of
-                    // *space* leaves it READ_ONLY: same sealed logs, but
-                    // the typed state tells clients writes will not help
-                    // until space is reclaimed.
-                    let to = match &e {
-                        DeviceError::Flash(_) | DeviceError::DeadlineExceeded if is_compaction => {
-                            Some(KeyspaceState::Degraded)
-                        }
-                        DeviceError::OutOfDram(_) if is_compaction => Some(KeyspaceState::ReadOnly),
-                        // An index build that ran out of zones freezes its
-                        // (already compacted, still queryable) keyspace so
-                        // clients stop submitting work the device cannot
-                        // finish until space is reclaimed.
-                        DeviceError::OutOfZones { .. } => Some(KeyspaceState::ReadOnly),
-                        _ => None,
-                    };
-                    let ks = job.ks();
-                    self.jobs
-                        .lock()
-                        .states
-                        .insert(id, JobState::Failed(KvStatus::from(e)));
-                    if let Some(to) = to {
-                        let _ = self.km.with_mut(ks, |k| {
-                            let from_ok = match to {
-                                KeyspaceState::ReadOnly => matches!(
-                                    k.state,
-                                    KeyspaceState::Compacting | KeyspaceState::Compacted
-                                ),
-                                _ => k.state == KeyspaceState::Compacting,
-                            };
-                            if from_ok {
-                                k.transition_to(to)?;
-                            }
-                            Ok(())
-                        });
-                        let counter = match to {
-                            KeyspaceState::ReadOnly => "dev_keyspaces_readonly",
-                            _ => "dev_keyspaces_degraded",
-                        };
-                        self.soc.ledger().bump(counter, 1);
-                        // Persisting may itself fail under power loss;
-                        // reopen re-derives the state from the sealed logs.
-                        let _ = self.persist();
-                    }
-                }
-            }
-            ran += 1;
-        }
-        ran
-    }
-
-    /// Retry budget for transient flash errors inside background jobs.
-    const JOB_MAX_RETRIES: u32 = 4;
-    /// First backoff step; doubles per retry (simulated time, ledger only).
-    const JOB_BACKOFF_BASE_NS: u64 = 50_000;
-
-    fn exec_job(&self, job: &Job, deadline: &Deadline<'_>) -> Result<()> {
-        match job {
-            Job::Compact { ks, specs } => self.exec_compact(*ks, specs, deadline),
-            Job::BuildSidx { ks, spec } => self.exec_build_sidx(*ks, spec, deadline),
-        }
-    }
-
-    /// Run one job, retrying transient flash errors with bounded
-    /// exponential backoff. Clusters allocated by a failed attempt are
-    /// swept immediately so retries do not leak zones. The deadline is
-    /// re-checked before every retry so an expired job stops burning
-    /// backoff budget.
-    fn exec_job_with_retry(&self, job: &Job, deadline: &Deadline<'_>) -> Result<()> {
-        let mut attempt = 0u32;
-        loop {
-            let before = self.live_clusters();
-            let r = self.exec_job(job, deadline);
-            if r.is_err() {
-                self.sweep_job_orphans(&before);
-            }
-            match r {
-                Err(DeviceError::Flash(ref f))
-                    if f.is_transient() && attempt < Self::JOB_MAX_RETRIES =>
-                {
-                    deadline.check()?;
-                    attempt += 1;
-                    self.soc.ledger().bump("dev_job_retries", 1);
-                    self.soc.ledger().bump(
-                        "dev_job_backoff_ns",
-                        Self::JOB_BACKOFF_BASE_NS << (attempt - 1),
-                    );
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Every cluster the zone manager currently has allocated.
-    fn live_clusters(&self) -> HashSet<u32> {
-        self.mgr
-            .export_state()
-            .clusters
-            .iter()
-            .map(|c| c.id)
-            .collect()
-    }
-
-    /// Release clusters a failed job allocated that no keyspace ended up
-    /// referencing — the in-session analogue of reopen's orphan cleanup.
-    fn sweep_job_orphans(&self, before: &HashSet<u32>) {
-        let after = self.mgr.export_state();
-        let referenced = self.referenced_clusters();
-        for cs in &after.clusters {
-            if !before.contains(&cs.id) && !referenced.contains(&cs.id) {
-                // Zone resets can fail too under power loss; reopen's
-                // orphan sweep is the backstop.
-                if self.mgr.release_cluster(ClusterId(cs.id)).is_ok() {
-                    self.soc.ledger().bump("dev_job_orphans_released", 1);
-                }
-            }
-        }
-    }
-
-    /// Every cluster currently referenced by some keyspace's storage.
-    fn referenced_clusters(&self) -> HashSet<u32> {
-        self.km.with_all(|list| {
-            list.iter()
-                .flat_map(|ks| ks.storage.clusters())
-                .map(|c| c.0)
-                .collect()
-        })
-    }
-
-    /// Run queued jobs that belong to keyspace `ks` (used before delete).
-    fn run_jobs_for(&self, ks: u32) {
-        let has_any = {
-            let jobs = self.jobs.lock();
-            jobs.queue.iter().any(|(_, j, _)| j.ks() == ks)
-        };
-        if has_any {
-            // Deletion "may be deferred due to on-going compaction or
-            // index operations": simplest faithful behaviour is to finish
-            // them first.
-            self.run_pending_jobs();
-        }
-    }
-
-    /// Compact a keyspace, building `specs`' secondary indexes in the
-    /// same pass, with the paper's fallback: "resort back to separated
-    /// index construction when DRAM resources become a bottleneck".
-    fn exec_compact(
-        &self,
-        ks: u32,
-        specs: &[SecondaryIndexSpec],
-        deadline: &Deadline<'_>,
-    ) -> Result<()> {
-        let (klog, vlog, pairs) = self
-            .km
-            .with(ks, |k| match (k.storage.klog, k.storage.vlog) {
-                (Some(klog), Some(vlog)) => Ok((klog, vlog, k.pairs)),
-                _ => Err(DeviceError::Internal("no sealed logs".into())),
-            })?;
-        let before = self.live_clusters();
-        let (out, souts) = match run_compaction(
-            &self.mgr,
-            &self.soc,
-            &self.dram,
-            klog,
-            vlog,
-            pairs,
-            self.cfg.cluster_width,
-            specs,
-            deadline,
-        ) {
-            Ok(built) => built,
-            // Out of zones, the separated path would only fail the same
-            // way; that error surfaces and the keyspace goes READ_ONLY.
-            Err(DeviceError::OutOfDram(_)) if !specs.is_empty() => {
-                // Drop what the single pass wrote before it gave up.
-                self.sweep_job_orphans(&before);
-                self.soc.ledger().bump("dev_single_pass_fallbacks", 1);
-                self.exec_compact(ks, &[], deadline)?;
-                for spec in specs {
-                    deadline.check()?;
-                    self.exec_build_sidx(ks, spec, deadline)?;
-                }
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        self.km.with_mut(ks, |k| {
-            install_sidx(k, specs, souts)?;
-            k.storage.klog = None;
-            k.storage.vlog = None;
-            k.storage.pidx = Some(out.pidx);
-            k.storage.pidx_sketch = out.sketch;
-            k.storage.svalues = Some(out.svalues);
-            k.transition_to(KeyspaceState::Compacted)?;
-            Ok(())
-        })?;
-        self.persist()?;
-        let counter = if specs.is_empty() {
-            "dev_compactions"
-        } else {
-            "dev_single_pass_compactions"
-        };
-        self.soc.ledger().bump(counter, 1);
-        if out.run_merge {
-            self.soc.ledger().bump("dev_run_merge_compactions", 1);
-        }
-        // Persist first, then reclaim: the logs are erased only once no
-        // durable snapshot refers to them. A cut in between leaves them
-        // to reopen's orphan sweep, so a failed erase does not fail the
-        // finished compaction.
-        let _ = self.mgr.release_cluster(klog.0);
-        let _ = self.mgr.release_cluster(vlog.0);
-        Ok(())
-    }
-
-    fn exec_build_sidx(
-        &self,
-        ks: u32,
-        spec: &SecondaryIndexSpec,
-        deadline: &Deadline<'_>,
-    ) -> Result<()> {
-        let (pidx, svalues) = self.km.with(ks, |k| {
-            k.require_state(KeyspaceState::Compacted, "build_sidx")?;
-            Ok((
-                k.storage
-                    .pidx
-                    .ok_or_else(|| DeviceError::Internal("no pidx".into()))?,
-                k.storage
-                    .svalues
-                    .ok_or_else(|| DeviceError::Internal("no svalues".into()))?,
-            ))
-        })?;
-        let out = build_secondary_index(
-            &self.mgr,
-            &self.soc,
-            &self.dram,
-            pidx,
-            svalues,
-            spec,
-            self.cfg.cluster_width,
-            deadline,
-        )?;
-        self.km.with_mut(ks, |k| {
-            install_sidx(k, std::slice::from_ref(spec), vec![out])
-        })?;
-        self.persist()?;
-        self.soc.ledger().bump("dev_sidx_builds", 1);
-        Ok(())
-    }
-
     // ---- command implementations --------------------------------------------
 
     fn ensure_writable(&self, ks: u32) -> Result<()> {
@@ -906,15 +591,7 @@ impl KvCsdDevice {
         if !needs_open {
             return Ok(());
         }
-        // The guard releases the ingest buffer if any cluster allocation
-        // fails (previously this leaked); on success it is leaked into the
-        // keyspace, which releases at seal or delete.
-        let ingest = self
-            .dram
-            .reserve(INGEST_BUFFER_BYTES as u64)
-            .ok_or(DeviceError::OutOfDram("ingest DRAM"))?;
-        let kc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
-        let vc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
+        let (ingest, wlog) = self.open_write_log()?;
         let wal = if self.cfg.wal {
             Some(crate::wal::DeviceWal::new(
                 self.mgr.alloc_cluster(self.cfg.cluster_width)?,
@@ -927,7 +604,7 @@ impl KvCsdDevice {
             if k.state == KeyspaceState::Writable {
                 return Ok(false);
             }
-            k.storage.wlog = Some(WriteLog::new(kc, vc));
+            k.storage.wlog = Some(wlog);
             k.storage.dwal = wal;
             k.transition_to(KeyspaceState::Writable)?;
             Ok(true)
@@ -963,6 +640,30 @@ impl KvCsdDevice {
         })
     }
 
+    /// Admit, then write `pairs` in order and count them as puts. Space
+    /// exhaustion freezes the keyspace READ_ONLY (see
+    /// [`Self::freeze_writable_read_only`]) before the error surfaces.
+    fn put_pairs<'a>(
+        &self,
+        ks: u32,
+        deadline: &Deadline<'_>,
+        pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>,
+    ) -> Result<u64> {
+        self.admit_write(ks, deadline)?;
+        let mut inserted = 0u64;
+        for (key, value) in pairs {
+            if let Err(e) = self.do_put(ks, key, value) {
+                if Self::is_space_exhaustion(&e) {
+                    self.freeze_writable_read_only(ks);
+                }
+                return Err(e);
+            }
+            inserted += 1;
+        }
+        self.soc.ledger().bump("dev_puts", inserted);
+        Ok(inserted)
+    }
+
     /// True for errors that mean the *device* is out of space (zones),
     /// as opposed to a transient fault or a caller mistake.
     fn is_space_exhaustion(e: &DeviceError) -> bool {
@@ -983,35 +684,16 @@ impl KvCsdDevice {
             if k.state != KeyspaceState::Writable {
                 return Ok(None);
             }
-            let (kc, vc, klen, vlen) = {
-                let wlog = k
-                    .storage
-                    .wlog
-                    .as_mut()
-                    .ok_or_else(|| DeviceError::Internal("writable without wlog".into()))?;
-                let (klen, vlen) = wlog.seal(&self.mgr)?;
-                (wlog.klog.cluster(), wlog.vlog.cluster(), klen, vlen)
-            };
-            k.storage.wlog = None;
-            k.storage.klog = Some((kc, klen));
-            k.storage.vlog = Some((vc, vlen));
-            k.transition_to(KeyspaceState::ReadOnly)?;
-            Ok(Some(k.storage.dwal.take().map(|w| w.cluster())))
+            self.seal_write_log(k, KeyspaceState::ReadOnly).map(Some)
         });
         // On Err the seal failed (keyspace stays WRITABLE, client may
         // retry the put); on Ok(None) the keyspace was not WRITABLE:
         // nothing to freeze either way.
-        if let Ok(Some(wal_cluster)) = sealed {
-            self.dram.release(INGEST_BUFFER_BYTES as u64);
+        if let Ok(Some(wal)) = sealed {
             self.soc.ledger().bump("dev_keyspaces_readonly", 1);
-            // Persist may fail on an exhausted device; reopen's
-            // recovery path then replays the WAL the old snapshot still
-            // names, so it is released only after a durable persist.
-            if self.persist().is_ok() {
-                if let Some(c) = wal_cluster {
-                    let _ = self.mgr.release_cluster(c);
-                }
-            }
+            // Persist may fail on an exhausted device; reopen's recovery
+            // path then replays the WAL the old snapshot still names.
+            let _ = self.retire_write_log(wal);
         }
     }
 
@@ -1031,71 +713,37 @@ impl KvCsdDevice {
         }
         // Seal the logs and flip to COMPACTING synchronously (cheap); the
         // sort itself is the deferred job.
-        let sealed = self.km.with_mut(ks, |k| {
-            match k.state {
-                KeyspaceState::Writable => {}
-                KeyspaceState::Empty => {
-                    // Compacting an empty keyspace: trivially queryable.
-                    k.transition_to(KeyspaceState::Compacted)?;
-                    return Ok(Seal::Empty);
-                }
-                // A DEGRADED or READ_ONLY keyspace keeps its sealed logs;
-                // re-compaction is just re-entering COMPACTING and
-                // re-running the job (for READ_ONLY this is the recovery
-                // path once space has been reclaimed).
-                KeyspaceState::Degraded | KeyspaceState::ReadOnly
-                    if k.storage.klog.is_some() && k.storage.vlog.is_some() =>
-                {
-                    k.transition_to(KeyspaceState::Compacting)?;
-                    return Ok(Seal::Resealed);
-                }
-                _ => {
-                    return Err(DeviceError::BadState {
-                        state: k.state.name(),
-                        op: "compact",
-                    })
-                }
+        let sealed = self.km.with_mut(ks, |k| match k.state {
+            KeyspaceState::Writable => self
+                .seal_write_log(k, KeyspaceState::Compacting)
+                .map(Seal::Sealed),
+            // Compacting an empty keyspace: trivially queryable.
+            KeyspaceState::Empty => k
+                .transition_to(KeyspaceState::Compacted)
+                .map(|()| Seal::Empty),
+            // A DEGRADED or READ_ONLY keyspace keeps its sealed logs;
+            // re-compaction is just re-entering COMPACTING and re-running
+            // the job (for READ_ONLY this is the recovery path once space
+            // has been reclaimed).
+            KeyspaceState::Degraded | KeyspaceState::ReadOnly
+                if k.storage.klog.is_some() && k.storage.vlog.is_some() =>
+            {
+                k.transition_to(KeyspaceState::Compacting)
+                    .map(|()| Seal::Resealed)
             }
-            // Seal in place: if the flush hits a transient flash error the
-            // wlog stays in `storage` (still WRITABLE) and the client can
-            // retry the whole COMPACT command; only a successful seal takes
-            // the log out.
-            let (kc, vc, klen, vlen) = {
-                let wlog = k
-                    .storage
-                    .wlog
-                    .as_mut()
-                    .ok_or_else(|| DeviceError::Internal("writable without wlog".into()))?;
-                let (klen, vlen) = wlog.seal(&self.mgr)?;
-                (wlog.klog.cluster(), wlog.vlog.cluster(), klen, vlen)
-            };
-            k.storage.wlog = None;
-            k.storage.klog = Some((kc, klen));
-            k.storage.vlog = Some((vc, vlen));
-            k.transition_to(KeyspaceState::Compacting)?;
-            // Once the logs are sealed every pair is durable on flash;
-            // the WAL has served its purpose.
-            Ok(Seal::Sealed(k.storage.dwal.take().map(|w| w.cluster())))
+            _ => Err(DeviceError::BadState {
+                state: k.state.name(),
+                op: "compact",
+            }),
         })?;
-        if let Seal::Sealed(_) = &sealed {
-            self.dram.release(INGEST_BUFFER_BYTES as u64);
+        match sealed {
+            Seal::Sealed(wal) => self.retire_write_log(wal)?,
+            Seal::Resealed | Seal::Empty => self.persist()?,
         }
-        self.persist()?;
-        // The WAL goes only once the sealed state is durable: until then
-        // the last snapshot still replays it. A cut in between leaves it
-        // to reopen's orphan sweep.
-        if let Seal::Sealed(Some(c)) = sealed {
-            let _ = self.mgr.release_cluster(c);
-        }
-        let job = self.enqueue(Job::Compact { ks, specs }, deadline_ns);
-        if matches!(sealed, Seal::Empty) {
-            // Empty keyspace: nothing to do; complete immediately.
-            let mut jobs = self.jobs.lock();
-            jobs.queue.retain(|(id, _, _)| *id != job.0);
-            self.job_depth.set(jobs.queue.len());
-            jobs.states.insert(job.0, JobState::Done);
-        }
-        Ok(job)
+        Ok(match sealed {
+            Seal::Empty => self.jobs.submit_done(),
+            _ => self.jobs.submit(Job::Compact { ks, specs }, deadline_ns),
+        })
     }
 
     fn do_delete(&self, ks: u32) -> Result<()> {
@@ -1143,6 +791,31 @@ impl KvCsdDevice {
         }
     }
 
+    /// The query arms' shared gate: admit, count the op under `counter`,
+    /// and serve `f` from the keyspace's storage once it is queryable.
+    /// COMPACTED serves everything; READ_ONLY keeps serving from its
+    /// primary index when the freeze happened *after* compaction
+    /// (graceful degradation — reads outlive writes).
+    fn query<T>(
+        &self,
+        ks: u32,
+        deadline: &Deadline<'_>,
+        counter: &'static str,
+        op: &'static str,
+        f: impl FnOnce(&KsStorage) -> Result<T>,
+    ) -> Result<T> {
+        self.admit_query(ks, deadline)?;
+        self.soc.ledger().bump(counter, 1);
+        self.km.with(ks, |k| match k.state {
+            KeyspaceState::Compacted => f(&k.storage),
+            KeyspaceState::ReadOnly if k.storage.pidx.is_some() => f(&k.storage),
+            _ => Err(DeviceError::BadState {
+                state: k.state.name(),
+                op,
+            }),
+        })
+    }
+
     fn stat(&self, ks: u32) -> Result<KeyspaceStat> {
         self.km.with(ks, |k| {
             Ok(KeyspaceStat {
@@ -1172,46 +845,6 @@ fn validate_specs(specs: &[SecondaryIndexSpec]) -> Result<()> {
         }
     }
     Ok(())
-}
-
-/// Install built secondary indexes into `k`. An existing name is never
-/// replaced: that would orphan the old index's cluster. The job then
-/// fails with `IndexExists` and its orphan sweep releases the new ones.
-fn install_sidx(
-    k: &mut crate::keyspace::Keyspace,
-    specs: &[SecondaryIndexSpec],
-    outs: Vec<SidxOutput>,
-) -> Result<()> {
-    if specs.iter().any(|s| k.storage.sidx.contains_key(&s.name)) {
-        return Err(DeviceError::IndexExists);
-    }
-    for (spec, out) in specs.iter().zip(outs) {
-        k.storage.sidx.insert(
-            spec.name.clone(),
-            SecondaryIndex {
-                spec: spec.clone(),
-                cluster: out.cluster,
-                blocks: out.blocks,
-                sketch: out.sketch,
-                entries: out.entries,
-            },
-        );
-    }
-    Ok(())
-}
-
-/// Query-path state check: COMPACTED serves everything; READ_ONLY keeps
-/// serving from its primary index when the freeze happened *after*
-/// compaction (graceful degradation — reads outlive writes).
-fn require_queryable(k: &crate::keyspace::Keyspace, op: &'static str) -> Result<()> {
-    match k.state {
-        KeyspaceState::Compacted => Ok(()),
-        KeyspaceState::ReadOnly if k.storage.pidx.is_some() => Ok(()),
-        _ => Err(DeviceError::BadState {
-            state: k.state.name(),
-            op,
-        }),
-    }
 }
 
 impl DeviceHandler for KvCsdDevice {
@@ -1245,30 +878,12 @@ impl DeviceHandler for KvCsdDevice {
                     Ok(KvResponse::Deleted)
                 }
                 KvCommand::Put { ks, key, value } => {
-                    self.admit_write(ks, &deadline)?;
-                    if let Err(e) = self.do_put(ks, &key, &value) {
-                        if Self::is_space_exhaustion(&e) {
-                            self.freeze_writable_read_only(ks);
-                        }
-                        return Err(e);
-                    }
-                    self.soc.ledger().bump("dev_puts", 1);
+                    self.put_pairs(ks, &deadline, [(&key[..], &value[..])])?;
                     Ok(KvResponse::PutOk)
                 }
                 KvCommand::BulkPut { ks, payload } => {
-                    self.admit_write(ks, &deadline)?;
-                    let mut inserted = 0u64;
-                    for (key, value) in payload.iter() {
-                        if let Err(e) = self.do_put(ks, key, value) {
-                            if Self::is_space_exhaustion(&e) {
-                                self.freeze_writable_read_only(ks);
-                            }
-                            return Err(e);
-                        }
-                        inserted += 1;
-                    }
+                    let inserted = self.put_pairs(ks, &deadline, payload.iter())?;
                     self.soc.ledger().bump("dev_bulk_puts", 1);
-                    self.soc.ledger().bump("dev_puts", inserted);
                     Ok(KvResponse::BulkPutOk { inserted })
                 }
                 KvCommand::Flush { ks } => {
@@ -1303,69 +918,41 @@ impl DeviceHandler for KvCsdDevice {
                         Ok(())
                     })?;
                     validate_specs(std::slice::from_ref(&spec))?;
-                    let job = self.enqueue(Job::BuildSidx { ks, spec }, deadline.deadline_ns());
+                    let job = self
+                        .jobs
+                        .submit(Job::BuildSidx { ks, spec }, deadline.deadline_ns());
                     Ok(KvResponse::JobStarted { job })
                 }
                 KvCommand::PollJob { job } => {
-                    let jobs = self.jobs.lock();
-                    let state = jobs
-                        .states
-                        .get(&job.0)
-                        .cloned()
-                        .ok_or(DeviceError::Internal("job not found".into()))
-                        .map_err(|_| DeviceError::Internal("job not found".into()))?;
+                    let state = self.jobs.state(job).ok_or(DeviceError::JobNotFound)?;
                     Ok(KvResponse::Job { state })
                 }
-                KvCommand::Get { ks, key } => {
-                    self.admit_query(ks, &deadline)?;
-                    self.soc.ledger().bump("dev_gets", 1);
-                    self.km.with(ks, |k| {
-                        require_queryable(k, "get")?;
-                        let v = query::point_get(&self.mgr, &self.soc, &k.storage, &key)?;
-                        Ok(KvResponse::Value(v))
+                KvCommand::Get { ks, key } => self
+                    .query(ks, &deadline, "dev_gets", "get", |s| {
+                        query::point_get(&self.mgr, &self.soc, s, &key)
                     })
-                }
-                KvCommand::Range { ks, lo, hi, limit } => {
-                    self.admit_query(ks, &deadline)?;
-                    self.soc.ledger().bump("dev_ranges", 1);
-                    self.km.with(ks, |k| {
-                        require_queryable(k, "range")?;
-                        let es = query::range(&self.mgr, &self.soc, &k.storage, &lo, &hi, limit)?;
-                        Ok(KvResponse::Entries(es))
+                    .map(KvResponse::Value),
+                KvCommand::Range { ks, lo, hi, limit } => self
+                    .query(ks, &deadline, "dev_ranges", "range", |s| {
+                        query::range(&self.mgr, &self.soc, s, &lo, &hi, limit)
                     })
-                }
-                KvCommand::SidxGet { ks, index, key } => {
-                    self.admit_query(ks, &deadline)?;
-                    self.soc.ledger().bump("dev_sidx_gets", 1);
-                    self.km.with(ks, |k| {
-                        require_queryable(k, "sidx_get")?;
-                        let es = query::sidx_get(
-                            &self.mgr,
-                            &self.soc,
-                            &k.storage,
-                            &index,
-                            &key.encode(),
-                        )?;
-                        Ok(KvResponse::Entries(es))
+                    .map(KvResponse::Entries),
+                KvCommand::SidxGet { ks, index, key } => self
+                    .query(ks, &deadline, "dev_sidx_gets", "sidx_get", |s| {
+                        query::sidx_get(&self.mgr, &self.soc, s, &index, &key.encode())
                     })
-                }
+                    .map(KvResponse::Entries),
                 KvCommand::SidxRange {
                     ks,
                     index,
                     lo,
                     hi,
                     limit,
-                } => {
-                    self.admit_query(ks, &deadline)?;
-                    self.soc.ledger().bump("dev_sidx_ranges", 1);
-                    self.km.with(ks, |k| {
-                        require_queryable(k, "sidx_range")?;
-                        let es = query::sidx_range(
-                            &self.mgr, &self.soc, &k.storage, &index, &lo, &hi, limit,
-                        )?;
-                        Ok(KvResponse::Entries(es))
+                } => self
+                    .query(ks, &deadline, "dev_sidx_ranges", "sidx_range", |s| {
+                        query::sidx_range(&self.mgr, &self.soc, s, &index, &lo, &hi, limit)
                     })
-                }
+                    .map(KvResponse::Entries),
                 KvCommand::Stat { ks } => Ok(KvResponse::Stat(self.stat(ks)?)),
                 // unwrap_deadline strips every wrapper before this match.
                 KvCommand::WithDeadline { .. } => Err(DeviceError::Internal(
@@ -1385,7 +972,7 @@ mod tests {
     use super::*;
     use crate::DeviceStack;
     use kvcsd_flash::{FlashGeometry, ZnsConfig};
-    use kvcsd_proto::{Bound, BulkBuilder, SecondaryKeyType, SidxKey};
+    use kvcsd_proto::{Bound, BulkBuilder, JobState, SecondaryKeyType, SidxKey};
 
     const GEOM: FlashGeometry = FlashGeometry {
         channels: 8,
@@ -2114,11 +1701,20 @@ mod tests {
             KvResponse::Job { state } => assert_eq!(state, JobState::Pending),
             other => panic!("{other:?}"),
         }
+        assert_eq!(dev.pending_jobs(), 1);
         dev.run_pending_jobs();
+        assert_eq!(dev.pending_jobs(), 0);
         match ok(dev.handle(KvCommand::PollJob { job })) {
             KvResponse::Job { state } => assert_eq!(state, JobState::Done),
             other => panic!("{other:?}"),
         }
+        // An id the device never issued is a typed miss, as at the router.
+        assert_eq!(
+            dev.handle(KvCommand::PollJob {
+                job: JobId(job.0 + 1)
+            }),
+            KvResponse::Err(KvStatus::JobNotFound)
+        );
     }
 
     #[test]
@@ -2133,6 +1729,7 @@ mod tests {
             KvResponse::Job { state } => assert_eq!(state, JobState::Done),
             other => panic!("{other:?}"),
         }
+        assert_eq!(dev.pending_jobs(), 0);
         // Queryable (and empty).
         match ok(dev.handle(KvCommand::Range {
             ks,

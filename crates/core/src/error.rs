@@ -53,6 +53,8 @@ pub enum DeviceError {
         from: &'static str,
         to: &'static str,
     },
+    /// No background job with that id was issued by this device.
+    JobNotFound,
     /// Internal invariant violation.
     Internal(String),
 }
@@ -89,6 +91,7 @@ impl fmt::Display for DeviceError {
             DeviceError::IllegalTransition { machine, from, to } => {
                 write!(f, "illegal {machine} transition: {from} -> {to}")
             }
+            DeviceError::JobNotFound => write!(f, "background job not found"),
             DeviceError::Internal(m) => write!(f, "internal: {m}"),
         }
     }
@@ -129,6 +132,7 @@ impl From<DeviceError> for KvStatus {
             DeviceError::Flash(e) => KvStatus::Internal(e.to_string()),
             e @ DeviceError::CorruptMetadata => KvStatus::MediaError(e.to_string()),
             e @ DeviceError::IllegalTransition { .. } => KvStatus::Internal(e.to_string()),
+            DeviceError::JobNotFound => KvStatus::JobNotFound,
             DeviceError::Internal(m) => KvStatus::Internal(m),
         }
     }

@@ -27,9 +27,10 @@
 //!   path consults (slowdown / stall / reject bands over DRAM usage, job
 //!   queue depth and compaction debt) plus sim-clock deadlines;
 //! * [`device`] — [`KvCsdDevice`], the command processor implementing
-//!   [`kvcsd_proto::DeviceHandler`], with the deferred background-job
-//!   queue (compaction and index builds run asynchronously from the
-//!   host's perspective);
+//!   [`kvcsd_proto::DeviceHandler`];
+//! * `jobs` — the deferred background-job queue and the job runner
+//!   (compaction and index builds run asynchronously from the host's
+//!   perspective);
 //! * [`stack`] — [`DeviceStack`], the one way to stand a device up over
 //!   NAND and ZNS, and to power-cycle it after an injected cut.
 //!
@@ -44,6 +45,7 @@ pub mod dram;
 pub mod error;
 pub mod extsort;
 pub mod ingest;
+mod jobs;
 pub mod keyspace;
 pub mod lifecycle;
 pub mod meta;
