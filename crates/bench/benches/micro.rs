@@ -10,12 +10,12 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use kvcsd_blockfs::{BlockFs, FsConfig};
-use kvcsd_core::compact::{PidxBlock, PidxBlockBuilder, PidxEntry};
 use kvcsd_core::dram::DramBudget;
 use kvcsd_core::extsort::ExtSorter;
 use kvcsd_core::ingest::{KlogRecord, WriteLog};
 use kvcsd_core::soc::SocCharger;
 use kvcsd_core::zone_mgr::ZoneManager;
+use kvcsd_core::{EntryRef, IndexBlock, IndexBlockBuilder, PidxEntry};
 use kvcsd_flash::{
     ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig, ZonedNamespace,
 };
@@ -184,20 +184,17 @@ fn bench_device_paths() {
 }
 
 fn bench_pidx_block() {
-    let mut builder = PidxBlockBuilder::new();
+    let mut builder = IndexBlockBuilder::<PidxEntry>::default();
     let mut keys = Vec::new();
     loop {
         let n = keys.len() as u64;
-        let e = PidxEntry {
-            key: format!("key-{n:012}").into_bytes(),
-            voff: n * 32,
-            vlen: 32,
-        };
-        if !builder.fits(e.key.len()) {
+        let key = format!("key-{n:012}").into_bytes();
+        let e = EntryRef::primary(&key, n * 32, 32);
+        if !builder.fits(&e) {
             break;
         }
         builder.add(&e);
-        keys.push(e.key);
+        keys.push(key);
     }
     let (block, _) = builder.finish();
     // One point lookup per iteration, cycling through every key: parse
@@ -205,7 +202,9 @@ fn bench_pidx_block() {
     let mut i = 0;
     bench("pidx/search_block", 100_000, 1, || {
         i = (i + 1) % keys.len();
-        PidxBlock::parse(&block).unwrap().find(&keys[i])
+        IndexBlock::<PidxEntry>::parse(&block)
+            .unwrap()
+            .find(&keys[i])
     });
 }
 

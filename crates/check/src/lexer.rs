@@ -318,16 +318,19 @@ pub fn find_unwraps(code: &str) -> Vec<Hit> {
     hits
 }
 
-/// `Instant::now` / `SystemTime::now` wall-clock reads.
-pub fn find_wall_clock(code: &str) -> Vec<Hit> {
+/// Every word-bounded occurrence of each `(needle, what)` token, in
+/// source order, described by its `what`. The `time`, `sleep`,
+/// `shim-spawn` and `router-bypass` rules are this scan over the token
+/// lists below.
+pub fn find_tokens(code: &str, tokens: &[(&str, &str)]) -> Vec<Hit> {
     let bytes = code.as_bytes();
     let mut hits = Vec::new();
-    for name in ["Instant::now", "SystemTime::now"] {
-        for ix in find_all(code, name) {
-            if bounded(bytes, ix, name.len()) {
+    for &(needle, what) in tokens {
+        for ix in find_all(code, needle) {
+            if bounded(bytes, ix, needle.len()) {
                 hits.push(Hit {
                     offset: ix,
-                    what: format!("`{name}()`"),
+                    what: what.to_string(),
                 });
             }
         }
@@ -336,23 +339,16 @@ pub fn find_wall_clock(code: &str) -> Vec<Hit> {
     hits
 }
 
+/// `Instant::now` / `SystemTime::now` wall-clock reads.
+pub const WALL_CLOCK: &[(&str, &str)] = &[
+    ("Instant::now", "`Instant::now()`"),
+    ("SystemTime::now", "`SystemTime::now()`"),
+];
+
 /// `thread::sleep` calls (also matches the qualified `std::thread::sleep`
 /// path, which ends in the same token pair). A local function merely
 /// *named* `sleep` is not flagged — the `thread::` segment is required.
-pub fn find_thread_sleep(code: &str) -> Vec<Hit> {
-    let bytes = code.as_bytes();
-    let needle = "thread::sleep";
-    let mut hits = Vec::new();
-    for ix in find_all(code, needle) {
-        if bounded(bytes, ix, needle.len()) {
-            hits.push(Hit {
-                offset: ix,
-                what: "`thread::sleep(...)`".to_string(),
-            });
-        }
-    }
-    hits
-}
+pub const THREAD_SLEEP: &[(&str, &str)] = &[("thread::sleep", "`thread::sleep(...)`")];
 
 /// Raw thread creation for the `shim-spawn` rule: `thread::spawn` (also
 /// matching the qualified `std::thread::spawn` path, which ends in the
@@ -360,49 +356,25 @@ pub fn find_thread_sleep(code: &str) -> Vec<Hit> {
 /// hatch that reaches the same unmanaged spawn. A local function merely
 /// *named* `spawn` — like `kvcsd_sim::sync::spawn` itself at a call
 /// site — is not flagged; the `thread::` segment is required.
-pub fn find_thread_spawn(code: &str) -> Vec<Hit> {
-    let bytes = code.as_bytes();
-    let mut hits = Vec::new();
-    for needle in ["thread::spawn", "thread::Builder"] {
-        for ix in find_all(code, needle) {
-            if bounded(bytes, ix, needle.len()) {
-                hits.push(Hit {
-                    offset: ix,
-                    what: format!("`{needle}`"),
-                });
-            }
-        }
-    }
-    hits.sort_by_key(|h| h.offset);
-    hits
-}
+pub const THREAD_SPAWN: &[(&str, &str)] = &[
+    ("thread::spawn", "`thread::spawn`"),
+    ("thread::Builder", "`thread::Builder`"),
+];
 
 /// Direct `KvCsdDevice::new` / `KvCsdDevice::reopen` construction, or a
 /// `DeviceStack::new` / `DeviceStack::with_ledger` stack built around
 /// them — the `router-bypass` rule. A type merely *named* `KvCsdDevice`
 /// or `DeviceStack` in a signature or field is fine; only the
 /// constructor paths are flagged.
-pub fn find_device_construction(code: &str) -> Vec<Hit> {
-    let bytes = code.as_bytes();
-    let mut hits = Vec::new();
-    for needle in [
-        "KvCsdDevice::new",
-        "KvCsdDevice::reopen",
-        "DeviceStack::new",
+pub const DEVICE_CONSTRUCTION: &[(&str, &str)] = &[
+    ("KvCsdDevice::new", "`KvCsdDevice::new(...)`"),
+    ("KvCsdDevice::reopen", "`KvCsdDevice::reopen(...)`"),
+    ("DeviceStack::new", "`DeviceStack::new(...)`"),
+    (
         "DeviceStack::with_ledger",
-    ] {
-        for ix in find_all(code, needle) {
-            if bounded(bytes, ix, needle.len()) {
-                hits.push(Hit {
-                    offset: ix,
-                    what: format!("`{needle}(...)`"),
-                });
-            }
-        }
-    }
-    hits.sort_by_key(|h| h.offset);
-    hits
-}
+        "`DeviceStack::with_ledger(...)`",
+    ),
+];
 
 /// `std::sync::Mutex` / `std::sync::RwLock`, whether path-qualified at a
 /// use site or pulled in through a `use std::sync::...` import. Limits:
@@ -924,7 +896,7 @@ mod tests {
     #[test]
     fn finds_wall_clock_reads() {
         let code = "let t = std::time::Instant::now(); let s = SystemTime::now(); fn now() {}";
-        let hits = find_wall_clock(code);
+        let hits = find_tokens(code, WALL_CLOCK);
         assert_eq!(hits.len(), 2);
     }
 
@@ -932,7 +904,7 @@ mod tests {
     fn finds_thread_sleeps() {
         let code =
             "thread::sleep(d); std::thread::sleep(d); sleep(d); my_thread::sleeper(); fn sleep() {}";
-        let hits = find_thread_sleep(code);
+        let hits = find_tokens(code, THREAD_SLEEP);
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert!(hits.iter().all(|h| h.what.contains("thread::sleep")));
     }
@@ -963,7 +935,7 @@ mod tests {
     #[test]
     fn finds_raw_thread_spawns() {
         let code = "std::thread::spawn(f);\nthread::Builder::new().spawn(g);\nkvcsd_sim::sync::spawn(h);\nlet spawner = my_thread::spawner();\n";
-        let hits = find_thread_spawn(code);
+        let hits = find_tokens(code, THREAD_SPAWN);
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert_eq!(hits[0].what, "`thread::spawn`");
         assert_eq!(hits[1].what, "`thread::Builder`");

@@ -596,7 +596,7 @@ pub fn check_source_report(
         }
     }
     if rules.time {
-        for hit in lexer::find_wall_clock(&scrubbed.code) {
+        for hit in lexer::find_tokens(&scrubbed.code, lexer::WALL_CLOCK) {
             push(
                 scrubbed.line_of(hit.offset),
                 "time",
@@ -608,7 +608,7 @@ pub fn check_source_report(
         }
     }
     if rules.sleep {
-        for hit in lexer::find_thread_sleep(&scrubbed.code) {
+        for hit in lexer::find_tokens(&scrubbed.code, lexer::THREAD_SLEEP) {
             push(
                 scrubbed.line_of(hit.offset),
                 "sleep",
@@ -620,7 +620,7 @@ pub fn check_source_report(
         }
     }
     if rules.shim_spawn {
-        for hit in lexer::find_thread_spawn(&scrubbed.code) {
+        for hit in lexer::find_tokens(&scrubbed.code, lexer::THREAD_SPAWN) {
             push(
                 scrubbed.line_of(hit.offset),
                 "shim-spawn",
@@ -690,7 +690,7 @@ pub fn check_source_report(
         }
     }
     if rules.router_bypass {
-        for hit in lexer::find_device_construction(&scrubbed.code) {
+        for hit in lexer::find_tokens(&scrubbed.code, lexer::DEVICE_CONSTRUCTION) {
             let line = scrubbed.line_of(hit.offset);
             if in_tests(line) {
                 continue;

@@ -19,15 +19,28 @@
 
 use kvcsd_proto::{SecondaryIndexSpec, ShipKind};
 
-/// One secondary index, fully built: spec, sketch pivots and raw blocks.
+/// One built index, primary or secondary: its raw blocks and its sketch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexArtifact {
+    /// The index blocks, concatenated (length = blocks × 4 KiB).
+    pub data: Vec<u8>,
+    /// Sketch pivots (first key of each index block).
+    pub pivots: Vec<Vec<u8>>,
+}
+
+impl IndexArtifact {
+    /// Bytes on the bus: the blocks plus each pivot and its length.
+    fn wire_bytes(&self) -> usize {
+        self.data.len() + self.pivots.iter().map(|p| p.len() + 4).sum::<usize>()
+    }
+}
+
+/// One secondary index, fully built: spec, entry count and the index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SidxArtifact {
     pub spec: SecondaryIndexSpec,
     pub entries: u64,
-    /// Sketch pivots (first secondary key of each index block).
-    pub pivots: Vec<Vec<u8>>,
-    /// The index blocks, concatenated (length = blocks × 4 KiB).
-    pub data: Vec<u8>,
+    pub index: IndexArtifact,
 }
 
 /// What was exported, by compaction phase.
@@ -37,14 +50,11 @@ pub enum ArtifactPayload {
     /// finished. Every acked-and-sealed pair is in here; the importer
     /// installs them DEGRADED and re-runs compaction locally.
     SealedLogs { klog: Vec<u8>, vlog: Vec<u8> },
-    /// The finished product: primary index blocks + sketch pivots, sorted
-    /// values, and every built secondary index. Installed verbatim as
-    /// COMPACTED — the importer does no sorting at all.
+    /// The finished product: the primary index, sorted values, and every
+    /// built secondary index. Installed verbatim as COMPACTED — the
+    /// importer does no sorting at all.
     Compacted {
-        /// Primary index blocks, concatenated (length = blocks × 4 KiB).
-        pidx: Vec<u8>,
-        /// Primary sketch pivots (first key of each PIDX block).
-        pidx_pivots: Vec<Vec<u8>>,
+        pidx: IndexArtifact,
         /// Sorted value log (exact byte length).
         svalues: Vec<u8>,
         sidx: Vec<SidxArtifact>,
@@ -81,21 +91,14 @@ impl KeyspaceArtifacts {
             ArtifactPayload::SealedLogs { klog, vlog } => klog.len() + vlog.len(),
             ArtifactPayload::Compacted {
                 pidx,
-                pidx_pivots,
                 svalues,
                 sidx,
             } => {
-                pidx.len()
+                pidx.wire_bytes()
                     + svalues.len()
-                    + pidx_pivots.iter().map(|p| p.len() + 4).sum::<usize>()
                     + sidx
                         .iter()
-                        .map(|s| {
-                            s.data.len()
-                                + s.spec.name.len()
-                                + 16
-                                + s.pivots.iter().map(|p| p.len() + 4).sum::<usize>()
-                        })
+                        .map(|s| s.index.wire_bytes() + s.spec.name.len() + 16)
                         .sum::<usize>()
             }
         };
@@ -126,8 +129,10 @@ mod tests {
         assert_eq!(sealed("a", 1, 1).ship_kind(), ShipKind::SealedLogs);
         let built = KeyspaceArtifacts {
             payload: ArtifactPayload::Compacted {
-                pidx: vec![0; 4096],
-                pidx_pivots: vec![b"a".to_vec()],
+                pidx: IndexArtifact {
+                    data: vec![0; 4096],
+                    pivots: vec![b"a".to_vec()],
+                },
                 svalues: vec![0; 100],
                 sidx: vec![],
             },

@@ -8,6 +8,9 @@
 //! of 4 KB data blocks. A small sketch of the PIDX data, consisting of a
 //! pivot primary index key and a block pointer for every constituent PIDX
 //! data block, is additionally built and stored as keyspace metadata."
+//! That block format, the sketch and the writer that emits both are the
+//! one sketched block index in `index.rs`, shared with every secondary
+//! index.
 //!
 //! Most keyspaces never need that sort. The host's write accelerator
 //! ships every ~128 KiB bulk key-sorted, and KLOG and VLOG are appended
@@ -49,169 +52,20 @@
 //! the snapshot that replaces them with the output is durable.
 
 use kvcsd_proto::SecondaryIndexSpec;
-use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16};
+use kvcsd_sim::bytes::{le_u16, le_u32, le_u64};
 use std::cmp::Ordering;
 
 use crate::admission::Deadline;
 use crate::dram::DramBudget;
 use crate::error::DeviceError;
 use crate::extsort::{counted_records, merge_stable, ExtSorter, SortRecord};
+use crate::index::{BlockIndex, EntryRef, IndexWriter, PidxEntry};
 use crate::ingest::{BlockStreamWriter, KlogRecord, StreamReader};
-use crate::keyspace::Sketch;
-use crate::sidx::{write_sidx_blocks, SidxEntry, SidxOutput};
+use crate::sidx::{SidxEntry, SidxOutput};
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 use crate::BLOCK_BYTES;
-
-// ---------------------------------------------------------------------------
-// PIDX block format
-// ---------------------------------------------------------------------------
-
-/// One primary-index entry: key -> value locator in SORTED_VALUES.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PidxEntry {
-    pub key: Vec<u8>,
-    pub voff: u64,
-    pub vlen: u32,
-}
-
-const PIDX_ENTRY_HEADER: usize = 2 + 8 + 4;
-
-/// Packs self-contained PIDX blocks (entries never span blocks, so the
-/// sketch can address blocks independently).
-#[derive(Debug, Default)]
-pub struct PidxBlockBuilder {
-    buf: Vec<u8>,
-    count: u16,
-    first_key: Option<Vec<u8>>,
-}
-
-impl PidxBlockBuilder {
-    pub fn new() -> Self {
-        Self {
-            buf: Vec::with_capacity(BLOCK_BYTES),
-            count: 0,
-            first_key: None,
-        }
-    }
-
-    /// True if an entry with `key_len`-byte key fits in the current block.
-    pub fn fits(&self, key_len: usize) -> bool {
-        2 + self.buf.len() + PIDX_ENTRY_HEADER + key_len <= BLOCK_BYTES
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Append an entry; caller checks [`PidxBlockBuilder::fits`] first.
-    pub fn add(&mut self, e: &PidxEntry) {
-        self.add_parts(&e.key, e.voff, e.vlen);
-    }
-
-    /// [`PidxBlockBuilder::add`] from borrowed parts.
-    pub fn add_parts(&mut self, key: &[u8], voff: u64, vlen: u32) {
-        debug_assert!(self.fits(key.len()));
-        if self.first_key.is_none() {
-            self.first_key = Some(key.to_vec());
-        }
-        self.buf
-            .extend_from_slice(&(key.len() as u16).to_le_bytes());
-        self.buf.extend_from_slice(&voff.to_le_bytes());
-        self.buf.extend_from_slice(&vlen.to_le_bytes());
-        self.buf.extend_from_slice(key);
-        self.count += 1;
-    }
-
-    /// Seal the block: returns `(block bytes, first key)` and resets.
-    pub fn finish(&mut self) -> (Vec<u8>, Vec<u8>) {
-        let mut block = Vec::with_capacity(2 + self.buf.len());
-        block.extend_from_slice(&self.count.to_le_bytes());
-        block.extend_from_slice(&self.buf);
-        let first = self.first_key.take().unwrap_or_default();
-        self.buf.clear();
-        self.count = 0;
-        (block, first)
-    }
-}
-
-/// A validated, borrowed view of one PIDX block produced by
-/// [`PidxBlockBuilder`]. The query engine searches the block in place:
-/// only the keys it returns are copied out.
-#[derive(Debug, Clone, Copy)]
-pub struct PidxBlock<'a> {
-    /// The `count` entries, with the block's padding cut off.
-    entries: &'a [u8],
-    count: usize,
-}
-
-impl<'a> PidxBlock<'a> {
-    /// Check that `block` holds the whole of every entry its count
-    /// announces; anything else is a malformed block.
-    pub fn parse(block: &'a [u8]) -> Result<Self> {
-        let bad = || DeviceError::Internal("malformed PIDX block".into());
-        let count = try_le_u16(block, 0).ok_or_else(bad)? as usize;
-        let mut end = 2usize;
-        for _ in 0..count {
-            let klen = try_le_u16(block, end).ok_or_else(bad)? as usize;
-            end += PIDX_ENTRY_HEADER + klen;
-            if end > block.len() {
-                return Err(bad());
-            }
-        }
-        Ok(Self {
-            entries: &block[2..end],
-            count,
-        })
-    }
-
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Entries in key order, as `(key, voff, vlen)`.
-    pub fn iter(&self) -> PidxIter<'a> {
-        PidxIter { rest: self.entries }
-    }
-
-    /// The value locator `(voff, vlen)` stored under `key`, if any. A
-    /// key written twice has two entries, kept in write order by the
-    /// stable compaction sort; the last one is the live value.
-    pub fn find(&self, key: &[u8]) -> Option<(u64, u32)> {
-        let mut found = None;
-        for (k, voff, vlen) in self.iter() {
-            match k.cmp(key) {
-                Ordering::Less => {}
-                Ordering::Equal => found = Some((voff, vlen)),
-                Ordering::Greater => break,
-            }
-        }
-        found
-    }
-}
-
-/// Iterator over a [`PidxBlock`].
-#[derive(Debug, Clone)]
-pub struct PidxIter<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Iterator for PidxIter<'a> {
-    type Item = (&'a [u8], u64, u32);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        // `PidxBlock::parse` checked every entry's extent.
-        let (hdr, rest) = self.rest.split_first_chunk::<PIDX_ENTRY_HEADER>()?;
-        let (key, rest) = rest.split_at(le_u16(hdr, 0) as usize);
-        self.rest = rest;
-        Some((key, le_u64(hdr, 2), le_u32(hdr, 10)))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Auxiliary sort records for the value pass
@@ -322,8 +176,7 @@ impl<const KEYED: bool> SortRecord for ValueRec<KEYED> {
 /// Result of compacting one keyspace.
 #[derive(Debug)]
 pub struct CompactionOutput {
-    pub pidx: (ClusterId, u32),
-    pub sketch: Sketch,
+    pub pidx: BlockIndex,
     pub svalues: (ClusterId, u64),
     pub pairs: u64,
     /// True when the natural-run merge built the output, false when the
@@ -411,13 +264,10 @@ fn compact<const KEYED: bool>(
             deadline,
         )?,
     };
-    let (pidx, sketch, out_len) = pidx.finish(mgr)?;
     let (svalues, sidx) = values.finish(mgr, cluster_width, deadline)?;
-    debug_assert_eq!(svalues.1, out_len);
     Ok((
         CompactionOutput {
             pidx,
-            sketch,
             svalues,
             pairs,
             run_merge,
@@ -429,60 +279,6 @@ fn compact<const KEYED: bool>(
 // ---------------------------------------------------------------------------
 // Output shared by both pipelines
 // ---------------------------------------------------------------------------
-
-/// Writes PIDX blocks and the sketch, one entry per pair in key order;
-/// each value's SORTED_VALUES offset is the running sum of the lengths.
-struct PidxWriter {
-    cluster: ClusterId,
-    builder: PidxBlockBuilder,
-    sketch: Sketch,
-    blocks: u32,
-    out_voff: u64,
-}
-
-impl PidxWriter {
-    fn new(mgr: &ZoneManager, cluster_width: u32) -> Result<Self> {
-        Ok(Self {
-            cluster: mgr.alloc_cluster(cluster_width)?,
-            builder: PidxBlockBuilder::new(),
-            sketch: Sketch::new(),
-            blocks: 0,
-            out_voff: 0,
-        })
-    }
-
-    fn seal_block(&mut self, mgr: &ZoneManager) -> Result<()> {
-        let (block, first) = self.builder.finish();
-        mgr.append_block(self.cluster, &block)?;
-        self.sketch.push(first);
-        self.blocks += 1;
-        Ok(())
-    }
-
-    /// Index the next pair in key order.
-    fn push(&mut self, mgr: &ZoneManager, key: &[u8], vlen: u32) -> Result<()> {
-        if !self.builder.fits(key.len()) {
-            self.seal_block(mgr)?;
-        }
-        self.builder.add_parts(key, self.out_voff, vlen);
-        self.out_voff += vlen as u64;
-        Ok(())
-    }
-
-    /// Seal the partial block, if any.
-    fn flush(&mut self, mgr: &ZoneManager) -> Result<()> {
-        if !self.builder.is_empty() {
-            self.seal_block(mgr)?;
-        }
-        Ok(())
-    }
-
-    /// Seal the last block: `(PIDX, sketch, SORTED_VALUES length)`.
-    fn finish(mut self, mgr: &ZoneManager) -> Result<((ClusterId, u32), Sketch, u64)> {
-        self.flush(mgr)?;
-        Ok(((self.cluster, self.blocks), self.sketch, self.out_voff))
-    }
-}
 
 /// Streams values in key order into SORTED_VALUES and feeds each
 /// index's sorter the secondary keys extracted in flight.
@@ -523,6 +319,11 @@ impl<'a> ValueWriter<'a> {
             .collect()
     }
 
+    /// Bytes of SORTED_VALUES written so far: the next value's offset.
+    fn position(&self) -> u64 {
+        self.writer.position()
+    }
+
     /// Append the next value in key order; `pkey` is its primary key
     /// (empty unless the pass builds indexes).
     fn push(&mut self, mgr: &ZoneManager, pkey: &[u8], value: &[u8]) -> Result<()> {
@@ -558,7 +359,7 @@ impl<'a> ValueWriter<'a> {
         let sidx = self
             .sidx
             .into_iter()
-            .map(|sorter| write_sidx_blocks(mgr, sorter, cluster_width))
+            .map(|sorter| SidxOutput::write(mgr, sorter, cluster_width))
             .collect::<Result<_>>()?;
         Ok((svalues, sidx))
     }
@@ -645,11 +446,11 @@ fn merge_natural_runs<'a, const KEYED: bool>(
     runs: &[NaturalRun],
     cluster_width: u32,
     specs: &'a [SecondaryIndexSpec],
-) -> Result<(PidxWriter, ValueWriter<'a>)> {
+) -> Result<(BlockIndex, ValueWriter<'a>)> {
     let _streams = dram
         .reserve(2 * runs.len() as u64 * BLOCK_BYTES as u64)
         .ok_or(DeviceError::OutOfDram("run merge DRAM"))?;
-    let mut pidx = PidxWriter::new(mgr, cluster_width)?;
+    let mut pidx = IndexWriter::<PidxEntry>::new(mgr, cluster_width)?;
     let svalues = mgr.alloc_cluster(cluster_width)?;
     let sidx = ValueWriter::sorters(mgr, soc, dram, cluster_width, specs)?;
     let mut values = ValueWriter::new(soc, svalues, specs, sidx);
@@ -675,11 +476,12 @@ fn merge_natural_runs<'a, const KEYED: bool>(
             debug_assert_eq!(vread.position(), rec.voff, "run values are contiguous");
             let value = vread.read(rec.vlen as usize)?;
             soc.memcpy(value.len());
-            pidx.push(mgr, &rec.key, rec.vlen)?;
+            let voff = values.position();
+            pidx.push(mgr, &EntryRef::primary(&rec.key, voff, rec.vlen))?;
             values.push(mgr, if KEYED { &rec.key } else { &[] }, &value)
         },
     )?;
-    Ok((pidx, values))
+    Ok((pidx.finish(mgr)?, values))
 }
 
 // ---------------------------------------------------------------------------
@@ -700,7 +502,7 @@ fn sort_pipeline<'a, const KEYED: bool>(
     cluster_width: u32,
     specs: &'a [SecondaryIndexSpec],
     deadline: &Deadline<'_>,
-) -> Result<(PidxWriter, ValueWriter<'a>)> {
+) -> Result<(BlockIndex, ValueWriter<'a>)> {
     // ---- Step 1: sort the keys ---------------------------------------
     let mut key_sorter: ExtSorter<'_, KlogRecord> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
     {
@@ -713,13 +515,16 @@ fn sort_pipeline<'a, const KEYED: bool>(
     }
     deadline.check()?;
 
-    // Emit PIDX blocks + sketch; collect the gather tags.
-    let mut pidx = PidxWriter::new(mgr, cluster_width)?;
+    // Emit PIDX blocks + sketch, each value's SORTED_VALUES offset the
+    // running sum of the lengths; collect the gather tags.
+    let mut pidx = IndexWriter::<PidxEntry>::new(mgr, cluster_width)?;
     let mut gather_sorter: ExtSorter<'_, GatherRec<KEYED>> =
         ExtSorter::new(mgr, soc, dram, cluster_width)?;
     let mut rank = 0u64;
+    let mut voff = 0u64;
     key_sorter.finish_into(|rec| {
-        pidx.push(mgr, &rec.key, rec.vlen)?;
+        pidx.push(mgr, &EntryRef::primary(&rec.key, voff, rec.vlen))?;
+        voff += rec.vlen as u64;
         gather_sorter.push(GatherRec {
             voff: rec.voff,
             vlen: rec.vlen,
@@ -729,7 +534,7 @@ fn sort_pipeline<'a, const KEYED: bool>(
         rank += 1;
         Ok(())
     })?;
-    pidx.flush(mgr)?;
+    let pidx = pidx.finish(mgr)?;
     deadline.check()?;
 
     // ---- Step 2: sort the values ---------------------------------------
@@ -763,12 +568,14 @@ fn sort_pipeline<'a, const KEYED: bool>(
         expected_rank += 1;
         values.push(mgr, &vr.key, &vr.value)
     })?;
+    debug_assert_eq!(values.position(), voff, "PIDX locators cover SORTED_VALUES");
     Ok((pidx, values))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{IndexBlock, Sketch};
     use crate::ingest::WriteLog;
     use crate::testing::test_stack;
     use kvcsd_sim::XorShift64;
@@ -811,179 +618,18 @@ mod tests {
         (out, pairs)
     }
 
-    /// Every entry of a PIDX block, copied out through the view.
-    fn pidx_entries(block: &[u8]) -> Result<Vec<PidxEntry>> {
-        Ok(PidxBlock::parse(block)?
-            .iter()
-            .map(|(key, voff, vlen)| PidxEntry {
-                key: key.to_vec(),
-                voff,
-                vlen,
-            })
-            .collect())
-    }
-
     fn read_all_entries(mgr: &ZoneManager, out: &CompactionOutput) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut got = Vec::new();
-        for b in 0..out.pidx.1 {
-            let block = mgr.read_block(out.pidx.0, b as u64).unwrap();
-            for e in pidx_entries(&block).unwrap() {
+        for b in 0..out.pidx.blocks {
+            let block = mgr.read_block(out.pidx.cluster, b as u64).unwrap();
+            for e in IndexBlock::<PidxEntry>::parse(&block).unwrap().iter() {
                 let v = mgr
                     .read_bytes(out.svalues.0, e.voff, e.vlen as usize)
                     .unwrap();
-                got.push((e.key, v));
+                got.push((e.key.to_vec(), v));
             }
         }
         got
-    }
-
-    #[test]
-    fn pidx_block_roundtrip() {
-        let mut b = PidxBlockBuilder::new();
-        let entries: Vec<PidxEntry> = (0..50)
-            .map(|i| PidxEntry {
-                key: format!("key{i:04}").into_bytes(),
-                voff: i * 100,
-                vlen: 100,
-            })
-            .collect();
-        for e in &entries {
-            assert!(b.fits(e.key.len()));
-            b.add(e);
-        }
-        let (block, first) = b.finish();
-        assert!(block.len() <= BLOCK_BYTES);
-        assert_eq!(first, b"key0000");
-        assert_eq!(pidx_entries(&block).unwrap(), entries);
-        let view = PidxBlock::parse(&block).unwrap();
-        assert_eq!(view.len(), entries.len());
-        for e in &entries {
-            assert_eq!(view.find(&e.key), Some((e.voff, e.vlen)));
-        }
-        assert_eq!(view.find(b"key"), None);
-        assert_eq!(view.find(b"key0010x"), None);
-        assert_eq!(view.find(b"zzz"), None);
-    }
-
-    #[test]
-    fn pidx_view_matches_builder_and_rejects_corruption() {
-        let malformed = |b: &[u8]| {
-            matches!(PidxBlock::parse(b),
-                Err(DeviceError::Internal(m)) if m == "malformed PIDX block")
-        };
-        let mut rng = XorShift64::new(0x9D1C);
-        for _ in 0..100 {
-            let mut keys: Vec<Vec<u8>> = (0..rng.next_below(300))
-                .map(|_| {
-                    let len = rng.next_below(41);
-                    (0..len).map(|_| rng.next_u64() as u8).collect()
-                })
-                .collect();
-            keys.sort();
-            keys.dedup();
-            let mut b = PidxBlockBuilder::new();
-            let mut want = Vec::new();
-            for key in keys {
-                if !b.fits(key.len()) {
-                    break;
-                }
-                let e = PidxEntry {
-                    key,
-                    voff: rng.next_u64(),
-                    vlen: rng.next_u64() as u32,
-                };
-                b.add(&e);
-                want.push(e);
-            }
-            let (block, _) = b.finish();
-
-            let view = PidxBlock::parse(&block).unwrap();
-            assert_eq!(view.len(), want.len());
-            assert_eq!(pidx_entries(&block).unwrap(), want);
-            for e in &want {
-                assert_eq!(view.find(&e.key), Some((e.voff, e.vlen)));
-            }
-
-            for cut in 0..block.len() {
-                assert!(malformed(&block[..cut]), "truncated to {cut}");
-            }
-            let mut bad = block.clone();
-            let count = want.len() as u64 + 1;
-            let count = count + rng.next_below(u16::MAX as u64 + 1 - count);
-            bad[..2].copy_from_slice(&(count as u16).to_le_bytes());
-            assert!(malformed(&bad), "count {count} of {}", want.len());
-            // Each key length in turn, pushed past the end of the block.
-            let mut at = 2;
-            for e in &want {
-                let room = (block.len() - at - PIDX_ENTRY_HEADER) as u64;
-                let klen = room + 1 + rng.next_below(u16::MAX as u64 - room);
-                let mut bad = block.clone();
-                bad[at..at + 2].copy_from_slice(&(klen as u16).to_le_bytes());
-                assert!(malformed(&bad), "klen {klen} at {at}");
-                at += PIDX_ENTRY_HEADER + e.key.len();
-            }
-            // Arbitrary damage may decode or not, but never panics.
-            for _ in 0..8 {
-                let mut bad = block.clone();
-                let ix = rng.next_below(bad.len() as u64) as usize;
-                bad[ix] = rng.next_u64() as u8;
-                if let Ok(view) = PidxBlock::parse(&bad) {
-                    assert_eq!(view.iter().count(), view.len());
-                    view.find(b"key");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pidx_block_capacity_bounded() {
-        let mut b = PidxBlockBuilder::new();
-        let mut added = 0;
-        loop {
-            let e = PidxEntry {
-                key: vec![b'k'; 16],
-                voff: 0,
-                vlen: 1,
-            };
-            if !b.fits(e.key.len()) {
-                break;
-            }
-            b.add(&e);
-            added += 1;
-        }
-        // 4096/30 ~ 136 entries.
-        assert!(added > 100 && added < 200, "{added}");
-        let (block, _) = b.finish();
-        assert!(block.len() <= BLOCK_BYTES);
-    }
-
-    #[test]
-    fn find_returns_the_last_duplicate() {
-        let mut b = PidxBlockBuilder::new();
-        for (key, voff) in [
-            (&b"a"[..], 0),
-            (b"dup", 1),
-            (b"dup", 2),
-            (b"dup", 3),
-            (b"z", 4),
-        ] {
-            b.add(&PidxEntry {
-                key: key.to_vec(),
-                voff,
-                vlen: 1,
-            });
-        }
-        let (block, _) = b.finish();
-        let view = PidxBlock::parse(&block).unwrap();
-        assert_eq!(view.find(b"dup"), Some((3, 1)));
-        assert_eq!(view.find(b"a"), Some((0, 1)));
-        assert_eq!(view.find(b"b"), None);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(PidxBlock::parse(&[]).is_err());
-        assert!(PidxBlock::parse(&[200, 0, 1]).is_err());
     }
 
     #[test]
@@ -991,7 +637,7 @@ mod tests {
         let (mgr, soc, dram) = test_stack(64, 123);
         let (out, want) = load_and_compact(500, &mgr, &soc, &dram);
         assert_eq!(out.pairs, 500);
-        assert_eq!(out.sketch.blocks(), out.pidx.1);
+        assert_eq!(out.pidx.sketch.pivots().len() as u32, out.pidx.blocks);
         let got = read_all_entries(&mgr, &out);
         assert_eq!(got, want);
     }
@@ -1047,8 +693,8 @@ mod tests {
         .unwrap()
         .0;
         assert_eq!(out.pairs, 0);
-        assert_eq!(out.pidx.1, 0);
-        assert!(out.sketch.is_empty());
+        assert_eq!(out.pidx.blocks, 0);
+        assert!(out.pidx.sketch.is_empty());
         assert_eq!(out.svalues.1, 0);
     }
 
@@ -1086,7 +732,7 @@ mod tests {
 
     #[test]
     fn single_pass_matches_separated_path() {
-        use crate::sidx::{build_secondary_index, SidxBlock};
+        use crate::sidx::build_secondary_index;
         use kvcsd_proto::{SecondaryIndexSpec, SecondaryKeyType};
 
         let spec = SecondaryIndexSpec {
@@ -1129,7 +775,7 @@ mod tests {
             &mgr_a,
             &soc_a,
             &dram_a,
-            cout_a.pidx,
+            &cout_a.pidx,
             cout_a.svalues,
             &spec,
             4,
@@ -1163,12 +809,12 @@ mod tests {
         assert_eq!(sout_a.entries, sout_b.entries);
         let read_sidx = |mgr: &ZoneManager, out: &crate::sidx::SidxOutput| {
             let mut v = Vec::new();
-            for b in 0..out.blocks {
-                let block = mgr.read_block(out.cluster, b as u64).unwrap();
-                let view = SidxBlock::parse(&block).unwrap();
+            for b in 0..out.index.blocks {
+                let block = mgr.read_block(out.index.cluster, b as u64).unwrap();
+                let view = IndexBlock::<SidxEntry>::parse(&block).unwrap();
                 v.extend(
                     view.iter()
-                        .map(|(s, p, voff, vlen)| (s.to_vec(), p.to_vec(), voff, vlen)),
+                        .map(|e| (e.key.to_vec(), e.pkey.to_vec(), e.voff, e.vlen)),
                 );
             }
             v
@@ -1187,7 +833,6 @@ mod tests {
 
     #[test]
     fn output_bytes_do_not_depend_on_sort_dram() {
-        use crate::sidx::SidxOutput;
         use kvcsd_proto::SecondaryKeyType;
         let spec = SecondaryIndexSpec {
             name: "tail".into(),
@@ -1228,11 +873,11 @@ mod tests {
                 &Deadline::none(),
             )
             .unwrap();
-            let SidxOutput {
+            let BlockIndex {
                 cluster, blocks: n, ..
-            } = sidx[0];
+            } = sidx[0].index;
             (
-                blocks(&mgr, out.pidx.0, out.pidx.1 as u64),
+                blocks(&mgr, out.pidx.cluster, out.pidx.blocks as u64),
                 blocks(
                     &mgr,
                     out.svalues.0,
@@ -1382,7 +1027,7 @@ mod tests {
                         &mgr,
                         &soc,
                         &dram,
-                        out.pidx,
+                        &out.pidx,
                         out.svalues,
                         &spec,
                         4,
@@ -1560,8 +1205,8 @@ mod tests {
         let d = soc.ledger().snapshot().since(&before);
         assert_eq!(dram.used(), 0);
         let image = (
-            blocks_of(&mgr, out.pidx.0, out.pidx.1 as u64),
-            out.sketch.clone(),
+            blocks_of(&mgr, out.pidx.cluster, out.pidx.blocks as u64),
+            out.pidx.sketch.clone(),
             blocks_of(
                 &mgr,
                 out.svalues.0,
@@ -1570,8 +1215,8 @@ mod tests {
             sidx.iter()
                 .map(|s| {
                     (
-                        blocks_of(&mgr, s.cluster, s.blocks as u64),
-                        s.sketch.clone(),
+                        blocks_of(&mgr, s.index.cluster, s.index.blocks as u64),
+                        s.index.sketch.clone(),
                     )
                 })
                 .collect(),

@@ -23,12 +23,13 @@ use kvcsd_sim::sync::Mutex;
 use kvcsd_sim::VirtualClock;
 
 use crate::admission::{AdmissionConfig, AdmissionGate, Deadline, Decision, PressureSample};
-use crate::artifact::{ArtifactPayload, KeyspaceArtifacts, SidxArtifact};
+use crate::artifact::{ArtifactPayload, IndexArtifact, KeyspaceArtifacts, SidxArtifact};
 use crate::dram::{DramBudget, DramReservation};
 use crate::error::DeviceError;
+use crate::index::{BlockIndex, Sketch};
 use crate::ingest::WriteLog;
 use crate::jobs::{Job, JobQueue};
-use crate::keyspace::{Keyspace, KeyspaceManager, KsStorage, SecondaryIndex, Sketch};
+use crate::keyspace::{Keyspace, KeyspaceManager, KsStorage, SecondaryIndex};
 use crate::meta::MetaStore;
 use crate::query;
 use crate::snapshot;
@@ -365,7 +366,7 @@ impl KvCsdDevice {
     pub fn export_keyspace_artifacts(&self, ks: u32) -> Result<KeyspaceArtifacts> {
         let art = self.km.with(ks, |k| {
             let s = &k.storage;
-            let payload = if let (Some((pc, pblocks)), Some((vc, vlen))) = (s.pidx, s.svalues) {
+            let payload = if let (Some(pidx), Some((vc, vlen))) = (&s.pidx, s.svalues) {
                 let sidx = s
                     .sidx
                     .values()
@@ -373,18 +374,12 @@ impl KvCsdDevice {
                         Ok(SidxArtifact {
                             spec: i.spec.clone(),
                             entries: i.entries,
-                            pivots: i.sketch.pivots().to_vec(),
-                            data: self.mgr.read_bytes(
-                                i.cluster,
-                                0,
-                                i.blocks as usize * BLOCK_BYTES,
-                            )?,
+                            index: self.export_index(&i.index)?,
                         })
                     })
                     .collect::<Result<Vec<_>>>()?;
                 ArtifactPayload::Compacted {
-                    pidx: self.mgr.read_bytes(pc, 0, pblocks as usize * BLOCK_BYTES)?,
-                    pidx_pivots: s.pidx_sketch.pivots().to_vec(),
+                    pidx: self.export_index(pidx)?,
                     svalues: self.mgr.read_bytes(vc, 0, vlen as usize)?,
                     sidx,
                 }
@@ -435,21 +430,16 @@ impl KvCsdDevice {
             }
             ArtifactPayload::Compacted {
                 pidx,
-                pidx_pivots,
                 svalues,
                 sidx,
             } => {
-                let pc = self.write_artifact_cluster(pidx)?;
-                storage.pidx = Some((pc, (pidx.len() / BLOCK_BYTES) as u32));
-                storage.pidx_sketch = Sketch::from_pivots(pidx_pivots.clone());
+                storage.pidx = Some(self.import_index(pidx)?);
                 let vc = self.write_artifact_cluster(svalues)?;
                 storage.svalues = Some((vc, svalues.len() as u64));
                 for s in sidx {
                     let index = SecondaryIndex {
                         spec: s.spec.clone(),
-                        cluster: self.write_artifact_cluster(&s.data)?,
-                        blocks: (s.data.len() / BLOCK_BYTES) as u32,
-                        sketch: Sketch::from_pivots(s.pivots.clone()),
+                        index: self.import_index(&s.index)?,
                         entries: s.entries,
                     };
                     storage.sidx.insert(s.spec.name.clone(), index);
@@ -473,6 +463,25 @@ impl KvCsdDevice {
         self.persist()?;
         self.soc.ledger().bump("dev_artifacts_imported", 1);
         Ok(id)
+    }
+
+    /// A built index's blocks and pivots, read for shipping.
+    fn export_index(&self, index: &BlockIndex) -> Result<IndexArtifact> {
+        Ok(IndexArtifact {
+            data: self
+                .mgr
+                .read_bytes(index.cluster, 0, index.blocks as usize * BLOCK_BYTES)?,
+            pivots: index.sketch.pivots().to_vec(),
+        })
+    }
+
+    /// Install a shipped index verbatim in a fresh cluster.
+    fn import_index(&self, art: &IndexArtifact) -> Result<BlockIndex> {
+        Ok(BlockIndex {
+            cluster: self.write_artifact_cluster(&art.data)?,
+            blocks: (art.data.len() / BLOCK_BYTES) as u32,
+            sketch: Sketch::from_pivots(art.pivots.clone()),
+        })
     }
 
     /// Append `data` into a fresh cluster in 4 KiB blocks.

@@ -318,7 +318,6 @@ impl KvCsdDevice {
             k.storage.klog = None;
             k.storage.vlog = None;
             k.storage.pidx = Some(out.pidx);
-            k.storage.pidx_sketch = out.sketch;
             k.storage.svalues = Some(out.svalues);
             k.transition_to(KeyspaceState::Compacted)?;
             Ok(())
@@ -350,14 +349,14 @@ impl KvCsdDevice {
     ) -> Result<()> {
         let (pidx, svalues) = self.km.with(ks, |k| {
             k.require_state(KeyspaceState::Compacted, "build_sidx")?;
-            (k.storage.pidx.zip(k.storage.svalues))
+            (k.storage.pidx.clone().zip(k.storage.svalues))
                 .ok_or_else(|| DeviceError::Internal("compacted without pidx/svalues".into()))
         })?;
         let out = build_secondary_index(
             &self.mgr,
             &self.soc,
             &self.dram,
-            pidx,
+            &pidx,
             svalues,
             spec,
             self.cfg.cluster_width,
@@ -388,9 +387,7 @@ fn install_sidx(
             spec.name.clone(),
             SecondaryIndex {
                 spec: spec.clone(),
-                cluster: out.cluster,
-                blocks: out.blocks,
-                sketch: out.sketch,
+                index: out.index,
                 entries: out.entries,
             },
         );

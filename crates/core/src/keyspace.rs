@@ -8,8 +8,10 @@
 //! maintaining an in-memory keyspace table backed by a metadata zone in
 //! the underlying ZNS SSD for data persistence." (Section IV)
 //!
-//! Sketches — "a pivot primary index key and a block pointer for every
-//! constituent PIDX data block" — live here too, as keyspace metadata.
+//! Each built index is recorded as a `BlockIndex` (`index.rs`): its
+//! cluster, block count and sketch — "a pivot primary index key and a
+//! block pointer for every constituent PIDX data block" — kept as
+//! keyspace metadata.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -17,89 +19,16 @@ use kvcsd_proto::{KeyspaceState, SecondaryIndexSpec};
 use kvcsd_sim::sync::Mutex;
 
 use crate::error::DeviceError;
+use crate::index::BlockIndex;
 use crate::ingest::WriteLog;
 use crate::zone_mgr::ClusterId;
 use crate::Result;
-
-/// Block-level index sketch: the first (pivot) key of every 4 KiB block.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Sketch {
-    pivots: Vec<Vec<u8>>,
-}
-
-impl Sketch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record block `i`'s pivot; blocks must be pushed in order.
-    pub fn push(&mut self, pivot: Vec<u8>) {
-        debug_assert!(self.pivots.last().is_none_or(|p| p <= &pivot));
-        self.pivots.push(pivot);
-    }
-
-    /// Rebuild a sketch from persisted pivots (snapshot restore).
-    pub fn from_pivots(pivots: Vec<Vec<u8>>) -> Self {
-        debug_assert!(pivots.windows(2).all(|w| w[0] <= w[1]));
-        Self { pivots }
-    }
-
-    /// The pivot keys, one per block (snapshot serialization).
-    pub fn pivots(&self) -> &[Vec<u8>] {
-        &self.pivots
-    }
-
-    /// Number of blocks covered.
-    pub fn blocks(&self) -> u32 {
-        self.pivots.len() as u32
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.pivots.is_empty()
-    }
-
-    /// Approximate in-memory footprint (for DRAM accounting).
-    pub fn approx_bytes(&self) -> u64 {
-        self.pivots.iter().map(|p| p.len() as u64 + 24).sum()
-    }
-
-    /// Block where a search for `key` must start: the last block whose
-    /// pivot is <= `key` (or block 0 when `key` precedes every pivot —
-    /// the caller's scan will simply start at the beginning).
-    pub fn locate(&self, key: &[u8]) -> Option<u32> {
-        if self.pivots.is_empty() {
-            return None;
-        }
-        let ix = self.pivots.partition_point(|p| p.as_slice() <= key);
-        Some(ix.saturating_sub(1) as u32)
-    }
-
-    /// Block where a scan for entries `>= key` must start when keys may
-    /// repeat across blocks (secondary indexes): the last block whose
-    /// pivot is < `key`, since entries equal to `key` can end that block
-    /// (or block 0 when no pivot precedes `key`).
-    pub fn locate_first(&self, key: &[u8]) -> Option<u32> {
-        if self.pivots.is_empty() {
-            return None;
-        }
-        let ix = self.pivots.partition_point(|p| p.as_slice() < key);
-        Some(ix.saturating_sub(1) as u32)
-    }
-
-    /// Number of pivot comparisons a binary search performs (for cost
-    /// charging).
-    pub fn search_cost(&self) -> f64 {
-        (self.pivots.len().max(2) as f64).log2()
-    }
-}
 
 /// A built secondary index attached to a COMPACTED keyspace.
 #[derive(Debug)]
 pub struct SecondaryIndex {
     pub spec: SecondaryIndexSpec,
-    pub cluster: ClusterId,
-    pub blocks: u32,
-    pub sketch: Sketch,
+    pub index: BlockIndex,
     pub entries: u64,
 }
 
@@ -114,8 +43,7 @@ pub struct KsStorage {
     pub klog: Option<(ClusterId, u64)>,
     pub vlog: Option<(ClusterId, u64)>,
     /// COMPACTED: primary index and sorted values.
-    pub pidx: Option<(ClusterId, u32)>,
-    pub pidx_sketch: Sketch,
+    pub pidx: Option<BlockIndex>,
     pub svalues: Option<(ClusterId, u64)>,
     /// COMPACTED: secondary indexes by name.
     pub sidx: BTreeMap<String, SecondaryIndex>,
@@ -129,10 +57,13 @@ impl KsStorage {
             .iter()
             .flat_map(|w| [w.klog.cluster(), w.vlog.cluster()]);
         let sealed = [self.klog.map(|c| c.0), self.vlog.map(|c| c.0)];
-        let compacted = [self.pidx.map(|c| c.0), self.svalues.map(|c| c.0)];
+        let compacted = [
+            self.pidx.as_ref().map(|i| i.cluster),
+            self.svalues.map(|c| c.0),
+        ];
         wlog.chain(self.dwal.as_ref().map(|w| w.cluster()))
             .chain(sealed.into_iter().chain(compacted).flatten())
-            .chain(self.sidx.values().map(|i| i.cluster))
+            .chain(self.sidx.values().map(|i| i.index.cluster))
             .collect()
     }
 }
@@ -408,23 +339,5 @@ mod tests {
         }
         assert_eq!(km.len(), 300);
         assert_eq!(km.ids().len(), 300);
-    }
-
-    #[test]
-    fn sketch_locate() {
-        let mut s = Sketch::new();
-        assert!(s.locate(b"anything").is_none());
-        s.push(b"b".to_vec());
-        s.push(b"f".to_vec());
-        s.push(b"m".to_vec());
-        assert_eq!(s.blocks(), 3);
-        assert_eq!(s.locate(b"a"), Some(0), "before first pivot clamps to 0");
-        assert_eq!(s.locate(b"b"), Some(0));
-        assert_eq!(s.locate(b"e"), Some(0));
-        assert_eq!(s.locate(b"f"), Some(1));
-        assert_eq!(s.locate(b"g"), Some(1));
-        assert_eq!(s.locate(b"z"), Some(2));
-        assert!(s.search_cost() > 1.0);
-        assert!(s.approx_bytes() > 0);
     }
 }

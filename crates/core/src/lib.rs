@@ -16,11 +16,12 @@
 //!   value pointers) and VLOG (raw values) zone clusters;
 //! * [`extsort`] — DRAM-bounded external merge sort, the engine behind
 //!   deferred compaction (multiple rounds of merge sorts, Section V);
+//! * `index` — the one block format, writer, scan and [`BlockIndex`]
+//!   of the PIDX and every SIDX, with its **sketch** (one pivot key per
+//!   4 KiB index block);
 //! * [`compact`] — offloaded compaction: sort the keys, then reorder the
-//!   values, producing PIDX + SORTED_VALUES clusters and an in-memory
-//!   block **sketch** (one pivot key per 4 KiB index block);
-//! * [`sidx`] — offloaded secondary-index construction and the SIDX
-//!   cluster format;
+//!   values, producing PIDX + SORTED_VALUES clusters;
+//! * [`sidx`] — offloaded secondary-index construction;
 //! * [`query`] — point and range query processing over both indexes,
 //!   entirely device-side: only results cross the bus;
 //! * [`admission`] — overload control: the admission gate every command
@@ -44,6 +45,7 @@ pub mod device;
 pub mod dram;
 pub mod error;
 pub mod extsort;
+mod index;
 pub mod ingest;
 mod jobs;
 pub mod keyspace;
@@ -58,10 +60,11 @@ pub mod wal;
 pub mod zone_mgr;
 
 pub use admission::{AdmissionConfig, AdmissionGate, Deadline, Decision, PressureSample};
-pub use artifact::{ArtifactPayload, KeyspaceArtifacts, SidxArtifact};
+pub use artifact::{ArtifactPayload, IndexArtifact, KeyspaceArtifacts, SidxArtifact};
 pub use device::{DeviceConfig, KvCsdDevice};
 pub use dram::{DramBudget, DramReservation};
 pub use error::DeviceError;
+pub use index::{BlockIndex, EntryRef, IndexBlock, IndexBlockBuilder, PidxEntry, Sketch};
 pub use stack::DeviceStack;
 pub use zone_mgr::{BlockAddr, ClusterId, ZoneManager};
 

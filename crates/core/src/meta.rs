@@ -16,7 +16,7 @@
 //! valid generation recoverable. The per-frame sequence number orders
 //! generations across the two zones.
 
-use kvcsd_sim::bytes::{le_u32, le_u64};
+use kvcsd_sim::bytes::{crc32, le_u32, le_u64};
 use std::sync::Arc;
 
 use kvcsd_flash::ZonedNamespace;
@@ -27,19 +27,6 @@ use crate::Result;
 const FRAME_MAGIC: u32 = 0x4B56_4D45; // "KVME"
 /// `magic | seq:u64 | len:u32 | crc:u32`.
 const FRAME_HEADER: usize = 20;
-
-/// CRC-32 (IEEE) for snapshot integrity.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
     let mut buf = Vec::with_capacity(12 + payload.len());
@@ -268,11 +255,6 @@ mod tests {
             },
         ));
         (MetaStore::new(Arc::clone(&zns), 0), zns)
-    }
-
-    #[test]
-    fn crc_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

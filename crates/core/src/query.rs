@@ -10,52 +10,53 @@
 //! All functions here read index blocks and values with real zone I/O and
 //! charge SoC CPU for sketch searches and block searches. A block read
 //! yields the NAND's stored page itself, and the PIDX/SIDX block is
-//! searched in place through a [`PidxBlock`]/[`SidxBlock`] view: only the
-//! keys and values a query returns are copied out. KV-CSD does not cache
-//! data (the paper is explicit about this): no page handle outlives its
-//! query, so every query pays its full I/O cost — which is why its
-//! latency is "always linear to the total number of particles returned".
+//! searched in place through an [`IndexBlock`] view: only the keys and
+//! values a query returns are copied out. Both range queries walk their
+//! index with the same block scan and differ only in the block the
+//! sketch tells them to start from. KV-CSD does not cache data (the
+//! paper is explicit about this): no page handle outlives its query, so
+//! every query pays its full I/O cost — which is why its latency is
+//! "always linear to the total number of particles returned".
 
 use std::sync::Arc;
 
 use kvcsd_proto::Bound;
 
-use crate::compact::PidxBlock;
 use crate::error::DeviceError;
-use crate::keyspace::{KsStorage, Sketch};
-use crate::sidx::SidxBlock;
+use crate::index::{BlockIndex, Hit, IndexBlock, PidxEntry};
+use crate::keyspace::KsStorage;
+use crate::sidx::SidxEntry;
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 
 /// A COMPACTED keyspace that was compacted while empty has no PIDX or
 /// SORTED_VALUES clusters at all; queries over it simply match nothing.
-#[allow(clippy::type_complexity)]
-fn pidx_of(storage: &KsStorage) -> Option<((ClusterId, u32), &Sketch, (ClusterId, u64))> {
-    Some((storage.pidx?, &storage.pidx_sketch, storage.svalues?))
+fn pidx_of(storage: &KsStorage) -> Option<(&BlockIndex, (ClusterId, u64))> {
+    Some((storage.pidx.as_ref()?, storage.svalues?))
 }
 
-/// Fetch many values from SORTED_VALUES with one pass over the covering
-/// blocks: locators are visited in ascending `voff` order and each 4 KiB
-/// block is read exactly once, its values copied straight out of the
-/// shared NAND page (this is query execution, not caching — the page
-/// handle dies with the query). Returns values in the *original* locator
-/// order.
+/// Fetch the values of many index hits from SORTED_VALUES with one pass
+/// over the covering blocks: locators are visited in ascending `voff`
+/// order and each 4 KiB block is read exactly once, its values copied
+/// straight out of the shared NAND page (this is query execution, not
+/// caching — the page handle dies with the query). Returns the hits'
+/// `(primary key, value)` pairs in their original order.
 fn gather_values(
     mgr: &ZoneManager,
     soc: &SocCharger,
     svalues: ClusterId,
-    locs: &[(u64, u32)],
-) -> Result<Vec<Vec<u8>>> {
-    let mut order: Vec<usize> = (0..locs.len()).collect();
-    order.sort_by_key(|&i| locs[i].0);
-    soc.cmp((locs.len().max(2) as f64) * (locs.len().max(2) as f64).log2() * 0.1);
+    hits: Vec<Hit>,
+) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    let mut order: Vec<usize> = (0..hits.len()).collect();
+    order.sort_by_key(|&i| hits[i].1 .0);
+    soc.cmp((hits.len().max(2) as f64) * (hits.len().max(2) as f64).log2() * 0.1);
 
     let bb = crate::BLOCK_BYTES as u64;
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); locs.len()];
+    let mut out: Vec<Vec<u8>> = vec![Vec::new(); hits.len()];
     let mut cur: Option<(u64, Arc<[u8]>)> = None;
     for i in order {
-        let (voff, vlen) = locs[i];
+        let (voff, vlen) = hits[i].1;
         let mut value = Vec::with_capacity(vlen as usize);
         let mut pos = voff;
         let end = voff + vlen as u64;
@@ -76,7 +77,7 @@ fn gather_values(
         soc.kv_op();
         out[i] = value;
     }
-    Ok(out)
+    Ok(hits.into_iter().map(|(k, _)| k).zip(out).collect())
 }
 
 /// Point query over the primary key.
@@ -86,16 +87,15 @@ pub fn point_get(
     storage: &KsStorage,
     key: &[u8],
 ) -> Result<Vec<u8>> {
-    let Some((pidx, sketch, svalues)) = pidx_of(storage) else {
+    let Some((pidx, svalues)) = pidx_of(storage) else {
         return Err(DeviceError::KeyNotFound);
     };
-    let Some(block_ix) = sketch.locate(key) else {
+    let Some(block_ix) = pidx.sketch.locate(key) else {
         return Err(DeviceError::KeyNotFound);
     };
-    soc.cmp(sketch.search_cost());
-    let block = mgr.read_block(pidx.0, block_ix as u64)?;
-    soc.bytes(block.len());
-    let entries = PidxBlock::parse(&block)?;
+    soc.cmp(pidx.sketch.search_cost());
+    let block = pidx.read_block(mgr, soc, block_ix)?;
+    let entries = IndexBlock::<PidxEntry>::parse(&block)?;
     // Charged as the SoC's binary search over the block's entries; the
     // simulator's in-place scan is not the modeled work.
     soc.cmp((entries.len().max(2) as f64).log2());
@@ -114,39 +114,18 @@ pub fn range(
     hi: &Bound,
     limit: Option<u64>,
 ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-    let Some((pidx, sketch, svalues)) = pidx_of(storage) else {
+    let Some((pidx, svalues)) = pidx_of(storage) else {
         return Ok(Vec::new());
     };
-    if sketch.is_empty() {
+    if pidx.sketch.is_empty() {
         return Ok(Vec::new());
     }
-    let start_block = match lo {
+    let start = match lo {
         Bound::Unbounded => 0,
-        Bound::Included(k) | Bound::Excluded(k) => sketch.locate(k).unwrap_or(0),
+        Bound::Included(k) | Bound::Excluded(k) => pidx.sketch.locate(k).unwrap_or(0),
     };
-    soc.cmp(sketch.search_cost());
-
-    let mut hits: Vec<(Vec<u8>, (u64, u32))> = Vec::new();
-    'blocks: for b in start_block..pidx.1 {
-        let block = mgr.read_block(pidx.0, b as u64)?;
-        soc.bytes(block.len());
-        for (key, voff, vlen) in PidxBlock::parse(&block)?.iter() {
-            soc.cmp(1.0);
-            if !lo.admits_from_below(key) {
-                continue;
-            }
-            if !hi.admits_from_above(key) {
-                break 'blocks;
-            }
-            hits.push((key.to_vec(), (voff, vlen)));
-            if limit.is_some_and(|l| hits.len() as u64 >= l) {
-                break 'blocks;
-            }
-        }
-    }
-    let locs: Vec<(u64, u32)> = hits.iter().map(|(_, l)| *l).collect();
-    let values = gather_values(mgr, soc, svalues.0, &locs)?;
-    Ok(hits.into_iter().map(|(k, _)| k).zip(values).collect())
+    let hits = pidx.scan::<PidxEntry>(mgr, soc, start, lo, hi, limit)?;
+    gather_values(mgr, soc, svalues.0, hits)
 }
 
 /// Point query over a secondary index: all records whose secondary key
@@ -180,7 +159,11 @@ pub fn sidx_range(
     hi: &Bound,
     limit: Option<u64>,
 ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-    let sidx = storage.sidx.get(index).ok_or(DeviceError::IndexNotFound)?;
+    let sidx = &storage
+        .sidx
+        .get(index)
+        .ok_or(DeviceError::IndexNotFound)?
+        .index;
     let svalues = storage
         .svalues
         .ok_or_else(|| DeviceError::Internal("no SORTED_VALUES".into()))?;
@@ -189,35 +172,14 @@ pub fn sidx_range(
     }
     // Secondary keys repeat, so an inclusive bound may have equal
     // entries at the end of blocks before the last pivot <= it.
-    let start_block = match lo {
+    let start = match lo {
         Bound::Unbounded => 0,
         Bound::Included(k) => sidx.sketch.locate_first(k).unwrap_or(0),
         Bound::Excluded(k) => sidx.sketch.locate(k).unwrap_or(0),
     };
-    soc.cmp(sidx.sketch.search_cost());
-
-    let mut hits: Vec<(Vec<u8>, (u64, u32))> = Vec::new();
-    'blocks: for b in start_block..sidx.blocks {
-        let block = mgr.read_block(sidx.cluster, b as u64)?;
-        soc.bytes(block.len());
-        for (skey, pkey, voff, vlen) in SidxBlock::parse(&block)?.iter() {
-            soc.cmp(1.0);
-            if !lo.admits_from_below(skey) {
-                continue;
-            }
-            if !hi.admits_from_above(skey) {
-                break 'blocks;
-            }
-            hits.push((pkey.to_vec(), (voff, vlen)));
-            if limit.is_some_and(|l| hits.len() as u64 >= l) {
-                break 'blocks;
-            }
-        }
-    }
+    let hits = sidx.scan::<SidxEntry>(mgr, soc, start, lo, hi, limit)?;
     // Matching records stream out of SORTED_VALUES in one gather pass.
-    let locs: Vec<(u64, u32)> = hits.iter().map(|(_, l)| *l).collect();
-    let values = gather_values(mgr, soc, svalues.0, &locs)?;
-    Ok(hits.into_iter().map(|(p, _)| p).zip(values).collect())
+    gather_values(mgr, soc, svalues.0, hits)
 }
 
 #[cfg(test)]
@@ -286,7 +248,7 @@ mod tests {
             mgr,
             soc,
             dram,
-            cout.pidx,
+            &cout.pidx,
             cout.svalues,
             &spec,
             4,
@@ -295,7 +257,6 @@ mod tests {
         .unwrap();
         let mut storage = KsStorage {
             pidx: Some(cout.pidx),
-            pidx_sketch: cout.sketch,
             svalues: Some(cout.svalues),
             ..KsStorage::default()
         };
@@ -303,9 +264,7 @@ mod tests {
             "score".into(),
             SecondaryIndex {
                 spec,
-                cluster: sout.cluster,
-                blocks: sout.blocks,
-                sketch: sout.sketch,
+                index: sout.index,
                 entries: sout.entries,
             },
         );

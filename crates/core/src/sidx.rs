@@ -1,4 +1,4 @@
-//! Offloaded secondary-index construction and the SIDX block format.
+//! Offloaded secondary-index construction.
 //!
 //! "Building a secondary index is a two-step process. First, KV-CSD
 //! performs a full scan of the keyspace data to extract all secondary
@@ -7,26 +7,24 @@
 //! it does for sorting the primary index keys, producing the secondary
 //! index stored in SIDX zone clusters." (Section V)
 //!
-//! Each SIDX entry also carries the value locator so that a secondary
-//! query can stream matching records straight out of SORTED_VALUES
-//! without a per-result primary-index lookup.
+//! The SIDX is stored like the PIDX, in the one sketched block-index
+//! format of `index.rs`. Each entry also carries the value locator, so a
+//! secondary query can stream matching records straight out of
+//! SORTED_VALUES without a per-result primary-index lookup.
 
-use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16};
+use kvcsd_sim::bytes::{le_u16, le_u32, le_u64};
 use std::cmp::Ordering;
 
 use kvcsd_proto::SecondaryIndexSpec;
 
 use crate::admission::Deadline;
-use crate::compact::PidxBlock;
 use crate::dram::DramBudget;
-use crate::error::DeviceError;
 use crate::extsort::{ExtSorter, SortRecord};
+use crate::index::{BlockIndex, EntryRef, IndexBlock, IndexEntry, IndexWriter, PidxEntry};
 use crate::ingest::StreamReader;
-use crate::keyspace::Sketch;
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
-use crate::BLOCK_BYTES;
 
 /// One SIDX entry: encoded secondary key, primary key, value locator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,33 +35,33 @@ pub struct SidxEntry {
     pub vlen: u32,
 }
 
-const SIDX_ENTRY_HEADER: usize = 2 + 2 + 8 + 4;
+impl SidxEntry {
+    /// The entry as the index stores it.
+    pub fn entry(&self) -> EntryRef<'_> {
+        EntryRef {
+            key: &self.skey,
+            pkey: &self.pkey,
+            voff: self.voff,
+            vlen: self.vlen,
+        }
+    }
+}
 
+/// Sort runs spill entries in their SIDX block layout.
 impl SortRecord for SidxEntry {
     fn encoded_len(&self) -> usize {
-        SIDX_ENTRY_HEADER + self.skey.len() + self.pkey.len()
+        <SidxEntry as IndexEntry>::extent(&self.entry())
     }
     fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.skey.len() as u16).to_le_bytes());
-        out.extend_from_slice(&(self.pkey.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.voff.to_le_bytes());
-        out.extend_from_slice(&self.vlen.to_le_bytes());
-        out.extend_from_slice(&self.skey);
-        out.extend_from_slice(&self.pkey);
+        <SidxEntry as IndexEntry>::encode(&self.entry(), out);
     }
     fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read_array::<SIDX_ENTRY_HEADER>()?;
-        let sklen = le_u16(&hdr, 0) as usize;
-        let pklen = le_u16(&hdr, 2) as usize;
-        let voff = le_u64(&hdr, 4);
-        let vlen = le_u32(&hdr, 12);
-        let skey = r.read(sklen)?;
-        let pkey = r.read(pklen)?;
+        let hdr = r.read_array::<{ <SidxEntry as IndexEntry>::HEADER }>()?;
         Ok(SidxEntry {
-            skey,
-            pkey,
-            voff,
-            vlen,
+            skey: r.read(le_u16(&hdr, 0) as usize)?,
+            pkey: r.read(le_u16(&hdr, 2) as usize)?,
+            voff: le_u64(&hdr, 4),
+            vlen: le_u32(&hdr, 12),
         })
     }
     fn cmp_key(&self, other: &Self) -> Ordering {
@@ -73,113 +71,33 @@ impl SortRecord for SidxEntry {
     }
 }
 
-/// Packs self-contained SIDX blocks, mirroring the PIDX builder.
-#[derive(Debug, Default)]
-pub struct SidxBlockBuilder {
-    buf: Vec<u8>,
-    count: u16,
-    first_skey: Option<Vec<u8>>,
-}
-
-impl SidxBlockBuilder {
-    pub fn new() -> Self {
-        Self {
-            buf: Vec::with_capacity(BLOCK_BYTES),
-            count: 0,
-            first_skey: None,
-        }
-    }
-
-    pub fn fits(&self, e: &SidxEntry) -> bool {
-        2 + self.buf.len() + e.encoded_len() <= BLOCK_BYTES
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    pub fn add(&mut self, e: &SidxEntry) {
-        debug_assert!(self.fits(e));
-        if self.first_skey.is_none() {
-            self.first_skey = Some(e.skey.clone());
-        }
-        let mut tmp = Vec::with_capacity(e.encoded_len());
-        e.encode_into(&mut tmp);
-        self.buf.extend_from_slice(&tmp);
-        self.count += 1;
-    }
-
-    pub fn finish(&mut self) -> (Vec<u8>, Vec<u8>) {
-        let mut block = Vec::with_capacity(2 + self.buf.len());
-        block.extend_from_slice(&self.count.to_le_bytes());
-        block.extend_from_slice(&self.buf);
-        let first = self.first_skey.take().unwrap_or_default();
-        self.buf.clear();
-        self.count = 0;
-        (block, first)
-    }
-}
-
-/// A validated, borrowed view of one SIDX block produced by
-/// [`SidxBlockBuilder`], searched in place like [`PidxBlock`].
-#[derive(Debug, Clone, Copy)]
-pub struct SidxBlock<'a> {
-    /// The block's entries, with its padding cut off.
-    entries: &'a [u8],
-}
-
-impl<'a> SidxBlock<'a> {
-    /// Check that `block` holds the whole of every entry its count
-    /// announces; anything else is a malformed block.
-    pub fn parse(block: &'a [u8]) -> Result<Self> {
-        let bad = || DeviceError::Internal("malformed SIDX block".into());
-        let count = try_le_u16(block, 0).ok_or_else(bad)?;
-        let mut end = 2usize;
-        for _ in 0..count {
-            let sklen = try_le_u16(block, end).ok_or_else(bad)? as usize;
-            let pklen = try_le_u16(block, end + 2).ok_or_else(bad)? as usize;
-            end += SIDX_ENTRY_HEADER + sklen + pklen;
-            if end > block.len() {
-                return Err(bad());
-            }
-        }
-        Ok(Self {
-            entries: &block[2..end],
-        })
-    }
-
-    /// Entries in `(skey, pkey)` order, as `(skey, pkey, voff, vlen)`.
-    pub fn iter(&self) -> SidxIter<'a> {
-        SidxIter { rest: self.entries }
-    }
-}
-
-/// Iterator over a [`SidxBlock`].
-#[derive(Debug, Clone)]
-pub struct SidxIter<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Iterator for SidxIter<'a> {
-    type Item = (&'a [u8], &'a [u8], u64, u32);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        // `SidxBlock::parse` checked every entry's extent.
-        let (hdr, rest) = self.rest.split_first_chunk::<SIDX_ENTRY_HEADER>()?;
-        let (skey, rest) = rest.split_at(le_u16(hdr, 0) as usize);
-        let (pkey, rest) = rest.split_at(le_u16(hdr, 2) as usize);
-        self.rest = rest;
-        Some((skey, pkey, le_u64(hdr, 4), le_u32(hdr, 12)))
-    }
-}
-
 /// Result of building one secondary index.
 #[derive(Debug)]
 pub struct SidxOutput {
-    pub cluster: ClusterId,
-    pub blocks: u32,
-    pub sketch: Sketch,
+    pub index: BlockIndex,
     pub entries: u64,
+}
+
+impl SidxOutput {
+    /// Drain a sorted [`SidxEntry`] sorter into a new SIDX. Shared by the
+    /// separate build below and by single-pass compaction
+    /// ([`crate::compact::run_compaction`] given index specs).
+    pub(crate) fn write(
+        mgr: &ZoneManager,
+        sorter: ExtSorter<'_, SidxEntry>,
+        cluster_width: u32,
+    ) -> Result<Self> {
+        let mut index = IndexWriter::<SidxEntry>::new(mgr, cluster_width)?;
+        let mut entries = 0u64;
+        sorter.finish_into(|e| {
+            entries += 1;
+            index.push(mgr, &e.entry())
+        })?;
+        Ok(Self {
+            index: index.finish(mgr)?,
+            entries,
+        })
+    }
 }
 
 /// Build a secondary index over a COMPACTED keyspace.
@@ -195,7 +113,7 @@ pub fn build_secondary_index(
     mgr: &ZoneManager,
     soc: &SocCharger,
     dram: &DramBudget,
-    pidx: (ClusterId, u32),
+    pidx: &BlockIndex,
     svalues: (ClusterId, u64),
     spec: &SecondaryIndexSpec,
     cluster_width: u32,
@@ -206,65 +124,25 @@ pub fn build_secondary_index(
     // Full scan: PIDX gives (pkey, voff, vlen) in order; SORTED_VALUES is
     // read sequentially alongside.
     let mut vread = StreamReader::new(mgr, svalues.0, svalues.1);
-    for b in 0..pidx.1 {
-        let block = mgr.read_block(pidx.0, b as u64)?;
-        soc.bytes(block.len());
-        for (pkey, voff, vlen) in PidxBlock::parse(&block)?.iter() {
-            debug_assert_eq!(vread.position(), voff);
-            let value = vread.read(vlen as usize)?;
+    for b in 0..pidx.blocks {
+        let block = pidx.read_block(mgr, soc, b)?;
+        for e in IndexBlock::<PidxEntry>::parse(&block)?.iter() {
+            debug_assert_eq!(vread.position(), e.voff);
+            let value = vread.read(e.vlen as usize)?;
             soc.bytes(value.len());
             if let Some(skey) = spec.extract(&value) {
                 sorter.push(SidxEntry {
                     skey,
-                    pkey: pkey.to_vec(),
-                    voff,
-                    vlen,
+                    pkey: e.key.to_vec(),
+                    voff: e.voff,
+                    vlen: e.vlen,
                 })?;
             }
         }
     }
 
     deadline.check()?;
-    write_sidx_blocks(mgr, sorter, cluster_width)
-}
-
-/// Drain a sorted [`SidxEntry`] sorter into SIDX blocks plus the sketch.
-/// Shared by the separate build above and by single-pass compaction
-/// ([`crate::compact::run_compaction`] given index specs).
-pub fn write_sidx_blocks(
-    mgr: &ZoneManager,
-    sorter: ExtSorter<'_, SidxEntry>,
-    cluster_width: u32,
-) -> Result<SidxOutput> {
-    let cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut builder = SidxBlockBuilder::new();
-    let mut sketch = Sketch::new();
-    let mut blocks = 0u32;
-    let mut entries = 0u64;
-    sorter.finish_into(|e| {
-        if !builder.fits(&e) {
-            let (block, first) = builder.finish();
-            mgr.append_block(cluster, &block)?;
-            sketch.push(first);
-            blocks += 1;
-        }
-        builder.add(&e);
-        entries += 1;
-        Ok(())
-    })?;
-    if !builder.is_empty() {
-        let (block, first) = builder.finish();
-        mgr.append_block(cluster, &block)?;
-        sketch.push(first);
-        blocks += 1;
-    }
-
-    Ok(SidxOutput {
-        cluster,
-        blocks,
-        sketch,
-        entries,
-    })
+    SidxOutput::write(mgr, sorter, cluster_width)
 }
 
 #[cfg(test)]
@@ -327,112 +205,23 @@ mod tests {
         (out, truth)
     }
 
-    /// Every entry of a SIDX block, copied out through the view.
-    fn sidx_entries(block: &[u8]) -> Result<Vec<SidxEntry>> {
-        Ok(SidxBlock::parse(block)?
-            .iter()
-            .map(|(skey, pkey, voff, vlen)| SidxEntry {
-                skey: skey.to_vec(),
-                pkey: pkey.to_vec(),
-                voff,
-                vlen,
-            })
-            .collect())
-    }
-
     fn read_sidx(mgr: &ZoneManager, out: &SidxOutput) -> Vec<SidxEntry> {
         let mut got = Vec::new();
-        for b in 0..out.blocks {
-            got.extend(sidx_entries(&mgr.read_block(out.cluster, b as u64).unwrap()).unwrap());
+        for b in 0..out.index.blocks {
+            let block = mgr.read_block(out.index.cluster, b as u64).unwrap();
+            got.extend(
+                IndexBlock::<SidxEntry>::parse(&block)
+                    .unwrap()
+                    .iter()
+                    .map(|e| SidxEntry {
+                        skey: e.key.to_vec(),
+                        pkey: e.pkey.to_vec(),
+                        voff: e.voff,
+                        vlen: e.vlen,
+                    }),
+            );
         }
         got
-    }
-
-    #[test]
-    fn sidx_block_roundtrip() {
-        let mut b = SidxBlockBuilder::new();
-        let entries: Vec<SidxEntry> = (0..40u32)
-            .map(|i| SidxEntry {
-                skey: SidxKey::F32(i as f32).encode(),
-                pkey: format!("p{i:06}").into_bytes(),
-                voff: i as u64 * 32,
-                vlen: 32,
-            })
-            .collect();
-        for e in &entries {
-            assert!(b.fits(e));
-            b.add(e);
-        }
-        let (block, first) = b.finish();
-        assert_eq!(first, SidxKey::F32(0.0).encode());
-        assert_eq!(sidx_entries(&block).unwrap(), entries);
-    }
-
-    fn random_bytes(rng: &mut XorShift64, max_len: u64) -> Vec<u8> {
-        let len = rng.next_below(max_len + 1);
-        (0..len).map(|_| rng.next_u64() as u8).collect()
-    }
-
-    #[test]
-    fn sidx_view_matches_builder_and_rejects_corruption() {
-        let malformed = |b: &[u8]| {
-            matches!(SidxBlock::parse(b),
-                Err(DeviceError::Internal(m)) if m == "malformed SIDX block")
-        };
-        let mut rng = XorShift64::new(0x51DE);
-        for _ in 0..100 {
-            let mut entries: Vec<SidxEntry> = (0..rng.next_below(250))
-                .map(|_| SidxEntry {
-                    skey: random_bytes(&mut rng, 12),
-                    pkey: random_bytes(&mut rng, 40),
-                    voff: rng.next_u64(),
-                    vlen: rng.next_u64() as u32,
-                })
-                .collect();
-            entries.sort_by(|a, b| a.cmp_key(b));
-            let mut b = SidxBlockBuilder::new();
-            let mut want = Vec::new();
-            for e in entries {
-                if !b.fits(&e) {
-                    break;
-                }
-                b.add(&e);
-                want.push(e);
-            }
-            let (block, _) = b.finish();
-
-            assert_eq!(sidx_entries(&block).unwrap(), want);
-
-            for cut in 0..block.len() {
-                assert!(malformed(&block[..cut]), "truncated to {cut}");
-            }
-            let count = want.len() as u64 + 1;
-            let count = count + rng.next_below(u16::MAX as u64 + 1 - count);
-            let mut bad = block.clone();
-            bad[..2].copy_from_slice(&(count as u16).to_le_bytes());
-            assert!(malformed(&bad), "count {count} of {}", want.len());
-            // Each key length in turn, pushed past the end of the block.
-            let mut at = 2;
-            for e in &want {
-                let room = (block.len() - at - SIDX_ENTRY_HEADER) as u64;
-                for field in [at, at + 2] {
-                    let len = room + 1 + rng.next_below(u16::MAX as u64 - room);
-                    let mut bad = block.clone();
-                    bad[field..field + 2].copy_from_slice(&(len as u16).to_le_bytes());
-                    assert!(malformed(&bad), "length {len} at {field}");
-                }
-                at += e.encoded_len();
-            }
-            // Arbitrary damage may decode or not, but never panics.
-            for _ in 0..8 {
-                let mut bad = block.clone();
-                let ix = rng.next_below(bad.len() as u64) as usize;
-                bad[ix] = rng.next_u64() as u8;
-                if let Ok(view) = SidxBlock::parse(&bad) {
-                    for _entry in view.iter() {}
-                }
-            }
-        }
     }
 
     #[test]
@@ -443,7 +232,7 @@ mod tests {
             &mgr,
             &soc,
             &dram,
-            cout.pidx,
+            &cout.pidx,
             cout.svalues,
             &energy_spec(),
             4,
@@ -451,7 +240,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.entries, 2_000);
-        assert_eq!(out.sketch.blocks(), out.blocks);
+        assert_eq!(out.index.sketch.pivots().len() as u32, out.index.blocks);
         let got = read_sidx(&mgr, &out);
         assert_eq!(got.len(), 2_000);
         // Sorted by encoded secondary key (ties by pkey).
@@ -480,7 +269,7 @@ mod tests {
             &mgr,
             &soc,
             &dram,
-            cout.pidx,
+            &cout.pidx,
             cout.svalues,
             &energy_spec(),
             4,
@@ -523,7 +312,7 @@ mod tests {
             &mgr,
             &soc,
             &dram,
-            cout.pidx,
+            &cout.pidx,
             cout.svalues,
             &energy_spec(),
             2,
@@ -543,7 +332,7 @@ mod tests {
             &mgr,
             &soc,
             &dram,
-            cout.pidx,
+            &cout.pidx,
             cout.svalues,
             &energy_spec(),
             4,
@@ -565,7 +354,7 @@ mod tests {
             &mgr,
             &soc,
             &dram,
-            cout.pidx,
+            &cout.pidx,
             cout.svalues,
             &energy_spec(),
             2,
@@ -573,6 +362,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.entries, 0);
-        assert_eq!(out.blocks, 0);
+        assert_eq!(out.index.blocks, 0);
     }
 }

@@ -12,7 +12,8 @@ use kvcsd_proto::{KeyspaceState, SecondaryIndexSpec, SecondaryKeyType};
 use kvcsd_sim::bytes::{try_le_u32, try_le_u64};
 
 use crate::error::DeviceError;
-use crate::keyspace::{Keyspace, KsStorage, SecondaryIndex, Sketch};
+use crate::index::{BlockIndex, Sketch};
+use crate::keyspace::{Keyspace, KsStorage, SecondaryIndex};
 use crate::zone_mgr::{ClusterId, ClusterState, ZoneManagerState};
 use crate::Result;
 
@@ -55,9 +56,15 @@ impl W {
             None => self.u8(0),
         }
     }
-    fn sketch(&mut self, s: &Sketch) {
-        self.u32(s.pivots().len() as u32);
-        for p in s.pivots() {
+    /// A built index: cluster, blocks, `entries` (SIDX only), pivots.
+    fn index(&mut self, idx: &BlockIndex, entries: Option<u64>) {
+        self.u32(idx.cluster.0);
+        self.u32(idx.blocks);
+        if let Some(n) = entries {
+            self.u64(n);
+        }
+        self.u32(idx.sketch.pivots().len() as u32);
+        for p in idx.sketch.pivots() {
             self.bytes(p);
         }
     }
@@ -100,13 +107,20 @@ impl<'a> R<'a> {
             None
         })
     }
-    fn sketch(&mut self) -> Result<Sketch> {
-        let n = self.u32()? as usize;
-        let mut pivots = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            pivots.push(self.bytes()?);
+    /// The inverse of [`W::index`], storing `entries` when given.
+    fn index(&mut self, entries: Option<&mut u64>) -> Result<BlockIndex> {
+        let (cluster, blocks) = (ClusterId(self.u32()?), self.u32()?);
+        if let Some(n) = entries {
+            *n = self.u64()?;
         }
-        Ok(Sketch::from_pivots(pivots))
+        let pivots = (0..self.u32()?)
+            .map(|_| self.bytes())
+            .collect::<Result<_>>()?;
+        Ok(BlockIndex {
+            cluster,
+            blocks,
+            sketch: Sketch::from_pivots(pivots),
+        })
     }
 }
 
@@ -234,10 +248,8 @@ pub fn encode_parts(zones: &ZoneManagerState, keyspaces: &[&Keyspace]) -> Vec<u8
             w.u32(c.0);
             w.u64(len);
         }
-        if let Some((c, blocks)) = s.pidx {
-            w.u32(c.0);
-            w.u32(blocks);
-            w.sketch(&s.pidx_sketch);
+        if let Some(pidx) = &s.pidx {
+            w.index(pidx, None);
         }
         if let Some((c, len)) = s.svalues {
             w.u32(c.0);
@@ -249,10 +261,7 @@ pub fn encode_parts(zones: &ZoneManagerState, keyspaces: &[&Keyspace]) -> Vec<u8
             w.u32(idx.spec.value_offset as u32);
             w.u32(idx.spec.value_len as u32);
             w.u8(type_byte(idx.spec.key_type));
-            w.u32(idx.cluster.0);
-            w.u32(idx.blocks);
-            w.u64(idx.entries);
-            w.sketch(&idx.sketch);
+            w.index(&idx.index, Some(idx.entries));
         }
     }
     w.0
@@ -323,8 +332,7 @@ pub fn decode(payload: &[u8]) -> Result<DeviceSnapshot> {
             storage.vlog = Some((ClusterId(r.u32()?), r.u64()?));
         }
         if flags & 4 != 0 {
-            storage.pidx = Some((ClusterId(r.u32()?), r.u32()?));
-            storage.pidx_sketch = r.sketch()?;
+            storage.pidx = Some(r.index(None)?);
         }
         if flags & 8 != 0 {
             storage.svalues = Some((ClusterId(r.u32()?), r.u64()?));
@@ -336,10 +344,8 @@ pub fn decode(payload: &[u8]) -> Result<DeviceSnapshot> {
             let value_offset = r.u32()? as usize;
             let value_len = r.u32()? as usize;
             let key_type = byte_type(r.u8()?)?;
-            let cluster = ClusterId(r.u32()?);
-            let blocks = r.u32()?;
-            let entries = r.u64()?;
-            let sketch = r.sketch()?;
+            let mut entries = 0;
+            let index = r.index(Some(&mut entries))?;
             storage.sidx.insert(
                 name.clone(),
                 SecondaryIndex {
@@ -349,9 +355,7 @@ pub fn decode(payload: &[u8]) -> Result<DeviceSnapshot> {
                         value_len,
                         key_type,
                     },
-                    cluster,
-                    blocks,
-                    sketch,
+                    index,
                     entries,
                 },
             );
@@ -377,9 +381,11 @@ mod tests {
         ks.data_bytes = 48_000;
         ks.min_key = Some(b"aaa".to_vec());
         ks.max_key = Some(b"zzz".to_vec());
-        ks.storage.pidx = Some((ClusterId(9), 12));
-        ks.storage.pidx_sketch =
-            Sketch::from_pivots(vec![b"aaa".to_vec(), b"mmm".to_vec(), b"ttt".to_vec()]);
+        ks.storage.pidx = Some(BlockIndex {
+            cluster: ClusterId(9),
+            blocks: 12,
+            sketch: Sketch::from_pivots(vec![b"aaa".to_vec(), b"mmm".to_vec(), b"ttt".to_vec()]),
+        });
         ks.storage.svalues = Some((ClusterId(10), 32_000));
         ks.storage.sidx.insert(
             "energy".into(),
@@ -390,9 +396,11 @@ mod tests {
                     value_len: 4,
                     key_type: SecondaryKeyType::F32,
                 },
-                cluster: ClusterId(11),
-                blocks: 7,
-                sketch: Sketch::from_pivots(vec![vec![0, 1], vec![9, 9]]),
+                index: BlockIndex {
+                    cluster: ClusterId(11),
+                    blocks: 7,
+                    sketch: Sketch::from_pivots(vec![vec![0, 1], vec![9, 9]]),
+                },
                 entries: 1000,
             },
         );
@@ -430,15 +438,16 @@ mod tests {
         assert_eq!(ks.state, KeyspaceState::Compacted);
         assert_eq!(ks.pairs, 1000);
         assert_eq!(ks.min_key.as_deref(), Some(b"aaa".as_slice()));
-        assert_eq!(ks.storage.pidx, Some((ClusterId(9), 12)));
-        assert_eq!(ks.storage.pidx_sketch.blocks(), 3);
+        let pidx = ks.storage.pidx.as_ref().unwrap();
+        assert_eq!((pidx.cluster, pidx.blocks), (ClusterId(9), 12));
+        assert_eq!(pidx.sketch.pivots().len(), 3);
         assert_eq!(ks.storage.svalues, Some((ClusterId(10), 32_000)));
         let idx = &ks.storage.sidx["energy"];
         assert_eq!(idx.spec.value_offset, 28);
         assert_eq!(idx.spec.key_type, SecondaryKeyType::F32);
-        assert_eq!(idx.blocks, 7);
+        assert_eq!(idx.index.blocks, 7);
         assert_eq!(idx.entries, 1000);
-        assert_eq!(idx.sketch.blocks(), 2);
+        assert_eq!(idx.index.sketch.pivots().len(), 2);
         let c = &decoded.keyspaces[1];
         assert_eq!(c.state, KeyspaceState::Compacting);
         assert_eq!(c.storage.klog, Some((ClusterId(20), 1234)));

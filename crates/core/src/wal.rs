@@ -18,12 +18,11 @@
 use std::sync::Arc;
 
 use crate::error::DeviceError;
-use crate::meta::crc32;
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 use crate::BLOCK_BYTES;
-use kvcsd_sim::bytes::{le_u16, le_u32};
+use kvcsd_sim::bytes::{crc32, le_u16, le_u32};
 
 const FRAME_TAG: u8 = 0xA5;
 const FRAME_HEADER: usize = 1 + 2 + 4 + 4;

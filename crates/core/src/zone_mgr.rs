@@ -233,11 +233,6 @@ impl ZoneManager {
         Ok(c.blocks)
     }
 
-    /// Bytes appended to `cluster` so far (always block-aligned).
-    pub fn cluster_bytes(&self, cluster: ClusterId) -> Result<u64> {
-        Ok(self.cluster_blocks(cluster)? * BLOCK_BYTES as u64)
-    }
-
     /// Zones currently owned by `cluster`.
     pub fn cluster_zone_count(&self, cluster: ClusterId) -> Result<u32> {
         let inner = self.inner.lock();

@@ -7,24 +7,10 @@
 
 use kvcsd_blockfs::{fs::FileId, BlockFs};
 
-use kvcsd_sim::bytes::{le_u32, le_u64};
+use kvcsd_sim::bytes::{crc32, le_u32, le_u64};
 
 use crate::error::LsmError;
 use crate::Result;
-
-/// CRC-32 (IEEE) computed bytewise; small, dependency-free, and good
-/// enough to catch torn records in replay.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,13 +153,6 @@ mod tests {
         let nand = Arc::new(NandArray::new(geom, &HardwareSpec::default(), ledger));
         let dev = Arc::new(ConventionalNamespace::new(nand, ConvConfig::default()));
         BlockFs::format(dev, CostModel::default(), FsConfig::default())
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // Standard IEEE CRC-32 of "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Little-endian byte decoding helpers.
+//! Little-endian byte decoding helpers, and the workspace's one CRC-32.
 //!
 //! On-flash formats throughout the workspace decode fixed-width integers
 //! out of page buffers. Before this module existed every such site spelled
@@ -55,6 +55,21 @@ pub fn try_le_u64(buf: &[u8], off: usize) -> Option<u64> {
     Some(u64::from_le_bytes(b))
 }
 
+/// CRC-32 (IEEE) computed bytewise: small, dependency-free, and good
+/// enough to catch the torn records and snapshots that log replay and
+/// metadata restore must reject.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,5 +99,12 @@ mod tests {
     #[should_panic]
     fn unchecked_panics_on_short_buffer() {
         le_u32(&[1u8, 2], 0);
+    }
+
+    #[test]
+    fn crc32_known_vector() {
+        // Standard IEEE CRC-32 of "123456789".
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 }
