@@ -57,7 +57,6 @@ pub fn load(
         })
         .collect();
 
-    let before = tb.ledger.snapshot();
     tb.runner.foreground("lsm-insert", threads, || {
         if n_dbs == 1 {
             for t in 0..threads {
@@ -101,7 +100,7 @@ pub fn load(
             }
         }
     });
-    let insert_work = tb.ledger.snapshot().since(&before);
+    let insert_work = tb.runner.last_work();
     let insert_s = tb.runner.last_elapsed_s();
 
     LoadedBaseline {
@@ -130,7 +129,6 @@ pub fn get_phase(
     for db in &loaded.dbs {
         db.block_cache().lock().clear();
     }
-    let before = tb.ledger.snapshot();
     tb.runner.foreground("lsm-get", threads, || {
         for t in 0..threads {
             let db = &loaded.dbs[t as usize % loaded.dbs.len()];
@@ -153,10 +151,7 @@ pub fn get_phase(
             }
         }
     });
-    (
-        tb.runner.last_elapsed_s(),
-        tb.ledger.snapshot().since(&before),
-    )
+    (tb.runner.last_elapsed_s(), tb.runner.last_work())
 }
 
 #[cfg(test)]

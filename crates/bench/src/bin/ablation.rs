@@ -144,7 +144,6 @@ fn main() {
             ks.compact().unwrap();
         }
         let mut tbm = tb;
-        let before = tbm.ledger.snapshot();
         tbm.runner.background("jobs", || {
             dev.run_pending_jobs();
             if !single_pass {
@@ -152,7 +151,7 @@ fn main() {
                 dev.run_pending_jobs();
             }
         });
-        let work = tbm.ledger.snapshot().since(&before);
+        let work = tbm.runner.last_work();
         (tbm.runner.background_secs(), work.storage_read_bytes())
     };
     let (sep_s, sep_read) = run(false);

@@ -53,7 +53,6 @@ pub fn load(
         })
         .collect();
 
-    let before = tb.ledger.snapshot();
     tb.runner.foreground("kvcsd-insert", threads, || {
         if n_keyspaces == 1 {
             let ks = &keyspaces[0];
@@ -99,14 +98,13 @@ pub fn load(
             ks.compact().expect("compact invocation");
         }
     });
-    let insert_work = tb.ledger.snapshot().since(&before);
+    let insert_work = tb.runner.last_work();
     let insert_s = tb.runner.last_elapsed_s();
 
-    let before = tb.ledger.snapshot();
     tb.runner.background("kvcsd-compaction", || {
         dev.run_pending_jobs();
     });
-    let compact_work = tb.ledger.snapshot().since(&before);
+    let compact_work = tb.runner.last_work();
     let compact_s = tb.runner.last_elapsed_s();
 
     LoadedKvcsd {
@@ -131,7 +129,6 @@ pub fn get_phase(
     workload: &PutWorkload,
     seed: u64,
 ) -> (f64, LedgerSnapshot) {
-    let before = tb.ledger.snapshot();
     tb.runner.foreground("kvcsd-get", threads, || {
         for t in 0..threads {
             let ks = &loaded.keyspaces[t as usize % loaded.keyspaces.len()];
@@ -155,10 +152,7 @@ pub fn get_phase(
             }
         }
     });
-    (
-        tb.runner.last_elapsed_s(),
-        tb.ledger.snapshot().since(&before),
-    )
+    (tb.runner.last_elapsed_s(), tb.runner.last_work())
 }
 
 #[cfg(test)]

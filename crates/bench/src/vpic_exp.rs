@@ -69,7 +69,6 @@ pub fn load_kvcsd(tb: &mut Testbed, dump: &VpicDump) -> VpicKvcsd {
         })
         .collect();
 
-    let before = tb.ledger.snapshot();
     tb.runner.foreground("vpic-write", dump.files, || {
         for (f, ks) in (0..dump.files).zip(&keyspaces) {
             let acc = ks.write_accelerator();
@@ -82,14 +81,13 @@ pub fn load_kvcsd(tb: &mut Testbed, dump: &VpicDump) -> VpicKvcsd {
             ks.compact().expect("compact invocation");
         }
     });
-    let write_work = tb.ledger.snapshot().since(&before);
+    let write_work = tb.runner.last_work();
     let write_s = tb.runner.last_elapsed_s();
 
-    let before = tb.ledger.snapshot();
     tb.runner.background("vpic-compaction", || {
         dev.run_pending_jobs();
     });
-    let compact_work = tb.ledger.snapshot().since(&before);
+    let compact_work = tb.runner.last_work();
     let compact_s = tb.runner.last_elapsed_s();
 
     // Index construction is requested after compaction completes and also
@@ -122,7 +120,6 @@ pub fn query_kvcsd(
     loaded: &VpicKvcsd,
     threshold: f32,
 ) -> (f64, u64, LedgerSnapshot) {
-    let before = tb.ledger.snapshot();
     let mut total_hits = 0u64;
     tb.runner
         .foreground("vpic-kvcsd-query", loaded.keyspaces.len() as u32, || {
@@ -141,7 +138,7 @@ pub fn query_kvcsd(
     (
         tb.runner.last_elapsed_s(),
         total_hits,
-        tb.ledger.snapshot().since(&before),
+        tb.runner.last_work(),
     )
 }
 
@@ -171,7 +168,6 @@ pub fn load_baseline(tb: &mut Testbed, dump: &VpicDump) -> VpicBaseline {
         })
         .collect();
 
-    let before = tb.ledger.snapshot();
     tb.runner.foreground("vpic-lsm-write", dump.files, || {
         for (f, db) in (0..dump.files).zip(&dbs) {
             for p in dump.shard(f) {
@@ -190,7 +186,7 @@ pub fn load_baseline(tb: &mut Testbed, dump: &VpicDump) -> VpicBaseline {
             db.compact().expect("compaction wait");
         }
     });
-    let write_work = tb.ledger.snapshot().since(&before);
+    let write_work = tb.runner.last_work();
     let write_s = tb.runner.last_elapsed_s();
 
     VpicBaseline {
@@ -214,7 +210,6 @@ pub fn query_baseline(
     for db in &loaded.dbs {
         db.block_cache().lock().clear();
     }
-    let before = tb.ledger.snapshot();
     let mut total_hits = 0u64;
     tb.runner
         .foreground("vpic-lsm-query", loaded.dbs.len() as u32, || {
@@ -238,7 +233,7 @@ pub fn query_baseline(
     (
         tb.runner.last_elapsed_s(),
         total_hits,
-        tb.ledger.snapshot().since(&before),
+        tb.runner.last_work(),
     )
 }
 

@@ -61,9 +61,8 @@ pub enum ShardStrategy {
     HashKeys,
     /// Split points dividing the key space into contiguous runs: keys
     /// below `boundaries[0]` go to shard 0, and so on. Requires exactly
-    /// `shards - 1` boundaries; range queries touch only covering shards
-    /// (the router still scatters to all — pruning is future work — but
-    /// per-shard results stay contiguous).
+    /// `shards - 1` boundaries; the router prunes a range query to the
+    /// covering shards, whose per-shard results stay contiguous.
     RangeKeys { boundaries: Vec<Vec<u8>> },
 }
 

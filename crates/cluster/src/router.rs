@@ -28,10 +28,11 @@
 //! charges stall time only to commands routed at its keys — never to the
 //! rest of the fleet.
 
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use kvcsd_core::{ArtifactPayload, KvCsdDevice};
+use kvcsd_core::{ArtifactPayload, KeyspaceArtifacts, KvCsdDevice};
 use kvcsd_proto::{
     Bound, DeviceHandler, JobId, JobState, KeyspaceDesc, KeyspaceStat, KeyspaceState, KvCommand,
     KvResponse, KvStatus, SecondaryIndexSpec, ShardId, ShipKind,
@@ -45,6 +46,19 @@ use crate::ClusterConfig;
 
 /// One shard's slice of a scatter-gathered entry set.
 type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// What one export step took from a shard instance, to ship after the
+/// caller's guard drops.
+struct Export {
+    /// `(keyspace name, artifacts)` in ship order.
+    arts: Vec<(String, KeyspaceArtifacts)>,
+    /// The exporting instance's epoch. Every ship of these artifacts
+    /// carries it: a promotion landing between export and ship must not
+    /// stamp the deposed instance's state with its successor's epoch.
+    epoch: u64,
+    /// The instance's injector powered off mid-export.
+    died: bool,
+}
 
 /// One completed promotion, for reproducibility auditing: the torture
 /// suite asserts that the same seed yields the identical event log.
@@ -264,8 +278,7 @@ impl ClusterRouter {
     /// grants background time on every `PollJob`, so a polling client
     /// makes progress without an external driver.
     pub fn run_background(&self) -> usize {
-        let all: Vec<usize> = (0..self.shards.len()).collect();
-        self.drive_concurrent(&all, |ix| self.run_shard_background(ix))
+        self.drive_concurrent(&self.all_shards(), |ix| self.run_shard_background(ix))
             .into_iter()
             .sum()
     }
@@ -363,98 +376,40 @@ impl ClusterRouter {
             st.needs_reconcile.set(true);
             return 0;
         };
-        let mut targets: Vec<(String, u32)> = {
-            let routes = self.routes.lock();
-            routes
-                .keyspaces
-                .values()
-                .map(|ck| (ck.name.clone(), ck.local[ix]))
-                .collect()
-        };
-        // Ship in name order: the link lane draws faults per bus op, so
-        // the ship order must not depend on hash-map iteration order.
-        targets.sort();
-        let epoch = st.epoch.get();
-        let mut gaps: Vec<(String, kvcsd_core::KeyspaceArtifacts)> = Vec::new();
-        {
-            let inst = st.primary.read();
-            for (name, local) in targets {
-                let Ok(art) = inst.device().export_keyspace_artifacts(local) else {
-                    continue;
-                };
-                // Compare the primary's artifact fingerprint against the
-                // replica's generation; only mismatches re-ship.
-                let fp = (art.ship_kind(), art.wire_bytes(), art.pairs);
-                let have = gens.iter().find(|g| g.0 == name).map(|g| (g.1, g.2, g.3));
-                if have != Some(fp) {
-                    gaps.push((name, art));
-                }
+        let targets = self.keyspaces_on(ix);
+        // A death is left for the next routed command to find.
+        let mut export = Self::export(&st.primary.read(), targets);
+        // Compare the primary's artifact fingerprint against the
+        // replica's generation; only mismatches re-ship.
+        export.arts.retain(|(name, art)| {
+            let have = gens.iter().find(|g| &g.0 == name).map(|g| (g.1, g.2, g.3));
+            have != Some((art.ship_kind(), art.wire_bytes(), art.pairs))
+        });
+        match self.ship_exports(st, export) {
+            Ok(shipped) => {
+                st.needs_reconcile.set(false);
+                shipped
             }
+            // The link went down again mid-pass: the flag stays set and
+            // a later pass retries.
+            Err(shipped) => shipped,
         }
-        let mut shipped = 0;
-        for (name, art) in gaps {
-            match st.replica.ship(&name, art, epoch) {
-                Ok(_) => shipped += 1,
-                // Link went down again mid-pass: keep the flag, retry on
-                // a later pass.
-                Err(ShipError::LinkDown { .. }) => {
-                    st.needs_reconcile.set(true);
-                    return shipped;
-                }
-            }
-        }
-        st.needs_reconcile.set(false);
-        shipped
     }
 
     /// Ship every keyspace on shard `ix` whose artifacts are compacted.
     /// Sealed logs were already shipped at seal time; shipping only the
-    /// compacted form here keeps the replica log bounded.
+    /// compacted form here keeps the replica log bounded. Background
+    /// shipping never deposes the primary — nothing is gating a client
+    /// ack here — so a down link only flags the gap for anti-entropy.
     fn ship_compacted(&self, ix: usize) {
-        let mut targets: Vec<(String, u32)> = {
-            let routes = self.routes.lock();
-            routes
-                .keyspaces
-                .values()
-                .map(|ck| (ck.name.clone(), ck.local[ix]))
-                .collect()
-        };
-        // Deterministic ship order (see reconcile_shard).
-        targets.sort();
         let st = &self.shards[ix];
-        let mut died = false;
-        // Export under the primary's read guard, but ship only after it
-        // drops: a replica ship occupies the fabric bus (a charged wait),
-        // and holding the shard lock across it would stall every command
-        // routed at this shard for the transfer's duration.
-        let mut to_ship: Vec<(String, kvcsd_core::KeyspaceArtifacts)> = Vec::new();
-        {
-            let inst = st.primary.read();
-            for (name, local) in targets {
-                match inst.device().export_keyspace_artifacts(local) {
-                    Ok(art) if matches!(art.payload, ArtifactPayload::Compacted { .. }) => {
-                        to_ship.push((name, art));
-                    }
-                    Ok(_) => {}
-                    Err(_) => {
-                        if inst.injector().is_powered_off() {
-                            died = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let epoch = st.epoch.get();
-        for (name, art) in to_ship {
-            if let Err(ShipError::LinkDown { .. }) = st.replica.ship(&name, art, epoch) {
-                // Background shipping never deposes the primary — nothing
-                // is gating a client ack here. Flag the gap; anti-entropy
-                // closes it after the partition heals.
-                st.needs_reconcile.set(true);
-                break;
-            }
-        }
+        let targets = self.keyspaces_on(ix);
+        let mut export = Self::export(&st.primary.read(), targets);
+        export
+            .arts
+            .retain(|(_, art)| matches!(art.payload, ArtifactPayload::Compacted { .. }));
+        let died = export.died;
+        let _ = self.ship_exports(st, export);
         if died {
             self.failover(ix, false);
         }
@@ -469,44 +424,87 @@ impl ClusterRouter {
             return Ok(());
         }
         let st = &self.shards[ix];
-        let mut died = false;
-        // Same discipline as ship_compacted: never hold the primary's
-        // guard across the fabric transfer.
-        let mut to_ship = None;
-        {
-            let inst = st.primary.read();
-            match inst.device().export_keyspace_artifacts(local) {
-                Ok(art) => to_ship = Some(art),
-                // An empty keyspace seals to nothing exportable; that is
-                // not a death, just nothing to ship.
-                Err(_) => died = inst.injector().is_powered_off(),
-            }
-        }
-        if died {
+        // An empty keyspace seals to nothing exportable; that is not a
+        // death, just nothing to ship.
+        let export = Self::export(&st.primary.read(), [(name.to_string(), local)]);
+        if export.died {
             self.failover(ix, false);
             return Err(KvStatus::FailoverInProgress { shard: st.id });
         }
-        if let Some(art) = to_ship {
-            let epoch = st.epoch.get();
-            if let Err(ShipError::LinkDown { .. }) = st.replica.ship(name, art, epoch) {
-                st.needs_reconcile.set(true);
-                if self.cfg.partition_failover {
-                    // The primary cannot prove durability across the
-                    // partition. Depose it on suspicion and promote the
-                    // replica side under a new fencing epoch; the client's
-                    // resend lands on the new primary.
-                    self.failover(ix, true);
-                    return Err(KvStatus::FailoverInProgress { shard: st.id });
+        if self.ship_exports(st, export).is_ok() {
+            return Ok(());
+        }
+        if self.cfg.partition_failover {
+            // The primary cannot prove durability across the partition.
+            // Depose it on suspicion and promote the replica side under a
+            // new fencing epoch; the client's resend lands on the new
+            // primary.
+            self.failover(ix, true);
+            return Err(KvStatus::FailoverInProgress { shard: st.id });
+        }
+        // Availability mode: keep the primary, bounce the ack as
+        // retryable. Anti-entropy re-ships after heal.
+        Err(KvStatus::TransientDeviceError(format!(
+            "shard {}: replication link down, seal not replicated",
+            st.id
+        )))
+    }
+
+    /// Every cluster keyspace's `(name, local id)` on shard `ix`, in name
+    /// order: the link lane draws faults per bus op, so the ship order
+    /// must not depend on hash-map iteration order.
+    fn keyspaces_on(&self, ix: usize) -> Vec<(String, u32)> {
+        let routes = self.routes.lock();
+        let mut targets: Vec<(String, u32)> = routes
+            .keyspaces
+            .values()
+            .map(|ck| (ck.name.clone(), ck.local[ix]))
+            .collect();
+        drop(routes);
+        targets.sort();
+        targets
+    }
+
+    /// The export step: export `targets` from `inst` in order, under
+    /// whichever guard the caller holds on it (a `primary.read()` passed
+    /// in as a temporary drops at the end of the caller's statement,
+    /// before any ship). A keyspace with nothing to export is skipped; an
+    /// export that fails on a powered-off injector ends the pass as a
+    /// death.
+    fn export(inst: &ShardInstance, targets: impl IntoIterator<Item = (String, u32)>) -> Export {
+        let mut export = Export {
+            arts: Vec::new(),
+            epoch: inst.epoch(),
+            died: false,
+        };
+        for (name, local) in targets {
+            match inst.device().export_keyspace_artifacts(local) {
+                Ok(art) => export.arts.push((name, art)),
+                Err(_) if inst.injector().is_powered_off() => {
+                    export.died = true;
+                    break;
                 }
-                // Availability mode: keep the primary, bounce the ack as
-                // retryable. Anti-entropy re-ships after heal.
-                return Err(KvStatus::TransientDeviceError(format!(
-                    "shard {}: replication link down, seal not replicated",
-                    st.id
-                )));
+                Err(_) => {}
             }
         }
-        Ok(())
+        export
+    }
+
+    /// The ship step, run after the exporting guard dropped — a ship
+    /// occupies the fabric bus (a charged wait), and holding the shard
+    /// lock across it would stall every command routed at this shard.
+    /// Ships each export in order under the exporter's epoch and stops at
+    /// the first `LinkDown`, flagging the gap for anti-entropy. Returns
+    /// how many shipped: `Ok` when all did, `Err` when the link went down.
+    fn ship_exports(&self, st: &ShardState, export: Export) -> Result<usize, usize> {
+        let total = export.arts.len();
+        for (shipped, (name, art)) in export.arts.into_iter().enumerate() {
+            if let Err(ShipError::LinkDown { .. }) = st.replica.ship(&name, art, export.epoch) {
+                st.needs_reconcile.set(true);
+                return Err(shipped);
+            }
+        }
+        Ok(total)
     }
 
     /// Promote shard `ix`'s replica under a freshly minted fencing epoch.
@@ -540,7 +538,7 @@ impl ClusterRouter {
         let fresh = ShardInstance::build(&self.cfg, st.id, FaultPlan::none(), epoch);
         let mut replayed = 0u32;
         let mut recompacted = 0u32;
-        let mut installed: HashMap<String, u32> = HashMap::new();
+        let mut installed: BTreeMap<String, u32> = BTreeMap::new();
         for (ship, art) in st.replica.latest_per_keyspace() {
             let Ok(local) = fresh.device().import_keyspace_artifacts(&art) else {
                 continue;
@@ -562,22 +560,13 @@ impl ClusterRouter {
         // Keyspaces that never shipped anything come back empty: their
         // acked PUTs were device-buffered only, which is exactly the
         // single-device (no-WAL) durability contract.
-        let mut names: Vec<String> = {
-            let routes = self.routes.lock();
-            routes
-                .keyspaces
-                .values()
-                .map(|ck| ck.name.clone())
-                .collect()
-        };
-        names.sort();
-        for name in &names {
-            if !installed.contains_key(name) {
-                if let KvResponse::Created { ks } = fresh
-                    .device()
-                    .handle(KvCommand::CreateKeyspace { name: name.clone() })
+        for (name, _) in self.keyspaces_on(ix) {
+            if let Entry::Vacant(slot) = installed.entry(name) {
+                let name = slot.key().clone();
+                if let KvResponse::Created { ks } =
+                    fresh.device().handle(KvCommand::CreateKeyspace { name })
                 {
-                    installed.insert(name.clone(), ks);
+                    slot.insert(ks);
                 }
             }
         }
@@ -588,12 +577,9 @@ impl ClusterRouter {
         // fault exposure. The fence itself survives the clear, keeping
         // the deposed primary's ships rejected.
         st.replica.clear();
-        let mut reseed: Vec<(&String, &u32)> = installed.iter().collect();
-        reseed.sort();
-        for (name, local) in reseed {
-            if let Ok(art) = fresh.device().export_keyspace_artifacts(*local) {
-                st.replica.reseed(name, art, epoch);
-            }
+        let reseed = Self::export(&fresh, installed.iter().map(|(n, l)| (n.clone(), *l)));
+        for (name, art) in reseed.arts {
+            st.replica.reseed(&name, art, reseed.epoch);
         }
         {
             let mut routes = self.routes.lock();
@@ -630,17 +616,7 @@ impl ClusterRouter {
             }
             ShardHealth::Dead => return Err(KvStatus::ShardUnavailable { shard: st.id }),
         }
-        let (resp, died, stale) = {
-            let inst = st.primary.read();
-            let resp = inst.device().handle(cmd);
-            let died = matches!(resp, KvResponse::Err(KvStatus::PowerLoss))
-                || inst.injector().is_powered_off();
-            // The ack fence: the command executed, but if a promotion
-            // minted a newer epoch meanwhile, this instance is deposed
-            // and its ack must not reach the client.
-            let stale = inst.epoch() != st.epoch.get();
-            (resp, died, stale)
-        };
+        let (resp, died) = Self::handle_fenced(st, &st.primary.read(), cmd);
         if died {
             self.failover(ix, false);
             return Err(if self.cfg.replicate {
@@ -649,14 +625,34 @@ impl ClusterRouter {
                 KvStatus::ShardUnavailable { shard: st.id }
             });
         }
-        if stale {
-            return Err(KvStatus::EpochFenced { shard: st.id });
+        resp
+    }
+
+    /// Execute `cmd` on `inst` (shard `st`'s primary, or its deposed
+    /// ex-primary) and apply the ack fence: the command executed, but if
+    /// a promotion minted a newer epoch meanwhile, this instance is
+    /// deposed and its ack must not reach the client. Also reports
+    /// whether the instance died.
+    fn handle_fenced(
+        st: &ShardState,
+        inst: &ShardInstance,
+        cmd: KvCommand,
+    ) -> (Result<KvResponse, KvStatus>, bool) {
+        let resp = inst.device().handle(cmd);
+        let died = matches!(resp, KvResponse::Err(KvStatus::PowerLoss))
+            || inst.injector().is_powered_off();
+        if inst.epoch() != st.epoch.get() {
+            return (Err(KvStatus::EpochFenced { shard: st.id }), died);
         }
-        resp.into_result()
+        (resp.into_result(), died)
     }
 
     fn shard_count(&self) -> u32 {
         self.cfg.shards
+    }
+
+    fn all_shards(&self) -> Vec<usize> {
+        (0..self.shards.len()).collect()
     }
 
     /// How a shard-level status error affects a cluster-level fan-out or
@@ -716,7 +712,7 @@ impl ClusterRouter {
     fn shards_for_range(&self, lo: &Bound, hi: &Bound) -> Vec<usize> {
         let n = self.shard_count() as usize;
         match &self.cfg.strategy {
-            crate::ShardStrategy::HashKeys => (0..n).collect(),
+            crate::ShardStrategy::HashKeys => self.all_shards(),
             crate::ShardStrategy::RangeKeys { boundaries } => (0..n)
                 .filter(|&i| {
                     // Shard i spans [boundaries[i-1], boundaries[i]).
@@ -732,34 +728,24 @@ impl ClusterRouter {
         }
     }
 
-    fn merge_entries(
-        mut parts: Vec<Vec<(Vec<u8>, Vec<u8>)>>,
+    /// Merge per-shard result sets into global key order, or — for a
+    /// SIDX query, given the recorded spec to re-derive each record's
+    /// encoded secondary key — into secondary-key order with ties broken
+    /// by primary key.
+    fn merge(
+        parts: Vec<Entries>,
+        order: Option<&SecondaryIndexSpec>,
         limit: Option<u64>,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut all: Vec<(Vec<u8>, Vec<u8>)> = parts.drain(..).flatten().collect();
-        all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        if let Some(l) = limit {
-            all.truncate(l as usize);
+    ) -> Entries {
+        let mut all: Entries = parts.into_iter().flatten().collect();
+        match order {
+            Some(s) => all.sort_unstable_by(|a, b| {
+                s.extract(&a.1)
+                    .cmp(&s.extract(&b.1))
+                    .then_with(|| a.0.cmp(&b.0))
+            }),
+            None => all.sort_unstable_by(|a, b| a.0.cmp(&b.0)),
         }
-        all
-    }
-
-    /// Merge secondary-index result sets into global secondary-key order
-    /// (ties broken by primary key), using the recorded spec to re-derive
-    /// each record's encoded secondary key.
-    fn merge_sidx_entries(
-        mut parts: Vec<Vec<(Vec<u8>, Vec<u8>)>>,
-        spec: Option<&SecondaryIndexSpec>,
-        limit: Option<u64>,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut all: Vec<(Vec<u8>, Vec<u8>)> = parts.drain(..).flatten().collect();
-        all.sort_unstable_by(|a, b| match spec {
-            Some(s) => s
-                .extract(&a.1)
-                .cmp(&s.extract(&b.1))
-                .then_with(|| a.0.cmp(&b.0)),
-            None => a.0.cmp(&b.0),
-        });
         if let Some(l) = limit {
             all.truncate(l as usize);
         }
@@ -1019,8 +1005,7 @@ impl ClusterRouter {
         let mut worst: Option<KvStatus> = None;
         let mut running = false;
         let mut missing_index = false;
-        let all: Vec<usize> = (0..self.shard_count() as usize).collect();
-        let results = self.drive_concurrent(&all, |ix| {
+        let results = self.drive_concurrent(&self.all_shards(), |ix| {
             self.exec_on(ix, KvCommand::Stat { ks: ck.local[ix] })
         });
         for (ix, resp) in results.into_iter().enumerate() {
@@ -1072,12 +1057,16 @@ impl ClusterRouter {
         Ok(KvResponse::Job { state })
     }
 
+    /// Scatter an entry query to `shards` and [`Self::merge`] the
+    /// answers in `order`, keeping the first `limit`.
     fn do_scatter_entries(
         &self,
         ck: &ClusterKeyspace,
         shards: &[usize],
+        order: Option<&SecondaryIndexSpec>,
+        limit: Option<u64>,
         make: impl Fn(u32) -> KvCommand,
-    ) -> Result<Vec<Entries>, KvStatus> {
+    ) -> Result<KvResponse, KvStatus> {
         // Every covering shard is driven concurrently (router time is
         // the slowest shard's); errors still surface in shard order.
         let results = self.drive_concurrent(shards, |ix| self.exec_on(ix, make(ck.local[ix])));
@@ -1088,7 +1077,32 @@ impl ClusterRouter {
                 other => return Err(unexpected(&other)),
             }
         }
-        Ok(parts)
+        Ok(KvResponse::Entries(Self::merge(parts, order, limit)))
+    }
+
+    /// Route a point command to the shard owning `key`.
+    fn exec_point(
+        &self,
+        deadline_ns: Option<u64>,
+        ks: u32,
+        key: Vec<u8>,
+        make: impl FnOnce(u32, Vec<u8>) -> KvCommand,
+    ) -> Result<KvResponse, KvStatus> {
+        let ck = self.lookup(ks)?;
+        let ix = self.cfg.strategy.shard_for(&key, self.shard_count()) as usize;
+        self.exec_on(ix, Self::wrap(deadline_ns, make(ck.local[ix], key)))
+    }
+
+    /// Record `specs` on cluster keyspace `ks`, for merge ordering.
+    fn record_specs(&self, ks: u32, specs: &[SecondaryIndexSpec]) {
+        let mut routes = self.routes.lock();
+        if let Some(ck) = routes.keyspaces.get_mut(&ks) {
+            for spec in specs {
+                if !ck.specs.iter().any(|s| s.name == spec.name) {
+                    ck.specs.push(spec.clone());
+                }
+            }
+        }
     }
 
     fn do_stat(&self, ks: u32) -> Result<KvResponse, KvStatus> {
@@ -1099,8 +1113,7 @@ impl ClusterRouter {
         let mut min_key: Option<Vec<u8>> = None;
         let mut max_key: Option<Vec<u8>> = None;
         let mut secondary: Vec<String> = Vec::new();
-        let all: Vec<usize> = (0..self.shard_count() as usize).collect();
-        let results = self.drive_concurrent(&all, |ix| {
+        let results = self.drive_concurrent(&self.all_shards(), |ix| {
             self.exec_on(ix, KvCommand::Stat { ks: ck.local[ix] })
         });
         for resp in results {
@@ -1140,26 +1153,17 @@ impl ClusterRouter {
 
     fn dispatch(&self, cmd: KvCommand) -> Result<KvResponse, KvStatus> {
         let (deadline_ns, cmd) = cmd.unwrap_deadline();
-        let n = self.shard_count();
         match cmd {
             KvCommand::CreateKeyspace { name } => self.do_create(&name),
             KvCommand::OpenKeyspace { name } => self.do_open(&name),
             KvCommand::ListKeyspaces => self.do_list(),
             KvCommand::DeleteKeyspace { ks } => self.do_delete_ks(ks),
             KvCommand::Put { ks, key, value } => {
-                let ck = self.lookup(ks)?;
-                let ix = self.cfg.strategy.shard_for(&key, n) as usize;
-                self.exec_on(
-                    ix,
-                    Self::wrap(
-                        deadline_ns,
-                        KvCommand::Put {
-                            ks: ck.local[ix],
-                            key,
-                            value,
-                        },
-                    ),
-                )
+                self.exec_point(deadline_ns, ks, key, |ks, key| KvCommand::Put {
+                    ks,
+                    key,
+                    value,
+                })
             }
             KvCommand::BulkPut { ks, payload } => {
                 let ck = self.lookup(ks)?;
@@ -1167,7 +1171,7 @@ impl ClusterRouter {
             }
             KvCommand::Flush { ks } => {
                 let ck = self.lookup(ks)?;
-                for ix in 0..n as usize {
+                for ix in 0..self.shards.len() {
                     self.exec_on(
                         ix,
                         Self::wrap(deadline_ns, KvCommand::Flush { ks: ck.local[ix] }),
@@ -1183,16 +1187,7 @@ impl ClusterRouter {
                 true,
             ),
             KvCommand::CompactAndIndex { ks, specs } => {
-                {
-                    let mut routes = self.routes.lock();
-                    if let Some(ck) = routes.keyspaces.get_mut(&ks) {
-                        for spec in &specs {
-                            if !ck.specs.iter().any(|s| s.name == spec.name) {
-                                ck.specs.push(spec.clone());
-                            }
-                        }
-                    }
-                }
+                self.record_specs(ks, &specs);
                 self.do_cluster_job(
                     deadline_ns,
                     ks,
@@ -1205,14 +1200,7 @@ impl ClusterRouter {
                 )
             }
             KvCommand::BuildSecondaryIndex { ks, spec } => {
-                {
-                    let mut routes = self.routes.lock();
-                    if let Some(ck) = routes.keyspaces.get_mut(&ks) {
-                        if !ck.specs.iter().any(|s| s.name == spec.name) {
-                            ck.specs.push(spec.clone());
-                        }
-                    }
-                }
+                self.record_specs(ks, std::slice::from_ref(&spec));
                 self.do_cluster_job(
                     deadline_ns,
                     ks,
@@ -1226,23 +1214,12 @@ impl ClusterRouter {
             }
             KvCommand::PollJob { job } => self.do_poll(job.0),
             KvCommand::Get { ks, key } => {
-                let ck = self.lookup(ks)?;
-                let ix = self.cfg.strategy.shard_for(&key, n) as usize;
-                self.exec_on(
-                    ix,
-                    Self::wrap(
-                        deadline_ns,
-                        KvCommand::Get {
-                            ks: ck.local[ix],
-                            key,
-                        },
-                    ),
-                )
+                self.exec_point(deadline_ns, ks, key, |ks, key| KvCommand::Get { ks, key })
             }
             KvCommand::Range { ks, lo, hi, limit } => {
                 let ck = self.lookup(ks)?;
                 let shards = self.shards_for_range(&lo, &hi);
-                let parts = self.do_scatter_entries(&ck, &shards, |local| {
+                self.do_scatter_entries(&ck, &shards, None, limit, |local| {
                     Self::wrap(
                         deadline_ns,
                         KvCommand::Range {
@@ -1252,13 +1229,12 @@ impl ClusterRouter {
                             limit,
                         },
                     )
-                })?;
-                Ok(KvResponse::Entries(Self::merge_entries(parts, limit)))
+                })
             }
             KvCommand::SidxGet { ks, index, key } => {
                 let ck = self.lookup(ks)?;
-                let shards: Vec<usize> = (0..n as usize).collect();
-                let parts = self.do_scatter_entries(&ck, &shards, |local| {
+                let spec = ck.specs.iter().find(|s| s.name == index);
+                self.do_scatter_entries(&ck, &self.all_shards(), spec, None, |local| {
                     Self::wrap(
                         deadline_ns,
                         KvCommand::SidxGet {
@@ -1267,11 +1243,7 @@ impl ClusterRouter {
                             key: key.clone(),
                         },
                     )
-                })?;
-                let spec = ck.specs.iter().find(|s| s.name == index);
-                Ok(KvResponse::Entries(Self::merge_sidx_entries(
-                    parts, spec, None,
-                )))
+                })
             }
             KvCommand::SidxRange {
                 ks,
@@ -1281,10 +1253,10 @@ impl ClusterRouter {
                 limit,
             } => {
                 let ck = self.lookup(ks)?;
+                let spec = ck.specs.iter().find(|s| s.name == index);
                 // Secondary keys are unrelated to the primary sharding
-                // axis, so a secondary range always scatters everywhere.
-                let shards: Vec<usize> = (0..n as usize).collect();
-                let parts = self.do_scatter_entries(&ck, &shards, |local| {
+                // axis, so a secondary query always scatters everywhere.
+                self.do_scatter_entries(&ck, &self.all_shards(), spec, limit, |local| {
                     Self::wrap(
                         deadline_ns,
                         KvCommand::SidxRange {
@@ -1295,11 +1267,7 @@ impl ClusterRouter {
                             limit,
                         },
                     )
-                })?;
-                let spec = ck.specs.iter().find(|s| s.name == index);
-                Ok(KvResponse::Entries(Self::merge_sidx_entries(
-                    parts, spec, limit,
-                )))
+                })
             }
             KvCommand::Stat { ks } => self.do_stat(ks),
             KvCommand::WithDeadline { .. } => {
@@ -1343,17 +1311,11 @@ impl ClusterRouter {
     /// plans when a test wants to kill a specific shard at a specific
     /// point.
     pub fn kill_shard(&self, ix: u32) {
+        // A plan-driven injector may already have powered off; either
+        // way this call observes the death.
         let st = &self.shards[ix as usize];
-        let died = {
-            let inst = st.primary.read();
-            // A plan-driven injector may already have powered off; either
-            // way the next command (or this call) observes the death.
-            inst.injector().power_off_now();
-            true
-        };
-        if died {
-            self.failover(ix as usize, false);
-        }
+        st.primary.read().injector().power_off_now();
+        self.failover(ix as usize, false);
     }
 
     /// Whether shard `ix` currently holds a deposed (suspected, fenced)
@@ -1378,39 +1340,25 @@ impl ClusterRouter {
         let inst = deposed
             .as_ref()
             .ok_or_else(|| KvStatus::Internal(format!("shard {}: no deposed primary", st.id)))?;
-        let resp = inst.device().handle(cmd);
-        if inst.epoch() != st.epoch.get() {
-            return Err(KvStatus::EpochFenced { shard: st.id });
-        }
-        resp.into_result()
+        Self::handle_fenced(st, inst, cmd).0
     }
 
     /// Have shard `ix`'s deposed ex-primary ship keyspace `name` to the
     /// replica log, stamped with its stale epoch. The receive fence must
     /// reject it — the companion probe to [`Self::exec_on_deposed`].
-    pub fn ship_from_deposed(&self, ix: u32, name: &str) -> Result<ShipOutcome, ShipError> {
+    /// `None` when there is no deposed primary, it does not hold `name`,
+    /// or `name` has nothing to export.
+    pub fn ship_from_deposed(&self, ix: u32, name: &str) -> Option<Result<ShipOutcome, ShipError>> {
         let st = &self.shards[ix as usize];
-        let (art, epoch) = {
+        let mut export = {
             let deposed = st.deposed.lock();
-            // kvcsd-check: allow(unwrap) -- torture-harness hook; calling it without a deposed primary is a test bug
-            let inst = deposed.as_ref().expect("no deposed primary to ship from");
-            let local = inst
-                .device()
-                .keyspaces()
-                .list()
-                .iter()
-                .find(|(_, n, _)| n.as_str() == name)
-                .map(|(id, _, _)| *id)
-                // kvcsd-check: allow(unwrap) -- torture-harness hook; the test names a keyspace it created
-                .expect("deposed primary does not hold this keyspace");
-            let art = inst
-                .device()
-                .export_keyspace_artifacts(local)
-                // kvcsd-check: allow(unwrap) -- torture-harness hook; the test sealed this keyspace before deposing
-                .expect("deposed keyspace has nothing exportable");
-            (art, inst.epoch())
+            let inst = deposed.as_ref()?;
+            let keyspaces = inst.device().keyspaces().list();
+            let (local, _, _) = keyspaces.iter().find(|(_, n, _)| n == name)?;
+            Self::export(inst, [(name.to_string(), *local)])
         };
-        st.replica.ship(name, art, epoch)
+        let (name, art) = export.arts.pop()?;
+        Some(st.replica.ship(&name, art, export.epoch))
     }
 }
 
@@ -1685,8 +1633,46 @@ mod tests {
         // replica's receive fence.
         let fenced_before = r.replica_log(0).fenced();
         r.shard_link(0).heal_link_now();
-        r.ship_from_deposed(0, "t").unwrap();
+        r.ship_from_deposed(0, "t")
+            .expect("the deposed primary holds sealed logs for t")
+            .unwrap();
         assert_eq!(r.replica_log(0).fenced(), fenced_before + 1);
+        assert!(r.ship_from_deposed(0, "missing").is_none());
+    }
+
+    #[test]
+    fn background_ship_across_a_partition_flags_the_gap_and_never_deposes() {
+        let r = router(1);
+        let ks = create(&r, "t");
+        for i in 0..30u32 {
+            put(&r, ks, format!("k{i:03}").as_bytes(), &i.to_be_bytes());
+        }
+        // The seal ships before the cut; only the compacted ship crosses
+        // the partition.
+        match ok(r.handle(KvCommand::Compact { ks })) {
+            KvResponse::JobStarted { .. } => {}
+            other => panic!("{other:?}"),
+        }
+        let kind = |r: &ClusterRouter| {
+            r.replica_log(0)
+                .generations()
+                .into_iter()
+                .find(|g| g.0 == "t")
+                .map(|g| g.1)
+        };
+        assert_eq!(kind(&r), Some(ShipKind::SealedLogs));
+        r.shard_link(0).partition_now();
+        assert_eq!(r.run_background(), 1, "the compaction job ran");
+        assert!(r.events().is_empty(), "a background ship never deposes");
+        assert!(r.ship_from_deposed(0, "t").is_none(), "no deposed primary");
+        assert_eq!(kind(&r), Some(ShipKind::SealedLogs), "the gap is open");
+        r.shard_link(0).heal_link_now();
+        r.run_background();
+        assert_eq!(
+            kind(&r),
+            Some(ShipKind::Compacted),
+            "anti-entropy closed it"
+        );
     }
 
     #[test]

@@ -101,6 +101,14 @@ impl PhaseRunner {
         self.reports.last().map(|r| r.time.elapsed_s).unwrap_or(0.0)
     }
 
+    /// Ledger work of the most recent phase.
+    pub fn last_work(&self) -> LedgerSnapshot {
+        self.reports
+            .last()
+            .map(|r| r.work.clone())
+            .unwrap_or_default()
+    }
+
     /// Sum of foreground phase durations (what the host application saw).
     pub fn foreground_secs(&self) -> f64 {
         self.reports
@@ -160,6 +168,7 @@ mod tests {
         assert_eq!(r.reports()[0].work.host_cpu_ns, 1_000_000_000);
         assert_eq!(r.reports()[1].work.host_cpu_ns, 3_000_000_000);
         assert!((r.last_elapsed_s() - 3.0).abs() < 1e-6);
+        assert_eq!(r.last_work(), r.reports()[1].work);
     }
 
     #[test]

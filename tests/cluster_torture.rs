@@ -18,7 +18,7 @@ mod contract;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use contract::{found, value_for, Contract, Fleet};
+use contract::{found, value_for, Contract, Fleet, ReplicationTrace};
 use kvcsd::cluster::{ClusterConfig, ClusterRouter, FailoverEvent, ShardHealth, ShardStrategy};
 use kvcsd::device::{AdmissionConfig, DeviceConfig};
 use kvcsd::proto::{Bound, DeviceHandler, KvCommand, KvResponse, KvStatus};
@@ -79,18 +79,36 @@ fn power_cut_sweep_survives_failover_at_every_phase() {
 
 #[test]
 fn same_seed_reproduces_the_same_failover_schedule() {
-    let runs: Vec<Vec<FailoverEvent>> = (0..2)
+    let runs: Vec<ReplicationTrace> = (0..2)
         .map(|_| {
             let mut f = run_workload(300, 0xDEAD_BEEF);
             f.verify_committed();
             assert_eq!(f.fenced(), 0, "fenced without a partition");
-            f.router.events()
+            f.replication_trace()
         })
         .collect();
     assert_eq!(
         runs[0], runs[1],
         "same seed must reproduce the identical failover schedule"
     );
+    // Pinned, not just repeatable: a ship added, dropped or reordered
+    // changes the bus totals or the replica counters.
+    let promoted = |shard| FailoverEvent {
+        shard,
+        generation: 1,
+        replayed_artifacts: 3,
+        recompacted: 0,
+        suspected: false,
+    };
+    let pinned = ReplicationTrace {
+        events: vec![promoted(0), promoted(1), promoted(2)],
+        epochs: vec![2, 2, 2],
+        bus_msgs: 27,
+        bus_bytes: 93_186,
+        link_events: vec![0, 0, 0],
+        replicas: vec![(12, 0, 0), (12, 0, 0), (12, 0, 0)],
+    };
+    assert_eq!(runs[0], pinned, "the replication trace moved");
     let other = run_workload(300, 0xFEED_F00D).router.events();
     // Not a hard invariant of the design, but with distinct seeds the
     // replayed-artifact profile almost surely differs somewhere; if this

@@ -26,7 +26,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kvcsd::cluster::{ClusterConfig, ClusterRouter, ShardHealth};
+use kvcsd::cluster::{ClusterConfig, ClusterRouter, FailoverEvent, ShardHealth};
 use kvcsd::device::{DeviceConfig, DeviceStack};
 use kvcsd::flash::{FlashGeometry, ZnsConfig};
 use kvcsd::proto::{
@@ -425,6 +425,21 @@ impl CrashBed {
     }
 }
 
+/// The replication side of a fleet run: a ship added, dropped or
+/// reordered moves the link lane's fault draws, so it shows here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplicationTrace {
+    pub events: Vec<FailoverEvent>,
+    /// Fencing epoch per shard.
+    pub epochs: Vec<u64>,
+    pub bus_msgs: u64,
+    pub bus_bytes: u64,
+    /// Fault events per replication link.
+    pub link_events: Vec<usize>,
+    /// `(accepted, duplicates, fenced)` per replica log.
+    pub replicas: Vec<(u64, u64, u64)>,
+}
+
 /// The cluster rig: a router, the model of what its callers were told,
 /// and the shape of the batches the harness commits.
 pub struct Fleet {
@@ -600,6 +615,28 @@ impl Fleet {
                 Ok(KvResponse::Entries(es)) => self.model.check_scan(&name, &es),
                 other => panic!("{name}: range: {other:?}"),
             }
+        }
+    }
+
+    /// What the replication side of this run did, for determinism pins.
+    pub fn replication_trace(&self) -> ReplicationTrace {
+        let r = &self.router;
+        let shards = 0..r.config().shards;
+        ReplicationTrace {
+            events: r.events(),
+            epochs: shards.clone().map(|ix| r.shard_epoch(ix)).collect(),
+            bus_msgs: r.fabric_ledger().custom("bus_msgs"),
+            bus_bytes: r.fabric_ledger().custom("bus_bytes"),
+            link_events: shards
+                .clone()
+                .map(|ix| r.shard_link(ix).link_events().len())
+                .collect(),
+            replicas: shards
+                .map(|ix| {
+                    let log = r.replica_log(ix);
+                    (log.accepted(), log.duplicates(), log.fenced())
+                })
+                .collect(),
         }
     }
 

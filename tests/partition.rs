@@ -22,8 +22,8 @@
 
 mod contract;
 
-use contract::{value_for, Fleet};
-use kvcsd::cluster::ClusterConfig;
+use contract::{value_for, Fleet, ReplicationTrace};
+use kvcsd::cluster::{ClusterConfig, FailoverEvent};
 use kvcsd::proto::{DeviceHandler, KvCommand, KvResponse, KvStatus};
 use kvcsd::sim::FaultPlan;
 
@@ -156,6 +156,7 @@ fn fast_at_most_one_primary_acks_per_epoch() {
         .flatten()
         .expect("deposed primary kept its keyspaces");
     r.ship_from_deposed(0, &name)
+        .expect("the deposed primary exports its sealed keyspace")
         .expect("healed link delivers the stale ship");
     assert_eq!(
         r.replica_log(0).fenced(),
@@ -215,22 +216,31 @@ fn fast_same_seed_yields_the_same_partition_and_failover_schedule() {
         let mut f = fleet(plan, SHARDS, true);
         f.commit_batches(2);
         f.verify_committed();
-        let r = &f.router;
         let links: Vec<_> = (0..SHARDS)
-            .map(|ix| r.shard_link(ix).link_events())
+            .map(|ix| f.router.shard_link(ix).link_events())
             .collect();
-        let epochs: Vec<_> = (0..SHARDS).map(|ix| r.shard_epoch(ix)).collect();
-        (
-            r.events(),
-            links,
-            epochs,
-            r.fabric_ledger().custom("bus_msgs"),
-            r.fabric_ledger().custom("bus_bytes"),
-        )
+        (f.replication_trace(), links)
     };
     let a = run(0xDEAD_BEEF);
     let b = run(0xDEAD_BEEF);
     assert_eq!(a, b, "same seed must reproduce the full schedule");
+    // Pinned, not just repeatable: a ship added, dropped or reordered
+    // moves the link lane's draws and so changes these numbers.
+    let pinned = ReplicationTrace {
+        events: vec![FailoverEvent {
+            shard: 1,
+            generation: 1,
+            replayed_artifacts: 1,
+            recompacted: 0,
+            suspected: true,
+        }],
+        epochs: vec![1, 2],
+        bus_msgs: 19,
+        bus_bytes: 49_117,
+        link_events: vec![5, 6],
+        replicas: vec![(6, 0, 0), (6, 1, 0)],
+    };
+    assert_eq!(a.0, pinned, "the replication trace moved");
 }
 
 // ---------------------------------------------------------------------
