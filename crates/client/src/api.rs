@@ -7,6 +7,7 @@ use kvcsd_proto::{
     Bound, DeviceHandler, JobId, JobState, KeyspaceDesc, KeyspaceStat, KeyspaceState, KvCommand,
     KvResponse, QueuePair, SecondaryIndexSpec, SidxKey,
 };
+use kvcsd_sim::clock::doubling_backoff_ns;
 use kvcsd_sim::{IoLedger, VirtualClock};
 
 use crate::accel::WriteAccelerator;
@@ -52,11 +53,7 @@ impl RetryPolicy {
 
     /// Backoff before retry number `attempt` (1-based), doubling and capped.
     pub fn backoff_ns(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1);
-        if shift >= self.base_backoff_ns.leading_zeros() {
-            return self.max_backoff_ns; // doubling further would drop bits
-        }
-        (self.base_backoff_ns << shift).min(self.max_backoff_ns)
+        doubling_backoff_ns(self.base_backoff_ns, self.max_backoff_ns, attempt)
     }
 }
 
@@ -387,7 +384,7 @@ impl Job {
     pub fn poll(&self) -> Result<JobState> {
         let streak = self.poll_streak.get();
         if streak > 0 {
-            let backoff = (POLL_BACKOFF_BASE_NS << (streak - 1).min(20)).min(POLL_BACKOFF_CAP_NS);
+            let backoff = doubling_backoff_ns(POLL_BACKOFF_BASE_NS, POLL_BACKOFF_CAP_NS, streak);
             self.qp.ledger().bump("client_poll_backoff_ns", backoff);
             self.clock.advance(backoff);
         }

@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use kvcsd_core::KeyspaceArtifacts;
 use kvcsd_proto::{ReplicaShip, ShardId, ShipKind, SHIP_HEADER_BYTES};
+use kvcsd_sim::clock::doubling_backoff_ns;
 use kvcsd_sim::sync::{Mutex, Shared};
 use kvcsd_sim::{BusResource, BusXmit, VirtualClock};
 
@@ -67,10 +68,7 @@ impl ShipPolicy {
     /// Backoff before the `attempt`-th retransmit (1-based), doubling
     /// from the base and capped.
     pub fn backoff_ns(&self, attempt: u32) -> u64 {
-        let shifted = self
-            .base_backoff_ns
-            .saturating_mul(1u64 << attempt.saturating_sub(1).min(20));
-        shifted.min(self.max_backoff_ns)
+        doubling_backoff_ns(self.base_backoff_ns, self.max_backoff_ns, attempt)
     }
 }
 

@@ -10,6 +10,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use kvcsd_proto::{JobId, JobState, KeyspaceState, KvStatus, SecondaryIndexSpec};
+use kvcsd_sim::clock::doubling_backoff_ns;
 use kvcsd_sim::sync::{Mutex, Shared};
 
 use crate::admission::Deadline;
@@ -216,7 +217,7 @@ impl KvCsdDevice {
                     self.soc.ledger().bump("dev_job_retries", 1);
                     self.soc.ledger().bump(
                         "dev_job_backoff_ns",
-                        Self::JOB_BACKOFF_BASE_NS << (attempt - 1),
+                        doubling_backoff_ns(Self::JOB_BACKOFF_BASE_NS, u64::MAX, attempt),
                     );
                 }
                 other => return other,

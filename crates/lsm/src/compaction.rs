@@ -100,28 +100,52 @@ pub fn run(
     next_id: impl FnMut() -> u64,
     is_bottom: bool,
 ) -> Result<Vec<Table>> {
-    let mut sources: Vec<Source<'_>> = Vec::new();
-    for t in &task.inputs_upper {
-        sources.push(Box::new(OwnedTableIter::new(t.clone(), fs, cost, cache)));
-    }
-    if !task.inputs_lower.is_empty() {
-        let lower = task.inputs_lower.clone();
-        let chained = lower
+    let sources = table_sources(
+        fs,
+        cost,
+        cache,
+        &task.inputs_upper,
+        std::slice::from_ref(&task.inputs_lower),
+    );
+    merge_to_tables(fs, cost, opts, prefix, sources, next_id, is_bottom)
+}
+
+/// Whole-table merge sources for [`run`] and [`crate::Db::compact_all`]:
+/// each table of `overlapping` (newest first) is its own source, and
+/// each non-empty sorted run in `runs` is one chained source. A table's
+/// entries are read — with every I/O charge — into memory when the
+/// merge first needs them: the overlapping tables up front, a run's
+/// tables one at a time. At simulation scale that keeps lifetimes
+/// simple while preserving every ledger charge and block-cache hit.
+pub(crate) fn table_sources<'a>(
+    fs: &'a BlockFs,
+    cost: &'a CostModel,
+    cache: &'a BlockCache,
+    overlapping: &[Arc<Table>],
+    runs: &[Vec<Arc<Table>>],
+) -> Vec<Source<'a>> {
+    let owned = move |t: &Table| {
+        t.iter(fs, cost, cache)
+            .collect::<Vec<Result<Entry>>>()
             .into_iter()
-            .flat_map(move |t| OwnedTableIter::new(t, fs, cost, cache).collect::<Vec<_>>());
-        sources.push(Box::new(chained));
+    };
+    let mut sources: Vec<Source<'a>> = Vec::new();
+    for t in overlapping {
+        sources.push(Box::new(owned(t)));
     }
-    merge_to_tables(fs, cost, cache, opts, prefix, sources, next_id, is_bottom)
+    for run in runs.iter().filter(|r| !r.is_empty()) {
+        let run = run.clone();
+        sources.push(Box::new(run.into_iter().flat_map(move |t| owned(&t))));
+    }
+    sources
 }
 
 /// Merge arbitrary sorted sources (newest first) into fresh tables split
-/// at `target_file_bytes`. Shared by level compaction, full compaction
-/// ([`crate::Db::compact_all`]) and memtable flush.
-#[allow(clippy::too_many_arguments)]
+/// at `target_file_bytes`. Shared by level compaction ([`run`]) and full
+/// compaction ([`crate::Db::compact_all`]).
 pub fn merge_to_tables(
     fs: &BlockFs,
     cost: &CostModel,
-    _cache: &BlockCache,
     opts: &Options,
     prefix: &str,
     sources: Vec<Source<'_>>,
@@ -170,34 +194,6 @@ pub fn merge_to_tables(
         out.push(b.finish()?);
     }
     Ok(out)
-}
-
-/// Table iterator that owns its table Arc (the borrow-free version of
-/// [`Table::iter`] that compaction needs for heterogeneous source lists).
-struct OwnedTableIter {
-    table: Arc<Table>,
-    entries: std::vec::IntoIter<Result<Entry>>,
-}
-
-impl OwnedTableIter {
-    fn new(table: Arc<Table>, fs: &BlockFs, cost: &CostModel, cache: &BlockCache) -> Self {
-        // Materialize lazily per block would be ideal; at simulation scale
-        // collecting the (I/O-charged) iteration up front keeps lifetimes
-        // simple while preserving every ledger charge.
-        let entries: Vec<Result<Entry>> = table.iter(fs, cost, cache).collect();
-        Self {
-            table,
-            entries: entries.into_iter(),
-        }
-    }
-}
-
-impl Iterator for OwnedTableIter {
-    type Item = Result<Entry>;
-    fn next(&mut self) -> Option<Self::Item> {
-        let _ = &self.table;
-        self.entries.next()
-    }
 }
 
 #[cfg(test)]

@@ -347,27 +347,11 @@ impl Db {
         }
         let l0 = inner.version.l0.clone();
         let levels = inner.version.levels.clone();
-        let mut sources: Vec<Source<'_>> = Vec::new();
-        for t in &l0 {
-            sources.push(Box::new(OwnedIter::new(t.clone(), self)));
-        }
-        for level in &levels {
-            if level.is_empty() {
-                continue;
-            }
-            let tables = level.clone();
-            let me = self;
-            sources.push(Box::new(
-                tables
-                    .into_iter()
-                    .flat_map(move |t| OwnedIter::new(t, me).collect::<Vec<_>>()),
-            ));
-        }
+        let sources = compaction::table_sources(&self.fs, self.cost(), &self.cache, &l0, &levels);
         let mut next = inner.next_file;
         let new_tables = compaction::merge_to_tables(
             &self.fs,
             self.cost(),
-            &self.cache,
             &self.opts,
             &self.prefix,
             sources,
@@ -583,27 +567,6 @@ impl Db {
     /// Highest sequence number issued.
     pub fn last_seq(&self) -> u64 {
         self.inner.lock().seq
-    }
-}
-
-/// Owned whole-table iterator used by `compact_all`'s source list.
-struct OwnedIter {
-    entries: std::vec::IntoIter<Result<Entry>>,
-}
-
-impl OwnedIter {
-    fn new(t: Arc<Table>, db: &Db) -> Self {
-        let entries: Vec<Result<Entry>> = t.iter(&db.fs, db.cost(), &db.cache).collect();
-        Self {
-            entries: entries.into_iter(),
-        }
-    }
-}
-
-impl Iterator for OwnedIter {
-    type Item = Result<Entry>;
-    fn next(&mut self) -> Option<Self::Item> {
-        self.entries.next()
     }
 }
 

@@ -42,6 +42,26 @@ impl VirtualClock {
     }
 }
 
+/// Capped doubling backoff: `base_ns` before attempt 1 (1-based),
+/// doubling per attempt, never above `cap_ns`. Once doubling further
+/// would drop bits it saturates at `cap_ns`, so any attempt number is
+/// safe.
+///
+/// The one backoff formula in the workspace: client retries
+/// (`RetryPolicy`), repeat job polls, replication retransmits
+/// (`ShipPolicy`) and device-side job retries all call it. There is no
+/// separate ceiling on the multiplier: a 2^20 ceiling, as `ShipPolicy`
+/// applied, only changes a result past attempt 21, and no policy the
+/// repo constructs gets that far below its cap.
+#[inline]
+pub fn doubling_backoff_ns(base_ns: u64, cap_ns: u64, attempt: u32) -> u64 {
+    let shift = attempt.saturating_sub(1);
+    if shift >= base_ns.leading_zeros() {
+        return cap_ns; // doubling further would drop bits
+    }
+    (base_ns << shift).min(cap_ns)
+}
+
 /// Wall-clock stopwatch for self-timed benchmark harnesses.
 ///
 /// This module is the single place in the workspace allowed to touch host
@@ -80,6 +100,59 @@ mod tests {
         std::hint::black_box((0..1000).sum::<u64>());
         assert!(t.elapsed_secs() >= 0.0);
         assert!(t.elapsed() >= std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn doubling_backoff_matches_the_formulas_it_replaced() {
+        // The four formulas the helper replaced, copied as written.
+        fn retry_policy(base: u64, cap: u64, attempt: u32) -> u64 {
+            let shift = attempt.saturating_sub(1);
+            if shift >= base.leading_zeros() {
+                return cap;
+            }
+            (base << shift).min(cap)
+        }
+        fn job_poll(base: u64, cap: u64, streak: u32) -> u64 {
+            (base << (streak - 1).min(20)).min(cap)
+        }
+        fn ship_policy(base: u64, cap: u64, attempt: u32) -> u64 {
+            base.saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
+                .min(cap)
+        }
+        fn job_retry(base: u64, attempt: u32) -> u64 {
+            base << (attempt - 1)
+        }
+        // (base, cap) of every backoff policy the repo constructs.
+        let policies = [
+            (100_000, 10_000_000), // RetryPolicy::default / none
+            (1_000, 1_500),        // the client's capped-policy test
+            (10_000, 1_000_000),   // Job::poll
+            (100_000, 5_000_000),  // ShipPolicy::default
+            (1_000, 1_000),        // the cluster protocol model's ShipPolicy
+            (50_000, u64::MAX),    // device job retries (uncapped)
+        ];
+        for (base, cap) in policies {
+            for attempt in 1..=21 {
+                let got = doubling_backoff_ns(base, cap, attempt);
+                assert_eq!(
+                    got,
+                    retry_policy(base, cap, attempt),
+                    "{base}/{cap}#{attempt}"
+                );
+                assert_eq!(got, job_poll(base, cap, attempt), "{base}/{cap}#{attempt}");
+                assert_eq!(
+                    got,
+                    ship_policy(base, cap, attempt),
+                    "{base}/{cap}#{attempt}"
+                );
+            }
+        }
+        for attempt in 1..=21 {
+            assert_eq!(
+                doubling_backoff_ns(50_000, u64::MAX, attempt),
+                job_retry(50_000, attempt)
+            );
+        }
     }
 
     #[test]

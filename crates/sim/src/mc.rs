@@ -44,10 +44,83 @@
 //!
 //! Release builds compile the whole runtime out; [`controlled_active`]
 //! is a constant `false` and the explorer runs its closure once,
-//! uncontrolled.
+//! uncontrolled. Only the op vocabulary ([`OpKind`], [`Access`]) stays,
+//! because the `sync` shims name their ops in every build.
 
 #[cfg(debug_assertions)]
 pub use imp::*;
+
+/// The operation a thread declares at a scheduling point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OpKind {
+    /// A spawned thread's first point, before any user code runs.
+    Start,
+    MutexLock,
+    RwRead,
+    RwWrite,
+    /// Race-checked `Shared::read` (guard-returning).
+    SharedRead,
+    /// Race-checked `Shared::write` (guard-returning).
+    SharedWrite,
+    /// Self-synchronized `Shared::get` (acquire+release in one op).
+    SharedGet,
+    /// Self-synchronized `Shared::update`/`set` (RMW in one op).
+    SharedRmw,
+    /// `JoinHandle::join`; `obj` is the child's tid, enabled once the
+    /// child has exited.
+    Join,
+}
+
+/// How an op touches its object, for enabledness and (in the
+/// explorer) DPOR dependence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    Exclusive,
+    Shared,
+}
+
+impl OpKind {
+    pub fn name(self) -> &'static str {
+        match self {
+            OpKind::Start => "start",
+            OpKind::MutexLock => "mutex-lock",
+            OpKind::RwRead => "rw-read",
+            OpKind::RwWrite => "rw-write",
+            OpKind::SharedRead => "shared-read",
+            OpKind::SharedWrite => "shared-write",
+            OpKind::SharedGet => "shared-get",
+            OpKind::SharedRmw => "shared-rmw",
+            OpKind::Join => "join",
+        }
+    }
+
+    pub fn parse(s: &str) -> Option<OpKind> {
+        Some(match s {
+            "start" => OpKind::Start,
+            "mutex-lock" => OpKind::MutexLock,
+            "rw-read" => OpKind::RwRead,
+            "rw-write" => OpKind::RwWrite,
+            "shared-read" => OpKind::SharedRead,
+            "shared-write" => OpKind::SharedWrite,
+            "shared-get" => OpKind::SharedGet,
+            "shared-rmw" => OpKind::SharedRmw,
+            "join" => OpKind::Join,
+            _ => return None,
+        })
+    }
+
+    /// `None` for `Start`/`Join`, whose `obj` is a thread id, not a
+    /// sync object.
+    pub fn access(self) -> Option<Access> {
+        match self {
+            OpKind::Start | OpKind::Join => None,
+            OpKind::MutexLock | OpKind::RwWrite | OpKind::SharedWrite | OpKind::SharedRmw => {
+                Some(Access::Exclusive)
+            }
+            OpKind::RwRead | OpKind::SharedRead | OpKind::SharedGet => Some(Access::Shared),
+        }
+    }
+}
 
 /// Whether a controlled-scheduler execution is currently active (release
 /// builds: never).
@@ -58,6 +131,7 @@ pub fn controlled_active() -> bool {
 
 #[cfg(debug_assertions)]
 mod imp {
+    use super::{Access, OpKind};
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock};
@@ -83,84 +157,6 @@ mod imp {
     impl Default for McSlot {
         fn default() -> Self {
             Self::new()
-        }
-    }
-
-    /// The operation a thread declares at a scheduling point.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum OpKind {
-        /// A spawned thread's first point, before any user code runs.
-        Start,
-        MutexLock,
-        /// `try_lock`: always enabled (it cannot block); the hold is
-        /// recorded only if the real try succeeds.
-        MutexTry,
-        RwRead,
-        RwWrite,
-        /// Race-checked `Shared::read` (guard-returning).
-        SharedRead,
-        /// Race-checked `Shared::write` (guard-returning).
-        SharedWrite,
-        /// Self-synchronized `Shared::get` (acquire+release in one op).
-        SharedGet,
-        /// Self-synchronized `Shared::update`/`set` (RMW in one op).
-        SharedRmw,
-        /// `JoinHandle::join`; `obj` is the child's tid, enabled once the
-        /// child has exited.
-        Join,
-    }
-
-    /// How an op touches its object, for enabledness and (in the
-    /// explorer) DPOR dependence.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Access {
-        Exclusive,
-        Shared,
-    }
-
-    impl OpKind {
-        pub fn name(self) -> &'static str {
-            match self {
-                OpKind::Start => "start",
-                OpKind::MutexLock => "mutex-lock",
-                OpKind::MutexTry => "mutex-try",
-                OpKind::RwRead => "rw-read",
-                OpKind::RwWrite => "rw-write",
-                OpKind::SharedRead => "shared-read",
-                OpKind::SharedWrite => "shared-write",
-                OpKind::SharedGet => "shared-get",
-                OpKind::SharedRmw => "shared-rmw",
-                OpKind::Join => "join",
-            }
-        }
-
-        pub fn parse(s: &str) -> Option<OpKind> {
-            Some(match s {
-                "start" => OpKind::Start,
-                "mutex-lock" => OpKind::MutexLock,
-                "mutex-try" => OpKind::MutexTry,
-                "rw-read" => OpKind::RwRead,
-                "rw-write" => OpKind::RwWrite,
-                "shared-read" => OpKind::SharedRead,
-                "shared-write" => OpKind::SharedWrite,
-                "shared-get" => OpKind::SharedGet,
-                "shared-rmw" => OpKind::SharedRmw,
-                "join" => OpKind::Join,
-                _ => return None,
-            })
-        }
-
-        /// `None` for `Start`/`Join`, whose `obj` is a thread id, not a
-        /// sync object.
-        pub fn access(self) -> Option<Access> {
-            match self {
-                OpKind::Start | OpKind::Join => None,
-                OpKind::MutexLock | OpKind::MutexTry => Some(Access::Exclusive),
-                OpKind::RwWrite | OpKind::SharedWrite | OpKind::SharedRmw => {
-                    Some(Access::Exclusive)
-                }
-                OpKind::RwRead | OpKind::SharedRead | OpKind::SharedGet => Some(Access::Shared),
-            }
         }
     }
 
@@ -247,36 +243,31 @@ mod imp {
     }
 
     fn enabled_in(st: &CtrlState, t: &ThreadSt) -> bool {
-        match t.kind {
-            OpKind::Start | OpKind::MutexTry => true,
-            OpKind::Join => st
+        if t.kind == OpKind::Join {
+            return st
                 .threads
                 .get(t.obj as usize)
-                .is_none_or(|c| c.state == TState::Exited),
-            k => {
-                let o = st.objects[t.obj as usize];
-                match k.access() {
-                    Some(Access::Exclusive) => !o.writer && o.readers == 0,
-                    Some(Access::Shared) => !o.writer,
-                    None => true,
-                }
-            }
+                .is_none_or(|c| c.state == TState::Exited);
+        }
+        // `Start` names no sync object and is always enabled.
+        let Some(access) = t.kind.access() else {
+            return true;
+        };
+        let o = st.objects[t.obj as usize];
+        match access {
+            Access::Exclusive => !o.writer && o.readers == 0,
+            Access::Shared => !o.writer,
         }
     }
 
     /// Record the hold effects of a just-granted op.
     fn apply_grant(st: &mut CtrlState, tid: u32) {
         let t = st.threads[tid as usize];
-        match t.kind {
-            OpKind::Start | OpKind::Join | OpKind::MutexTry => {}
-            k => {
-                if let Some(a) = k.access() {
-                    let o = &mut st.objects[t.obj as usize];
-                    match a {
-                        Access::Exclusive => o.writer = true,
-                        Access::Shared => o.readers += 1,
-                    }
-                }
+        if let Some(a) = t.kind.access() {
+            let o = &mut st.objects[t.obj as usize];
+            match a {
+                Access::Exclusive => o.writer = true,
+                Access::Shared => o.readers += 1,
             }
         }
     }
@@ -382,26 +373,6 @@ mod imp {
             Access::Exclusive => o.writer = false,
             Access::Shared => o.readers = o.readers.saturating_sub(1),
         }
-    }
-
-    /// Record the hold of a `try_lock` that actually succeeded.
-    pub(crate) fn try_acquired(slot: &McSlot) {
-        if ACTIVE_EPOCH.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let Some((ep, _)) = managed() else {
-            return;
-        };
-        let (lock, _) = ctrl();
-        let mut st = relock(lock);
-        if st.epoch != ep || st.aborting {
-            return;
-        }
-        let v = slot.0.load(Ordering::Relaxed);
-        if v == 0 || (v >> OBJ_BITS) != st.epoch {
-            return;
-        }
-        st.objects[(v & OBJ_MASK) as usize].writer = true;
     }
 
     /// A child thread's registration, handed from the spawning (managed)

@@ -5,6 +5,30 @@
 //! re-checked by the callers, and propagating poison would only turn one
 //! test panic into a cascade.
 //!
+//! # One instrumentation path
+//!
+//! Debug builds run four layers under every shim operation: the
+//! `kvcsd-mc` scheduling point, seeded perturbation, lockdep and the
+//! happens-before race detector (all below). Each [`Mutex`], [`RwLock`]
+//! and [`Shared`] carries one *hook* — its creation-site class, its
+//! release clocks, its mc slot and, for `Shared`, its race cell — and
+//! every acquisition runs it the same way:
+//!
+//! 1. *enter*: the mc scheduling point, the perturbation yield, then the
+//!    lockdep acquire (which the self-synchronized `Shared::update`/`get`
+//!    skip);
+//! 2. the real `std::sync` lock;
+//! 3. *entered*: the release-clock join and, for `Shared`, the cell's
+//!    race check.
+//!
+//! Every guard is `{ held, inner }`. `held` is the one release step: the
+//! release-clock publish (lock guards and `update`/`get` only), the mc
+//! release, then the lockdep pop. It is declared before `inner`, so it
+//! runs before the real unlock and the next acquirer always sees the
+//! published clock. Release builds compile the hook and `held` to
+//! zero-sized no-ops. The detectors have no runtime off-switch: they are
+//! always on in debug builds and absent in release builds.
+//!
 //! # Lock-order (potential-deadlock) detection
 //!
 //! In debug/test builds every lock belongs to a *class* identified by its
@@ -12,43 +36,30 @@
 //! locks created in one `Vec` initializer share a class, the keyspace
 //! table is its own class, and so on). Each acquisition records
 //! `held-class -> acquired-class` edges into a global lock-order graph;
-//! if a *blocking* acquisition would close a cycle — some thread
-//! previously took these classes in the opposite order — the detector
-//! panics immediately with both conflicting acquisition contexts, instead
-//! of letting the inversion sit silently until a production workload
-//! interleaves into a real deadlock. This is the lockdep discipline:
-//! *any* observed ordering cycle is a bug, whether or not this particular
-//! run deadlocked.
+//! if an acquisition would close a cycle — some thread previously took
+//! these classes in the opposite order — the detector panics immediately
+//! with both conflicting acquisition contexts, instead of letting the
+//! inversion sit silently until a production workload interleaves into a
+//! real deadlock. This is the lockdep discipline: *any* observed ordering
+//! cycle is a bug, whether or not this particular run deadlocked.
 //!
 //! Notes on the model:
 //! * classes, not instances: taking two locks of the *same* class (e.g.
 //!   two zones) is not checked — the workspace never nests same-class
 //!   locks, and `kvcsd-check` plus this detector keep it that way for
 //!   cross-class order;
-//! * `try_lock` cannot block, so it never *checks* for cycles itself, but
-//!   it does record the hold and its `held -> acquired` edges (marked
-//!   `via try_lock` in reports): a nesting order exercised through
-//!   `try_lock` is still an order the code relies on — convert the try to
-//!   a blocking lock, or retry it in a loop, and the inversion becomes a
-//!   real deadlock — so the cycle is reported at the next blocking
-//!   acquisition that closes it;
 //! * guard drops pop the per-thread hold stack and perform the release
-//!   half of the happens-before clock transfer (below);
-//! * release builds compile all instrumentation out;
-//! * `KVCSD_LOCK_ORDER=off` disables the detector at runtime (debug
-//!   builds only, e.g. to let a test limp past a known cycle while
-//!   bisecting).
+//!   half of the happens-before clock transfer (below).
 //!
 //! # Happens-before (data-race) detection
 //!
-//! Debug builds also carry a FastTrack-style vector-clock race detector
-//! (`KVCSD_RACE=off` disables it, mirroring the lockdep switch). Every
-//! thread keeps a vector clock; every `Mutex`/`RwLock` carries a pair of
-//! release clocks (write releases and read releases are distinguished, so
-//! two `RwLock` readers are not spuriously ordered with each other).
-//! Acquiring a lock joins the appropriate release clocks into the
-//! acquiring thread's clock; dropping a guard joins the thread's clock
-//! into the lock and advances the thread's own epoch. [`spawn`]/
+//! Debug builds also carry a FastTrack-style vector-clock race detector.
+//! Every thread keeps a vector clock; every `Mutex`/`RwLock` carries a
+//! pair of release clocks (write releases and read releases are
+//! distinguished, so two `RwLock` readers are not spuriously ordered with
+//! each other). Acquiring a lock joins the appropriate release clocks
+//! into the acquiring thread's clock; dropping a guard joins the thread's
+//! clock into the lock and advances the thread's own epoch. [`spawn`]/
 //! [`JoinHandle::join`] transfer clocks across fork and join the same
 //! way.
 //!
@@ -69,20 +80,23 @@
 //!
 //! # Controlled scheduling (model checking)
 //!
-//! Debug builds carry one more instrumentation layer: every shim
-//! operation is a *scheduling point* for the `kvcsd-mc` model checker
-//! (see [`crate::mc`] and `DESIGN.md` §15). Outside an mc execution the
-//! hooks are a single relaxed atomic load; inside one, the accessing
-//! thread declares its operation and parks until the explorer grants it,
-//! which serializes the program and lets the checker enumerate
-//! interleavings exhaustively. The race detector and lockdep stay fully
-//! active under mc — each explored schedule is also race-checked.
+//! Every shim operation is also a *scheduling point* for the `kvcsd-mc`
+//! model checker (see [`crate::mc`] and `DESIGN.md` §15). Outside an mc
+//! execution the point is a single relaxed atomic load; inside one, the
+//! accessing thread declares its operation and parks until the explorer
+//! grants it, which serializes the program and lets the checker
+//! enumerate interleavings exhaustively. The race detector and lockdep
+//! stay fully active under mc — each explored schedule is also
+//! race-checked.
 //!
 //! The canonical lock order of the device stack is documented in
 //! `DESIGN.md` §9; the happens-before model and the `Shared<T>` migration
 //! rules are in `DESIGN.md` §11.
 
 use std::sync::{self, LockResult};
+
+use crate::mc::OpKind;
+use hook::{Held, Hook};
 
 fn recover<G>(r: LockResult<G>) -> G {
     r.unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -107,8 +121,6 @@ mod lockorder {
         held_at: String,
         /// Acquisition site that added the edge while holding `held_at`.
         acquired_at: String,
-        /// The acquisition that added the edge was a `try_lock`.
-        via_try: bool,
     }
 
     #[derive(Debug, Default)]
@@ -136,15 +148,6 @@ mod lockorder {
     thread_local! {
         /// Stack of (class, acquisition site) currently held by this thread.
         static HELD: RefCell<Vec<(u32, String)>> = const { RefCell::new(Vec::new()) };
-    }
-
-    fn enabled() -> bool {
-        static ENABLED: OnceLock<bool> = OnceLock::new();
-        *ENABLED.get_or_init(|| {
-            std::env::var("KVCSD_LOCK_ORDER")
-                .map(|v| v != "off" && v != "0")
-                .unwrap_or(true)
-        })
     }
 
     fn site_of(loc: &Location<'_>) -> String {
@@ -230,50 +233,43 @@ mod lockorder {
         }
     }
 
-    /// Record an acquisition of `class` at `loc`. Edges from every held
-    /// class are recorded for blocking and try acquisitions alike; only a
-    /// `blocking` acquisition first verifies it cannot close an ordering
-    /// cycle, panicking with both conflicting contexts if it would.
-    pub(super) fn acquire(class: u32, loc: &Location<'_>, blocking: bool) -> Option<HeldToken> {
-        if !enabled() {
-            return None;
-        }
+    /// Record an acquisition of `class` at `loc`: first verify it cannot
+    /// close an ordering cycle, panicking with both conflicting contexts
+    /// if it would, then record an edge from every held class.
+    pub(super) fn acquire(class: u32, loc: &Location<'_>) -> HeldToken {
         let acq_site = site_of(loc);
         let held: Vec<(u32, String)> = HELD.with(|h| h.borrow().clone());
         let mut cycle_msg = None;
         {
             let mut g = lock_graph();
-            if blocking {
-                for (held_class, held_site) in &held {
-                    if *held_class == class {
-                        continue;
-                    }
-                    if reachable(&g, class, *held_class) {
-                        // Build the report, then panic outside the guard.
-                        let mut msg = format!(
-                            "lock-order cycle detected (potential deadlock)\n  thread '{}' is acquiring lock class created at {}\n    at {}\n  while holding lock class created at {}\n    acquired at {}\n  but the reverse order was previously observed:\n",
-                            std::thread::current().name().unwrap_or("<unnamed>"),
-                            g.class_sites[class as usize],
-                            acq_site,
-                            g.class_sites[*held_class as usize],
-                            held_site,
-                        );
-                        for (f, t) in find_path(&g, class, *held_class) {
-                            if let Some(info) = g.edges.get(&f).and_then(|m| m.get(&t)) {
-                                msg.push_str(&format!(
-                                    "    {} (held, acquired at {}) -> {} (acquired at {}{}) on thread '{}'\n",
-                                    g.class_sites[f as usize],
-                                    info.held_at,
-                                    g.class_sites[t as usize],
-                                    info.acquired_at,
-                                    if info.via_try { " via try_lock" } else { "" },
-                                    info.thread,
-                                ));
-                            }
+            for (held_class, held_site) in &held {
+                if *held_class == class {
+                    continue;
+                }
+                if reachable(&g, class, *held_class) {
+                    // Build the report, then panic outside the guard.
+                    let mut msg = format!(
+                        "lock-order cycle detected (potential deadlock)\n  thread '{}' is acquiring lock class created at {}\n    at {}\n  while holding lock class created at {}\n    acquired at {}\n  but the reverse order was previously observed:\n",
+                        std::thread::current().name().unwrap_or("<unnamed>"),
+                        g.class_sites[class as usize],
+                        acq_site,
+                        g.class_sites[*held_class as usize],
+                        held_site,
+                    );
+                    for (f, t) in find_path(&g, class, *held_class) {
+                        if let Some(info) = g.edges.get(&f).and_then(|m| m.get(&t)) {
+                            msg.push_str(&format!(
+                                "    {} (held, acquired at {}) -> {} (acquired at {}) on thread '{}'\n",
+                                g.class_sites[f as usize],
+                                info.held_at,
+                                g.class_sites[t as usize],
+                                info.acquired_at,
+                                info.thread,
+                            ));
                         }
-                        cycle_msg = Some(msg);
-                        break;
                     }
+                    cycle_msg = Some(msg);
+                    break;
                 }
             }
             if cycle_msg.is_none() {
@@ -292,7 +288,6 @@ mod lockorder {
                                 .to_string(),
                             held_at: held_site.clone(),
                             acquired_at: acq_site.clone(),
-                            via_try: !blocking,
                         });
                 }
             }
@@ -301,7 +296,7 @@ mod lockorder {
             panic!("{msg}");
         }
         HELD.with(|h| h.borrow_mut().push((class, acq_site)));
-        Some(HeldToken { class })
+        HeldToken { class }
     }
 }
 
@@ -317,14 +312,7 @@ mod racedetect {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
-    pub(super) fn enabled() -> bool {
-        static ENABLED: OnceLock<bool> = OnceLock::new();
-        *ENABLED.get_or_init(|| {
-            std::env::var("KVCSD_RACE")
-                .map(|v| v != "off" && v != "0")
-                .unwrap_or(true)
-        })
-    }
+    use crate::mc;
 
     fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         m.lock().unwrap_or_else(|p| p.into_inner())
@@ -438,43 +426,27 @@ mod racedetect {
             Self(Mutex::new((VClock::default(), VClock::default())))
         }
 
-        pub(super) fn acquire_read(&self) {
-            if !enabled() {
-                return;
-            }
+        /// Join the release clocks an `access` acquisition is ordered
+        /// after into this thread's clock.
+        pub(super) fn acquire(&self, access: mc::Access) {
             let _ = try_with_thread(|t| {
                 let pair = relock(&self.0);
                 t.clock.join(&pair.0);
+                if access == mc::Access::Exclusive {
+                    t.clock.join(&pair.1);
+                }
             });
         }
 
-        pub(super) fn acquire_write(&self) {
-            if !enabled() {
-                return;
-            }
+        /// Publish this thread's clock as an `access` release, then
+        /// advance the thread's own epoch.
+        pub(super) fn release(&self, access: mc::Access) {
             let _ = try_with_thread(|t| {
-                let pair = relock(&self.0);
-                t.clock.join(&pair.0);
-                t.clock.join(&pair.1);
-            });
-        }
-
-        pub(super) fn release_read(&self) {
-            if !enabled() {
-                return;
-            }
-            let _ = try_with_thread(|t| {
-                relock(&self.0).1.join(&t.clock);
-                t.clock.tick(t.tid);
-            });
-        }
-
-        pub(super) fn release_write(&self) {
-            if !enabled() {
-                return;
-            }
-            let _ = try_with_thread(|t| {
-                relock(&self.0).0.join(&t.clock);
+                let mut pair = relock(&self.0);
+                match access {
+                    mc::Access::Exclusive => pair.0.join(&t.clock),
+                    mc::Access::Shared => pair.1.join(&t.clock),
+                }
                 t.clock.tick(t.tid);
             });
         }
@@ -523,7 +495,7 @@ mod racedetect {
             prev: &Access,
         ) -> String {
             format!(
-                "data race detected (unordered accesses to a Shared cell)\n  cell created at {}\n  {} by thread '{}' at {}\n  conflicts with an earlier {} by thread '{}' at {}\n  no happens-before edge orders these accesses: protect both with one\n  kvcsd_sim::sync lock, use Shared::update/get for lock-free counters,\n  or transfer ordering via kvcsd_sim::sync::spawn/join\n  (KVCSD_RACE=off disables the detector)",
+                "data race detected (unordered accesses to a Shared cell)\n  cell created at {}\n  {} by thread '{}' at {}\n  conflicts with an earlier {} by thread '{}' at {}\n  no happens-before edge orders these accesses: protect both with one\n  kvcsd_sim::sync lock, use Shared::update/get for lock-free counters,\n  or transfer ordering via kvcsd_sim::sync::spawn/join",
                 self.created_at,
                 kind,
                 thread,
@@ -541,9 +513,6 @@ mod racedetect {
         }
 
         pub(super) fn on_read(&self, loc: &Location<'_>) {
-            if !enabled() {
-                return;
-            }
             let msg = try_with_thread(|t| {
                 let mut v = relock(&self.state);
                 let msg = v
@@ -571,9 +540,6 @@ mod racedetect {
         }
 
         pub(super) fn on_write(&self, loc: &Location<'_>) {
-            if !enabled() {
-                return;
-            }
             let msg = try_with_thread(|t| {
                 let mut v = relock(&self.state);
                 let msg = v
@@ -606,9 +572,6 @@ mod racedetect {
     /// Snapshot the parent's clock for a child thread, then advance the
     /// parent so its post-fork accesses are unordered with the child.
     pub(super) fn fork() -> VClock {
-        if !enabled() {
-            return VClock::default();
-        }
         try_with_thread(|t| {
             let snap = t.clock.clone();
             t.clock.tick(t.tid);
@@ -620,18 +583,12 @@ mod racedetect {
     /// Join a snapshot (a parent's fork clock, or a finished child's
     /// final clock) into this thread's clock.
     pub(super) fn adopt(c: &VClock) {
-        if !enabled() {
-            return;
-        }
         let _ = try_with_thread(|t| t.clock.join(c));
     }
 
     /// This thread's id and final clock, for the joiner to adopt (and to
-    /// retire the id); `None` when the detector is disabled.
+    /// retire the id); `None` during thread teardown.
     pub(super) fn export_final() -> Option<(usize, VClock)> {
-        if !enabled() {
-            return None;
-        }
         try_with_thread(|t| (t.tid, t.clock.clone()))
     }
 
@@ -639,47 +596,167 @@ mod racedetect {
     /// adopted `final_clock` first — that join edge is what makes the
     /// reuse sound.
     pub(super) fn retire(tid: usize, final_clock: &VClock) {
-        if !enabled() {
-            return;
-        }
         relock(free_tids()).push((tid, final_clock.get(tid)));
+    }
+}
+
+#[cfg(debug_assertions)]
+mod hook {
+    //! The one place the four debug layers run: [`Hook::enter`] before
+    //! the real lock, [`Hook::entered`] after it, and [`Held`]'s drop
+    //! before the real unlock.
+
+    use std::panic::Location;
+
+    use super::lockorder::{self, HeldToken};
+    use super::racedetect::{LockClocks, RaceCell};
+    use crate::mc::{self, Access, McSlot, OpKind};
+
+    /// One shim primitive's instrumentation state.
+    #[derive(Debug)]
+    pub(super) struct Hook {
+        /// Lock-order class of the creation site.
+        class: u32,
+        clocks: LockClocks,
+        mc: McSlot,
+        /// The race-checked cell; `Shared` only.
+        cell: Option<RaceCell>,
+    }
+
+    /// An acquisition between [`Hook::enter`] and [`Hook::entered`].
+    pub(super) struct Entering {
+        kind: OpKind,
+        loc: &'static Location<'static>,
+        token: Option<HeldToken>,
+    }
+
+    /// One acquisition's release step: the release-clock publish (when
+    /// `kind` transfers clocks), the mc release, then the lockdep pop.
+    #[derive(Debug)]
+    pub(super) struct Held<'a> {
+        hook: &'a Hook,
+        kind: OpKind,
+        /// Dropped after `drop` runs: the lockdep pop comes last.
+        _token: Option<HeldToken>,
+    }
+
+    /// How `kind` holds its primitive (every op the shims declare names a
+    /// sync object, so `access()` is always `Some`).
+    fn access(kind: OpKind) -> Access {
+        kind.access().unwrap_or(Access::Exclusive)
+    }
+
+    /// Lock ops and the self-synchronized `Shared::update`/`get` transfer
+    /// the primitive's release clocks; the race-checked `Shared::read`/
+    /// `write` take their ordering from elsewhere.
+    fn transfers_clocks(kind: OpKind) -> bool {
+        !matches!(kind, OpKind::SharedRead | OpKind::SharedWrite)
+    }
+
+    impl Hook {
+        /// `race_cell` gives the primitive a race-checked cell (`Shared`).
+        #[track_caller]
+        pub(super) fn new(race_cell: bool) -> Self {
+            let loc = Location::caller();
+            Self {
+                class: lockorder::class_of(loc),
+                clocks: LockClocks::new(),
+                mc: McSlot::new(),
+                cell: race_cell.then(|| RaceCell::new(loc)),
+            }
+        }
+
+        /// Before the real lock: the mc scheduling point, the
+        /// perturbation yield, then the lockdep acquire. The
+        /// self-synchronized `update`/`get` are leaves and skip lockdep.
+        #[track_caller]
+        pub(super) fn enter(&self, kind: OpKind) -> Entering {
+            mc::point_sync(&self.mc, kind);
+            crate::perturb::maybe_yield();
+            let loc = Location::caller();
+            let token = (!matches!(kind, OpKind::SharedGet | OpKind::SharedRmw))
+                .then(|| lockorder::acquire(self.class, loc));
+            Entering { kind, loc, token }
+        }
+
+        /// After the real lock: the release-clock join, then the cell's
+        /// race check.
+        pub(super) fn entered(&self, e: Entering) -> Held<'_> {
+            let access = access(e.kind);
+            if transfers_clocks(e.kind) {
+                self.clocks.acquire(access);
+            }
+            if let Some(cell) = &self.cell {
+                match access {
+                    Access::Exclusive => cell.on_write(e.loc),
+                    Access::Shared => cell.on_read(e.loc),
+                }
+            }
+            Held {
+                hook: self,
+                kind: e.kind,
+                _token: e.token,
+            }
+        }
+    }
+
+    impl Drop for Held<'_> {
+        fn drop(&mut self) {
+            let access = access(self.kind);
+            if transfers_clocks(self.kind) {
+                self.hook.clocks.release(access);
+            }
+            mc::release_sync(&self.hook.mc, access);
+        }
+    }
+}
+
+#[cfg(not(debug_assertions))]
+mod hook {
+    //! Release builds: the hook and the release step are zero-sized and
+    //! compile away.
+
+    use crate::mc::OpKind;
+
+    #[derive(Debug)]
+    pub(super) struct Hook;
+
+    pub(super) struct Entering;
+
+    #[derive(Debug)]
+    pub(super) struct Held<'a>(std::marker::PhantomData<&'a ()>);
+
+    impl Hook {
+        #[inline]
+        pub(super) fn new(_race_cell: bool) -> Self {
+            Hook
+        }
+
+        #[inline]
+        pub(super) fn enter(&self, _kind: OpKind) -> Entering {
+            Entering
+        }
+
+        #[inline]
+        pub(super) fn entered(&self, _e: Entering) -> Held<'_> {
+            Held(std::marker::PhantomData)
+        }
     }
 }
 
 /// Mutual exclusion primitive; `lock()` never returns a `Result`.
 #[derive(Debug)]
 pub struct Mutex<T: ?Sized> {
-    #[cfg(debug_assertions)]
-    class: u32,
-    #[cfg(debug_assertions)]
-    clocks: racedetect::LockClocks,
-    #[cfg(debug_assertions)]
-    mc: crate::mc::McSlot,
+    hook: Hook,
     inner: sync::Mutex<T>,
 }
 
-/// Guard returned by [`Mutex::lock`]/[`Mutex::try_lock`]; releases the
-/// lock (popping the lock-order stack and publishing the release clock
-/// in debug builds) on drop.
+/// Guard returned by [`Mutex::lock`]; releases the lock on drop.
 #[derive(Debug)]
 pub struct MutexGuard<'a, T: ?Sized> {
-    #[cfg(debug_assertions)]
-    clocks: &'a racedetect::LockClocks,
-    #[cfg(debug_assertions)]
-    mc: &'a crate::mc::McSlot,
-    #[cfg(debug_assertions)]
-    _token: Option<lockorder::HeldToken>,
+    // Declared first: the release step runs before the real unlock.
+    _held: Held<'a>,
     inner: sync::MutexGuard<'a, T>,
-}
-
-#[cfg(debug_assertions)]
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // Runs before the field drops release the underlying lock, so the
-        // release clock is published before the next acquirer can enter.
-        self.clocks.release_write();
-        crate::mc::release_sync(self.mc, crate::mc::Access::Exclusive);
-    }
 }
 
 impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
@@ -699,12 +776,7 @@ impl<T> Mutex<T> {
     #[track_caller]
     pub fn new(value: T) -> Self {
         Self {
-            #[cfg(debug_assertions)]
-            class: lockorder::class_of(std::panic::Location::caller()),
-            #[cfg(debug_assertions)]
-            clocks: racedetect::LockClocks::new(),
-            #[cfg(debug_assertions)]
-            mc: crate::mc::McSlot::new(),
+            hook: Hook::new(false),
             inner: sync::Mutex::new(value),
         }
     }
@@ -724,87 +796,28 @@ impl<T: Default> Default for Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        crate::mc::point_sync(&self.mc, crate::mc::OpKind::MutexLock);
-        #[cfg(debug_assertions)]
-        crate::perturb::maybe_yield();
-        #[cfg(debug_assertions)]
-        let token = lockorder::acquire(self.class, std::panic::Location::caller(), true);
+        let entering = self.hook.enter(OpKind::MutexLock);
         let inner = recover(self.inner.lock());
-        #[cfg(debug_assertions)]
-        self.clocks.acquire_write();
         MutexGuard {
-            #[cfg(debug_assertions)]
-            clocks: &self.clocks,
-            #[cfg(debug_assertions)]
-            mc: &self.mc,
-            #[cfg(debug_assertions)]
-            _token: token,
+            _held: self.hook.entered(entering),
             inner,
         }
-    }
-
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        #[cfg(debug_assertions)]
-        crate::mc::point_sync(&self.mc, crate::mc::OpKind::MutexTry);
-        let inner = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        #[cfg(debug_assertions)]
-        crate::mc::try_acquired(&self.mc);
-        #[cfg(debug_assertions)]
-        let token = lockorder::acquire(self.class, std::panic::Location::caller(), false);
-        #[cfg(debug_assertions)]
-        self.clocks.acquire_write();
-        Some(MutexGuard {
-            #[cfg(debug_assertions)]
-            clocks: &self.clocks,
-            #[cfg(debug_assertions)]
-            mc: &self.mc,
-            #[cfg(debug_assertions)]
-            _token: token,
-            inner,
-        })
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        recover(self.inner.get_mut())
     }
 }
 
 /// Reader-writer lock; `read()`/`write()` return guards directly.
 #[derive(Debug)]
 pub struct RwLock<T: ?Sized> {
-    #[cfg(debug_assertions)]
-    class: u32,
-    #[cfg(debug_assertions)]
-    clocks: racedetect::LockClocks,
-    #[cfg(debug_assertions)]
-    mc: crate::mc::McSlot,
+    hook: Hook,
     inner: sync::RwLock<T>,
 }
 
-/// Shared guard returned by [`RwLock::read`].
+/// Shared guard returned by [`RwLock::read`] and [`Shared::read`].
 #[derive(Debug)]
 pub struct RwLockReadGuard<'a, T: ?Sized> {
-    #[cfg(debug_assertions)]
-    clocks: &'a racedetect::LockClocks,
-    #[cfg(debug_assertions)]
-    mc: &'a crate::mc::McSlot,
-    #[cfg(debug_assertions)]
-    _token: Option<lockorder::HeldToken>,
+    // Declared first: the release step runs before the real unlock.
+    _held: Held<'a>,
     inner: sync::RwLockReadGuard<'a, T>,
-}
-
-#[cfg(debug_assertions)]
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.clocks.release_read();
-        crate::mc::release_sync(self.mc, crate::mc::Access::Shared);
-    }
 }
 
 impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
@@ -814,24 +827,12 @@ impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
     }
 }
 
-/// Exclusive guard returned by [`RwLock::write`].
+/// Exclusive guard returned by [`RwLock::write`] and [`Shared::write`].
 #[derive(Debug)]
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    #[cfg(debug_assertions)]
-    clocks: &'a racedetect::LockClocks,
-    #[cfg(debug_assertions)]
-    mc: &'a crate::mc::McSlot,
-    #[cfg(debug_assertions)]
-    _token: Option<lockorder::HeldToken>,
+    // Declared first: the release step runs before the real unlock.
+    _held: Held<'a>,
     inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-#[cfg(debug_assertions)]
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.clocks.release_write();
-        crate::mc::release_sync(self.mc, crate::mc::Access::Exclusive);
-    }
 }
 
 impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
@@ -851,12 +852,7 @@ impl<T> RwLock<T> {
     #[track_caller]
     pub fn new(value: T) -> Self {
         Self {
-            #[cfg(debug_assertions)]
-            class: lockorder::class_of(std::panic::Location::caller()),
-            #[cfg(debug_assertions)]
-            clocks: racedetect::LockClocks::new(),
-            #[cfg(debug_assertions)]
-            mc: crate::mc::McSlot::new(),
+            hook: Hook::new(false),
             inner: sync::RwLock::new(value),
         }
     }
@@ -876,50 +872,22 @@ impl<T: Default> Default for RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     #[track_caller]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        crate::mc::point_sync(&self.mc, crate::mc::OpKind::RwRead);
-        #[cfg(debug_assertions)]
-        crate::perturb::maybe_yield();
-        #[cfg(debug_assertions)]
-        let token = lockorder::acquire(self.class, std::panic::Location::caller(), true);
+        let entering = self.hook.enter(OpKind::RwRead);
         let inner = recover(self.inner.read());
-        #[cfg(debug_assertions)]
-        self.clocks.acquire_read();
         RwLockReadGuard {
-            #[cfg(debug_assertions)]
-            clocks: &self.clocks,
-            #[cfg(debug_assertions)]
-            mc: &self.mc,
-            #[cfg(debug_assertions)]
-            _token: token,
+            _held: self.hook.entered(entering),
             inner,
         }
     }
 
     #[track_caller]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        crate::mc::point_sync(&self.mc, crate::mc::OpKind::RwWrite);
-        #[cfg(debug_assertions)]
-        crate::perturb::maybe_yield();
-        #[cfg(debug_assertions)]
-        let token = lockorder::acquire(self.class, std::panic::Location::caller(), true);
+        let entering = self.hook.enter(OpKind::RwWrite);
         let inner = recover(self.inner.write());
-        #[cfg(debug_assertions)]
-        self.clocks.acquire_write();
         RwLockWriteGuard {
-            #[cfg(debug_assertions)]
-            clocks: &self.clocks,
-            #[cfg(debug_assertions)]
-            mc: &self.mc,
-            #[cfg(debug_assertions)]
-            _token: token,
+            _held: self.hook.entered(entering),
             inner,
         }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        recover(self.inner.get_mut())
     }
 }
 
@@ -940,85 +908,23 @@ impl<T: ?Sized> RwLock<T> {
 /// release build) can never produce a torn value — detection is purely an
 /// epoch-bookkeeping layer on top.
 pub struct Shared<T> {
-    #[cfg(debug_assertions)]
-    class: u32,
-    #[cfg(debug_assertions)]
-    cell: racedetect::RaceCell,
-    #[cfg(debug_assertions)]
-    clocks: racedetect::LockClocks,
-    #[cfg(debug_assertions)]
-    mc: crate::mc::McSlot,
+    hook: Hook,
     inner: sync::RwLock<T>,
 }
 
 /// Shared guard returned by [`Shared::read`].
-pub struct SharedReadGuard<'a, T> {
-    #[cfg(debug_assertions)]
-    mc: &'a crate::mc::McSlot,
-    #[cfg(debug_assertions)]
-    _token: Option<lockorder::HeldToken>,
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-#[cfg(debug_assertions)]
-impl<T> Drop for SharedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        crate::mc::release_sync(self.mc, crate::mc::Access::Shared);
-    }
-}
-
-impl<T> std::ops::Deref for SharedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
+pub type SharedReadGuard<'a, T> = RwLockReadGuard<'a, T>;
 
 /// Exclusive guard returned by [`Shared::write`].
-pub struct SharedWriteGuard<'a, T> {
-    #[cfg(debug_assertions)]
-    mc: &'a crate::mc::McSlot,
-    #[cfg(debug_assertions)]
-    _token: Option<lockorder::HeldToken>,
-    inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-#[cfg(debug_assertions)]
-impl<T> Drop for SharedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        crate::mc::release_sync(self.mc, crate::mc::Access::Exclusive);
-    }
-}
-
-impl<T> std::ops::Deref for SharedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::DerefMut for SharedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
+pub type SharedWriteGuard<'a, T> = RwLockWriteGuard<'a, T>;
 
 impl<T> Shared<T> {
     /// The creation site becomes the cell's identity in race reports (and
     /// its lock-order class for `read`/`write` guards).
     #[track_caller]
     pub fn new(value: T) -> Self {
-        #[cfg(debug_assertions)]
-        let loc = std::panic::Location::caller();
         Self {
-            #[cfg(debug_assertions)]
-            class: lockorder::class_of(loc),
-            #[cfg(debug_assertions)]
-            cell: racedetect::RaceCell::new(loc),
-            #[cfg(debug_assertions)]
-            clocks: racedetect::LockClocks::new(),
-            #[cfg(debug_assertions)]
-            mc: crate::mc::McSlot::new(),
+            hook: Hook::new(true),
             inner: sync::RwLock::new(value),
         }
     }
@@ -1027,30 +933,14 @@ impl<T> Shared<T> {
         recover(self.inner.into_inner())
     }
 
-    /// Exclusive access through `&mut self` is ordered by ownership; it
-    /// is neither recorded nor checked.
-    pub fn get_mut(&mut self) -> &mut T {
-        recover(self.inner.get_mut())
-    }
-
     /// Race-checked shared read; the ordering against writes must come
     /// from an enclosing lock or a fork/join edge.
     #[track_caller]
     pub fn read(&self) -> SharedReadGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        crate::mc::point_sync(&self.mc, crate::mc::OpKind::SharedRead);
-        #[cfg(debug_assertions)]
-        crate::perturb::maybe_yield();
-        #[cfg(debug_assertions)]
-        let token = lockorder::acquire(self.class, std::panic::Location::caller(), true);
+        let entering = self.hook.enter(OpKind::SharedRead);
         let inner = recover(self.inner.read());
-        #[cfg(debug_assertions)]
-        self.cell.on_read(std::panic::Location::caller());
-        SharedReadGuard {
-            #[cfg(debug_assertions)]
-            mc: &self.mc,
-            #[cfg(debug_assertions)]
-            _token: token,
+        RwLockReadGuard {
+            _held: self.hook.entered(entering),
             inner,
         }
     }
@@ -1059,20 +949,10 @@ impl<T> Shared<T> {
     /// if any unordered access was recorded.
     #[track_caller]
     pub fn write(&self) -> SharedWriteGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        crate::mc::point_sync(&self.mc, crate::mc::OpKind::SharedWrite);
-        #[cfg(debug_assertions)]
-        crate::perturb::maybe_yield();
-        #[cfg(debug_assertions)]
-        let token = lockorder::acquire(self.class, std::panic::Location::caller(), true);
+        let entering = self.hook.enter(OpKind::SharedWrite);
         let inner = recover(self.inner.write());
-        #[cfg(debug_assertions)]
-        self.cell.on_write(std::panic::Location::caller());
-        SharedWriteGuard {
-            #[cfg(debug_assertions)]
-            mc: &self.mc,
-            #[cfg(debug_assertions)]
-            _token: token,
+        RwLockWriteGuard {
+            _held: self.hook.entered(entering),
             inner,
         }
     }
@@ -1082,23 +962,13 @@ impl<T> Shared<T> {
     /// operation and does not participate in the lock-order graph.
     #[track_caller]
     pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        #[cfg(debug_assertions)]
-        crate::mc::point_sync(&self.mc, crate::mc::OpKind::SharedRmw);
-        #[cfg(debug_assertions)]
-        crate::perturb::maybe_yield();
-        let mut g = recover(self.inner.write());
-        #[cfg(debug_assertions)]
-        {
-            self.clocks.acquire_write();
-            self.cell.on_write(std::panic::Location::caller());
-        }
-        let out = f(&mut g);
-        #[cfg(debug_assertions)]
-        {
-            self.clocks.release_write();
-            crate::mc::release_sync(&self.mc, crate::mc::Access::Exclusive);
-        }
-        out
+        let entering = self.hook.enter(OpKind::SharedRmw);
+        let inner = recover(self.inner.write());
+        let mut g = RwLockWriteGuard {
+            _held: self.hook.entered(entering),
+            inner,
+        };
+        f(&mut g)
     }
 
     /// Self-synchronized store.
@@ -1113,18 +983,12 @@ impl<T> Shared<T> {
     where
         T: Copy,
     {
-        #[cfg(debug_assertions)]
-        crate::mc::point_sync(&self.mc, crate::mc::OpKind::SharedGet);
-        #[cfg(debug_assertions)]
-        crate::perturb::maybe_yield();
-        let g = recover(self.inner.read());
-        #[cfg(debug_assertions)]
-        {
-            self.clocks.acquire_read();
-            self.cell.on_read(std::panic::Location::caller());
-            self.clocks.release_read();
-            crate::mc::release_sync(&self.mc, crate::mc::Access::Shared);
-        }
+        let entering = self.hook.enter(OpKind::SharedGet);
+        let inner = recover(self.inner.read());
+        let g = RwLockReadGuard {
+            _held: self.hook.entered(entering),
+            inner,
+        };
         *g
     }
 }
@@ -1237,10 +1101,6 @@ impl<T> JoinHandle<T> {
     pub fn is_finished(&self) -> bool {
         self.inner.is_finished()
     }
-
-    pub fn thread(&self) -> &std::thread::Thread {
-        self.inner.thread()
-    }
 }
 
 #[cfg(test)]
@@ -1254,15 +1114,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn try_lock_contended() {
-        let m = Mutex::new(0);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]
@@ -1341,7 +1192,7 @@ mod tests {
         use super::*;
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        fn panic_message(r: std::thread::Result<()>) -> String {
+        pub(super) fn panic_message(r: std::thread::Result<()>) -> String {
             match r {
                 Ok(()) => String::new(),
                 Err(p) => p
@@ -1419,48 +1270,6 @@ mod tests {
             for h in handles {
                 h.join().expect("consistent order must never panic");
             }
-        }
-
-        #[test]
-        fn try_lock_does_not_create_false_cycles() {
-            let a = Mutex::new(0u32);
-            let b = Mutex::new(0u32);
-            {
-                let _ga = a.lock();
-                let _gb = b.lock();
-            }
-            // try_lock in the reverse order cannot block, so it must not
-            // be reported as a potential deadlock at the try itself.
-            let _gb = b.lock();
-            let ga = a.try_lock();
-            assert!(ga.is_some());
-        }
-
-        #[test]
-        fn try_lock_ordering_feeds_the_graph() {
-            let a = Mutex::new(0u32);
-            let b = Mutex::new(0u32);
-            // Establish a -> b where the inner acquisition is a try_lock:
-            // the edge must still be recorded.
-            {
-                let _ga = a.lock();
-                let _gb = b.try_lock().expect("uncontended");
-            }
-            // A blocking inversion closes the cycle and must be reported,
-            // with the try_lock provenance named in the report.
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                let _gb = b.lock();
-                let _ga = a.lock();
-            }));
-            let msg = panic_message(r.map(|_| ()));
-            assert!(
-                msg.contains("lock-order cycle"),
-                "expected a lock-order panic, got: {msg:?}"
-            );
-            assert!(
-                msg.contains("via try_lock"),
-                "expected try_lock provenance in the report, got: {msg:?}"
-            );
         }
 
         #[test]
@@ -1548,6 +1357,90 @@ mod tests {
             }
             h.join().expect("lock-protected writes must not race");
             assert_eq!(*s.read(), 2);
+        }
+
+        /// Runs `first` on a raw std thread, then `second` on this one,
+        /// ordered in real time by an `mpsc` signal the detector cannot
+        /// see; returns the panic message of `second` ("" if silent).
+        fn rw_pair(
+            first: impl FnOnce(&RwLock<()>, &Shared<u32>) + Send + 'static,
+            second: impl FnOnce(&RwLock<()>, &Shared<u32>),
+        ) -> String {
+            let rw = Arc::new(RwLock::new(()));
+            let s = Arc::new(Shared::new(0u32));
+            let (rw2, s2) = (Arc::clone(&rw), Arc::clone(&s));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let h = std::thread::spawn(move || {
+                first(&rw2, &s2);
+                tx.send(()).expect("send");
+            });
+            rx.recv().expect("recv");
+            let r = catch_unwind(AssertUnwindSafe(|| second(&rw, &s)));
+            h.join().expect("the first side must not panic");
+            super::order::panic_message(r)
+        }
+
+        #[test]
+        fn rw_writer_then_writer_is_silent() {
+            let msg = rw_pair(
+                |rw, s| {
+                    let _g = rw.write();
+                    *s.write() = 1;
+                },
+                |rw, s| {
+                    let _g = rw.write();
+                    *s.write() = 2;
+                },
+            );
+            assert_eq!(msg, "", "write-locked writes must not race");
+        }
+
+        #[test]
+        fn rw_writer_then_reader_is_silent() {
+            let msg = rw_pair(
+                |rw, s| {
+                    let _g = rw.write();
+                    *s.write() = 1;
+                },
+                |rw, s| {
+                    let _g = rw.read();
+                    assert_eq!(*s.read(), 1);
+                },
+            );
+            assert_eq!(msg, "", "a read lock is ordered after a write release");
+        }
+
+        #[test]
+        fn rw_reader_then_writer_is_silent() {
+            let msg = rw_pair(
+                |rw, s| {
+                    let _g = rw.read();
+                    let _ = *s.read();
+                },
+                |rw, s| {
+                    let _g = rw.write();
+                    *s.write() = 2;
+                },
+            );
+            assert_eq!(msg, "", "a write lock is ordered after a read release");
+        }
+
+        #[test]
+        fn rw_readers_writing_race() {
+            let msg = rw_pair(
+                |rw, s| {
+                    let _g = rw.read();
+                    *s.write() = 1;
+                },
+                |rw, s| {
+                    let _g = rw.read();
+                    *s.write() = 2;
+                },
+            );
+            assert!(
+                msg.contains("data race detected"),
+                "readers do not order each other, got: {msg:?}"
+            );
         }
     }
 }

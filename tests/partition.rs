@@ -17,8 +17,9 @@
 //! * **Determinism** — the same plan seed reproduces the identical
 //!   partition, failover and link-event schedule, byte for byte.
 //!
-//! The `fast_` tests are the CI torture subset (run under `KVCSD_RACE=on`
-//! and perturbation seeds); the sweeps run with the tier-1 suite.
+//! The `fast_` tests are the CI torture subset (run in the debug profile,
+//! under the race detector and perturbation seeds); the sweeps run with
+//! the tier-1 suite.
 
 mod contract;
 

@@ -1,9 +1,8 @@
 //! Self-tests for the happens-before race detector (DESIGN.md §11).
 //!
-//! The detector only exists in debug builds, and `KVCSD_RACE=off`
-//! disables it even there, so every test that expects a report first
-//! checks [`detector_on`] and degrades to a no-op otherwise — the same
-//! binary stays green under `--release` and under an explicit opt-out.
+//! The detector only exists in debug builds, so every test that expects
+//! a report first checks [`detector_on`] and degrades to a no-op
+//! otherwise — the same binary stays green under `--release`.
 //!
 //! The deliberately racy fixtures use a plain `std::sync::mpsc` channel
 //! to force a *real-time* ordering the detector cannot see: the channel
@@ -19,13 +18,9 @@ use std::thread;
 use kvcsd::sim::perturb::PerturbSchedule;
 use kvcsd::sim::sync::{spawn, Mutex, Shared};
 
-/// True when the debug-build race detector is active for this process.
+/// True when the race detector is compiled in (debug builds).
 fn detector_on() -> bool {
     cfg!(debug_assertions)
-        && !matches!(
-            std::env::var("KVCSD_RACE").ok().as_deref(),
-            Some("off") | Some("0")
-        )
 }
 
 /// Two threads, one `Shared` cell, no lock and no `spawn`/`join` edge:
