@@ -156,9 +156,11 @@ fn bench_device_paths() {
         let kc = mgr.alloc_cluster(8).unwrap();
         let vc = mgr.alloc_cluster(8).unwrap();
         let mut log = WriteLog::new(kc, vc);
+        let mut tally = soc.tally();
         for k in &ks {
-            log.put(&mgr, &soc, k, &[9u8; 32]).unwrap();
+            log.put(&mgr, &mut tally, k, &[9u8; 32]).unwrap();
         }
+        drop(tally);
         log.seal(&mgr).unwrap()
     });
     bench("device/extsort_5k", 10, 5_000, || {

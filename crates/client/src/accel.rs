@@ -27,8 +27,9 @@
 use std::sync::Arc;
 
 use kvcsd_proto::{BulkBuilder, KvCommand, KvResponse, QueuePair, DEFAULT_BULK_BYTES};
+use kvcsd_sim::ledger::whole_ns;
 use kvcsd_sim::sync::Mutex;
-use kvcsd_sim::VirtualClock;
+use kvcsd_sim::{CostModel, VirtualClock};
 
 use crate::api::RetryPolicy;
 use crate::window::{InflightWindow, OpId};
@@ -37,9 +38,67 @@ use crate::Result;
 /// Outstanding bulk commands before `put` claims the oldest ack.
 const DEFAULT_DEPTH: usize = 8;
 
+/// One staged pair: its key, then its value, back to back in the arena
+/// from `at`.
+#[derive(Debug)]
+struct Entry {
+    at: usize,
+    klen: usize,
+    vlen: usize,
+}
+
+impl Entry {
+    fn key<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.at..self.at + self.klen]
+    }
+
+    fn value<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        let at = self.at + self.klen;
+        &arena[at..at + self.vlen]
+    }
+}
+
+/// Staged pairs: every key and value copied once into one flat arena,
+/// and a small entry per pair that locates them. The sort and the packer
+/// work on borrowed slices of the arena; no pair is copied again until
+/// it lands in a bulk message.
+#[derive(Debug, Default)]
+struct Staging {
+    arena: Vec<u8>,
+    entries: Vec<Entry>,
+    /// Wire bytes the staged pairs take in a bulk message.
+    wire_bytes: usize,
+    /// Host CPU charged for copying them in, rounded per pair as the
+    /// ledger rounds a charge; booked when they ship or are dropped.
+    staging_ns: u64,
+}
+
+impl Staging {
+    fn push(&mut self, key: &[u8], value: &[u8], memcpy_ns: f64) {
+        self.entries.push(Entry {
+            at: self.arena.len(),
+            klen: key.len(),
+            vlen: value.len(),
+        });
+        self.arena.extend_from_slice(key);
+        self.arena.extend_from_slice(value);
+        self.wire_bytes += BulkBuilder::entry_bytes(key, value);
+        self.staging_ns += whole_ns((key.len() + value.len()) as f64 * memcpy_ns);
+    }
+
+    /// Take the staged pairs, leaving room for as many again.
+    fn take(&mut self) -> Staging {
+        let room = Staging {
+            arena: Vec::with_capacity(self.arena.len()),
+            entries: Vec::with_capacity(self.entries.len()),
+            ..Staging::default()
+        };
+        std::mem::replace(self, room)
+    }
+}
+
 struct AccelState {
-    staged: Vec<(Vec<u8>, Vec<u8>)>,
-    staged_bytes: usize,
+    staged: Staging,
     /// Shipped batches not yet acked, oldest first, with expected pairs.
     pending: Vec<(OpId, u64)>,
     acked: u64,
@@ -82,8 +141,7 @@ impl WriteAccelerator {
             target_bytes: DEFAULT_BULK_BYTES,
             depth: DEFAULT_DEPTH,
             state: Mutex::new(AccelState {
-                staged: Vec::new(),
-                staged_bytes: 0,
+                staged: Staging::default(),
                 pending: Vec::new(),
                 acked: 0,
             }),
@@ -108,18 +166,15 @@ impl WriteAccelerator {
     /// a *previously shipped* batch failed — none of its pairs are
     /// durable, and the current pair stays staged.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        // Host-side staging cost (memcpy into the staging buffer).
-        let memcpy_ns = kvcsd_sim::config::CostModel::default().memcpy_ns_per_byte;
-        self.window
-            .ledger()
-            .charge_host_cpu((key.len() + value.len()) as f64 * memcpy_ns);
+        let memcpy_ns = CostModel::default().memcpy_ns_per_byte;
         let entry = BulkBuilder::entry_bytes(key, value);
         let full = {
             let mut st = self.state.lock();
-            let full = (!st.staged.is_empty() && st.staged_bytes + entry > self.target_bytes)
-                .then(|| Self::take_staged(&mut st));
-            st.staged_bytes += entry;
-            st.staged.push((key.to_vec(), value.to_vec()));
+            let staged = &mut st.staged;
+            let full = (!staged.entries.is_empty()
+                && staged.wire_bytes + entry > self.target_bytes)
+                .then(|| staged.take());
+            staged.push(key, value, memcpy_ns);
             full
         };
         match full {
@@ -131,7 +186,7 @@ impl WriteAccelerator {
     /// Ship the partial staging buffer, claim every outstanding ack, and
     /// return the cumulative count of durably acked pairs.
     pub fn flush(&self) -> Result<u64> {
-        let staged = Self::take_staged(&mut self.state.lock());
+        let staged = self.state.lock().staged.take();
         self.ship(staged)?;
         loop {
             let oldest = {
@@ -156,42 +211,45 @@ impl WriteAccelerator {
         self.window.completion_latencies()
     }
 
-    fn take_staged(st: &mut AccelState) -> Vec<(Vec<u8>, Vec<u8>)> {
-        st.staged_bytes = 0;
-        std::mem::take(&mut st.staged)
-    }
-
-    /// Key-sort `staged` (host CPU charged for the radix sort's key ops
-    /// and the bytes it moves), pack it into bulk messages and submit
-    /// them all; then claim oldest acks until at most `depth` remain
-    /// outstanding.
-    fn ship(&self, mut staged: Vec<(Vec<u8>, Vec<u8>)>) -> Result<()> {
-        if !staged.is_empty() {
+    /// Charge the host for staging `staged`, key-sort it (host CPU
+    /// charged for the radix sort's key ops and the bytes it moves), pack
+    /// it into bulk messages straight from the arena and submit them all;
+    /// then claim oldest acks until at most `depth` remain outstanding.
+    fn ship(&self, staged: Staging) -> Result<()> {
+        let ledger = self.window.ledger();
+        ledger.charge_host_cpu_ns(staged.staging_ns);
+        if !staged.entries.is_empty() {
+            let arena = &staged.arena;
+            let mut pairs: Vec<(&[u8], &[u8])> = staged
+                .entries
+                .iter()
+                .map(|e| (e.key(arena), e.value(arena)))
+                .collect();
             // Stable sort: duplicate keys keep insertion order, so the
             // device applies overwrites in the order they were staged.
-            let work = crate::radix::sort_pairs(&mut staged);
-            let cost = kvcsd_sim::config::CostModel::default();
-            self.window.ledger().charge_host_cpu(
+            let work = crate::radix::sort_by_key(&mut pairs, |p| p.0, |p| p.0.len() + p.1.len());
+            let cost = CostModel::default();
+            ledger.charge_host_cpu(
                 work.key_ops * cost.key_cmp_ns + work.bytes_moved as f64 * cost.memcpy_ns_per_byte,
             );
 
             let mut builder = BulkBuilder::new(self.target_bytes);
-            for (key, value) in staged {
-                if builder.push(&key, &value) {
+            for (key, value) in pairs {
+                if builder.push(key, value) {
                     continue;
                 }
                 if !builder.is_empty() {
                     let full = std::mem::replace(&mut builder, BulkBuilder::new(self.target_bytes));
                     self.submit_bulk(full);
                 }
-                if !builder.push(&key, &value) {
-                    // Single pair larger than a message: send it alone.
+                if !builder.push(key, value) {
+                    // A pair no message can carry: send it alone.
                     let op = self.window.submit(
                         self.deadline_ns,
                         KvCommand::Put {
                             ks: self.ks,
-                            key,
-                            value,
+                            key: key.to_vec(),
+                            value: value.to_vec(),
                         },
                     );
                     self.state.lock().pending.push((op, 1));
@@ -242,6 +300,15 @@ impl WriteAccelerator {
                 "wanted BulkPutOk, got {other:?}"
             ))),
         }
+    }
+}
+
+/// Staged pairs are discarded unshipped (see the durability contract),
+/// but copying them in was work done: the host is charged for it.
+impl Drop for WriteAccelerator {
+    fn drop(&mut self) {
+        let ns = std::mem::take(&mut self.state.lock().staged.staging_ns);
+        self.window.ledger().charge_host_cpu_ns(ns);
     }
 }
 
@@ -351,6 +418,30 @@ mod tests {
         assert_eq!(pairs.get(), 0);
         drop(a); // drop-flush contract: staged entries are discarded
         assert_eq!(pairs.get(), 0);
+    }
+
+    /// The host CPU the model charges for staging, sorting and shipping
+    /// 500 reverse-ordered pairs, and for staging 10 pairs that are then
+    /// dropped unflushed: staged pairs are charged whether or not they
+    /// ever ship.
+    #[test]
+    fn host_charges_are_pinned() {
+        let (a, _) = accel(1024);
+        let ledger = Arc::clone(a.window.ledger());
+        for i in (0..500u32).rev() {
+            a.put(format!("k{i:06}").as_bytes(), &[7u8; 16]).unwrap();
+        }
+        a.flush().unwrap();
+        assert_eq!(ledger.snapshot().host_cpu_ns, 55151);
+
+        let (a, _) = accel(64 * 1024);
+        let ledger = Arc::clone(a.window.ledger());
+        for i in 0..10u32 {
+            a.put(format!("k{i}").as_bytes(), &vec![1u8; 40 + 13 * i as usize])
+                .unwrap();
+        }
+        drop(a);
+        assert_eq!(ledger.snapshot().host_cpu_ns, 46);
     }
 
     #[test]

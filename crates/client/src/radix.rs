@@ -18,6 +18,10 @@
 //! counting pass. By induction no input costs more than
 //! `n·log₂n + n` key ops — the comparison sort plus one counting pass —
 //! however long its shared prefixes or however many equal keys it holds.
+//!
+//! The kernel reaches a record's key and size through accessors, so it
+//! sorts the accelerator's small arena entries rather than owned pairs,
+//! and any record whose order is a byte-string key can use it as is.
 
 /// Buckets of at most this many records are comparison-sorted.
 pub(crate) const CUTOFF: usize = 16;
@@ -34,12 +38,17 @@ pub(crate) struct SortWork {
     pub(crate) bytes_moved: u64,
 }
 
-/// Stable-sort `pairs` by key (duplicates keep their order) and return
-/// the work it took. The result equals `pairs.sort_by(|a, b| a.0.cmp(&b.0))`.
-pub(crate) fn sort_pairs(pairs: &mut [(Vec<u8>, Vec<u8>)]) -> SortWork {
+/// Stable-sort `items` by `key(item)` (equal keys keep their order) and
+/// return the work it took; a scatter counts `size(item)` bytes moved per
+/// item. The result equals `items.sort_by(|a, b| key(a).cmp(key(b)))`.
+pub(crate) fn sort_by_key<T: Default>(
+    items: &mut [T],
+    key: impl Fn(&T) -> &[u8],
+    size: impl Fn(&T) -> usize,
+) -> SortWork {
     let mut work = SortWork::default();
     let mut spare = Vec::new();
-    sort_bucket(pairs, 0, &mut spare, &mut work);
+    sort_bucket(items, 0, &mut spare, &mut work, &key, &size);
     work
 }
 
@@ -65,27 +74,29 @@ fn slot(key: &[u8], depth: usize) -> usize {
     key.get(depth).map_or(0, |&b| b as usize + 1)
 }
 
-fn comparison_sort(items: &mut [(Vec<u8>, Vec<u8>)], work: &mut SortWork) {
+fn comparison_sort<T>(items: &mut [T], work: &mut SortWork, key: &impl Fn(&T) -> &[u8]) {
     work.key_ops += comparisons(items.len());
-    items.sort_by(|a, b| a.0.cmp(&b.0));
+    items.sort_by(|a, b| key(a).cmp(key(b)));
 }
 
 /// Sort `items`, whose keys all share their first `depth` bytes.
 /// `spare` is the scatter target, reused by every level.
-fn sort_bucket(
-    items: &mut [(Vec<u8>, Vec<u8>)],
+fn sort_bucket<T: Default>(
+    items: &mut [T],
     depth: usize,
-    spare: &mut Vec<(Vec<u8>, Vec<u8>)>,
+    spare: &mut Vec<T>,
     work: &mut SortWork,
+    key: &impl Fn(&T) -> &[u8],
+    size: &impl Fn(&T) -> usize,
 ) {
     let n = items.len();
     if n <= CUTOFF {
-        comparison_sort(items, work);
+        comparison_sort(items, work, key);
         return;
     }
     let mut counts = [0usize; SLOTS];
-    for (key, _) in items.iter() {
-        counts[slot(key, depth)] += 1;
+    for item in items.iter() {
+        counts[slot(key(item), depth)] += 1;
     }
     work.key_ops += n as f64;
     if counts[0] == n {
@@ -97,7 +108,7 @@ fn sort_bucket(
     // prefix) or splits too little falls back to the comparison sort.
     let split = n as f64 + counts[1..].iter().map(|&c| worst_case(c)).sum::<f64>();
     if split > comparisons(n) {
-        comparison_sort(items, work);
+        comparison_sort(items, work, key);
         return;
     }
 
@@ -109,8 +120,8 @@ fn sort_bucket(
     spare.clear();
     spare.resize_with(n, Default::default);
     for item in items.iter_mut() {
-        let s = slot(&item.0, depth);
-        work.bytes_moved += (item.0.len() + item.1.len()) as u64;
+        let s = slot(key(item), depth);
+        work.bytes_moved += size(item) as u64;
         spare[next[s]] = std::mem::take(item);
         next[s] += 1;
     }
@@ -120,7 +131,7 @@ fn sort_bucket(
     for s in 1..SLOTS {
         if counts[s] > 1 {
             let bucket = &mut items[starts[s]..starts[s] + counts[s]];
-            sort_bucket(bucket, depth + 1, spare, work);
+            sort_bucket(bucket, depth + 1, spare, work, key, size);
         }
     }
 }
@@ -146,7 +157,7 @@ mod tests {
         let mut want = got.clone();
         want.sort_by(|a, b| a.0.cmp(&b.0));
         let n = got.len();
-        let work = sort_pairs(&mut got);
+        let work = sort_by_key(&mut got, |p| p.0.as_slice(), |p| p.0.len() + p.1.len());
         assert_eq!(got, want, "radix output must equal the stable sort");
         let bound = comparisons(n) + n as f64;
         assert!(

@@ -887,10 +887,10 @@ impl ClusterRouter {
         payload: kvcsd_proto::BulkPayload,
     ) -> Result<KvResponse, KvStatus> {
         let n = self.shard_count();
-        let mut per_shard: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); n as usize];
+        let mut per_shard: Vec<Vec<(&[u8], &[u8])>> = vec![Vec::new(); n as usize];
         for (k, v) in payload.iter() {
             let ix = self.cfg.strategy.shard_for(k, n) as usize;
-            per_shard[ix].push((k.to_vec(), v.to_vec()));
+            per_shard[ix].push((k, v));
         }
         // Scatter to every covered shard concurrently — the write costs
         // the slowest shard's time — then gather counts (first error in
@@ -902,7 +902,7 @@ impl ClusterRouter {
             let pairs = std::mem::take(&mut per_shard[ix]);
             let mut sent = 0u64;
             let mut b = kvcsd_proto::BulkBuilder::default_size();
-            for (k, v) in &pairs {
+            for (k, v) in pairs {
                 if !b.push(k, v) {
                     // Sub-message full: flush it and continue packing.
                     sent += self.send_bulk(deadline_ns, ix, ck.local[ix], b)?;

@@ -597,7 +597,7 @@ mod tests {
         for i in 0..n {
             let key = format!("k{:012}", rng.next_below(u32::MAX as u64)).into_bytes();
             let value = format!("value-{i:08}-{}", rng.next_u64()).into_bytes();
-            log.put(mgr, soc, &key, &value).unwrap();
+            log.put(mgr, &mut soc.tally(), &key, &value).unwrap();
             pairs.push((key, value));
         }
         let (klen, vlen) = log.seal(mgr).unwrap();
@@ -708,8 +708,13 @@ mod tests {
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
         for i in 0..10u32 {
-            log.put(&mgr, &soc, b"same-key", format!("v{i}").as_bytes())
-                .unwrap();
+            log.put(
+                &mgr,
+                &mut soc.tally(),
+                b"same-key",
+                format!("v{i}").as_bytes(),
+            )
+            .unwrap();
         }
         let (klen, vlen) = log.seal(&mgr).unwrap();
         let out = run_compaction(
@@ -750,7 +755,7 @@ mod tests {
                 let key = format!("k{:010}", rng.next_below(u32::MAX as u64)).into_bytes();
                 let mut value = vec![0u8; 16];
                 value[8..12].copy_from_slice(&(rng.next_below(500) as u32).to_le_bytes());
-                log.put(mgr, soc, &key, &value).unwrap();
+                log.put(mgr, &mut soc.tally(), &key, &value).unwrap();
             }
             let (klen, vlen) = log.seal(mgr).unwrap();
             ((kc, klen), (vc, vlen))
@@ -857,7 +862,7 @@ mod tests {
                 let key = format!("k{:04}", rng.next_below(600)).into_bytes();
                 let mut value = vec![(i % 251) as u8; 12 + rng.next_below(24) as usize];
                 value[8..12].copy_from_slice(&(rng.next_below(700) as u32).to_le_bytes());
-                log.put(&mgr, &soc, &key, &value).unwrap();
+                log.put(&mgr, &mut soc.tally(), &key, &value).unwrap();
             }
             let (klen, vlen) = log.seal(&mgr).unwrap();
             let dram = DramBudget::new(dram_bytes);
@@ -907,7 +912,7 @@ mod tests {
         for i in 0..100u32 {
             log.put(
                 &mgr,
-                &soc,
+                &mut soc.tally(),
                 format!("k{:05}", order(i)).as_bytes(),
                 &[0u8; 16],
             )
@@ -993,7 +998,7 @@ mod tests {
                 }
             }
             for (key, value) in &pairs {
-                log.put(&mgr, &soc, key, value).unwrap();
+                log.put(&mgr, &mut soc.tally(), key, value).unwrap();
             }
             let (klen, vlen) = log.seal(&mgr).unwrap();
             let (klog, vlog) = ((kc, klen), (vc, vlen));
@@ -1178,7 +1183,7 @@ mod tests {
         let vc = mgr.alloc_cluster(4).unwrap();
         let mut log = WriteLog::new(kc, vc);
         for (key, value) in pairs {
-            log.put(&mgr, &soc, key, value).unwrap();
+            log.put(&mgr, &mut soc.tally(), key, value).unwrap();
         }
         let (klen, vlen) = log.seal(&mgr).unwrap();
         let dram = DramBudget::new(dram_bytes);
@@ -1255,7 +1260,7 @@ mod tests {
             let mut log =
                 WriteLog::new(mgr.alloc_cluster(2).unwrap(), mgr.alloc_cluster(2).unwrap());
             for (key, value) in &pairs {
-                log.put(&mgr, &soc, key, value).unwrap();
+                log.put(&mgr, &mut soc.tally(), key, value).unwrap();
             }
             let klog = (log.klog.cluster(), log.seal(&mgr).unwrap().0);
             let found = census(&mgr, &soc, klog, pairs.len() as u64, usize::MAX).unwrap();
@@ -1345,8 +1350,13 @@ mod tests {
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
         for i in 0..200u32 {
-            log.put(&mgr, &soc, format!("k{i:06}").as_bytes(), &[7u8; 32])
-                .unwrap();
+            log.put(
+                &mgr,
+                &mut soc.tally(),
+                format!("k{i:06}").as_bytes(),
+                &[7u8; 32],
+            )
+            .unwrap();
         }
         let (klen, vlen) = log.seal(&mgr).unwrap();
         let clock = VirtualClock::new();
@@ -1380,7 +1390,7 @@ mod tests {
             let key = format!("k{:08}", rng.next_below(1_000_000)).into_bytes();
             let vlen = 1 + rng.next_below(6000) as usize; // spans blocks sometimes
             let value = vec![(i % 251) as u8; vlen];
-            log.put(&mgr, &soc, &key, &value).unwrap();
+            log.put(&mgr, &mut soc.tally(), &key, &value).unwrap();
             pairs.push((key, value));
         }
         let (klen, vlen) = log.seal(&mgr).unwrap();

@@ -264,10 +264,12 @@ impl KvCsdDevice {
         // Block count comes from the zones' write pointers (ground truth).
         let wal_blocks = self.mgr.cluster_blocks(wal_cluster)?;
         let (ingest, mut wlog) = self.open_write_log()?;
+        let mut soc = self.soc.tally();
         let replayed =
             crate::wal::DeviceWal::replay(&self.mgr, wal_cluster, wal_blocks, |k, v| {
-                wlog.put(&self.mgr, &self.soc, &k, &v)
+                wlog.put(&self.mgr, &mut soc, &k, &v)
             })?;
+        drop(soc);
         self.soc.ledger().bump("dev_wal_replayed_records", replayed);
         self.km.with_mut(ks, |k| {
             k.transition_to(KeyspaceState::Writable)?;
@@ -625,52 +627,81 @@ impl KvCsdDevice {
         Ok(())
     }
 
-    fn do_put(&self, ks: u32, key: &[u8], value: &[u8]) -> Result<()> {
-        if key.is_empty() || key.len() > u16::MAX as usize {
-            return Err(DeviceError::BadPayload("key length".into()));
-        }
-        self.ensure_writable(ks)?;
-        self.km.with_mut(ks, |k| {
-            // Write-ahead: the WAL record lands before the ingest buffer.
-            if let Some(dwal) = k.storage.dwal.as_mut() {
-                dwal.append(&self.mgr, &self.soc, key, value)?;
-            }
-            let wlog = k
-                .storage
-                .wlog
-                .as_mut()
-                .ok_or_else(|| DeviceError::Internal("writable without wlog".into()))?;
-            wlog.put(&self.mgr, &self.soc, key, value)?;
-            k.pairs = wlog.pairs;
-            k.data_bytes = wlog.data_bytes;
-            k.min_key = wlog.min_key.clone();
-            k.max_key = wlog.max_key.clone();
-            Ok(())
-        })
-    }
-
-    /// Admit, then write `pairs` in order and count them as puts. Space
-    /// exhaustion freezes the keyspace READ_ONLY (see
-    /// [`Self::freeze_writable_read_only`]) before the error surfaces.
+    /// Admit, then write `pairs` in order and count them as puts.
+    ///
+    /// Every key is checked before any pair is written, and the pairs are
+    /// written under one hold of the keyspace lock, so a command lands
+    /// whole or not at all: a bad key rejects all of it (`BadPayload`),
+    /// and a COMPACT that seals the log first turns all of it away
+    /// (`BadState`). Only a device error part-way (out of space, a flash
+    /// fault) leaves a prefix written; space exhaustion then freezes the
+    /// keyspace READ_ONLY (see [`Self::freeze_writable_read_only`]) before
+    /// the error surfaces.
     fn put_pairs<'a>(
         &self,
         ks: u32,
         deadline: &Deadline<'_>,
-        pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>,
+        pairs: impl Iterator<Item = (&'a [u8], &'a [u8])> + Clone,
     ) -> Result<u64> {
         self.admit_write(ks, deadline)?;
-        let mut inserted = 0u64;
-        for (key, value) in pairs {
-            if let Err(e) = self.do_put(ks, key, value) {
+        if pairs
+            .clone()
+            .any(|(key, _)| key.is_empty() || key.len() > u16::MAX as usize)
+        {
+            return Err(DeviceError::BadPayload("key length".into()));
+        }
+        match self
+            .ensure_writable(ks)
+            .and_then(|()| self.write_pairs(ks, pairs))
+        {
+            Ok(inserted) => {
+                self.soc.ledger().bump("dev_puts", inserted);
+                Ok(inserted)
+            }
+            Err(e) => {
                 if Self::is_space_exhaustion(&e) {
                     self.freeze_writable_read_only(ks);
                 }
-                return Err(e);
+                Err(e)
             }
-            inserted += 1;
         }
-        self.soc.ledger().bump("dev_puts", inserted);
-        Ok(inserted)
+    }
+
+    /// Write `pairs` into a WRITABLE keyspace's log, each one's WAL record
+    /// first, and bring the keyspace record up to date with what was
+    /// written, also when a pair fails part-way.
+    fn write_pairs<'a>(
+        &self,
+        ks: u32,
+        pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>,
+    ) -> Result<u64> {
+        let mut soc = self.soc.tally();
+        self.km.with_mut(ks, |k| {
+            k.require_state(KeyspaceState::Writable, "put")?;
+            let KsStorage {
+                wlog: Some(wlog),
+                dwal,
+                ..
+            } = &mut k.storage
+            else {
+                return Err(DeviceError::Internal("writable without wlog".into()));
+            };
+            let mut inserted = 0u64;
+            let written = pairs.into_iter().try_for_each(|(key, value)| {
+                // Write-ahead: the WAL record lands before the ingest buffer.
+                if let Some(dwal) = dwal.as_mut() {
+                    dwal.append(&self.mgr, &mut soc, key, value)?;
+                }
+                wlog.put(&self.mgr, &mut soc, key, value)?;
+                inserted += 1;
+                Ok(())
+            });
+            k.pairs = wlog.pairs;
+            k.data_bytes = wlog.data_bytes;
+            k.min_key.clone_from(&wlog.min_key);
+            k.max_key.clone_from(&wlog.max_key);
+            written.map(|()| inserted)
+        })
     }
 
     /// True for errors that mean the *device* is out of space (zones),
@@ -887,7 +918,7 @@ impl DeviceHandler for KvCsdDevice {
                     Ok(KvResponse::Deleted)
                 }
                 KvCommand::Put { ks, key, value } => {
-                    self.put_pairs(ks, &deadline, [(&key[..], &value[..])])?;
+                    self.put_pairs(ks, &deadline, [(&key[..], &value[..])].into_iter())?;
                     Ok(KvResponse::PutOk)
                 }
                 KvCommand::BulkPut { ks, payload } => {
@@ -1291,6 +1322,81 @@ mod tests {
                 assert_eq!(s.num_pairs, n as u64);
                 assert_eq!(s.state, KeyspaceState::Compacted);
                 assert_eq!(s.min_key.unwrap(), key(0));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The model's charges for ingest: one 500-pair `BulkPut` into a
+    /// fresh keyspace (which also opens its write log) with the WAL off
+    /// and on, then one single `Put` after it. How the device walks a
+    /// bulk must not change what it charges or where it lands.
+    #[test]
+    fn bulk_put_charges_are_pinned() {
+        let charge = |stack: &DeviceStack, cmd: KvCommand| {
+            let before = stack.ledger().snapshot();
+            ok(stack.device().handle(cmd));
+            let d = stack.ledger().snapshot().since(&before);
+            (d.soc_cpu_ns, d.nand_program_pages, d.channel_busy_ns)
+        };
+        let bulk = |ks| {
+            let mut b = BulkBuilder::default_size();
+            for i in 0..500 {
+                assert!(b.push(&key(i), &value(i)));
+            }
+            KvCommand::BulkPut {
+                ks,
+                payload: b.finish(),
+            }
+        };
+        let plain = stack();
+        let ks = create(plain.device(), "bulk");
+        let bulk_no_wal = charge(&plain, bulk(ks));
+        let single = charge(
+            &plain,
+            KvCommand::Put {
+                ks,
+                key: key(500),
+                value: value(500),
+            },
+        );
+        let walled = stack_with_wal();
+        let ks = create(walled.device(), "bulk");
+        let bulk_wal = charge(&walled, bulk(ks));
+        assert_eq!(
+            bulk_no_wal,
+            (219500, 7, vec![48576, 32384, 0, 0, 0, 0, 0, 32384])
+        );
+        assert_eq!(
+            bulk_wal,
+            (
+                246000,
+                13,
+                vec![64768, 48576, 16192, 16192, 0, 0, 16192, 48576]
+            )
+        );
+        assert_eq!(single, (439, 0, vec![0; 8]));
+    }
+
+    #[test]
+    fn a_bad_key_rejects_the_whole_bulk() {
+        let dev = device();
+        let ks = create(&dev, "bad");
+        let mut b = BulkBuilder::default_size();
+        for i in 0..10 {
+            assert!(b.push(&key(i), &value(i)));
+        }
+        assert!(b.push(b"", b"empty key"));
+        assert!(b.push(&key(10), &value(10)));
+        let r = dev.handle(KvCommand::BulkPut {
+            ks,
+            payload: b.finish(),
+        });
+        assert!(matches!(r, KvResponse::Err(KvStatus::BadValue)), "{r:?}");
+        match ok(dev.handle(KvCommand::Stat { ks })) {
+            KvResponse::Stat(s) => {
+                assert_eq!(s.num_pairs, 0, "no pair of the bulk is written");
+                assert_eq!(s.state, KeyspaceState::Empty);
             }
             other => panic!("{other:?}"),
         }

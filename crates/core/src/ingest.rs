@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use crate::soc::SocCharger;
+use crate::soc::SocTally;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 use crate::BLOCK_BYTES;
@@ -184,17 +184,18 @@ impl KlogRecord {
         Self::HEADER + self.key.len()
     }
 
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.voff.to_le_bytes());
-        out.extend_from_slice(&self.vlen.to_le_bytes());
-        out.extend_from_slice(&self.key);
+    /// The fixed-width head of a record whose key is `klen` bytes.
+    pub fn header(klen: usize, voff: u64, vlen: u32) -> [u8; Self::HEADER] {
+        let mut hdr = [0u8; Self::HEADER];
+        hdr[..2].copy_from_slice(&(klen as u16).to_le_bytes());
+        hdr[2..10].copy_from_slice(&voff.to_le_bytes());
+        hdr[10..].copy_from_slice(&vlen.to_le_bytes());
+        hdr
     }
 
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut v);
-        v
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&Self::header(self.key.len(), self.voff, self.vlen));
+        out.extend_from_slice(&self.key);
     }
 
     /// Decode one record from a stream reader.
@@ -236,32 +237,30 @@ impl WriteLog {
         }
     }
 
-    /// Append one key-value pair (key-value separated).
+    /// Append one key-value pair (key-value separated): the value to
+    /// VLOG, then the KLOG record for it, its header framed on the stack
+    /// so a pair allocates nothing.
     pub fn put(
         &mut self,
         mgr: &ZoneManager,
-        soc: &SocCharger,
+        soc: &mut SocTally<'_>,
         key: &[u8],
         value: &[u8],
     ) -> Result<()> {
         let voff = self.vlog.append(mgr, value)?;
-        let rec = KlogRecord {
-            key: key.to_vec(),
-            voff,
-            vlen: value.len() as u32,
-        };
-        let enc = rec.encode();
-        self.klog.append(mgr, &enc)?;
+        let hdr = KlogRecord::header(key.len(), voff, value.len() as u32);
+        self.klog.append(mgr, &hdr)?;
+        self.klog.append(mgr, key)?;
         soc.memcpy(key.len() + value.len());
         soc.bytes(KlogRecord::HEADER);
         soc.kv_op();
         self.pairs += 1;
         self.data_bytes += (key.len() + value.len()) as u64;
         if self.min_key.as_deref().is_none_or(|m| key < m) {
-            self.min_key = Some(key.to_vec());
+            overwrite(&mut self.min_key, key);
         }
         if self.max_key.as_deref().is_none_or(|m| key > m) {
-            self.max_key = Some(key.to_vec());
+            overwrite(&mut self.max_key, key);
         }
         Ok(())
     }
@@ -277,6 +276,13 @@ impl WriteLog {
         let v = self.vlog.seal(mgr)?;
         Ok((k, v))
     }
+}
+
+/// Set `slot` to `key`, reusing its buffer.
+fn overwrite(slot: &mut Option<Vec<u8>>, key: &[u8]) {
+    let buf = slot.get_or_insert_with(Vec::new);
+    buf.clear();
+    buf.extend_from_slice(key);
 }
 
 #[cfg(test)]
@@ -320,8 +326,11 @@ mod tests {
                 vlen: 32,
             })
             .collect();
+        let mut buf = Vec::new();
         for r in &records {
-            w.append(&mgr, &r.encode()).unwrap();
+            buf.clear();
+            r.encode_into(&mut buf);
+            w.append(&mgr, &buf).unwrap();
         }
         let len = w.seal(&mgr).unwrap();
         let mut reader = StreamReader::new(&mgr, c, len);
@@ -339,8 +348,13 @@ mod tests {
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
         for i in 0..300u32 {
-            log.put(&mgr, &soc, format!("k{i:06}").as_bytes(), &[i as u8; 32])
-                .unwrap();
+            log.put(
+                &mgr,
+                &mut soc.tally(),
+                format!("k{i:06}").as_bytes(),
+                &[i as u8; 32],
+            )
+            .unwrap();
         }
         assert_eq!(log.pairs, 300);
         assert_eq!(log.data_bytes, 300 * (7 + 32));
@@ -365,7 +379,7 @@ mod tests {
         let kc = mgr.alloc_cluster(1).unwrap();
         let vc = mgr.alloc_cluster(1).unwrap();
         let mut log = WriteLog::new(kc, vc);
-        log.put(&mgr, &soc, b"key", b"value").unwrap();
+        log.put(&mgr, &mut soc.tally(), b"key", b"value").unwrap();
         let s = soc.ledger().snapshot();
         assert!(s.soc_cpu_ns > 0);
         assert_eq!(s.host_cpu_ns, 0);
@@ -378,8 +392,8 @@ mod tests {
         let vc = mgr.alloc_cluster(1).unwrap();
         let mut log = WriteLog::new(kc, vc);
         let big: Vec<u8> = (0..10_000u32).map(|i| (i % 257) as u8).collect();
-        log.put(&mgr, &soc, b"big", &big).unwrap();
-        log.put(&mgr, &soc, b"after", b"x").unwrap();
+        log.put(&mgr, &mut soc.tally(), b"big", &big).unwrap();
+        log.put(&mgr, &mut soc.tally(), b"after", b"x").unwrap();
         let (klen, _vlen) = log.seal(&mgr).unwrap();
         let mut r = StreamReader::new(&mgr, kc, klen);
         let rec = KlogRecord::read_from(&mut r).unwrap();

@@ -222,7 +222,7 @@ mod tests {
         let mut log = WriteLog::new(kc, vc);
         // Insert in reverse so compaction genuinely sorts.
         for i in (0..n).rev() {
-            log.put(mgr, soc, &key(i), &val(i)).unwrap();
+            log.put(mgr, &mut soc.tally(), &key(i), &val(i)).unwrap();
         }
         let (klen, vlen) = log.seal(mgr).unwrap();
         let cout = run_compaction(

@@ -184,8 +184,13 @@ mod tests {
         for i in 0..n {
             let key = format!("particle-{:010}", rng.next_below(u32::MAX as u64)).into_bytes();
             let energy = (rng.next_f64() * 10.0) as f32;
-            log.put(mgr, soc, &key, &particle_value(energy, i as u8))
-                .unwrap();
+            log.put(
+                mgr,
+                &mut soc.tally(),
+                &key,
+                &particle_value(energy, i as u8),
+            )
+            .unwrap();
             truth.push((key, energy));
         }
         let (klen, vlen) = log.seal(mgr).unwrap();
@@ -291,9 +296,9 @@ mod tests {
         let kc = mgr.alloc_cluster(2).unwrap();
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
-        log.put(&mgr, &soc, b"good", &particle_value(5.0, 1))
+        log.put(&mgr, &mut soc.tally(), b"good", &particle_value(5.0, 1))
             .unwrap();
-        log.put(&mgr, &soc, b"tiny", b"xx").unwrap(); // too short for the spec
+        log.put(&mgr, &mut soc.tally(), b"tiny", b"xx").unwrap(); // too short for the spec
         let (klen, vlen) = log.seal(&mgr).unwrap();
         let cout = run_compaction(
             &mgr,

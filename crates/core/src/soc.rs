@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use kvcsd_sim::config::CostModel;
+use kvcsd_sim::ledger::whole_ns;
 use kvcsd_sim::IoLedger;
 
 /// Charges SoC CPU time for device-side work.
@@ -31,41 +32,97 @@ impl SocCharger {
         &self.cost
     }
 
-    fn charge(&self, host_equiv_ns: f64) {
-        self.ledger
-            .charge_soc_cpu(host_equiv_ns * self.cost.soc_slowdown);
+    /// A tally that books many charges to the ledger at once; see
+    /// [`SocTally`].
+    pub fn tally(&self) -> SocTally<'_> {
+        SocTally { soc: self, ns: 0 }
     }
 
     /// `n` key comparisons.
     pub fn cmp(&self, n: f64) {
-        self.charge(n * self.cost.key_cmp_ns);
+        self.tally().cmp(n);
     }
 
     /// Sorting `n` records: n log2 n comparisons plus per-record swaps.
     pub fn sort(&self, n: usize) {
-        let n = n.max(2) as f64;
-        self.charge(n * n.log2() * self.cost.key_cmp_ns);
+        self.tally().sort(n);
     }
 
     /// A k-way merge step over `k` streams.
     pub fn merge_step(&self, k: usize) {
-        self.charge((k.max(2) as f64).log2() * self.cost.key_cmp_ns);
+        self.tally().merge_step(k);
     }
 
     /// Moving / encoding / decoding `bytes` of data.
     pub fn bytes(&self, bytes: usize) {
-        self.charge(bytes as f64 * self.cost.codec_ns_per_byte);
+        self.tally().bytes(bytes);
     }
 
     /// Bulk memory movement of `bytes` (cheaper than codec work).
     pub fn memcpy(&self, bytes: usize) {
-        self.charge(bytes as f64 * self.cost.memcpy_ns_per_byte);
+        self.tally().memcpy(bytes);
     }
 
     /// Fixed per-key-value-pair data-path cost (parsing, framing,
     /// buffer management) on the device.
     pub fn kv_op(&self) {
-        self.charge(self.cost.kv_op_ns);
+        self.tally().kv_op();
+    }
+}
+
+/// SoC charges summed in place and booked to the ledger once, when the
+/// tally drops — on every exit path, `?` included. Each charge is rounded
+/// to whole nanoseconds on its own ([`whole_ns`]), so a tally books
+/// exactly what the same charges made one by one through [`SocCharger`]
+/// would. A bulk PUT charges its pairs through one tally instead of
+/// taking the ledger's counter three times per pair.
+#[derive(Debug)]
+pub struct SocTally<'a> {
+    soc: &'a SocCharger,
+    ns: u64,
+}
+
+impl SocTally<'_> {
+    fn charge(&mut self, host_equiv_ns: f64) {
+        self.ns += whole_ns(host_equiv_ns * self.soc.cost.soc_slowdown);
+    }
+
+    /// `n` key comparisons.
+    pub fn cmp(&mut self, n: f64) {
+        self.charge(n * self.soc.cost.key_cmp_ns);
+    }
+
+    /// Sorting `n` records: n log2 n comparisons plus per-record swaps.
+    pub fn sort(&mut self, n: usize) {
+        let n = n.max(2) as f64;
+        self.charge(n * n.log2() * self.soc.cost.key_cmp_ns);
+    }
+
+    /// A k-way merge step over `k` streams.
+    pub fn merge_step(&mut self, k: usize) {
+        self.charge((k.max(2) as f64).log2() * self.soc.cost.key_cmp_ns);
+    }
+
+    /// Moving / encoding / decoding `bytes` of data.
+    pub fn bytes(&mut self, bytes: usize) {
+        self.charge(bytes as f64 * self.soc.cost.codec_ns_per_byte);
+    }
+
+    /// Bulk memory movement of `bytes` (cheaper than codec work).
+    pub fn memcpy(&mut self, bytes: usize) {
+        self.charge(bytes as f64 * self.soc.cost.memcpy_ns_per_byte);
+    }
+
+    /// Fixed per-key-value-pair data-path cost (parsing, framing,
+    /// buffer management) on the device.
+    pub fn kv_op(&mut self) {
+        self.charge(self.soc.cost.kv_op_ns);
+    }
+}
+
+impl Drop for SocTally<'_> {
+    fn drop(&mut self) {
+        self.soc.ledger.charge_soc_cpu_ns(self.ns);
     }
 }
 
@@ -109,6 +166,33 @@ mod tests {
         assert!(
             cb as f64 > 2.0 * ca as f64,
             "2x records must cost more than 2x"
+        );
+    }
+
+    #[test]
+    fn a_tally_books_what_charging_one_by_one_books() {
+        let one_by_one = soc();
+        let tallied = soc();
+        {
+            let mut t = tallied.tally();
+            for n in 1..50 {
+                one_by_one.bytes(n);
+                one_by_one.memcpy(n * 3);
+                one_by_one.kv_op();
+                t.bytes(n);
+                t.memcpy(n * 3);
+                t.kv_op();
+            }
+            assert_eq!(
+                tallied.ledger().snapshot().soc_cpu_ns,
+                0,
+                "nothing is booked before the tally drops"
+            );
+        }
+        assert_eq!(
+            tallied.ledger().snapshot(),
+            one_by_one.ledger().snapshot(),
+            "every charge is rounded on its own, then summed"
         );
     }
 }

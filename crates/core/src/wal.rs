@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use crate::error::DeviceError;
-use crate::soc::SocCharger;
+use crate::soc::SocTally;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 use crate::BLOCK_BYTES;
@@ -82,7 +82,7 @@ impl DeviceWal {
     pub fn append(
         &mut self,
         mgr: &ZoneManager,
-        soc: &SocCharger,
+        soc: &mut SocTally<'_>,
         key: &[u8],
         value: &[u8],
     ) -> Result<()> {
@@ -214,7 +214,7 @@ mod tests {
             })
             .collect();
         for (k, v) in &records {
-            wal.append(&mgr, &soc, k, v).unwrap();
+            wal.append(&mgr, &mut soc.tally(), k, v).unwrap();
         }
         assert_eq!(wal.unsynced_records(), 100);
         wal.sync(&mgr).unwrap();
@@ -228,13 +228,18 @@ mod tests {
         let c = mgr.alloc_cluster(2).unwrap();
         let mut wal = DeviceWal::new(c);
         for i in 0..10u32 {
-            wal.append(&mgr, &soc, format!("synced-{i}").as_bytes(), b"v")
-                .unwrap();
+            wal.append(
+                &mgr,
+                &mut soc.tally(),
+                format!("synced-{i}").as_bytes(),
+                b"v",
+            )
+            .unwrap();
         }
         wal.sync(&mgr).unwrap();
         // Small unsynced records: still in the volatile tail.
         for i in 0..3u32 {
-            wal.append(&mgr, &soc, format!("lost-{i}").as_bytes(), b"v")
+            wal.append(&mgr, &mut soc.tally(), format!("lost-{i}").as_bytes(), b"v")
                 .unwrap();
         }
         let got = replay_all(&mgr, &wal);
@@ -250,8 +255,13 @@ mod tests {
         // ~50 B/record: hundreds per block; write enough to flush blocks
         // without ever syncing.
         for i in 0..1000u32 {
-            wal.append(&mgr, &soc, format!("k{i:06}").as_bytes(), &[1u8; 32])
-                .unwrap();
+            wal.append(
+                &mgr,
+                &mut soc.tally(),
+                format!("k{i:06}").as_bytes(),
+                &[1u8; 32],
+            )
+            .unwrap();
         }
         let got = replay_all(&mgr, &wal);
         // Everything in full flushed blocks replays; the partial tail is
@@ -271,7 +281,8 @@ mod tests {
         for batch in 0..5u32 {
             for i in 0..7u32 {
                 let k = format!("b{batch}-r{i}").into_bytes();
-                wal.append(&mgr, &soc, &k, &[batch as u8]).unwrap();
+                wal.append(&mgr, &mut soc.tally(), &k, &[batch as u8])
+                    .unwrap();
                 expect.push((k, vec![batch as u8]));
             }
             wal.sync(&mgr).unwrap();
@@ -284,13 +295,14 @@ mod tests {
         let (mgr, soc, _) = test_stack(64, 3);
         let c = mgr.alloc_cluster(2).unwrap();
         let mut wal = DeviceWal::new(c);
-        wal.append(&mgr, &soc, b"first", b"1").unwrap();
+        wal.append(&mgr, &mut soc.tally(), b"first", b"1").unwrap();
         wal.sync(&mgr).unwrap();
         let blocks = wal.blocks_flushed;
         drop(wal);
 
         let mut wal2 = DeviceWal::resume(c, blocks);
-        wal2.append(&mgr, &soc, b"second", b"2").unwrap();
+        wal2.append(&mgr, &mut soc.tally(), b"second", b"2")
+            .unwrap();
         wal2.sync(&mgr).unwrap();
         let got = replay_all(&mgr, &wal2);
         assert_eq!(
@@ -317,7 +329,7 @@ mod tests {
         let mut wal = DeviceWal::new(c);
         wal.sync(&mgr).unwrap();
         assert_eq!(wal.blocks_flushed, 0);
-        wal.append(&mgr, &soc, b"k", b"v").unwrap();
+        wal.append(&mgr, &mut soc.tally(), b"k", b"v").unwrap();
         wal.sync(&mgr).unwrap();
         wal.sync(&mgr).unwrap(); // idempotent
         assert_eq!(wal.blocks_flushed, 1);

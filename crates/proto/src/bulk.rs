@@ -50,7 +50,7 @@ impl BulkPayload {
 }
 
 /// Iterator over the entries of a [`BulkPayload`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BulkIter<'a> {
     rest: &'a [u8],
     remaining: u32,
@@ -116,13 +116,15 @@ impl BulkBuilder {
 
     /// Append a pair. Returns `false` (without modifying the builder) when
     /// the pair does not fit; the caller should [`BulkBuilder::finish`] and
-    /// start a new message.
+    /// start a new message. A key longer than `u16::MAX` or a value longer
+    /// than `u32::MAX` bytes has no entry header, so no message carries it.
     pub fn push(&mut self, key: &[u8], value: &[u8]) -> bool {
-        if !self.fits(key, value) {
+        if key.len() > u16::MAX as usize
+            || value.len() > u32::MAX as usize
+            || !self.fits(key, value)
+        {
             return false;
         }
-        debug_assert!(key.len() <= u16::MAX as usize);
-        debug_assert!(value.len() <= u32::MAX as usize);
         self.buf
             .extend_from_slice(&(key.len() as u16).to_be_bytes());
         self.buf
@@ -223,6 +225,29 @@ mod tests {
         let p = b.finish();
         assert_eq!(p.iter().count(), 2);
         assert_eq!(p.iter().count(), 2, "iter() must not consume the payload");
+    }
+
+    #[test]
+    fn keys_too_long_for_the_header_are_refused() {
+        let mut b = BulkBuilder::default_size();
+        assert!(b.push(b"before", b"1"));
+        let long = vec![b'k'; u16::MAX as usize + 5];
+        assert!(!b.push(&long, b"v"), "a 65,540-byte key has no u16 length");
+        assert!(
+            b.push(&long[..u16::MAX as usize], b"2"),
+            "u16::MAX itself fits"
+        );
+        assert!(b.push(b"after", b"3"));
+        let p = b.finish();
+        let got: Vec<(usize, Vec<u8>)> = p.iter().map(|(k, v)| (k.len(), v.to_vec())).collect();
+        assert_eq!(
+            got,
+            vec![
+                (6, b"1".to_vec()),
+                (u16::MAX as usize, b"2".to_vec()),
+                (5, b"3".to_vec())
+            ]
+        );
     }
 
     #[test]

@@ -10,6 +10,14 @@
 use crate::sync::{Mutex, Shared};
 use std::collections::BTreeMap;
 
+/// The whole nanoseconds one CPU charge of `ns` books: a negative charge
+/// books nothing and the fraction is dropped. A tally that sums many
+/// charges rounds each one with this before adding, so it books exactly
+/// what charging them one at a time would.
+pub fn whole_ns(ns: f64) -> u64 {
+    ns.max(0.0) as u64
+}
+
 /// Thread-safe work counters. One ledger is shared per simulated testbed.
 ///
 /// Counters are intentionally lock-free-style [`Shared`] cells (the
@@ -65,12 +73,22 @@ impl IoLedger {
 
     /// Charge `ns` of host-core CPU work.
     pub fn charge_host_cpu(&self, ns: f64) {
-        self.host_cpu_ns.update(|c| *c += ns.max(0.0) as u64);
+        self.charge_host_cpu_ns(whole_ns(ns));
+    }
+
+    /// Charge host-core CPU work already rounded by [`whole_ns`].
+    pub fn charge_host_cpu_ns(&self, ns: u64) {
+        self.host_cpu_ns.update(|c| *c += ns);
     }
 
     /// Charge `ns` of SoC-core CPU work (already scaled by `soc_slowdown`).
     pub fn charge_soc_cpu(&self, ns: f64) {
-        self.soc_cpu_ns.update(|c| *c += ns.max(0.0) as u64);
+        self.charge_soc_cpu_ns(whole_ns(ns));
+    }
+
+    /// Charge SoC-core CPU work already rounded by [`whole_ns`].
+    pub fn charge_soc_cpu_ns(&self, ns: u64) {
+        self.soc_cpu_ns.update(|c| *c += ns);
     }
 
     /// Record a host-to-device DMA transfer of `bytes` within one message.

@@ -136,6 +136,44 @@ fn bad_payloads_are_rejected() {
     ks.put(b"ok", b"v").unwrap();
 }
 
+/// A key too long for a bulk entry's `u16` length must not be packed
+/// into a bulk: it ships alone, the device refuses it, `flush` reports
+/// that, and every other pair of its batch lands exactly as staged.
+#[test]
+fn oversized_key_fails_its_flush_and_alters_no_other_pair() {
+    let (dev, client) = tiny_device(512);
+    let ks = client.create_keyspace("long-key").unwrap();
+    let acc = ks.write_accelerator();
+    // Keys on both sides of the long one, so a mis-packed entry would
+    // shift the pairs after it.
+    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..40u32)
+        .map(|i| {
+            let side = if i % 2 == 0 { 'a' } else { 'z' };
+            (format!("{side}{i:03}").into_bytes(), vec![i as u8; 16])
+        })
+        .collect();
+    for (k, v) in &pairs[..20] {
+        acc.put(k, v).unwrap();
+    }
+    acc.put(&vec![b'k'; u16::MAX as usize + 5], b"value")
+        .unwrap();
+    for (k, v) in &pairs[20..] {
+        acc.put(k, v).unwrap();
+    }
+    assert!(matches!(
+        acc.flush(),
+        Err(ClientError::Device(KvStatus::BadValue))
+    ));
+    assert_eq!(acc.flush().unwrap(), 40, "every other pair is acked");
+
+    ks.compact().unwrap();
+    dev.run_pending_jobs();
+    assert_eq!(ks.stat().unwrap().num_pairs, 40);
+    for (k, v) in &pairs {
+        assert_eq!(&ks.get(k).unwrap(), v);
+    }
+}
+
 #[test]
 fn failed_sidx_spec_reports_and_preserves_keyspace() {
     let (dev, client) = tiny_device(512);

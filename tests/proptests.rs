@@ -437,7 +437,7 @@ fn device_wal_tail_damage_recovers_valid_prefix() {
         for _ in 0..n {
             let key = rand_bytes(&mut rng, 20);
             let value = rand_bytes(&mut rng, 300);
-            wal.append(&mgr, &soc, &key, &value).unwrap();
+            wal.append(&mgr, &mut soc.tally(), &key, &value).unwrap();
             spans.push((pos, pos + HEADER + key.len() as u64 + value.len() as u64));
             pos += HEADER + key.len() as u64 + value.len() as u64;
             recs.push((key, value));

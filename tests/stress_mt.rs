@@ -32,9 +32,9 @@ use std::thread;
 use contract::{connect, found, tail_index, value_for, Contract};
 use kvcsd::device::{DeviceConfig, DeviceStack, KvCsdDevice};
 use kvcsd::flash::{FlashGeometry, ZnsConfig};
-use kvcsd::proto::{Bound, JobState};
+use kvcsd::proto::{Bound, JobState, KvStatus};
 use kvcsd::sim::sync::{spawn, Mutex, Shared};
-use kvcsd_client::KvCsd;
+use kvcsd_client::{ClientError, KvCsd};
 
 const WRITERS: usize = 3;
 const READERS: usize = 2;
@@ -198,4 +198,71 @@ fn concurrent_ingest_compact_query() {
         model.check_state(&name, Some(state));
         model.check_all(&name, &ks);
     }
+}
+
+/// Accelerator bulks racing a COMPACT of their keyspace. Each flush ships
+/// one bulk, and the device writes a bulk under one hold of the keyspace
+/// lock, so a bulk either lands whole before the seal or is turned away
+/// whole with `BadKeyspaceState`: never an internal error, never a sealed
+/// prefix.
+#[test]
+fn bulks_racing_compact_land_whole_or_not_at_all() {
+    const BULK_WRITERS: usize = 3;
+    const BULKS: u32 = 60;
+    const BULK_PAIRS: u32 = 12;
+    let (dev, client) = build_stack();
+    let name = "race";
+    let ks = client.create_keyspace(name).expect("create");
+    let acked = Arc::new(Shared::new(0u32));
+
+    let writers: Vec<_> = (0..BULK_WRITERS)
+        .map(|w| {
+            let ks = ks.clone();
+            let acked = Arc::clone(&acked);
+            spawn(move || {
+                let acc = ks.write_accelerator();
+                let mut landed = Vec::new();
+                for b in 0..BULKS {
+                    let bulk: Vec<Vec<u8>> = (0..BULK_PAIRS)
+                        .map(|i| format!("w{w}b{b:03}k{i:02}").into_bytes())
+                        .collect();
+                    for k in &bulk {
+                        acc.put(k, &value_for(k, VALUE_LEN)).expect("stage");
+                    }
+                    match acc.flush() {
+                        Ok(_) => {
+                            landed.extend(bulk);
+                            acked.update(|n| *n += 1);
+                        }
+                        Err(ClientError::Device(KvStatus::BadKeyspaceState { .. })) => break,
+                        Err(e) => panic!("writer {w}, bulk {b}: {e}"),
+                    }
+                }
+                landed
+            })
+        })
+        .collect();
+
+    // Compact once a few bulks have landed, while the writers keep going.
+    for _ in 0..1_000_000 {
+        if acked.get() >= 4 {
+            break;
+        }
+        thread::yield_now();
+    }
+    ks.compact().expect("compact");
+    let mut model = Contract::default();
+    model.create(name);
+    for w in writers {
+        for k in w.join().expect("writer panicked") {
+            model.put(name, &k, &value_for(&k, VALUE_LEN));
+        }
+    }
+    model.seal(name);
+    dev.run_pending_jobs();
+
+    let (ks, state) = client.open_keyspace(name).expect("open");
+    model.check_state(name, Some(state));
+    // Every landed bulk is there whole, and no pair of a refused bulk is.
+    model.check_all(name, &ks);
 }
