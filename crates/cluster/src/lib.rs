@@ -37,13 +37,16 @@
 //! (volatile, as on the single device); a COMPACT ack means sealed on the
 //! primary *and* shipped to the replica log; artifacts in the replica log
 //! survive any single-device death.
+//!
+//! `tests/partition.rs` samples the link-fault guarantees under seeded
+//! fault draws; `tests/mc.rs` drives this router through every scripted
+//! replication-link decision sequence to a depth bound (kvcsd-mc's
+//! network explorer) and checks each run against the client contract.
 
-pub mod model;
 pub mod replica;
 pub mod router;
 pub mod shard;
 
-pub use model::{run_two_shard, ModelOutcome};
 pub use replica::{ReplicaLog, ShipError, ShipOutcome, ShipPolicy};
 pub use router::{ClusterRouter, FailoverEvent};
 pub use shard::{ShardHealth, ShardInstance};

@@ -17,10 +17,10 @@
 //!   explored schedule, so one exploration composes all three oracles.
 //! * **Network decisions** ([`explore_net`]): enumerates every scripted
 //!   bus-fault sequence (drop / duplicate / late / deliver) up to a depth
-//!   bound against a deterministic protocol scenario — the 2-shard
-//!   replication/failover model in `kvcsd_cluster::model` — and checks
-//!   its invariants on each sequence, pruning extensions past what a run
-//!   actually consumed.
+//!   bound against a deterministic scenario, recording the first one
+//!   that panics and pruning extensions past what a run actually
+//!   consumed. `tests/mc.rs` runs it over the real cluster router, with
+//!   every run checked against the `tests/contract` client contract.
 //!
 //! A failing schedule is serialized as a [`Trace`] (see `trace.rs` for
 //! the format) and written next to the build artifacts; pointing
@@ -45,7 +45,7 @@ pub mod harnesses;
 #[cfg(all(debug_assertions, not(doctest)))]
 mod explore;
 
-pub use net::{explore_net, net_alphabet, verify_two_shard, NetFailure, NetReport, NET_DEFAULT};
+pub use net::{explore_net, net_alphabet, NetFailure, NetReport, NET_DEFAULT};
 pub use trace::{Trace, TraceStep};
 
 use std::path::PathBuf;
@@ -225,21 +225,14 @@ where
 #[cfg(any(not(debug_assertions), doctest))]
 fn uncontrolled_run(name: &str, f: Arc<dyn Fn() + Send + Sync>) -> McReport {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f()));
-    let failure = result.err().map(|p| {
-        let message = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "<non-string panic payload>".to_string());
-        McFailure {
-            kind: FailureKind::Panic,
-            message,
-            trace: Trace {
-                name: name.to_string(),
-                steps: Vec::new(),
-            },
-            trace_file: None,
-        }
+    let failure = result.err().map(|p| McFailure {
+        kind: FailureKind::Panic,
+        message: panic_message(&*p),
+        trace: Trace {
+            name: name.to_string(),
+            steps: Vec::new(),
+        },
+        trace_file: None,
     });
     McReport {
         name: name.to_string(),
@@ -248,4 +241,13 @@ fn uncontrolled_run(name: &str, f: Arc<dyn Fn() + Send + Sync>) -> McReport {
         controlled: false,
         failure,
     }
+}
+
+/// The message a caught panic carried.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }

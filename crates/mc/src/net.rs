@@ -4,20 +4,22 @@
 //! draws; this explorer replaces the draws with an explicit script
 //! (`FaultInjector::set_bus_script`) and enumerates *every* script over
 //! the fault alphabet up to a depth bound, running a deterministic
-//! protocol scenario against each and checking its invariants. The
-//! scenario reports how many link decisions it consumed, which prunes
-//! the tree: extending a script at positions the run never read cannot
-//! change its outcome, so only consumed positions branch.
+//! scenario against each. The scenario checks its invariants by
+//! panicking and returns how many link decisions it consumed, which
+//! prunes the tree: extending a script at positions the run never read
+//! cannot change its outcome, so only consumed positions branch.
 //!
-//! The canonical scenario is [`kvcsd_cluster::run_two_shard`] — the
-//! distilled 2-shard replication/failover model whose invariants are the
-//! PR-7 cluster guarantees (at most one primary acks per epoch, no
-//! acked-write loss across failover, anti-entropy convergence after
-//! heal). [`verify_two_shard`] wires it up.
+//! The explorer is generic over the scenario, so it needs no cluster
+//! code. The canonical scenario lives next to the rig it needs, in
+//! `tests/mc.rs`: it drives the real `ClusterRouter` through a scripted
+//! replication link and checks every run against the `tests/contract`
+//! client contract.
 //!
 //! Unlike the thread-interleaving explorer this needs no controlled
 //! scheduler (the scenario is single-threaded), so it works in release
 //! builds too.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use kvcsd_sim::BusFault;
 
@@ -43,18 +45,19 @@ pub fn net_alphabet() -> [BusFault; 3] {
     ]
 }
 
-/// A scenario run that violated an invariant, and the script that
-/// provoked it.
+/// A scenario run that panicked, and the script that provoked it.
 #[derive(Debug, Clone)]
 pub struct NetFailure {
     pub script: Vec<BusFault>,
+    /// The panic message.
     pub message: String,
 }
 
 /// Outcome of one [`explore_net`] sweep.
 #[derive(Debug, Clone)]
 pub struct NetReport {
-    /// Scenario executions (distinct scripts actually run).
+    /// Scenario executions (distinct scripts actually run), the failing
+    /// one included.
     pub runs: u64,
     /// The depth bound the sweep used.
     pub depth: usize,
@@ -73,12 +76,12 @@ impl NetReport {
 }
 
 /// Run `scenario` against every fault script up to `depth` non-trailing
-/// decisions. The scenario returns `Ok(decisions_consumed)` when its
-/// invariants held, `Err(description)` otherwise; exploration stops at
-/// the first violation.
+/// decisions. The scenario returns the count of decisions it consumed
+/// and panics when an invariant fails; exploration stops at the first
+/// panic, recorded with its script.
 pub fn explore_net<F>(depth: usize, scenario: F) -> NetReport
 where
-    F: Fn(&[BusFault]) -> Result<usize, String>,
+    F: Fn(&[BusFault]) -> usize,
 {
     let mut report = NetReport {
         runs: 0,
@@ -98,19 +101,17 @@ fn run_prefix<F>(
     report: &mut NetReport,
 ) -> bool
 where
-    F: Fn(&[BusFault]) -> Result<usize, String>,
+    F: Fn(&[BusFault]) -> usize,
 {
-    match scenario(prefix) {
-        Err(message) => {
+    report.runs += 1;
+    match catch_unwind(AssertUnwindSafe(|| scenario(prefix))) {
+        Ok(consumed) => extend(prefix, consumed, depth, scenario, report),
+        Err(payload) => {
             report.failure = Some(NetFailure {
                 script: prefix.clone(),
-                message,
+                message: crate::panic_message(&*payload),
             });
             false
-        }
-        Ok(consumed) => {
-            report.runs += 1;
-            extend(prefix, consumed, depth, scenario, report)
         }
     }
 }
@@ -123,7 +124,7 @@ fn extend<F>(
     report: &mut NetReport,
 ) -> bool
 where
-    F: Fn(&[BusFault]) -> Result<usize, String>,
+    F: Fn(&[BusFault]) -> usize,
 {
     // Positions past what the parent run consumed were never read;
     // branching there reproduces the parent byte-for-byte.
@@ -147,14 +148,6 @@ where
     keep_going
 }
 
-/// Enumerate every link-fault script up to `depth` against the 2-shard
-/// replication/failover model, checking the cluster invariants on each.
-pub fn verify_two_shard(depth: usize) -> NetReport {
-    explore_net(depth, |script| {
-        kvcsd_cluster::run_two_shard(script).map(|o| o.decisions_consumed)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +159,7 @@ mod tests {
         // 0, regardless of depth.
         let report = explore_net(5, |script| {
             let _ = script.first();
-            Ok(1)
+            1
         });
         assert!(report.failure.is_none());
         assert_eq!(report.runs, 1 + net_alphabet().len() as u64);
@@ -175,12 +168,15 @@ mod tests {
     #[test]
     fn first_violating_script_is_reported() {
         let report = explore_net(3, |script| {
-            if matches!(script.first(), Some(BusFault::Drop)) {
-                Err("drop at position 0 breaks the toy invariant".to_string())
-            } else {
-                Ok(script.len().max(1))
-            }
+            assert!(
+                !matches!(script.first(), Some(BusFault::Drop)),
+                "drop at position 0 breaks the toy invariant"
+            );
+            script.len().max(1)
         });
+        // The empty script, then the failing `[Drop]`: the first letter
+        // branched at position 0.
+        assert_eq!(report.runs, 2, "the failing run counts");
         let failure = report.failure.expect("sweep must find the violation");
         assert!(matches!(failure.script[..], [BusFault::Drop]));
         assert!(failure.message.contains("position 0"));
@@ -193,7 +189,7 @@ mod tests {
         // scripts of length <= depth with no trailing default (trailing
         // defaults collapse into their parent run): 1 empty + 3 of
         // length 1 + 4*3 of length 2 = 16.
-        let report = explore_net(2, |_| Ok(3));
+        let report = explore_net(2, |_| 3);
         assert!(report.failure.is_none());
         assert_eq!(report.runs, 16);
     }

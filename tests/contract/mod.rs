@@ -572,6 +572,17 @@ impl Fleet {
     /// attempt counts only once every pair reads back; otherwise it is
     /// deleted and redone under a new name.
     pub fn commit_batches(&mut self, n: usize) {
+        self.commit_batches_until(n, |_| false);
+    }
+
+    /// [`Fleet::commit_batches`], stopping after the first attempt —
+    /// committed or abandoned — at which `stop` holds for the router.
+    /// Returns how many batches committed.
+    pub fn commit_batches_until(
+        &mut self,
+        n: usize,
+        stop: impl Fn(&ClusterRouter) -> bool,
+    ) -> usize {
         let p = self.prefix;
         'batch: for batch in 0..n {
             for attempt in 0..8u32 {
@@ -583,18 +594,24 @@ impl Fleet {
                     .collect();
                 // A put can race the promotion of a keyspace that lost its
                 // volatile data; the attempt is abandoned.
-                if keys.iter().all(|k| self.put(&name, k).is_ok())
+                let committed = keys.iter().all(|k| self.put(&name, k).is_ok())
                     && self.compact_to_done(&name)
-                    && keys.iter().all(|k| self.get(&name, k))
-                {
+                    && keys.iter().all(|k| self.get(&name, k));
+                if !committed {
+                    let _ = self.drive(|| KvCommand::DeleteKeyspace { ks });
+                    self.model.delete(&name);
+                    self.ids.remove(&name);
+                }
+                if stop(&self.router) {
+                    return batch + usize::from(committed);
+                }
+                if committed {
                     continue 'batch;
                 }
-                let _ = self.drive(|| KvCommand::DeleteKeyspace { ks });
-                self.model.delete(&name);
-                self.ids.remove(&name);
             }
             panic!("batch {batch} did not commit in 8 attempts");
         }
+        n
     }
 
     /// Check every keyspace the model holds: each durable pair by point

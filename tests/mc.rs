@@ -1,15 +1,25 @@
 //! Acceptance tests for kvcsd-mc: bounded-exhaustive verification of the
-//! concurrency harnesses and the 2-shard protocol model, plus the
-//! explorer's own self-tests (counterexample discovery, replayable
-//! traces, DPOR < naive, release no-op).
+//! concurrency harnesses and of the cluster router under every scripted
+//! replication-link fault sequence, plus the explorer's own self-tests
+//! (counterexample discovery, replayable traces, DPOR < naive, release
+//! no-op).
 //!
-//! Everything except the release-profile test is debug-only: the
-//! controlled scheduler compiles out in release and `check` degrades to
-//! a single uncontrolled run.
+//! The thread-interleaving tests are debug-only: the controlled
+//! scheduler compiles out in release and `check` degrades to a single
+//! uncontrolled run. The network sweep needs no scheduler and runs in
+//! every profile.
 
 #![allow(dead_code)]
 
-use kvcsd_mc::{harnesses, FailureKind, McConfig};
+mod contract;
+
+use std::sync::Arc;
+
+use contract::Fleet;
+use kvcsd::cluster::{ClusterConfig, ShipPolicy};
+use kvcsd::proto::{KvCommand, KvStatus};
+use kvcsd::sim::BusFault;
+use kvcsd_mc::{explore_net, harnesses, FailureKind, McConfig};
 
 #[cfg(debug_assertions)]
 fn temp_trace_dir(tag: &str) -> std::path::PathBuf {
@@ -65,16 +75,184 @@ fn window_completion_matching_holds_under_all_interleavings() {
     );
 }
 
-#[cfg(debug_assertions)]
-#[test]
-fn two_shard_epoch_fence_model_holds_for_all_scripts_to_depth_3() {
-    let report = kvcsd_mc::verify_two_shard(3);
-    report.assert_ok();
-    assert!(
-        report.runs >= 40,
-        "depth-3 sweep over a 3-letter alphabet should run dozens of scripts, saw {}",
-        report.runs
+// ---------------------------------------------------------------------
+// The network explorer over the real router
+// ---------------------------------------------------------------------
+
+/// Pairs per committed batch, and their value length.
+const NET_PAIRS: u32 = 8;
+const NET_VALUE_LEN: usize = 16;
+/// Anti-entropy passes after the heal.
+const RECONCILE_ROUNDS: usize = 2;
+/// The sweep's depth bound, and the exact number of distinct scripts it
+/// runs: a scenario that stops reaching a branch changes the count.
+const NET_DEPTH: usize = 4;
+const NET_RUNS: u64 = 256;
+
+/// One scripted run up to the kills: the fleet, and what it saw.
+struct NetRun {
+    fleet: Fleet,
+    /// Batches committed before the run stopped committing.
+    committed: usize,
+    /// Deposed-side probes rejected at a fence: every ack the deposed
+    /// primary attempted, and every stale ship the replica's receive
+    /// fence counted.
+    fenced_probes: u64,
+}
+
+/// Steps 1-3 of the scenario on a one-shard fleet, whose primary and
+/// replica log are the two sides of the scripted link. Every ship gives
+/// up after two attempts, so a deposition is two decisions away.
+///
+/// 1. Commit two batches the way [`Fleet::commit_batches`] does.
+/// 2. Stop committing at the first deposition: a later background ship
+///    would re-ship what a missing promotion reseed dropped.
+/// 3. Probe the deposed side: its acks are fenced, and its stale ships
+///    install nothing in the replica log.
+fn net_commit_and_probe(script: &[BusFault]) -> NetRun {
+    let mut fleet = Fleet::new(
+        ClusterConfig {
+            shards: 1,
+            ship: ShipPolicy {
+                max_attempts: 2,
+                ..ShipPolicy::default()
+            },
+            ..ClusterConfig::default()
+        },
+        'n',
+        NET_PAIRS,
+        NET_VALUE_LEN,
     );
+    let r = Arc::clone(&fleet.router);
+    r.shard_link(0).set_bus_script(script.to_vec());
+    let committed = fleet.commit_batches_until(2, |r| r.has_deposed(0));
+    // The contract has no epochs yet, so the epoch rule is asserted here.
+    assert_eq!(
+        r.shard_epoch(0),
+        1 + r.events().len() as u64,
+        "every promotion mints exactly one fencing epoch"
+    );
+    let held = r.with_deposed_device(0, |d| d.keyspaces().list());
+    let log = r.replica_log(0);
+    let mut fenced_probes = 0;
+    for (local, name, _) in held.into_iter().flatten() {
+        let rogue = KvCommand::Put {
+            ks: local,
+            key: b"rogue".to_vec(),
+            value: b"write".to_vec(),
+        };
+        let resp = r.exec_on_deposed(0, rogue);
+        assert!(
+            matches!(resp, Err(KvStatus::EpochFenced { shard: 0 })),
+            "{name}: the deposed primary answered past the epoch fence: {resp:?}"
+        );
+        fenced_probes += 1;
+        let (accepted, fenced) = (log.accepted(), log.fenced());
+        let _ = r.ship_from_deposed(0, &name);
+        assert_eq!(
+            log.accepted(),
+            accepted,
+            "{name}: a stale-epoch ship installed state past the receive fence"
+        );
+        fenced_probes += log.fenced() - fenced;
+    }
+    NetRun {
+        fleet,
+        committed,
+        fenced_probes,
+    }
+}
+
+impl NetRun {
+    /// Steps 4-5: kill the promoted primary while the link is still
+    /// scripted and check every committed pair; then heal the link, run
+    /// anti-entropy to convergence, kill again and check once more.
+    /// Returns the link decisions the run consumed.
+    fn finish(mut self) -> usize {
+        let r = Arc::clone(&self.fleet.router);
+        self.fleet.kill_all_primaries();
+        self.fleet.model.power_cut();
+        self.fleet.verify_committed();
+        // Clearing the script resets its count: read it first.
+        let link = r.shard_link(0);
+        let consumed = link.bus_script_consumed();
+        link.clear_bus_script();
+        for _ in 0..RECONCILE_ROUNDS {
+            r.reconcile();
+        }
+        assert_eq!(
+            r.reconcile(),
+            0,
+            "the replica did not converge in {RECONCILE_ROUNDS} anti-entropy rounds after the heal"
+        );
+        self.fleet.kill_all_primaries();
+        self.fleet.model.power_cut();
+        self.fleet.verify_committed();
+        consumed
+    }
+}
+
+/// The whole scenario for one script: what [`explore_net`] runs.
+fn net_scenario(script: &[BusFault]) -> usize {
+    net_commit_and_probe(script).finish()
+}
+
+#[test]
+fn router_holds_the_replication_invariants_for_all_bus_scripts_to_depth_4() {
+    let report = explore_net(NET_DEPTH, net_scenario);
+    report.assert_ok();
+    assert_eq!(
+        report.runs, NET_RUNS,
+        "distinct scripts run at depth {NET_DEPTH}"
+    );
+}
+
+#[test]
+fn clean_script_commits_both_batches_without_failover() {
+    let run = net_commit_and_probe(&[]);
+    let r = &run.fleet.router;
+    assert_eq!(run.committed, 2);
+    assert!(r.events().is_empty(), "a clean link deposes nobody");
+    assert_eq!(r.shard_epoch(0), 1);
+    assert_eq!(run.fenced_probes, 0);
+    run.finish();
+}
+
+#[test]
+fn double_drop_deposes_the_primary_and_fences_both_probes() {
+    // Both attempts of the first seal-time ship drop: LinkDown, and the
+    // primary is deposed on suspicion.
+    let run = net_commit_and_probe(&[BusFault::Drop, BusFault::Drop]);
+    let r = &run.fleet.router;
+    let events = r.events();
+    assert_eq!(events.len(), 1);
+    assert!(events[0].suspected, "deposed on suspicion, not death");
+    assert_eq!(r.shard_epoch(0), 2);
+    assert!(r.has_deposed(0));
+    assert_eq!(
+        run.fenced_probes, 2,
+        "the deposed ack and the deposed ship are both fenced"
+    );
+    run.finish();
+}
+
+#[test]
+fn duplicate_and_late_deliveries_stay_idempotent() {
+    let run = net_commit_and_probe(&[
+        BusFault::Deliver {
+            copies: 2,
+            delay_ns: 0,
+        },
+        BusFault::Late { copies: 1 },
+    ]);
+    let r = &run.fleet.router;
+    assert!(r.replica_log(0).duplicates() > 0);
+    assert!(
+        r.events().is_empty(),
+        "duplicates and late acks depose nobody"
+    );
+    assert_eq!(run.committed, 2);
+    run.finish();
 }
 
 #[cfg(debug_assertions)]
