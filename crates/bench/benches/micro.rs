@@ -10,19 +10,21 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use kvcsd_blockfs::{BlockFs, FsConfig};
+use kvcsd_core::compact::run_compaction;
 use kvcsd_core::dram::DramBudget;
 use kvcsd_core::extsort::ExtSorter;
-use kvcsd_core::ingest::{KlogRecord, WriteLog};
+use kvcsd_core::ingest::{KlogRecord, KlogRef, WriteLog};
+use kvcsd_core::sidx::SidxEntry;
 use kvcsd_core::soc::SocCharger;
 use kvcsd_core::zone_mgr::ZoneManager;
-use kvcsd_core::{EntryRef, IndexBlock, IndexBlockBuilder, PidxEntry};
+use kvcsd_core::{Deadline, EntryRef, IndexBlock, IndexBlockBuilder, PidxEntry};
 use kvcsd_flash::{
     ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig, ZonedNamespace,
 };
 use kvcsd_lsm::bloom::BloomFilter;
 use kvcsd_lsm::memtable::MemTable;
 use kvcsd_lsm::sstable::{new_block_cache, TableBuilder};
-use kvcsd_proto::BulkBuilder;
+use kvcsd_proto::{BulkBuilder, SidxKey};
 use kvcsd_sim::config::CostModel;
 use kvcsd_sim::{HardwareSpec, IoLedger};
 
@@ -168,20 +170,66 @@ fn bench_device_paths() {
         let dram = DramBudget::new(128 << 10); // tight: forces spills
         let mut s: ExtSorter<'_, KlogRecord> = ExtSorter::new(&mgr, &soc, &dram, 4).unwrap();
         for (i, k) in ks.iter().enumerate() {
-            s.push(KlogRecord {
-                key: k.clone(),
+            s.push(&KlogRef {
+                key: k,
                 voff: i as u64 * 32,
                 vlen: 32,
             })
             .unwrap();
         }
-        let mut n = 0u64;
-        s.finish_into(|_| {
-            n += 1;
-            Ok(())
-        })
-        .unwrap();
-        n
+        s.finish_into(|_| Ok(())).unwrap()
+    });
+
+    // Index entries on an F32 key drawn from 500 values, so secondary
+    // keys tie and the primary keys order them; half a MiB of sort
+    // DRAM spills them as a handful of runs.
+    let n = 50_000;
+    let pkeys = keys(n);
+    let skeys: Vec<Vec<u8>> = (0..n as u64)
+        .map(|i| SidxKey::F32((i.wrapping_mul(0x9E37_79B9) % 500) as f32 * 0.25).encode())
+        .collect();
+    bench("device/sidx_sort_spill", 10, n as u64, || {
+        let (mgr, soc) = zone_mgr();
+        let dram = DramBudget::new(1 << 20);
+        let mut s: ExtSorter<'_, SidxEntry> = ExtSorter::new(&mgr, &soc, &dram, 4).unwrap();
+        for (i, (skey, pkey)) in skeys.iter().zip(&pkeys).enumerate() {
+            s.push(&EntryRef {
+                key: skey,
+                pkey,
+                voff: i as u64 * 48,
+                vlen: 48,
+            })
+            .unwrap();
+        }
+        s.finish_into(|_| Ok(())).unwrap()
+    });
+
+    // Twenty key-sorted bulks, as the write accelerator ships them: the
+    // compaction census finds twenty natural runs and merges them
+    // straight into PIDX and SORTED_VALUES.
+    let n = 20_000;
+    let (mgr, soc) = zone_mgr();
+    let (kc, vc) = (mgr.alloc_cluster(8).unwrap(), mgr.alloc_cluster(8).unwrap());
+    let mut log = WriteLog::new(kc, vc);
+    let mut tally = soc.tally();
+    for bulk in keys(n).chunks_mut(n / 20) {
+        bulk.sort();
+        for k in bulk.iter() {
+            log.put(&mgr, &mut tally, k, &[5u8; 32]).unwrap();
+        }
+    }
+    drop(tally);
+    let (klen, vlen) = log.seal(&mgr).unwrap();
+    let dram = DramBudget::new(64 << 20);
+    bench("device/run_merge_20_runs", 10, n as u64, || {
+        let (klog, vlog) = ((kc, klen), (vc, vlen));
+        let none = Deadline::none();
+        let (out, _) =
+            run_compaction(&mgr, &soc, &dram, klog, vlog, n as u64, 8, &[], &none).unwrap();
+        assert!(out.run_merge);
+        mgr.release_cluster(out.pidx.cluster).unwrap();
+        mgr.release_cluster(out.svalues.0).unwrap();
+        out.pairs
     });
 }
 

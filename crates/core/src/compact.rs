@@ -48,6 +48,16 @@
 //! [`build_secondary_index`](crate::sidx::build_secondary_index) per
 //! index.
 //!
+//! Every record the job sorts or merges moves as its run encoding, a
+//! [`RunLayout`]: KLOG records, gather tags, ranked values and SIDX
+//! entries. The sorters buffer those bytes, so the bytes counted against
+//! each DRAM reservation are the bytes held; KLOG is already the key
+//! sort's encoding and a SIDX entry's is its block layout, so neither is
+//! decoded to be sorted or re-encoded to be written. The census and the
+//! merges read keys and values into buffers reused for the whole pass,
+//! and each stage charges the SoC through one [`SocTally`], booked when
+//! the stage ends.
+//!
 //! The job only reads its input: the device erases KLOG and VLOG once
 //! the snapshot that replaces them with the output is durable.
 
@@ -58,11 +68,11 @@ use std::cmp::Ordering;
 use crate::admission::Deadline;
 use crate::dram::DramBudget;
 use crate::error::DeviceError;
-use crate::extsort::{counted_records, merge_stable, ExtSorter, SortRecord};
+use crate::extsort::{counted_records, merge_stable, read_record, ExtSorter, RunLayout};
 use crate::index::{BlockIndex, EntryRef, IndexWriter, PidxEntry};
 use crate::ingest::{BlockStreamWriter, KlogRecord, StreamReader};
 use crate::sidx::{SidxEntry, SidxOutput};
-use crate::soc::SocCharger;
+use crate::soc::{SocCharger, SocTally};
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 use crate::BLOCK_BYTES;
@@ -71,17 +81,9 @@ use crate::BLOCK_BYTES;
 // Auxiliary sort records for the value pass
 // ---------------------------------------------------------------------------
 
-/// The primary-key field of the value-pass records: a `u16` length and
-/// the key when the pass also builds secondary indexes (`KEYED`), else
-/// nothing.
-fn key_field_len<const KEYED: bool>(key: &[u8]) -> usize {
-    if KEYED {
-        2 + key.len()
-    } else {
-        0
-    }
-}
-
+/// Append the primary-key field of a value-pass record: a `u16` length
+/// and the key when the pass also builds secondary indexes (`KEYED`),
+/// else nothing.
 fn encode_key_field<const KEYED: bool>(key: &[u8], out: &mut Vec<u8>) {
     if KEYED {
         out.extend_from_slice(&(key.len() as u16).to_le_bytes());
@@ -89,83 +91,104 @@ fn encode_key_field<const KEYED: bool>(key: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-fn read_key_field<const KEYED: bool>(r: &mut StreamReader<'_>) -> Result<Vec<u8>> {
-    if !KEYED {
-        return Ok(Vec::new());
+/// The length in a `KEYED` record's key field, which ends its head at
+/// `at`; 0 otherwise.
+fn key_field_len<const KEYED: bool>(hdr: &[u8], at: usize) -> usize {
+    if KEYED {
+        le_u16(hdr, at - 2) as usize
+    } else {
+        0
     }
-    let klen = le_u16(&r.read_array::<2>()?, 0) as usize;
-    r.read(klen)
 }
 
-/// Tag sorted back into VLOG order: where each value sits in VLOG, the
-/// rank it must take in SORTED_VALUES and, if `KEYED`, its primary key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct GatherRec<const KEYED: bool> {
+/// Tag sorted back into VLOG order, laid out `voff:u64 | vlen:u32 |
+/// rank:u64` and the key field: where each value sits in VLOG, the rank
+/// it must take in SORTED_VALUES and, if `KEYED`, its primary key.
+enum GatherRec<const KEYED: bool> {}
+
+#[derive(Debug, Clone, Copy)]
+struct GatherRef<'a> {
     voff: u64,
     vlen: u32,
     rank: u64,
     /// Empty unless `KEYED`.
-    key: Vec<u8>,
+    key: &'a [u8],
 }
 
-impl<const KEYED: bool> SortRecord for GatherRec<KEYED> {
-    fn encoded_len(&self) -> usize {
-        20 + key_field_len::<KEYED>(&self.key)
+impl<const KEYED: bool> RunLayout for GatherRec<KEYED> {
+    type View<'a> = GatherRef<'a>;
+    const HEADER: usize = 20 + 2 * KEYED as usize;
+
+    fn body_len(hdr: &[u8]) -> usize {
+        key_field_len::<KEYED>(hdr, Self::HEADER)
     }
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.voff.to_le_bytes());
-        out.extend_from_slice(&self.vlen.to_le_bytes());
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        encode_key_field::<KEYED>(&self.key, out);
+    fn encode(rec: &GatherRef<'_>, out: &mut Vec<u8>) {
+        out.extend_from_slice(&rec.voff.to_le_bytes());
+        out.extend_from_slice(&rec.vlen.to_le_bytes());
+        out.extend_from_slice(&rec.rank.to_le_bytes());
+        encode_key_field::<KEYED>(rec.key, out);
     }
-    fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let b = r.read_array::<20>()?;
-        Ok(GatherRec {
-            voff: le_u64(&b, 0),
-            vlen: le_u32(&b, 8),
-            rank: le_u64(&b, 12),
-            key: read_key_field::<KEYED>(r)?,
-        })
+    fn view(enc: &[u8]) -> GatherRef<'_> {
+        GatherRef {
+            voff: le_u64(enc, 0),
+            vlen: le_u32(enc, 8),
+            rank: le_u64(enc, 12),
+            key: &enc[Self::HEADER..],
+        }
     }
-    fn cmp_key(&self, other: &Self) -> Ordering {
+    fn prefix(enc: &[u8]) -> u64 {
+        le_u64(enc, 0)
+    }
+    fn cmp(a: &[u8], b: &[u8]) -> Ordering {
         // Zero-length values share their starting offset with the next
         // real value; they must be consumed first to keep the VLOG read
         // strictly sequential. At most one record of nonzero length can
         // start at a given offset, so (voff, vlen) is a total enough order.
-        self.voff.cmp(&other.voff).then(self.vlen.cmp(&other.vlen))
+        let (a, b) = (Self::view(a), Self::view(b));
+        a.voff.cmp(&b.voff).then(a.vlen.cmp(&b.vlen))
     }
 }
 
-/// A value tagged with its output rank and, if `KEYED`, its primary key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ValueRec<const KEYED: bool> {
+/// A value tagged with its output rank, laid out `rank:u64 | vlen:u32`,
+/// the key field and the value: if `KEYED`, the record carries its
+/// primary key.
+enum ValueRec<const KEYED: bool> {}
+
+#[derive(Debug, Clone, Copy)]
+struct ValueRef<'a> {
     rank: u64,
     /// Empty unless `KEYED`.
-    key: Vec<u8>,
-    value: Vec<u8>,
+    key: &'a [u8],
+    value: &'a [u8],
 }
 
-impl<const KEYED: bool> SortRecord for ValueRec<KEYED> {
-    fn encoded_len(&self) -> usize {
-        12 + key_field_len::<KEYED>(&self.key) + self.value.len()
+impl<const KEYED: bool> RunLayout for ValueRec<KEYED> {
+    type View<'a> = ValueRef<'a>;
+    const HEADER: usize = 12 + 2 * KEYED as usize;
+
+    fn body_len(hdr: &[u8]) -> usize {
+        key_field_len::<KEYED>(hdr, Self::HEADER) + le_u32(hdr, 8) as usize
     }
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
-        encode_key_field::<KEYED>(&self.key, out);
-        out.extend_from_slice(&self.value);
+    fn encode(rec: &ValueRef<'_>, out: &mut Vec<u8>) {
+        out.extend_from_slice(&rec.rank.to_le_bytes());
+        out.extend_from_slice(&(rec.value.len() as u32).to_le_bytes());
+        encode_key_field::<KEYED>(rec.key, out);
+        out.extend_from_slice(rec.value);
     }
-    fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read_array::<12>()?;
-        let vlen = le_u32(&hdr, 8) as usize;
-        Ok(ValueRec {
-            rank: le_u64(&hdr, 0),
-            key: read_key_field::<KEYED>(r)?,
-            value: r.read(vlen)?,
-        })
+    fn view(enc: &[u8]) -> ValueRef<'_> {
+        let klen = key_field_len::<KEYED>(enc, Self::HEADER);
+        let (key, value) = enc[Self::HEADER..].split_at(klen);
+        ValueRef {
+            rank: le_u64(enc, 0),
+            key,
+            value,
+        }
     }
-    fn cmp_key(&self, other: &Self) -> Ordering {
-        self.rank.cmp(&other.rank)
+    fn prefix(enc: &[u8]) -> u64 {
+        le_u64(enc, 0)
+    }
+    fn cmp(a: &[u8], b: &[u8]) -> Ordering {
+        le_u64(a, 0).cmp(&le_u64(b, 0))
     }
 }
 
@@ -283,7 +306,7 @@ fn compact<const KEYED: bool>(
 /// Streams values in key order into SORTED_VALUES and feeds each
 /// index's sorter the secondary keys extracted in flight.
 struct ValueWriter<'a> {
-    soc: &'a SocCharger,
+    tally: SocTally<'a>,
     writer: BlockStreamWriter,
     specs: &'a [SecondaryIndexSpec],
     sidx: Vec<ExtSorter<'a, SidxEntry>>,
@@ -297,7 +320,7 @@ impl<'a> ValueWriter<'a> {
         sidx: Vec<ExtSorter<'a, SidxEntry>>,
     ) -> Self {
         Self {
-            soc,
+            tally: soc.tally(),
             writer: BlockStreamWriter::new(cluster),
             specs,
             sidx,
@@ -328,18 +351,19 @@ impl<'a> ValueWriter<'a> {
     /// (empty unless the pass builds indexes).
     fn push(&mut self, mgr: &ZoneManager, pkey: &[u8], value: &[u8]) -> Result<()> {
         let voff = self.writer.position();
+        let mut scratch = [0u8; 8];
         for (spec, sorter) in self.specs.iter().zip(&mut self.sidx) {
-            if let Some(skey) = spec.extract(value) {
-                self.soc.bytes(spec.value_len);
-                sorter.push(SidxEntry {
-                    skey,
-                    pkey: pkey.to_vec(),
+            if let Some(skey) = spec.extract_into(value, &mut scratch) {
+                self.tally.bytes(spec.value_len);
+                sorter.push(&EntryRef {
+                    key: skey,
+                    pkey,
                     voff,
                     vlen: value.len() as u32,
                 })?;
             }
         }
-        self.soc.memcpy(value.len());
+        self.tally.memcpy(value.len());
         self.writer.append(mgr, value)?;
         Ok(())
     }
@@ -404,17 +428,21 @@ fn census(
     pairs: u64,
     limit: usize,
 ) -> Result<Option<Vec<NaturalRun>>> {
+    let mut tally = soc.tally();
     let mut r = StreamReader::new(mgr, klog.0, klog.1);
     let mut runs: Vec<NaturalRun> = Vec::new();
-    let mut prev: Option<KlogRecord> = None;
+    // The record just read and the one before it (empty at the start).
+    let (mut buf, mut prev) = (Vec::new(), Vec::new());
     for _ in 0..pairs {
         let klog_off = r.position();
-        let rec = KlogRecord::read_from(&mut r)?;
-        soc.bytes(rec.encoded_len());
-        soc.cmp(1.0);
-        let continues = prev
-            .as_ref()
-            .is_some_and(|p| p.key <= rec.key && p.voff + p.vlen as u64 == rec.voff);
+        read_record::<KlogRecord>(&mut r, &mut buf)?;
+        tally.bytes(buf.len());
+        tally.cmp(1.0);
+        let rec = KlogRecord::view(&buf);
+        let continues = !prev.is_empty() && {
+            let p = KlogRecord::view(&prev);
+            p.key <= rec.key && p.voff + p.vlen as u64 == rec.voff
+        };
         if continues {
             if let Some(run) = runs.last_mut() {
                 run.count += 1;
@@ -428,7 +456,7 @@ fn census(
                 count: 1,
             });
         }
-        prev = Some(rec);
+        std::mem::swap(&mut prev, &mut buf);
     }
     Ok(Some(runs))
 }
@@ -466,19 +494,22 @@ fn merge_natural_runs<'a, const KEYED: bool>(
         .iter()
         .map(|run| StreamReader::starting_at(mgr, vlog.0, vlog.1, run.voff))
         .collect();
-    merge_stable(
-        soc,
+    let mut value = Vec::new();
+    merge_stable::<KlogRecord>(
+        &mut soc.tally(),
         runs.len(),
-        counted_records(keys),
-        |i, rec: KlogRecord| {
-            soc.bytes(rec.encoded_len());
+        counted_records::<KlogRecord>(keys),
+        |tally, i, enc| {
+            tally.bytes(enc.len());
+            let rec = KlogRecord::view(enc);
             let vread = &mut vals[i];
             debug_assert_eq!(vread.position(), rec.voff, "run values are contiguous");
-            let value = vread.read(rec.vlen as usize)?;
-            soc.memcpy(value.len());
+            value.clear();
+            vread.read_into(rec.vlen as usize, &mut value)?;
+            tally.memcpy(value.len());
             let voff = values.position();
-            pidx.push(mgr, &EntryRef::primary(&rec.key, voff, rec.vlen))?;
-            values.push(mgr, if KEYED { &rec.key } else { &[] }, &value)
+            pidx.push(mgr, &EntryRef::primary(rec.key, voff, rec.vlen))?;
+            values.push(mgr, if KEYED { rec.key } else { &[] }, &value)
         },
     )?;
     Ok((pidx.finish(mgr)?, values))
@@ -504,13 +535,17 @@ fn sort_pipeline<'a, const KEYED: bool>(
     deadline: &Deadline<'_>,
 ) -> Result<(BlockIndex, ValueWriter<'a>)> {
     // ---- Step 1: sort the keys ---------------------------------------
+    // KLOG is the key sort's run encoding: records go into its buffer
+    // undecoded.
     let mut key_sorter: ExtSorter<'_, KlogRecord> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
     {
+        let mut tally = soc.tally();
         let mut r = StreamReader::new(mgr, klog.0, klog.1);
+        let mut rec = Vec::new();
         for _ in 0..pairs {
-            let rec = KlogRecord::read_from(&mut r)?;
-            soc.bytes(rec.encoded_len());
-            key_sorter.push(rec)?;
+            read_record::<KlogRecord>(&mut r, &mut rec)?;
+            tally.bytes(rec.len());
+            key_sorter.push_encoded(&rec)?;
         }
     }
     deadline.check()?;
@@ -523,13 +558,13 @@ fn sort_pipeline<'a, const KEYED: bool>(
     let mut rank = 0u64;
     let mut voff = 0u64;
     key_sorter.finish_into(|rec| {
-        pidx.push(mgr, &EntryRef::primary(&rec.key, voff, rec.vlen))?;
+        pidx.push(mgr, &EntryRef::primary(rec.key, voff, rec.vlen))?;
         voff += rec.vlen as u64;
-        gather_sorter.push(GatherRec {
+        gather_sorter.push(&GatherRef {
             voff: rec.voff,
             vlen: rec.vlen,
             rank,
-            key: if KEYED { rec.key } else { Vec::new() },
+            key: if KEYED { rec.key } else { &[] },
         })?;
         rank += 1;
         Ok(())
@@ -544,17 +579,19 @@ fn sort_pipeline<'a, const KEYED: bool>(
     let mut value_sorter: ExtSorter<'_, ValueRec<KEYED>> =
         ExtSorter::new(mgr, soc, dram, cluster_width)?;
     {
+        let mut tally = soc.tally();
         let mut vread = StreamReader::new(mgr, vlog.0, vlog.1);
+        let mut value = Vec::new();
         gather_sorter.finish_into(|tag| {
             debug_assert_eq!(vread.position(), tag.voff, "VLOG reads must be sequential");
-            let value = vread.read(tag.vlen as usize)?;
-            soc.memcpy(value.len());
-            value_sorter.push(ValueRec {
+            value.clear();
+            vread.read_into(tag.vlen as usize, &mut value)?;
+            tally.memcpy(value.len());
+            value_sorter.push(&ValueRef {
                 rank: tag.rank,
                 key: tag.key,
-                value,
-            })?;
-            Ok(())
+                value: &value,
+            })
         })?;
     }
     deadline.check()?;
@@ -566,7 +603,7 @@ fn sort_pipeline<'a, const KEYED: bool>(
     value_sorter.finish_into(|vr| {
         debug_assert_eq!(vr.rank, expected_rank, "ranks must arrive in order");
         expected_rank += 1;
-        values.push(mgr, &vr.key, &vr.value)
+        values.push(mgr, vr.key, vr.value)
     })?;
     debug_assert_eq!(values.position(), voff, "PIDX locators cover SORTED_VALUES");
     Ok((pidx, values))
@@ -576,7 +613,7 @@ fn sort_pipeline<'a, const KEYED: bool>(
 mod tests {
     use super::*;
     use crate::index::{IndexBlock, Sketch};
-    use crate::ingest::WriteLog;
+    use crate::ingest::{KlogRef, WriteLog};
     use crate::testing::test_stack;
     use kvcsd_sim::XorShift64;
 
@@ -1409,5 +1446,164 @@ mod tests {
         .0;
         pairs.sort();
         assert_eq!(read_all_entries(&mgr, &out), pairs);
+    }
+
+    // -----------------------------------------------------------------
+    // Sorter equivalence: every run layout, every number of rounds
+    // -----------------------------------------------------------------
+
+    /// Keys that stress the prefix: empty, shorter than, exactly and
+    /// longer than eight bytes, over an alphabet with a zero byte, plus
+    /// fixed pairs that differ only after a zero byte or past byte 8.
+    fn key_pool(rng: &mut XorShift64) -> Vec<Vec<u8>> {
+        let fixed: [&[u8]; 8] = [
+            b"",
+            b"ab",
+            b"ab\0",
+            b"ab\0\0",
+            b"abcdefgh",
+            b"abcdefgh\0",
+            b"abcdefgh\0\0",
+            b"abcdefghi",
+        ];
+        let mut pool: Vec<Vec<u8>> = fixed.iter().map(|k| k.to_vec()).collect();
+        pool.extend((0..40).map(|_| fresh_key(rng)));
+        pool
+    }
+
+    fn fresh_key(rng: &mut XorShift64) -> Vec<u8> {
+        let len = [0, 1, 3, 7, 8, 8, 9, 12, 16][rng.next_below(9) as usize];
+        (0..len)
+            .map(|_| [0u8, 1, b'a', b'b', 0xff][rng.next_below(5) as usize])
+            .collect()
+    }
+
+    /// Half the time a key from `pool` (so many keys are equal), else a
+    /// fresh one.
+    fn any_key(rng: &mut XorShift64, pool: &[Vec<u8>]) -> Vec<u8> {
+        if rng.next_below(2) == 0 {
+            pool[rng.next_below(pool.len() as u64) as usize].clone()
+        } else {
+            fresh_key(rng)
+        }
+    }
+
+    /// Encode records drawn by `draw` until they fill 400 KiB: past
+    /// three reservations of 128 KiB, past six of 64 KiB.
+    fn records<L: RunLayout>(
+        seed: u64,
+        mut draw: impl FnMut(&mut XorShift64, &[Vec<u8>], &mut Vec<u8>),
+    ) -> Vec<Vec<u8>> {
+        let mut rng = XorShift64::new(seed);
+        let pool = key_pool(&mut rng);
+        let (mut recs, mut bytes) = (Vec::new(), 0);
+        while bytes < 400 << 10 {
+            let mut enc = Vec::new();
+            draw(&mut rng, &pool, &mut enc);
+            assert_eq!(enc.len(), L::HEADER + L::body_len(&enc));
+            bytes += enc.len();
+            recs.push(enc);
+        }
+        recs
+    }
+
+    /// Sort `recs` (encoded `L` records in arrival order) with zero
+    /// rounds, with spills the last merge takes at once, and with more
+    /// runs than the fan-in (4 at the 64 KiB minimum reservation): each
+    /// output must equal a stable `sort_by(L::cmp)`, byte for byte.
+    fn assert_sorts_like_cmp<L: RunLayout>(name: &str, recs: &[Vec<u8>]) {
+        let mut want = recs.to_vec();
+        want.sort_by(|a, b| L::cmp(a, b));
+        for (dram_bytes, runs) in [(64 << 20, 0..=0), (256 << 10, 2..=8), (64 << 10, 5..=99)] {
+            let (mgr, soc, _) = test_stack(512, 99);
+            let dram = DramBudget::new(dram_bytes);
+            let mut s = ExtSorter::<L>::new(&mgr, &soc, &dram, 4).unwrap();
+            for (i, enc) in recs.iter().enumerate() {
+                // Half the records come in through their view.
+                if i % 2 == 0 {
+                    s.push_encoded(enc).unwrap();
+                } else {
+                    s.push(&L::view(enc)).unwrap();
+                }
+            }
+            let spilled = s.spilled_runs();
+            assert!(runs.contains(&spilled), "{name}: {spilled} runs");
+            let mut got = Vec::new();
+            s.finish_into(|rec| {
+                let mut enc = Vec::new();
+                L::encode(&rec, &mut enc);
+                got.push(enc);
+                Ok(())
+            })
+            .unwrap();
+            assert!(got == want, "{name}: {spilled} runs reorder records");
+            assert_eq!(mgr.cluster_count(), 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn every_run_layout_sorts_like_its_comparison() {
+        let klog = records::<KlogRecord>(1, |rng, pool, out| {
+            let rec = KlogRef {
+                key: &any_key(rng, pool),
+                voff: rng.next_u64(),
+                vlen: rng.next_u64() as u32,
+            };
+            KlogRecord::encode(&rec, out);
+        });
+        assert_sorts_like_cmp::<KlogRecord>("KLOG", &klog);
+
+        fn gather<const KEYED: bool>(seed: u64) {
+            let mut rank = 0;
+            let recs = records::<GatherRec<KEYED>>(seed, |rng, pool, out| {
+                // Few offsets, and empty values among them: (voff, vlen)
+                // ties.
+                let key = any_key(rng, pool);
+                let rec = GatherRef {
+                    voff: rng.next_below(300),
+                    vlen: [0, 0, 1, 40][rng.next_below(4) as usize],
+                    rank,
+                    key: if KEYED { &key } else { &[] },
+                };
+                rank += 1;
+                GatherRec::<KEYED>::encode(&rec, out);
+            });
+            assert_sorts_like_cmp::<GatherRec<KEYED>>("gather", &recs);
+        }
+        gather::<false>(2);
+        gather::<true>(3);
+
+        fn value<const KEYED: bool>(seed: u64) {
+            let recs = records::<ValueRec<KEYED>>(seed, |rng, pool, out| {
+                let (key, value) = (any_key(rng, pool), fresh_key(rng));
+                let rec = ValueRef {
+                    rank: rng.next_below(400),
+                    key: if KEYED { &key } else { &[] },
+                    value: &value,
+                };
+                ValueRec::<KEYED>::encode(&rec, out);
+            });
+            assert_sorts_like_cmp::<ValueRec<KEYED>>("value", &recs);
+        }
+        value::<false>(4);
+        value::<true>(5);
+
+        let sidx = records::<SidxEntry>(6, |rng, pool, out| {
+            // Typed keys from few values, or `Bytes` keys of mixed
+            // lengths.
+            let skey = if rng.next_below(2) == 0 {
+                kvcsd_proto::SidxKey::F32(rng.next_below(50) as f32 - 25.0).encode()
+            } else {
+                any_key(rng, pool)
+            };
+            let rec = EntryRef {
+                key: &skey,
+                pkey: &any_key(rng, pool),
+                voff: rng.next_u64(),
+                vlen: rng.next_u64() as u32,
+            };
+            SidxEntry::encode(&rec, out);
+        });
+        assert_sorts_like_cmp::<SidxEntry>("SIDX", &sidx);
     }
 }

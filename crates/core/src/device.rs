@@ -1612,7 +1612,8 @@ mod tests {
         dev.run_pending_jobs();
         // Only the PIDX and SORTED_VALUES clusters remain, and the DRAM
         // the compaction held is back.
-        let live = dev.live_clusters();
+        let live: std::collections::HashSet<u32> =
+            dev.mgr.cluster_ids_from(0).into_iter().collect();
         assert!(!live.contains(&klog.0) && !live.contains(&vlog.0));
         assert_eq!(live.len(), 2);
         assert_eq!(dev.referenced_clusters(), live);

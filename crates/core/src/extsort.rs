@@ -1,4 +1,4 @@
-//! DRAM-bounded external merge sort.
+//! DRAM-bounded external merge sort over encoded records.
 //!
 //! "Sorting is done by running multiple rounds of merge sorts, depending
 //! on available SoC DRAM space. Intermediate sorting results are stored
@@ -6,58 +6,84 @@
 //! completion of the sort." (Section V)
 //!
 //! The sorter reserves what it can from the [`DramBudget`] and
-//! accumulates records until the reservation is full. When the whole
-//! input fits, that is zero rounds: [`ExtSorter::finish_into`] sorts the
-//! buffer in place and streams it out, with no zone I/O at all.
-//! Otherwise each full buffer is sorted and spilled as a run to a
-//! temporary zone cluster, and the runs are k-way-merged (in multiple
-//! passes when the run count exceeds the DRAM-derived fan-in). A spill or
-//! merge knows its byte count before it allocates, so its cluster gets
-//! only the zones those bytes fill, up to the stripe width: a small run
-//! erases one block, not one per zone of a full-width cluster. Every
-//! comparison and byte moved is charged to the SoC; every spill and
-//! merge readback is real zone I/O.
+//! accumulates records until the reservation is full. Its buffer is the
+//! records' run encoding ([`RunLayout`]): one byte arena holding each
+//! record as a spill writes it, plus a `(prefix, offset, len)` slot per
+//! record. The bytes counted against the reservation are the bytes
+//! held. The prefix is an order-consistent integer prefix of the sort
+//! key, so most comparisons settle on one `u64` and only prefix ties
+//! compare the encoded bytes.
+//!
+//! When the whole input fits, that is zero rounds: [`ExtSorter::finish_into`]
+//! sorts the slots and hands out views into the arena, with no zone I/O
+//! at all. Otherwise each full buffer is sorted and its records' bytes
+//! are spilled verbatim as a run to a temporary zone cluster, and the
+//! runs are k-way-merged (in multiple passes when the run count exceeds
+//! the DRAM-derived fan-in). A merge reads each run's current record
+//! into a buffer of that run's own, reused for the whole merge, and
+//! passes it on borrowed. A spill or merge knows its byte count before it
+//! allocates, so its cluster gets only the zones those bytes fill, up to
+//! the stripe width: a small run erases one block, not one per zone of a
+//! full-width cluster. Every comparison and byte moved is charged to the
+//! SoC, through one [`SocTally`] the sorter holds until it drops; every
+//! spill and merge readback is real zone I/O.
 //!
 //! The sort is stable: records with equal keys leave in arrival order
 //! (last write wins downstream). Runs are kept in arrival order and a
 //! merge prefers the earlier run on a tie.
 
 use std::cmp::Ordering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::marker::PhantomData;
 
 use crate::dram::{DramBudget, DramReservation};
 use crate::error::DeviceError;
-use crate::ingest::{BlockStreamWriter, KlogRecord, StreamReader};
-use crate::soc::SocCharger;
+use crate::ingest::{BlockStreamWriter, StreamReader};
+use crate::soc::{SocCharger, SocTally};
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 use crate::BLOCK_BYTES;
 
-/// A record an [`ExtSorter`] can spill, read back and order.
-pub trait SortRecord: Sized {
-    /// Bytes this record occupies in a run.
-    fn encoded_len(&self) -> usize;
-    /// Serialize to the end of `out`.
-    fn encode_into(&self, out: &mut Vec<u8>);
-    /// Deserialize one record from a run stream.
-    fn read_from(r: &mut StreamReader<'_>) -> Result<Self>;
-    /// Total order of records.
-    fn cmp_key(&self, other: &Self) -> Ordering;
+/// How one kind of record is laid out in a sort run, and its order. A
+/// record is a fixed head of [`RunLayout::HEADER`] bytes and a body
+/// whose length the head gives. [`ExtSorter`] and the merges hold and
+/// compare records as these bytes and hand them out as views.
+pub trait RunLayout {
+    /// A record borrowed from its encoding.
+    type View<'a>;
+    /// Bytes of the fixed head every record starts with.
+    const HEADER: usize;
+    /// Bytes that follow the head `hdr`.
+    fn body_len(hdr: &[u8]) -> usize;
+    /// Append `rec`'s encoding to `out`.
+    fn encode(rec: &Self::View<'_>, out: &mut Vec<u8>);
+    /// Borrow the record `enc` (exactly one encoding) holds.
+    fn view(enc: &[u8]) -> Self::View<'_>;
+    /// A prefix of the sort key as an integer, consistent with
+    /// [`RunLayout::cmp`]: a smaller prefix sorts first, and records
+    /// that compare equal share it.
+    fn prefix(enc: &[u8]) -> u64;
+    /// Total order of encoded records.
+    fn cmp(a: &[u8], b: &[u8]) -> Ordering;
 }
 
-impl SortRecord for KlogRecord {
-    fn encoded_len(&self) -> usize {
-        KlogRecord::encoded_len(self)
-    }
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        KlogRecord::encode_into(self, out)
-    }
-    fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        KlogRecord::read_from(r)
-    }
-    fn cmp_key(&self, other: &Self) -> Ordering {
-        self.key.cmp(&other.key)
-    }
+/// The first eight bytes of `key`, zero-padded, as a big-endian integer:
+/// a [`RunLayout::prefix`] for byte-wise key order. Keys that agree on
+/// their first eight bytes, or differ only in trailing zero bytes
+/// (`"ab"`, `"ab\0"`), share it and are told apart by the full
+/// comparison.
+pub(crate) fn key_prefix(key: &[u8]) -> u64 {
+    let mut head = [0u8; 8];
+    let n = key.len().min(8);
+    head[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(head)
+}
+
+/// Read the next `L` record of `r` into `buf`, replacing what it held.
+pub(crate) fn read_record<L: RunLayout>(r: &mut StreamReader<'_>, buf: &mut Vec<u8>) -> Result<()> {
+    buf.clear();
+    r.read_into(L::HEADER, buf)?;
+    let body = L::body_len(buf);
+    r.read_into(body, buf)
 }
 
 #[derive(Debug)]
@@ -67,23 +93,40 @@ struct Run {
     count: u64,
 }
 
+/// One buffered record: its key prefix and where its bytes sit in the
+/// arena.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    prefix: u64,
+    off: usize,
+    len: usize,
+}
+
+impl Slot {
+    fn bytes(self, arena: &[u8]) -> &[u8] {
+        &arena[self.off..self.off + self.len]
+    }
+}
+
 /// External merge sorter over zone clusters.
-pub struct ExtSorter<'a, R: SortRecord> {
+pub struct ExtSorter<'a, L: RunLayout> {
     mgr: &'a ZoneManager,
-    soc: &'a SocCharger,
+    tally: SocTally<'a>,
     cluster_width: u32,
     reservation: DramReservation<'a>,
-    buf: Vec<R>,
-    buf_bytes: u64,
+    /// The buffered records' run encodings, in arrival order.
+    arena: Vec<u8>,
+    /// One slot per buffered record; in key order once sorted.
+    slots: Vec<Slot>,
     runs: Vec<Run>,
-    total: u64,
+    layout: PhantomData<L>,
 }
 
 /// Smallest DRAM reservation the sorter accepts (one block in, one out,
 /// per merge stream at minimum fan-in).
 const MIN_RESERVATION: u64 = 16 * BLOCK_BYTES as u64;
 
-impl<'a, R: SortRecord> ExtSorter<'a, R> {
+impl<'a, L: RunLayout> ExtSorter<'a, L> {
     /// Create a sorter. It immediately reserves sort memory from `dram`
     /// (as much as available, at least `MIN_RESERVATION`).
     pub fn new(
@@ -98,13 +141,13 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
             .ok_or(DeviceError::OutOfDram("sort DRAM"))?;
         Ok(Self {
             mgr,
-            soc,
+            tally: soc.tally(),
             cluster_width,
             reservation,
-            buf: Vec::new(),
-            buf_bytes: 0,
+            arena: Vec::new(),
+            slots: Vec::new(),
             runs: Vec::new(),
-            total: 0,
+            layout: PhantomData,
         })
     }
 
@@ -119,48 +162,71 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
     }
 
     /// Feed one record.
-    pub fn push(&mut self, rec: R) -> Result<()> {
-        self.buf_bytes += rec.encoded_len() as u64;
-        self.buf.push(rec);
-        self.total += 1;
-        if self.buf_bytes >= self.reservation.bytes() {
+    pub fn push(&mut self, rec: &L::View<'_>) -> Result<()> {
+        let off = self.arena.len();
+        L::encode(rec, &mut self.arena);
+        self.admit(off)
+    }
+
+    /// Feed one record already in its run encoding.
+    pub fn push_encoded(&mut self, enc: &[u8]) -> Result<()> {
+        let off = self.arena.len();
+        self.arena.extend_from_slice(enc);
+        self.admit(off)
+    }
+
+    /// Index the record just appended at `off`; spill once the buffer
+    /// fills the reservation.
+    fn admit(&mut self, off: usize) -> Result<()> {
+        let enc = &self.arena[off..];
+        self.slots.push(Slot {
+            prefix: L::prefix(enc),
+            off,
+            len: enc.len(),
+        });
+        if self.arena.len() as u64 >= self.reservation.bytes() {
             self.spill()?;
         }
         Ok(())
     }
 
     fn spill(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
+        if self.slots.is_empty() {
             return Ok(());
         }
         self.sort_buf();
-        let cluster = self.mgr.alloc_cluster(self.run_width(self.buf_bytes))?;
-        let count = self.buf.len() as u64;
-        let (mgr, soc, buf) = (self.mgr, self.soc, &mut self.buf);
+        let cluster = self
+            .mgr
+            .alloc_cluster(self.run_width(self.arena.len() as u64))?;
+        let (mgr, tally, arena, slots) = (self.mgr, &mut self.tally, &self.arena, &self.slots);
         let len = release_on_error(mgr, cluster, || {
             let mut w = BlockStreamWriter::new(cluster);
-            let mut enc = Vec::with_capacity(BLOCK_BYTES);
-            for rec in buf.drain(..) {
-                enc.clear();
-                rec.encode_into(&mut enc);
-                soc.bytes(enc.len());
-                w.append(mgr, &enc)?;
+            for slot in slots {
+                let enc = slot.bytes(arena);
+                tally.bytes(enc.len());
+                w.append(mgr, enc)?;
             }
             w.seal(mgr)
         })?;
         self.runs.push(Run {
             cluster,
             len,
-            count,
+            count: slots.len() as u64,
         });
-        self.buf_bytes = 0;
+        self.arena.clear();
+        self.slots.clear();
         Ok(())
     }
 
-    /// Sort the DRAM buffer in place (stable), charging the comparisons.
+    /// Sort the buffered slots (stable), charging the comparisons.
     fn sort_buf(&mut self) {
-        self.soc.sort(self.buf.len());
-        self.buf.sort_by(|a, b| a.cmp_key(b));
+        self.tally.sort(self.slots.len());
+        let arena = &self.arena;
+        self.slots.sort_by(|a, b| {
+            a.prefix
+                .cmp(&b.prefix)
+                .then_with(|| L::cmp(a.bytes(arena), b.bytes(arena)))
+        });
     }
 
     /// Zones for a run of `bytes`: as many as its blocks fill, at most
@@ -184,16 +250,18 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         let bytes = self.runs[group.clone()].iter().map(|r| r.len).sum();
         let cluster = self.mgr.alloc_cluster(self.run_width(bytes))?;
         let mut w = BlockStreamWriter::new(cluster);
-        let (mgr, soc, runs) = (self.mgr, self.soc, &self.runs[group.clone()]);
+        let (mgr, tally, runs) = (self.mgr, &mut self.tally, &self.runs[group.clone()]);
         let count = release_on_error(mgr, cluster, || {
-            let mut enc = Vec::with_capacity(BLOCK_BYTES);
-            merge_stable(soc, runs.len(), run_cursors(mgr, runs), |_, rec: R| {
-                enc.clear();
-                rec.encode_into(&mut enc);
-                soc.bytes(enc.len());
-                w.append(mgr, &enc)?;
-                Ok(())
-            })
+            merge_stable::<L>(
+                tally,
+                runs.len(),
+                run_cursors::<L>(mgr, runs),
+                |tally, _, enc| {
+                    tally.bytes(enc.len());
+                    w.append(mgr, enc)?;
+                    Ok(())
+                },
+            )
         })?;
         let released = release_all(mgr, self.runs.drain(group));
         let len = release_on_error(mgr, cluster, || released.and_then(|()| w.seal(mgr)))?;
@@ -208,21 +276,22 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         Ok(())
     }
 
-    /// Finish sorting, streaming every record in order into `consume`.
+    /// Finish sorting, handing every record in order to `consume`.
     /// Releases all temporary clusters and the DRAM reservation.
-    pub fn finish_into(mut self, mut consume: impl FnMut(R) -> Result<()>) -> Result<u64> {
+    pub fn finish_into(
+        mut self,
+        mut consume: impl FnMut(L::View<'_>) -> Result<()>,
+    ) -> Result<u64> {
         if self.runs.is_empty() {
             // Zero merge rounds: the input fit in the reservation.
-            if self.buf.is_empty() {
+            if self.slots.is_empty() {
                 return Ok(0);
             }
             self.sort_buf();
-            let buf = std::mem::take(&mut self.buf);
-            let emitted = buf.len() as u64;
-            for rec in buf {
-                consume(rec)?;
+            for slot in &self.slots {
+                consume(L::view(slot.bytes(&self.arena)))?;
             }
-            return Ok(emitted);
+            return Ok(self.slots.len() as u64);
         }
         self.spill()?;
         let fan_in = self.fan_in();
@@ -246,11 +315,11 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         // Final pass: merge whatever remains straight into the consumer.
         // The runs stay in `self` until they are released, so a failing
         // consumer leaves them for `Drop`.
-        let emitted = merge_stable(
-            self.soc,
+        let emitted = merge_stable::<L>(
+            &mut self.tally,
             self.runs.len(),
-            run_cursors(self.mgr, &self.runs),
-            |_, rec| consume(rec),
+            run_cursors::<L>(self.mgr, &self.runs),
+            |_, _, enc| consume(L::view(enc)),
         )?;
         release_all(self.mgr, self.runs.drain(..))?;
         // The DRAM reservation guard releases itself when `self` drops.
@@ -285,101 +354,115 @@ fn release_on_error<T>(
 }
 
 /// Reads spilled runs back as [`merge_stable`] sources.
-fn run_cursors<'m, R: SortRecord>(
+fn run_cursors<'m, L: RunLayout>(
     mgr: &'m ZoneManager,
     runs: &[Run],
-) -> impl FnMut(usize) -> Result<Option<R>> + 'm {
-    counted_records(
+) -> impl FnMut(usize, &mut Vec<u8>) -> Result<bool> + 'm {
+    counted_records::<L>(
         runs.iter()
             .map(|run| (StreamReader::new(mgr, run.cluster, run.len), run.count))
             .collect(),
     )
 }
 
-/// [`merge_stable`] sources over streams: source `i` yields the next
+/// [`merge_stable`] sources over streams: source `i` reads the next
 /// record of reader `i` until its count of records runs out.
-pub(crate) fn counted_records<'m, R: SortRecord>(
+pub(crate) fn counted_records<'m, L: RunLayout>(
     mut cursors: Vec<(StreamReader<'m>, u64)>,
-) -> impl FnMut(usize) -> Result<Option<R>> + 'm {
-    move |i| {
+) -> impl FnMut(usize, &mut Vec<u8>) -> Result<bool> + 'm {
+    move |i, buf| {
         let (reader, left) = &mut cursors[i];
         if *left == 0 {
-            return Ok(None);
+            return Ok(false);
         }
         *left -= 1;
-        R::read_from(reader).map(Some)
+        read_record::<L>(reader, buf)?;
+        Ok(true)
     }
 }
 
-/// The head record of one merge source, ordered so that the max-heap
-/// pops the smallest key and, among equal keys, the lowest source.
-struct Head<R> {
-    rec: R,
-    src: usize,
+/// A live merge source: its current record's prefix and its index.
+type Head = (u64, usize);
+
+/// Whether head `a` leaves the merge before head `b`: the smaller
+/// prefix, then the smaller record, then, on equal records, the lower
+/// source. `recs[i]` is source `i`'s current record.
+fn precedes<L: RunLayout>(recs: &[Vec<u8>], a: Head, b: Head) -> bool {
+    a.0.cmp(&b.0)
+        .then_with(|| L::cmp(&recs[a.1], &recs[b.1]))
+        .then(a.1.cmp(&b.1))
+        .is_lt()
 }
 
-impl<R: SortRecord> Ord for Head<R> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .rec
-            .cmp_key(&self.rec)
-            .then_with(|| other.src.cmp(&self.src))
+/// Restore the min-heap order below `i`.
+fn sift_down<L: RunLayout>(heap: &mut [Head], recs: &[Vec<u8>], mut i: usize) {
+    loop {
+        let left = 2 * i + 1;
+        let Some(&l) = heap.get(left) else {
+            return;
+        };
+        let child = match heap.get(left + 1) {
+            Some(&r) if precedes::<L>(recs, r, l) => left + 1,
+            _ => left,
+        };
+        if !precedes::<L>(recs, heap[child], heap[i]) {
+            return;
+        }
+        heap.swap(i, child);
+        i = child;
     }
 }
 
-impl<R: SortRecord> PartialOrd for Head<R> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<R: SortRecord> PartialEq for Head<R> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl<R: SortRecord> Eq for Head<R> {}
-
-/// Stable k-way merge of `k` sorted sources. `next(i)` yields source
-/// `i`'s next record (`None` when it is exhausted) and `emit(i, rec)`
-/// takes the records in `cmp_key` order. On equal keys the lower source
-/// goes first, so sources given in arrival order merge stably. Each
-/// record emitted is charged one `k`-way merge step. Returns the count.
-pub(crate) fn merge_stable<R: SortRecord>(
-    soc: &SocCharger,
+/// Stable k-way merge of `k` sorted sources of `L` records. `next(i,
+/// buf)` reads source `i`'s next record into `buf` and returns false,
+/// leaving `buf` alone, once the source is exhausted; `emit(tally, i,
+/// rec)` takes the records in order, borrowed. Each source's record is
+/// held in a buffer of its own, reused for the whole merge. On equal
+/// records the lower source goes first, so sources given in arrival
+/// order merge stably. Each record emitted is charged one `k`-way merge
+/// step to `tally`, which `emit` gets for its own charges. Returns the
+/// count.
+pub(crate) fn merge_stable<'s, L: RunLayout>(
+    tally: &mut SocTally<'s>,
     k: usize,
-    mut next: impl FnMut(usize) -> Result<Option<R>>,
-    mut emit: impl FnMut(usize, R) -> Result<()>,
+    mut next: impl FnMut(usize, &mut Vec<u8>) -> Result<bool>,
+    mut emit: impl FnMut(&mut SocTally<'s>, usize, &[u8]) -> Result<()>,
 ) -> Result<u64> {
-    let mut heads = BinaryHeap::with_capacity(k);
-    for src in 0..k {
-        if let Some(rec) = next(src)? {
-            heads.push(Head { rec, src });
+    let mut recs: Vec<Vec<u8>> = vec![Vec::new(); k];
+    let mut heap: Vec<Head> = Vec::with_capacity(k);
+    for (src, rec) in recs.iter_mut().enumerate() {
+        if next(src, rec)? {
+            heap.push((L::prefix(rec), src));
         }
     }
+    for i in (0..heap.len() / 2).rev() {
+        sift_down::<L>(&mut heap, &recs, i);
+    }
+    // The record leaving the merge, swapped out of its source's buffer
+    // when the source reads its next one.
+    let mut out = Vec::new();
     let mut emitted = 0u64;
-    while let Some(mut top) = heads.peek_mut() {
-        soc.merge_step(k);
-        let src = top.src;
-        let rec = match next(src)? {
-            Some(rec) => {
-                let out = std::mem::replace(&mut top.rec, rec);
-                drop(top);
-                out
-            }
-            None => PeekMut::pop(top).rec,
-        };
-        emit(src, rec)?;
+    while let Some(&(_, src)) = heap.first() {
+        tally.merge_step(k);
+        if next(src, &mut out)? {
+            std::mem::swap(&mut recs[src], &mut out);
+            emit(tally, src, &out)?;
+            heap[0].0 = L::prefix(&recs[src]);
+        } else {
+            emit(tally, src, &recs[src])?;
+            heap.swap_remove(0);
+        }
+        sift_down::<L>(&mut heap, &recs, 0);
         emitted += 1;
     }
     Ok(emitted)
 }
 
-impl<R: SortRecord> Drop for ExtSorter<'_, R> {
+impl<L: RunLayout> Drop for ExtSorter<'_, L> {
     fn drop(&mut self) {
         // Failure path: return the zones (the DRAM reservation guard
-        // field releases itself right after this runs).
+        // and the tally fields release and book themselves right after
+        // this runs).
         let _ = release_all(self.mgr, self.runs.drain(..));
     }
 }
@@ -387,16 +470,22 @@ impl<R: SortRecord> Drop for ExtSorter<'_, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::{KlogRecord, KlogRef};
     use crate::testing::test_stack;
     use kvcsd_sim::XorShift64;
     use std::sync::Arc;
 
-    fn rec(i: u64) -> KlogRecord {
-        KlogRecord {
-            key: format!("{i:010}").into_bytes(),
+    fn key(i: u64) -> Vec<u8> {
+        format!("{i:010}").into_bytes()
+    }
+
+    /// Feed `s` the KLOG record of key `i`.
+    fn push(s: &mut ExtSorter<'_, KlogRecord>, i: u64) -> Result<()> {
+        s.push(&KlogRef {
+            key: &key(i),
             voff: i * 32,
             vlen: 32,
-        }
+        })
     }
 
     #[test]
@@ -407,7 +496,7 @@ mod tests {
         let mut rng = XorShift64::new(5);
         let mut keys: Vec<u64> = (0..1000).map(|_| rng.next_below(1_000_000)).collect();
         for &k in &keys {
-            s.push(rec(k)).unwrap();
+            push(&mut s, k).unwrap();
         }
         assert_eq!(s.spilled_runs(), 0, "everything fits in DRAM");
         let clusters = mgr.cluster_count();
@@ -415,7 +504,7 @@ mod tests {
         let mut out = Vec::new();
         let n = s
             .finish_into(|r| {
-                out.push(r);
+                out.push(r.key.to_vec());
                 Ok(())
             })
             .unwrap();
@@ -429,12 +518,8 @@ mod tests {
         );
         assert_eq!(mgr.cluster_count(), clusters, "no temporary cluster");
         keys.sort();
-        let got: Vec<Vec<u8>> = out.iter().map(|r| r.key.clone()).collect();
-        let want: Vec<Vec<u8>> = keys
-            .iter()
-            .map(|k| format!("{k:010}").into_bytes())
-            .collect();
-        assert_eq!(got, want);
+        let want: Vec<Vec<u8>> = keys.iter().map(|&k| key(k)).collect();
+        assert_eq!(out, want);
         assert_eq!(dram.used(), 0, "reservation returned");
     }
 
@@ -447,7 +532,7 @@ mod tests {
         let mut rng = XorShift64::new(6);
         let n = 40_000u64;
         for _ in 0..n {
-            s.push(rec(rng.next_below(10_000_000))).unwrap();
+            push(&mut s, rng.next_below(10_000_000)).unwrap();
         }
         assert!(
             s.spilled_runs() > 1,
@@ -459,9 +544,9 @@ mod tests {
         let mut count = 0u64;
         s.finish_into(|r| {
             if let Some(p) = &prev {
-                assert!(r.key >= *p, "output must be sorted");
+                assert!(r.key >= &p[..], "output must be sorted");
             }
-            prev = Some(r.key);
+            prev = Some(r.key.to_vec());
             count += 1;
             Ok(())
         })
@@ -485,16 +570,16 @@ mod tests {
         // Push enough for > 4 runs (reservation 64 KiB, record ~24 B -> a
         // run every ~2700 records).
         for _ in 0..20_000u64 {
-            s.push(rec(rng.next_below(1_000_000))).unwrap();
+            push(&mut s, rng.next_below(1_000_000)).unwrap();
         }
         assert!(s.spilled_runs() > 4);
         let mut prev: Option<Vec<u8>> = None;
         let n = s
             .finish_into(|r| {
                 if let Some(p) = &prev {
-                    assert!(r.key >= *p);
+                    assert!(r.key >= &p[..]);
                 }
-                prev = Some(r.key);
+                prev = Some(r.key.to_vec());
                 Ok(())
             })
             .unwrap();
@@ -507,18 +592,19 @@ mod tests {
     fn sort_tagged(keys: &[u64], dram_bytes: u64) -> (Vec<(Vec<u8>, u64)>, usize, usize) {
         let (mgr, soc, _) = test_stack(512, 99);
         let dram = DramBudget::new(dram_bytes);
-        let mut s = ExtSorter::new(&mgr, &soc, &dram, 4).unwrap();
+        let mut s = ExtSorter::<KlogRecord>::new(&mgr, &soc, &dram, 4).unwrap();
         for (i, &k) in keys.iter().enumerate() {
-            s.push(KlogRecord {
+            s.push(&KlogRef {
+                key: &key(k),
                 voff: i as u64,
-                ..rec(k)
+                vlen: 32,
             })
             .unwrap();
         }
         let (runs, fan_in) = (s.spilled_runs(), s.fan_in());
         let mut out = Vec::new();
         s.finish_into(|r| {
-            out.push((r.key, r.voff));
+            out.push((r.key.to_vec(), r.voff));
             Ok(())
         })
         .unwrap();
@@ -546,7 +632,7 @@ mod tests {
         let mut s = ExtSorter::new(&mgr, &soc, &dram, 8).unwrap();
         let mut rng = XorShift64::new(12);
         while s.spilled_runs() == 0 {
-            s.push(rec(rng.next_below(1_000_000))).unwrap();
+            push(&mut s, rng.next_below(1_000_000)).unwrap();
         }
         let run = &s.runs[0];
         let blocks = run.len.div_ceil(BLOCK_BYTES as u64);
@@ -590,15 +676,15 @@ mod tests {
         let key_sorter = ExtSorter::<KlogRecord>::new(&mgr, &soc, &dram, 8).unwrap();
         let _gather = ExtSorter::<KlogRecord>::new(&mgr, &soc, &dram, 8).unwrap();
         drop(key_sorter);
-        let mut s = ExtSorter::new(&mgr, &soc, &dram, 8).unwrap();
+        let mut s = ExtSorter::<KlogRecord>::new(&mgr, &soc, &dram, 8).unwrap();
         assert_eq!(s.reservation(), 384 << 10);
         let mut rng = XorShift64::new(13);
         for rank in 0..25_000u64 {
             // A rank-keyed record the size of a 2 KiB value record.
             let mut key = vec![0u8; 2048];
             key[..8].copy_from_slice(&rng.next_u64().to_be_bytes());
-            s.push(KlogRecord {
-                key,
+            s.push(&KlogRef {
+                key: &key,
                 voff: rank,
                 vlen: 2048,
             })
@@ -613,8 +699,8 @@ mod tests {
         let mut prev: Option<Vec<u8>> = None;
         let n = s
             .finish_into(|r| {
-                assert!(prev.as_ref().is_none_or(|p| *p <= r.key));
-                prev = Some(r.key);
+                assert!(prev.as_deref().is_none_or(|p| p <= r.key));
+                prev = Some(r.key.to_vec());
                 Ok(())
             })
             .unwrap();
@@ -627,7 +713,7 @@ mod tests {
         let dram = DramBudget::new(MIN_RESERVATION);
         let mut s = ExtSorter::new(&mgr, &soc, &dram, 2).unwrap();
         for i in 0..5000u64 {
-            s.push(rec(i % 10)).unwrap(); // heavy duplication
+            push(&mut s, i % 10).unwrap(); // heavy duplication
         }
         let mut count = 0u64;
         s.finish_into(|_| {
@@ -644,7 +730,7 @@ mod tests {
         let dram = DramBudget::new(64 << 20);
         let mut s = ExtSorter::new(&mgr, &soc, &dram, 2).unwrap();
         for i in 0..1000u64 {
-            s.push(rec(999 - i)).unwrap();
+            push(&mut s, 999 - i).unwrap();
         }
         s.finish_into(|_| Ok(())).unwrap();
         let snap = soc.ledger().snapshot();
@@ -660,7 +746,7 @@ mod tests {
         let before = soc.ledger().snapshot();
         let mut rng = XorShift64::new(8);
         for _ in 0..20_000u64 {
-            s.push(rec(rng.next_below(1_000_000))).unwrap();
+            push(&mut s, rng.next_below(1_000_000)).unwrap();
         }
         s.finish_into(|_| Ok(())).unwrap();
         let d = soc.ledger().snapshot().since(&before);
@@ -698,7 +784,7 @@ mod tests {
         let mut s = ExtSorter::new(mgr, soc, dram, 2).unwrap();
         let mut rng = XorShift64::new(10);
         while s.spilled_runs() < runs {
-            s.push(rec(rng.next_below(1_000_000))).unwrap();
+            push(&mut s, rng.next_below(1_000_000)).unwrap();
         }
         s
     }
@@ -741,7 +827,7 @@ mod tests {
         );
         let mut rng = XorShift64::new(11);
         let err = loop {
-            if let Err(e) = s.push(rec(rng.next_below(1_000_000))) {
+            if let Err(e) = push(&mut s, rng.next_below(1_000_000)) {
                 break e;
             }
         };
@@ -780,7 +866,7 @@ mod tests {
             let mut s = ExtSorter::new(&mgr, &soc, &dram, 2).unwrap();
             let mut rng = XorShift64::new(9);
             for _ in 0..20_000u64 {
-                s.push(rec(rng.next_below(1_000_000))).unwrap();
+                push(&mut s, rng.next_below(1_000_000)).unwrap();
             }
             assert!(s.spilled_runs() > 0);
         } // dropped here

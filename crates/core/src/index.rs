@@ -414,12 +414,14 @@ impl<E: IndexEntry> IndexWriter<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extsort::SortRecord;
     use kvcsd_proto::SidxKey;
     use kvcsd_sim::XorShift64;
 
     /// A PIDX entry owned by a test: `(key, voff, vlen)`.
     type Owned = (Vec<u8>, u64, u32);
+
+    /// A SIDX entry owned by a test: `(skey, pkey, voff, vlen)`.
+    type OwnedSidx = (Vec<u8>, Vec<u8>, u64, u32);
 
     /// Every entry of a PIDX block, copied out through the view.
     fn pidx_entries(block: &[u8]) -> Result<Vec<Owned>> {
@@ -430,20 +432,24 @@ mod tests {
     }
 
     /// Every entry of a SIDX block, copied out through the view.
-    fn sidx_entries(block: &[u8]) -> Result<Vec<SidxEntry>> {
+    fn sidx_entries(block: &[u8]) -> Result<Vec<OwnedSidx>> {
         Ok(IndexBlock::<SidxEntry>::parse(block)?
             .iter()
-            .map(|e| SidxEntry {
-                skey: e.key.to_vec(),
-                pkey: e.pkey.to_vec(),
-                voff: e.voff,
-                vlen: e.vlen,
-            })
+            .map(|e| (e.key.to_vec(), e.pkey.to_vec(), e.voff, e.vlen))
             .collect())
     }
 
     fn primary((key, voff, vlen): &Owned) -> EntryRef<'_> {
         EntryRef::primary(key, *voff, *vlen)
+    }
+
+    fn secondary((skey, pkey, voff, vlen): &OwnedSidx) -> EntryRef<'_> {
+        EntryRef {
+            key: skey,
+            pkey,
+            voff: *voff,
+            vlen: *vlen,
+        }
     }
 
     fn random_bytes(rng: &mut XorShift64, max_len: u64) -> Vec<u8> {
@@ -618,17 +624,19 @@ mod tests {
     #[test]
     fn sidx_block_roundtrip() {
         let mut b = IndexBlockBuilder::<SidxEntry>::default();
-        let entries: Vec<SidxEntry> = (0..40u32)
-            .map(|i| SidxEntry {
-                skey: SidxKey::F32(i as f32).encode(),
-                pkey: format!("p{i:06}").into_bytes(),
-                voff: i as u64 * 32,
-                vlen: 32,
+        let entries: Vec<OwnedSidx> = (0..40u32)
+            .map(|i| {
+                (
+                    SidxKey::F32(i as f32).encode(),
+                    format!("p{i:06}").into_bytes(),
+                    i as u64 * 32,
+                    32,
+                )
             })
             .collect();
         for e in &entries {
-            assert!(b.fits(&e.entry()));
-            b.add(&e.entry());
+            assert!(b.fits(&secondary(e)));
+            b.add(&secondary(e));
         }
         let (block, first) = b.finish();
         assert_eq!(first, SidxKey::F32(0.0).encode());
@@ -639,28 +647,30 @@ mod tests {
     fn sidx_view_matches_builder_and_rejects_corruption() {
         let mut rng = XorShift64::new(0x51DE);
         for _ in 0..100 {
-            let mut entries: Vec<SidxEntry> = (0..rng.next_below(250))
-                .map(|_| SidxEntry {
-                    skey: random_bytes(&mut rng, 12),
-                    pkey: random_bytes(&mut rng, 40),
-                    voff: rng.next_u64(),
-                    vlen: rng.next_u64() as u32,
+            let mut entries: Vec<OwnedSidx> = (0..rng.next_below(250))
+                .map(|_| {
+                    (
+                        random_bytes(&mut rng, 12),
+                        random_bytes(&mut rng, 40),
+                        rng.next_u64(),
+                        rng.next_u64() as u32,
+                    )
                 })
                 .collect();
-            entries.sort_by(|a, b| a.cmp_key(b));
+            entries.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
             let mut b = IndexBlockBuilder::<SidxEntry>::default();
             let mut want = Vec::new();
             for e in entries {
-                if !b.fits(&e.entry()) {
+                if !b.fits(&secondary(&e)) {
                     break;
                 }
-                b.add(&e.entry());
+                b.add(&secondary(&e));
                 want.push(e);
             }
             let (block, _) = b.finish();
 
             assert_eq!(sidx_entries(&block).unwrap(), want);
-            let refs: Vec<EntryRef<'_>> = want.iter().map(SidxEntry::entry).collect();
+            let refs: Vec<EntryRef<'_>> = want.iter().map(secondary).collect();
             let probe = |_: &IndexBlock<'_, SidxEntry>| {};
             check_rejects_damage(&block, &refs, probe, &mut rng);
         }

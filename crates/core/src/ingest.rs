@@ -11,8 +11,10 @@
 //! a [`StreamReader`] walks a sealed stream back block by block. KLOG
 //! records are framed as `klen:u16 | voff:u64 | vlen:u32 | key`.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
+use crate::extsort::{key_prefix, RunLayout};
 use crate::soc::SocTally;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
@@ -129,28 +131,13 @@ impl<'a> StreamReader<'a> {
         self.len - self.pos
     }
 
-    /// Read exactly `n` bytes (across block boundaries).
-    pub fn read(&mut self, n: usize) -> Result<Vec<u8>> {
-        let mut out = vec![0; n];
-        self.read_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Read a fixed-size record header without a heap allocation.
-    pub fn read_array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let mut out = [0; N];
-        self.read_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Fill `out` from the stream (across block boundaries).
-    fn read_into(&mut self, out: &mut [u8]) -> Result<()> {
-        debug_assert!(
-            self.pos + out.len() as u64 <= self.len,
-            "read past stream end"
-        );
-        let mut filled = 0;
-        while filled < out.len() {
+    /// Append the next `n` bytes of the stream (across block
+    /// boundaries) to `out`, reusing its capacity.
+    pub fn read_into(&mut self, n: usize, out: &mut Vec<u8>) -> Result<()> {
+        debug_assert!(self.pos + n as u64 <= self.len, "read past stream end");
+        out.reserve(n);
+        let mut left = n;
+        while left > 0 {
             let bix = self.pos / BLOCK_BYTES as u64;
             let block = match &self.block {
                 Some((ix, block)) if *ix == bix => block,
@@ -160,29 +147,25 @@ impl<'a> StreamReader<'a> {
                 }
             };
             let in_block = (self.pos % BLOCK_BYTES as u64) as usize;
-            let take = (out.len() - filled).min(BLOCK_BYTES - in_block);
-            out[filled..filled + take].copy_from_slice(&block[in_block..in_block + take]);
-            filled += take;
+            let take = left.min(BLOCK_BYTES - in_block);
+            out.extend_from_slice(&block[in_block..in_block + take]);
+            left -= take;
             self.pos += take as u64;
         }
         Ok(())
     }
 }
 
-/// One KLOG record: a key plus the locator of its value in VLOG.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KlogRecord {
-    pub key: Vec<u8>,
-    pub voff: u64,
-    pub vlen: u32,
-}
+/// The KLOG record layout: `klen:u16 | voff:u64 | vlen:u32 | key`, a key
+/// plus the locator of its value in VLOG. It is a layout only: records
+/// are written from their parts and read as [`KlogRef`]s borrowed from
+/// their bytes, and a KLOG stream is already the key sort's run
+/// encoding.
+#[derive(Debug)]
+pub enum KlogRecord {}
 
 impl KlogRecord {
     pub const HEADER: usize = 2 + 8 + 4;
-
-    pub fn encoded_len(&self) -> usize {
-        Self::HEADER + self.key.len()
-    }
 
     /// The fixed-width head of a record whose key is `klen` bytes.
     pub fn header(klen: usize, voff: u64, vlen: u32) -> [u8; Self::HEADER] {
@@ -192,20 +175,39 @@ impl KlogRecord {
         hdr[10..].copy_from_slice(&vlen.to_le_bytes());
         hdr
     }
+}
 
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&Self::header(self.key.len(), self.voff, self.vlen));
-        out.extend_from_slice(&self.key);
+/// One KLOG record, borrowed from its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KlogRef<'a> {
+    pub key: &'a [u8],
+    pub voff: u64,
+    pub vlen: u32,
+}
+
+impl RunLayout for KlogRecord {
+    type View<'a> = KlogRef<'a>;
+    const HEADER: usize = KlogRecord::HEADER;
+
+    fn body_len(hdr: &[u8]) -> usize {
+        le_u16(hdr, 0) as usize
     }
-
-    /// Decode one record from a stream reader.
-    pub fn read_from(r: &mut StreamReader<'_>) -> Result<KlogRecord> {
-        let hdr = r.read_array::<{ Self::HEADER }>()?;
-        let klen = le_u16(&hdr, 0) as usize;
-        let voff = le_u64(&hdr, 2);
-        let vlen = le_u32(&hdr, 10);
-        let key = r.read(klen)?;
-        Ok(KlogRecord { key, voff, vlen })
+    fn encode(rec: &KlogRef<'_>, out: &mut Vec<u8>) {
+        out.extend_from_slice(&Self::header(rec.key.len(), rec.voff, rec.vlen));
+        out.extend_from_slice(rec.key);
+    }
+    fn view(enc: &[u8]) -> KlogRef<'_> {
+        KlogRef {
+            key: &enc[Self::HEADER..],
+            voff: le_u64(enc, 2),
+            vlen: le_u32(enc, 10),
+        }
+    }
+    fn prefix(enc: &[u8]) -> u64 {
+        key_prefix(&enc[Self::HEADER..])
+    }
+    fn cmp(a: &[u8], b: &[u8]) -> Ordering {
+        a[Self::HEADER..].cmp(&b[Self::HEADER..])
     }
 }
 
@@ -288,6 +290,7 @@ fn overwrite(slot: &mut Option<Vec<u8>>, key: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extsort::read_record;
     use crate::testing::test_stack;
 
     #[test]
@@ -309,7 +312,7 @@ mod tests {
         let mut got = Vec::new();
         while r.remaining() > 0 {
             let n = r.remaining().min(333) as usize;
-            got.extend_from_slice(&r.read(n).unwrap());
+            r.read_into(n, &mut got).unwrap();
         }
         assert_eq!(got, expected);
     }
@@ -319,9 +322,12 @@ mod tests {
         let (mgr, _, _) = test_stack(64, 7);
         let c = mgr.alloc_cluster(2).unwrap();
         let mut w = BlockStreamWriter::new(c);
-        let records: Vec<KlogRecord> = (0..500u32)
-            .map(|i| KlogRecord {
-                key: format!("key-{i:06}").into_bytes(),
+        let keys: Vec<Vec<u8>> = (0..500u32)
+            .map(|i| format!("key-{i:06}").into_bytes())
+            .collect();
+        let records: Vec<KlogRef<'_>> = (0..500u32)
+            .map(|i| KlogRef {
+                key: &keys[i as usize],
                 voff: i as u64 * 32,
                 vlen: 32,
             })
@@ -329,14 +335,14 @@ mod tests {
         let mut buf = Vec::new();
         for r in &records {
             buf.clear();
-            r.encode_into(&mut buf);
+            KlogRecord::encode(r, &mut buf);
             w.append(&mgr, &buf).unwrap();
         }
         let len = w.seal(&mgr).unwrap();
         let mut reader = StreamReader::new(&mgr, c, len);
         for want in &records {
-            let got = KlogRecord::read_from(&mut reader).unwrap();
-            assert_eq!(&got, want);
+            read_record::<KlogRecord>(&mut reader, &mut buf).unwrap();
+            assert_eq!(&KlogRecord::view(&buf), want);
         }
         assert_eq!(reader.remaining(), 0);
     }
@@ -366,8 +372,10 @@ mod tests {
 
         // Values are retrievable through the KLOG pointers.
         let mut r = StreamReader::new(&mgr, kc, klen);
+        let mut buf = Vec::new();
         for i in 0..300u32 {
-            let rec = KlogRecord::read_from(&mut r).unwrap();
+            read_record::<KlogRecord>(&mut r, &mut buf).unwrap();
+            let rec = KlogRecord::view(&buf);
             let v = mgr.read_bytes(vc, rec.voff, rec.vlen as usize).unwrap();
             assert_eq!(v, vec![i as u8; 32], "value {i}");
         }
@@ -396,12 +404,15 @@ mod tests {
         log.put(&mgr, &mut soc.tally(), b"after", b"x").unwrap();
         let (klen, _vlen) = log.seal(&mgr).unwrap();
         let mut r = StreamReader::new(&mgr, kc, klen);
-        let rec = KlogRecord::read_from(&mut r).unwrap();
+        let mut buf = Vec::new();
+        read_record::<KlogRecord>(&mut r, &mut buf).unwrap();
+        let rec = KlogRecord::view(&buf);
         assert_eq!(
             mgr.read_bytes(vc, rec.voff, rec.vlen as usize).unwrap(),
             big
         );
-        let rec2 = KlogRecord::read_from(&mut r).unwrap();
+        read_record::<KlogRecord>(&mut r, &mut buf).unwrap();
+        let rec2 = KlogRecord::view(&buf);
         assert_eq!(rec2.key, b"after");
         assert_eq!(mgr.read_bytes(vc, rec2.voff, 1).unwrap(), b"x");
     }

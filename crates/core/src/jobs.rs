@@ -200,13 +200,13 @@ impl KvCsdDevice {
     fn exec_job_with_retry(&self, job: &Job, deadline: &Deadline<'_>) -> Result<()> {
         let mut attempt = 0u32;
         loop {
-            let before = self.live_clusters();
+            let first = self.mgr.next_cluster_id();
             let r = match job {
                 Job::Compact { ks, specs } => self.exec_compact(*ks, specs, deadline),
                 Job::BuildSidx { ks, spec } => self.exec_build_sidx(*ks, spec, deadline),
             };
             if r.is_err() {
-                self.sweep_job_orphans(&before);
+                self.sweep_job_orphans(first);
             }
             match r {
                 Err(DeviceError::Flash(ref f))
@@ -225,28 +225,17 @@ impl KvCsdDevice {
         }
     }
 
-    /// Every cluster the zone manager currently has allocated.
-    pub(crate) fn live_clusters(&self) -> HashSet<u32> {
-        self.mgr
-            .export_state()
-            .clusters
-            .iter()
-            .map(|c| c.id)
-            .collect()
-    }
-
     /// Release clusters a failed job allocated that no keyspace ended up
     /// referencing — the in-session analogue of reopen's orphan cleanup.
-    fn sweep_job_orphans(&self, before: &HashSet<u32>) {
-        let after = self.mgr.export_state();
+    /// `first` is the zone manager's next cluster id when the job began:
+    /// ids only grow, so what the job allocated is numbered from there.
+    fn sweep_job_orphans(&self, first: u32) {
         let referenced = self.referenced_clusters();
-        for cs in &after.clusters {
-            if !before.contains(&cs.id) && !referenced.contains(&cs.id) {
-                // Zone resets can fail too under power loss; reopen's
-                // orphan sweep is the backstop.
-                if self.mgr.release_cluster(ClusterId(cs.id)).is_ok() {
-                    self.soc.ledger().bump("dev_job_orphans_released", 1);
-                }
+        for id in self.mgr.cluster_ids_from(first) {
+            // Zone resets can fail too under power loss; reopen's orphan
+            // sweep is the backstop.
+            if !referenced.contains(&id) && self.mgr.release_cluster(ClusterId(id)).is_ok() {
+                self.soc.ledger().bump("dev_job_orphans_released", 1);
             }
         }
     }
@@ -286,7 +275,7 @@ impl KvCsdDevice {
                 (Some(klog), Some(vlog)) => Ok((klog, vlog, k.pairs)),
                 _ => Err(DeviceError::Internal("no sealed logs".into())),
             })?;
-        let before = self.live_clusters();
+        let first = self.mgr.next_cluster_id();
         let (out, souts) = match run_compaction(
             &self.mgr,
             &self.soc,
@@ -303,7 +292,7 @@ impl KvCsdDevice {
             // way; that error surfaces and the keyspace goes READ_ONLY.
             Err(DeviceError::OutOfDram(_)) if !specs.is_empty() => {
                 // Drop what the single pass wrote before it gave up.
-                self.sweep_job_orphans(&before);
+                self.sweep_job_orphans(first);
                 self.soc.ledger().bump("dev_single_pass_fallbacks", 1);
                 self.exec_compact(ks, &[], deadline)?;
                 for spec in specs {

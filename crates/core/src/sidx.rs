@@ -19,55 +19,48 @@ use kvcsd_proto::SecondaryIndexSpec;
 
 use crate::admission::Deadline;
 use crate::dram::DramBudget;
-use crate::extsort::{ExtSorter, SortRecord};
+use crate::extsort::{key_prefix, ExtSorter, RunLayout};
 use crate::index::{BlockIndex, EntryRef, IndexBlock, IndexEntry, IndexWriter, PidxEntry};
 use crate::ingest::StreamReader;
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 
-/// One SIDX entry: encoded secondary key, primary key, value locator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SidxEntry {
-    pub skey: Vec<u8>,
-    pub pkey: Vec<u8>,
-    pub voff: u64,
-    pub vlen: u32,
-}
+/// The SIDX entry layout: encoded secondary key, primary key, value
+/// locator. It is a layout only: entries are written and read as
+/// [`EntryRef`]s, in index blocks and in sort runs alike.
+#[derive(Debug)]
+pub enum SidxEntry {}
 
-impl SidxEntry {
-    /// The entry as the index stores it.
-    pub fn entry(&self) -> EntryRef<'_> {
+/// Sort runs hold entries in their SIDX block layout, so a sorted entry
+/// goes into its block as it left the run. Entries order by secondary
+/// key, then primary key.
+impl RunLayout for SidxEntry {
+    type View<'a> = EntryRef<'a>;
+    const HEADER: usize = <Self as IndexEntry>::HEADER;
+
+    fn body_len(hdr: &[u8]) -> usize {
+        le_u16(hdr, 0) as usize + le_u16(hdr, 2) as usize
+    }
+    fn encode(rec: &EntryRef<'_>, out: &mut Vec<u8>) {
+        <Self as IndexEntry>::encode(rec, out);
+    }
+    fn view(enc: &[u8]) -> EntryRef<'_> {
+        let keys = &enc[<Self as IndexEntry>::HEADER..];
+        let (key, pkey) = keys.split_at(le_u16(enc, 0) as usize);
         EntryRef {
-            key: &self.skey,
-            pkey: &self.pkey,
-            voff: self.voff,
-            vlen: self.vlen,
+            key,
+            pkey,
+            voff: le_u64(enc, 4),
+            vlen: le_u32(enc, 12),
         }
     }
-}
-
-/// Sort runs spill entries in their SIDX block layout.
-impl SortRecord for SidxEntry {
-    fn encoded_len(&self) -> usize {
-        <SidxEntry as IndexEntry>::extent(&self.entry())
+    fn prefix(enc: &[u8]) -> u64 {
+        key_prefix(Self::view(enc).key)
     }
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        <SidxEntry as IndexEntry>::encode(&self.entry(), out);
-    }
-    fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read_array::<{ <SidxEntry as IndexEntry>::HEADER }>()?;
-        Ok(SidxEntry {
-            skey: r.read(le_u16(&hdr, 0) as usize)?,
-            pkey: r.read(le_u16(&hdr, 2) as usize)?,
-            voff: le_u64(&hdr, 4),
-            vlen: le_u32(&hdr, 12),
-        })
-    }
-    fn cmp_key(&self, other: &Self) -> Ordering {
-        self.skey
-            .cmp(&other.skey)
-            .then_with(|| self.pkey.cmp(&other.pkey))
+    fn cmp(a: &[u8], b: &[u8]) -> Ordering {
+        let (a, b) = (Self::view(a), Self::view(b));
+        a.key.cmp(b.key).then_with(|| a.pkey.cmp(b.pkey))
     }
 }
 
@@ -88,11 +81,7 @@ impl SidxOutput {
         cluster_width: u32,
     ) -> Result<Self> {
         let mut index = IndexWriter::<SidxEntry>::new(mgr, cluster_width)?;
-        let mut entries = 0u64;
-        sorter.finish_into(|e| {
-            entries += 1;
-            index.push(mgr, &e.entry())
-        })?;
+        let entries = sorter.finish_into(|e| index.push(mgr, &e))?;
         Ok(Self {
             index: index.finish(mgr)?,
             entries,
@@ -123,20 +112,20 @@ pub fn build_secondary_index(
 
     // Full scan: PIDX gives (pkey, voff, vlen) in order; SORTED_VALUES is
     // read sequentially alongside.
-    let mut vread = StreamReader::new(mgr, svalues.0, svalues.1);
-    for b in 0..pidx.blocks {
-        let block = pidx.read_block(mgr, soc, b)?;
-        for e in IndexBlock::<PidxEntry>::parse(&block)?.iter() {
-            debug_assert_eq!(vread.position(), e.voff);
-            let value = vread.read(e.vlen as usize)?;
-            soc.bytes(value.len());
-            if let Some(skey) = spec.extract(&value) {
-                sorter.push(SidxEntry {
-                    skey,
-                    pkey: e.key.to_vec(),
-                    voff: e.voff,
-                    vlen: e.vlen,
-                })?;
+    {
+        let mut tally = soc.tally();
+        let mut vread = StreamReader::new(mgr, svalues.0, svalues.1);
+        let (mut value, mut scratch) = (Vec::new(), [0u8; 8]);
+        for b in 0..pidx.blocks {
+            let block = pidx.read_block(mgr, soc, b)?;
+            for e in IndexBlock::<PidxEntry>::parse(&block)?.iter() {
+                debug_assert_eq!(vread.position(), e.voff);
+                value.clear();
+                vread.read_into(e.vlen as usize, &mut value)?;
+                tally.bytes(value.len());
+                if let Some(skey) = spec.extract_into(&value, &mut scratch) {
+                    sorter.push(&EntryRef { key: skey, ..e })?;
+                }
             }
         }
     }
@@ -210,7 +199,15 @@ mod tests {
         (out, truth)
     }
 
-    fn read_sidx(mgr: &ZoneManager, out: &SidxOutput) -> Vec<SidxEntry> {
+    /// A SIDX entry owned by a test.
+    struct Owned {
+        skey: Vec<u8>,
+        pkey: Vec<u8>,
+        voff: u64,
+        vlen: u32,
+    }
+
+    fn read_sidx(mgr: &ZoneManager, out: &SidxOutput) -> Vec<Owned> {
         let mut got = Vec::new();
         for b in 0..out.index.blocks {
             let block = mgr.read_block(out.index.cluster, b as u64).unwrap();
@@ -218,7 +215,7 @@ mod tests {
                 IndexBlock::<SidxEntry>::parse(&block)
                     .unwrap()
                     .iter()
-                    .map(|e| SidxEntry {
+                    .map(|e| Owned {
                         skey: e.key.to_vec(),
                         pkey: e.pkey.to_vec(),
                         voff: e.voff,

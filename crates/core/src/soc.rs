@@ -43,16 +43,6 @@ impl SocCharger {
         self.tally().cmp(n);
     }
 
-    /// Sorting `n` records: n log2 n comparisons plus per-record swaps.
-    pub fn sort(&self, n: usize) {
-        self.tally().sort(n);
-    }
-
-    /// A k-way merge step over `k` streams.
-    pub fn merge_step(&self, k: usize) {
-        self.tally().merge_step(k);
-    }
-
     /// Moving / encoding / decoding `bytes` of data.
     pub fn bytes(&self, bytes: usize) {
         self.tally().bytes(bytes);
@@ -158,9 +148,9 @@ mod tests {
     #[test]
     fn sort_cost_is_superlinear() {
         let a = soc();
-        a.sort(1000);
+        a.tally().sort(1000);
         let b = soc();
-        b.sort(2000);
+        b.tally().sort(2000);
         let ca = a.ledger().snapshot().soc_cpu_ns;
         let cb = b.ledger().snapshot().soc_cpu_ns;
         assert!(

@@ -161,6 +161,23 @@ impl ZoneManager {
         self.inner.lock().clusters.len()
     }
 
+    /// The id the next allocated cluster gets. Ids only grow within a
+    /// session, so every cluster allocated after this call is numbered
+    /// at or above it.
+    pub fn next_cluster_id(&self) -> u32 {
+        self.inner.lock().next_id
+    }
+
+    /// The allocated clusters numbered `first` or above, in id order.
+    pub fn cluster_ids_from(&self, first: u32) -> Vec<u32> {
+        let mut ids: Vec<u32> = (self.inner.lock().clusters.keys())
+            .copied()
+            .filter(|&id| id >= first)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
     fn take_zone_group(inner: &mut Inner, width: u32, reserve: u32) -> Result<Vec<u32>> {
         let channels = inner.free_by_channel.len();
         let total_free: usize = inner.free_by_channel.iter().map(Vec::len).sum();

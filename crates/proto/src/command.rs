@@ -174,10 +174,23 @@ impl SidxKey {
     /// IEEE-754 total-order mapping (negative values bit-inverted).
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            SidxKey::U32(v) => v.to_be_bytes().to_vec(),
-            SidxKey::I32(v) => ((*v as u32) ^ 0x8000_0000).to_be_bytes().to_vec(),
-            SidxKey::U64(v) => v.to_be_bytes().to_vec(),
-            SidxKey::I64(v) => ((*v as u64) ^ 0x8000_0000_0000_0000).to_be_bytes().to_vec(),
+            SidxKey::Bytes(b) => b.clone(),
+            fixed => fixed.encode_fixed(&mut [0; 8]).to_vec(),
+        }
+    }
+
+    /// A fixed-width key's [`SidxKey::encode`] bytes, written into `buf`
+    /// (empty for `Bytes`, which encodes as its own bytes).
+    fn encode_fixed<'b>(&self, buf: &'b mut [u8; 8]) -> &'b [u8] {
+        let mut put = |be: &[u8]| {
+            buf[..be.len()].copy_from_slice(be);
+            be.len()
+        };
+        let n = match *self {
+            SidxKey::U32(v) => put(&v.to_be_bytes()),
+            SidxKey::I32(v) => put(&((v as u32) ^ 0x8000_0000).to_be_bytes()),
+            SidxKey::U64(v) => put(&v.to_be_bytes()),
+            SidxKey::I64(v) => put(&((v as u64) ^ 0x8000_0000_0000_0000).to_be_bytes()),
             SidxKey::F32(v) => {
                 let bits = v.to_bits();
                 let mapped = if bits & 0x8000_0000 != 0 {
@@ -185,7 +198,7 @@ impl SidxKey {
                 } else {
                     bits | 0x8000_0000
                 };
-                mapped.to_be_bytes().to_vec()
+                put(&mapped.to_be_bytes())
             }
             SidxKey::F64(v) => {
                 let bits = v.to_bits();
@@ -194,10 +207,11 @@ impl SidxKey {
                 } else {
                     bits | 0x8000_0000_0000_0000
                 };
-                mapped.to_be_bytes().to_vec()
+                put(&mapped.to_be_bytes())
             }
-            SidxKey::Bytes(b) => b.clone(),
-        }
+            SidxKey::Bytes(_) => 0,
+        };
+        &buf[..n]
     }
 
     /// Decode raw little-endian value bytes (as applications lay out their
@@ -234,13 +248,23 @@ impl SecondaryIndexSpec {
     /// Extract the order-preserving encoded secondary key from a value.
     /// Returns `None` when the value is too short or the width mismatches.
     pub fn extract(&self, value: &[u8]) -> Option<Vec<u8>> {
+        self.extract_into(value, &mut [0; 8]).map(<[u8]>::to_vec)
+    }
+
+    /// [`SecondaryIndexSpec::extract`] without an allocation: a
+    /// fixed-width key is encoded into `buf`, a `Bytes` key is borrowed
+    /// from `value` itself.
+    pub fn extract_into<'a>(&self, value: &'a [u8], buf: &'a mut [u8; 8]) -> Option<&'a [u8]> {
         if let Some(w) = self.key_type.width() {
             if w != self.value_len {
                 return None;
             }
         }
         let raw = value.get(self.value_offset..self.value_offset + self.value_len)?;
-        Some(SidxKey::from_value_bytes(self.key_type, raw)?.encode())
+        match self.key_type {
+            SecondaryKeyType::Bytes => Some(raw),
+            ty => Some(SidxKey::from_value_bytes(ty, raw)?.encode_fixed(buf)),
+        }
     }
 }
 
@@ -553,6 +577,39 @@ mod tests {
         value[28..].copy_from_slice(&(-7i32).to_le_bytes());
         let enc = spec.extract(&value).unwrap();
         assert_eq!(enc, SidxKey::I32(-7).encode());
+    }
+
+    #[test]
+    fn extract_into_borrows_what_extract_copies() {
+        use SecondaryKeyType::*;
+        let value: Vec<u8> = (0..24u8).map(|b| b.wrapping_mul(37)).collect();
+        for (ty, len) in [
+            (U32, 4),
+            (I32, 4),
+            (F32, 4),
+            (U64, 8),
+            (I64, 8),
+            (F64, 8),
+            (Bytes, 0),
+            (Bytes, 5),
+            (Bytes, 11),
+        ] {
+            let spec = SecondaryIndexSpec {
+                name: "x".into(),
+                value_offset: 3,
+                value_len: len,
+                key_type: ty,
+            };
+            let raw = &value[3..3 + len];
+            let want = SidxKey::from_value_bytes(ty, raw).unwrap().encode();
+            let mut buf = [0u8; 8];
+            assert_eq!(
+                spec.extract_into(&value, &mut buf),
+                Some(&want[..]),
+                "{ty:?}"
+            );
+            assert_eq!(spec.extract(&value), Some(want), "{ty:?}");
+        }
     }
 
     #[test]
