@@ -17,16 +17,18 @@ use kvcsd_core::ingest::{KlogRecord, KlogRef, WriteLog};
 use kvcsd_core::sidx::SidxEntry;
 use kvcsd_core::soc::SocCharger;
 use kvcsd_core::zone_mgr::ZoneManager;
-use kvcsd_core::{Deadline, EntryRef, IndexBlock, IndexBlockBuilder, PidxEntry};
+use kvcsd_core::{
+    Deadline, DeviceConfig, DeviceStack, EntryRef, IndexBlock, IndexBlockBuilder, PidxEntry,
+};
 use kvcsd_flash::{
     ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig, ZonedNamespace,
 };
 use kvcsd_lsm::bloom::BloomFilter;
 use kvcsd_lsm::memtable::MemTable;
 use kvcsd_lsm::sstable::{new_block_cache, TableBuilder};
-use kvcsd_proto::{BulkBuilder, SidxKey};
+use kvcsd_proto::{Bound, BulkBuilder, DeviceHandler, KvCommand, SidxKey};
 use kvcsd_sim::config::CostModel;
-use kvcsd_sim::{HardwareSpec, IoLedger};
+use kvcsd_sim::{HardwareSpec, IoLedger, XorShift64};
 
 /// Time `iters` runs of `f` and print per-element cost.
 fn bench<R>(name: &str, iters: u64, elements: u64, mut f: impl FnMut() -> R) {
@@ -258,6 +260,72 @@ fn bench_pidx_block() {
     });
 }
 
+/// A keyspace's id and the keys loaded into it.
+type Loaded = (u32, Vec<Vec<u8>>);
+
+/// A compacted device holding four keyspaces of 48k random 16-byte keys
+/// with 32-byte values, loaded through the write accelerator.
+fn query_device() -> (DeviceStack, Vec<Loaded>) {
+    let geom = FlashGeometry {
+        channels: 16,
+        blocks_per_channel: 256,
+        pages_per_block: 16,
+        page_bytes: 4096,
+    };
+    let stack = DeviceStack::new(geom, ZnsConfig::default(), DeviceConfig::default());
+    let client = kvcsd_client::KvCsd::connect(
+        Arc::clone(stack.device()) as Arc<dyn DeviceHandler>,
+        Arc::clone(stack.ledger()),
+    );
+    let mut rng = XorShift64::new(28);
+    let mut spaces = Vec::new();
+    for k in 0..4 {
+        let ks = client.create_keyspace(&format!("ks{k}")).unwrap();
+        let keys: Vec<Vec<u8>> = (0..48_000)
+            .map(|_| format!("{:016x}", rng.next_u64()).into_bytes())
+            .collect();
+        let acc = ks.write_accelerator();
+        for key in &keys {
+            acc.put(key, &[7u8; 32]).unwrap();
+        }
+        acc.flush().unwrap();
+        ks.compact().unwrap();
+        spaces.push((ks.id(), keys));
+    }
+    stack.device().run_pending_jobs();
+    (stack, spaces)
+}
+
+/// Queries straight into the device's command handler, each from a
+/// random keyspace at a random key, so every index and value page it
+/// reads is cold. `pidx/search_block` times one warm block; these see the
+/// sketch search, the block parse and the value reads too.
+fn bench_device_queries() {
+    let (stack, spaces) = query_device();
+    let device = stack.device();
+    let pick = |rng: &mut XorShift64| {
+        let (ks, keys) = &spaces[rng.next_below(spaces.len() as u64) as usize];
+        (
+            *ks,
+            keys[rng.next_below(keys.len() as u64) as usize].clone(),
+        )
+    };
+    let mut rng = XorShift64::new(7);
+    bench("device/get_random", 20_000, 1, || {
+        let (ks, key) = pick(&mut rng);
+        device.handle(KvCommand::Get { ks, key })
+    });
+    bench("device/range_100", 2_000, 1, || {
+        let (ks, key) = pick(&mut rng);
+        device.handle(KvCommand::Range {
+            ks,
+            lo: Bound::Included(key),
+            hi: Bound::Unbounded,
+            limit: Some(100),
+        })
+    });
+}
+
 fn bench_end_to_end() {
     use kvcsd_bench::Testbed;
     use kvcsd_workloads::PutWorkload;
@@ -280,5 +348,6 @@ fn main() {
     bench_sstable();
     bench_device_paths();
     bench_pidx_block();
+    bench_device_queries();
     bench_end_to_end();
 }

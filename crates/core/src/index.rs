@@ -11,6 +11,14 @@
 //! [`BlockIndex::scan`] walks blocks for every range query, and
 //! [`BlockIndex`] is how the keyspace table, the snapshot and the
 //! replication artifacts refer to a built index.
+//!
+//! Searches are binary searches at both levels. The [`Sketch`] compares
+//! each pivot's 8-byte key prefix first and reads a pivot's bytes only
+//! on a tie. [`IndexBlock::parse`] validates every entry and records
+//! where each starts, so [`IndexBlock::find`] and the scan's first entry
+//! within its lower bound are found without walking the block. The
+//! charges do not change with the search: the scan still charges one
+//! comparison for every entry it passes, as the linear walk did.
 
 use std::cmp::Ordering;
 use std::marker::PhantomData;
@@ -20,29 +28,39 @@ use kvcsd_proto::Bound;
 use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16};
 
 use crate::error::DeviceError;
+use crate::extsort::key_prefix;
 use crate::sidx::SidxEntry;
-use crate::soc::SocCharger;
+use crate::soc::SocTally;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 use crate::BLOCK_BYTES;
 
 /// Block-level index sketch: the first (pivot) key of every 4 KiB block.
+///
+/// Beside the pivots it keeps each pivot's 8-byte key prefix (the
+/// external sorter's big-endian, zero-padded `key_prefix`) in one
+/// contiguous array, so a search compares integers and reads a pivot's
+/// bytes only among the pivots whose prefix ties the key's. The prefixes
+/// are derived from the pivots and never persisted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Sketch {
     pivots: Vec<Vec<u8>>,
+    prefixes: Vec<u64>,
 }
 
 impl Sketch {
     /// Record block `i`'s pivot; blocks must be pushed in order.
     pub fn push(&mut self, pivot: Vec<u8>) {
         debug_assert!(self.pivots.last().is_none_or(|p| p <= &pivot));
+        self.prefixes.push(key_prefix(&pivot));
         self.pivots.push(pivot);
     }
 
     /// Rebuild a sketch from persisted pivots (snapshot restore).
     pub fn from_pivots(pivots: Vec<Vec<u8>>) -> Self {
         debug_assert!(pivots.windows(2).all(|w| w[0] <= w[1]));
-        Self { pivots }
+        let prefixes = pivots.iter().map(|p| key_prefix(p)).collect();
+        Self { pivots, prefixes }
     }
 
     /// The pivot keys, one per block (snapshot serialization).
@@ -58,11 +76,7 @@ impl Sketch {
     /// pivot is <= `key` (or block 0 when `key` precedes every pivot —
     /// the caller's scan will simply start at the beginning).
     pub fn locate(&self, key: &[u8]) -> Option<u32> {
-        if self.pivots.is_empty() {
-            return None;
-        }
-        let ix = self.pivots.partition_point(|p| p.as_slice() <= key);
-        Some(ix.saturating_sub(1) as u32)
+        self.block_before(key, Ordering::Equal)
     }
 
     /// Block where a scan for entries `>= key` must start when keys may
@@ -70,10 +84,21 @@ impl Sketch {
     /// pivot is < `key`, since entries equal to `key` can end that block
     /// (or block 0 when no pivot precedes `key`).
     pub fn locate_first(&self, key: &[u8]) -> Option<u32> {
+        self.block_before(key, Ordering::Greater)
+    }
+
+    /// The last block whose pivot `p` has `key.cmp(p) >= min` (block 0
+    /// when no pivot has), or `None` for an empty sketch.
+    fn block_before(&self, key: &[u8], min: Ordering) -> Option<u32> {
         if self.pivots.is_empty() {
             return None;
         }
-        let ix = self.pivots.partition_point(|p| p.as_slice() < key);
+        // A smaller prefix is a smaller pivot and a larger one a larger
+        // pivot; only the pivots whose prefix ties the key's are read.
+        let kp = key_prefix(key);
+        let lo = self.prefixes.partition_point(|&p| p < kp);
+        let ties = self.prefixes[lo..].partition_point(|&p| p == kp);
+        let ix = lo + self.pivots[lo..lo + ties].partition_point(|p| key.cmp(p.as_slice()) >= min);
         Some(ix.saturating_sub(1) as u32)
     }
 
@@ -245,11 +270,18 @@ impl<E: IndexEntry> IndexBlockBuilder<E> {
 /// keys they return are copied out.
 #[derive(Debug)]
 pub struct IndexBlock<'a, E> {
-    /// The `count` entries, with the block's padding cut off.
+    /// The entries, with the block's padding cut off.
     entries: &'a [u8],
+    /// Where each of the first `count` entries starts in `entries`, as
+    /// `parse` found them.
+    offsets: [u16; MAX_ENTRIES],
     count: usize,
     layout: PhantomData<E>,
 }
+
+/// The most entries a block holds, since each takes at least a PIDX
+/// header: a larger count is malformed.
+const MAX_ENTRIES: usize = BLOCK_BYTES / <PidxEntry as IndexEntry>::HEADER;
 
 impl<'a, E: IndexEntry> IndexBlock<'a, E> {
     /// Check that `block` holds the whole of every entry its count
@@ -257,13 +289,16 @@ impl<'a, E: IndexEntry> IndexBlock<'a, E> {
     pub fn parse(block: &'a [u8]) -> Result<Self> {
         let bad = || DeviceError::Internal(format!("malformed {} block", E::KIND));
         let count = try_le_u16(block, 0).ok_or_else(bad)? as usize;
+        let mut offsets = [0u16; MAX_ENTRIES];
         let mut end = 2;
-        for _ in 0..count {
+        for at in offsets.get_mut(..count).ok_or_else(bad)? {
             let (_, extent) = E::decode(&block[end..]).ok_or_else(bad)?;
+            *at = u16::try_from(end - 2).map_err(|_| bad())?;
             end += extent;
         }
         Ok(Self {
             entries: &block[2..end],
+            offsets,
             count,
             layout: PhantomData,
         })
@@ -278,13 +313,34 @@ impl<'a, E: IndexEntry> IndexBlock<'a, E> {
     }
 
     /// The entries, in key order.
-    pub fn iter(&self) -> impl Iterator<Item = EntryRef<'a>> {
-        let mut rest = self.entries;
-        std::iter::from_fn(move || {
-            // `parse` checked every entry's extent.
-            let (e, extent) = E::decode(rest)?;
-            rest = &rest[extent..];
-            Some(e)
+    pub fn iter(&self) -> impl Iterator<Item = EntryRef<'a>> + '_ {
+        self.iter_from(0)
+    }
+
+    /// Where each entry starts in `entries`.
+    fn offsets(&self) -> &[u16] {
+        &self.offsets[..self.count]
+    }
+
+    /// The entries from the `i`th on, in key order.
+    fn iter_from(&self, i: usize) -> impl Iterator<Item = EntryRef<'a>> + '_ {
+        // `parse` checked every entry's extent.
+        let entries = self.entries;
+        self.offsets()
+            .iter()
+            .skip(i)
+            .filter_map(move |&at| Some(E::decode(entries.get(at as usize..)?)?.0))
+    }
+
+    /// The number of leading entries whose key satisfies `pred`, found by
+    /// binary search: `pred` must hold for a prefix of the entries in key
+    /// order.
+    fn partition_point(&self, pred: impl Fn(&[u8]) -> bool) -> usize {
+        self.offsets().partition_point(|&at| {
+            self.entries
+                .get(at as usize..)
+                .and_then(E::decode)
+                .is_some_and(|(e, _)| pred(e.key))
         })
     }
 }
@@ -294,15 +350,9 @@ impl IndexBlock<'_, PidxEntry> {
     /// key written twice has two entries, kept in write order by the
     /// stable compaction sort; the last one is the live value.
     pub fn find(&self, key: &[u8]) -> Option<(u64, u32)> {
-        let mut found = None;
-        for e in self.iter() {
-            match e.key.cmp(key) {
-                Ordering::Less => {}
-                Ordering::Equal => found = Some((e.voff, e.vlen)),
-                Ordering::Greater => break,
-            }
-        }
-        found
+        let past = self.partition_point(|k| k <= key);
+        let e = self.iter_from(past.checked_sub(1)?).next()?;
+        (e.key == key).then_some((e.voff, e.vlen))
     }
 }
 
@@ -323,7 +373,7 @@ impl BlockIndex {
     pub(crate) fn read_block(
         &self,
         mgr: &ZoneManager,
-        soc: &SocCharger,
+        soc: &mut SocTally<'_>,
         b: u32,
     ) -> Result<Arc<[u8]>> {
         let block = mgr.read_block(self.cluster, b as u64)?;
@@ -334,11 +384,13 @@ impl BlockIndex {
     /// The query block walk, charging the sketch search that picked
     /// `start`: from block `start` on, the entries whose key lies within
     /// `lo..hi`, at most `limit` of them, as `(primary key, value
-    /// locator)` in index order.
+    /// locator)` in index order. Each block's first entry within `lo` is
+    /// found by binary search, and every entry the walk passes or takes
+    /// is charged as one comparison.
     pub(crate) fn scan<E: IndexEntry>(
         &self,
         mgr: &ZoneManager,
-        soc: &SocCharger,
+        soc: &mut SocTally<'_>,
         start: u32,
         lo: &Bound,
         hi: &Bound,
@@ -348,11 +400,11 @@ impl BlockIndex {
         let mut hits = Vec::new();
         'blocks: for b in start..self.blocks {
             let block = self.read_block(mgr, soc, b)?;
-            for e in IndexBlock::<E>::parse(&block)?.iter() {
+            let view = IndexBlock::<E>::parse(&block)?;
+            let first = view.partition_point(|k| !lo.admits_from_below(k));
+            soc.cmp_each(first);
+            for e in view.iter_from(first) {
                 soc.cmp(1.0);
-                if !lo.admits_from_below(e.key) {
-                    continue;
-                }
                 if !hi.admits_from_above(e.key) {
                     break 'blocks;
                 }
@@ -414,6 +466,7 @@ impl<E: IndexEntry> IndexWriter<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soc::SocCharger;
     use kvcsd_proto::SidxKey;
     use kvcsd_sim::XorShift64;
 
@@ -500,6 +553,255 @@ mod tests {
                 assert_eq!(view.iter().count(), view.len());
                 probe(&view);
             }
+        }
+    }
+
+    /// A key drawn to collide: short keys over a four-letter alphabet
+    /// that holds `\0` (so `ab` meets `ab\0`), keys sharing one 8-byte
+    /// prefix, that prefix cut short, and plain random keys.
+    fn colliding_key(rng: &mut XorShift64) -> Vec<u8> {
+        const ABC: [u8; 4] = [0, 1, b'a', b'b'];
+        let tail = |rng: &mut XorShift64, max: u64| -> Vec<u8> {
+            (0..rng.next_below(max + 1))
+                .map(|_| ABC[rng.next_below(4) as usize])
+                .collect()
+        };
+        match rng.next_below(4) {
+            0 => tail(rng, 3),
+            1 => [&b"sharedpf"[..], &tail(rng, 4)].concat(),
+            2 => b"sharedpf"[..rng.next_below(9) as usize].to_vec(),
+            _ => random_bytes(rng, 12),
+        }
+    }
+
+    /// Probe keys for searches over `keys`: each key, each key with `\0`
+    /// appended or its last byte dropped, the empty key, `ab`, `ab\0`
+    /// and fresh colliding keys.
+    fn probes(keys: &[Vec<u8>], rng: &mut XorShift64) -> Vec<Vec<u8>> {
+        let mut out = vec![Vec::new(), b"ab".to_vec(), b"ab\0".to_vec()];
+        for k in keys {
+            out.push(k.clone());
+            out.push([&k[..], &[0]].concat());
+            out.push(k[..k.len().saturating_sub(1)].to_vec());
+        }
+        out.extend((0..16).map(|_| colliding_key(rng)));
+        out
+    }
+
+    /// Every bound a scan may start from, for each probe key.
+    fn bounds(probes: &[Vec<u8>]) -> Vec<Bound> {
+        let mut out = vec![Bound::Unbounded];
+        for k in probes {
+            out.push(Bound::Included(k.clone()));
+            out.push(Bound::Excluded(k.clone()));
+        }
+        out
+    }
+
+    #[test]
+    fn prefix_keyed_sketch_matches_a_full_key_search() {
+        let mut rng = XorShift64::new(0x5EEC);
+        for round in 0..200 {
+            let mut pivots: Vec<Vec<u8>> = (0..rng.next_below(40))
+                .map(|_| colliding_key(&mut rng))
+                .collect();
+            pivots.sort();
+            let mut pushed = Sketch::default();
+            pivots.iter().for_each(|p| pushed.push(p.clone()));
+            let restored = Sketch::from_pivots(pivots.clone());
+            assert_eq!(pushed, restored);
+            for key in probes(&pivots, &mut rng) {
+                let block = |ix: usize| (!pivots.is_empty()).then(|| ix.saturating_sub(1) as u32);
+                let at_most = block(pivots.partition_point(|p| p.as_slice() <= key.as_slice()));
+                let below = block(pivots.partition_point(|p| p.as_slice() < key.as_slice()));
+                assert_eq!(
+                    restored.locate(&key),
+                    at_most,
+                    "round {round}: locate {key:?}"
+                );
+                assert_eq!(
+                    restored.locate_first(&key),
+                    below,
+                    "round {round}: locate_first {key:?}"
+                );
+            }
+        }
+    }
+
+    /// The linear walk a binary search in a block must agree with: the
+    /// index of the first entry `lo` admits, or the entry count.
+    fn linear_start<E: IndexEntry>(view: &IndexBlock<'_, E>, lo: &Bound) -> usize {
+        view.iter()
+            .position(|e| lo.admits_from_below(e.key))
+            .unwrap_or(view.len())
+    }
+
+    #[test]
+    fn block_searches_match_a_linear_walk() {
+        let mut rng = XorShift64::new(0xB15E);
+        for round in 0..60 {
+            // PIDX: keys may repeat (a key written twice).
+            let mut keys: Vec<Vec<u8>> = (0..rng.next_below(200))
+                .map(|_| colliding_key(&mut rng))
+                .collect();
+            keys.sort();
+            let mut b = IndexBlockBuilder::<PidxEntry>::default();
+            let mut stored = Vec::new();
+            for (i, key) in keys.iter().enumerate() {
+                let e = EntryRef::primary(key, i as u64, 1);
+                if !b.fits(&e) {
+                    break;
+                }
+                b.add(&e);
+                stored.push(key.clone());
+            }
+            let (block, _) = b.finish();
+            let view = IndexBlock::<PidxEntry>::parse(&block).unwrap();
+            let keys = probes(&stored, &mut rng);
+            for key in &keys {
+                let linear = view
+                    .iter()
+                    .take_while(|e| e.key <= key.as_slice())
+                    .filter(|e| e.key == key.as_slice())
+                    .last()
+                    .map(|e| (e.voff, e.vlen));
+                assert_eq!(view.find(key), linear, "round {round}: find {key:?}");
+            }
+            for lo in bounds(&keys) {
+                let start = view.partition_point(|k| !lo.admits_from_below(k));
+                assert_eq!(
+                    start,
+                    linear_start(&view, &lo),
+                    "round {round}: PIDX {lo:?}"
+                );
+            }
+
+            // SIDX: secondary keys repeat, ordered by primary key.
+            let mut entries: Vec<OwnedSidx> = (0..rng.next_below(200))
+                .map(|_| {
+                    let skey = colliding_key(&mut rng);
+                    (skey, random_bytes(&mut rng, 8), rng.next_u64(), 1)
+                })
+                .collect();
+            entries.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+            let mut b = IndexBlockBuilder::<SidxEntry>::default();
+            let mut skeys = Vec::new();
+            for e in &entries {
+                if !b.fits(&secondary(e)) {
+                    break;
+                }
+                b.add(&secondary(e));
+                skeys.push(e.0.clone());
+            }
+            let (block, _) = b.finish();
+            let view = IndexBlock::<SidxEntry>::parse(&block).unwrap();
+            for lo in bounds(&probes(&skeys, &mut rng)) {
+                let start = view.partition_point(|k| !lo.admits_from_below(k));
+                assert_eq!(
+                    start,
+                    linear_start(&view, &lo),
+                    "round {round}: SIDX {lo:?}"
+                );
+            }
+        }
+    }
+
+    /// The block walk a binary-searched [`BlockIndex::scan`] replaces:
+    /// every entry from block `start` on is compared against `lo`.
+    fn linear_scan<E: IndexEntry>(
+        ix: &BlockIndex,
+        mgr: &ZoneManager,
+        soc: &mut SocTally<'_>,
+        (start, lo, hi, limit): (u32, &Bound, &Bound, Option<u64>),
+    ) -> Vec<Hit> {
+        soc.cmp(ix.sketch.search_cost());
+        let mut hits = Vec::new();
+        'blocks: for b in start..ix.blocks {
+            let block = ix.read_block(mgr, soc, b).unwrap();
+            for e in IndexBlock::<E>::parse(&block).unwrap().iter() {
+                soc.cmp(1.0);
+                if !lo.admits_from_below(e.key) {
+                    continue;
+                }
+                if !hi.admits_from_above(e.key) {
+                    break 'blocks;
+                }
+                hits.push((e.pkey.to_vec(), (e.voff, e.vlen)));
+                if limit.is_some_and(|l| hits.len() as u64 >= l) {
+                    break 'blocks;
+                }
+            }
+        }
+        hits
+    }
+
+    /// Scan `ix` from every bound over `probes`, binary-searched and
+    /// linearly: both must return the same hits and charge the same work.
+    fn check_scan<E: IndexEntry>(
+        mgr: &ZoneManager,
+        soc: &SocCharger,
+        ix: &BlockIndex,
+        probes: &[Vec<u8>],
+        rng: &mut XorShift64,
+    ) {
+        let his = bounds(probes);
+        for lo in bounds(probes) {
+            let hi = &his[rng.next_below(his.len() as u64) as usize];
+            let limit = (rng.next_below(3) > 0).then(|| 1 + rng.next_below(300));
+            let start = match &lo {
+                Bound::Unbounded => 0,
+                Bound::Included(k) => ix.sketch.locate_first(k).unwrap(),
+                Bound::Excluded(k) => ix.sketch.locate(k).unwrap(),
+            };
+            let charged = |scan: &dyn Fn(&mut SocTally<'_>) -> Vec<Hit>| {
+                let before = soc.ledger().snapshot();
+                let hits = scan(&mut soc.tally());
+                let d = soc.ledger().snapshot().since(&before);
+                (hits, d.soc_cpu_ns, d.nand_read_pages)
+            };
+            let args = (start, &lo, hi, limit);
+            let fast = charged(&|t| ix.scan::<E>(mgr, t, start, &lo, hi, limit).unwrap());
+            let slow = charged(&|t| linear_scan::<E>(ix, mgr, t, args));
+            assert_eq!(fast, slow, "{} scan from {lo:?} to {hi:?}", E::KIND);
+        }
+    }
+
+    #[test]
+    fn binary_searched_scan_matches_a_linear_walk() {
+        let (mgr, soc, _) = crate::testing::test_stack(256, 3);
+        let mut rng = XorShift64::new(0x5CA7);
+        for _ in 0..4 {
+            let mut keys: Vec<Vec<u8>> = (0..1500).map(|_| colliding_key(&mut rng)).collect();
+            keys.sort();
+            let mut w = IndexWriter::<PidxEntry>::new(&mgr, 4).unwrap();
+            for (i, k) in keys.iter().enumerate() {
+                w.push(&mgr, &EntryRef::primary(k, i as u64 * 7, 7))
+                    .unwrap();
+            }
+            let pidx = w.finish(&mgr).unwrap();
+            assert!(pidx.blocks > 4, "{} blocks", pidx.blocks);
+            let sample: Vec<Vec<u8>> = (0..24)
+                .map(|_| keys[rng.next_below(keys.len() as u64) as usize].clone())
+                .chain(pidx.sketch.pivots().iter().cloned())
+                .collect();
+            check_scan::<PidxEntry>(&mgr, &soc, &pidx, &probes(&sample, &mut rng), &mut rng);
+
+            let mut w = IndexWriter::<SidxEntry>::new(&mgr, 4).unwrap();
+            for (i, k) in keys.iter().enumerate() {
+                let skey = &k[..k.len().min(2)];
+                let e = EntryRef {
+                    key: skey,
+                    pkey: k,
+                    voff: i as u64 * 7,
+                    vlen: 7,
+                };
+                w.push(&mgr, &e).unwrap();
+            }
+            let sidx = w.finish(&mgr).unwrap();
+            let sample: Vec<Vec<u8>> = sidx.sketch.pivots().to_vec();
+            check_scan::<SidxEntry>(&mgr, &soc, &sidx, &probes(&sample, &mut rng), &mut rng);
+            mgr.release_cluster(pidx.cluster).unwrap();
+            mgr.release_cluster(sidx.cluster).unwrap();
         }
     }
 

@@ -17,6 +17,14 @@
 //! paper is explicit about this): no page handle outlives its query, so
 //! every query pays its full I/O cost — which is why its latency is
 //! "always linear to the total number of particles returned".
+//!
+//! Each query does its in-memory work once. It charges the SoC through
+//! one [`SocTally`], which the block reads, the block scan and the value
+//! gather all add to and which books to the ledger when the query ends;
+//! every charge is still rounded on its own, so the booked total is what
+//! charging one by one would book. The sketch and the block are
+//! binary-searched, and the gather copies each value straight into its
+//! result pair.
 
 use std::sync::Arc;
 
@@ -26,7 +34,7 @@ use crate::error::DeviceError;
 use crate::index::{BlockIndex, Hit, IndexBlock, PidxEntry};
 use crate::keyspace::KsStorage;
 use crate::sidx::SidxEntry;
-use crate::soc::SocCharger;
+use crate::soc::{SocCharger, SocTally};
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 
@@ -41,23 +49,28 @@ fn pidx_of(storage: &KsStorage) -> Option<(&BlockIndex, (ClusterId, u64))> {
 /// order and each 4 KiB block is read exactly once, its values copied
 /// straight out of the shared NAND page (this is query execution, not
 /// caching — the page handle dies with the query). Returns the hits'
-/// `(primary key, value)` pairs in their original order.
+/// `(primary key, value)` pairs in their original order, each value
+/// copied into its pair in place.
 fn gather_values(
     mgr: &ZoneManager,
-    soc: &SocCharger,
+    soc: &mut SocTally<'_>,
     svalues: ClusterId,
     hits: Vec<Hit>,
 ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-    let mut order: Vec<usize> = (0..hits.len()).collect();
-    order.sort_by_key(|&i| hits[i].1 .0);
+    let mut order: Vec<(u64, u32, usize)> = hits
+        .iter()
+        .enumerate()
+        .map(|(i, (_, (voff, vlen)))| (*voff, *vlen, i))
+        .collect();
+    order.sort_unstable_by_key(|&(voff, _, i)| (voff, i));
     soc.cmp((hits.len().max(2) as f64) * (hits.len().max(2) as f64).log2() * 0.1);
 
     let bb = crate::BLOCK_BYTES as u64;
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); hits.len()];
+    let mut out: Vec<(Vec<u8>, Vec<u8>)> = hits.into_iter().map(|(k, _)| (k, Vec::new())).collect();
     let mut cur: Option<(u64, Arc<[u8]>)> = None;
-    for i in order {
-        let (voff, vlen) = hits[i].1;
-        let mut value = Vec::with_capacity(vlen as usize);
+    for (voff, vlen, i) in order {
+        let value = &mut out[i].1;
+        value.reserve_exact(vlen as usize);
         let mut pos = voff;
         let end = voff + vlen as u64;
         while pos < end {
@@ -75,9 +88,8 @@ fn gather_values(
         // Each returned record is framed into the response capsule by the
         // SoC (the per-record data-path cost, same as on ingest).
         soc.kv_op();
-        out[i] = value;
     }
-    Ok(hits.into_iter().map(|(k, _)| k).zip(out).collect())
+    Ok(out)
 }
 
 /// Point query over the primary key.
@@ -93,11 +105,11 @@ pub fn point_get(
     let Some(block_ix) = pidx.sketch.locate(key) else {
         return Err(DeviceError::KeyNotFound);
     };
+    let mut soc = soc.tally();
     soc.cmp(pidx.sketch.search_cost());
-    let block = pidx.read_block(mgr, soc, block_ix)?;
+    let block = pidx.read_block(mgr, &mut soc, block_ix)?;
     let entries = IndexBlock::<PidxEntry>::parse(&block)?;
-    // Charged as the SoC's binary search over the block's entries; the
-    // simulator's in-place scan is not the modeled work.
+    // The binary search over the block's entries.
     soc.cmp((entries.len().max(2) as f64).log2());
     let (voff, vlen) = entries.find(key).ok_or(DeviceError::KeyNotFound)?;
     let value = mgr.read_bytes(svalues.0, voff, vlen as usize)?;
@@ -124,8 +136,9 @@ pub fn range(
         Bound::Unbounded => 0,
         Bound::Included(k) | Bound::Excluded(k) => pidx.sketch.locate(k).unwrap_or(0),
     };
-    let hits = pidx.scan::<PidxEntry>(mgr, soc, start, lo, hi, limit)?;
-    gather_values(mgr, soc, svalues.0, hits)
+    let mut soc = soc.tally();
+    let hits = pidx.scan::<PidxEntry>(mgr, &mut soc, start, lo, hi, limit)?;
+    gather_values(mgr, &mut soc, svalues.0, hits)
 }
 
 /// Point query over a secondary index: all records whose secondary key
@@ -177,9 +190,10 @@ pub fn sidx_range(
         Bound::Included(k) => sidx.sketch.locate_first(k).unwrap_or(0),
         Bound::Excluded(k) => sidx.sketch.locate(k).unwrap_or(0),
     };
-    let hits = sidx.scan::<SidxEntry>(mgr, soc, start, lo, hi, limit)?;
+    let mut soc = soc.tally();
+    let hits = sidx.scan::<SidxEntry>(mgr, &mut soc, start, lo, hi, limit)?;
     // Matching records stream out of SORTED_VALUES in one gather pass.
-    gather_values(mgr, soc, svalues.0, hits)
+    gather_values(mgr, &mut soc, svalues.0, hits)
 }
 
 #[cfg(test)]
@@ -536,10 +550,86 @@ mod tests {
             .unwrap();
             assert_eq!(got.len(), 150);
         });
+        // A lower bound between one block's last key and the next pivot:
+        // the scan passes the whole block the sketch points at.
+        let pivots = st.pidx.as_ref().unwrap().sketch.pivots();
+        let first = (1..3000).find(|&i| key(i) == pivots[5]).unwrap();
+        let gap = [key(first - 1), b"+".to_vec()].concat();
+        let passes_block = charge(&|| {
+            let got = range(
+                &mgr,
+                &soc,
+                &st,
+                &Bound::Included(gap.clone()),
+                &Bound::Unbounded,
+                Some(20),
+            )
+            .unwrap();
+            assert_eq!(got.len(), 20);
+            assert_eq!(got[0].0, key(first));
+        });
+        let excluded = charge(&|| {
+            let got = range(
+                &mgr,
+                &soc,
+                &st,
+                &Bound::Excluded(key(1000)),
+                &Bound::Included(key(1040)),
+                None,
+            )
+            .unwrap();
+            assert_eq!(got.len(), 40);
+            assert_eq!(got[0].0, key(1001));
+        });
+        let absent = charge(&|| {
+            let miss = [key(1234), b"+".to_vec()].concat();
+            assert!(matches!(
+                point_get(&mgr, &soc, &st, &miss),
+                Err(DeviceError::KeyNotFound)
+            ));
+        });
         // Pinned figures: how a block is read and searched in memory must
         // not change the work the model charges, nor the channels it lands on.
         assert_eq!(get, (4602, 2, vec![12551, 0, 0, 0, 0, 0, 12551, 0]));
         assert_eq!(scan, (62593, 4, vec![25102, 12551, 0, 0, 0, 0, 0, 12551]));
         assert_eq!(sidx, (89623, 4, vec![0, 0, 25102, 12551, 0, 0, 0, 12551]));
+        assert_eq!(
+            passes_block,
+            (26010, 3, vec![12551, 12551, 0, 0, 0, 0, 0, 12551])
+        );
+        assert_eq!(
+            excluded,
+            (27263, 3, vec![0, 12551, 12551, 0, 0, 0, 0, 12551])
+        );
+        assert_eq!(absent, (4598, 1, vec![0, 0, 0, 0, 0, 0, 12551, 0]));
+
+        // Secondary keys whose duplicates span blocks: an inclusive bound
+        // starts before the last pivot equal to it.
+        fn tiered(i: u32) -> Vec<u8> {
+            let mut v = vec![0xAB; 32];
+            v[28..].copy_from_slice(&(i / 1000).to_le_bytes());
+            v
+        }
+        let (mgr, soc, dram) = test_stack(256, 9);
+        let st = build_storage_with(3000, tiered, &mgr, &soc, &dram);
+        let before = soc.ledger().snapshot();
+        let got = sidx_range(
+            &mgr,
+            &soc,
+            &st,
+            "score",
+            &Bound::Included(SidxKey::U32(1).encode()),
+            &Bound::Unbounded,
+            Some(150),
+        )
+        .unwrap();
+        assert_eq!(got.len(), 150);
+        assert_eq!(got[0].0, key(1000));
+        let d = soc.ledger().snapshot().since(&before);
+        let dups = (d.soc_cpu_ns, d.nand_read_pages, d.channel_busy_ns);
+        assert_eq!(
+            dups,
+            (94387, 5, vec![0, 0, 25102, 12551, 12551, 0, 0, 12551])
+        );
     }
 }

@@ -117,7 +117,7 @@ pub fn build_secondary_index(
         let mut vread = StreamReader::new(mgr, svalues.0, svalues.1);
         let (mut value, mut scratch) = (Vec::new(), [0u8; 8]);
         for b in 0..pidx.blocks {
-            let block = pidx.read_block(mgr, soc, b)?;
+            let block = pidx.read_block(mgr, &mut tally, b)?;
             for e in IndexBlock::<PidxEntry>::parse(&block)?.iter() {
                 debug_assert_eq!(vread.position(), e.voff);
                 value.clear();

@@ -82,6 +82,12 @@ impl SocTally<'_> {
         self.charge(n * self.soc.cost.key_cmp_ns);
     }
 
+    /// `n` single comparisons, each charged as [`SocTally::cmp`]`(1.0)`
+    /// would charge it.
+    pub fn cmp_each(&mut self, n: usize) {
+        self.ns += n as u64 * whole_ns(self.soc.cost.key_cmp_ns * self.soc.cost.soc_slowdown);
+    }
+
     /// Sorting `n` records: n log2 n comparisons plus per-record swaps.
     pub fn sort(&mut self, n: usize) {
         let n = n.max(2) as f64;
@@ -169,9 +175,11 @@ mod tests {
                 one_by_one.bytes(n);
                 one_by_one.memcpy(n * 3);
                 one_by_one.kv_op();
+                (0..n).for_each(|_| one_by_one.cmp(1.0));
                 t.bytes(n);
                 t.memcpy(n * 3);
                 t.kv_op();
+                t.cmp_each(n);
             }
             assert_eq!(
                 tallied.ledger().snapshot().soc_cpu_ns,

@@ -19,7 +19,9 @@ use contract::Fleet;
 use kvcsd::cluster::{ClusterConfig, ShipPolicy};
 use kvcsd::proto::{KvCommand, KvStatus};
 use kvcsd::sim::BusFault;
-use kvcsd_mc::{explore_net, harnesses, FailureKind, McConfig};
+use kvcsd_mc::{explore_net, McConfig};
+#[cfg(debug_assertions)]
+use kvcsd_mc::{harnesses, FailureKind};
 
 #[cfg(debug_assertions)]
 fn temp_trace_dir(tag: &str) -> std::path::PathBuf {
