@@ -230,7 +230,6 @@ fn main() {
             cfg.cost.clone(),
             FsConfig {
                 page_cache_pages: 512,
-                journal: true,
             },
         ));
         let n_logs = 24u32;

@@ -124,7 +124,6 @@ impl Testbed {
             self.cfg.cost.clone(),
             FsConfig {
                 page_cache_pages: cache_pages,
-                journal: true,
             },
         ))
     }

@@ -22,16 +22,12 @@ use crate::Result;
 pub struct FsConfig {
     /// OS page cache capacity, in pages.
     pub page_cache_pages: usize,
-    /// Write a journal page per metadata mutation (ext4 ordered-mode
-    /// analog). Disable to measure the journal's cost.
-    pub journal: bool,
 }
 
 impl Default for FsConfig {
     fn default() -> Self {
         Self {
             page_cache_pages: 16 * 1024,
-            journal: true,
         }
     }
 }
@@ -143,9 +139,6 @@ impl BlockFs {
     // ---- metadata I/O ----------------------------------------------------
 
     fn journal_write(&self, inner: &mut FsInner) -> Result<()> {
-        if !self.cfg.journal {
-            return Ok(());
-        }
         let lpa = inner.journal_cursor % JOURNAL_LPAS;
         inner.journal_cursor += 1;
         self.ledger().host_block_io();
@@ -423,7 +416,6 @@ mod tests {
             CostModel::default(),
             FsConfig {
                 page_cache_pages: pages_cache,
-                journal: true,
             },
         )
     }

@@ -39,12 +39,11 @@
 //! * **`guard-across-wait`** — no shim `Mutex`/`RwLock` guard,
 //!   `Shared` borrow or DRAM reservation live across a charged wait
 //!   (`AdmissionGate` admission, `VirtualClock::advance*`,
-//!   `BusResource::transfer`, `QueuePair::submit`/`poll_completions` —
-//!   submit stalls at full queue depth, poll advances the clock to the
-//!   next completion), directly or through a one-level local
-//!   wrapper. The static twin of lockdep: a guard held across a stall
-//!   serialises the pipeline the paper's host/device split exists to
-//!   keep parallel.
+//!   `BusResource::transfer`), directly or through a one-level local
+//!   wrapper — so the in-flight window's depth stall and its wait for
+//!   the next completion, both `advance_to`, are covered. The static
+//!   twin of lockdep: a guard held across a stall serialises the
+//!   pipeline the paper's host/device split exists to keep parallel.
 //! * **`status-map`** — every `KvStatus` variant parsed from
 //!   `crates/proto` must be matched by name in the `ClientError` status
 //!   classification and in the cluster router's retry classification. A
@@ -120,11 +119,10 @@ pub const RULES: [&str; 13] = [
 /// slowdown/stall band decision whose charge follows immediately), or
 /// occupying the replication fabric (`BusResource::transfer` and the
 /// fault-aware `BusResource::xmit`, which can burn a whole retry budget
-/// of timeouts), or driving the pipelined transport
-/// (`QueuePair::submit` stalls — advancing the clock — when the queue
-/// is at full depth; `poll_completions` advances the clock to the next
-/// completion when none is ready).
-pub const WAIT_PRIMITIVES: [&str; 9] = [
+/// of timeouts). The pipelined transport is not one: `QueuePair::submit`
+/// returns its completion without moving the clock, and the in-flight
+/// window that stalls on it does so with `advance_to`.
+pub const WAIT_PRIMITIVES: [&str; 7] = [
     "advance",
     "advance_to",
     "admit_write",
@@ -132,8 +130,6 @@ pub const WAIT_PRIMITIVES: [&str; 9] = [
     "admit_job",
     "transfer",
     "xmit",
-    "submit",
-    "poll_completions",
 ];
 
 /// Ledger charge entry points for the `ledger-charge` rule — the

@@ -425,29 +425,41 @@ fn epoch_fence_scope_is_cluster_library_minus_the_send_path() {
 }
 
 #[test]
-fn pipeline_submit_and_poll_are_charged_waits() {
-    let src = "impl Pump {\n\
-               \x20   pub fn drive(&self) {\n\
+fn window_stalls_are_charged_waits_and_the_transport_submit_is_not() {
+    // The transport's `submit` returns its completion without moving the
+    // clock; the window's depth stall and its wait for the earliest
+    // completion are `advance_to` (wrappers of it are covered by
+    // `guard_across_wait_sees_one_level_wrappers`).
+    let src = "impl Window {\n\
+               \x20   pub fn send(&self) {\n\
                \x20       let stats = self.stats.lock();\n\
                \x20       self.qp.submit(ping());\n\
                \x20       stats.note();\n\
                \x20   }\n\
-               \x20   pub fn drain(&self) {\n\
+               \x20   pub fn submit(&self, t: u64) {\n\
+               \x20       let st = self.state.lock();\n\
+               \x20       self.pipe_clock.advance_to(t);\n\
+               \x20       st.note();\n\
+               \x20   }\n\
+               \x20   pub fn wait(&self, t: u64) {\n\
                \x20       let view = self.view.read();\n\
-               \x20       self.qp.poll_completions();\n\
+               \x20       self.clock.advance_to(t);\n\
                \x20       view.observe();\n\
                \x20   }\n\
                }\n";
-    let v = scan("pump.rs", src);
+    let v = scan("window.rs", src);
     let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
     assert_eq!(
         lines,
-        vec![4, 9],
-        "a guard across submit (depth stall) and across poll (clock advance): {v:#?}"
+        vec![9, 14],
+        "a guard across the depth stall and across the completion wait; none \
+         across the transport submit: {v:#?}"
     );
     assert!(v.iter().all(|v| v.rule == "guard-across-wait"), "{v:#?}");
-    assert!(v.iter().any(|v| v.message.contains("`submit`")));
-    assert!(v.iter().any(|v| v.message.contains("`poll_completions`")));
+    assert!(v.iter().any(|v| v.message.contains("`advance_to`")));
+    assert!(!v
+        .iter()
+        .any(|v| v.message.contains("`submit` (a charged wait)")));
 }
 
 #[test]

@@ -125,8 +125,8 @@ impl std::fmt::Debug for WriteAccelerator {
 }
 
 impl WriteAccelerator {
-    /// Open an accelerator for keyspace `ks` over `qp` (the clone's
-    /// completion queue becomes private to this accelerator's window).
+    /// Open an accelerator for keyspace `ks` over `qp`; its window is the
+    /// accelerator's own completion queue.
     pub fn new(
         qp: QueuePair,
         ks: u32,

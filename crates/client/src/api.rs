@@ -64,9 +64,9 @@ impl RetryPolicy {
 /// doubling charged to the ledger and the client clock, failover/fence
 /// redirect fast paths, deadline-aware fail-fast with
 /// [`KvStatus::DeadlineExceeded`]), so single-op calls and the pipelined
-/// ingest path share one implementation. The fresh
-/// [`QueuePair`] clone gives the window a private completion queue, so
-/// concurrent sessions never see each other's completions.
+/// ingest path share one implementation. Each call's window is its own
+/// completion queue, so concurrent sessions never see each other's
+/// completions.
 fn exec_with_retry(
     qp: &QueuePair,
     policy: &RetryPolicy,

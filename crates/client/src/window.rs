@@ -1,5 +1,5 @@
-//! The in-flight window: per-op deadline and retry tracking over the
-//! pipelined `submit`/`poll_completions` transport path.
+//! The in-flight window: the client's one completion queue, with per-op
+//! deadline and retry tracking over the pipelined transport.
 //!
 //! [`InflightWindow`] is the one place in the client that drives a
 //! [`QueuePair`] directly. Every other client path — single-op calls and
@@ -7,26 +7,30 @@
 //! retry accounting and completion matching have exactly one
 //! implementation.
 //!
-//! An operation keeps its [`OpId`] across retries while each resend gets
-//! a fresh transport [`CmdId`]; completions are matched out of order by
-//! id and either finish the op or feed the retry state machine, whose
-//! semantics (backoff doubling, redirect fast paths, deadline fail-fast)
-//! are the same ledger counters and clock charges for every op,
-//! decoupled from submission order.
+//! [`QueuePair::submit`] hands back each command's completion with the
+//! virtual time it becomes visible. The window holds those completions
+//! until they are due, bounds the commands in flight to the queue pair's
+//! depth, and handles due completions in `(completion time, send order)`
+//! order: each one finishes its op or feeds the retry state machine,
+//! whose semantics (backoff doubling, redirect fast paths, deadline
+//! fail-fast) are the same ledger counters and clock charges for every
+//! op, decoupled from submission order. An operation keeps its [`OpId`]
+//! across retries.
 //!
-//! Internally a pump lock serializes transport access: the submit→track
-//! and poll→record steps must be atomic with respect to each other, or a
-//! concurrent waiter could observe an empty completion queue after its
-//! completion was drained but before it was recorded, and spin. All
-//! window state lives behind `kvcsd_sim::sync` shims, so lockdep, the
-//! race detector and kvcsd-mc see every acquisition (the
-//! `window-matching` mc harness sweeps this file's interleavings
+//! All window state sits behind one `kvcsd_sim::sync` mutex, and an op is
+//! always in exactly one of three places there — a pending completion,
+//! the resend slot, or the finished map — so a waiter that takes the lock
+//! always finds its op or work that leads to it, and never spins. The
+//! lock is dropped only to move the clock (a depth stall, a backoff, the
+//! wait for the earliest completion). lockdep, the race detector and
+//! kvcsd-mc see every acquisition (the `window-matching` and
+//! `window-retry` mc harnesses sweep this file's interleavings
 //! bounded-exhaustively).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kvcsd_proto::{CmdId, KvCommand, KvResponse, KvStatus, QueuePair};
+use kvcsd_proto::{Completion, KvCommand, KvResponse, KvStatus, QueuePair};
 use kvcsd_sim::sync::Mutex;
 use kvcsd_sim::VirtualClock;
 
@@ -34,8 +38,8 @@ use crate::api::RetryPolicy;
 use crate::error::ClientError;
 use crate::Result;
 
-/// Identifier for an operation tracked by an [`InflightWindow`] — stable
-/// across retries, unlike the per-submission transport [`CmdId`].
+/// Identifier for an operation tracked by an [`InflightWindow`], stable
+/// across retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(u64);
 
@@ -52,10 +56,41 @@ struct OpCtx {
 #[derive(Default)]
 struct WindowState {
     next_op: u64,
-    /// Live submissions, keyed by the transport id of the *latest* send.
-    inflight: BTreeMap<CmdId, OpCtx>,
+    /// Sends so far; a send's number orders completions that fall due
+    /// at the same virtual time.
+    sends: u64,
+    /// Completions not handled yet, keyed by (completion time, send).
+    pending: BTreeMap<(u64, u64), (OpCtx, Completion)>,
+    /// The drain in progress: it handles the completions of the first
+    /// `.1` sends that were due at `.0`, then ends.
+    drain: Option<(u64, u64)>,
+    /// An op between a retry decision and its resend, which goes out
+    /// once the client clock reaches `.1`.
+    resend: Option<(OpCtx, u64)>,
     /// Finished ops waiting for their `wait()` call.
-    done: BTreeMap<u64, Result<KvResponse>>,
+    done: BTreeMap<OpId, Result<KvResponse>>,
+    /// Latencies of every handled completion, for benches.
+    lat_log: Vec<u64>,
+}
+
+impl WindowState {
+    /// The earliest completion still in flight at `now`, if `depth` or
+    /// more are: a new send must wait for it.
+    fn depth_stall(&self, now: u64, depth: usize) -> Option<u64> {
+        let mut inflight = self.pending.range((now + 1, 0)..);
+        let (&(earliest, _), _) = inflight.next()?;
+        (1 + inflight.count() >= depth).then_some(earliest)
+    }
+}
+
+/// One unit of window progress, decided under the lock.
+enum Step<'a> {
+    /// The claimed op finished.
+    Claimed(Result<KvResponse>),
+    /// State moved; decide again.
+    Progress,
+    /// Move this clock to the time, then decide again.
+    Advance(&'a VirtualClock, u64),
 }
 
 /// Tracks a set of in-flight operations over one queue pair, matching
@@ -65,8 +100,10 @@ pub struct InflightWindow {
     policy: RetryPolicy,
     /// Charged by retry backoff; read by the deadline fail-fast.
     clock: Arc<VirtualClock>,
-    /// Serializes transport access (see module docs).
-    pump_lock: Mutex<()>,
+    /// The queue pair's pipeline clock (the client clock when untimed)
+    /// and depth: completions fall due on it, and stalls advance it.
+    pipe_clock: Arc<VirtualClock>,
+    depth: usize,
     state: Mutex<WindowState>,
 }
 
@@ -77,15 +114,18 @@ impl std::fmt::Debug for InflightWindow {
 }
 
 impl InflightWindow {
-    /// Open a window over `qp`. The queue pair's completion queue must be
-    /// private to this window (a fresh [`QueuePair`] clone guarantees
-    /// that), or completions could be drained behind its back.
+    /// Open a window over `qp`.
     pub fn new(qp: QueuePair, policy: RetryPolicy, clock: Arc<VirtualClock>) -> Self {
+        let (pipe_clock, depth) = match qp.timing() {
+            Some((pipe_clock, depth)) => (Arc::clone(pipe_clock), depth),
+            None => (Arc::clone(&clock), usize::MAX),
+        };
         Self {
             qp,
             policy,
             clock,
-            pump_lock: Mutex::new(()),
+            pipe_clock,
+            depth,
             state: Mutex::new(WindowState::default()),
         }
     }
@@ -93,7 +133,8 @@ impl InflightWindow {
     /// Submit one operation; its completion is claimed with
     /// [`wait`](InflightWindow::wait). A `deadline_ns` wraps the command
     /// in [`KvCommand::WithDeadline`] and arms the deadline-aware retry
-    /// fail-fast.
+    /// fail-fast. A full window first stalls the pipeline clock to its
+    /// earliest in-flight completion.
     pub fn submit(&self, deadline_ns: Option<u64>, cmd: KvCommand) -> OpId {
         let cmd = match deadline_ns {
             Some(deadline_ns) => KvCommand::WithDeadline {
@@ -102,53 +143,40 @@ impl InflightWindow {
             },
             None => cmd,
         };
-        let op = {
-            let mut st = self.state.lock();
-            st.next_op += 1;
-            OpId(st.next_op)
-        };
-        let _pump = self.pump_lock.lock();
-        // The pump lock is held across the transport submit by design:
-        // the id must be tracked before any concurrent poll can drain
-        // its completion. (The checker's recursion filter skips the
-        // same-named `submit` call, so no allow tag is needed here.)
-        let id = self.qp.submit(cmd.clone());
-        self.state.lock().inflight.insert(
-            id,
-            OpCtx {
-                op,
-                cmd,
-                deadline_ns,
-                attempts: 0,
-            },
-        );
-        op
-    }
-
-    /// Block (in virtual time) until `op` finishes, pumping completions
-    /// and retries for *every* op in the window along the way.
-    pub fn wait(&self, op: OpId) -> Result<KvResponse> {
         loop {
-            if let Some(r) = self.take_done(op) {
-                return r;
-            }
-            let _pump = self.pump_lock.lock();
-            if let Some(r) = self.take_done(op) {
-                return r;
-            }
-            // kvcsd-check: allow(guard-across-wait) -- the pump lock is the submit/poll critical section by design: a drained completion must be recorded before another waiter sees an empty queue
-            self.pump_locked();
+            let stall_to = {
+                let mut st = self.state.lock();
+                match st.depth_stall(self.pipe_clock.now_ns(), self.depth) {
+                    Some(t) => t,
+                    None => {
+                        st.next_op += 1;
+                        let op = OpId(st.next_op);
+                        let ctx = OpCtx {
+                            op,
+                            cmd,
+                            deadline_ns,
+                            attempts: 0,
+                        };
+                        self.send(&mut st, ctx);
+                        return op;
+                    }
+                }
+            };
+            self.pipe_clock.advance_to(stall_to);
         }
     }
 
-    /// Poll the transport once and process whatever completed: finish
-    /// ops, apply retry/backoff/redirect decisions, resubmit. Never
-    /// blocks on a specific op — callers keeping a window full (the
-    /// write accelerator) use this between submissions.
-    pub fn pump(&self) {
-        let _pump = self.pump_lock.lock();
-        // kvcsd-check: allow(guard-across-wait) -- the pump lock is the submit/poll critical section by design: completions are recorded under it so waiters never observe a drained-but-unrecorded op
-        self.pump_locked();
+    /// Block (in virtual time) until `op` finishes, handling completions
+    /// and retries for *every* op in the window along the way.
+    pub fn wait(&self, op: OpId) -> Result<KvResponse> {
+        loop {
+            let step = self.step(&mut self.state.lock(), op);
+            match step {
+                Step::Claimed(r) => return r,
+                Step::Progress => {}
+                Step::Advance(clock, t) => clock.advance_to(t),
+            }
+        }
     }
 
     /// Submit and wait: the single-op path behind `exec_with_retry`.
@@ -163,91 +191,115 @@ impl InflightWindow {
     }
 
     /// Drain the per-completion latencies (virtual ns, submission to
-    /// completion) recorded by the underlying queue pair. Zeros when no
-    /// pipeline timing model is attached.
+    /// completion) recorded so far, in the order the completions were
+    /// handled. Zeros when no pipeline timing model is attached.
     pub fn completion_latencies(&self) -> Vec<u64> {
-        self.qp.take_completion_latencies()
+        std::mem::take(&mut self.state.lock().lat_log)
     }
 
-    /// Ops submitted but neither finished nor claimed yet.
+    /// Ops submitted and not claimed yet.
     pub fn inflight_len(&self) -> usize {
         let st = self.state.lock();
-        st.inflight.len() + st.done.len()
+        st.pending.len() + usize::from(st.resend.is_some()) + st.done.len()
     }
 
-    fn take_done(&self, op: OpId) -> Option<Result<KvResponse>> {
-        self.state.lock().done.remove(&op.0)
+    /// One unit of progress: resend the op in the resend slot, handle
+    /// the next completion of the drain in progress, claim `op` once it
+    /// finished, or start the next drain, first waiting for the earliest
+    /// completion when none is due.
+    fn step(&self, st: &mut WindowState, op: OpId) -> Step<'_> {
+        if let Some(&(_, at)) = st.resend.as_ref() {
+            if self.clock.now_ns() < at {
+                return Step::Advance(&self.clock, at);
+            }
+            if let Some(t) = st.depth_stall(self.pipe_clock.now_ns(), self.depth) {
+                return Step::Advance(&self.pipe_clock, t);
+            }
+            if let Some((ctx, _)) = st.resend.take() {
+                self.send(st, ctx);
+            }
+            return Step::Progress;
+        }
+        if let Some((due_ns, sends)) = st.drain {
+            let next = st.pending.first_entry();
+            match next.filter(|e| e.key().0 <= due_ns && e.key().1 <= sends) {
+                Some(entry) => {
+                    let (ctx, c) = entry.remove();
+                    st.lat_log.push(c.lat_ns);
+                    self.complete(st, ctx, c.resp);
+                }
+                None => st.drain = None,
+            }
+            return Step::Progress;
+        }
+        if let Some(r) = st.done.remove(&op) {
+            return Step::Claimed(r);
+        }
+        let Some(&(first_ns, _)) = st.pending.keys().next() else {
+            return Step::Claimed(Err(ClientError::UnexpectedResponse(format!(
+                "{op:?} is not in flight on this window"
+            ))));
+        };
+        let now = self.pipe_clock.now_ns();
+        if first_ns > now {
+            return Step::Advance(&self.pipe_clock, first_ns);
+        }
+        st.drain = Some((now, st.sends));
+        Step::Progress
     }
 
-    fn finish(&self, op: OpId, result: Result<KvResponse>) {
-        self.state.lock().done.insert(op.0, result);
+    /// Send `ctx`'s command and hold its completion until it falls due.
+    fn send(&self, st: &mut WindowState, ctx: OpCtx) {
+        let c = self.qp.submit(ctx.cmd.clone());
+        st.sends += 1;
+        st.pending.insert((c.done_ns, st.sends), (ctx, c));
     }
 
-    fn resend(&self, ctx: OpCtx) {
-        let id = self.qp.submit(ctx.cmd.clone());
-        self.state.lock().inflight.insert(id, ctx);
-    }
-
-    /// Caller holds the pump lock. One poll, then the retry state
-    /// machine per completion.
-    fn pump_locked(&self) {
-        let completions = self.qp.poll_completions();
-        for (id, resp) in completions {
-            let Some(mut ctx) = self.state.lock().inflight.remove(&id) else {
-                // Completion for an op this window no longer tracks
-                // (impossible by construction; dropping it is safe).
-                continue;
-            };
-            ctx.attempts += 1;
-            match resp.into_result() {
-                Ok(resp) => self.finish(ctx.op, Ok(resp)),
-                Err(status) if status.is_retryable() => {
-                    let retry = ctx.attempts - 1; // retries spent so far
-                    if retry >= self.policy.max_retries {
-                        let err = if self.policy.max_retries == 0 {
-                            ClientError::Device(status)
-                        } else {
-                            ClientError::RetriesExhausted {
-                                attempts: ctx.attempts,
-                                last: status,
-                            }
-                        };
-                        self.finish(ctx.op, Err(err));
-                        continue;
-                    }
-                    // A failover redirect is not an overload signal: the
-                    // dead primary is gone and the resend reaches the
-                    // promoted replica, so backing off only adds latency.
-                    if matches!(status, KvStatus::FailoverInProgress { .. }) {
-                        self.qp.ledger().bump("client_failover_redirects", 1);
-                        self.resend(ctx);
-                        continue;
-                    }
-                    // An epoch fence is the same shape: the resend routes
-                    // to the current-epoch primary and can succeed now.
-                    if matches!(status, KvStatus::EpochFenced { .. }) {
-                        self.qp.ledger().bump("client_fence_redirects", 1);
-                        self.resend(ctx);
-                        continue;
-                    }
-                    let backoff = self.policy.backoff_ns(retry + 1);
-                    if let Some(d) = ctx.deadline_ns {
-                        if self.clock.now_ns().saturating_add(backoff) >= d {
-                            self.finish(
-                                ctx.op,
-                                Err(ClientError::Device(KvStatus::DeadlineExceeded)),
-                            );
-                            continue;
+    /// The retry state machine for one completion of `ctx`'s op: finish
+    /// the op, or put it in the resend slot.
+    fn complete(&self, st: &mut WindowState, mut ctx: OpCtx, resp: KvResponse) {
+        ctx.attempts += 1;
+        let result = match resp.into_result() {
+            Ok(resp) => Ok(resp),
+            Err(status) if status.is_retryable() => {
+                // A failover redirect is not an overload signal: the dead
+                // primary is gone and the resend reaches the promoted
+                // replica, so backing off only adds latency. An epoch
+                // fence is the same shape: the resend routes to the
+                // current-epoch primary and can succeed now.
+                let redirect = match status {
+                    KvStatus::FailoverInProgress { .. } => Some("client_failover_redirects"),
+                    KvStatus::EpochFenced { .. } => Some("client_fence_redirects"),
+                    _ => None,
+                };
+                let retry = ctx.attempts - 1; // retries spent so far
+                let backoff = self.policy.backoff_ns(retry + 1);
+                let at = self.clock.now_ns().saturating_add(backoff);
+                if retry >= self.policy.max_retries {
+                    Err(if self.policy.max_retries == 0 {
+                        ClientError::Device(status)
+                    } else {
+                        ClientError::RetriesExhausted {
+                            attempts: ctx.attempts,
+                            last: status,
                         }
-                    }
+                    })
+                } else if let Some(counter) = redirect {
+                    self.qp.ledger().bump(counter, 1);
+                    st.resend = Some((ctx, 0));
+                    return;
+                } else if ctx.deadline_ns.is_some_and(|d| at >= d) {
+                    Err(ClientError::Device(KvStatus::DeadlineExceeded))
+                } else {
                     self.qp.ledger().bump("client_retries", 1);
                     self.qp.ledger().bump("client_retry_backoff_ns", backoff);
-                    self.clock.advance(backoff);
-                    self.resend(ctx);
+                    st.resend = Some((ctx, at));
+                    return;
                 }
-                Err(status) => self.finish(ctx.op, Err(ClientError::Device(status))),
             }
-        }
+            Err(status) => Err(ClientError::Device(status)),
+        };
+        st.done.insert(ctx.op, result);
     }
 }
 
@@ -256,7 +308,7 @@ mod tests {
     use super::*;
     use kvcsd_proto::DeviceHandler;
     use kvcsd_sim::sync::Shared;
-    use kvcsd_sim::IoLedger;
+    use kvcsd_sim::{HardwareSpec, IoLedger};
 
     /// Echoes GETs; fails the first `failures` commands transiently.
     struct Echo {
@@ -281,7 +333,7 @@ mod tests {
         }
     }
 
-    fn window(failures: u32) -> (InflightWindow, Arc<IoLedger>) {
+    fn echo_qp(failures: u32) -> (QueuePair, Arc<IoLedger>) {
         let ledger = Arc::new(IoLedger::new(16, 4096));
         let qp = QueuePair::new(
             Arc::new(Echo {
@@ -289,10 +341,25 @@ mod tests {
             }),
             Arc::clone(&ledger),
         );
+        (qp, ledger)
+    }
+
+    fn window(failures: u32) -> (InflightWindow, Arc<IoLedger>) {
+        let (qp, ledger) = echo_qp(failures);
         (
             InflightWindow::new(qp, RetryPolicy::default(), Arc::new(VirtualClock::new())),
             ledger,
         )
+    }
+
+    /// A window over a pipelined echo queue pair of `depth`, 4 lanes,
+    /// whose pipeline and client clocks are the same clock.
+    fn timed(depth: usize, failures: u32) -> (InflightWindow, Arc<VirtualClock>) {
+        let clock = Arc::new(VirtualClock::new());
+        let (qp, _) = echo_qp(failures);
+        let qp = qp.with_pipeline(Arc::clone(&clock), depth, 4, None);
+        let w = InflightWindow::new(qp, RetryPolicy::default(), Arc::clone(&clock));
+        (w, clock)
     }
 
     fn get(key: Vec<u8>) -> KvCommand {
@@ -342,5 +409,88 @@ mod tests {
             }
         );
         assert_eq!(ledger.custom("client_retries"), 4);
+    }
+
+    #[test]
+    fn waiting_on_a_claimed_op_is_an_error_not_a_hang() {
+        let (w, _) = window(0);
+        let op = w.submit(None, get(vec![1]));
+        assert_eq!(w.wait(op).expect("echo"), KvResponse::Value(vec![1]));
+        assert!(matches!(
+            w.wait(op),
+            Err(ClientError::UnexpectedResponse(_))
+        ));
+    }
+
+    #[test]
+    fn pipelined_commands_overlap_instead_of_serializing() {
+        // Lock-step at depth 1: each command pays both pcie_cmd_ns hops
+        // end to end. Deep window: propagation pipelines away.
+        let spec = HardwareSpec::default();
+        let lockstep = {
+            let (w, clock) = timed(1, 0);
+            for i in 0u8..32 {
+                assert_eq!(w.call(None, get(vec![i])), Ok(KvResponse::Value(vec![i])));
+            }
+            clock.now_ns()
+        };
+        let pipelined = {
+            let (w, clock) = timed(32, 0);
+            let ops: Vec<OpId> = (0u8..32).map(|i| w.submit(None, get(vec![i]))).collect();
+            for (i, op) in (0u8..).zip(ops) {
+                assert_eq!(w.wait(op), Ok(KvResponse::Value(vec![i])));
+            }
+            clock.now_ns()
+        };
+        assert!(
+            lockstep >= 32 * 2 * spec.pcie_cmd_ns,
+            "lock-step pays both hops per op: {lockstep}"
+        );
+        assert!(
+            pipelined * 3 < lockstep,
+            "pipelined ({pipelined}) must beat lock-step ({lockstep}) by 3x+"
+        );
+    }
+
+    #[test]
+    fn bounded_depth_stalls_submit_until_a_slot_frees() {
+        let (w, clock) = timed(2, 0);
+        let ops = vec![w.submit(None, get(vec![1])), w.submit(None, get(vec![2]))];
+        assert_eq!(clock.now_ns(), 0, "two sends fit a depth-2 window");
+        let third = w.submit(None, get(vec![3]));
+        let stalled_to = clock.now_ns();
+        assert!(stalled_to > 0, "third submit must wait for the window");
+        for (i, op) in (1u8..).zip(ops.into_iter().chain([third])) {
+            assert_eq!(w.wait(op), Ok(KvResponse::Value(vec![i])));
+        }
+        let lats = w.completion_latencies();
+        assert_eq!(lats.len(), 3);
+        // The first command went out at 0, so its latency is its
+        // completion time: the stall waited for exactly that slot.
+        assert_eq!(stalled_to, lats[0]);
+        assert_eq!(w.inflight_len(), 0);
+    }
+
+    #[test]
+    fn completion_latencies_are_recorded_per_completion() {
+        let (w, _) = timed(8, 0);
+        let ops: Vec<OpId> = (0u8..4).map(|i| w.submit(None, get(vec![i]))).collect();
+        for op in ops {
+            w.wait(op).expect("echo");
+        }
+        let lats = w.completion_latencies();
+        assert_eq!(lats.len(), 4);
+        assert!(lats.iter().all(|&l| l > 0));
+        assert!(w.completion_latencies().is_empty());
+    }
+
+    #[test]
+    fn a_timed_retry_waits_out_its_backoff_before_resending() {
+        let (w, clock) = timed(1, 1);
+        assert_eq!(w.call(None, get(vec![9])), Ok(KvResponse::Value(vec![9])));
+        let lats = w.completion_latencies();
+        assert_eq!(lats.len(), 2, "one failed attempt, one resend");
+        let backoff = RetryPolicy::default().backoff_ns(1);
+        assert_eq!(clock.now_ns(), lats[0] + backoff + lats[1]);
     }
 }

@@ -1365,10 +1365,12 @@ mod tests {
             assert!(!used && image == sorted, "{name}");
             // The census charges, replayed on a fresh ledger.
             let (_, census_soc, _) = test_stack(8, 1);
+            let mut census = census_soc.tally();
             for (key, _) in &pairs[..scanned] {
-                census_soc.bytes(KlogRecord::HEADER + key.len());
-                census_soc.cmp(1.0);
+                census.bytes(KlogRecord::HEADER + key.len());
+                census.cmp(1.0);
             }
+            drop(census);
             assert_eq!(
                 soc_ns - sort_ns,
                 census_soc.ledger().snapshot().soc_cpu_ns,

@@ -37,35 +37,14 @@ impl SocCharger {
     pub fn tally(&self) -> SocTally<'_> {
         SocTally { soc: self, ns: 0 }
     }
-
-    /// `n` key comparisons.
-    pub fn cmp(&self, n: f64) {
-        self.tally().cmp(n);
-    }
-
-    /// Moving / encoding / decoding `bytes` of data.
-    pub fn bytes(&self, bytes: usize) {
-        self.tally().bytes(bytes);
-    }
-
-    /// Bulk memory movement of `bytes` (cheaper than codec work).
-    pub fn memcpy(&self, bytes: usize) {
-        self.tally().memcpy(bytes);
-    }
-
-    /// Fixed per-key-value-pair data-path cost (parsing, framing,
-    /// buffer management) on the device.
-    pub fn kv_op(&self) {
-        self.tally().kv_op();
-    }
 }
 
 /// SoC charges summed in place and booked to the ledger once, when the
 /// tally drops — on every exit path, `?` included. Each charge is rounded
 /// to whole nanoseconds on its own ([`whole_ns`]), so a tally books
-/// exactly what the same charges made one by one through [`SocCharger`]
-/// would. A bulk PUT charges its pairs through one tally instead of
-/// taking the ledger's counter three times per pair.
+/// exactly what the same charges made through one tally each would. A
+/// bulk PUT charges its pairs through one tally instead of taking the
+/// ledger's counter three times per pair.
 #[derive(Debug)]
 pub struct SocTally<'a> {
     soc: &'a SocCharger,
@@ -133,8 +112,10 @@ mod tests {
     #[test]
     fn charges_land_on_soc_counter() {
         let s = soc();
-        s.cmp(100.0);
-        s.bytes(1000);
+        let mut t = s.tally();
+        t.cmp(100.0);
+        t.bytes(1000);
+        drop(t);
         let snap = s.ledger().snapshot();
         assert!(snap.soc_cpu_ns > 0);
         assert_eq!(
@@ -146,7 +127,7 @@ mod tests {
     #[test]
     fn slowdown_factor_applies() {
         let s = soc();
-        s.cmp(1.0);
+        s.tally().cmp(1.0);
         let expect = CostModel::default().key_cmp_ns * CostModel::default().soc_slowdown;
         assert_eq!(s.ledger().snapshot().soc_cpu_ns, expect as u64);
     }
@@ -172,10 +153,10 @@ mod tests {
         {
             let mut t = tallied.tally();
             for n in 1..50 {
-                one_by_one.bytes(n);
-                one_by_one.memcpy(n * 3);
-                one_by_one.kv_op();
-                (0..n).for_each(|_| one_by_one.cmp(1.0));
+                one_by_one.tally().bytes(n);
+                one_by_one.tally().memcpy(n * 3);
+                one_by_one.tally().kv_op();
+                (0..n).for_each(|_| one_by_one.tally().cmp(1.0));
                 t.bytes(n);
                 t.memcpy(n * 3);
                 t.kv_op();

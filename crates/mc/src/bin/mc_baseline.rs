@@ -40,6 +40,7 @@ fn main() {
         ("three-locks-dpor", harnesses::three_locks(&full)),
         ("three-locks-naive", harnesses::three_locks(&naive)),
         ("window-matching", harnesses::window_matching(&full)),
+        ("window-retry", harnesses::window_retry(&full)),
     ] {
         // racy-increment is *supposed* to fail: its baseline entry is
         // the schedule count at which the counterexample is found.

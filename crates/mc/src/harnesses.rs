@@ -17,7 +17,7 @@ use kvcsd_cluster::ReplicaLog;
 use kvcsd_core::{
     AdmissionConfig, AdmissionGate, ArtifactPayload, Decision, KeyspaceArtifacts, PressureSample,
 };
-use kvcsd_proto::{DeviceHandler, KvCommand, KvResponse, QueuePair};
+use kvcsd_proto::{DeviceHandler, KvCommand, KvResponse, KvStatus, QueuePair};
 use kvcsd_sim::sync::{spawn, Mutex, Shared};
 use kvcsd_sim::{BusConfig, BusResource, IoLedger, VirtualClock};
 
@@ -216,17 +216,36 @@ impl DeviceHandler for EchoDevice {
     }
 }
 
-/// Two threads share one [`InflightWindow`] and each submit + wait one
-/// op with a distinct key. Under every interleaving, each thread must
-/// claim exactly its own completion (a thread's `wait` may drain —
-/// *pump* — the other's completion into the done map, never steal it),
-/// and both threads must terminate: the submit/poll critical section
-/// must be deadlock-free and the wait loop bounded.
-pub fn window_matching_body() {
-    let qp = QueuePair::new(Arc::new(EchoDevice), Arc::new(IoLedger::new(1, 4096)));
+/// Echo device whose first command fails with a retryable
+/// `TransientDeviceError`; every later one echoes.
+struct FlakyEchoDevice {
+    failed: Shared<bool>,
+}
+
+impl DeviceHandler for FlakyEchoDevice {
+    fn handle(&self, cmd: KvCommand) -> KvResponse {
+        if !self.failed.update(|failed| std::mem::replace(failed, true)) {
+            return KvResponse::Err(KvStatus::TransientDeviceError("injected".into()));
+        }
+        EchoDevice.handle(cmd)
+    }
+}
+
+/// Two threads share one [`InflightWindow`] over `device` and each
+/// submit + wait one op with a distinct key. Each thread must claim
+/// exactly its own completion (a thread's `wait` may handle the other's
+/// completion into the finished map, never steal it), and both threads
+/// must terminate: the window's one lock must be deadlock-free and the
+/// wait loop bounded. Returns the window's ledger.
+fn two_threads_claim_their_own(
+    device: Arc<dyn DeviceHandler>,
+    policy: RetryPolicy,
+) -> Arc<IoLedger> {
+    let ledger = Arc::new(IoLedger::new(1, 4096));
+    let qp = QueuePair::new(device, Arc::clone(&ledger));
     let win = Arc::new(InflightWindow::new(
         qp,
-        RetryPolicy::none(),
+        policy,
         Arc::new(VirtualClock::new()),
     ));
     let threads: Vec<_> = (0..2u8)
@@ -254,8 +273,34 @@ pub fn window_matching_body() {
         let _ = t.join();
     }
     assert_eq!(win.inflight_len(), 0, "no orphaned ops after both claims");
+    ledger
+}
+
+/// Two threads claim their own echo over one window, no retries.
+pub fn window_matching_body() {
+    two_threads_claim_their_own(Arc::new(EchoDevice), RetryPolicy::none());
 }
 
 pub fn window_matching(cfg: &McConfig) -> McReport {
     check("window-matching", cfg, window_matching_body)
+}
+
+/// [`window_matching_body`] with a resend under concurrency: the first
+/// command either thread sends fails transiently, so one op goes
+/// through the resend slot while the other thread may be waiting,
+/// submitting or handling completions.
+pub fn window_retry_body() {
+    let device = Arc::new(FlakyEchoDevice {
+        failed: Shared::new(false),
+    });
+    let policy = RetryPolicy {
+        max_retries: 1,
+        ..RetryPolicy::default()
+    };
+    let ledger = two_threads_claim_their_own(device, policy);
+    assert_eq!(ledger.custom("client_retries"), 1, "exactly one resend");
+}
+
+pub fn window_retry(cfg: &McConfig) -> McReport {
+    check("window-retry", cfg, window_retry_body)
 }

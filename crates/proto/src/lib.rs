@@ -28,7 +28,7 @@ pub use command::{
     SecondaryIndexSpec, SecondaryKeyType, SidxKey,
 };
 pub use status::KvStatus;
-pub use transport::{CmdId, DeviceHandler, ExecProbe, QueuePair};
+pub use transport::{Completion, DeviceHandler, ExecProbe, QueuePair};
 
 /// Keyspace identifier assigned by the device at creation time.
 pub type KeyspaceId = u32;

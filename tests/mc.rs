@@ -71,8 +71,22 @@ fn window_completion_matching_holds_under_all_interleavings() {
     assert!(report.controlled && report.completed);
     assert!(
         report.schedules >= 2,
-        "two threads share the window's submit/poll critical section — the schedule \
-         space must not collapse (saw {})",
+        "two threads share the window's lock — the schedule space must not collapse \
+         (saw {})",
+        report.schedules
+    );
+}
+
+#[cfg(debug_assertions)]
+#[test]
+fn window_retry_resends_under_all_interleavings() {
+    let report = harnesses::window_retry(&McConfig::default());
+    report.assert_ok();
+    assert!(report.controlled && report.completed);
+    assert!(
+        report.schedules >= 2,
+        "two threads share the window while one op is resent — the schedule space \
+         must not collapse (saw {})",
         report.schedules
     );
 }
