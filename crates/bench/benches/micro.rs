@@ -10,6 +10,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use kvcsd_blockfs::{BlockFs, FsConfig};
+use kvcsd_cluster::{ClusterConfig, ClusterRouter};
 use kvcsd_core::compact::run_compaction;
 use kvcsd_core::dram::DramBudget;
 use kvcsd_core::extsort::ExtSorter;
@@ -26,7 +27,7 @@ use kvcsd_flash::{
 use kvcsd_lsm::bloom::BloomFilter;
 use kvcsd_lsm::memtable::MemTable;
 use kvcsd_lsm::sstable::{new_block_cache, TableBuilder};
-use kvcsd_proto::{Bound, BulkBuilder, DeviceHandler, KvCommand, SidxKey};
+use kvcsd_proto::{Bound, BulkBuilder, DeviceHandler, JobState, KvCommand, KvResponse, SidxKey};
 use kvcsd_sim::config::CostModel;
 use kvcsd_sim::{HardwareSpec, IoLedger, XorShift64};
 
@@ -263,8 +264,29 @@ fn bench_pidx_block() {
 /// A keyspace's id and the keys loaded into it.
 type Loaded = (u32, Vec<Vec<u8>>);
 
-/// A compacted device holding four keyspaces of 48k random 16-byte keys
-/// with 32-byte values, loaded through the write accelerator.
+/// Four keyspaces' worth of 48k random 16-byte keys.
+fn query_keys() -> Vec<Vec<Vec<u8>>> {
+    let mut rng = XorShift64::new(28);
+    (0..4)
+        .map(|_| {
+            (0..48_000)
+                .map(|_| format!("{:016x}", rng.next_u64()).into_bytes())
+                .collect()
+        })
+        .collect()
+}
+
+/// A random keyspace and one of its keys.
+fn pick(spaces: &[Loaded], rng: &mut XorShift64) -> (u32, Vec<u8>) {
+    let (ks, keys) = &spaces[rng.next_below(spaces.len() as u64) as usize];
+    (
+        *ks,
+        keys[rng.next_below(keys.len() as u64) as usize].clone(),
+    )
+}
+
+/// A compacted device holding the [`query_keys`] keyspaces with 32-byte
+/// values, loaded through the write accelerator.
 fn query_device() -> (DeviceStack, Vec<Loaded>) {
     let geom = FlashGeometry {
         channels: 16,
@@ -277,13 +299,9 @@ fn query_device() -> (DeviceStack, Vec<Loaded>) {
         Arc::clone(stack.device()) as Arc<dyn DeviceHandler>,
         Arc::clone(stack.ledger()),
     );
-    let mut rng = XorShift64::new(28);
     let mut spaces = Vec::new();
-    for k in 0..4 {
+    for (k, keys) in query_keys().into_iter().enumerate() {
         let ks = client.create_keyspace(&format!("ks{k}")).unwrap();
-        let keys: Vec<Vec<u8>> = (0..48_000)
-            .map(|_| format!("{:016x}", rng.next_u64()).into_bytes())
-            .collect();
         let acc = ks.write_accelerator();
         for key in &keys {
             acc.put(key, &[7u8; 32]).unwrap();
@@ -303,21 +321,80 @@ fn query_device() -> (DeviceStack, Vec<Loaded>) {
 fn bench_device_queries() {
     let (stack, spaces) = query_device();
     let device = stack.device();
-    let pick = |rng: &mut XorShift64| {
-        let (ks, keys) = &spaces[rng.next_below(spaces.len() as u64) as usize];
-        (
-            *ks,
-            keys[rng.next_below(keys.len() as u64) as usize].clone(),
-        )
-    };
     let mut rng = XorShift64::new(7);
     bench("device/get_random", 20_000, 1, || {
-        let (ks, key) = pick(&mut rng);
+        let (ks, key) = pick(&spaces, &mut rng);
         device.handle(KvCommand::Get { ks, key })
     });
     bench("device/range_100", 2_000, 1, || {
-        let (ks, key) = pick(&mut rng);
+        let (ks, key) = pick(&spaces, &mut rng);
         device.handle(KvCommand::Range {
+            ks,
+            lo: Bound::Included(key),
+            hi: Bound::Unbounded,
+            limit: Some(100),
+        })
+    });
+}
+
+/// A two-shard, hash-sharded, replicated router holding the
+/// [`query_keys`] keyspaces with 32-byte values, each loaded in bulks
+/// and compacted (its artifacts shipped to the replica logs).
+fn query_cluster() -> (ClusterRouter, Vec<Loaded>) {
+    let r = ClusterRouter::new(ClusterConfig {
+        shards: 2,
+        ..ClusterConfig::default()
+    });
+    let ok = |resp: KvResponse| match resp {
+        KvResponse::Err(e) => panic!("cluster load: {e}"),
+        resp => resp,
+    };
+    let mut spaces = Vec::new();
+    for (k, keys) in query_keys().into_iter().enumerate() {
+        let ks = match ok(r.handle(KvCommand::CreateKeyspace {
+            name: format!("ks{k}"),
+        })) {
+            KvResponse::Created { ks } => ks,
+            other => panic!("create: {other:?}"),
+        };
+        let mut b = BulkBuilder::default_size();
+        for key in &keys {
+            if !b.push(key, &[7u8; 32]) {
+                let full = std::mem::replace(&mut b, BulkBuilder::default_size());
+                ok(r.handle(KvCommand::BulkPut {
+                    ks,
+                    payload: full.finish(),
+                }));
+                assert!(b.push(key, &[7u8; 32]));
+            }
+        }
+        ok(r.handle(KvCommand::BulkPut {
+            ks,
+            payload: b.finish(),
+        }));
+        let job = match ok(r.handle(KvCommand::Compact { ks })) {
+            KvResponse::JobStarted { job } => job,
+            other => panic!("compact: {other:?}"),
+        };
+        while !matches!(
+            ok(r.handle(KvCommand::PollJob { job })),
+            KvResponse::Job {
+                state: JobState::Done
+            }
+        ) {}
+        spaces.push((ks, keys));
+    }
+    (r, spaces)
+}
+
+/// RANGEs through the router: both shards answer, and the router merges
+/// the two sorted answers down to the limit.
+fn bench_cluster_queries() {
+    let (router, spaces) = query_cluster();
+    let mut rng = XorShift64::new(7);
+    bench("cluster/range_100", 2_000, 1, || {
+        let (ks, key) = pick(&spaces, &mut rng);
+        router.handle(KvCommand::Range {
             ks,
             lo: Bound::Included(key),
             hi: Bound::Unbounded,
@@ -349,5 +426,6 @@ fn main() {
     bench_device_paths();
     bench_pidx_block();
     bench_device_queries();
+    bench_cluster_queries();
     bench_end_to_end();
 }

@@ -43,6 +43,7 @@
 //! replication-link decision sequence to a depth bound (kvcsd-mc's
 //! network explorer) and checks each run against the client contract.
 
+mod merge;
 pub mod replica;
 pub mod router;
 pub mod shard;

@@ -181,8 +181,13 @@ impl ReplicaLog {
             match self.bus.xmit(wire) {
                 BusXmit::Delivered { ns, copies } => {
                     fabric_ns = fabric_ns.saturating_add(ns);
-                    for _ in 0..copies {
+                    // No retransmit follows: the last copy takes the
+                    // artifacts themselves instead of a deep clone.
+                    for _ in 1..copies {
                         self.apply(ship.clone(), art.clone());
+                    }
+                    if copies > 0 {
+                        self.apply(ship, art);
                     }
                     return Ok(ShipOutcome {
                         seq,

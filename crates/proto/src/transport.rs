@@ -39,8 +39,8 @@ pub trait DeviceHandler: Send + Sync {
 
 /// Measures device busy-time around a `handle` call, in virtual ns: the
 /// pipeline model charges `probe_after - probe_before` as the command's
-/// device-execution occupancy. The default probe reads the shared
-/// ledger's device-side accumulators.
+/// device-execution occupancy. The default probe is the shared
+/// ledger's [`IoLedger::device_busy_ns`].
 pub type ExecProbe = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// One command's completion, as [`QueuePair::submit`] returns it.
@@ -112,8 +112,8 @@ impl QueuePair {
     /// submitter keeps at most `depth` commands in flight.
     ///
     /// `probe` measures device busy-time around each `handle` call; when
-    /// `None`, the shared ledger's device-side accumulators (SoC CPU +
-    /// bridge + busiest flash channel) are used.
+    /// `None`, the shared ledger's busy read is used: SoC CPU, bridge
+    /// and busiest flash channel ([`IoLedger::device_busy_ns`]).
     pub fn with_pipeline(
         mut self,
         clock: Arc<VirtualClock>,
@@ -124,10 +124,7 @@ impl QueuePair {
         let spec = HardwareSpec::default();
         let probe = probe.unwrap_or_else(|| {
             let ledger = Arc::clone(&self.ledger);
-            Arc::new(move || {
-                let s = ledger.snapshot();
-                s.soc_cpu_ns + s.bridge_busy_ns + s.max_channel_busy_ns()
-            })
+            Arc::new(move || ledger.device_busy_ns())
         });
         self.pipe = Some(Arc::new(PipeTiming {
             clock,

@@ -157,6 +157,20 @@ impl IoLedger {
 
     // ---- snapshots ------------------------------------------------------
 
+    /// Device-side busy time so far: SoC CPU + bridge + the busiest
+    /// NAND channel, read in place. The snapshot sum it equals
+    /// allocates; this runs around every routed fan-out and every timed
+    /// device command. Only deltas of it are meaningful.
+    pub fn device_busy_ns(&self) -> u64 {
+        let busiest = self.channel_busy_ns.iter().map(Shared::get).max();
+        self.soc_cpu_ns.get() + self.bridge_busy_ns.get() + busiest.unwrap_or(0)
+    }
+
+    /// Host-core CPU time charged so far, read in place.
+    pub fn host_cpu_ns(&self) -> u64 {
+        self.host_cpu_ns.get()
+    }
+
     /// Capture current counter values.
     pub fn snapshot(&self) -> LedgerSnapshot {
         LedgerSnapshot {
@@ -298,6 +312,27 @@ mod tests {
         assert_eq!(s.max_channel_busy_ns(), 2_003_000);
         assert_eq!(s.storage_write_bytes(), 3 * 4096);
         assert_eq!(s.storage_read_bytes(), 4096);
+    }
+
+    #[test]
+    fn busy_reads_equal_the_snapshot_sums_they_replace() {
+        let l = ledger();
+        let sum = |l: &IoLedger| {
+            let s = l.snapshot();
+            s.soc_cpu_ns + s.bridge_busy_ns + s.max_channel_busy_ns()
+        };
+        assert_eq!((l.device_busy_ns(), l.host_cpu_ns()), (0, 0));
+        l.charge_soc_cpu(1234.9);
+        l.bridge_busy(77);
+        l.nand_program(1, 3, 3000);
+        l.nand_read(3, 1, 5000);
+        l.charge_host_cpu_ns(41);
+        assert_eq!(l.device_busy_ns(), sum(&l));
+        assert_eq!(l.device_busy_ns(), 1234 + 77 + 5000);
+        l.nand_erase(1, 2_000_000);
+        assert_eq!(l.device_busy_ns(), sum(&l));
+        assert_eq!(l.host_cpu_ns(), l.snapshot().host_cpu_ns);
+        assert_eq!(IoLedger::new(0, 4096).device_busy_ns(), 0, "no channels");
     }
 
     #[test]
