@@ -462,142 +462,6 @@ pub fn find_atomics(code: &str) -> Vec<Hit> {
     hits
 }
 
-/// 1-based line ranges of the bodies of functions named one of `names`
-/// (signature through the matching close brace). Used to exempt the FSM
-/// transition checkpoints from the `fsm-bypass` rule: the checked
-/// `transition_to`/`transition` functions are *where* the state write is
-/// supposed to live.
-pub fn fn_body_line_ranges(code: &str, names: &[&str]) -> Vec<(usize, usize)> {
-    let bytes = code.as_bytes();
-    let line_starts: Vec<usize> = std::iter::once(0)
-        .chain(
-            bytes
-                .iter()
-                .enumerate()
-                .filter(|&(_, b)| *b == b'\n')
-                .map(|(i, _)| i + 1),
-        )
-        .collect();
-    let line_of = |off: usize| line_starts.partition_point(|&s| s <= off);
-
-    let mut ranges = Vec::new();
-    for name in names {
-        let needle = format!("fn {name}");
-        for start in find_all(code, &needle) {
-            if !bounded(bytes, start, needle.len()) {
-                continue;
-            }
-            // Scan to the body's opening brace (past generics, args and
-            // any where-clause — none of which contain `{` in this
-            // codebase), then brace-match to its close.
-            let mut i = start + needle.len();
-            while i < bytes.len() && bytes[i] != b'{' && bytes[i] != b';' {
-                i += 1;
-            }
-            if i >= bytes.len() || bytes[i] == b';' {
-                continue; // trait method declaration: no body to exempt
-            }
-            let mut depth = 0usize;
-            let mut j = i;
-            while j < bytes.len() {
-                match bytes[j] {
-                    b'{' => depth += 1,
-                    b'}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            ranges.push((line_of(start), line_of(j.min(bytes.len() - 1))));
-        }
-    }
-    ranges.sort_unstable();
-    ranges
-}
-
-/// Direct keyspace/zone FSM state writes: `.state = ...` assignments and
-/// `state: ...` fields inside *struct-update* literals (`Foo { state: x,
-/// ..old }`). Only files that name `KeyspaceState` or `ZoneState` are
-/// scanned at all, so unrelated `state` fields (RNG internals, metadata
-/// write cursors) never trip it. Limits: a struct-update literal is
-/// recognized by a `..base` (with a real base expression — rest patterns
-/// `..}` are ignored) at brace depth 1 within 4 KiB of the field; exact
-/// type resolution is out of scope for a lexer, so the rare false
-/// positive carries an inline allow with its justification.
-pub fn find_fsm_state_writes(code: &str) -> Vec<Hit> {
-    let bytes = code.as_bytes();
-    let gated = ["KeyspaceState", "ZoneState"].iter().any(|t| {
-        find_all(code, t)
-            .iter()
-            .any(|&ix| bounded(bytes, ix, t.len()))
-    });
-    if !gated {
-        return Vec::new();
-    }
-    let mut hits = Vec::new();
-    for ix in find_all(code, ".state") {
-        if is_ident(next_at(bytes, ix + ".state".len())) {
-            continue; // `.states`, `.state_of`, ...
-        }
-        let mut j = ix + ".state".len();
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        // Plain assignment only: `==`, `=>`, and compound ops (`+=` etc.,
-        // whose operator precedes the `=`) all fail this test.
-        if next_at(bytes, j) == b'=' && !matches!(next_at(bytes, j + 1), b'=' | b'>') {
-            hits.push(Hit {
-                offset: ix,
-                what: "`.state = ...` assignment".to_string(),
-            });
-        }
-    }
-    for ix in find_all(code, "state") {
-        if !bounded(bytes, ix, "state".len()) {
-            continue;
-        }
-        let mut j = ix + "state".len();
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if next_at(bytes, j) != b':' || next_at(bytes, j + 1) == b':' {
-            continue; // not a field init (or a `state::` path)
-        }
-        // A struct-update base at depth 1 before the literal closes marks
-        // this as an in-place overwrite of an existing value's state.
-        let mut depth = 1i32;
-        let mut k = j + 1;
-        let stop = (ix + 4096).min(bytes.len());
-        while k < stop && depth > 0 {
-            match bytes[k] {
-                b'{' | b'(' | b'[' => depth += 1,
-                b'}' | b')' | b']' => depth -= 1,
-                b'.' if depth == 1 && next_at(bytes, k + 1) == b'.' => {
-                    let mut m = k + 2;
-                    while m < bytes.len() && bytes[m].is_ascii_whitespace() {
-                        m += 1;
-                    }
-                    if next_at(bytes, m) != b'}' && next_at(bytes, m) != 0 {
-                        hits.push(Hit {
-                            offset: ix,
-                            what: "`state: ...` in a struct-update literal".to_string(),
-                        });
-                    }
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-    }
-    hits.sort_by_key(|h| h.offset);
-    hits
-}
-
 /// Names of structs whose body declares an interior-mutable field
 /// (`Atomic*`, `Cell<`, `RefCell<`, `UnsafeCell<`, `OnceCell<`), as
 /// `(name, byte offset of the declaration)`. Feeds the cross-file
@@ -946,24 +810,6 @@ mod tests {
         let code = "use std::sync::atomic::AtomicU64;\nstatic mut X: u64 = 0;\nlet c: UnsafeCell<u8>;\ncore::sync::atomic::fence(o);\nstatic muted: u8 = 0;\n";
         let hits = find_atomics(code);
         assert_eq!(hits.len(), 4, "{hits:?}");
-    }
-
-    #[test]
-    fn fn_body_ranges_cover_named_fns_only() {
-        let code = "fn transition_to(&mut self) {\n    self.state = to;\n}\nfn other() {\n    x();\n}\nfn transition(a: u8) {\n    go();\n}\n";
-        let ranges = fn_body_line_ranges(code, &["transition_to", "transition"]);
-        assert_eq!(ranges, vec![(1, 3), (7, 9)]);
-    }
-
-    #[test]
-    fn fsm_writes_need_the_content_gate() {
-        let ungated = "self.state = x;"; // no KeyspaceState/ZoneState named
-        assert!(find_fsm_state_writes(ungated).is_empty());
-        let gated = "use KeyspaceState;\nself.state = x;\nself.state == y;\nself.states = z;\nself.state += 1;\nmatch s { S { state: a, .. } => a }\nS { state: b, ..old }\n";
-        let hits = find_fsm_state_writes(gated);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits[0].what.contains("assignment"));
-        assert!(hits[1].what.contains("struct-update"));
     }
 
     #[test]

@@ -186,7 +186,7 @@ fn fn_starts(code: &str) -> Vec<(usize, String, usize)> {
         // Scan to the body's `{`, skipping the argument list and any
         // return type; a `;` first means a bodyless trait declaration.
         // A where-clause could legally contain braces in general Rust,
-        // but not in this workspace (same assumption as the fsm scanner).
+        // but not in this workspace.
         let mut k = j;
         while k < bytes.len() && bytes[k] != b'{' && bytes[k] != b';' {
             if bytes[k] == b'(' {

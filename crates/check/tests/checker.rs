@@ -93,19 +93,6 @@ fn seeded_atomics_violations_are_flagged() {
 }
 
 #[test]
-fn seeded_fsm_violations_are_flagged() {
-    let v = scan("bad_fsm.rs", include_str!("fixtures/bad_fsm.rs"));
-    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
-    assert_eq!(
-        lines,
-        vec![18, 23],
-        "checkpoint body, `==`, rest pattern and the allow stay silent: {v:#?}"
-    );
-    assert!(v.iter().all(|v| v.rule == "fsm-bypass"));
-    assert!(v.iter().any(|v| v.message.contains("transition_to")));
-}
-
-#[test]
 fn seeded_shared_raw_violations_are_flagged() {
     let v = scan(
         "bad_shared_raw.rs",
@@ -155,8 +142,6 @@ fn sim_substrate_is_exempt_from_the_shared_state_rules() {
         "harness stop flags must use Shared<bool>, not AtomicBool"
     );
     assert!(!rules_for("tests/stress_mt.rs").shared_raw);
-    assert!(rules_for("crates/core/src/keyspace.rs").fsm_bypass);
-    assert!(rules_for("crates/flash/src/zns.rs").fsm_bypass);
 }
 
 #[test]

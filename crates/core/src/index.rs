@@ -386,7 +386,8 @@ impl BlockIndex {
     /// `lo..hi`, at most `limit` of them, as `(primary key, value
     /// locator)` in index order. Each block's first entry within `lo` is
     /// found by binary search, and every entry the walk passes or takes
-    /// is charged as one comparison.
+    /// is charged as one comparison. A limit of 0 answers nothing and
+    /// charges nothing.
     pub(crate) fn scan<E: IndexEntry>(
         &self,
         mgr: &ZoneManager,
@@ -396,6 +397,9 @@ impl BlockIndex {
         hi: &Bound,
         limit: Option<u64>,
     ) -> Result<Vec<Hit>> {
+        if limit == Some(0) {
+            return Ok(Vec::new());
+        }
         soc.cmp(self.sketch.search_cost());
         let mut hits = Vec::new();
         'blocks: for b in start..self.blocks {

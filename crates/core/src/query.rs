@@ -588,6 +588,15 @@ mod tests {
                 Err(DeviceError::KeyNotFound)
             ));
         });
+        // A limit of 0 answers nothing and reads no block: each query
+        // books only the gather's sort charge over no hits.
+        let nothing = charge(&|| {
+            let (lo, hi) = (&Bound::Unbounded, &Bound::Unbounded);
+            let got = range(&mgr, &soc, &st, lo, hi, Some(0)).unwrap();
+            assert!(got.is_empty());
+            let got = sidx_range(&mgr, &soc, &st, "score", lo, hi, Some(0)).unwrap();
+            assert!(got.is_empty());
+        });
         // Pinned figures: how a block is read and searched in memory must
         // not change the work the model charges, nor the channels it lands on.
         assert_eq!(get, (4602, 2, vec![12551, 0, 0, 0, 0, 0, 12551, 0]));
@@ -602,6 +611,7 @@ mod tests {
             (27263, 3, vec![0, 12551, 12551, 0, 0, 0, 0, 12551])
         );
         assert_eq!(absent, (4598, 1, vec![0, 0, 0, 0, 0, 0, 12551, 0]));
+        assert_eq!(nothing, (20, 0, vec![0; 8]));
 
         // Secondary keys whose duplicates span blocks: an inclusive bound
         // starts before the last pivot equal to it.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use kvcsd_sim::fault::{FaultDecision, OpClass};
 use kvcsd_sim::sync::{Mutex, Shared};
-use kvcsd_sim::TransitionTable;
+use kvcsd_sim::{Lifecycle, TransitionTable};
 
 use crate::error::FlashError;
 use crate::nand::NandArray;
@@ -71,6 +71,8 @@ impl ZoneState {
 /// never reopened for writes.
 pub static ZONE_TRANSITIONS: TransitionTable<ZoneState> = TransitionTable {
     machine: "zone",
+    // A new namespace's zones are erased.
+    initial: ZoneState::Empty,
     edges: &[
         // First append opens the zone.
         (ZoneState::Empty, ZoneState::Open),
@@ -90,25 +92,22 @@ pub static ZONE_TRANSITIONS: TransitionTable<ZoneState> = TransitionTable {
 
 #[derive(Debug)]
 struct ZoneMeta {
-    state: ZoneState,
+    state: Lifecycle<ZoneState>,
     /// Write pointer in pages from the zone start.
     wp_pages: u32,
 }
 
 impl ZoneMeta {
-    /// The single checkpoint through which every zone state change flows.
+    /// A checked state change as a [`FlashError`]: an illegal edge is
+    /// rejected without moving the state.
     fn transition(&mut self, zone: u32, to: ZoneState) -> Result<()> {
-        match ZONE_TRANSITIONS.check(self.state, to) {
-            Ok(()) => {
-                self.state = to;
-                Ok(())
-            }
-            Err(_) => Err(FlashError::IllegalZoneTransition {
+        self.state
+            .transition(to)
+            .map_err(|_| FlashError::IllegalZoneTransition {
                 zone,
-                from: self.state.name(),
+                from: self.state.get().name(),
                 to: to.name(),
-            }),
-        }
+            })
     }
 }
 
@@ -147,7 +146,7 @@ impl ZonedNamespace {
             zones: (0..zone_count)
                 .map(|_| {
                     Mutex::new(ZoneMeta {
-                        state: ZoneState::Empty,
+                        state: Lifecycle::new(&ZONE_TRANSITIONS),
                         wp_pages: 0,
                     })
                 })
@@ -216,7 +215,7 @@ impl ZonedNamespace {
         self.check_zone(zone)?;
         let meta = self.zones[zone as usize].lock();
         Ok(ZoneInfo {
-            state: meta.state,
+            state: meta.state.get(),
             write_pointer_pages: meta.wp_pages,
             capacity_pages: self.zone_capacity_pages(),
             channel: self.channel_of_zone(zone),
@@ -265,11 +264,11 @@ impl ZonedNamespace {
         // power cut never needs the illegal Full -> Open edge to roll back.
         let start = {
             let mut meta = self.zones[zone as usize].lock();
-            match meta.state {
+            match meta.state.get() {
                 ZoneState::Full | ZoneState::ReadOnly => {
                     return Err(FlashError::BadZoneState {
                         zone,
-                        state: meta.state.name(),
+                        state: meta.state.get().name(),
                         op: "append",
                     })
                 }
@@ -333,7 +332,7 @@ impl ZonedNamespace {
         }
         if start + pages == cap {
             let mut meta = self.zones[zone as usize].lock();
-            if meta.state == ZoneState::Open && meta.wp_pages == cap {
+            if meta.state.get() == ZoneState::Open && meta.wp_pages == cap {
                 meta.transition(zone, ZoneState::Full)?;
                 self.open_count.update(|c| *c -= 1);
             }
@@ -401,7 +400,7 @@ impl ZonedNamespace {
             self.nand.erase(self.block_of(zone, b))?;
         }
         // A failed erase leaves the zone as it was, still open if it was.
-        if meta.state == ZoneState::Open {
+        if meta.state.get() == ZoneState::Open {
             self.open_count.update(|c| *c -= 1);
         }
         meta.transition(zone, ZoneState::Empty)?;
@@ -413,7 +412,7 @@ impl ZonedNamespace {
     pub fn finish(&self, zone: u32) -> Result<()> {
         self.check_zone(zone)?;
         let mut meta = self.zones[zone as usize].lock();
-        let was_open = meta.state == ZoneState::Open;
+        let was_open = meta.state.get() == ZoneState::Open;
         meta.transition(zone, ZoneState::Full)?;
         if was_open {
             self.open_count.update(|c| *c -= 1);
@@ -427,7 +426,7 @@ impl ZonedNamespace {
     pub fn mark_read_only(&self, zone: u32) -> Result<()> {
         self.check_zone(zone)?;
         let mut meta = self.zones[zone as usize].lock();
-        let was_open = meta.state == ZoneState::Open;
+        let was_open = meta.state.get() == ZoneState::Open;
         meta.transition(zone, ZoneState::ReadOnly)?;
         if was_open {
             self.open_count.update(|c| *c -= 1);

@@ -1,13 +1,16 @@
-//! Declarative state-machine transition tables.
+//! Declarative state-machine transition tables, and the cell that
+//! holds a state under one.
 //!
 //! The device's correctness argument leans on two small lifecycles — the
 //! keyspace lifecycle (EMPTY → WRITABLE → COMPACTING → COMPACTED /
 //! DEGRADED, Section IV of the paper) and the ZNS zone lifecycle (empty →
-//! open → full → reset). PR 1 enforced them by scattered `match` guards;
-//! this module turns each into a single declarative edge list that every
-//! state mutation must clear, so an illegal edge is a typed error at the
-//! mutation site instead of a latent corruption discovered three layers
-//! later.
+//! open → full → reset). Each is a single declarative edge list, a
+//! [`TransitionTable`], and each state lives in a [`Lifecycle`] cell
+//! whose field is private to this module: the only ways to move it are
+//! the checked [`Lifecycle::transition`] and the unchecked
+//! [`Lifecycle::restore`] that reinstalls a persisted state verbatim. An
+//! illegal edge is a typed error at the mutation site, and a direct
+//! assignment does not compile.
 //!
 //! Self-transitions (`from == to`) are always legal: they are idempotent
 //! no-ops (e.g. `finish` on an already-Full zone) and listing them would
@@ -23,6 +26,8 @@ use std::fmt;
 pub struct TransitionTable<S: 'static> {
     /// Machine name used in error messages ("keyspace", "zone").
     pub machine: &'static str,
+    /// The state every new [`Lifecycle`] starts in.
+    pub initial: S,
     /// Every legal `(from, to)` edge. Self-edges are implicit.
     pub edges: &'static [(S, S)],
 }
@@ -77,6 +82,69 @@ impl fmt::Display for IllegalTransition {
 
 impl std::error::Error for IllegalTransition {}
 
+/// A state that only moves along its [`TransitionTable`].
+///
+/// The state field is private to this module, so code elsewhere reads it
+/// with [`get`](Self::get) and cannot assign it:
+///
+/// ```compile_fail,E0616
+/// use kvcsd_sim::fsm::{Lifecycle, TransitionTable};
+/// static T: TransitionTable<u8> = TransitionTable { machine: "demo", initial: 0, edges: &[(0, 1)] };
+/// let mut cell = Lifecycle::new(&T);
+/// cell.state = 1;
+/// ```
+///
+/// The same move through the table compiles:
+///
+/// ```
+/// use kvcsd_sim::fsm::{Lifecycle, TransitionTable};
+/// static T: TransitionTable<u8> = TransitionTable { machine: "demo", initial: 0, edges: &[(0, 1)] };
+/// let mut cell = Lifecycle::new(&T);
+/// cell.transition(1).unwrap();
+/// ```
+///
+/// The cell is neither `Clone` nor `Copy`, so one keyspace's or zone's
+/// state cannot be copied into another's either.
+pub struct Lifecycle<S: 'static> {
+    table: &'static TransitionTable<S>,
+    state: S,
+}
+
+impl<S: Copy + PartialEq + fmt::Debug> Lifecycle<S> {
+    /// A cell in `table`'s initial state.
+    pub const fn new(table: &'static TransitionTable<S>) -> Self {
+        Self {
+            table,
+            state: table.initial,
+        }
+    }
+
+    /// The current state.
+    pub fn get(&self) -> S {
+        self.state
+    }
+
+    /// Move to `to` if the table has the edge; a rejected edge leaves
+    /// the state where it was.
+    pub fn transition(&mut self, to: S) -> Result<(), IllegalTransition> {
+        self.table.check(self.state, to)?;
+        self.state = to;
+        Ok(())
+    }
+
+    /// Install `state` without consulting the table: for reinstalling a
+    /// persisted or shipped state verbatim, never for a lifecycle step.
+    pub fn restore(&mut self, state: S) {
+        self.state = state;
+    }
+}
+
+impl<S: fmt::Debug> fmt::Debug for Lifecycle<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.state.fmt(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +158,7 @@ mod tests {
 
     static DEMO: TransitionTable<Demo> = TransitionTable {
         machine: "demo",
+        initial: Demo::A,
         edges: &[(Demo::A, Demo::B), (Demo::B, Demo::C), (Demo::C, Demo::A)],
     };
 
@@ -111,6 +180,36 @@ mod tests {
         assert_eq!(err.from, "A");
         assert_eq!(err.to, "C");
         assert!(err.to_string().contains("illegal demo transition"));
+    }
+
+    #[test]
+    fn a_rejected_edge_leaves_the_cell_unchanged() {
+        let mut cell = Lifecycle::new(&DEMO);
+        assert_eq!(cell.get(), Demo::A);
+        let err = cell.transition(Demo::C).unwrap_err();
+        assert_eq!((err.from.as_str(), err.to.as_str()), ("A", "C"));
+        assert_eq!(cell.get(), Demo::A);
+        cell.transition(Demo::B).unwrap();
+        cell.transition(Demo::B).unwrap();
+        assert_eq!(cell.get(), Demo::B);
+    }
+
+    #[test]
+    fn restore_installs_any_state() {
+        for from in [Demo::A, Demo::B, Demo::C] {
+            for to in [Demo::A, Demo::B, Demo::C] {
+                let mut cell = Lifecycle::new(&DEMO);
+                cell.restore(from);
+                cell.restore(to);
+                assert_eq!(cell.get(), to);
+            }
+        }
+        // A restore past the table (A has no edge to C) leaves the table
+        // in charge of the next step.
+        let mut cell = Lifecycle::new(&DEMO);
+        cell.restore(Demo::C);
+        assert!(cell.transition(Demo::B).is_err());
+        cell.transition(Demo::A).unwrap();
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use config::{CostModel, HardwareSpec};
 pub use fault::{
     BusFault, FaultDecision, FaultEvent, FaultInjector, FaultKind, FaultPlan, OpClass,
 };
-pub use fsm::{IllegalTransition, TransitionTable};
+pub use fsm::{IllegalTransition, Lifecycle, TransitionTable};
 pub use ledger::{IoLedger, LedgerSnapshot};
 pub use model::{PhaseTime, TimeModel};
 pub use phase::PhaseRunner;

@@ -315,8 +315,11 @@ impl Contract {
             limit.is_none_or(|l| scan.len() as u64 <= l),
             "{ks}: over limit"
         );
+        // A scan that filled its limit owes only what sorts up to its
+        // last entry; a limit of 0 owes nothing.
         let end = match scan.last() {
             Some((last, _)) if limit == Some(scan.len() as u64) => Bound::Included(last.clone()),
+            None if limit == Some(0) => return,
             _ => hi.clone(),
         };
         let space = self.space(ks);

@@ -6,6 +6,7 @@ mod contract;
 use std::sync::Arc;
 
 use contract::{value_for, Contract};
+use kvcsd::proto::Bound;
 use kvcsd::sim::IoLedger;
 
 fn pair(key: &str) -> (Vec<u8>, Vec<u8>) {
@@ -32,6 +33,21 @@ fn accepts_lost_unsynced_pairs_after_a_cut_and_duplicates_after_a_retry() {
     let mut m = model(1);
     m.power_cut();
     m.check_scan("ks", &[pair("a"), pair("a"), pair("b")]);
+}
+
+#[test]
+fn accepts_a_limited_scan_that_stops_at_its_limit() {
+    let mut m = model(0);
+    let (lo, hi) = (&Bound::Unbounded, &Bound::Unbounded);
+    m.check_range("ks", lo, hi, Some(0), &[]);
+    m.check_range("ks", lo, hi, Some(2), &[pair("a"), pair("b")]);
+}
+
+#[test]
+#[should_panic(expected = "ks: over limit")]
+fn rejects_a_scan_over_its_limit() {
+    let (lo, hi) = (&Bound::Unbounded, &Bound::Unbounded);
+    model(0).check_range("ks", lo, hi, Some(0), &[pair("a")]);
 }
 
 #[test]
