@@ -35,7 +35,6 @@ const PAIRS: u32 = 4000;
 const VALUE_BYTES: usize = 64;
 const DEPTH: usize = 32;
 const LANES: usize = 4;
-const ACCEL_OUTSTANDING: usize = 8;
 const SEED: u64 = 42;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -153,8 +152,7 @@ fn drive(arm: Arm, qp: QueuePair, ledger: &Arc<IoLedger>, clock: &Arc<VirtualClo
             win.completion_latencies()
         }
         Arm::Accelerated => {
-            let accel = WriteAccelerator::new(qp, ks, RetryPolicy::none(), Arc::clone(clock), None)
-                .with_depth(ACCEL_OUTSTANDING);
+            let accel = WriteAccelerator::new(qp, ks, RetryPolicy::none(), Arc::clone(clock), None);
             for i in 0..PAIRS {
                 let k = key_for(i);
                 let v = value_for(&k);
