@@ -149,7 +149,8 @@ fn run_mode(lossy: bool) -> (Vec<Phase>, u64, u64) {
     }
 
     // COMPACT phase: synchronous seal + replica ship (the bus path),
-    // then polling drives the background index ships to completion.
+    // then polling runs the background jobs, and anti-entropy ships the
+    // built indexes.
     let mut compact_lats = Vec::with_capacity(spaces.len());
     for (ks, _) in &spaces {
         let before = fleet_ns(&r);

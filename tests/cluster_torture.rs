@@ -104,9 +104,9 @@ fn same_seed_reproduces_the_same_failover_schedule() {
         events: vec![promoted(0), promoted(1), promoted(2)],
         epochs: vec![2, 2, 2],
         bus_msgs: 27,
-        bus_bytes: 93_186,
+        bus_bytes: 52_182,
         link_events: vec![0, 0, 0],
-        replicas: vec![(12, 0, 0), (12, 0, 0), (12, 0, 0)],
+        replicas: vec![(9, 0, 0), (9, 0, 0), (9, 0, 0)],
     };
     assert_eq!(runs[0], pinned, "the replication trace moved");
     let other = run_workload(300, 0xFEED_F00D).router.events();

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use contract::Fleet;
 use kvcsd::cluster::{ClusterConfig, ShipPolicy};
-use kvcsd::proto::{KvCommand, KvStatus};
+use kvcsd::proto::{KvCommand, KvStatus, ShipKind};
 use kvcsd::sim::BusFault;
 use kvcsd_mc::{explore_net, McConfig};
 #[cfg(debug_assertions)]
@@ -121,8 +121,8 @@ struct NetRun {
 /// up after two attempts, so a deposition is two decisions away.
 ///
 /// 1. Commit two batches the way [`Fleet::commit_batches`] does.
-/// 2. Stop committing at the first deposition: a later background ship
-///    would re-ship what a missing promotion reseed dropped.
+/// 2. Stop committing at the first deposition: a later anti-entropy
+///    pass would re-ship what a missing promotion reseed dropped.
 /// 3. Probe the deposed side: its acks are fenced, and its stale ships
 ///    install nothing in the replica log.
 fn net_commit_and_probe(script: &[BusFault]) -> NetRun {
@@ -231,6 +231,13 @@ fn clean_script_commits_both_batches_without_failover() {
     assert!(r.events().is_empty(), "a clean link deposes nobody");
     assert_eq!(r.shard_epoch(0), 1);
     assert_eq!(run.fenced_probes, 0);
+    // The seal-time ship carried the sealed logs; only anti-entropy
+    // ships the compacted form.
+    let gens = r.replica_log(0).generations();
+    for name in run.fleet.model.keyspaces() {
+        let kind = gens.iter().find(|g| g.0 == name).map(|g| g.1);
+        assert_eq!(kind, Some(ShipKind::Compacted), "{name}");
+    }
     run.finish();
 }
 
