@@ -368,27 +368,10 @@ impl ClusterRouter {
         if !self.cfg.replicate || st.health.get() != ShardHealth::Healthy {
             return 0;
         }
-        // The generation digest itself crosses the (still unreliable)
-        // bus; a lost exchange just means a later pass retries. It is
-        // also the probe of a partitioned link: the attempt counts
-        // toward a scheduled heal, so background passes end the window
-        // even when nothing else is sent.
-        let Some(mut gens) = st.replica.exchange_generations() else {
-            st.needs_reconcile.set(true);
+        let Some(export) = self.replica_gaps(ix, self.keyspaces_on(ix)) else {
             return 0;
         };
-        let targets = self.keyspaces_on(ix);
-        // A generation shipped before its keyspace's creation is absent.
-        gens.retain(|g| targets.get(&g.0).is_some_and(|&(_, c)| g.4 > c));
-        let locals = targets.into_iter().map(|(n, (l, _))| (n, l));
         // A death is left for the next routed command to find.
-        let mut export = Self::export(&st.primary.read(), locals);
-        // Compare the primary's artifact fingerprint against the
-        // replica's generation; only mismatches re-ship.
-        export.arts.retain(|(name, art)| {
-            let have = gens.iter().find(|g| &g.0 == name).map(|g| (g.1, g.2, g.3));
-            have != Some((art.ship_kind(), art.wire_bytes(), art.pairs))
-        });
         match self.ship_exports(st, export) {
             Ok(shipped) => {
                 st.needs_reconcile.set(false);
@@ -400,6 +383,35 @@ impl ClusterRouter {
         }
     }
 
+    /// Anti-entropy's check: exchange generations with shard `ix`'s
+    /// replica and export those of `targets` (name to local id and
+    /// creation seq) whose artifact fingerprint the replica lacks. `None`
+    /// means the exchange was lost, and the shard stays flagged for a
+    /// later pass.
+    fn replica_gaps(&self, ix: usize, targets: BTreeMap<String, (u32, u64)>) -> Option<Export> {
+        let st = &self.shards[ix];
+        // The generation digest itself crosses the (still unreliable)
+        // bus; a lost exchange just means a later pass retries. It is
+        // also the probe of a partitioned link: the attempt counts
+        // toward a scheduled heal, so background passes end the window
+        // even when nothing else is sent.
+        let Some(mut gens) = st.replica.exchange_generations() else {
+            st.needs_reconcile.set(true);
+            return None;
+        };
+        // A generation shipped before its keyspace's creation is absent.
+        gens.retain(|g| targets.get(&g.0).is_some_and(|&(_, c)| g.4 > c));
+        let locals = targets.into_iter().map(|(n, (l, _))| (n, l));
+        let mut export = Self::export(&st.primary.read(), locals);
+        // Compare the primary's artifact fingerprint against the
+        // replica's generation; only mismatches re-ship.
+        export.arts.retain(|(name, art)| {
+            let have = gens.iter().find(|g| &g.0 == name).map(|g| (g.1, g.2, g.3));
+            have != Some((art.ship_kind(), art.wire_bytes(), art.pairs))
+        });
+        Some(export)
+    }
+
     /// Ship one keyspace's sealed logs right after a successful seal.
     /// This gates the compaction ack: `Ok` means the artifacts are in the
     /// replica log (or replication is off); an `Err` is always retryable
@@ -408,10 +420,36 @@ impl ClusterRouter {
         if !self.cfg.replicate {
             return Ok(());
         }
-        let st = &self.shards[ix];
         // An empty keyspace seals to nothing exportable; that is not a
         // death, just nothing to ship.
-        let export = Self::export(&st.primary.read(), [(name.to_string(), local)]);
+        let export = Self::export(&self.shards[ix].primary.read(), [(name.to_string(), local)]);
+        self.gate_on_ship(ix, export)
+    }
+
+    /// The seal-time ship for a resent COMPACT the shard had already
+    /// sealed: the first attempt's ship may have been lost, so ship the
+    /// keyspace if the replica lacks its generation. It is anti-entropy's
+    /// check, so nothing ships twice. A lost exchange proves nothing
+    /// either way, so it bounces the ack without deposing: the primary
+    /// may be one promoted from the very replica it cannot reach.
+    fn reship_sealed(&self, ix: usize, ck: &ClusterKeyspace) -> Result<(), KvStatus> {
+        if !self.cfg.replicate {
+            return Ok(());
+        }
+        let target = BTreeMap::from([(ck.name.clone(), (ck.local[ix], ck.created[ix]))]);
+        match self.replica_gaps(ix, target) {
+            Some(export) => self.gate_on_ship(ix, export),
+            None => Err(KvStatus::TransientDeviceError(format!(
+                "shard {}: replication link down, seal not confirmed",
+                self.shards[ix].id
+            ))),
+        }
+    }
+
+    /// Ship `export` and turn the outcome into the compaction ack's
+    /// verdict.
+    fn gate_on_ship(&self, ix: usize, export: Export) -> Result<(), KvStatus> {
+        let st = &self.shards[ix];
         if export.died {
             self.failover(ix, false);
             return Err(KvStatus::FailoverInProgress { shard: st.id });
@@ -940,6 +978,8 @@ impl ClusterRouter {
                 // and idempotent.
                 Ok(_) => {}
                 Err(e) => match Self::classify_shard_error(&e) {
+                    // A resend: the seal ran, but its ship may not have.
+                    ShardErrorClass::AlreadyApplied if ship_after => self.reship_sealed(ix, &ck)?,
                     ShardErrorClass::AlreadyApplied => {}
                     ShardErrorClass::Failover
                     | ShardErrorClass::Transient
@@ -1919,6 +1959,44 @@ mod tests {
         // The retried compact now seals-and-ships cleanly.
         compact(&r, ks);
         assert_eq!(r.reconcile(), 0, "replica already converged");
+    }
+
+    #[test]
+    fn a_resent_compact_ships_what_the_bounced_seal_did_not() {
+        // Availability mode: the first COMPACT seals but its ship is
+        // lost, so the resend finds the keyspace COMPACTING. It must not
+        // ack until the replica holds the sealed logs.
+        let r = ClusterRouter::new(ClusterConfig {
+            shards: 1,
+            partition_failover: false,
+            ..ClusterConfig::default()
+        });
+        let ks = create(&r, "t");
+        for i in 0..30u32 {
+            put(&r, ks, format!("k{i:03}").as_bytes(), &i.to_be_bytes());
+        }
+        r.shard_link(0).partition_now();
+        for attempt in 0..2 {
+            let resp = r.handle(KvCommand::Compact { ks });
+            assert!(
+                matches!(resp, KvResponse::Err(KvStatus::TransientDeviceError(_))),
+                "attempt {attempt} across a partition must bounce: {resp:?}"
+            );
+        }
+        assert_eq!(r.replica_depth(0), 0, "nothing crossed the partition");
+        r.shard_link(0).heal_link_now();
+        compact(&r, ks);
+        assert_eq!(r.events().len(), 0, "availability mode never deposes");
+        r.kill_shard(0);
+        for i in 0..30u32 {
+            match ok(r.handle(KvCommand::Get {
+                ks,
+                key: format!("k{i:03}").into_bytes(),
+            })) {
+                KvResponse::Value(v) => assert_eq!(v, i.to_be_bytes()),
+                other => panic!("k{i:03}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -294,8 +294,8 @@ impl KvCsdDevice {
             .dram
             .reserve(INGEST_BUFFER_BYTES as u64)
             .ok_or(DeviceError::OutOfDram("ingest DRAM"))?;
-        let kc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
-        let vc = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
+        let kc = self.mgr.alloc_log_cluster(self.cfg.cluster_width)?;
+        let vc = self.mgr.alloc_log_cluster(self.cfg.cluster_width)?;
         Ok((ingest, WriteLog::new(kc, vc)))
     }
 
@@ -426,8 +426,10 @@ impl KvCsdDevice {
         let mut storage = KsStorage::default();
         let compacted = match &art.payload {
             ArtifactPayload::SealedLogs { klog, vlog } => {
-                storage.klog = Some((self.write_artifact_cluster(klog)?, klog.len() as u64));
-                storage.vlog = Some((self.write_artifact_cluster(vlog)?, vlog.len() as u64));
+                let kc = self.write_artifact_cluster(klog, true)?;
+                storage.klog = Some((kc, klog.len() as u64));
+                let vc = self.write_artifact_cluster(vlog, true)?;
+                storage.vlog = Some((vc, vlog.len() as u64));
                 false
             }
             ArtifactPayload::Compacted {
@@ -436,7 +438,7 @@ impl KvCsdDevice {
                 sidx,
             } => {
                 storage.pidx = Some(self.import_index(pidx)?);
-                let vc = self.write_artifact_cluster(svalues)?;
+                let vc = self.write_artifact_cluster(svalues, false)?;
                 storage.svalues = Some((vc, svalues.len() as u64));
                 for s in sidx {
                     let index = SecondaryIndex {
@@ -482,15 +484,21 @@ impl KvCsdDevice {
     /// Install a shipped index verbatim in a fresh cluster.
     fn import_index(&self, art: &IndexArtifact) -> Result<BlockIndex> {
         Ok(BlockIndex {
-            cluster: self.write_artifact_cluster(&art.data)?,
+            cluster: self.write_artifact_cluster(&art.data, false)?,
             blocks: (art.data.len() / BLOCK_BYTES) as u32,
             sketch: Sketch::from_pivots(art.pivots.clone()),
         })
     }
 
-    /// Append `data` into a fresh cluster in 4 KiB blocks.
-    fn write_artifact_cluster(&self, data: &[u8]) -> Result<ClusterId> {
-        let c = self.mgr.alloc_cluster(self.cfg.cluster_width)?;
+    /// Append `data` into a fresh cluster in 4 KiB blocks, laid out as a
+    /// write log when `log` (a sealed KLOG or VLOG).
+    fn write_artifact_cluster(&self, data: &[u8], log: bool) -> Result<ClusterId> {
+        let width = self.cfg.cluster_width;
+        let c = if log {
+            self.mgr.alloc_log_cluster(width)?
+        } else {
+            self.mgr.alloc_cluster(width)?
+        };
         for chunk in data.chunks(BLOCK_BYTES) {
             self.mgr.append_block(c, chunk)?;
         }
@@ -1367,14 +1375,14 @@ mod tests {
         let bulk_wal = charge(&walled, bulk(ks));
         assert_eq!(
             bulk_no_wal,
-            (219500, 7, vec![48576, 32384, 0, 0, 0, 0, 0, 32384])
+            (219500, 7, vec![16192, 0, 0, 0, 0, 0, 0, 97152])
         );
         assert_eq!(
             bulk_wal,
             (
                 246000,
                 13,
-                vec![64768, 48576, 16192, 16192, 0, 0, 16192, 48576]
+                vec![32384, 16192, 16192, 16192, 0, 0, 16192, 113344]
             )
         );
         assert_eq!(single, (439, 0, vec![0; 8]));

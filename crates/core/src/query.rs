@@ -63,7 +63,10 @@ fn gather_values(
         .map(|(i, (_, (voff, vlen)))| (*voff, *vlen, i))
         .collect();
     order.sort_unstable_by_key(|&(voff, _, i)| (voff, i));
-    soc.cmp((hits.len().max(2) as f64) * (hits.len().max(2) as f64).log2() * 0.1);
+    if hits.len() >= 2 {
+        let n = hits.len() as f64;
+        soc.cmp(n * n.log2() * 0.1);
+    }
 
     let bb = crate::BLOCK_BYTES as u64;
     let mut out: Vec<(Vec<u8>, Vec<u8>)> = hits.into_iter().map(|(k, _)| (k, Vec::new())).collect();
@@ -588,8 +591,8 @@ mod tests {
                 Err(DeviceError::KeyNotFound)
             ));
         });
-        // A limit of 0 answers nothing and reads no block: each query
-        // books only the gather's sort charge over no hits.
+        // A limit of 0 answers nothing, reads no block and sorts no
+        // hits: it books nothing.
         let nothing = charge(&|| {
             let (lo, hi) = (&Bound::Unbounded, &Bound::Unbounded);
             let got = range(&mgr, &soc, &st, lo, hi, Some(0)).unwrap();
@@ -611,7 +614,7 @@ mod tests {
             (27263, 3, vec![0, 12551, 12551, 0, 0, 0, 0, 12551])
         );
         assert_eq!(absent, (4598, 1, vec![0, 0, 0, 0, 0, 0, 12551, 0]));
-        assert_eq!(nothing, (20, 0, vec![0; 8]));
+        assert_eq!(nothing, (0, 0, vec![0; 8]));
 
         // Secondary keys whose duplicates span blocks: an inclusive bound
         // starts before the last pivot equal to it.

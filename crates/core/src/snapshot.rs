@@ -17,7 +17,7 @@ use crate::keyspace::{Keyspace, KsStorage, SecondaryIndex};
 use crate::zone_mgr::{ClusterId, ClusterState, ZoneManagerState};
 use crate::Result;
 
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
 /// The complete persisted state of a device.
 #[derive(Debug, Default)]
@@ -194,6 +194,7 @@ pub fn encode_parts(zones: &ZoneManagerState, keyspaces: &[&Keyspace]) -> Vec<u8
         w.u32(c.id);
         w.u32(c.width);
         w.u32(c.offset);
+        w.u32(c.unit);
         w.u64(c.blocks);
         w.u32(c.groups.len() as u32);
         for g in &c.groups {
@@ -281,6 +282,7 @@ pub fn decode(payload: &[u8]) -> Result<DeviceSnapshot> {
         let id = r.u32()?;
         let width = r.u32()?;
         let offset = r.u32()?;
+        let unit = r.u32()?;
         let blocks = r.u64()?;
         let n_groups = r.u32()? as usize;
         let mut groups = Vec::with_capacity(n_groups.min(1 << 16));
@@ -296,6 +298,7 @@ pub fn decode(payload: &[u8]) -> Result<DeviceSnapshot> {
             id,
             width,
             offset,
+            unit,
             blocks,
             groups,
         });
@@ -417,6 +420,7 @@ mod tests {
                     id: 9,
                     width: 4,
                     offset: 2,
+                    unit: 16,
                     blocks: 12,
                     groups: vec![vec![1, 2, 3, 4], vec![5, 6, 7, 8]],
                 }],

@@ -8,13 +8,21 @@
 //! next write within a zone cluster. This allows zone writes to be
 //! randomly distributed across all available I/O channels."
 //!
-//! A cluster is an append-only stream of 4 KiB blocks. Block `i` of a
-//! cluster lands on zone slot `(i + offset) % width` of its current
-//! stripe group, where `offset` is the cluster's random number — so
-//! concurrent clusters start on different channels and conflicts average
-//! out. When a stripe group fills, the cluster transparently grows by
-//! another `width` zones. Released clusters reset their zones (the cheap,
-//! GC-free reclamation ZNS gives the design).
+//! A cluster is an append-only stream of 4 KiB blocks, dealt over the
+//! zones of its current stripe group in *stripe units* of `unit` blocks:
+//! unit `u` of a group lands on zone slot `(u + offset) % width`, where
+//! `offset` is the cluster's random number — so concurrent clusters start
+//! on different channels and conflicts average out. When a stripe group
+//! fills, the cluster transparently grows by another `width` zones.
+//! Released clusters reset their zones (the cheap, GC-free reclamation
+//! ZNS gives the design).
+//!
+//! Most clusters stripe by page (`unit` 1), which spreads random reads of
+//! an index or a value file over every channel. Write logs stripe by NAND
+//! erase block ([`alloc_log_cluster`](ZoneManager::alloc_log_cluster)):
+//! they are read once, in order, and then released, and a reset erases
+//! only the blocks a zone has written, so a short log costs one erase
+//! per block it filled rather than one per zone of its group.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,8 +53,29 @@ struct Cluster {
     width: u32,
     /// The paper's per-cluster random number.
     offset: u32,
+    /// Blocks per stripe unit: 1, or a NAND erase block for write logs.
+    /// Always divides the zone's capacity.
+    unit: u32,
     /// Blocks appended so far.
     blocks: u64,
+}
+
+impl Cluster {
+    /// The zone and in-zone page that hold stream block `block`. Units
+    /// are dealt round-robin over the group's zones, so each zone is
+    /// still filled in order.
+    fn locate(&self, zone_blocks: u64, block: u64) -> (u32, u32) {
+        let (width, unit) = (self.width as u64, self.unit as u64);
+        let group_blocks = width * zone_blocks;
+        let in_group = block % group_blocks;
+        let u = in_group / unit;
+        let slot = ((u + self.offset as u64) % width) as usize;
+        let page = (u / width) * unit + in_group % unit;
+        (
+            self.groups[(block / group_blocks) as usize][slot],
+            page as u32,
+        )
+    }
 }
 
 /// Serializable state of one cluster (device snapshots).
@@ -55,6 +84,7 @@ pub struct ClusterState {
     pub id: u32,
     pub width: u32,
     pub offset: u32,
+    pub unit: u32,
     pub blocks: u64,
     pub groups: Vec<Vec<u32>>,
 }
@@ -216,8 +246,19 @@ impl ZoneManager {
         Ok(zones)
     }
 
-    /// Allocate a cluster striping over `width` zones.
+    /// Allocate a cluster striping page by page over `width` zones.
     pub fn alloc_cluster(&self, width: u32) -> Result<ClusterId> {
+        self.alloc(width, 1)
+    }
+
+    /// Allocate a write-log cluster: `width` zones striped by NAND erase
+    /// block, so releasing a short log erases only the blocks it filled.
+    pub fn alloc_log_cluster(&self, width: u32) -> Result<ClusterId> {
+        let pages_per_block = self.zns.nand().geometry().pages_per_block as u64;
+        self.alloc(width, pages_per_block.min(self.zone_blocks) as u32)
+    }
+
+    fn alloc(&self, width: u32, unit: u32) -> Result<ClusterId> {
         let width = width.max(1);
         let mut inner = self.inner.lock();
         let zones = Self::take_zone_group(&mut inner, width, self.seal_reserve)?;
@@ -231,6 +272,7 @@ impl ZoneManager {
                 groups: vec![zones],
                 width,
                 offset,
+                unit,
                 blocks: 0,
             },
         );
@@ -258,15 +300,6 @@ impl ZoneManager {
             .get(&cluster.0)
             .ok_or_else(|| DeviceError::Internal(format!("cluster {} not found", cluster.0)))?;
         Ok(c.groups.iter().map(|g| g.len() as u32).sum())
-    }
-
-    fn locate(&self, c: &Cluster, block: u64) -> (u32, u32) {
-        let group_blocks = c.width as u64 * self.zone_blocks;
-        let group = (block / group_blocks) as usize;
-        let in_group = block % group_blocks;
-        let slot = ((in_group + c.offset as u64) % c.width as u64) as usize;
-        let page = (in_group / c.width as u64) as u32;
-        (c.groups[group][slot], page)
     }
 
     /// Append one block (at most [`BLOCK_BYTES`]) to the cluster stream,
@@ -317,19 +350,12 @@ impl ZoneManager {
                 .ok_or_else(|| DeviceError::Internal("cluster gone".into()))?;
             let block_ix = c.blocks;
             c.blocks += 1;
-            let (zone, page) = {
-                let group_blocks = c.width as u64 * self.zone_blocks;
-                let group = (block_ix / group_blocks) as usize;
-                let in_group = block_ix % group_blocks;
-                let slot = ((in_group + c.offset as u64) % c.width as u64) as usize;
-                let page = (in_group / c.width as u64) as u32;
-                (c.groups[group][slot], page)
-            };
+            let (zone, page) = c.locate(self.zone_blocks, block_ix);
             (zone, page, block_ix)
         };
         drop(inner);
         let start = self.zns.append(zone, data)?;
-        debug_assert_eq!(start, page, "round-robin striping must fill zones in order");
+        debug_assert_eq!(start, page, "unit striping must fill zones in order");
         Ok(block_ix)
     }
 
@@ -348,7 +374,7 @@ impl ZoneManager {
                     c.blocks
                 )));
             }
-            self.locate(c, block)
+            c.locate(self.zone_blocks, block)
         };
         Ok(self.zns.read_page(zone, page)?)
     }
@@ -382,6 +408,7 @@ impl ZoneManager {
                 id,
                 width: c.width,
                 offset: c.offset,
+                unit: c.unit,
                 blocks: c.blocks,
                 groups: c.groups.clone(),
             })
@@ -410,6 +437,13 @@ impl ZoneManager {
             inner.next_id = state.next_id;
             let mut used: std::collections::HashSet<u32> = std::collections::HashSet::new();
             for cs in &state.clusters {
+                let unit_fits = cs.unit > 0 && zns.zone_capacity_pages().is_multiple_of(cs.unit);
+                if cs.width == 0 || !unit_fits || cs.offset >= cs.width {
+                    return Err(DeviceError::Internal(format!(
+                        "snapshot cluster {} has width {}, offset {}, unit {}",
+                        cs.id, cs.width, cs.offset, cs.unit
+                    )));
+                }
                 let mut blocks = 0u64;
                 for group in &cs.groups {
                     for &z in group {
@@ -428,6 +462,7 @@ impl ZoneManager {
                         groups: cs.groups.clone(),
                         width: cs.width,
                         offset: cs.offset,
+                        unit: cs.unit,
                         blocks,
                     },
                 );
@@ -491,7 +526,12 @@ mod tests {
     use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig};
     use kvcsd_sim::{HardwareSpec, IoLedger};
 
+    /// Erase blocks of 4 pages, zones of 2 erase blocks (8 pages).
     fn mgr(channels: u32, blocks_per_channel: u32) -> ZoneManager {
+        mgr_zoned(channels, blocks_per_channel, 2)
+    }
+
+    fn mgr_zoned(channels: u32, blocks_per_channel: u32, zone_blocks: u32) -> ZoneManager {
         let geom = FlashGeometry {
             channels,
             blocks_per_channel,
@@ -503,11 +543,26 @@ mod tests {
         let zns = Arc::new(ZonedNamespace::new(
             nand,
             ZnsConfig {
-                zone_blocks: 2,
+                zone_blocks,
                 max_open_zones: 4096,
             },
         ));
         ZoneManager::new(zns, 1, 42)
+    }
+
+    /// A full block whose bytes name its stream index.
+    fn pattern(i: u64) -> Vec<u8> {
+        (0..BLOCK_BYTES as u64)
+            .map(|j| (i * 7 + j / 8) as u8)
+            .collect()
+    }
+
+    fn erases(m: &ZoneManager, run: impl FnOnce()) -> u64 {
+        let before = m.zns().nand().ledger().snapshot();
+        run();
+        (m.zns().nand().ledger().snapshot())
+            .since(&before)
+            .nand_erase_blocks
     }
 
     #[test]
@@ -752,11 +807,107 @@ mod tests {
                 id: 1,
                 width: 1,
                 offset: 0,
+                unit: 1,
                 blocks: 0,
                 groups: vec![vec![9999]],
             }],
         };
         assert!(ZoneManager::restore(Arc::clone(m.zns()), 1, 1, &state).is_err());
+        // A stripe unit that does not divide the 8-page zone.
+        m.alloc_log_cluster(2).unwrap();
+        let mut state = m.export_state();
+        state.clusters[0].unit = 3;
+        assert!(ZoneManager::restore(Arc::clone(m.zns()), 1, 1, &state).is_err());
+    }
+
+    #[test]
+    fn releasing_a_log_erases_only_the_erase_blocks_it_filled() {
+        // Width 4, 4-page erase blocks, 8-page zones: a group holds 32
+        // pages. Page striping leaves a partial block in every zone it
+        // touched; the log fills whole blocks, so it erases ceil(P / 4).
+        for (pages, page_striped) in [(5u64, 4u64), (9, 4), (20, 8), (40, 12)] {
+            let m = mgr(8, 16);
+            let (paged, log) = (m.alloc_cluster(4).unwrap(), m.alloc_log_cluster(4).unwrap());
+            for i in 0..pages {
+                m.append_block(paged, &[i as u8; 64]).unwrap();
+                m.append_block(log, &[i as u8; 64]).unwrap();
+            }
+            let e = erases(&m, || m.release_cluster(paged).unwrap());
+            assert_eq!(e, page_striped, "page-striped cluster of {pages} pages");
+            let e = erases(&m, || m.release_cluster(log).unwrap());
+            assert_eq!(e, pages.div_ceil(4), "log cluster of {pages} pages");
+        }
+    }
+
+    #[test]
+    fn locate_agrees_with_where_append_wrote() {
+        for zone_blocks in [1, 4] {
+            for width in [1u32, 3, 8] {
+                let m = mgr_zoned(8, 64, zone_blocks);
+                let unit = m.zone_blocks().min(4);
+                let group = width as u64 * m.zone_blocks();
+                let (paged, log) = (
+                    m.alloc_cluster(width).unwrap(),
+                    m.alloc_log_cluster(width).unwrap(),
+                );
+                for c in [paged, log] {
+                    let n = 3 * group + 5;
+                    for i in 0..n {
+                        assert_eq!(m.append_block(c, &pattern(i)).unwrap(), i);
+                    }
+                    let inner = m.inner.lock();
+                    let cl = &inner.clusters[&c.0];
+                    let at: Vec<(u32, u32)> =
+                        (0..n).map(|i| cl.locate(m.zone_blocks(), i)).collect();
+                    drop(inner);
+                    let case = format!("zone of {zone_blocks} blocks, width {width}, {c:?}");
+                    for (i, &(zone, page)) in at.iter().enumerate() {
+                        let i = i as u64;
+                        assert_eq!(
+                            &*m.zns().read_page(zone, page).unwrap(),
+                            &pattern(i)[..],
+                            "{case}: block {i}"
+                        );
+                        // A log's erase-block units stay whole in one zone.
+                        if c == log && !i.is_multiple_of(unit) {
+                            assert_eq!(at[i as usize - 1], (zone, page - 1), "{case}: block {i}");
+                        }
+                    }
+                    m.release_cluster(c).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_log_stopped_mid_unit_restores_and_keeps_appending_in_place() {
+        let m = mgr(4, 16);
+        let log = m.alloc_log_cluster(3).unwrap();
+        // 10 blocks: two whole 4-page units and half of a third.
+        for i in 0..10 {
+            m.append_block(log, &pattern(i)).unwrap();
+        }
+        let state = m.export_state();
+        assert_eq!(state.clusters[0].unit, 4);
+        let m = ZoneManager::restore(Arc::clone(m.zns()), 1, 42, &state).unwrap();
+        for i in 0..10 {
+            assert_eq!(
+                &*m.read_block(log, i).unwrap(),
+                &pattern(i)[..],
+                "block {i}"
+            );
+        }
+        for i in 10..17 {
+            assert_eq!(m.append_block(log, &pattern(i)).unwrap(), i);
+        }
+        for i in 0..17 {
+            assert_eq!(
+                &*m.read_block(log, i).unwrap(),
+                &pattern(i)[..],
+                "block {i}"
+            );
+        }
+        assert_eq!(erases(&m, || m.release_cluster(log).unwrap()), 5);
     }
 
     #[test]

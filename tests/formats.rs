@@ -150,11 +150,12 @@ fn compacted_snapshot_bytes_are_pinned() {
         .with_all(|list| snapshot::encode_parts(&zones, list));
     let want = [
         // Version, next cluster id, cluster count.
-        "01 06000000 03000000",
-        // Per cluster: id, width, stripe offset, blocks, zone groups.
-        "03000000 02000000 00000000 0100000000000000 01000000 02000000 06000000 07000000",
-        "04000000 02000000 00000000 0100000000000000 01000000 02000000 09000000 08000000",
-        "05000000 02000000 01000000 0100000000000000 01000000 02000000 04000000 05000000",
+        "02 06000000 03000000",
+        // Per cluster: id, width, stripe offset, stripe unit (1: pages,
+        // as every compaction output), blocks, zone groups.
+        "03000000 02000000 00000000 01000000 0100000000000000 01000000 02000000 06000000 07000000",
+        "04000000 02000000 00000000 01000000 0100000000000000 01000000 02000000 09000000 08000000",
+        "05000000 02000000 01000000 01000000 0100000000000000 01000000 02000000 04000000 05000000",
         // Keyspace count; id, state COMPACTED, name "ks".
         "01000000 01000000 03 02000000 6b73",
         // Pairs, data bytes, min key "k1", max key "k3".
