@@ -21,6 +21,8 @@
 //!
 //! Files store real bytes; everything round-trips.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod cache;
 pub mod error;
 pub mod fs;

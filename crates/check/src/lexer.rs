@@ -4,8 +4,8 @@
 //! (preserving byte offsets and newlines), so the rule scanners can do
 //! plain substring matching over real code without tripping on doc
 //! comments, error messages or test fixtures embedded in strings. It is
-//! a lexer, not a parser: good enough for the three rules, with the
-//! known limits documented on each scanner.
+//! a lexer, not a parser: it finds tokens, not the items they resolve to,
+//! which is why path bans live in `clippy.toml` instead.
 
 /// Source with comments and literals blanked to spaces.
 pub struct Scrubbed {
@@ -282,46 +282,9 @@ fn bounded(hay: &[u8], ix: usize, len: usize) -> bool {
     (ix == 0 || !is_ident(hay[ix - 1])) && !is_ident(next_at(hay, ix + len))
 }
 
-/// `.unwrap()` and `.expect(` method calls (the receiver must be a method
-/// chain — a bare `unwrap(` function call is not flagged).
-pub fn find_unwraps(code: &str) -> Vec<Hit> {
-    let bytes = code.as_bytes();
-    let mut hits = Vec::new();
-    for name in ["unwrap", "expect"] {
-        for ix in find_all(code, name) {
-            if !bounded(bytes, ix, name.len()) {
-                continue;
-            }
-            // Walk back over whitespace to require a `.` receiver.
-            let mut back = ix;
-            while back > 0 && bytes[back - 1].is_ascii_whitespace() {
-                back -= 1;
-            }
-            if back == 0 || bytes[back - 1] != b'.' {
-                continue;
-            }
-            // Forward over whitespace to require a call.
-            let mut fwd = ix + name.len();
-            while fwd < bytes.len() && bytes[fwd].is_ascii_whitespace() {
-                fwd += 1;
-            }
-            if next_at(bytes, fwd) != b'(' {
-                continue;
-            }
-            hits.push(Hit {
-                offset: ix,
-                what: format!("`.{name}(...)`"),
-            });
-        }
-    }
-    hits.sort_by_key(|h| h.offset);
-    hits
-}
-
 /// Every word-bounded occurrence of each `(needle, what)` token, in
-/// source order, described by its `what`. The `time`, `sleep`,
-/// `shim-spawn` and `router-bypass` rules are this scan over the token
-/// lists below.
+/// source order, described by its `what`. The `router-bypass` rule is
+/// this scan over [`DEVICE_CONSTRUCTION`].
 pub fn find_tokens(code: &str, tokens: &[(&str, &str)]) -> Vec<Hit> {
     let bytes = code.as_bytes();
     let mut hits = Vec::new();
@@ -339,28 +302,6 @@ pub fn find_tokens(code: &str, tokens: &[(&str, &str)]) -> Vec<Hit> {
     hits
 }
 
-/// `Instant::now` / `SystemTime::now` wall-clock reads.
-pub const WALL_CLOCK: &[(&str, &str)] = &[
-    ("Instant::now", "`Instant::now()`"),
-    ("SystemTime::now", "`SystemTime::now()`"),
-];
-
-/// `thread::sleep` calls (also matches the qualified `std::thread::sleep`
-/// path, which ends in the same token pair). A local function merely
-/// *named* `sleep` is not flagged — the `thread::` segment is required.
-pub const THREAD_SLEEP: &[(&str, &str)] = &[("thread::sleep", "`thread::sleep(...)`")];
-
-/// Raw thread creation for the `shim-spawn` rule: `thread::spawn` (also
-/// matching the qualified `std::thread::spawn` path, which ends in the
-/// same token pair) and `thread::Builder`, the named/stack-sized escape
-/// hatch that reaches the same unmanaged spawn. A local function merely
-/// *named* `spawn` — like `kvcsd_sim::sync::spawn` itself at a call
-/// site — is not flagged; the `thread::` segment is required.
-pub const THREAD_SPAWN: &[(&str, &str)] = &[
-    ("thread::spawn", "`thread::spawn`"),
-    ("thread::Builder", "`thread::Builder`"),
-];
-
 /// Direct `KvCsdDevice::new` / `KvCsdDevice::reopen` construction, or a
 /// `DeviceStack::new` / `DeviceStack::with_ledger` stack built around
 /// them — the `router-bypass` rule. A type merely *named* `KvCsdDevice`
@@ -375,92 +316,6 @@ pub const DEVICE_CONSTRUCTION: &[(&str, &str)] = &[
         "`DeviceStack::with_ledger(...)`",
     ),
 ];
-
-/// `std::sync::Mutex` / `std::sync::RwLock`, whether path-qualified at a
-/// use site or pulled in through a `use std::sync::...` import. Limits:
-/// renamed imports (`as M`) and `use std::{sync::Mutex}` nesting are not
-/// recognized — neither appears in this workspace, and the plain-path
-/// scan still catches the eventual qualified uses.
-pub fn find_std_sync_locks(code: &str) -> Vec<Hit> {
-    let bytes = code.as_bytes();
-    let mut hits = Vec::new();
-    let mut import_ranges: Vec<(usize, usize)> = Vec::new();
-    for ix in find_all(code, "use std::sync::") {
-        if ix > 0 && is_ident(bytes[ix - 1]) {
-            continue;
-        }
-        let end = code[ix..].find(';').map(|e| ix + e).unwrap_or(code.len());
-        import_ranges.push((ix, end));
-        let body = &code[ix..end];
-        for lock in ["Mutex", "RwLock"] {
-            if find_all(body, lock)
-                .iter()
-                .any(|&o| bounded(body.as_bytes(), o, lock.len()))
-            {
-                hits.push(Hit {
-                    offset: ix,
-                    what: format!("imports std::sync::{lock}"),
-                });
-            }
-        }
-    }
-    for lock in ["Mutex", "RwLock"] {
-        let path = format!("std::sync::{lock}");
-        for ix in find_all(code, &path) {
-            if !bounded(bytes, ix, path.len()) {
-                continue;
-            }
-            if import_ranges.iter().any(|&(a, b)| ix >= a && ix < b) {
-                continue; // already reported as an import
-            }
-            hits.push(Hit {
-                offset: ix,
-                what: format!("uses std::sync::{lock}"),
-            });
-        }
-    }
-    hits.sort_by_key(|h| h.offset);
-    hits
-}
-
-/// `std::sync::atomic` / `core::sync::atomic` paths (imports and use
-/// sites), `static mut` items, and `UnsafeCell` mentions — the raw
-/// shared-state escape hatches the happens-before detector cannot see.
-pub fn find_atomics(code: &str) -> Vec<Hit> {
-    let bytes = code.as_bytes();
-    let mut hits = Vec::new();
-    for path in ["std::sync::atomic", "core::sync::atomic"] {
-        for ix in find_all(code, path) {
-            // `core::` must not match inside `libcore::` etc.; the tail
-            // may continue (`::AtomicU64`), so only the start is bounded.
-            if ix == 0 || !is_ident(bytes[ix - 1]) {
-                hits.push(Hit {
-                    offset: ix,
-                    what: format!("`{path}` path"),
-                });
-            }
-        }
-    }
-    for ix in find_all(code, "static mut") {
-        if bounded(bytes, ix, "static mut".len()) {
-            hits.push(Hit {
-                offset: ix,
-                what: "`static mut` item".to_string(),
-            });
-        }
-    }
-    for ix in find_all(code, "UnsafeCell") {
-        if bounded(bytes, ix, "UnsafeCell".len()) {
-            hits.push(Hit {
-                offset: ix,
-                what: "`UnsafeCell`".to_string(),
-            });
-        }
-    }
-    hits.sort_by_key(|h| h.offset);
-    hits.dedup_by_key(|h| h.offset);
-    hits
-}
 
 /// Names of structs whose body declares an interior-mutable field
 /// (`Atomic*`, `Cell<`, `RefCell<`, `UnsafeCell<`, `OnceCell<`), as
@@ -510,86 +365,6 @@ pub fn collect_interior_mutable_structs(code: &str) -> Vec<(String, usize)> {
         let body = &code[body_start..j.min(code.len())];
         if interior_mutable_type_in(body) {
             out.push((name, ix));
-        }
-    }
-    out
-}
-
-/// Variant names of `enum <name>` in scrubbed code, in declaration
-/// order. Lexical: finds the enum keyword, brace-matches the body, and
-/// takes the leading identifier of every depth-1 segment (skipping
-/// `#[...]` attributes; doc comments are already blanked). Feeds the
-/// `status-map` rule's cross-file variant list.
-pub fn collect_enum_variants(code: &str, name: &str) -> Vec<String> {
-    let bytes = code.as_bytes();
-    let needle = format!("enum {name}");
-    let Some(ix) = find_all(code, &needle)
-        .into_iter()
-        .find(|&ix| bounded(bytes, ix, needle.len()))
-    else {
-        return Vec::new();
-    };
-    let mut j = ix + needle.len();
-    while j < bytes.len() && bytes[j] != b'{' {
-        j += 1;
-    }
-    if j >= bytes.len() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut expect_variant = false;
-    while j < bytes.len() {
-        let b = bytes[j];
-        match b {
-            b'{' | b'(' | b'[' => {
-                depth += 1;
-                if depth == 1 {
-                    expect_variant = true;
-                }
-                j += 1;
-            }
-            b'}' | b')' | b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-                j += 1;
-            }
-            b',' if depth == 1 => {
-                expect_variant = true;
-                j += 1;
-            }
-            b'#' if depth == 1 => {
-                // Attribute: skip the bracketed group.
-                while j < bytes.len() && bytes[j] != b'[' {
-                    j += 1;
-                }
-                let mut d = 0i32;
-                while j < bytes.len() {
-                    match bytes[j] {
-                        b'[' => d += 1,
-                        b']' => {
-                            d -= 1;
-                            if d == 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-            _ if depth == 1 && expect_variant && is_ident(b) => {
-                let start = j;
-                while j < bytes.len() && is_ident(bytes[j]) {
-                    j += 1;
-                }
-                out.push(code[start..j].to_string());
-                expect_variant = false;
-            }
-            _ => j += 1,
         }
     }
     out
@@ -749,67 +524,10 @@ mod tests {
     }
 
     #[test]
-    fn finds_method_unwraps_only() {
-        let code = "x.unwrap(); y.expect(\"gone\"); unwrap(); my_unwrap(); z.unwrap_or(1); w.expect_err(\"e\");";
-        let hits = find_unwraps(&scrub(code).code);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits[0].what.contains("unwrap"));
-        assert!(hits[1].what.contains("expect"));
-    }
-
-    #[test]
-    fn finds_wall_clock_reads() {
-        let code = "let t = std::time::Instant::now(); let s = SystemTime::now(); fn now() {}";
-        let hits = find_tokens(code, WALL_CLOCK);
-        assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    fn finds_thread_sleeps() {
-        let code =
-            "thread::sleep(d); std::thread::sleep(d); sleep(d); my_thread::sleeper(); fn sleep() {}";
-        let hits = find_tokens(code, THREAD_SLEEP);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits.iter().all(|h| h.what.contains("thread::sleep")));
-    }
-
-    #[test]
-    fn finds_std_sync_imports_and_paths() {
-        let code = "use std::sync::{Arc, Mutex};\nlet l: std::sync::RwLock<u8>;\nuse std::sync::atomic::AtomicU64;\nlet a = Arc::new(1);";
-        let hits = find_std_sync_locks(code);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits[0].what.contains("Mutex"));
-        assert!(hits[1].what.contains("RwLock"));
-    }
-
-    #[test]
-    fn import_is_not_double_counted() {
-        let code = "use std::sync::Mutex;";
-        let hits = find_std_sync_locks(code);
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
     fn cfg_test_ranges_cover_the_block() {
         let code = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() {}\n}\nfn c() {}\n";
         let ranges = test_line_ranges(code);
         assert_eq!(ranges, vec![(2, 5)]);
-    }
-
-    #[test]
-    fn finds_raw_thread_spawns() {
-        let code = "std::thread::spawn(f);\nthread::Builder::new().spawn(g);\nkvcsd_sim::sync::spawn(h);\nlet spawner = my_thread::spawner();\n";
-        let hits = find_tokens(code, THREAD_SPAWN);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert_eq!(hits[0].what, "`thread::spawn`");
-        assert_eq!(hits[1].what, "`thread::Builder`");
-    }
-
-    #[test]
-    fn finds_atomic_escape_hatches() {
-        let code = "use std::sync::atomic::AtomicU64;\nstatic mut X: u64 = 0;\nlet c: UnsafeCell<u8>;\ncore::sync::atomic::fence(o);\nstatic muted: u8 = 0;\n";
-        let hits = find_atomics(code);
-        assert_eq!(hits.len(), 4, "{hits:?}");
     }
 
     #[test]
@@ -820,22 +538,6 @@ mod tests {
             .map(|(n, _)| n)
             .collect();
         assert_eq!(names, vec!["B", "C", "D"]);
-    }
-
-    #[test]
-    fn enum_variants_are_collected_in_order() {
-        let code = "/// doc\npub enum KvStatus {\n    KeyNotFound,\n    #[allow(dead_code)]\n    BadKeyspaceState { state: &'static str, op: &'static str },\n    TransientDeviceError(String),\n    Busy,\n}\npub enum Other { X }";
-        let v = collect_enum_variants(&scrub(code).code, "KvStatus");
-        assert_eq!(
-            v,
-            vec![
-                "KeyNotFound",
-                "BadKeyspaceState",
-                "TransientDeviceError",
-                "Busy"
-            ]
-        );
-        assert_eq!(collect_enum_variants(code, "Missing"), Vec::<String>::new());
     }
 
     #[test]

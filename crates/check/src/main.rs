@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p kvcsd-check                          # check the workspace root
 //! cargo run -p kvcsd-check -- --root path           # check another tree
-//! cargo run -p kvcsd-check -- --rule sync           # run a subset of rules
+//! cargo run -p kvcsd-check -- --rule shared-raw     # run a subset of rules
 //! cargo run -p kvcsd-check -- --format json         # machine-readable report
 //! cargo run -p kvcsd-check -- --baseline check_baseline.json
 //! cargo run -p kvcsd-check -- --write-baseline check_baseline.json
@@ -20,6 +20,8 @@
 //! a new exemption is a reviewable event even though it silences its
 //! rule, and a stale baseline entry means the file no longer tells the
 //! truth.
+
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -19,77 +19,10 @@ fn scan(name: &str, source: &str) -> Vec<Violation> {
 #[test]
 fn fixture_trees_are_never_checked() {
     assert_eq!(
-        rules_for("crates/check/tests/fixtures/bad_sync.rs"),
+        rules_for("crates/check/tests/fixtures/bad_ledger.rs"),
         RuleSet::none()
     );
     assert_eq!(rules_for("target/debug/build/out.rs"), RuleSet::none());
-}
-
-#[test]
-fn seeded_sync_violations_are_flagged() {
-    let v = scan("bad_sync.rs", include_str!("fixtures/bad_sync.rs"));
-    assert!(v.len() >= 2, "import + direct path, got {v:#?}");
-    assert!(v.iter().all(|v| v.rule == "sync"), "{v:#?}");
-    assert!(v.iter().any(|v| v.message.contains("kvcsd_sim::sync")));
-}
-
-#[test]
-fn seeded_unwrap_violations_are_flagged() {
-    let v = scan("bad_unwrap.rs", include_str!("fixtures/bad_unwrap.rs"));
-    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
-    assert_eq!(lines, vec![4, 8], "unwrap_or must not trip it: {v:#?}");
-    assert!(v.iter().all(|v| v.rule == "unwrap"));
-}
-
-#[test]
-fn seeded_time_violations_are_flagged() {
-    let v = scan("bad_time.rs", include_str!("fixtures/bad_time.rs"));
-    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
-    assert_eq!(lines, vec![6, 10], "the `use` line alone is fine: {v:#?}");
-    assert!(v.iter().all(|v| v.rule == "time"));
-}
-
-#[test]
-fn seeded_sleep_violations_are_flagged() {
-    let v = scan("bad_sleep.rs", include_str!("fixtures/bad_sleep.rs"));
-    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
-    assert_eq!(
-        lines,
-        vec![7, 11],
-        "a local fn named sleep must not trip it: {v:#?}"
-    );
-    assert!(v.iter().all(|v| v.rule == "sleep"));
-    assert!(v.iter().any(|v| v.message.contains("virtual clock")));
-}
-
-#[test]
-fn sleep_rule_exempts_the_sim_crate_only() {
-    assert!(rules_for("crates/sim/src/clock.rs").sync);
-    assert!(!rules_for("crates/sim/src/clock.rs").sleep);
-    assert!(rules_for("crates/core/src/device.rs").sleep);
-    assert!(rules_for("tests/overload.rs").sleep);
-}
-
-#[test]
-fn sleep_allows_are_honored() {
-    let v = scan(
-        "allowed_sleep.rs",
-        "pub fn pace() {\n    // kvcsd-check: allow(sleep) -- wall-time pacing knob for manual demos\n    std::thread::sleep(std::time::Duration::from_millis(1));\n}\n",
-    );
-    assert!(v.is_empty(), "{v:#?}");
-}
-
-#[test]
-fn seeded_atomics_violations_are_flagged() {
-    let v = scan("bad_atomics.rs", include_str!("fixtures/bad_atomics.rs"));
-    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
-    assert_eq!(
-        lines,
-        vec![5, 7, 10, 13],
-        "import, static mut, UnsafeCell, core path — and nothing else: {v:#?}"
-    );
-    assert!(v.iter().all(|v| v.rule == "atomics"));
-    assert!(v.iter().any(|v| v.message.contains("Shared")));
 }
 
 #[test]
@@ -134,69 +67,13 @@ fn shared_raw_taint_crosses_files() {
 
 #[test]
 fn sim_substrate_is_exempt_from_the_shared_state_rules() {
-    assert!(!rules_for("crates/sim/src/clock.rs").atomics);
-    assert!(!rules_for("crates/sim/src/perturb.rs").atomics);
-    assert!(rules_for("crates/core/src/device.rs").atomics);
     assert!(
-        rules_for("tests/stress_mt.rs").atomics,
-        "harness stop flags must use Shared<bool>, not AtomicBool"
+        !rules_for("crates/sim/src/sync.rs").shared_raw,
+        "the shims are interior-mutable by definition"
     );
+    assert!(!rules_for("crates/sim/src/perturb.rs").shared_raw);
+    assert!(rules_for("crates/core/src/device.rs").shared_raw);
     assert!(!rules_for("tests/stress_mt.rs").shared_raw);
-}
-
-#[test]
-fn seeded_shim_spawn_violations_are_flagged() {
-    let v = scan(
-        "bad_shim_spawn.rs",
-        include_str!("fixtures/bad_shim_spawn.rs"),
-    );
-    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
-    assert_eq!(
-        lines,
-        vec![8, 12, 20],
-        "bare spawn, Builder, and the cfg(test) spawn — no test carve-out: {v:#?}"
-    );
-    assert!(v.iter().all(|v| v.rule == "shim-spawn"), "{v:#?}");
-    assert!(v
-        .iter()
-        .any(|v| v.message.contains("kvcsd_sim::sync::spawn")));
-    assert!(v
-        .iter()
-        .any(|v| v.message.contains("mc controlled scheduler")));
-}
-
-#[test]
-fn shim_spawns_and_reasoned_raw_spawn_allows_scan_clean() {
-    let v = scan(
-        "good_shim_spawn.rs",
-        include_str!("fixtures/good_shim_spawn.rs"),
-    );
-    assert!(v.is_empty(), "{v:#?}");
-}
-
-#[test]
-fn shim_spawn_exempts_the_sim_crate_only() {
-    assert!(!rules_for("crates/sim/src/sync.rs").shim_spawn);
-    assert!(
-        !rules_for("crates/sim/src/mc.rs").shim_spawn,
-        "the controlled scheduler's managed threads are raw by definition"
-    );
-    assert!(rules_for("crates/core/src/dram.rs").shim_spawn);
-    assert!(rules_for("crates/mc/src/harnesses.rs").shim_spawn);
-    assert!(
-        rules_for("tests/stress_mt.rs").shim_spawn && rules_for("tests/race.rs").shim_spawn,
-        "harness threads must be shim-spawned (racy fixtures carry allows)"
-    );
-}
-
-#[test]
-fn mc_scheduler_is_exempt_from_the_sync_rule() {
-    assert!(
-        !rules_for("crates/sim/src/mc.rs").sync,
-        "the scheduler parks threads on a raw Mutex/Condvar below the shims"
-    );
-    assert!(rules_for("crates/sim/src/clock.rs").sync);
-    assert!(rules_for("crates/mc/src/explore.rs").sync);
 }
 
 #[test]
@@ -249,17 +126,26 @@ fn bad_allows_are_themselves_violations() {
     assert_eq!(
         kinds,
         vec![
-            (5, "allow"),   // unknown rule name
-            (6, "unwrap"),  // ...so the unwrap below it still fires
-            (10, "allow"),  // legacy `:` separator grants nothing
-            (11, "unwrap"), // ...likewise
-            (15, "allow"),  // empty reason after ` -- `
-            (16, "unwrap"), // ...likewise
-            (19, "allow"),  // unused allow
+            (5, "allow"),          // unknown rule name
+            (6, "router-bypass"),  // ...so the construction below it still fires
+            (10, "allow"),         // a retired rule, now a clippy lint
+            (11, "router-bypass"), // ...likewise
+            (15, "allow"),         // legacy `:` separator grants nothing
+            (16, "router-bypass"), // ...likewise
+            (20, "allow"),         // empty reason after ` -- `
+            (21, "router-bypass"), // ...likewise
+            (24, "allow"),         // unused allow
         ],
         "{v:#?}"
     );
-    assert!(v.iter().any(|v| v.message.contains("unknown rule")));
+    assert!(v
+        .iter()
+        .any(|v| v.message.contains("unknown rule `panics`")));
+    assert!(
+        v.iter()
+            .any(|v| v.message.contains("unknown rule `unwrap`")),
+        "a stale allow of a retired rule must not linger silently: {v:#?}"
+    );
     assert!(v.iter().any(|v| v.message.contains("without ` -- reason`")));
     assert!(v.iter().any(|v| v.message.contains("empty reason")));
     assert!(v.iter().any(|v| v.message.contains("unused allow")));
@@ -447,38 +333,6 @@ fn window_stalls_are_charged_waits_and_the_transport_submit_is_not() {
         .any(|v| v.message.contains("`submit` (a charged wait)")));
 }
 
-#[test]
-fn status_map_flags_unclassified_variants() {
-    let enum_src = include_str!("fixtures/status_enum.rs");
-    let bad = include_str!("fixtures/bad_status_cover.rs");
-    let good = include_str!("fixtures/good_status_cover.rs");
-    let rel = "crates/client/src/error.rs";
-    let sources = vec![
-        (
-            "crates/proto/src/status.rs".to_string(),
-            enum_src.to_string(),
-        ),
-        (rel.to_string(), bad.to_string()),
-    ];
-    let ctx = build_context(&sources);
-    assert_eq!(ctx.status_variants, ["KeyNotFound", "Busy", "MediaError"]);
-    let v = check_source_with_context(Path::new(rel), rel, bad, &ctx);
-    assert_eq!(v.len(), 2, "{v:#?}");
-    assert!(v.iter().all(|v| v.rule == "status-map" && v.line == 1));
-    assert!(v.iter().any(|v| v.message.contains("KvStatus::Busy")));
-    assert!(v.iter().any(|v| v.message.contains("KvStatus::MediaError")));
-    let clean = check_source_with_context(Path::new(rel), rel, good, &ctx);
-    assert!(clean.is_empty(), "{clean:#?}");
-}
-
-#[test]
-fn status_map_applies_only_to_the_coverage_files() {
-    assert!(rules_for("crates/client/src/error.rs").status_map);
-    assert!(rules_for("crates/cluster/src/router.rs").status_map);
-    assert!(!rules_for("crates/proto/src/status.rs").status_map);
-    assert!(!rules_for("crates/client/src/api.rs").status_map);
-}
-
 // ---- binary-level tests -------------------------------------------------
 
 fn run_check(args: &[&str]) -> (bool, String) {
@@ -492,6 +346,13 @@ fn run_check(args: &[&str]) -> (bool, String) {
     )
 }
 
+/// A library file with one `router-bypass` finding.
+const DIRTY_LIB: &[&str] = &[
+    "pub fn f(g: Geometry) -> KvCsdDevice {",
+    "    KvCsdDevice::new(g)",
+    "}",
+];
+
 /// Build a throwaway tree containing one file made of `lines`.
 fn temp_tree(tag: &str, lines: &[&str]) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("kvcsd-check-{}-{tag}", std::process::id()));
@@ -503,25 +364,25 @@ fn temp_tree(tag: &str, lines: &[&str]) -> std::path::PathBuf {
 
 #[test]
 fn binary_exits_nonzero_on_dirty_tree() {
-    let root = temp_tree("dirty", &["use std::sync::Mutex;", "pub fn f() {}"]);
+    let root = temp_tree("dirty", DIRTY_LIB);
     let (ok, stdout) = run_check(&["--root", root.to_str().expect("utf8 path")]);
     std::fs::remove_dir_all(&root).ok();
     assert!(!ok, "expected failure exit: {stdout}");
-    assert!(stdout.contains("[sync]"), "{stdout}");
+    assert!(stdout.contains("[router-bypass]"), "{stdout}");
     assert!(stdout.contains("violation(s)"), "{stdout}");
 }
 
 #[test]
 fn binary_rule_filter_narrows_the_scan() {
-    let root = temp_tree("filtered", &["use std::sync::Mutex;", "pub fn f() {}"]);
+    let root = temp_tree("filtered", DIRTY_LIB);
     let (ok, stdout) = run_check(&[
         "--root",
         root.to_str().expect("utf8 path"),
         "--rule",
-        "time",
+        "epoch-fence",
     ]);
     std::fs::remove_dir_all(&root).ok();
-    assert!(ok, "sync finding must be filtered out: {stdout}");
+    assert!(ok, "router-bypass finding must be filtered out: {stdout}");
     assert!(stdout.contains("clean"), "{stdout}");
 }
 
@@ -542,9 +403,9 @@ fn binary_json_output_and_baseline_detect_allow_drift() {
     let root = temp_tree(
         "json",
         &[
-            "pub fn f(v: &[u32]) -> u32 {",
-            "    // kvcsd-check: allow(unwrap) -- fixture reason",
-            "    *v.first().unwrap()",
+            "pub fn f(g: Geometry) -> KvCsdDevice {",
+            "    // kvcsd-check: allow(router-bypass) -- fixture reason",
+            "    KvCsdDevice::new(g)",
             "}",
         ],
     );
@@ -566,7 +427,7 @@ fn binary_json_output_and_baseline_detect_allow_drift() {
     // loud against the baseline.
     std::fs::write(
         root.join("src").join("extra.rs"),
-        "pub fn g(v: &[u32]) -> u32 {\n    // kvcsd-check: allow(unwrap) -- second reason\n    *v.last().unwrap()\n}\n",
+        "pub fn g(g: Geometry) -> KvCsdDevice {\n    // kvcsd-check: allow(router-bypass) -- second reason\n    KvCsdDevice::reopen(g)\n}\n",
     )
     .expect("write");
     let (ok, stdout) = run_check(&["--root", root_s, "--baseline", base_s]);

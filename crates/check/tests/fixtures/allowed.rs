@@ -1,27 +1,27 @@
 //! Fixture: every would-be violation carries a valid exemption or sits
 //! in a `#[cfg(test)]` region — this file must scan clean.
 
-pub fn head(v: &[u32]) -> u32 {
-    // kvcsd-check: allow(unwrap) -- callers are required to pass non-empty slices
-    *v.first().unwrap()
+pub fn bare(g: Geometry) -> KvCsdDevice {
+    // kvcsd-check: allow(router-bypass) -- single-device diagnostic with no shard to route through
+    KvCsdDevice::new(g)
 }
 
-pub fn tail(v: &[u32]) -> u32 {
-    *v.last().expect("non-empty") // kvcsd-check: allow(unwrap) -- same contract as head()
+pub fn gauge() -> Arc<Cell<u64>> { // kvcsd-check: allow(shared-raw) -- same-line form of the allow
+    Arc::new(Cell::new(0))
 }
 
-pub fn not_a_real_unwrap() -> &'static str {
-    // Mentions of ".unwrap()" inside string literals are scrubbed before
-    // scanning, as is this comment.
-    "never call .unwrap() in library code"
+pub fn not_a_real_construction() -> &'static str {
+    // Mentions of KvCsdDevice::new inside string literals are scrubbed
+    // before scanning, as is this comment.
+    "never call KvCsdDevice::new in library code"
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_in_tests_is_idiomatic() {
-        let v: Option<u32> = Some(3);
-        assert_eq!(v.unwrap(), 3);
-        assert_eq!(super::head(&[7, 8]), 7);
+    fn bare_devices_in_tests_are_idiomatic() {
+        let dev = KvCsdDevice::new(geom());
+        let probe: Arc<Cell<u8>> = Arc::new(Cell::new(0));
+        assert!(dev.is_empty() && probe.get() == 0);
     }
 }

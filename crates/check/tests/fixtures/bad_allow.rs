@@ -1,20 +1,25 @@
 //! Fixture: malformed or unused exemptions — the allowlist is checked,
 //! not decorative.
 
-pub fn unknown_rule(v: &[u32]) -> u32 {
+pub fn unknown_rule(g: Geometry) -> KvCsdDevice {
     // kvcsd-check: allow(panics) -- not a rule name, so this grants nothing
-    *v.first().unwrap()
+    KvCsdDevice::new(g)
 }
 
-pub fn legacy_separator(v: &[u32]) -> u32 {
-    // kvcsd-check: allow(unwrap): the pre-v2 colon syntax grants nothing
-    *v.last().unwrap()
+pub fn retired_rule(g: Geometry) -> KvCsdDevice {
+    // kvcsd-check: allow(unwrap) -- clippy::unwrap_used enforces this now, so this grants nothing
+    KvCsdDevice::new(g)
 }
 
-pub fn empty_reason(v: &[u32]) -> u32 {
-    // kvcsd-check: allow(unwrap) --
-    *v.first().unwrap()
+pub fn legacy_separator(g: Geometry) -> KvCsdDevice {
+    // kvcsd-check: allow(router-bypass): the pre-v2 colon syntax grants nothing
+    KvCsdDevice::reopen(g)
 }
 
-// kvcsd-check: allow(time) -- nothing on the next line reads the clock
+pub fn empty_reason(g: Geometry) -> KvCsdDevice {
+    // kvcsd-check: allow(router-bypass) --
+    KvCsdDevice::new(g)
+}
+
+// kvcsd-check: allow(router-bypass) -- nothing on the next line builds a device
 pub fn idle() {}

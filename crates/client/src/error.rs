@@ -55,9 +55,11 @@ pub enum StatusClass {
 }
 
 /// Classify one wire status. The match is deliberately exhaustive *by
-/// name* over every [`KvStatus`] variant (the `status-map` lint enforces
-/// it): adding a wire status forces a conscious decision here instead of
-/// a catch-all arm silently treating it as fatal.
+/// name* over every [`KvStatus`] variant (rustc rejects a missing one;
+/// the denied `clippy::wildcard_enum_match_arm` rejects a `_` or binding
+/// catch-all): adding a wire status forces a conscious decision here
+/// instead of a catch-all arm silently treating it as fatal.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn status_class(s: &KvStatus) -> StatusClass {
     match s {
         // The device said an identical resend may succeed; agrees with

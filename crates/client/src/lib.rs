@@ -14,6 +14,8 @@
 //! is charged to the host CPU; all bytes cross the simulated PCIe link
 //! through [`kvcsd_proto::QueuePair`].
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod accel;
 pub mod api;
 pub mod error;

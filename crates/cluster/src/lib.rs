@@ -43,6 +43,8 @@
 //! replication-link decision sequence to a depth bound (kvcsd-mc's
 //! network explorer) and checks each run against the client contract.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod merge;
 pub mod replica;
 pub mod router;

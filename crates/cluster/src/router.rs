@@ -684,9 +684,11 @@ impl ClusterRouter {
 
     /// How a shard-level status error affects a cluster-level fan-out or
     /// job poll. The match is deliberately exhaustive *by name* over
-    /// every [`KvStatus`] variant (the `status-map` lint enforces it):
-    /// a new wire status must be placed here consciously, not fall into
-    /// a catch-all arm that silently retries or fails it.
+    /// every [`KvStatus`] variant (rustc rejects a missing one; the
+    /// denied `clippy::wildcard_enum_match_arm` rejects a `_` or binding
+    /// catch-all): a new wire status must be placed here consciously,
+    /// not fall into a catch-all arm that silently retries or fails it.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn classify_shard_error(e: &KvStatus) -> ShardErrorClass {
         match e {
             // Mid-promotion (or a stale-epoch ack rejected at the

@@ -24,7 +24,8 @@
 //! Every decision is a pure function of the sampled pressure and the
 //! hysteresis flag, so a seeded workload replays to identical admission
 //! decisions. Stalls charge the [`VirtualClock`] — never a wall-clock
-//! sleep (`kvcsd-check` rule `sleep` enforces this workspace-wide).
+//! sleep (the root `clippy.toml` disallows `std::thread::sleep`
+//! outside kvcsd-sim).
 
 use kvcsd_sim::sync::Shared;
 use kvcsd_sim::VirtualClock;

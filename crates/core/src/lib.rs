@@ -38,6 +38,8 @@
 //! All SoC CPU work is charged at `soc_slowdown` times host cost; all
 //! storage I/O goes through the real ZNS rules in `kvcsd-flash`.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod admission;
 pub mod artifact;
 pub mod compact;

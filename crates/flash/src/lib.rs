@@ -19,6 +19,8 @@
 //! Data is actually stored: what you program is what you read back, and the
 //! test suites verify it.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod conv;
 pub mod error;
 pub mod geometry;

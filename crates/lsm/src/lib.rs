@@ -30,6 +30,8 @@
 //! threads sharing cores with the foreground. This keeps runs
 //! deterministic without changing the phase-time arithmetic.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod bloom;
 pub mod compaction;
 pub mod db;

@@ -11,6 +11,8 @@
 //! network explorer's run count is pinned exactly by its sweep in
 //! `tests/mc.rs`, next to the scenario it counts.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use kvcsd_mc::{harnesses, McConfig};
 
 fn main() {

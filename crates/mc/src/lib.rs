@@ -33,6 +33,8 @@
 //! (`controlled: false`). The network explorer needs no scheduler and
 //! works in every profile.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod net;
 mod trace;
 

@@ -15,6 +15,8 @@
 //! and the bulk payload really is packed into a flat buffer and decoded on
 //! the device side.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod bulk;
 pub mod cluster;
 pub mod command;

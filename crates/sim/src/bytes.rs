@@ -3,12 +3,13 @@
 //! On-flash formats throughout the workspace decode fixed-width integers
 //! out of page buffers. Before this module existed every such site spelled
 //! `u32::from_le_bytes(buf[a..b].try_into().unwrap())` — dozens of
-//! `unwrap()`s that the `kvcsd-check` lint would have to allowlist one by
-//! one. These helpers are the single sanctioned funnel: `le_*` for buffers
-//! whose length was already validated (an out-of-bounds offset is an
-//! internal invariant violation and panics via slice indexing, with no
-//! `unwrap` in sight), `try_le_*` for tail-parsing paths that want to turn
-//! a short buffer into a typed corruption error.
+//! `unwrap()`s that the workspace's `clippy::unwrap_used` lint would have
+//! to exempt one by one. These helpers are the single sanctioned funnel:
+//! `le_*` for buffers whose length was already validated (an
+//! out-of-bounds offset is an internal invariant violation and panics via
+//! slice indexing, with no `unwrap` in sight), `try_le_*` for
+//! tail-parsing paths that want to turn a short buffer into a typed
+//! corruption error.
 
 /// Decode a `u16` at `off`; panics if `buf` is too short (caller-validated
 /// buffers only).

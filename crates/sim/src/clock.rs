@@ -64,17 +64,21 @@ pub fn doubling_backoff_ns(base_ns: u64, cap_ns: u64, attempt: u32) -> u64 {
 
 /// Wall-clock stopwatch for self-timed benchmark harnesses.
 ///
-/// This module is the single place in the workspace allowed to touch host
-/// time (`kvcsd-check` rule `time`); everything that needs to measure the
-/// harness's own speed — as opposed to the [`VirtualClock`]'s simulated
-/// time — goes through a `WallTimer` so that no data-path code can
-/// accidentally become wall-clock dependent and break simulation
-/// determinism.
+/// [`WallTimer::start`] is the single place in the workspace allowed to
+/// read host time (both `clippy.toml`s disallow `Instant::now`; it carries
+/// the one `#[expect]`); everything that needs to measure the harness's
+/// own speed — as opposed to the [`VirtualClock`]'s simulated time — goes
+/// through a `WallTimer` so that no data-path code can accidentally
+/// become wall-clock dependent and break simulation determinism.
 #[derive(Debug, Clone, Copy)]
 pub struct WallTimer(std::time::Instant);
 
 impl WallTimer {
     /// Start a stopwatch at the current host time.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "WallTimer is the one sanctioned host-time read, for harness self-timing"
+    )]
     pub fn start() -> Self {
         Self(std::time::Instant::now())
     }

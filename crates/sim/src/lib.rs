@@ -19,6 +19,8 @@
 //! See `DESIGN.md` §2 for why this substitution preserves the paper's
 //! result *shapes* even though absolute numbers are not comparable.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod bus;
 pub mod bytes;
 pub mod clock;

@@ -47,6 +47,11 @@
 //! uncontrolled. Only the op vocabulary ([`OpKind`], [`Access`]) stays,
 //! because the `sync` shims name their ops in every build.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the controlled scheduler parks real threads on a raw std::sync::Mutex/Condvar pair; the shims it schedules sit above it, so parking through them would recurse"
+)]
+
 #[cfg(debug_assertions)]
 pub use imp::*;
 

@@ -46,8 +46,8 @@
 //! Notes on the model:
 //! * classes, not instances: taking two locks of the *same* class (e.g.
 //!   two zones) is not checked — the workspace never nests same-class
-//!   locks, and `kvcsd-check` plus this detector keep it that way for
-//!   cross-class order;
+//!   locks, and clippy's `disallowed-types` ban on raw `std::sync` locks
+//!   plus this detector keep it that way for cross-class order;
 //! * guard drops pop the per-thread hold stack and perform the release
 //!   half of the happens-before clock transfer (below).
 //!
@@ -92,6 +92,11 @@
 //! The canonical lock order of the device stack is documented in
 //! `DESIGN.md` §9; the happens-before model and the `Shared<T>` migration
 //! rules are in `DESIGN.md` §11.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the shim implementation wraps std::sync by definition"
+)]
 
 use std::sync::{self, LockResult};
 

@@ -9,6 +9,8 @@
 //!
 //! All generators are seeded and deterministic.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod kv;
 pub mod vpic;
 

@@ -4,6 +4,8 @@
 //! on `kvcsd` alone. Start with [`client`] (`kvcsd_client::KvCsd`) for the
 //! host-side key-value API, and see `examples/quickstart.rs` for a tour.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub use kvcsd_blockfs as blockfs;
 pub use kvcsd_client as client;
 pub use kvcsd_cluster as cluster;

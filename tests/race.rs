@@ -32,9 +32,12 @@ fn unordered_writes_panic_with_both_sites() {
     }
     let cell = Arc::new(Shared::new(0u64));
     let (tx, rx) = mpsc::channel();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deliberately-racy fixture: a shim spawn would add the very happens-before edge this test must not have"
+    )]
     let racer = {
         let cell = Arc::clone(&cell);
-        // kvcsd-check: allow(shim-spawn) -- deliberately-racy fixture: a shim spawn would add the very happens-before edge this test must not have
         thread::Builder::new()
             .name("racer".into())
             .spawn(move || {
@@ -76,10 +79,13 @@ fn lock_protected_twin_is_silent() {
     let cell = Arc::new(Shared::new(0u64));
     let guard = Arc::new(Mutex::new(()));
     let (tx, rx) = mpsc::channel();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the lock-protected twin must mirror the racy fixture's raw spawn so only the mutex orders the accesses"
+    )]
     let worker = {
         let cell = Arc::clone(&cell);
         let guard = Arc::clone(&guard);
-        // kvcsd-check: allow(shim-spawn) -- the lock-protected twin must mirror the racy fixture's raw spawn so only the mutex orders the accesses
         thread::spawn(move || {
             let _g = guard.lock();
             *cell.write() = 1;
@@ -102,10 +108,13 @@ fn lock_protected_twin_is_silent() {
 #[test]
 fn update_get_needs_no_external_ordering() {
     let cell = Arc::new(Shared::new(0u64));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "proves self-synchronized ops need no spawn/join edge; raw std threads are the point"
+    )]
     let handles: Vec<_> = (0..4)
         .map(|_| {
             let cell = Arc::clone(&cell);
-            // kvcsd-check: allow(shim-spawn) -- proves self-synchronized ops need no spawn/join edge; raw std threads are the point
             thread::spawn(move || {
                 for _ in 0..500 {
                     cell.update(|v| *v += 1);
