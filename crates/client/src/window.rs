@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kvcsd_proto::{Completion, KvCommand, KvResponse, KvStatus, QueuePair};
-use kvcsd_sim::sync::Mutex;
+use kvcsd_sim::sync::{waits_under, Mutex};
 use kvcsd_sim::VirtualClock;
 
 use crate::api::RetryPolicy;
@@ -250,7 +250,11 @@ impl InflightWindow {
 
     /// Send `ctx`'s command and hold its completion until it falls due.
     fn send(&self, st: &mut WindowState, ctx: OpCtx) {
-        let c = self.qp.submit(ctx.cmd.clone());
+        let c = waits_under(
+            "the window lock spans the device command, so threads sharing a window \
+             submit one at a time; moving the submit out of it is open (DESIGN.md §13)",
+            || self.qp.submit(ctx.cmd.clone()),
+        );
         st.sends += 1;
         st.pending.insert((c.done_ns, st.sends), (ctx, c));
     }

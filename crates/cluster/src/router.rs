@@ -38,7 +38,7 @@ use kvcsd_proto::{
     Bound, DeviceHandler, JobId, JobState, KeyspaceDesc, KeyspaceStat, KeyspaceState, KvCommand,
     KvResponse, KvStatus, SecondaryIndexSpec, ShardId, ShipKind,
 };
-use kvcsd_sim::sync::{Mutex, RwLock, Shared};
+use kvcsd_sim::sync::{waits_under, Mutex, RwLock, Shared};
 use kvcsd_sim::{BusResource, FaultInjector, FaultPlan, IoLedger, VirtualClock};
 
 use crate::merge::merge;
@@ -643,7 +643,12 @@ impl ClusterRouter {
             }
             ShardHealth::Dead => return Err(KvStatus::ShardUnavailable { shard: st.id }),
         }
-        let (resp, died) = Self::handle_fenced(st, &st.primary.read(), cmd);
+        let inst = st.primary.read();
+        let (resp, died) = waits_under(
+            "a failover's write lock waits for the commands in flight on the primary",
+            || Self::handle_fenced(st, &inst, cmd),
+        );
+        drop(inst);
         if died {
             self.failover(ix, false);
             return Err(if self.cfg.replicate {

@@ -6,7 +6,7 @@
 //! memory is tight — exactly the trade-off the paper describes for
 //! LSM-trees vs. memory-hungry bitmap indexes.
 
-use kvcsd_sim::sync::Shared;
+use kvcsd_sim::sync::{Hold, Shared};
 
 /// A shared DRAM budget with lock-free-style reserve/release.
 ///
@@ -87,11 +87,13 @@ impl DramBudget {
 
     /// Reserve exactly `bytes`, returning an RAII guard that releases on
     /// drop. `None` if the reservation would exceed the limit.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn reserve(&self, bytes: u64) -> Option<DramReservation<'_>> {
         if self.try_reserve(bytes) {
             Some(DramReservation {
                 budget: self,
                 bytes,
+                _hold: Hold::new("a DRAM reservation"),
             })
         } else {
             None
@@ -100,20 +102,25 @@ impl DramBudget {
 
     /// Guard-returning form of [`DramBudget::reserve_up_to`]: as much as
     /// possible up to `want`, at least `min`, released on drop.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn reserve_up_to_guarded(&self, want: u64, min: u64) -> Option<DramReservation<'_>> {
-        self.reserve_up_to(want, min).map(|bytes| DramReservation {
+        let bytes = self.reserve_up_to(want, min)?;
+        Some(DramReservation {
             budget: self,
             bytes,
+            _hold: Hold::new("a DRAM reservation"),
         })
     }
 }
 
 /// An RAII DRAM reservation: the bytes return to the budget when the
 /// guard drops, so early-error returns can never leak the reservation.
+/// Like a shim guard, it must not be held across a charged wait.
 #[derive(Debug)]
 pub struct DramReservation<'a> {
     budget: &'a DramBudget,
     bytes: u64,
+    _hold: Hold,
 }
 
 impl DramReservation<'_> {

@@ -103,8 +103,12 @@ impl BusResource {
 
     /// Ship `bytes` over the channel; returns the simulated transfer time
     /// in nanoseconds. Charges `bus_bytes`, `bus_msgs` and `bus_busy_ns`
-    /// to the ledger and accumulates the channel's busy time.
+    /// to the ledger and accumulates the channel's busy time. A charged
+    /// wait: debug builds panic if a shim guard is held across it
+    /// (`DESIGN.md` §13).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn transfer(&self, bytes: u64) -> u64 {
+        crate::sync::charged_wait("BusResource::transfer");
         let ns = self
             .cfg
             .msg_overhead_ns
@@ -122,7 +126,10 @@ impl BusResource {
     /// link charges nothing). Delay faults add their latency to the
     /// returned occupancy. This is the only send primitive replication
     /// protocols should use — `transfer` alone models a perfect wire.
+    /// A charged wait, like `transfer`.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn xmit(&self, bytes: u64) -> BusXmit {
+        crate::sync::charged_wait("BusResource::xmit");
         let fault = match &self.injector {
             None => BusFault::Deliver {
                 copies: 1,

@@ -31,14 +31,27 @@ impl VirtualClock {
         self.now_ns() as f64 / 1e9
     }
 
-    /// Advance the clock by `delta_ns`, returning the new time.
+    /// Advance the clock by `delta_ns`, returning the new time. A charged
+    /// wait: debug builds panic if a shim guard is held across it
+    /// (`DESIGN.md` §13).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn advance(&self, delta_ns: u64) -> u64 {
-        self.now_ns.fetch_add(delta_ns, Ordering::AcqRel) + delta_ns
+        crate::sync::charged_wait("VirtualClock::advance");
+        self.add(delta_ns)
     }
 
-    /// Move the clock forward to at least `target_ns` (max-update).
+    /// Move the clock forward to at least `target_ns` (max-update). A
+    /// charged wait, like [`VirtualClock::advance`].
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn advance_to(&self, target_ns: u64) {
+        crate::sync::charged_wait("VirtualClock::advance_to");
         self.now_ns.fetch_max(target_ns, Ordering::AcqRel);
+    }
+
+    /// [`VirtualClock::advance`] without the charged-wait check, for the
+    /// perturbation yields the sync shims inject while a guard may be held.
+    pub(crate) fn add(&self, delta_ns: u64) -> u64 {
+        self.now_ns.fetch_add(delta_ns, Ordering::AcqRel) + delta_ns
     }
 }
 

@@ -162,7 +162,7 @@ pub fn maybe_yield() {
             std::thread::yield_now();
         }
         if let Some(clock) = CLOCK.get() {
-            clock.advance(n * YIELD_COST_NS);
+            clock.add(n * YIELD_COST_NS);
         }
     }
 }

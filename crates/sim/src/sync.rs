@@ -51,6 +51,15 @@
 //! * guard drops pop the per-thread hold stack and perform the release
 //!   half of the happens-before clock transfer (below).
 //!
+//! # Charged waits
+//!
+//! The same per-thread hold stack backs a second check: a charged wait
+//! (`VirtualClock::advance`/`advance_to`, `BusResource::transfer`/`xmit`)
+//! panics while a guard, or a [`Hold`]
+//! such as a DRAM reservation, is live outside a [`waits_under`] scope.
+//! A `Hold` is on the stack but not in the lock-order graph: it never
+//! blocks. See `DESIGN.md` §13.
+//!
 //! # Happens-before (data-race) detection
 //!
 //! Debug builds also carry a FastTrack-style vector-clock race detector.
@@ -113,7 +122,7 @@ mod lockorder {
     //! `std::sync` primitives — this module *is* the instrumentation and
     //! must not recurse into the shims it instruments.
 
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::collections::{HashMap, HashSet};
     use std::panic::Location;
     use std::sync::{Mutex, OnceLock};
@@ -150,9 +159,26 @@ mod lockorder {
         graph().lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    /// One entry of a thread's hold stack.
+    struct Entry {
+        /// Unique on this thread; its token pops exactly this entry.
+        id: u64,
+        /// Lock-order class; `None` for a hold that is not a lock (a DRAM
+        /// reservation), which the charged-wait check sees but the
+        /// lock-order graph does not.
+        class: Option<u32>,
+        /// What is held, for the charged-wait report.
+        what: &'static str,
+        /// Acquisition site.
+        site: String,
+        /// The reason of the [`super::waits_under`] scope exempting it.
+        exempt: Option<&'static str>,
+    }
+
     thread_local! {
-        /// Stack of (class, acquisition site) currently held by this thread.
-        static HELD: RefCell<Vec<(u32, String)>> = const { RefCell::new(Vec::new()) };
+        /// Everything this thread currently holds, in acquisition order.
+        static HELD: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
+        static NEXT_ID: Cell<u64> = const { Cell::new(0) };
     }
 
     fn site_of(loc: &Location<'_>) -> String {
@@ -224,17 +250,104 @@ mod lockorder {
     /// Popping token for one recorded hold.
     #[derive(Debug)]
     pub(super) struct HeldToken {
-        class: u32,
+        id: u64,
     }
 
     impl Drop for HeldToken {
         fn drop(&mut self) {
             let _ = HELD.try_with(|h| {
                 let mut h = h.borrow_mut();
-                if let Some(ix) = h.iter().rposition(|&(c, _)| c == self.class) {
+                if let Some(ix) = h.iter().rposition(|x| x.id == self.id) {
                     h.remove(ix);
                 }
             });
+        }
+    }
+
+    fn push(class: Option<u32>, what: &'static str, site: String) -> HeldToken {
+        let id = NEXT_ID.with(|n| {
+            n.set(n.get() + 1);
+            n.get()
+        });
+        HELD.with(|h| {
+            h.borrow_mut().push(Entry {
+                id,
+                class,
+                what,
+                site,
+                exempt: None,
+            })
+        });
+        HeldToken { id }
+    }
+
+    /// Record a hold that is not a lock, acquired at `loc`.
+    pub(super) fn hold(what: &'static str, loc: &Location<'_>) -> HeldToken {
+        push(None, what, site_of(loc))
+    }
+
+    /// Mark every hold not yet exempt as exempt for `reason`, until the
+    /// returned scope drops.
+    pub(super) fn exempt_held(reason: &'static str) -> ExemptScope {
+        let ids = HELD.with(|h| {
+            let mut h = h.borrow_mut();
+            h.iter_mut()
+                .filter(|x| x.exempt.is_none())
+                .map(|x| {
+                    x.exempt = Some(reason);
+                    x.id
+                })
+                .collect()
+        });
+        ExemptScope { ids }
+    }
+
+    /// The holds one [`exempt_held`] call marked; unmarked on drop.
+    pub(super) struct ExemptScope {
+        ids: Vec<u64>,
+    }
+
+    impl Drop for ExemptScope {
+        fn drop(&mut self) {
+            let _ = HELD.try_with(|h| {
+                for x in h.borrow_mut().iter_mut() {
+                    if self.ids.contains(&x.id) {
+                        x.exempt = None;
+                    }
+                }
+            });
+        }
+    }
+
+    /// A charged wait `wait` reached at `loc`: panic, naming every hold,
+    /// if any of them is outside a [`super::waits_under`] scope.
+    pub(super) fn check_wait(wait: &str, loc: &Location<'_>) {
+        let report = HELD.try_with(|h| {
+            let h = h.borrow();
+            if h.iter().all(|x| x.exempt.is_some()) {
+                return None;
+            }
+            let mut msg = format!(
+                "charged wait under a guard\n  thread '{}' reached {wait}\n    at {}\n  while holding:\n",
+                std::thread::current().name().unwrap_or("<unnamed>"),
+                site_of(loc),
+            );
+            let g = lock_graph();
+            for x in h.iter() {
+                msg.push_str(&format!("    {}", x.what));
+                if let Some(c) = x.class {
+                    msg.push_str(&format!(" of the lock created at {}", g.class_sites[c as usize]));
+                }
+                msg.push_str(&format!(", acquired at {}", x.site));
+                match x.exempt {
+                    Some(reason) => msg.push_str(&format!(" (exempt: {reason})\n")),
+                    None => msg.push('\n'),
+                }
+            }
+            Some(msg)
+        });
+        if let Ok(Some(msg)) = report {
+            panic!("{msg}");
         }
     }
 
@@ -243,7 +356,12 @@ mod lockorder {
     /// if it would, then record an edge from every held class.
     pub(super) fn acquire(class: u32, loc: &Location<'_>) -> HeldToken {
         let acq_site = site_of(loc);
-        let held: Vec<(u32, String)> = HELD.with(|h| h.borrow().clone());
+        let held: Vec<(u32, String)> = HELD.with(|h| {
+            h.borrow()
+                .iter()
+                .filter_map(|x| Some((x.class?, x.site.clone())))
+                .collect()
+        });
         let mut cycle_msg = None;
         {
             let mut g = lock_graph();
@@ -300,8 +418,7 @@ mod lockorder {
         if let Some(msg) = cycle_msg {
             panic!("{msg}");
         }
-        HELD.with(|h| h.borrow_mut().push((class, acq_site)));
-        HeldToken { class }
+        push(Some(class), "a shim guard", acq_site)
     }
 }
 
@@ -1017,6 +1134,58 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Shared<T> {
     }
 }
 
+/// Declare a charged wait: the caller is about to stall in virtual time
+/// (`VirtualClock::advance`/`advance_to`, a bus `transfer`/`xmit`).
+/// Debug builds panic if this thread holds a shim guard or a [`Hold`]
+/// outside a [`waits_under`] scope, naming every hold's acquisition site
+/// and the wait's; release builds compile it to nothing.
+#[cfg_attr(debug_assertions, track_caller)]
+#[inline]
+pub(crate) fn charged_wait(wait: &'static str) {
+    #[cfg(debug_assertions)]
+    lockorder::check_wait(wait, std::panic::Location::caller());
+    #[cfg(not(debug_assertions))]
+    let _ = wait;
+}
+
+/// Run `f` with every guard and [`Hold`] this thread holds now exempt
+/// from the charged-wait check; `reason` says why waiting under them is
+/// intended (DESIGN.md §13 lists each such scope). Holds taken inside `f`
+/// are still checked. Release builds compile it to a plain call.
+#[inline]
+pub fn waits_under<R>(reason: &'static str, f: impl FnOnce() -> R) -> R {
+    #[cfg(debug_assertions)]
+    let _scope = lockorder::exempt_held(reason);
+    #[cfg(not(debug_assertions))]
+    let _ = reason;
+    f()
+}
+
+/// Something held that is not a shim lock (a DRAM reservation): while it
+/// lives, a charged wait on this thread panics in debug builds as it
+/// would under a guard. Not `Send`: it pops on the thread that took it.
+#[derive(Debug)]
+pub struct Hold {
+    #[cfg(debug_assertions)]
+    _token: lockorder::HeldToken,
+    _not_send: std::marker::PhantomData<std::rc::Rc<()>>,
+}
+
+impl Hold {
+    /// Hold `what`, acquired at the caller's site.
+    #[cfg_attr(debug_assertions, track_caller)]
+    #[inline]
+    pub fn new(what: &'static str) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = what;
+        Self {
+            #[cfg(debug_assertions)]
+            _token: lockorder::hold(what, std::panic::Location::caller()),
+            _not_send: std::marker::PhantomData,
+        }
+    }
+}
+
 /// [`std::thread::spawn`] with fork edges for the race detector: the
 /// child starts ordered after everything the parent did before the spawn.
 /// Under an mc execution the child is also *registered* with the
@@ -1446,6 +1615,80 @@ mod tests {
                 msg.contains("data race detected"),
                 "readers do not order each other, got: {msg:?}"
             );
+        }
+    }
+
+    /// The charged-wait check: a guard or `Hold` live across a clock or
+    /// bus charge panics, at any call depth, unless a `waits_under` scope
+    /// exempts it.
+    #[cfg(debug_assertions)]
+    mod wait {
+        use super::*;
+        use crate::VirtualClock;
+
+        fn outer(m: &Mutex<u32>, clock: &VirtualClock) {
+            let _g = m.lock();
+            middle(clock);
+        }
+
+        fn middle(clock: &VirtualClock) {
+            inner(clock);
+        }
+
+        fn inner(clock: &VirtualClock) {
+            clock.advance_to(5);
+        }
+
+        #[test]
+        #[should_panic(expected = "charged wait under a guard")]
+        fn guard_across_a_wait_three_calls_deep_panics() {
+            outer(&Mutex::new(0), &VirtualClock::new());
+        }
+
+        #[test]
+        fn the_report_names_the_guard_and_the_wait() {
+            let r = std::panic::catch_unwind(|| outer(&Mutex::new(0), &VirtualClock::new()));
+            let msg = order::panic_message(r);
+            assert!(msg.contains("VirtualClock::advance_to"), "{msg}");
+            let this_file = file!();
+            // The wait's site is `inner`, the guard's `outer`.
+            assert_eq!(msg.matches(this_file).count(), 3, "{msg}");
+        }
+
+        #[test]
+        fn an_exempted_scope_does_not_panic() {
+            let (m, clock) = (Mutex::new(0), VirtualClock::new());
+            let _g = m.lock();
+            waits_under("test: the guard is meant to span the wait", || {
+                middle(&clock)
+            });
+            assert_eq!(clock.now_ns(), 5);
+        }
+
+        #[test]
+        #[should_panic(expected = "charged wait under a guard")]
+        fn a_guard_taken_inside_an_exempted_scope_is_still_checked() {
+            let (m, clock) = (Mutex::new(0), VirtualClock::new());
+            waits_under("test: nothing is held yet", || {
+                let _g = m.lock();
+                clock.advance(1);
+            });
+        }
+
+        #[test]
+        #[should_panic(expected = "a DRAM reservation")]
+        fn a_hold_across_a_wait_panics() {
+            let _h = Hold::new("a DRAM reservation");
+            VirtualClock::new().advance(1);
+        }
+
+        #[test]
+        fn released_holds_and_lock_free_cells_do_not_count() {
+            let (m, s, clock) = (Mutex::new(0), Shared::new(0u64), VirtualClock::new());
+            drop(m.lock());
+            drop(Hold::new("a DRAM reservation"));
+            s.update(|v| *v += clock.advance(1));
+            assert_eq!(s.get(), 1);
         }
     }
 }

@@ -278,6 +278,69 @@ fn duplicate_and_late_deliveries_stay_idempotent() {
     run.finish();
 }
 
+/// Anti-entropy after a heal, which the depth-4 sweep never exercises:
+/// there, step 4's kill reseeds the replica log before the heal, so the
+/// post-heal rounds ship nothing. Here the gap opens after the heal. In
+/// availability mode a seal whose ship drops on both attempts bounces
+/// without a deposition, and only anti-entropy can close it.
+#[test]
+fn anti_entropy_closes_a_gap_opened_after_the_heal() {
+    let mut fleet = Fleet::new(
+        ClusterConfig {
+            shards: 1,
+            ship: ShipPolicy {
+                max_attempts: 2,
+                ..ShipPolicy::default()
+            },
+            partition_failover: false,
+            ..ClusterConfig::default()
+        },
+        'h',
+        NET_PAIRS,
+        NET_VALUE_LEN,
+    );
+    let r = Arc::clone(&fleet.router);
+    let link = r.shard_link(0);
+    fleet.commit_batches(1);
+    link.partition_now();
+    assert_eq!(r.reconcile(), 0, "a partitioned link loses the exchange");
+    link.heal_link_now();
+    assert_eq!(r.reconcile(), 0, "nothing is missing before the gap");
+    let ks = fleet.create("gap");
+    for i in 0..NET_PAIRS {
+        fleet
+            .put("gap", format!("gapk{i:05}").as_bytes())
+            .expect("puts are device-local");
+    }
+    link.set_bus_script(vec![BusFault::Drop, BusFault::Drop]);
+    assert!(
+        matches!(
+            fleet.drive(|| KvCommand::Compact { ks }),
+            Err(KvStatus::TransientDeviceError(_))
+        ),
+        "a seal whose ship dropped must bounce retryably"
+    );
+    assert_eq!(link.bus_script_consumed(), 2, "both ship attempts dropped");
+    link.clear_bus_script();
+    assert!(r.events().is_empty(), "availability mode never deposes");
+    let gap_kind = || {
+        let gens = r.replica_log(0).generations();
+        gens.iter().find(|g| g.0 == "gap").map(|g| g.1)
+    };
+    assert_eq!(gap_kind(), None, "the replica lacks the gap");
+    // The background pass compacts the sealed keyspace; its anti-entropy
+    // then ships the compacted form.
+    assert!(r.run_background() >= 1, "the seal queued a compaction");
+    assert_eq!(gap_kind(), Some(ShipKind::Compacted));
+    assert_eq!(r.reconcile(), 0, "the replica converged");
+    // The resent COMPACT finds the replica current and acks; a promotion
+    // then serves the gap from the replica log.
+    assert!(fleet.compact_to_done("gap"));
+    fleet.kill_all_primaries();
+    fleet.model.power_cut();
+    fleet.verify_committed();
+}
+
 #[cfg(debug_assertions)]
 #[test]
 fn racy_fixture_is_caught_within_bounded_schedules_with_a_replayable_trace() {

@@ -31,6 +31,10 @@ fn unordered_writes_panic_with_both_sites() {
         return;
     }
     let cell = Arc::new(Shared::new(0u64));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deliberately-racy fixture: the raw channel orders the accesses in real time without a happens-before edge"
+    )]
     let (tx, rx) = mpsc::channel();
     #[expect(
         clippy::disallowed_methods,
@@ -78,6 +82,10 @@ fn unordered_writes_panic_with_both_sites() {
 fn lock_protected_twin_is_silent() {
     let cell = Arc::new(Shared::new(0u64));
     let guard = Arc::new(Mutex::new(()));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the lock-protected twin must mirror the racy fixture's raw channel so only the mutex orders the accesses"
+    )]
     let (tx, rx) = mpsc::channel();
     #[expect(
         clippy::disallowed_methods,
